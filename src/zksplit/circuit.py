@@ -29,6 +29,21 @@ circuit.
 The remainder convention here is R = floor_term - 2**eta*(out - z) >= 0,
 the mirror image of writing the leftover on the other side of the
 equation; nonnegative remainders admit direct binary range checks.
+
+Checking satisfaction.  Each circuit is compiled once, on its first
+check, into CSR matrices A, B and C with int64 coefficients, together
+with each matrix's largest row L1 norm.  A witness whose elements all
+have signed representatives in (-2**62, 2**62) is carried as an int64
+array, and when
+
+    L1(A) * L1(B) * max|w|**2 + L1(C) * max|w|  <  2**63
+
+every <A,w>, <B,w>, <C,w> and a*b - c fits in int64 and |a*b - c| < P,
+so the exact int64 test a*b == c decides a*b == c mod P.  For the
+default constants (max|w| = 2**13, L1 = 2**23, 2, 2**23) the bound holds
+with about 2**13 to spare.  Witnesses or circuits outside the bound, such
+as adversarial transcripts carrying huge elements, take the exact replay
+of every constraint in unbounded integers instead.
 """
 
 from __future__ import annotations
@@ -37,6 +52,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .field import P, to_signed
 from .quant import DEFAULT_Q_MAX, DEFAULT_Q_MIN, QuantParams
@@ -122,26 +139,62 @@ class CircuitConstants:
         )
 
 
-@dataclass
+# Witness elements whose signed representative lies in (-SMALL, SMALL) are
+# carried as int64; on the wire they are 32-byte little-endian canonical
+# elements, read here as four uint64 limbs.  A small negative v encodes as
+# P - |v|, which never borrows from the upper limbs because P's low limb
+# exceeds SMALL.
+SMALL = 1 << 62
+_P_LIMBS = np.array([(P >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)], dtype="<u8")
+_P0 = int(_P_LIMBS[0])
+assert _P0 > SMALL
+
+
 class Witness:
-    """Full assignment: leading constant 1, then public, then private wires."""
+    """Full assignment: leading constant 1, then public, then private wires.
 
-    values: Tuple[int, ...]
+    Held as a signed int64 array (``signed``) when every element is small,
+    and as the canonical tuple otherwise.  ``values`` is always the
+    canonical tuple, derived on first use.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = tuple(int(v) % P for v in self.values)
+    def __init__(self, values) -> None:
+        self._values: Tuple[int, ...] | None = None
+        if isinstance(values, np.ndarray) and values.dtype == np.int64 and (
+            values.size == 0 or (values.min() > -SMALL and values.max() < SMALL)
+        ):
+            self.signed: np.ndarray | None = values
+            return
+        ints = [to_signed(int(v) % P) for v in values]
+        if all(-SMALL < v < SMALL for v in ints):
+            self.signed = np.array(ints, dtype=np.int64)
+        else:
+            self.signed = None
+            self._values = tuple(v % P for v in ints)
+
+    @property
+    def values(self) -> Tuple[int, ...]:
+        if self._values is None:
+            self._values = tuple(v % P for v in self.signed.tolist())
+        return self._values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._values) if self.signed is None else len(self.signed)
 
     def statement(self, cs: "ConstraintSystem") -> List[int]:
-        return list(self.values[1 : 1 + cs.num_public])
+        if self.signed is None:
+            return list(self.values[1 : 1 + cs.num_public])
+        return [v % P for v in self.signed[1 : 1 + cs.num_public].tolist()]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(len(self.values).to_bytes(4, "little"))
-        for v in self.values:
-            out += v.to_bytes(32, "little")
-        return bytes(out)
+        head = len(self).to_bytes(4, "little")
+        if self.signed is None:
+            return head + b"".join(v.to_bytes(32, "little") for v in self._values)
+        s = self.signed
+        # P's limbs where v < 0, plus v in the low limb: modulo 2**64 that is P - |v|
+        limbs = np.where((s < 0)[:, None], _P_LIMBS, np.uint64(0))
+        limbs[:, 0] += s.view(np.uint64)
+        return head + limbs.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Witness":
@@ -150,22 +203,88 @@ class Witness:
         n = int.from_bytes(data[:4], "little")
         if len(data) != 4 + 32 * n:
             raise ValueError("truncated witness")
+        low, l1, l2, l3 = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4).T
+        p1, p2, p3 = _P_LIMBS[1:]
+        pos = ((l1 | l2 | l3) == 0) & (low < SMALL)
+        neg = (((l1 ^ p1) | (l2 ^ p2) | (l3 ^ p3)) == 0) & (low > _P0 - SMALL) & (low < _P0)
+        if (pos | neg).all():
+            return cls(low.astype(np.int64) - neg * _P0)
         vals = []
         for i in range(n):
             v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
             if v >= P:
                 raise ValueError("witness element not reduced")
             vals.append(v)
-        return cls(values=tuple(vals))
+        return cls(vals)
+
+
+class _Csr:
+    """One constraint matrix in CSR form with int64 coefficients.
+
+    ``l1`` is the largest row L1 norm, or None when a coefficient or a row
+    sum does not fit in int64 (then only the exact replay applies).
+    """
+
+    def __init__(self, rows: Sequence[LinComb]):
+        indptr = [0]
+        index: List[int] = []
+        coeff: List[int] = []
+        for lc in rows:
+            index.extend(lc)
+            coeff.extend(lc.values())
+            indptr.append(len(index))
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.index = np.array(index, dtype=np.int64)
+        widest = int(np.diff(self.indptr).max(initial=0))
+        if max(map(abs, coeff), default=0) * widest >= 1 << 63:
+            self.coeff = None
+            self.l1: int | None = None
+            return
+        self.coeff = np.array(coeff, dtype=np.int64)
+        self.l1 = int(self._row_sums(np.abs(self.coeff)).max(initial=0))
+
+    def _row_sums(self, terms: np.ndarray) -> np.ndarray:
+        # the running sum may wrap modulo 2**64, but every row's own sum
+        # fits in int64, so the differences at row boundaries are exact
+        sums = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(terms, out=sums[1:])
+        return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        return self._row_sums(self.coeff * w[self.index])
+
+
+class CompiledR1CS:
+    """The A, B, C matrices of a constraint system, compiled once.
+
+    With every |w_i| <= wmax, |<A,w>| <= L1(A)*wmax and so on, so when
+    L1(A)*L1(B)*wmax**2 + L1(C)*wmax < 2**63 nothing overflows int64 and
+    |a*b - c| < 2**63 < P: exact equality a*b == c is then the same as
+    equality mod P.
+    """
+
+    def __init__(self, constraints: Sequence[Tuple[LinComb, LinComb, LinComb]]):
+        self.a, self.b, self.c = (_Csr([row[k] for row in constraints]) for k in range(3))
+
+    def fits(self, wmax: int) -> bool:
+        la, lb, lc = self.a.l1, self.b.l1, self.c.l1
+        if la is None or lb is None or lc is None:
+            return False
+        return la * lb * wmax * wmax + lc * wmax < 1 << 63
+
+    def is_satisfied(self, w: np.ndarray) -> bool:
+        return bool(np.array_equal(self.a.dot(w) * self.b.dot(w), self.c.dot(w)))
 
 
 class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
     Wire 0 is the constant 1.  Public wires occupy 1..num_public, private
-    wires follow.  Coefficients are stored as signed ints so satisfaction
-    can be evaluated in plain integer arithmetic with a single final
-    reduction per constraint.
+    wires follow.  Coefficients are stored as signed ints.  is_satisfied
+    evaluates the compiled int64 form (see ``compiled``) when the overflow
+    bound in the module docstring holds, and otherwise falls back to
+    is_satisfied_exact, which replays every constraint in unbounded
+    integers with a single final reduction per constraint.
     """
 
     def __init__(self, kind: str, m: int, n: int, constants: CircuitConstants):
@@ -179,6 +298,7 @@ class ConstraintSystem:
         self.constraints: List[Tuple[LinComb, LinComb, LinComb]] = []
         self.layout: Dict[str, list] = {}
         self._digest: str | None = None
+        self._compiled: CompiledR1CS | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -202,6 +322,7 @@ class ConstraintSystem:
                     raise CircuitError(f"constraint references unallocated wire {idx}")
         self.constraints.append((a, b, c))
         self._digest = None
+        self._compiled = None
 
     def add_boolean(self, idx: int) -> None:
         # b * (b - 1) = 0
@@ -213,13 +334,39 @@ class ConstraintSystem:
 
     # -- evaluation -------------------------------------------------------
 
+    def compiled(self) -> "CompiledR1CS":
+        """A, B and C as CSR int64 matrices, built on first use and cached."""
+        if self._compiled is None:
+            self._compiled = CompiledR1CS(self.constraints)
+        return self._compiled
+
+    def _check_length(self, n: int) -> None:
+        if n != self.num_wires:
+            raise CircuitError(f"witness length {n} != wire count {self.num_wires}")
+
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
-        vals = witness.values if isinstance(witness, Witness) else witness
-        if len(vals) != self.num_wires:
-            raise CircuitError(
-                f"witness length {len(vals)} != wire count {self.num_wires}"
-            )
-        ws = [to_signed(int(v) % P) for v in vals]
+        """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
+
+        Small witnesses are checked exactly in int64 by the compiled
+        matrices whenever the overflow bound holds; anything else takes
+        the exact replay.
+        """
+        self._check_length(len(witness))
+        if not isinstance(witness, Witness):
+            witness = Witness(witness)
+        w = witness.signed
+        if w is not None:
+            if w[0] != 1:
+                return False
+            compiled = self.compiled()
+            if compiled.fits(int(np.abs(w).max())):
+                return compiled.is_satisfied(w)
+        return self.is_satisfied_exact(witness.values)
+
+    def is_satisfied_exact(self, values: Sequence[int]) -> bool:
+        """Replay every constraint in unbounded integers, reducing mod P."""
+        self._check_length(len(values))
+        ws = [to_signed(int(v) % P) for v in values]
         if ws[0] != 1:
             return False
         for a, b, c in self.constraints:
@@ -463,8 +610,25 @@ def _check_range(vals: Sequence[int], c: CircuitConstants, what: str) -> None:
             raise CircuitError(f"{what} value {v} outside quantized range")
 
 
-def _bits(r: int, eta: int) -> List[int]:
-    return [(r >> t) & 1 for t in range(eta)]
+def _int_dtype(bound: int):
+    """int64 when no intermediate can reach ``bound`` >= SMALL, else exact Python ints."""
+    return np.int64 if bound < SMALL else object
+
+
+def _span(c: CircuitConstants) -> int:
+    """Largest |v - z| for a value v in the quantized range and any zero-point z."""
+    zs = (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp)
+    return max(abs(c.q_min), abs(c.q_max)) + max(abs(z) for z in zs)
+
+
+def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
+    """The eta little-endian bits of every element of r, element-major."""
+    return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
+
+
+def _require_remainders(r: np.ndarray, two_eta: int) -> None:
+    if not ((r >= 0) & (r < two_eta)).all():
+        raise InconsistentStatementError("inconsistent statement")
 
 
 def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
@@ -476,7 +640,9 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     U' for the update circuit, U for the composed circuit).  Remainders
     are computed exactly; a remainder outside [0, 2**eta) means the
     public outputs were not produced by honest quantization of these
-    inputs and raises InconsistentStatementError.
+    inputs and raises InconsistentStatementError.  The arithmetic runs on
+    int64 arrays when the constants bound every intermediate below 2**62,
+    and on arrays of Python ints otherwise.
     """
     c = cs.constants
     eta = c.eta
@@ -487,79 +653,66 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     priv = [to_signed(int(v) % P) for v in private_values]
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
+    d = _span(c)
 
     if cs.kind == "aggregation":
         if len(priv) != n * m:
             raise CircuitError(f"expected {n * m} private values, got {len(priv)}")
-        up_v, k_v = pub[:m], pub[m:]
-        u_v = [priv[k * m : (k + 1) * m] for k in range(n)]
-        _check_range(up_v, c, "U'")
-        _check_range(k_v, c, "K")
-        for row in u_v:
-            _check_range(row, c, "U")
+        _check_range(pub[:m], c, "U'")
+        _check_range(pub[m:], c, "K")
+        _check_range(priv, c, "U")
         ca = 1 << c.agg_shift
-        bit_tail: List[int] = []
-        for j in range(m):
-            mj = sum((k_v[k] - c.z_k) * (u_v[k][j] - c.z_u) for k in range(n))
-            r = ca * mj - two_eta * (up_v[j] - c.z_up)
-            if not 0 <= r < two_eta:
-                raise InconsistentStatementError("inconsistent statement")
-            bit_tail.extend(_bits(r, eta))
-        partials: List[int] = []
-        if n > 1:
-            # partial product wires are laid out Pa[k][j], k-major
-            partials = [
-                (k_v[k] - c.z_k) * (u_v[k][j] - c.z_u)
-                for k in range(n)
-                for j in range(m)
-            ]
-        flat_u = [u_v[k][j] for k in range(n) for j in range(m)]
-        return Witness(tuple([1] + pub + flat_u + partials + bit_tail))
+        dt = _int_dtype(ca * n * d * d + two_eta * (d + 1))
+        up_v = np.array(pub[:m], dtype=dt)
+        k_v = np.array(pub[m:], dtype=dt)
+        u_v = np.array(priv, dtype=dt).reshape(n, m)
+        prods = (k_v[:, None] - c.z_k) * (u_v - c.z_u)
+        r = ca * prods.sum(axis=0) - two_eta * (up_v - c.z_up)
+        _require_remainders(r, two_eta)
+        # partial product wires are laid out Pa[k][j], k-major
+        partials = prods.ravel() if n > 1 else np.zeros(0, dtype=dt)
+        tail = [u_v.ravel(), partials, _bit_rows(r, eta)]
 
-    if cs.kind == "update":
+    elif cs.kind == "update":
         if len(priv) != m:
             raise CircuitError(f"expected {m} private values, got {len(priv)}")
-        wp_v, w_v, up_v = pub[:m], pub[m:], priv
-        _check_range(wp_v, c, "W'")
-        _check_range(w_v, c, "W")
-        _check_range(up_v, c, "U'")
+        _check_range(pub[:m], c, "W'")
+        _check_range(pub[m:], c, "W")
+        _check_range(priv, c, "U'")
         cw = 1 << c.upd_w_shift
         cu = 1 << c.upd_u_shift
-        bit_tail = []
-        for j in range(m):
-            r = cw * (w_v[j] - c.z_w) + cu * (up_v[j] - c.z_up) - two_eta * (wp_v[j] - c.z_wp)
-            if not 0 <= r < two_eta:
-                raise InconsistentStatementError("inconsistent statement")
-            bit_tail.extend(_bits(r, eta))
-        return Witness(tuple([1] + pub + up_v + bit_tail))
+        dt = _int_dtype((cw + cu + two_eta) * d + two_eta)
+        wp_v = np.array(pub[:m], dtype=dt)
+        w_v = np.array(pub[m:], dtype=dt)
+        up_v = np.array(priv, dtype=dt)
+        r = cw * (w_v - c.z_w) + cu * (up_v - c.z_up) - two_eta * (wp_v - c.z_wp)
+        _require_remainders(r, two_eta)
+        tail = [up_v, _bit_rows(r, eta)]
 
-    if cs.kind == "composed":
+    elif cs.kind == "composed":
         if len(priv) != m:
             raise CircuitError(f"expected {m} private values, got {len(priv)}")
-        wp_v, w_v, k_v = pub[:m], pub[m : 2 * m], pub[2 * m :]
-        u_v = priv
-        _check_range(wp_v, c, "W'")
-        _check_range(w_v, c, "W")
-        _check_range(k_v, c, "K")
-        _check_range(u_v, c, "U")
+        _check_range(pub[:m], c, "W'")
+        _check_range(pub[m : 2 * m], c, "W")
+        _check_range(pub[2 * m :], c, "K")
+        _check_range(priv, c, "U")
         ca = 1 << c.agg_shift
         cw = 1 << c.upd_w_shift
         cu = 1 << c.upd_u_shift
-        up_v = []
-        ra_tail: List[int] = []
-        ru_tail: List[int] = []
-        for j in range(m):
-            t_agg = ca * (k_v[0] - c.z_k) * (u_v[j] - c.z_u)
-            upj = (t_agg >> eta) + c.z_up
-            if not c.q_min <= upj <= c.q_max:
-                raise InconsistentStatementError("inconsistent statement")
-            r_a = t_agg - two_eta * (upj - c.z_up)
-            r_u = cw * (w_v[j] - c.z_w) + cu * (upj - c.z_up) - two_eta * (wp_v[j] - c.z_wp)
-            if not 0 <= r_u < two_eta:
-                raise InconsistentStatementError("inconsistent statement")
-            up_v.append(upj)
-            ra_tail.extend(_bits(r_a, eta))
-            ru_tail.extend(_bits(r_u, eta))
-        return Witness(tuple([1] + pub + u_v + up_v + ra_tail + ru_tail))
+        dt = _int_dtype(max(ca * d * d, (cw + cu + two_eta) * d) + two_eta)
+        wp_v = np.array(pub[:m], dtype=dt)
+        w_v = np.array(pub[m : 2 * m], dtype=dt)
+        u_v = np.array(priv, dtype=dt)
+        t_agg = ca * (pub[2 * m] - c.z_k) * (u_v - c.z_u)
+        up_v = (t_agg >> eta) + c.z_up
+        if ((up_v < c.q_min) | (up_v > c.q_max)).any():
+            raise InconsistentStatementError("inconsistent statement")
+        r_a = t_agg - two_eta * (up_v - c.z_up)
+        r_u = cw * (w_v - c.z_w) + cu * (up_v - c.z_up) - two_eta * (wp_v - c.z_wp)
+        _require_remainders(r_u, two_eta)
+        tail = [u_v, up_v, _bit_rows(r_a, eta), _bit_rows(r_u, eta)]
 
-    raise CircuitError(f"unknown circuit kind {cs.kind!r}")
+    else:
+        raise CircuitError(f"unknown circuit kind {cs.kind!r}")
+
+    return Witness(np.concatenate([np.array([1] + pub, dtype=dt), *tail]))

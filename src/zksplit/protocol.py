@@ -514,7 +514,7 @@ class Trainer:
         log_file = None
         if out:
             out.mkdir(parents=True, exist_ok=True)
-            log_file = (out / "run_log.jsonl").open("a")
+            log_file = (out / "run_log.jsonl").open("w")
         try:
             for r in range(self.config.rounds):
                 report = self.run_round(r)

@@ -274,7 +274,8 @@ class QapSnarkBackend(Backend):
             r = rng.randrange(P)
             s = rng.randrange(P)
 
-        w = witness.values
+        # signed int64 values reduce to the same accumulators mod P
+        w = witness.values if witness.signed is None else witness.signed.tolist()
         a_acc = b_acc = c_acc = 0
         a_tau, b_tau, c_tau = pk.a_tau, pk.b_tau, pk.c_tau
         for i, wi in enumerate(w):

@@ -286,3 +286,11 @@ class TestConfig:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert rec["round"] == 0 and rec["verdicts"] == {"0": "Accepted"}
+
+    def test_rerun_into_same_dir_replaces_run_log(self, tmp_path):
+        cfg = SimConfig(mode="none", num_clients=1, m=M, rounds=3, seed=0,
+                        out_dir=str(tmp_path))
+        Trainer(cfg).train()
+        Trainer(cfg).train()
+        lines = (tmp_path / "run_log.jsonl").read_text().strip().splitlines()
+        assert [json.loads(line)["round"] for line in lines] == [0, 1, 2]
