@@ -13,8 +13,11 @@ Binary encodings share one frame:
     version byte || backend id byte || circuit digest (32 bytes) || payload
 
 and every proof payload starts with the 32-byte statement digest, computed
-as SHA-256 of the canonical statement encoding (little-endian u32 count
-followed by 32-byte little-endian field elements).
+as SHA-256 of the canonical statement encoding.  Statements and witnesses
+(the mock proof body) share one element codec, circuit.FieldVector: a
+little-endian u32 count followed by 32-byte little-endian field elements,
+held in memory as int64 signed representatives whenever they are small.
+A Statement is immutable, so its encoding and digest are computed once.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from .circuit import ConstraintSystem, Witness
-from .field import P
+import numpy as np
+
+from .circuit import ConstraintSystem, FieldVector, Witness
 
 WIRE_VERSION = 1
 BACKEND_IDS = {"mock": 1, "snark": 2}
@@ -68,32 +72,41 @@ def decode_frame(data: bytes) -> tuple:
     return backend, data[2:34].hex(), data[34:]
 
 
-@dataclass
-class Statement:
-    """Public field elements in circuit order."""
+class Statement(FieldVector):
+    """Public field elements in circuit order.
 
-    values: List[int]
+    Immutable: ``values`` is a tuple, ``signed`` a read-only copy of the
+    input, and neither can be assigned, so the encoding and its digest are
+    computed once and cached.  ``from_bytes`` rejects elements >= P
+    instead of reducing them, so decoding and encoding round-trip.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = [int(v) % P for v in self.values]
+    def __init__(self, values) -> None:
+        super().__init__(values.copy() if isinstance(values, np.ndarray) else values)
+        if self._signed is not None:
+            self._signed.flags.writeable = False
+        self._bytes: bytes | None = None
+        self._digest: str | None = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Statement) and self.to_bytes() == other.to_bytes()
 
     def to_bytes(self) -> bytes:
-        out = bytearray(len(self.values).to_bytes(4, "little"))
-        for v in self.values:
-            out += v.to_bytes(32, "little")
-        return bytes(out)
+        if self._bytes is None:
+            self._bytes = self._encode()
+        return self._bytes
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Statement":
-        if len(data) < 4:
-            raise DecodeError("truncated statement")
-        n = int.from_bytes(data[:4], "little")
-        if len(data) != 4 + 32 * n:
-            raise DecodeError("truncated statement")
-        return cls([int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little") for i in range(n)])
+        try:
+            return cls(cls._decode(data, "statement"))
+        except ValueError as e:
+            raise DecodeError(str(e)) from None
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_bytes()).hexdigest()
+        return self._digest
 
 
 @dataclass
@@ -185,6 +198,13 @@ class Backend:
     def verify(self, vk, statement: Statement, proof: Proof) -> Verdict:
         raise NotImplementedError
 
+    @staticmethod
+    def _require_satisfied(cs: ConstraintSystem, statement: Statement, witness: Witness) -> None:
+        """Refuse to prove unless the witness publishes the statement and satisfies cs."""
+        if (len(witness) != cs.num_wires or len(statement) != cs.num_public
+                or not witness.publishes(statement) or not cs.is_satisfied(witness)):
+            raise UnsatisfiedRelationError("unsatisfied relation")
+
 
 class MockBackend(Backend):
     """Replays every constraint against the witness transcript in the proof.
@@ -204,12 +224,7 @@ class MockBackend(Backend):
     def prove(self, pk: MockProvingKey, statement: Statement, witness: Witness) -> Proof:
         t0 = time.perf_counter()
         cs = pk.cs
-        if len(witness) != cs.num_wires:
-            raise UnsatisfiedRelationError("unsatisfied relation")
-        if witness.statement(cs) != statement.values:
-            raise UnsatisfiedRelationError("unsatisfied relation")
-        if not cs.is_satisfied(witness):
-            raise UnsatisfiedRelationError("unsatisfied relation")
+        self._require_satisfied(cs, statement, witness)
         return Proof(
             backend="mock",
             circuit_digest=cs.digest(),
@@ -227,12 +242,10 @@ class MockBackend(Backend):
             if proof.statement_digest != statement.digest():
                 return Verdict.REJECT
             cs = vk.cs
-            if len(statement.values) != cs.num_public:
+            if len(statement) != cs.num_public:
                 return Verdict.REJECT
             witness = Witness.from_bytes(proof.body)
-            if len(witness) != cs.num_wires:
-                return Verdict.REJECT
-            if witness.statement(cs) != statement.values:
+            if len(witness) != cs.num_wires or not witness.publishes(statement):
                 return Verdict.REJECT
             return Verdict.ACCEPT if cs.is_satisfied(witness) else Verdict.REJECT
         except (ValueError, DecodeError):

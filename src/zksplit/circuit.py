@@ -139,7 +139,7 @@ class CircuitConstants:
         )
 
 
-# Witness elements whose signed representative lies in (-SMALL, SMALL) are
+# Field elements whose signed representative lies in (-SMALL, SMALL) are
 # carried as int64; on the wire they are 32-byte little-endian canonical
 # elements, read here as four uint64 limbs.  A small negative v encodes as
 # P - |v|, which never borrows from the upper limbs because P's low limb
@@ -150,12 +150,15 @@ _P0 = int(_P_LIMBS[0])
 assert _P0 > SMALL
 
 
-class Witness:
-    """Full assignment: leading constant 1, then public, then private wires.
+class FieldVector:
+    """A vector of field elements in one of two representations.
 
-    Held as a signed int64 array (``signed``) when every element is small,
-    and as the canonical tuple otherwise.  ``values`` is always the
-    canonical tuple, derived on first use.
+    ``signed`` is an int64 array of signed representatives when every
+    element lies in (-SMALL, SMALL), and None otherwise; then the canonical
+    tuple is held instead.  ``values`` is always the canonical tuple,
+    derived on first use.  Witnesses and statements share this
+    representation and its codec: a little-endian u32 count followed by
+    32-byte little-endian canonical elements.
     """
 
     def __init__(self, values) -> None:
@@ -163,59 +166,84 @@ class Witness:
         if isinstance(values, np.ndarray) and values.dtype == np.int64 and (
             values.size == 0 or (values.min() > -SMALL and values.max() < SMALL)
         ):
-            self.signed: np.ndarray | None = values
+            self._signed: np.ndarray | None = values
             return
         ints = [to_signed(int(v) % P) for v in values]
         if all(-SMALL < v < SMALL for v in ints):
-            self.signed = np.array(ints, dtype=np.int64)
+            self._signed = np.array(ints, dtype=np.int64)
         else:
-            self.signed = None
+            self._signed = None
             self._values = tuple(v % P for v in ints)
+
+    @property
+    def signed(self) -> np.ndarray | None:
+        return self._signed
 
     @property
     def values(self) -> Tuple[int, ...]:
         if self._values is None:
-            self._values = tuple(v % P for v in self.signed.tolist())
+            self._values = tuple(v % P for v in self._signed.tolist())
         return self._values
 
     def __len__(self) -> int:
-        return len(self._values) if self.signed is None else len(self.signed)
+        return len(self._values) if self._signed is None else len(self._signed)
 
-    def statement(self, cs: "ConstraintSystem") -> List[int]:
-        if self.signed is None:
-            return list(self.values[1 : 1 + cs.num_public])
-        return [v % P for v in self.signed[1 : 1 + cs.num_public].tolist()]
-
-    def to_bytes(self) -> bytes:
+    def _encode(self) -> bytes:
         head = len(self).to_bytes(4, "little")
-        if self.signed is None:
+        if self._signed is None:
             return head + b"".join(v.to_bytes(32, "little") for v in self._values)
-        s = self.signed
+        s = self._signed
         # P's limbs where v < 0, plus v in the low limb: modulo 2**64 that is P - |v|
         limbs = np.where((s < 0)[:, None], _P_LIMBS, np.uint64(0))
         limbs[:, 0] += s.view(np.uint64)
         return head + limbs.tobytes()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Witness":
+    @staticmethod
+    def _decode(data: bytes, what: str):
+        """The elements of an encoding: an int64 array when all are small,
+        else a list of canonical ints.  Raises ValueError on a truncated
+        frame or an element that is not reduced mod P."""
         if len(data) < 4:
-            raise ValueError("truncated witness")
+            raise ValueError(f"truncated {what}")
         n = int.from_bytes(data[:4], "little")
         if len(data) != 4 + 32 * n:
-            raise ValueError("truncated witness")
+            raise ValueError(f"truncated {what}")
         low, l1, l2, l3 = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4).T
         p1, p2, p3 = _P_LIMBS[1:]
         pos = ((l1 | l2 | l3) == 0) & (low < SMALL)
         neg = (((l1 ^ p1) | (l2 ^ p2) | (l3 ^ p3)) == 0) & (low > _P0 - SMALL) & (low < _P0)
         if (pos | neg).all():
-            return cls(low.astype(np.int64) - neg * _P0)
+            return low.astype(np.int64) - neg * _P0
         vals = []
         for i in range(n):
             v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
             if v >= P:
-                raise ValueError("witness element not reduced")
+                raise ValueError(f"{what} element not reduced")
             vals.append(v)
-        return cls(vals)
+        return vals
+
+
+class Witness(FieldVector):
+    """Full assignment: leading constant 1, then public, then private wires."""
+
+    def statement(self, cs: "ConstraintSystem") -> List[int]:
+        if self._signed is None:
+            return list(self.values[1 : 1 + cs.num_public])
+        return [v % P for v in self._signed[1 : 1 + cs.num_public].tolist()]
+
+    def publishes(self, public: FieldVector) -> bool:
+        """Whether wires 1..len(public) hold exactly the elements of ``public``."""
+        n = len(public)
+        if self._signed is not None and public.signed is not None:
+            return bool(np.array_equal(self._signed[1 : 1 + n], public.signed))
+        return self.values[1 : 1 + n] == public.values
+
+    def to_bytes(self) -> bytes:
+        return self._encode()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Witness":
+        return cls(cls._decode(data, "witness"))
 
 
 class _Csr:
@@ -604,10 +632,25 @@ def quantized_update(w_q: Sequence[int], up_q: Sequence[int],
 # -- witness generation ------------------------------------------------------
 
 
-def _check_range(vals: Sequence[int], c: CircuitConstants, what: str) -> None:
-    for v in vals:
-        if not c.q_min <= v <= c.q_max:
-            raise CircuitError(f"{what} value {v} outside quantized range")
+def _signed_array(values) -> np.ndarray:
+    """Signed representatives of field elements: int64 when every element
+    is small, Python ints otherwise.  Accepts a FieldVector, an array or
+    any sequence of signed or canonical integers."""
+    if not isinstance(values, (np.ndarray, FieldVector)):
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:  # canonical negatives or huge elements
+            pass
+    vec = values if isinstance(values, FieldVector) else FieldVector(values)
+    if vec.signed is not None:
+        return vec.signed
+    return np.array([to_signed(v) for v in vec.values], dtype=object)
+
+
+def _check_range(vals: np.ndarray, c: CircuitConstants, what: str) -> None:
+    if vals.size and (vals.min() < c.q_min or vals.max() > c.q_max):
+        bad = next(v for v in vals.tolist() if not c.q_min <= v <= c.q_max)
+        raise CircuitError(f"{what} value {bad} outside quantized range")
 
 
 def _int_dtype(bound: int):
@@ -649,8 +692,8 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     two_eta = 1 << eta
     m, n = cs.m, cs.n
     # accept either signed quantized integers or canonical field elements
-    pub = [to_signed(int(v) % P) for v in public_values]
-    priv = [to_signed(int(v) % P) for v in private_values]
+    pub = _signed_array(public_values)
+    priv = _signed_array(private_values)
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
     d = _span(c)
@@ -663,9 +706,9 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         _check_range(priv, c, "U")
         ca = 1 << c.agg_shift
         dt = _int_dtype(ca * n * d * d + two_eta * (d + 1))
-        up_v = np.array(pub[:m], dtype=dt)
-        k_v = np.array(pub[m:], dtype=dt)
-        u_v = np.array(priv, dtype=dt).reshape(n, m)
+        up_v = pub[:m].astype(dt)
+        k_v = pub[m:].astype(dt)
+        u_v = priv.astype(dt).reshape(n, m)
         prods = (k_v[:, None] - c.z_k) * (u_v - c.z_u)
         r = ca * prods.sum(axis=0) - two_eta * (up_v - c.z_up)
         _require_remainders(r, two_eta)
@@ -682,9 +725,9 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         cw = 1 << c.upd_w_shift
         cu = 1 << c.upd_u_shift
         dt = _int_dtype((cw + cu + two_eta) * d + two_eta)
-        wp_v = np.array(pub[:m], dtype=dt)
-        w_v = np.array(pub[m:], dtype=dt)
-        up_v = np.array(priv, dtype=dt)
+        wp_v = pub[:m].astype(dt)
+        w_v = pub[m:].astype(dt)
+        up_v = priv.astype(dt)
         r = cw * (w_v - c.z_w) + cu * (up_v - c.z_up) - two_eta * (wp_v - c.z_wp)
         _require_remainders(r, two_eta)
         tail = [up_v, _bit_rows(r, eta)]
@@ -700,10 +743,10 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         cw = 1 << c.upd_w_shift
         cu = 1 << c.upd_u_shift
         dt = _int_dtype(max(ca * d * d, (cw + cu + two_eta) * d) + two_eta)
-        wp_v = np.array(pub[:m], dtype=dt)
-        w_v = np.array(pub[m : 2 * m], dtype=dt)
-        u_v = np.array(priv, dtype=dt)
-        t_agg = ca * (pub[2 * m] - c.z_k) * (u_v - c.z_u)
+        wp_v = pub[:m].astype(dt)
+        w_v = pub[m : 2 * m].astype(dt)
+        u_v = priv.astype(dt)
+        t_agg = ca * (int(pub[2 * m]) - c.z_k) * (u_v - c.z_u)
         up_v = (t_agg >> eta) + c.z_up
         if ((up_v < c.q_min) | (up_v > c.q_max)).any():
             raise InconsistentStatementError("inconsistent statement")
@@ -715,4 +758,4 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     else:
         raise CircuitError(f"unknown circuit kind {cs.kind!r}")
 
-    return Witness(np.concatenate([np.array([1] + pub, dtype=dt), *tail]))
+    return Witness(np.concatenate([np.ones(1, dtype=dt), pub.astype(dt), *tail]))

@@ -160,7 +160,7 @@ def _cmd_prove(args) -> int:
     private = json.loads(Path(args.witness).read_text())
     from .circuit import generate_witness
 
-    witness = generate_witness(circuit, statement.values, private)
+    witness = generate_witness(circuit, statement, private)
     backend = get_backend(args.backend)
     pair = backend.setup(circuit, args.setup_seed.encode())
     proof = backend.prove(pair.proving_key, statement, witness)

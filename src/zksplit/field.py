@@ -2,7 +2,8 @@
 
 All circuits operate over the 254-bit scalar field of the BN254 pairing
 curve, the field most commonly used by preprocessing SNARK deployments.
-Elements are plain Python ints kept in canonical form [0, P).
+Elements are plain Python ints kept in canonical form [0, P); vectors of
+them, and their 32-byte wire encoding, are circuit.FieldVector.
 """
 
 from __future__ import annotations
@@ -11,12 +12,6 @@ from typing import Iterable, List
 
 # BN254 (alt_bn128) scalar field modulus.
 P = 21888242871839275222246405745257275088548364400416034343698204186575808495617
-
-ELEMENT_BYTES = 32
-
-
-def reduce(v: int) -> int:
-    return v % P
 
 
 def to_signed(v: int) -> int:
@@ -45,16 +40,3 @@ def batch_inv(values: Iterable[int]) -> List[int]:
         out[i] = prefix[i] * acc % P
         acc = acc * vals[i] % P
     return out
-
-
-def encode_element(v: int) -> bytes:
-    return (v % P).to_bytes(ELEMENT_BYTES, "little")
-
-
-def decode_element(b: bytes) -> int:
-    if len(b) != ELEMENT_BYTES:
-        raise ValueError("field element must be 32 bytes")
-    v = int.from_bytes(b, "little")
-    if v >= P:
-        raise ValueError("field element not reduced")
-    return v

@@ -38,7 +38,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .ledger import Chain
 from .nn import (
     Batch,
     GradientBatch,
+    NumericError,
     SmashedBatch,
     batch_stream,
     client_backward,
@@ -273,10 +274,12 @@ class Trainer:
         if self.zk and shift < (1 << self.constants.eta):
             raise ProtocolError("quantization config is not tamper-evident")
 
-        self.circuit = protocol_circuit(config.m, self.constants)
+        # only the zk modes prove anything, so only they need the circuit
+        self.circuit: Optional[ConstraintSystem] = None
         self.pe: Optional[ProverEntity] = None
         self.ve: Optional[VerifierEntity] = None
         if self.zk:
+            self.circuit = protocol_circuit(config.m, self.constants)
             backend = MODE_BACKENDS[self.mode]
             self.pe = ProverEntity(backend)
             self.ve = VerifierEntity(backend)
@@ -316,16 +319,21 @@ class Trainer:
 
     # -- statements --------------------------------------------------------
 
+    def _statement(self, wq_new: List[int], wq_old: List[int]) -> Statement:
+        return Statement(np.array(wq_new + wq_old + [self.k_q], dtype=np.int64))
+
     def _forward_message(self, client: ClientWorker, smashed: SmashedBatch,
                          round_id: int) -> RoundMessage:
         payload = smashed.z.astype("<f8").tobytes()
         statement = proof = None
         if self.zk:
-            statement = Statement(self.wq_cur + self.wq_prev + [self.k_q])
-            witness = generate_witness(self.circuit, statement.values, self.uq_last)
+            statement = self._statement(self.wq_cur, self.wq_prev)
+            witness = generate_witness(self.circuit, statement, self.uq_last)
             proof = self.pe.prove(self.circuit.digest(), statement, witness)
             if client.tamper:
-                statement = Statement([statement.values[0] + 1] + statement.values[1:])
+                forged = statement.signed.copy()
+                forged[0] += 1
+                statement = Statement(forged)
         canary = None
         if self.canary_batch is not None:
             canary = self._canary_digest()
@@ -350,8 +358,8 @@ class Trainer:
         payload = grad.g_z.astype("<f8").tobytes() + np.float64(grad.loss).tobytes()
         statement = proof = None
         if self.zk:
-            statement = Statement(wq_next + self.wq_cur + [self.k_q])
-            witness = generate_witness(self.circuit, statement.values, uq_next)
+            statement = self._statement(wq_next, self.wq_cur)
+            witness = generate_witness(self.circuit, statement, uq_next)
             proof = self.pe.prove(self.circuit.digest(), statement, witness)
         return RoundMessage(
             kind="GradientBackward",
@@ -365,7 +373,6 @@ class Trainer:
     # -- round state machine -------------------------------------------------
 
     def run_round(self, round_id: int) -> RoundReport:
-        cfg = self.config
         report = RoundReport(round_id=round_id, mode=self.mode,
                              verification_skipped=not self.zk)
         timings = {"compute": 0.0, "proof": 0.0, "verify": 0.0, "transport": 0.0}
@@ -374,107 +381,17 @@ class Trainer:
         for client in self.clients:
             client.needs_resync = False
             batch = next(client.stream)
-
-            t0 = time.perf_counter()
-            smashed = client_forward(self.model.client, batch)
-            timings["compute"] += time.perf_counter() - t0
-
             try:
-                msg_fwd = self._forward_message(client, smashed, round_id)
-            except OverflowError_:
-                # client sits the round out, mirroring discard semantics
-                report.verdicts[client.client_id] = VERDICT_MISSING
+                verdict, loss = self._client_turn(client, batch, round_id, timings)
+            except (OverflowError_, NumericError):
+                # the client sits the round out; nothing it sent was applied
+                verdict, loss = VERDICT_MISSING, None
+            report.verdicts[client.client_id] = verdict
+            if verdict == VERDICT_ACCEPTED:
+                client.rejection_count = 0
+                losses.append(loss)
+            else:
                 client.rejection_count += 1
-                continue
-            if msg_fwd.proof is not None:
-                timings["proof"] += msg_fwd.proof.prove_time
-                self.proof_times.append(msg_fwd.proof.prove_time)
-                self.proof_sizes.append(msg_fwd.proof.size_bytes)
-            self.messages_seen += 1
-            if self.zk or self.chain is not None:
-                # "none" mode skips the recording pipeline entirely
-                t0 = time.perf_counter()
-                wire_fwd = msg_fwd.canonical_bytes()
-                timings["transport"] += time.perf_counter() - t0
-                if self.chain is not None:
-                    self.chain.append_payload(wire_fwd, sender=msg_fwd.sender)
-
-            if self.zk:
-                t0 = time.perf_counter()
-                verdict = self.ve.verify(self.circuit.digest(), msg_fwd.statement,
-                                         msg_fwd.proof, sender=msg_fwd.sender)
-                dt = time.perf_counter() - t0
-                timings["verify"] += dt
-                self.verify_times.append(dt)
-                if verdict is not Verdict.ACCEPT:
-                    report.verdicts[client.client_id] = VERDICT_REJECTED
-                    client.rejection_count += 1
-                    continue
-            if self.canary_batch is not None and msg_fwd.canary_digest is not None:
-                if msg_fwd.canary_digest != self._canary_digest():
-                    report.verdicts[client.client_id] = VERDICT_REJECTED
-                    client.rejection_count += 1
-                    continue
-
-            # server side: forward, loss, backward, own update
-            t0 = time.perf_counter()
-            loss, g_ws, grad = server_step(self.model.server, smashed, batch.y)
-            new_server = sgd_step(self.model.server, g_ws, cfg.lr, batch.size)
-            timings["compute"] += time.perf_counter() - t0
-
-            # prescribed cut-layer bias update, quantized
-            u_next = (-cfg.lr / batch.size) * grad.g_z.sum(axis=0)
-            try:
-                uq_next = [int(v) for v in quantize_array(u_next, self.wq_params)]
-                upq = quantized_aggregate([self.k_q], [uq_next], self.constants)
-                wq_next = quantized_update(self.wq_cur, upq, self.constants)
-                if max(wq_next) > self.wq_params.q_max or min(wq_next) < self.wq_params.q_min:
-                    raise OverflowError_("quantization overflow")
-                msg_back = self._backward_message(grad, wq_next, uq_next, round_id)
-            except OverflowError_:
-                report.verdicts[client.client_id] = VERDICT_MISSING
-                client.rejection_count += 1
-                continue
-            if msg_back.proof is not None:
-                timings["proof"] += msg_back.proof.prove_time
-                self.proof_times.append(msg_back.proof.prove_time)
-                self.proof_sizes.append(msg_back.proof.size_bytes)
-            self.messages_seen += 1
-            if self.zk or self.chain is not None:
-                t0 = time.perf_counter()
-                wire_back = msg_back.canonical_bytes()
-                timings["transport"] += time.perf_counter() - t0
-                if self.chain is not None:
-                    self.chain.append_payload(wire_back, sender=msg_back.sender)
-
-            if self.zk:
-                t0 = time.perf_counter()
-                verdict = self.ve.verify(self.circuit.digest(), msg_back.statement,
-                                         msg_back.proof, sender=msg_back.sender)
-                dt = time.perf_counter() - t0
-                timings["verify"] += dt
-                self.verify_times.append(dt)
-                if verdict is not Verdict.ACCEPT:
-                    report.verdicts[client.client_id] = VERDICT_REJECTED
-                    client.rejection_count += 1
-                    continue
-
-            # both directions verified: apply updates
-            t0 = time.perf_counter()
-            g_wc = client_backward(self.model.client, batch, grad)
-            self.model.server = new_server
-            self.model.client = sgd_step(self.model.client, g_wc, cfg.lr, batch.size)
-            # keep the cut-layer bias on the proven quantized trajectory
-            self.model.client.biases[-1] = dequantize_array(
-                np.array(wq_next, dtype=np.int64), self.wq_params
-            )
-            timings["compute"] += time.perf_counter() - t0
-            self.wq_prev = list(self.wq_cur)
-            self.wq_cur = list(wq_next)
-            self.uq_last = list(uq_next)
-            report.verdicts[client.client_id] = VERDICT_ACCEPTED
-            client.rejection_count = 0
-            losses.append(loss)
 
         report.loss = float(np.mean(losses)) if losses else None
         smashed_eval = client_forward(self.model.client, self.eval_batch)
@@ -488,6 +405,82 @@ class Trainer:
         ]
         self.reports.append(report)
         return report
+
+    def _client_turn(self, client: ClientWorker, batch: Batch, round_id: int,
+                     timings: Dict[str, float]) -> Tuple[str, Optional[float]]:
+        """One client's turn: (verdict, training loss or None).
+
+        Every model update comes after both messages are delivered, so a
+        rejection, or an overflow or numeric error raised on the way,
+        leaves the model untouched.
+        """
+        cfg = self.config
+        t0 = time.perf_counter()
+        smashed = client_forward(self.model.client, batch)
+        timings["compute"] += time.perf_counter() - t0
+
+        msg_fwd = self._forward_message(client, smashed, round_id)
+        if not self._deliver(msg_fwd, timings):
+            return VERDICT_REJECTED, None
+        if self.canary_batch is not None and msg_fwd.canary_digest is not None:
+            if msg_fwd.canary_digest != self._canary_digest():
+                return VERDICT_REJECTED, None
+
+        # server side: forward, loss, backward, own update
+        t0 = time.perf_counter()
+        loss, g_ws, grad = server_step(self.model.server, smashed, batch.y)
+        new_server = sgd_step(self.model.server, g_ws, cfg.lr, batch.size)
+        timings["compute"] += time.perf_counter() - t0
+
+        # prescribed cut-layer bias update, quantized
+        u_next = (-cfg.lr / batch.size) * grad.g_z.sum(axis=0)
+        uq_next = [int(v) for v in quantize_array(u_next, self.wq_params)]
+        upq = quantized_aggregate([self.k_q], [uq_next], self.constants)
+        wq_next = quantized_update(self.wq_cur, upq, self.constants)
+        if max(wq_next) > self.wq_params.q_max or min(wq_next) < self.wq_params.q_min:
+            raise OverflowError_("quantization overflow")
+        msg_back = self._backward_message(grad, wq_next, uq_next, round_id)
+        if not self._deliver(msg_back, timings):
+            return VERDICT_REJECTED, None
+
+        # both directions verified: apply updates
+        t0 = time.perf_counter()
+        g_wc = client_backward(self.model.client, batch, grad)
+        self.model.server = new_server
+        self.model.client = sgd_step(self.model.client, g_wc, cfg.lr, batch.size)
+        # keep the cut-layer bias on the proven quantized trajectory
+        self.model.client.biases[-1] = dequantize_array(
+            np.array(wq_next, dtype=np.int64), self.wq_params
+        )
+        timings["compute"] += time.perf_counter() - t0
+        self.wq_prev = list(self.wq_cur)
+        self.wq_cur = list(wq_next)
+        self.uq_last = list(uq_next)
+        return VERDICT_ACCEPTED, loss
+
+    def _deliver(self, msg: RoundMessage, timings: Dict[str, float]) -> bool:
+        """Record, encode and (zk modes) verify one message; True if it may be applied."""
+        if msg.proof is not None:
+            timings["proof"] += msg.proof.prove_time
+            self.proof_times.append(msg.proof.prove_time)
+            self.proof_sizes.append(msg.proof.size_bytes)
+        self.messages_seen += 1
+        if self.zk or self.chain is not None:
+            # "none" mode skips the recording pipeline entirely
+            t0 = time.perf_counter()
+            wire = msg.canonical_bytes()
+            timings["transport"] += time.perf_counter() - t0
+            if self.chain is not None:
+                self.chain.append_payload(wire, sender=msg.sender)
+        if not self.zk:
+            return True
+        t0 = time.perf_counter()
+        verdict = self.ve.verify(self.circuit.digest(), msg.statement, msg.proof,
+                                 sender=msg.sender)
+        dt = time.perf_counter() - t0
+        timings["verify"] += dt
+        self.verify_times.append(dt)
+        return verdict is Verdict.ACCEPT
 
     def exclude_and_continue(self, report: RoundReport, client_id: int) -> List[int]:
         """Record an exclusion; the client rejoins next round after resync.
@@ -523,4 +516,6 @@ class Trainer:
         finally:
             if log_file:
                 log_file.close()
+        if out and self.chain is not None:
+            self.chain.save(out / "chain.jsonl")
         return self.reports

@@ -17,15 +17,21 @@ and verification checks the single field equation
 
 with PI the public-input combination -- the same algebra a pairing-based
 Groth16 verifier checks in the exponent.  Proofs are 162 bytes regardless
-of circuit size and verification is linear in the statement length.
+of circuit size and verification is linear in the statement length.  The
+prover's inner products and the verifier's PI run over the nonzero
+elements only; honest witnesses are mostly zero remainder bits.
 
 Security caveat: key material here consists of plain field scalars, not
-group elements, so soundness holds only against provers that run this
-code rather than mine the proving key for tau (prove() refuses witnesses
-that do not satisfy the relation).  The backend reproduces the data flow,
-sizes, and accept/reject behavior of a preprocessing SNARK for testing
-and benchmarking; production deployments should bind a pairing-based
-prover behind the same Backend contract.
+group elements.  Anyone who holds the *verifying* key can forge an Accept
+for any statement, true or false: pick piA and piB, then set
+piC = (piA*piB - alpha*beta - PI*gamma)/delta
+(tests/test_snark_threats.py pins this).  At best this is a
+designated-verifier scheme whose verifying key must stay secret with the
+Verifying Entity; prove() refusing unsatisfied witnesses binds only
+provers that run this code.  The backend reproduces the data flow, sizes,
+and accept/reject behavior of a preprocessing SNARK for testing and
+benchmarking; production deployments should bind a pairing-based prover
+behind the same Backend contract.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from operator import mul
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .backend import (
     Backend,
@@ -50,7 +59,7 @@ from .backend import (
     _unpack_circuit,
     encode_frame,
 )
-from .circuit import ConstraintSystem, Witness
+from .circuit import ConstraintSystem, FieldVector, Witness
 from .field import P, batch_inv, inv
 
 MAX_CONSTRAINTS = 1 << 20
@@ -204,6 +213,33 @@ def _lagrange_at(tau: int, nc: int) -> tuple:
     return [z_tau * iv % P for iv in invs], z_tau
 
 
+def _nonzero(vec: FieldVector) -> Tuple[np.ndarray, List[int]]:
+    """Indices of the nonzero elements, and those elements as Python ints
+    (signed representatives when small, canonical otherwise)."""
+    arr = vec.signed if vec.signed is not None else np.array(vec.values, dtype=object)
+    idx = np.flatnonzero(arr)
+    return idx, arr[idx].tolist()
+
+
+def _dot(w: List[int], table: List[int], idx: np.ndarray) -> int:
+    """sum_k w[k] * table[idx[k]], not reduced."""
+    return sum(map(mul, w, map(table.__getitem__, idx.tolist())))
+
+
+def _accumulators(pk: SnarkProvingKey, witness: Witness) -> Tuple[int, int, int, int]:
+    """<w, a_tau>, <w, b_tau>, <w, c_tau> and the private <w, l_priv>, mod P.
+
+    Zero wires add nothing, so the sums run over the nonzero wires only;
+    signed and canonical representatives agree mod P.
+    """
+    idx, w = _nonzero(witness)
+    a, b, c = (_dot(w, t, idx) % P for t in (pk.a_tau, pk.b_tau, pk.c_tau))
+    off = pk.cs.num_public + 1
+    first = int(np.searchsorted(idx, off))
+    priv = _dot(w[first:], pk.l_priv, idx[first:] - off) % P
+    return a, b, c, priv
+
+
 class QapSnarkBackend(Backend):
     name = "snark"
 
@@ -259,13 +295,7 @@ class QapSnarkBackend(Backend):
         rng: Optional[random.Random] = None,
     ) -> Proof:
         t0 = time.perf_counter()
-        cs = pk.cs
-        if len(witness) != cs.num_wires:
-            raise UnsatisfiedRelationError("unsatisfied relation")
-        if witness.statement(cs) != statement.values:
-            raise UnsatisfiedRelationError("unsatisfied relation")
-        if not cs.is_satisfied(witness):
-            raise UnsatisfiedRelationError("unsatisfied relation")
+        self._require_satisfied(pk.cs, statement, witness)
 
         if rng is None:
             r = int.from_bytes(os.urandom(32), "little") % P
@@ -274,31 +304,10 @@ class QapSnarkBackend(Backend):
             r = rng.randrange(P)
             s = rng.randrange(P)
 
-        # signed int64 values reduce to the same accumulators mod P
-        w = witness.values if witness.signed is None else witness.signed.tolist()
-        a_acc = b_acc = c_acc = 0
-        a_tau, b_tau, c_tau = pk.a_tau, pk.b_tau, pk.c_tau
-        for i, wi in enumerate(w):
-            if wi:
-                if a_tau[i]:
-                    a_acc += wi * a_tau[i]
-                if b_tau[i]:
-                    b_acc += wi * b_tau[i]
-                if c_tau[i]:
-                    c_acc += wi * c_tau[i]
-        a_acc %= P
-        b_acc %= P
-        c_acc %= P
-
+        a_acc, b_acc, c_acc, priv_acc = _accumulators(pk, witness)
         pi_a = (pk.alpha + a_acc + r * pk.delta) % P
         pi_b = (pk.beta + b_acc + s * pk.delta) % P
         hz = (a_acc * b_acc - c_acc) % P
-        priv_acc = 0
-        off = cs.num_public + 1
-        for i, lp in enumerate(pk.l_priv):
-            wi = w[off + i]
-            if wi and lp:
-                priv_acc += wi * lp
         pi_c = (
             priv_acc + hz * pk.delta_inv + s * pi_a + r * pi_b - r * s % P * pk.delta
         ) % P
@@ -320,15 +329,14 @@ class QapSnarkBackend(Backend):
                 return Verdict.REJECT
             if proof.statement_digest != statement.digest():
                 return Verdict.REJECT
-            if len(statement.values) != vk.num_public:
+            if len(statement) != vk.num_public:
                 return Verdict.REJECT
             if len(proof.body) != 96:
                 return Verdict.REJECT
             r = _Reader(proof.body)
             pi_a, pi_b, pi_c = r.fe(), r.fe(), r.fe()
-            pi = vk.ic[0]
-            for v, icv in zip(statement.values, vk.ic[1:]):
-                pi = (pi + v * icv) % P
+            idx, v = _nonzero(statement)
+            pi = (vk.ic[0] + _dot(v, vk.ic, idx + 1)) % P
             lhs = pi_a * pi_b % P
             rhs = (vk.alpha_beta + pi * vk.gamma + pi_c * vk.delta) % P
             return Verdict.ACCEPT if lhs == rhs else Verdict.REJECT

@@ -471,7 +471,7 @@ def test_criterion_9_backend_conformance():
         if tamper == "honest":
             return be.verify(pair.verifying_key, stmt, proof)
         if tamper == "statement":
-            bad = Statement([stmt.values[0] + 1] + stmt.values[1:])
+            bad = Statement([stmt.values[0] + 1] + list(stmt.values[1:]))
             return be.verify(pair.verifying_key, bad, proof)
         if tamper == "proof-bytes":
             raw = bytearray(proof.to_bytes())

@@ -74,8 +74,9 @@ class TestMockBackend:
     def test_statement_tamper_rejected(self):
         proof = self.backend.prove(self.pair.proving_key, self.stmt, self.wit)
         for i in range(len(self.stmt.values)):
-            bad = Statement(list(self.stmt.values))
-            bad.values[i] = bad.values[i] + 1
+            vals = list(self.stmt.values)
+            vals[i] += 1
+            bad = Statement(vals)
             assert self.backend.verify(self.pair.verifying_key, bad, proof) is Verdict.REJECT
 
     def test_cross_circuit_rejected(self):

@@ -5,6 +5,7 @@ the circuit digests they must leave untouched.
 unbounded integers; it is the oracle the compiled check is compared with.
 """
 
+import hashlib
 import random
 from functools import lru_cache
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zksplit.backend import MockBackend, Proof, Statement, Verdict
+from zksplit.backend import DecodeError, MockBackend, Proof, Statement, Verdict
 from zksplit.circuit import (
     SMALL,
     CircuitConstants,
@@ -222,6 +223,83 @@ class TestWitnessCodec:
                 Witness.from_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
             Witness.from_bytes(data + b"\0")
+
+
+SIGNED = [1, -5, 0, SMALL - 1, -(SMALL - 1), 4000]
+CANONICAL = [P - 1, P - 5, 3, 0]
+MIXED_LARGE = [1, -5, SMALL, 2**100, P - 2**100, -SMALL, 7]
+
+
+class TestStatementCodec:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(any_element, max_size=40))
+    def test_to_bytes_matches_per_element_encoding(self, values):
+        s = Statement(values)
+        assert s.to_bytes() == per_element_bytes(values)
+        assert s.digest() == hashlib.sha256(per_element_bytes(values)).hexdigest()
+        assert s.values == tuple(v % P for v in values)
+        back = Statement.from_bytes(s.to_bytes())
+        assert back.values == s.values
+        assert (back.signed is None) == (s.signed is None)
+
+    @pytest.mark.parametrize("values", [SIGNED, CANONICAL, MIXED_LARGE],
+                             ids=["signed", "canonical", "mixed"])
+    def test_representations(self, values):
+        s = Statement(values)
+        assert (s.signed is None) == (values is MIXED_LARGE)
+        assert s.to_bytes() == per_element_bytes(values)
+        assert s == Statement.from_bytes(per_element_bytes(values))
+
+    def test_int64_array_and_list_agree(self):
+        arr = np.array(SIGNED, dtype=np.int64)
+        s = Statement(arr)
+        assert s.to_bytes() == Statement(SIGNED).to_bytes() == per_element_bytes(SIGNED)
+        arr[0] = 99  # the statement holds its own copy
+        assert s.values[0] == 1
+
+    @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1, P + SMALL - 1])
+    def test_unreduced_element_is_decode_error(self, v):
+        data = (2).to_bytes(4, "little") + (1).to_bytes(32, "little") + v.to_bytes(32, "little")
+        with pytest.raises(DecodeError, match="not reduced"):
+            Statement.from_bytes(data)
+
+    def test_truncated_frame_is_decode_error(self):
+        data = Statement([1, -2, 3]).to_bytes()
+        for cut in (0, 3, 4, 35, len(data) - 1):
+            with pytest.raises(DecodeError, match="truncated"):
+                Statement.from_bytes(data[:cut])
+        with pytest.raises(DecodeError, match="truncated"):
+            Statement.from_bytes(data + b"\0")
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.one_of(st.binary(min_size=32, max_size=32),
+                           st.integers(0, P - 1).map(lambda v: v.to_bytes(32, "little"))),
+                 max_size=6).map(lambda els: len(els).to_bytes(4, "little") + b"".join(els)),
+    ))
+    def test_from_bytes_round_trips_or_raises_decode_error(self, data):
+        try:
+            s = Statement.from_bytes(data)
+        except DecodeError:
+            return
+        assert s.to_bytes() == data
+
+    def test_statement_is_immutable(self):
+        s = Statement(SIGNED)
+        digest = s.digest()
+        with pytest.raises(AttributeError):
+            s.values = (0,) * len(SIGNED)
+        with pytest.raises(TypeError):
+            s.values[0] = 2
+        with pytest.raises(AttributeError):
+            s.signed = np.zeros(len(SIGNED), dtype=np.int64)
+        with pytest.raises(ValueError):
+            s.signed[0] = 2
+        assert s.digest() == digest == Statement(SIGNED).digest()
+        big = Statement(MIXED_LARGE)
+        with pytest.raises(TypeError):
+            big.values[0] = 2
 
 
 @lru_cache(maxsize=None)

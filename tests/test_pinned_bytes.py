@@ -1,0 +1,116 @@
+"""Byte-level pins of everything a proof run emits for fixed inputs.
+
+The hashes were taken before statements became int64 vectors and before
+the snark inner products moved to a gather over nonzero wires; a change
+of representation or of evaluation order must leave every byte alone.
+"""
+
+import hashlib
+import random
+from functools import lru_cache
+
+import pytest
+
+from zksplit.backend import MockBackend, Statement
+from zksplit.circuit import (
+    CircuitConstants,
+    build_protocol_circuit,
+    generate_witness,
+    quantized_aggregate,
+    quantized_update,
+)
+from zksplit.snark import QapSnarkBackend
+
+# under EQUAL every remainder bit is zero; MIXED has nonzero zero-points
+# and unequal scales, so some of its remainder bits are set
+CONSTANTS = {
+    "EQUAL": CircuitConstants(),
+    "MIXED": CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
+                              f_w=12, z_w=2, f_wp=11, z_wp=-1),
+}
+SETUP_SEED = b"pinned-setup"
+
+
+@lru_cache(maxsize=None)
+def instance(name, m):
+    """The composed circuit, an honest statement and its witness."""
+    c = CONSTANTS[name]
+    cs = build_protocol_circuit(m, c)
+    rnd = random.Random(f"pinned/{name}/{m}")
+    u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
+    w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
+    k_q = c.z_k + 2 ** c.f_k
+    up_q = quantized_aggregate([k_q], [u_q], c)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + [k_q], u_q)
+    return cs, Statement(wit.statement(cs)), wit
+
+
+def artifacts(name, m):
+    """Every pinned byte string of one instance, by artifact name."""
+    cs, stmt, wit = instance(name, m)
+    mock = MockBackend()
+    mock_proof = mock.prove(mock.setup(cs, SETUP_SEED).proving_key, stmt, wit)
+    snark = QapSnarkBackend()
+    pair = snark.setup(cs, SETUP_SEED)
+    snark_proof = snark.prove(pair.proving_key, stmt, wit, rng=random.Random(7))
+    return {
+        "statement": stmt.to_bytes(),
+        "mock_proof": mock_proof.to_bytes(),
+        "snark_proof": snark_proof.to_bytes(),
+        "snark_pk": pair.proving_key.to_bytes(),
+        "snark_vk": pair.verifying_key.to_bytes(),
+    }
+
+
+PINNED = {
+    ("EQUAL", 1): {
+        "statement": "8483bee3b66511ffaf6815dc20154909460cba321a90c36c0166d06869a964d2",
+        "mock_proof": "2939d537e95770e735a11b1d93f5895dd429892f14beeeebe5323f96041ca36c",
+        "snark_proof": "0d3fd6e274988dd3959d2fe91659d3dd8ff7e09ccba4993cce5bf70e9f6e75e2",
+        "snark_pk": "12ebc0f779e23529af924ca15f238c40a9fa6f429571d30fe2a9e3f8a67870e1",
+        "snark_vk": "a5298cdd82c5f1af285f9c0980e15f6eec477c4a4cb9bf59414b6a1fb27ede5e",
+    },
+    ("EQUAL", 8): {
+        "statement": "771c564961336554e2a878a36a78311efdb517aca786b5bbf626373a92d064a8",
+        "mock_proof": "bece75348d05e370966b732c1d2078e829a843c9cb7295d65ce29c3ed400f887",
+        "snark_proof": "028f8124fb0053a6feebccd7a9ebe7498ff9279b89d7928d5d3581b97df35dca",
+        "snark_pk": "98215d73afe6ebcb90d28ca7556567d6df549cf66417f5d53396a9480c1ae5cd",
+        "snark_vk": "04199f2091d84c2f4eea5a95aa1a98af5dbfc9a4e78aff1c50dab4ecd21978da",
+    },
+    ("EQUAL", 64): {
+        "statement": "ce5011082d900bf0e289dc383e80a88b98ac7222c48707e8f2cf9905441112be",
+        "mock_proof": "2713de5bb36c0e21bb6d1cf6398603f8308aa27832fdec5cf67f220471e8f627",
+        "snark_proof": "7458e4d441a356a06912085b9fc2620ca24399c211ae4de3b4440c8133b44045",
+        "snark_pk": "b5d84f9c8cb3726c7cc6ca7858603ff7585115cedd8713438eb708ed249558ee",
+        "snark_vk": "c9241e8702df92257d7b3c5bb6ee82e2e29e2d353e9690e0353948b05ab94352",
+    },
+    ("MIXED", 1): {
+        "statement": "dd776faab7efacc78fd4e02b6ce48c725a1419f7695a17d7f21caf871986dc1f",
+        "mock_proof": "be40a60e277a0538b0e7b1cacfe1b75fe06f568579eb964e4715ee419565ebb1",
+        "snark_proof": "e4655319d84e5e98b0a23c06fc51206294e7a34e2a556924d26a62bbfba9d3b7",
+        "snark_pk": "4244ae64eb8567434ee456fdd62588b40b5b010833872cfe26171500ce3a5bc1",
+        "snark_vk": "c20e68f1c41bef430f5cc19e8288d2c2eb8e80dfdea0a19ed3554e6b6f64b644",
+    },
+    ("MIXED", 8): {
+        "statement": "ccaf8af9b2df4edd10dec3a8d06d57acb18352721494ae29643be9251d40200a",
+        "mock_proof": "09693cde66e9369d4b043a5a054e3e90282e102e67d408c030e83bb8e26b15dd",
+        "snark_proof": "2ac4acd126f45a512e4739cc5f49433b29e49625b9c828dc7aa804857e67f9ac",
+        "snark_pk": "30e985a9b86018308c6c3646a75327fb240422e153f32a7374b510ec82d755e5",
+        "snark_vk": "090b062b460adb034f700bb426afd55b4c0cef401100563d51d6fdce41fd3f0c",
+    },
+    ("MIXED", 64): {
+        "statement": "0d79cc35d7a70e7bb02e788544a5d29c999236e306294a09548e450817636744",
+        "mock_proof": "1e65b3da4f7edc16273ef759d680dd5992e1ebd80fe2c6f9f246de66f5ab1ad5",
+        "snark_proof": "0b366d8ee4bf90ce131c5c3006fd024c261401b583511fe7537b690527405b21",
+        "snark_pk": "1051738656db406cbacc5ce7fbd56ba25ea668f9aa05ce367f4da6268832578c",
+        "snark_vk": "72d7dc55cc3d7ca431c88c9903156ea897752b4d5146194feb74c961b4150634",
+    },
+}
+
+CASES = [(name, m) for name in CONSTANTS for m in (1, 8, 64)]
+
+
+@pytest.mark.parametrize("name,m", CASES)
+def test_pinned_artifact_bytes(name, m):
+    got = {k: hashlib.sha256(v).hexdigest() for k, v in artifacts(name, m).items()}
+    assert got == PINNED[name, m]

@@ -103,8 +103,9 @@ class TestQapSnark:
     def test_statement_tamper_rejected(self):
         proof = self.backend.prove(self.pair.proving_key, self.stmt, self.wit)
         for i in range(len(self.stmt.values)):
-            bad = Statement(list(self.stmt.values))
-            bad.values[i] = bad.values[i] + 1
+            vals = list(self.stmt.values)
+            vals[i] += 1
+            bad = Statement(vals)
             assert self.backend.verify(self.pair.verifying_key, bad, proof) is Verdict.REJECT
 
     def test_cross_circuit_rejected(self):
@@ -141,7 +142,7 @@ class TestBackendConformance:
         for seed in range(8):
             cs, stmt, wit = honest_composed(3, seed)
             vectors.append(("honest", cs, stmt, wit, None))
-            bad = Statement([stmt.values[0] + 1] + stmt.values[1:])
+            bad = Statement([stmt.values[0] + 1] + list(stmt.values[1:]))
             vectors.append(("stmt-tamper", cs, stmt, wit, bad))
         rnd = random.Random(0)
         cs = build_aggregation_circuit(5, 1, C)

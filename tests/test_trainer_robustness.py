@@ -1,0 +1,94 @@
+"""Trainer behaviour that does not depend on proofs: which modes build the
+protocol circuit, the saved blockchain ledger, and clients whose turn
+fails numerically."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from zksplit import cli
+from zksplit.config import SimConfig
+from zksplit.ledger import Chain
+from zksplit.nn import Batch
+from zksplit.protocol import VERDICT_ACCEPTED, VERDICT_MISSING, Trainer
+
+M = 16
+
+
+def model_digest(trainer):
+    h = hashlib.sha256()
+    for stack in (trainer.model.client, trainer.model.server):
+        for a in stack.weights + stack.biases:
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# model_digest after Trainer(SimConfig(mode="blockchain", num_clients=3,
+# m=16, rounds=4, seed=11)).train(), taken when every mode still built
+# the protocol circuit
+PINNED_BLOCKCHAIN_MODEL = "232237fc2d1696e57b930c29fdaf247609fb56c0b10d5a18e79902c36d9f2308"
+
+
+def test_blockchain_trainer_has_no_circuit_and_trains_as_before():
+    tr = Trainer(SimConfig(mode="blockchain", num_clients=3, m=M, rounds=4, seed=11))
+    assert tr.circuit is None and tr.pe is None and tr.ve is None
+    tr.train()
+    assert model_digest(tr) == PINNED_BLOCKCHAIN_MODEL
+
+
+@pytest.mark.parametrize("mode", ["none", "blockchain"])
+def test_modes_without_proofs_build_no_circuit(mode, monkeypatch):
+    from zksplit import protocol
+
+    def refuse(*_args):
+        raise AssertionError("circuit built in a mode that proves nothing")
+
+    monkeypatch.setattr(protocol, "build_protocol_circuit", refuse)
+    monkeypatch.setattr(protocol, "_CIRCUIT_CACHE", {})
+    assert Trainer(SimConfig(mode=mode, m=M, rounds=1)).circuit is None
+
+
+def test_blockchain_run_saves_a_verifiable_chain(tmp_path, capsys):
+    out = tmp_path / "run"
+    turns = 2 * 3  # clients x rounds
+    rc = cli.main(["train", "--mode", "blockchain", "--clients", "2", "--m", str(M),
+                   "--rounds", "3", "--seed", "1", "--out", str(out), "--json"])
+    assert rc == 0
+    chain = Chain.load(out / "chain.jsonl")
+    assert len(chain) == 1 + 2 * turns
+    capsys.readouterr()
+    assert cli.main(["ledger", "verify", str(out / "chain.jsonl"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"blocks": 1 + 2 * turns, "valid": True}
+
+
+def test_zk_run_saves_no_chain(tmp_path):
+    Trainer(SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=1, out_dir=str(tmp_path))).train()
+    assert not (tmp_path / "chain.jsonl").exists()
+
+
+def nan_batches(trainer):
+    cfg = trainer.config
+    x = np.full((cfg.batch_size, cfg.input_dim), np.nan)
+    y = np.zeros(cfg.batch_size, dtype=np.int64)
+    while True:
+        yield Batch(x=x, y=y)
+
+
+@pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
+def test_numeric_blowup_sits_the_client_out(mode):
+    rounds = 3
+    tr = Trainer(SimConfig(mode=mode, num_clients=3, m=M, rounds=rounds, seed=5))
+    tr.clients[-1].stream = nan_batches(tr)
+    reports = tr.train()
+    assert len(reports) == rounds
+    for r in reports:
+        assert r.verdicts == {0: VERDICT_ACCEPTED, 1: VERDICT_ACCEPTED, 2: VERDICT_MISSING}
+    assert tr.clients[-1].rejection_count == rounds
+    assert 2 in reports[-1].suspects
+
+    ref = Trainer(SimConfig(mode="none", num_clients=2, data_partitions=3, m=M,
+                            rounds=rounds, seed=5))
+    ref.train()
+    assert model_digest(tr) == model_digest(ref)
