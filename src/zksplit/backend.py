@@ -137,7 +137,9 @@ class Proof:
 
     @property
     def size_bytes(self) -> int:
-        return len(self.to_bytes())
+        """len(to_bytes()) without building the frame: version and backend
+        bytes, circuit digest, statement digest, body."""
+        return 2 + 32 + 32 + len(self.body)
 
 
 @dataclass

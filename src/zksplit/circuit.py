@@ -304,6 +304,20 @@ class CompiledR1CS:
         return bool(np.array_equal(self.a.dot(w) * self.b.dot(w), self.c.dot(w)))
 
 
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+class _LcTemplates(dict):
+    """JSON text of a linear combination, keyed by its coefficients in wire
+    order, with a %d slot for each wire index.  A circuit has only a handful
+    of distinct coefficient sequences, so each template is built once."""
+
+    def __missing__(self, coeffs: Tuple[int, ...]) -> str:
+        text = self[coeffs] = "[" + ",".join("[%%d,%d]" % (co % P) for co in coeffs) + "]"
+        return text
+
+
 class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
@@ -413,23 +427,44 @@ class ConstraintSystem:
 
     # -- export -----------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        def enc(lc: LinComb) -> list:
-            return sorted([i, co % P] for i, co in lc.items())
+    def to_json(self) -> str:
+        """The canonical circuit JSON, the preimage of ``digest``.
 
-        return {
+        It is ``json.dumps(d, separators=(",", ":"), sort_keys=True)`` of
+        the dict d with keys constants (the CircuitConstants fields),
+        constraints, kind, m, n, num_private, num_public and variables.
+        ``constraints`` lists [A, B, C] per constraint, and each linear
+        combination is a list of [wire, coefficient mod P] pairs sorted by
+        wire.  Only the small header goes through ``json.dumps``; the
+        constraint list is written directly and spliced in after
+        ``constants``, its first key.  Each linear combination is the
+        template of its coefficient sequence (see ``_LcTemplates``) filled
+        with its wire indices, so the text is the same as the dict's.
+        """
+        templates = _LcTemplates()
+
+        def lc_text(lc: LinComb) -> str:
+            if not lc:
+                return "[]"
+            wires, coeffs = zip(*sorted(lc.items()))
+            return templates[coeffs] % wires
+
+        constraints = ",".join(
+            "[%s,%s,%s]" % (lc_text(a), lc_text(b), lc_text(c)) for a, b, c in self.constraints
+        )
+        rest = _canonical_json({
             "kind": self.kind,
             "m": self.m,
             "n": self.n,
-            "constants": asdict(self.constants),
             "num_public": self.num_public,
             "num_private": self.num_private,
             "variables": self.var_names,
-            "constraints": [[enc(a), enc(b), enc(c)] for a, b, c in self.constraints],
-        }
+        })
+        constants = _canonical_json(asdict(self.constants))
+        return '{"constants":%s,"constraints":[%s],%s' % (constants, constraints, rest[1:])
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
+    def to_json_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstraintSystem":

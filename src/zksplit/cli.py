@@ -208,7 +208,7 @@ def _cmd_circuit_export(args) -> int:
     if args.eta is not None:
         spec["constants"] = {"eta": args.eta}
     circuit = _build_circuit_from_spec(spec)
-    text = json.dumps(circuit.to_json_dict(), indent=None if args.compact else 2)
+    text = circuit.to_json() if args.compact else json.dumps(circuit.to_json_dict(), indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--m", type=int, default=4)
     p_ce.add_argument("--n", type=int, default=1)
     p_ce.add_argument("--eta", type=int)
-    p_ce.add_argument("--compact", action="store_true")
+    p_ce.add_argument("--compact", action="store_true",
+                      help="print the canonical JSON whose SHA-256 is the circuit digest")
     p_ce.add_argument("--out")
     p_ce.set_defaults(func=_cmd_circuit_export)
 

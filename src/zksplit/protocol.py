@@ -174,15 +174,6 @@ class ProverEntity:
         self.backend = get_backend(backend_name)
         self._keys: Dict[str, object] = {}
 
-    def register(self, cs: ConstraintSystem, seed: bytes) -> str:
-        pair = self.backend.setup(cs, seed)
-        digest = cs.digest()
-        self._keys[digest] = pair.proving_key
-        return digest
-
-    def keypair_for(self, cs: ConstraintSystem, seed: bytes):
-        return self.backend.setup(cs, seed)
-
     def prove(self, circuit_digest: str, statement: Statement, witness) -> Proof:
         pk = self._keys.get(circuit_digest)
         if pk is None:
@@ -311,7 +302,6 @@ class Trainer:
         self.eval_batch = Batch(x=ex, y=ey)
 
         self.reports: List[RoundReport] = []
-        self.messages_seen = 0
         # per-proof telemetry, harvested by the bench harness
         self.proof_times: List[float] = []
         self.proof_sizes: List[int] = []
@@ -464,7 +454,6 @@ class Trainer:
             timings["proof"] += msg.proof.prove_time
             self.proof_times.append(msg.proof.prove_time)
             self.proof_sizes.append(msg.proof.size_bytes)
-        self.messages_seen += 1
         if self.zk or self.chain is not None:
             # "none" mode skips the recording pipeline entirely
             t0 = time.perf_counter()

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 from zksplit.circuit import (
     CircuitConstants,
+    build_protocol_circuit,
     quantized_aggregate,
     quantized_update,
 )
@@ -152,6 +154,22 @@ class TestCircuitExport:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "aggregation"
+
+    def test_compact_export_is_digest_preimage(self, tmp_path, capsys):
+        cs = build_protocol_circuit(3, C)
+        assert run_cli("circuit", "export", "--m", "3", "--compact") == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n")
+        assert hashlib.sha256(text[:-1].encode()).hexdigest() == cs.digest()
+        out = tmp_path / "circ.json"
+        assert run_cli("circuit", "export", "--m", "3", "--compact", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == cs.digest()
+
+    def test_indented_export_is_same_value(self, capsys):
+        assert run_cli("circuit", "export", "--m", "3") == 0
+        text = capsys.readouterr().out
+        assert "\n  " in text
+        assert json.loads(text) == json.loads(build_protocol_circuit(3, C).to_json())
 
 
 class TestBenchCommand:

@@ -1,12 +1,14 @@
-"""The compiled int64 satisfaction check, the int64 witness codec, and
-the circuit digests they must leave untouched.
+"""The compiled int64 satisfaction check, the int64 witness codec, the
+canonical circuit JSON, and the circuit digests they must leave untouched.
 
 ``ConstraintSystem.is_satisfied_exact`` replays every constraint in
 unbounded integers; it is the oracle the compiled check is compared with.
 """
 
 import hashlib
+import json
 import random
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -16,9 +18,11 @@ from hypothesis import strategies as st
 
 from zksplit.backend import DecodeError, MockBackend, Proof, Statement, Verdict
 from zksplit.circuit import (
+    MIN_ETA,
     SMALL,
     CircuitConstants,
     CircuitError,
+    ConstraintSystem,
     Witness,
     build_aggregation_circuit,
     build_protocol_circuit,
@@ -157,6 +161,9 @@ PINNED_DIGESTS = {
     ("MIXED", "aggregation-3", 8): "a25ff3a56890f909d2488eac16ffe78243437039d41345b53920a99203219dd0",
     ("MIXED", "update", 8): "a035352e7a277145ece9c3bd51f582c218ad5248c99cafe2675235be4edfe1ac",
     ("MIXED", "composed", 8): "04ab8a2321cb112dc6cd42d7d089543a5622ed13154901b1f469f0699d892b71",
+    # taken before to_json wrote the constraint list from templates
+    ("EQUAL", "composed", 1000): "1c77bf2751fd4a6e49c51dbc7e82111d3ca7cf561c4bceee8e600a6d2fda0416",
+    ("MIXED", "composed", 1000): "863f9fa6bb125d09626b20fb303195fb4f3310b32391659d63fcffd71b5c19f6",
 }
 
 
@@ -166,6 +173,60 @@ def test_pinned_circuit_digest(name, kind, m):
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
     cs.compiled()
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
+
+
+def reference_json(cs):
+    """The canonical JSON as the dict-building writer produced it."""
+    def enc(lc):
+        return sorted([i, co % P] for i, co in lc.items())
+
+    d = {
+        "kind": cs.kind,
+        "m": cs.m,
+        "n": cs.n,
+        "constants": asdict(cs.constants),
+        "num_public": cs.num_public,
+        "num_private": cs.num_private,
+        "variables": cs.var_names,
+        "constraints": [[enc(a), enc(b), enc(c)] for a, b, c in cs.constraints],
+    }
+    return json.dumps(d, separators=(",", ":"), sort_keys=True)
+
+
+names = st.text(alphabet=st.one_of(st.sampled_from('"\\/\b\n\x00\x7f\u00e9\u2028\U0001f600u'),
+                                   st.characters()), max_size=8)
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 2**200, -(2**200), P - 1, P, P + 1, 2 * P + 3,
+                     10**30, -(10**30), 2**63, -(2**63)]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def constraint_systems(draw):
+    constants = CircuitConstants(eta=draw(st.integers(MIN_ETA, 64)),
+                                 z_k=draw(st.integers(-9, 9)), q_min=draw(st.integers(-9, 0)))
+    cs = ConstraintSystem(draw(names), draw(st.integers(0, 10**6)),
+                          draw(st.integers(0, 9)), constants)
+    for _ in range(draw(st.integers(0, 4))):
+        cs.add_public(draw(names))
+    for _ in range(draw(st.integers(0, 4))):
+        cs.add_private(draw(names))
+    wires = st.integers(0, cs.num_wires - 1)
+    # dicts keep the drawn order, so wires arrive unsorted and some lcs are empty
+    lcs = st.dictionaries(wires, coefficients, max_size=5)
+    for _ in range(draw(st.integers(0, 6))):
+        cs.add_constraint(draw(lcs), draw(lcs), draw(lcs))
+    return cs
+
+
+@settings(deadline=None, max_examples=300)
+@given(constraint_systems())
+def test_to_json_matches_dict_writer(cs):
+    text = cs.to_json()
+    assert text == reference_json(cs)
+    assert cs.digest() == hashlib.sha256(text.encode()).hexdigest()
+    assert ConstraintSystem.from_json_dict(json.loads(text)).digest() == cs.digest()
 
 
 def per_element_bytes(values):

@@ -1,0 +1,123 @@
+"""Whole proof frames: their size without re-encoding, and verification
+that returns a verdict for every frame that decodes."""
+
+import random
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zksplit.backend import (
+    BACKEND_IDS,
+    WIRE_VERSION,
+    DecodeError,
+    MockBackend,
+    Proof,
+    Statement,
+    Verdict,
+)
+from zksplit.circuit import (
+    CircuitConstants,
+    Witness,
+    build_protocol_circuit,
+    generate_witness,
+    quantized_aggregate,
+    quantized_update,
+)
+from zksplit.snark import QapSnarkBackend
+
+C = CircuitConstants()
+M = 4
+BACKENDS = {"mock": MockBackend(), "snark": QapSnarkBackend()}
+
+
+@lru_cache(maxsize=None)
+def instance():
+    """Verifying keys of both backends for one circuit, an honest statement,
+    and each backend's honest proof frame for it."""
+    rnd = random.Random(5)
+    cs = build_protocol_circuit(M, C)
+    k_q = 2 ** C.f_k
+    u_q = [rnd.randint(-4000, 4000) for _ in range(M)]
+    w_q = [rnd.randint(-4000, 4000) for _ in range(M)]
+    up_q = quantized_aggregate([k_q], [u_q], C)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, C) + w_q + [k_q], u_q)
+    stmt = Statement(wit.statement(cs))
+    pairs = {name: backend.setup(cs, b"frames") for name, backend in BACKENDS.items()}
+    vks = {name: pair.verifying_key for name, pair in pairs.items()}
+    frames = {
+        "mock": BACKENDS["mock"].prove(pairs["mock"].proving_key, stmt, wit).to_bytes(),
+        "snark": BACKENDS["snark"].prove(pairs["snark"].proving_key, stmt, wit,
+                                         rng=random.Random(1)).to_bytes(),
+    }
+    return cs, stmt, vks, frames
+
+
+class TestSizeBytes:
+    def test_real_proofs(self):
+        _, _, _, frames = instance()
+        for name, frame in frames.items():
+            proof = Proof.from_bytes(frame)
+            assert proof.backend == name
+            assert proof.size_bytes == len(proof.to_bytes()) == len(frame)
+
+    @given(st.sampled_from(sorted(BACKEND_IDS)), st.binary(min_size=32, max_size=32),
+           st.binary(min_size=32, max_size=32), st.binary(max_size=257))
+    def test_decoded_frames(self, backend, circuit_digest, statement_digest, body):
+        frame = (bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + circuit_digest
+                 + statement_digest + body)
+        proof = Proof.from_bytes(frame)
+        assert proof.body == body
+        assert proof.size_bytes == len(proof.to_bytes()) == len(frame)
+
+
+@st.composite
+def random_body_frames(draw):
+    """A valid header carrying the circuit's digest, the statement's digest
+    or a random one, and a random body: any bytes, a snark-sized body, an
+    element count a mock verifier could expect followed by random bytes, or
+    a well-formed transcript of small random elements."""
+    cs, stmt, _, _ = instance()
+    backend = draw(st.sampled_from(sorted(BACKEND_IDS)))
+    header = bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(cs.digest())
+    statement_digest = draw(st.one_of(st.just(bytes.fromhex(stmt.digest())),
+                                      st.binary(min_size=32, max_size=32)))
+    count = draw(st.sampled_from([len(stmt), cs.num_wires]))
+    body = draw(st.one_of(
+        st.binary(max_size=200),
+        st.binary(min_size=96, max_size=96),
+        st.binary(max_size=32 * (count + 1)).map(lambda rest: count.to_bytes(4, "little") + rest),
+        st.lists(st.integers(-2, 2), min_size=count, max_size=count).map(
+            lambda vals: Witness(vals).to_bytes()),
+    ))
+    return header + statement_digest + body
+
+
+@st.composite
+def mutated_honest_frames(draw):
+    """An honest frame cut short, extended, or with one byte changed."""
+    _, _, _, honest = instance()
+    frame = draw(st.sampled_from(sorted(honest.values())))
+    at = draw(st.integers(0, len(frame) - 1))
+    how = draw(st.sampled_from(["cut", "extend", "flip"]))
+    if how == "cut":
+        return frame[:at]
+    if how == "extend":
+        return frame + draw(st.binary(min_size=1, max_size=64))
+    return frame[:at] + bytes([frame[at] ^ draw(st.integers(1, 255))]) + frame[at + 1 :]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.binary(max_size=200), random_body_frames(), mutated_honest_frames()))
+def test_frame_verification_is_total(data):
+    _, stmt, vks, honest = instance()
+    try:
+        proof = Proof.from_bytes(data)
+    except DecodeError:
+        return
+    for name, backend in BACKENDS.items():
+        verdict = backend.verify(vks[name], stmt, proof)
+        if data == honest[name]:
+            assert verdict is Verdict.ACCEPT
+        else:
+            assert verdict is Verdict.REJECT
