@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import platform
 import queue
 import random
@@ -106,6 +107,7 @@ def _measure_one_round(trainer: Trainer, mode: str, clients: int, m: int, rep: i
                        round_id: int, batches_per_epoch: int,
                        sink: "queue.Queue[BenchRecord]") -> None:
     n_proof = len(trainer.proof_times)
+    n_size = len(trainer.proof_sizes)
     n_verify = len(trainer.verify_times)
     t0 = time.perf_counter()
     trainer.run_round(round_id)
@@ -115,7 +117,7 @@ def _measure_one_round(trainer: Trainer, mode: str, clients: int, m: int, rep: i
                          dt * batches_per_epoch, "s"))
     for i, v in enumerate(trainer.proof_times[n_proof:]):
         sink.put(BenchRecord("proof_time", mode, clients, m, 2 * rep + i, v, "s"))
-    for i, v in enumerate(trainer.proof_sizes[n_proof:]):
+    for i, v in enumerate(trainer.proof_sizes[n_size:]):
         sink.put(BenchRecord("proof_size", mode, clients, m, 2 * rep + i,
                              float(v), "bytes"))
     for i, v in enumerate(trainer.verify_times[n_verify:]):
@@ -276,7 +278,10 @@ def emit(records: List[BenchRecord], out_dir: str,
             "host": {
                 "platform": platform.platform(),
                 "python": platform.python_version(),
-                "cpus": __import__("os").cpu_count(),
+                "numpy": np.__version__,
+                "cpus": os.cpu_count(),
+                "threads": {name: os.environ.get(name) for name in (
+                    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             },
             "config": config.to_dict(),
         }

@@ -31,8 +31,10 @@ the mirror image of writing the leftover on the other side of the
 equation; nonnegative remainders admit direct binary range checks.
 
 Checking satisfaction.  Each circuit is compiled once, on its first
-check, into CSR matrices A, B and C with int64 coefficients, together
-with each matrix's largest row L1 norm.  A witness whose elements all
+check.  Its booleanity rows b * (b - 1) = 0, eta per output element,
+become one array of bit wires, each tested to be 0 or 1; the other rows
+become CSR matrices A, B and C with int64 coefficients, together with
+each matrix's largest row L1 norm.  A witness whose elements all
 have signed representatives in (-2**62, 2**62) is carried as an int64
 array, and when
 
@@ -40,8 +42,8 @@ array, and when
 
 every <A,w>, <B,w>, <C,w> and a*b - c fits in int64 and |a*b - c| < P,
 so the exact int64 test a*b == c decides a*b == c mod P.  For the
-default constants (max|w| = 2**13, L1 = 2**23, 2, 2**23) the bound holds
-with about 2**13 to spare.  Witnesses or circuits outside the bound, such
+default constants (max|w| = 2**13, L1 = 2**23, 1, 2**23) the bound holds
+with about 2**14 to spare.  Witnesses or circuits outside the bound, such
 as adversarial transcripts carrying huge elements, take the exact replay
 of every constraint in unbounded integers instead.
 """
@@ -285,6 +287,13 @@ class _Csr:
 class CompiledR1CS:
     """The A, B, C matrices of a constraint system, compiled once.
 
+    Rows of exactly the ``add_boolean`` shape, {i: 1} * {i: 1, 0: -1} = {}
+    with i != 0, are kept apart as ``bits``, the int64 array of their wires
+    i.  Mod P such a row holds iff w_i is 0 or 1, and for a signed int64
+    representative in (-2**62, 2**62) that is iff w_i is 0 or 1 as an
+    integer: a bit test, with no arithmetic and so no overflow bound.  Any
+    other row, however close to that shape, goes into the CSR matrices.
+
     With every |w_i| <= wmax, |<A,w>| <= L1(A)*wmax and so on, so when
     L1(A)*L1(B)*wmax**2 + L1(C)*wmax < 2**63 nothing overflows int64 and
     |a*b - c| < 2**63 < P: exact equality a*b == c is then the same as
@@ -292,7 +301,19 @@ class CompiledR1CS:
     """
 
     def __init__(self, constraints: Sequence[Tuple[LinComb, LinComb, LinComb]]):
-        self.a, self.b, self.c = (_Csr([row[k] for row in constraints]) for k in range(3))
+        bits: List[int] = []
+        rows = []
+        for row in constraints:
+            a, b, c = row
+            if len(a) == 1 and len(b) == 2 and not c:
+                (i, ca), = a.items()
+                # b[i] == 1 and b[0] == -1 in a two-term b force i != 0
+                if ca == 1 and b.get(i) == 1 and b.get(0) == -1:
+                    bits.append(i)
+                    continue
+            rows.append(row)
+        self.bits = np.array(bits, dtype=np.int64)
+        self.a, self.b, self.c = (_Csr([row[k] for row in rows]) for k in range(3))
 
     def fits(self, wmax: int) -> bool:
         la, lb, lc = self.a.l1, self.b.l1, self.c.l1
@@ -301,6 +322,8 @@ class CompiledR1CS:
         return la * lb * wmax * wmax + lc * wmax < 1 << 63
 
     def is_satisfied(self, w: np.ndarray) -> bool:
+        if not ((w[self.bits] & ~1) == 0).all():
+            return False
         return bool(np.array_equal(self.a.dot(w) * self.b.dot(w), self.c.dot(w)))
 
 
@@ -377,7 +400,8 @@ class ConstraintSystem:
     # -- evaluation -------------------------------------------------------
 
     def compiled(self) -> "CompiledR1CS":
-        """A, B and C as CSR int64 matrices, built on first use and cached."""
+        """The booleanity wires and A, B and C as CSR int64 matrices of the
+        other rows, built on first use and cached."""
         if self._compiled is None:
             self._compiled = CompiledR1CS(self.constraints)
         return self._compiled
@@ -389,9 +413,10 @@ class ConstraintSystem:
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
         """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
 
-        Small witnesses are checked exactly in int64 by the compiled
-        matrices whenever the overflow bound holds; anything else takes
-        the exact replay.
+        Small witnesses are checked exactly in int64 by the compiled form
+        whenever the overflow bound holds: booleanity rows as a test that
+        each of their wires is 0 or 1, every other row through the A, B
+        and C matrices.  Anything else takes the exact replay.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):

@@ -103,15 +103,12 @@ class Batch:
 @dataclass
 class SmashedBatch:
     z: np.ndarray
-    round_id: int = 0
-    client_id: int = 0
 
 
 @dataclass
 class GradientBatch:
     g_z: np.ndarray
     loss: float
-    round_id: int = 0
 
 
 def init_stack(dims: Sequence[int], activations: Sequence[str], rng: np.random.Generator) -> DenseStack:

@@ -1,10 +1,13 @@
 import os
+import queue
 
+import numpy as np
 import pytest
 
 from zksplit.bench import (
     BenchError,
     BenchRecord,
+    _measure_one_round,
     emit,
     format_summary,
     median_of,
@@ -152,6 +155,20 @@ class TestEmit:
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["config"]["m"] == FAST["m"]
         assert "cpus" in meta["host"]
+        assert meta["host"]["numpy"] == np.__version__
+        assert set(meta["host"]["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+    def test_metadata_records_thread_env(self, records, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        emit(records, str(tmp_path), SimConfig(**FAST))
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["host"]["threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
     def test_non_timing_columns_reproducible(self, tmp_path):
         cfg = SimConfig(**{**FAST, "m_grid": [16], "client_grid": [1], "reps": 2})
@@ -167,3 +184,30 @@ class TestEmit:
     def test_unwritable_path_errors(self, records):
         with pytest.raises(OSError):
             emit(records, "/proc/definitely/not/writable")
+
+
+class _RecordingTrainer:
+    """Proof records that start out of step: sizes of reused proofs are
+    recorded without a fresh proof time."""
+
+    def __init__(self):
+        self.proof_times = [9.0]
+        self.proof_sizes = [900, 901]
+        self.verify_times = [9.0, 9.0, 9.0]
+
+    def run_round(self, round_id):
+        self.proof_times.append(0.5)
+        self.proof_sizes.extend([100, 101])
+        self.verify_times.extend([0.25, 0.75])
+
+
+def test_one_round_reads_each_record_list_from_its_own_start():
+    sink = queue.Queue()
+    _measure_one_round(_RecordingTrainer(), "zk-mock", 1, 8, 0, 0, 4, sink)
+    got = {}
+    while not sink.empty():
+        r = sink.get()
+        got.setdefault(r.metric, []).append(r.value)
+    assert got["proof_time"] == [0.5]
+    assert got["proof_size"] == [100.0, 101.0]
+    assert got["verify_time"] == [0.25, 0.75]

@@ -6,6 +6,7 @@ unbounded integers; it is the oracle the compiled check is compared with.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import asdict
@@ -136,6 +137,130 @@ class TestCompiledCheck:
         assert cs.is_satisfied(values)
         cs.add_constraint({0: 1}, {0: 1}, {0: 2})  # 1 * 1 = 2 never holds
         assert not cs.is_satisfied(values)
+
+
+def built_with_boolean_rows(kind, m, name):
+    """A fresh circuit and the (row position, wire) of every add_boolean call."""
+    calls = []
+    add_boolean = ConstraintSystem.add_boolean
+
+    def recording(self, idx):
+        calls.append((len(self.constraints), idx))
+        add_boolean(self, idx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConstraintSystem, "add_boolean", recording)
+        cs = BUILDERS[kind](m, CONSTANTS[name])
+    return cs, calls
+
+
+def csr_rows(matrix):
+    return [dict(zip(matrix.index[s:e].tolist(), matrix.coeff[s:e].tolist()))
+            for s, e in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())]
+
+
+def general_rows(compiled):
+    return list(zip(*(csr_rows(x) for x in (compiled.a, compiled.b, compiled.c))))
+
+
+def single_row_circuit(*rows):
+    """Wires one, i=1, j=2, k=3 and the given constraints."""
+    cs = ConstraintSystem("test", 1, 1, EQUAL)
+    for name in "ijk":
+        cs.add_private(name)
+    for row in rows:
+        cs.add_constraint(*row)
+    return cs
+
+
+I, J, K = 1, 2, 3
+# rows one change away from b*(b-1)=0, with when each holds for small
+# integer wire values b=w_i, j=w_j, k=w_k
+NEAR_BOOLEAN = {
+    "b*(b-2)": (({I: 1}, {I: 1, 0: -2}, {}), lambda b, j, k: b in (0, 2)),
+    "2b*(b-1)": (({I: 2}, {I: 1, 0: -1}, {}), lambda b, j, k: b in (0, 1)),
+    "0b*(b-1)": (({I: 0}, {I: 1, 0: -1}, {}), lambda b, j, k: True),
+    "b*(j-1)": (({I: 1}, {J: 1, 0: -1}, {}), lambda b, j, k: b == 0 or j == 1),
+    "b*(b-1)=k": (({I: 1}, {I: 1, 0: -1}, {K: 1}), lambda b, j, k: b * (b - 1) == k),
+    "b*(b+1)": (({I: 1}, {I: 1, 0: 1}, {}), lambda b, j, k: b in (0, -1)),
+    "b*(b-1+j)": (({I: 1}, {I: 1, 0: -1, J: 1}, {}), lambda b, j, k: b * (b - 1 + j) == 0),
+}
+SMALL_VALUES = (0, 1, 2, -1)
+
+
+class TestBooleanRows:
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_bits_are_the_add_boolean_rows(self, kind, m, name):
+        cs, calls = built_with_boolean_rows(kind, m, name)
+        compiled = cs.compiled()
+        eta = CONSTANTS[name].eta
+        assert len(calls) == (2 * eta * m if kind == "composed" else eta * m)
+        assert compiled.bits.dtype == np.int64
+        assert compiled.bits.tolist() == [idx for _, idx in calls]
+        boolean_at = {pos for pos, _ in calls}
+        rest = [row for pos, row in enumerate(cs.constraints) if pos not in boolean_at]
+        assert general_rows(compiled) == rest
+
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_json_round_trip_keeps_split(self, kind, m, name):
+        cs = BUILDERS[kind](m, CONSTANTS[name])
+        back = ConstraintSystem.from_json_dict(cs.to_json_dict()).compiled()
+        np.testing.assert_array_equal(back.bits, cs.compiled().bits)
+        assert general_rows(back) == general_rows(cs.compiled())
+
+    @pytest.mark.parametrize("row,holds", NEAR_BOOLEAN.values(), ids=list(NEAR_BOOLEAN))
+    def test_near_boolean_rows_stay_general(self, row, holds):
+        cs = single_row_circuit(row)
+        compiled = cs.compiled()
+        assert len(compiled.bits) == 0
+        assert general_rows(compiled) == [row]
+        for b, j, k in itertools.product(SMALL_VALUES, (0, 1), (0, 1)):
+            assert agree(cs, [1, b % P, j, k]) == holds(b, j, k)
+
+    def test_boolean_row_is_a_bit_test(self):
+        cs = single_row_circuit(({I: 1}, {I: 1, 0: -1}, {}))
+        assert cs.compiled().bits.tolist() == [I]
+        for v in SMALL_VALUES:
+            assert agree(cs, [1, v % P, 0, 0]) == (v in (0, 1))
+
+    def test_only_boolean_rows(self):
+        cs = ConstraintSystem("test", 1, 1, EQUAL)
+        wires = [cs.add_private(f"b{t}") for t in range(3)]
+        for idx in wires:
+            cs.add_boolean(idx)
+        compiled = cs.compiled()
+        assert compiled.bits.tolist() == wires
+        assert general_rows(compiled) == []
+        for vs in itertools.product(SMALL_VALUES, repeat=3):
+            assert agree(cs, [1] + [v % P for v in vs]) == (set(vs) <= {0, 1})
+
+    def test_no_boolean_rows(self):
+        cs = single_row_circuit(({I: 1}, {J: 1}, {K: 1}), ({I: 1, 0: -1}, {0: 1}, {J: 1}))
+        compiled = cs.compiled()
+        assert len(compiled.bits) == 0
+        assert len(general_rows(compiled)) == 2
+        for vs in itertools.product(SMALL_VALUES, repeat=3):
+            assert agree(cs, [1] + [v % P for v in vs]) == (
+                vs[0] * vs[1] == vs[2] and vs[0] - 1 == vs[1])
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=st.sampled_from(CASES), data=st.data())
+    def test_any_int64_value_on_a_bit_wire(self, case, data):
+        cs, values = honest(*case)
+        bits = cs.compiled().bits
+        i = int(bits[data.draw(st.integers(0, len(bits) - 1), label="bit")])
+        v = data.draw(st.one_of(st.integers(-3, 3),
+                                st.integers(-(SMALL - 1), SMALL - 1)), label="value")
+        mutated = list(values)
+        mutated[i] = v % P
+        w = Witness(mutated).signed
+        assert w is not None
+        expected = cs.is_satisfied_exact(mutated)
+        # a bit other than its honest value breaks the remainder recomposition
+        assert expected == (v == values[i])
+        assert agree(cs, mutated) == expected
+        # the bit test needs no overflow bound: it is exact for any int64 bit
+        assert cs.compiled().is_satisfied(w) == expected
 
 
 # cs.digest() of the parent commit of the compiled check; compilation
