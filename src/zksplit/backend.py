@@ -168,6 +168,10 @@ class MockProvingKey:
     def circuit_digest(self) -> str:
         return self.cs.digest()
 
+    @property
+    def num_public(self) -> int:
+        return self.cs.num_public
+
     def to_bytes(self) -> bytes:
         return encode_frame("mock", self.circuit_digest, _pack_circuit(self.cs))
 
@@ -199,6 +203,15 @@ class Backend:
 
     def verify(self, vk, statement: Statement, proof: Proof) -> Verdict:
         raise NotImplementedError
+
+    def _addressed(self, vk, statement: Statement, proof: Proof) -> bool:
+        """The checks every verify makes first: the proof is this backend's,
+        made for the key's circuit and for this statement, and the statement
+        has the circuit's number of public values."""
+        return (proof.backend == self.name
+                and proof.circuit_digest == vk.circuit_digest
+                and proof.statement_digest == statement.digest()
+                and len(statement) == vk.num_public)
 
     @staticmethod
     def _require_satisfied(cs: ConstraintSystem, statement: Statement, witness: Witness) -> None:
@@ -237,15 +250,9 @@ class MockBackend(Backend):
 
     def verify(self, vk: MockVerifyingKey, statement: Statement, proof: Proof) -> Verdict:
         try:
-            if proof.backend != "mock":
-                return Verdict.REJECT
-            if proof.circuit_digest != vk.circuit_digest:
-                return Verdict.REJECT
-            if proof.statement_digest != statement.digest():
+            if not self._addressed(vk, statement, proof):
                 return Verdict.REJECT
             cs = vk.cs
-            if len(statement) != cs.num_public:
-                return Verdict.REJECT
             witness = Witness.from_bytes(proof.body)
             if len(witness) != cs.num_wires or not witness.publishes(statement):
                 return Verdict.REJECT

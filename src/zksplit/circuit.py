@@ -30,6 +30,19 @@ The remainder convention here is R = floor_term - 2**eta*(out - z) >= 0,
 the mirror image of writing the leftover on the other side of the
 equation; nonnegative remainders admit direct binary range checks.
 
+The arithmetic.  aggregation_floor and update_floor compute the left-hand
+sides above, the floor terms, on numpy arrays; they are the one
+implementation of the quantized arithmetic.  quantized_aggregate and
+quantized_update are (floor >> eta) + z, which floors like the
+rationals, and generate_witness derives U', W' and every remainder
+floor - 2**eta * (out - z) from the same two functions.  With d the
+largest |v - z| over the quantized range, widened to cover the operands,
+the aggregation floor and its remainder stay below
+c_a * n * d**2 + 2**eta * (d + 1), and the update's below
+(c_w + c_u + 2**eta) * d + 2**eta.  The arithmetic runs in int64 when
+that bound is under 2**62 (it is about 2**39 under the default
+constants), and on arrays of Python ints otherwise, as for eta = 60.
+
 Checking satisfaction.  Each circuit is compiled once, on its first
 check.  Its booleanity rows b * (b - 1) = 0, eta per output element,
 become one array of bit wires, each tested to be 0 or 1; the other rows
@@ -661,32 +674,80 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     return cs
 
 
-# -- honest quantized arithmetic (shared by witness generation & protocol) --
+# -- the honest quantized arithmetic, shared by the protocol and witnesses --
+
+
+def _ints(values) -> np.ndarray:
+    """Integers as an int64 array, or as an array of Python ints when one
+    does not fit in int64."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        return values
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _int_dtype(bound: int):
+    """int64 when no intermediate can reach ``bound`` >= SMALL, else exact Python ints."""
+    return np.int64 if bound < SMALL else object
+
+
+def _span(c: CircuitConstants, *operands: np.ndarray) -> int:
+    """Largest |v - z| for any zero-point z and any v in the quantized
+    range or among the elements of ``operands``."""
+    top = max(abs(c.q_min), abs(c.q_max))
+    for v in operands:
+        if v.size:
+            top = max(top, -int(v.min()), int(v.max()))
+    return top + max(abs(z) for z in (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp))
+
+
+def _aggregation_products(k_q, u_q, c: CircuitConstants) -> np.ndarray:
+    """The n x m matrix (K_k - z_K)(U_kj - z_U), in the dtype of aggregation_floor."""
+    c.require_aggregation_exact()
+    k, u = _ints(k_q), _ints(u_q)
+    if u.ndim != 2 or u.shape[0] != k.size:
+        raise CircuitError(f"U has shape {u.shape}, expected {k.size} rows")
+    d = _span(c, k, u)
+    dt = _int_dtype((1 << c.agg_shift) * k.size * d * d + (1 << c.eta) * (d + 1))
+    return (k.astype(dt, copy=False)[:, None] - c.z_k) * (u.astype(dt, copy=False) - c.z_u)
+
+
+def aggregation_floor(k_q, u_q, c: CircuitConstants) -> np.ndarray:
+    """ca * sum_k (K_k - z_K)(U_kj - z_U) for every output j, exactly.
+
+    K is a length-n vector and U an n x m matrix.  Its floor division by
+    2**eta gives U'_j - z_U'.
+    """
+    return (1 << c.agg_shift) * _aggregation_products(k_q, u_q, c).sum(axis=0)
+
+
+def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
+    """cw * (W_j - z_W) + cu * (U'_j - z_U') for every element j, exactly.
+
+    Its floor division by 2**eta gives W'_j - z_W'.
+    """
+    c.require_update_exact()
+    w, up = _ints(w_q), _ints(up_q)
+    if w.shape != up.shape:
+        raise CircuitError(f"W has shape {w.shape} but U' has {up.shape}")
+    cw = 1 << c.upd_w_shift
+    cu = 1 << c.upd_u_shift
+    dt = _int_dtype((cw + cu + (1 << c.eta)) * _span(c, w, up) + (1 << c.eta))
+    return cw * (w.astype(dt, copy=False) - c.z_w) + cu * (up.astype(dt, copy=False) - c.z_up)
 
 
 def quantized_aggregate(k_q: Sequence[int], u_q: Sequence[Sequence[int]],
                         c: CircuitConstants) -> List[int]:
     """Exact integer computation of U'_j = quantize(sum_k deq(K_k)*deq(U_kj))."""
-    c.require_aggregation_exact()
-    ca = 1 << c.agg_shift
-    m = len(u_q[0])
-    out = []
-    for j in range(m):
-        mj = sum((k_q[k] - c.z_k) * (u_q[k][j] - c.z_u) for k in range(len(k_q)))
-        out.append((ca * mj >> c.eta) + c.z_up)
-    return out
+    return ((aggregation_floor(k_q, u_q, c) >> c.eta) + c.z_up).tolist()
 
 
 def quantized_update(w_q: Sequence[int], up_q: Sequence[int],
                      c: CircuitConstants) -> List[int]:
     """Exact integer computation of W'_j = quantize(deq(W_j) + deq(U'_j))."""
-    c.require_update_exact()
-    cw = 1 << c.upd_w_shift
-    cu = 1 << c.upd_u_shift
-    return [
-        ((cw * (w_q[j] - c.z_w) + cu * (up_q[j] - c.z_up)) >> c.eta) + c.z_wp
-        for j in range(len(w_q))
-    ]
+    return ((update_floor(w_q, up_q, c) >> c.eta) + c.z_wp).tolist()
 
 
 # -- witness generation ------------------------------------------------------
@@ -713,25 +774,19 @@ def _check_range(vals: np.ndarray, c: CircuitConstants, what: str) -> None:
         raise CircuitError(f"{what} value {bad} outside quantized range")
 
 
-def _int_dtype(bound: int):
-    """int64 when no intermediate can reach ``bound`` >= SMALL, else exact Python ints."""
-    return np.int64 if bound < SMALL else object
-
-
-def _span(c: CircuitConstants) -> int:
-    """Largest |v - z| for a value v in the quantized range and any zero-point z."""
-    zs = (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp)
-    return max(abs(c.q_min), abs(c.q_max)) + max(abs(z) for z in zs)
-
-
 def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
     """The eta little-endian bits of every element of r, element-major."""
     return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
 
 
-def _require_remainders(r: np.ndarray, two_eta: int) -> None:
+def _remainders(floor: np.ndarray, out: np.ndarray, z: int, eta: int) -> np.ndarray:
+    """floor - 2**eta * (out - z), which lies in [0, 2**eta) exactly when
+    out is the honest quantized output (floor >> eta) + z."""
+    two_eta = 1 << eta
+    r = floor - two_eta * (out.astype(floor.dtype, copy=False) - z)
     if not ((r >= 0) & (r < two_eta)).all():
         raise InconsistentStatementError("inconsistent statement")
+    return r
 
 
 def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
@@ -741,22 +796,18 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     public_values follows the circuit's statement order; private_values
     supplies only the free private inputs (U row-major for aggregation,
     U' for the update circuit, U for the composed circuit).  Remainders
-    are computed exactly; a remainder outside [0, 2**eta) means the
-    public outputs were not produced by honest quantization of these
-    inputs and raises InconsistentStatementError.  The arithmetic runs on
-    int64 arrays when the constants bound every intermediate below 2**62,
-    and on arrays of Python ints otherwise.
+    are computed exactly from aggregation_floor and update_floor; a
+    remainder outside [0, 2**eta) means the public outputs were not
+    produced by honest quantization of these inputs and raises
+    InconsistentStatementError.
     """
     c = cs.constants
-    eta = c.eta
-    two_eta = 1 << eta
     m, n = cs.m, cs.n
     # accept either signed quantized integers or canonical field elements
     pub = _signed_array(public_values)
     priv = _signed_array(private_values)
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
-    d = _span(c)
 
     if cs.kind == "aggregation":
         if len(priv) != n * m:
@@ -764,17 +815,11 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         _check_range(pub[:m], c, "U'")
         _check_range(pub[m:], c, "K")
         _check_range(priv, c, "U")
-        ca = 1 << c.agg_shift
-        dt = _int_dtype(ca * n * d * d + two_eta * (d + 1))
-        up_v = pub[:m].astype(dt)
-        k_v = pub[m:].astype(dt)
-        u_v = priv.astype(dt).reshape(n, m)
-        prods = (k_v[:, None] - c.z_k) * (u_v - c.z_u)
-        r = ca * prods.sum(axis=0) - two_eta * (up_v - c.z_up)
-        _require_remainders(r, two_eta)
+        u = priv.reshape(n, m)
+        r = _remainders(aggregation_floor(pub[m:], u, c), pub[:m], c.z_up, c.eta)
         # partial product wires are laid out Pa[k][j], k-major
-        partials = prods.ravel() if n > 1 else np.zeros(0, dtype=dt)
-        tail = [u_v.ravel(), partials, _bit_rows(r, eta)]
+        partials = _aggregation_products(pub[m:], u, c).ravel() if n > 1 else priv[:0]
+        tail = [priv, partials, _bit_rows(r, c.eta)]
 
     elif cs.kind == "update":
         if len(priv) != m:
@@ -782,15 +827,8 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         _check_range(pub[:m], c, "W'")
         _check_range(pub[m:], c, "W")
         _check_range(priv, c, "U'")
-        cw = 1 << c.upd_w_shift
-        cu = 1 << c.upd_u_shift
-        dt = _int_dtype((cw + cu + two_eta) * d + two_eta)
-        wp_v = pub[:m].astype(dt)
-        w_v = pub[m:].astype(dt)
-        up_v = priv.astype(dt)
-        r = cw * (w_v - c.z_w) + cu * (up_v - c.z_up) - two_eta * (wp_v - c.z_wp)
-        _require_remainders(r, two_eta)
-        tail = [up_v, _bit_rows(r, eta)]
+        r = _remainders(update_floor(pub[m:], priv, c), pub[:m], c.z_wp, c.eta)
+        tail = [priv, _bit_rows(r, c.eta)]
 
     elif cs.kind == "composed":
         if len(priv) != m:
@@ -799,23 +837,15 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         _check_range(pub[m : 2 * m], c, "W")
         _check_range(pub[2 * m :], c, "K")
         _check_range(priv, c, "U")
-        ca = 1 << c.agg_shift
-        cw = 1 << c.upd_w_shift
-        cu = 1 << c.upd_u_shift
-        dt = _int_dtype(max(ca * d * d, (cw + cu + two_eta) * d) + two_eta)
-        wp_v = pub[:m].astype(dt)
-        w_v = pub[m : 2 * m].astype(dt)
-        u_v = priv.astype(dt)
-        t_agg = ca * (int(pub[2 * m]) - c.z_k) * (u_v - c.z_u)
-        up_v = (t_agg >> eta) + c.z_up
-        if ((up_v < c.q_min) | (up_v > c.q_max)).any():
+        t_agg = aggregation_floor(pub[2 * m :], priv.reshape(1, m), c)
+        up = (t_agg >> c.eta) + c.z_up
+        if ((up < c.q_min) | (up > c.q_max)).any():
             raise InconsistentStatementError("inconsistent statement")
-        r_a = t_agg - two_eta * (up_v - c.z_up)
-        r_u = cw * (w_v - c.z_w) + cu * (up_v - c.z_up) - two_eta * (wp_v - c.z_wp)
-        _require_remainders(r_u, two_eta)
-        tail = [u_v, up_v, _bit_rows(r_a, eta), _bit_rows(r_u, eta)]
+        r_a = _remainders(t_agg, up, c.z_up, c.eta)
+        r_u = _remainders(update_floor(pub[m : 2 * m], up, c), pub[:m], c.z_wp, c.eta)
+        tail = [priv, up, _bit_rows(r_a, c.eta), _bit_rows(r_u, c.eta)]
 
     else:
         raise CircuitError(f"unknown circuit kind {cs.kind!r}")
 
-    return Witness(np.concatenate([np.ones(1, dtype=dt), pub.astype(dt), *tail]))
+    return Witness(np.concatenate([np.ones(1, dtype=np.int64), pub, *tail]))

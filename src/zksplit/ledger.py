@@ -38,7 +38,7 @@ def block_hash(index: int, prev_hash: bytes, payload_digest: bytes,
     return hashlib.sha256(pre).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     prev_hash: bytes

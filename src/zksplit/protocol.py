@@ -141,13 +141,15 @@ class RoundMessage:
         return b"\x00".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundReport:
     round_id: int
     mode: str
     verdicts: Dict[int, str] = field(default_factory=dict)
     loss: Optional[float] = None  # mean training loss over the round's batches
     eval_loss: Optional[float] = None  # loss on the fixed held-out batch
+    # seconds summed over the round's turns: compute, witness (generation,
+    # zk modes only), proof (prove time), verify and transport (encoding)
     timings: Dict[str, float] = field(default_factory=dict)
     stalled: bool = False
     verification_skipped: bool = False
@@ -212,6 +214,10 @@ class ClientWorker:
     tamper: bool = False
     rejection_count: int = 0
     needs_resync: bool = False
+    sender: str = field(init=False)  # one string shared by all its messages
+
+    def __post_init__(self) -> None:
+        self.sender = f"client-{self.client_id}"
 
 
 class Trainer:
@@ -309,17 +315,24 @@ class Trainer:
 
     # -- statements --------------------------------------------------------
 
-    def _statement(self, wq_new: List[int], wq_old: List[int]) -> Statement:
-        return Statement(np.array(wq_new + wq_old + [self.k_q], dtype=np.int64))
+    def _prove(self, wq_new: List[int], wq_old: List[int], uq: List[int],
+               timings: Optional[Dict[str, float]]) -> Tuple[Statement, Proof]:
+        """The statement W', W, K of one update and its proof, U the witness;
+        witness generation is timed into ``timings`` when it is given."""
+        statement = Statement(np.array(wq_new + wq_old + [self.k_q], dtype=np.int64))
+        t0 = time.perf_counter()
+        witness = generate_witness(self.circuit, statement, uq)
+        if timings is not None:
+            timings["witness"] += time.perf_counter() - t0
+        return statement, self.pe.prove(self.circuit.digest(), statement, witness)
 
     def _forward_message(self, client: ClientWorker, smashed: SmashedBatch,
-                         round_id: int) -> RoundMessage:
+                         round_id: int,
+                         timings: Optional[Dict[str, float]] = None) -> RoundMessage:
         payload = smashed.z.astype("<f8").tobytes()
         statement = proof = None
         if self.zk:
-            statement = self._statement(self.wq_cur, self.wq_prev)
-            witness = generate_witness(self.circuit, statement, self.uq_last)
-            proof = self.pe.prove(self.circuit.digest(), statement, witness)
+            statement, proof = self._prove(self.wq_cur, self.wq_prev, self.uq_last, timings)
             if client.tamper:
                 forged = statement.signed.copy()
                 forged[0] += 1
@@ -329,7 +342,7 @@ class Trainer:
             canary = self._canary_digest()
         return RoundMessage(
             kind="SmashedForward",
-            sender=f"client-{client.client_id}",
+            sender=client.sender,
             round_id=round_id,
             payload=payload,
             statement=statement,
@@ -344,13 +357,12 @@ class Trainer:
         return hashlib.sha256(zq.astype("<i8").tobytes()).hexdigest()
 
     def _backward_message(self, grad: GradientBatch, wq_next: List[int],
-                          uq_next: List[int], round_id: int) -> RoundMessage:
+                          uq_next: List[int], round_id: int,
+                          timings: Optional[Dict[str, float]] = None) -> RoundMessage:
         payload = grad.g_z.astype("<f8").tobytes() + np.float64(grad.loss).tobytes()
         statement = proof = None
         if self.zk:
-            statement = self._statement(wq_next, self.wq_cur)
-            witness = generate_witness(self.circuit, statement, uq_next)
-            proof = self.pe.prove(self.circuit.digest(), statement, witness)
+            statement, proof = self._prove(wq_next, self.wq_cur, uq_next, timings)
         return RoundMessage(
             kind="GradientBackward",
             sender="server",
@@ -365,7 +377,8 @@ class Trainer:
     def run_round(self, round_id: int) -> RoundReport:
         report = RoundReport(round_id=round_id, mode=self.mode,
                              verification_skipped=not self.zk)
-        timings = {"compute": 0.0, "proof": 0.0, "verify": 0.0, "transport": 0.0}
+        timings = {"compute": 0.0, "witness": 0.0, "proof": 0.0, "verify": 0.0,
+                   "transport": 0.0}
         losses = []
 
         for client in self.clients:
@@ -409,7 +422,7 @@ class Trainer:
         smashed = client_forward(self.model.client, batch)
         timings["compute"] += time.perf_counter() - t0
 
-        msg_fwd = self._forward_message(client, smashed, round_id)
+        msg_fwd = self._forward_message(client, smashed, round_id, timings)
         if not self._deliver(msg_fwd, timings):
             return VERDICT_REJECTED, None
         if self.canary_batch is not None and msg_fwd.canary_digest is not None:
@@ -424,12 +437,13 @@ class Trainer:
 
         # prescribed cut-layer bias update, quantized
         u_next = (-cfg.lr / batch.size) * grad.g_z.sum(axis=0)
-        uq_next = [int(v) for v in quantize_array(u_next, self.wq_params)]
-        upq = quantized_aggregate([self.k_q], [uq_next], self.constants)
+        uq = quantize_array(u_next, self.wq_params)
+        uq_next = uq.tolist()
+        upq = quantized_aggregate([self.k_q], uq[None, :], self.constants)
         wq_next = quantized_update(self.wq_cur, upq, self.constants)
         if max(wq_next) > self.wq_params.q_max or min(wq_next) < self.wq_params.q_min:
             raise OverflowError_("quantization overflow")
-        msg_back = self._backward_message(grad, wq_next, uq_next, round_id)
+        msg_back = self._backward_message(grad, wq_next, uq_next, round_id, timings)
         if not self._deliver(msg_back, timings):
             return VERDICT_REJECTED, None
 
@@ -443,9 +457,8 @@ class Trainer:
             np.array(wq_next, dtype=np.int64), self.wq_params
         )
         timings["compute"] += time.perf_counter() - t0
-        self.wq_prev = list(self.wq_cur)
-        self.wq_cur = list(wq_next)
-        self.uq_last = list(uq_next)
+        # nothing changes these lists in place, so they are handed on uncopied
+        self.wq_prev, self.wq_cur, self.uq_last = self.wq_cur, wq_next, uq_next
         return VERDICT_ACCEPTED, loss
 
     def _deliver(self, msg: RoundMessage, timings: Dict[str, float]) -> bool:

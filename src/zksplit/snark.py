@@ -323,15 +323,7 @@ class QapSnarkBackend(Backend):
 
     def verify(self, vk: SnarkVerifyingKey, statement: Statement, proof: Proof) -> Verdict:
         try:
-            if proof.backend != "snark":
-                return Verdict.REJECT
-            if proof.circuit_digest != vk.circuit_digest:
-                return Verdict.REJECT
-            if proof.statement_digest != statement.digest():
-                return Verdict.REJECT
-            if len(statement) != vk.num_public:
-                return Verdict.REJECT
-            if len(proof.body) != 96:
+            if not self._addressed(vk, statement, proof) or len(proof.body) != 96:
                 return Verdict.REJECT
             r = _Reader(proof.body)
             pi_a, pi_b, pi_c = r.fe(), r.fe(), r.fe()

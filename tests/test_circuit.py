@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zksplit.circuit import (
     CircuitConstants,
@@ -10,12 +13,14 @@ from zksplit.circuit import (
     InconsistentStatementError,
     ScaleUnderflowError,
     Witness,
+    aggregation_floor,
     build_aggregation_circuit,
     build_protocol_circuit,
     build_update_circuit,
     generate_witness,
     quantized_aggregate,
     quantized_update,
+    update_floor,
 )
 from zksplit.field import P
 
@@ -313,3 +318,78 @@ class TestExport:
         b = build_update_circuit(3, EQUAL)
         c = build_update_circuit(2, MIXED)
         assert len({a.digest(), b.digest(), c.digest()}) == 3
+
+
+# -- the array arithmetic against the per-element loops it replaced ----------
+
+
+def loop_aggregate(k_q, u_q, c):
+    """quantized_aggregate as a loop over Python ints, as it was written
+    before it ran on arrays."""
+    c.require_aggregation_exact()
+    ca = 1 << c.agg_shift
+    m = len(u_q[0])
+    out = []
+    for j in range(m):
+        mj = sum((k_q[k] - c.z_k) * (u_q[k][j] - c.z_u) for k in range(len(k_q)))
+        out.append((ca * mj >> c.eta) + c.z_up)
+    return out
+
+
+def loop_update(w_q, up_q, c):
+    """quantized_update as a loop over Python ints, as it was written
+    before it ran on arrays."""
+    c.require_update_exact()
+    cw = 1 << c.upd_w_shift
+    cu = 1 << c.upd_u_shift
+    return [
+        ((cw * (w_q[j] - c.z_w) + cu * (up_q[j] - c.z_up)) >> c.eta) + c.z_wp
+        for j in range(len(w_q))
+    ]
+
+
+# ca * d**2 is about 2**77 under eta = 60, far past int64
+WIDE = CircuitConstants(eta=60)
+ARITH_CONSTANTS = [EQUAL, MIXED, WIDE]
+
+
+class TestArrayArithmetic:
+    @settings(deadline=None, max_examples=300)
+    @given(c=st.sampled_from(ARITH_CONSTANTS), n=st.sampled_from([1, 3]),
+           m=st.integers(1, 6), data=st.data())
+    def test_matches_the_loops(self, c, n, m, data):
+        q = st.integers(c.q_min, c.q_max)
+        k_q = data.draw(st.lists(q, min_size=n, max_size=n))
+        u_q = data.draw(st.lists(st.lists(q, min_size=m, max_size=m), min_size=n, max_size=n))
+        w_q = data.draw(st.lists(q, min_size=m, max_size=m))
+        up_q = data.draw(st.lists(q, min_size=m, max_size=m))
+        for got, want in ((quantized_aggregate(k_q, u_q, c), loop_aggregate(k_q, u_q, c)),
+                          (quantized_update(w_q, up_q, c), loop_update(w_q, up_q, c))):
+            assert got == want
+            assert all(type(v) is int for v in got)
+
+    def test_negative_terms_floor(self):
+        # -2**9 and -2**21 over 2**22 floor to -1, where truncation gives 0
+        assert quantized_aggregate([-1], [[1]], EQUAL) == [-1]
+        assert quantized_update([-1], [0], CircuitConstants(f_w=14)) == [-1]
+
+    def test_dtype_follows_the_bound(self):
+        one = [[1, -1]]
+        assert aggregation_floor([3], one, EQUAL).dtype == np.int64
+        assert update_floor([1, 2], [3, 4], EQUAL).dtype == np.int64
+        assert aggregation_floor([3], one, WIDE).dtype == object
+        assert update_floor([1, 2], [3, 4], WIDE).dtype == object
+
+    def test_operands_outside_the_range_widen_the_bound(self):
+        # no range check here, so a huge operand must still be exact
+        big = 1 << 70
+        assert quantized_update([big], [0], EQUAL) == loop_update([big], [0], EQUAL)
+        assert quantized_aggregate([big], [[3]], EQUAL) == loop_aggregate([big], [[3]], EQUAL)
+        near = 1 << 40  # fits in int64, but the product with ca does not
+        assert quantized_update([near], [near], EQUAL) == loop_update([near], [near], EQUAL)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(CircuitError):
+            quantized_aggregate([1, 2], [[1, 2, 3]], EQUAL)
+        with pytest.raises(CircuitError):
+            quantized_update([1, 2], [1], EQUAL)

@@ -1,6 +1,7 @@
 """Trainer behaviour that does not depend on proofs: which modes build the
-protocol circuit, the saved blockchain ledger, and clients whose turn
-fails numerically."""
+protocol circuit, the saved blockchain ledger, clients whose turn fails
+numerically, the round timings, and the quantized trajectory at benchmark
+scale."""
 
 import hashlib
 import json
@@ -92,3 +93,35 @@ def test_numeric_blowup_sits_the_client_out(mode):
                             rounds=rounds, seed=5))
     ref.train()
     assert model_digest(tr) == model_digest(ref)
+
+
+@pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
+def test_witness_time_is_reported_in_every_mode(mode):
+    tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=2, seed=3))
+    for report in tr.train():
+        witness = report.timings["witness"]
+        if tr.zk:
+            assert 0.0 < witness < sum(report.timings.values())
+        else:
+            assert witness == 0.0
+
+
+# SHA-256 of wq_cur (little-endian int64) and model_digest after 3 rounds
+# at the benchmark's m = 1000, seed 1, taken before the quantized
+# arithmetic ran on arrays
+PINNED_TRAJECTORIES = {
+    ("blockchain", 4): ("fcaf6d726ccf18e8e92ac640fb94b687385509f326ce3fe4619a338118ef10ae",
+                        "2b68677d6b5666ce3cca1afe90d69161b44f04d59fba8aa536846dc969db1fd2"),
+    ("zk-mock", 1): ("191043b7d897171b7b5997ed0cd1ce8abada70c0b77325d86aaa95c08b9a30c0",
+                     "16b9568f3407d6dc53f487a3187a516c00ab8280f186b1c02870bdb0dcf5e54e"),
+}
+
+
+@pytest.mark.parametrize("mode,clients", sorted(PINNED_TRAJECTORIES))
+def test_trajectory_at_benchmark_scale_is_pinned(mode, clients):
+    tr = Trainer(SimConfig(mode=mode, m=1000, num_clients=clients, seed=1))
+    for r in range(3):
+        report = tr.run_round(r)
+        assert set(report.verdicts.values()) == {VERDICT_ACCEPTED}
+    wq = hashlib.sha256(np.array(tr.wq_cur, dtype="<i8").tobytes()).hexdigest()
+    assert (wq, model_digest(tr)) == PINNED_TRAJECTORIES[mode, clients]
