@@ -56,8 +56,10 @@ class DecodeError(BackendError):
     pass
 
 
-def encode_frame(backend: str, circuit_digest: str, payload: bytes) -> bytes:
-    return bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(circuit_digest) + payload
+def encode_frame(backend: str, circuit_digest: str, *payload: bytes) -> bytes:
+    """The frame carrying the concatenation of ``payload``, built in one copy."""
+    return b"".join((bytes([WIRE_VERSION, BACKEND_IDS[backend]]),
+                     bytes.fromhex(circuit_digest), *payload))
 
 
 def decode_frame(data: bytes) -> tuple:
@@ -120,8 +122,8 @@ class Proof:
     prove_time: float = 0.0
 
     def to_bytes(self) -> bytes:
-        payload = bytes.fromhex(self.statement_digest) + self.body
-        return encode_frame(self.backend, self.circuit_digest, payload)
+        return encode_frame(self.backend, self.circuit_digest,
+                            bytes.fromhex(self.statement_digest), self.body)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Proof":

@@ -161,8 +161,21 @@ class CircuitConstants:
 # exceeds SMALL.
 SMALL = 1 << 62
 _P_LIMBS = np.array([(P >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)], dtype="<u8")
-_P0 = int(_P_LIMBS[0])
-assert _P0 > SMALL
+assert int(_P_LIMBS[0]) > SMALL
+# decoding re-encodes this many elements at a time, so that checking a
+# 1.5 MB transcript allocates no second copy of it
+_DECODE_BLOCK = 8192
+
+
+def _limbs(s: np.ndarray) -> np.ndarray:
+    """The canonical encodings of the int64 array s as (n, 4) limbs."""
+    limbs = np.zeros((len(s), 4), dtype="<u8")
+    limbs[:, 0] = s.view(np.uint64)
+    # P's limbs where v < 0, plus v in the low limb: modulo 2**64 that is P - |v|
+    neg = np.flatnonzero(s < 0)
+    limbs[neg, 1:] = _P_LIMBS[1:]
+    limbs[neg, 0] += _P_LIMBS[0]
+    return limbs
 
 
 class FieldVector:
@@ -174,6 +187,14 @@ class FieldVector:
     derived on first use.  Witnesses and statements share this
     representation and its codec: a little-endian u32 count followed by
     32-byte little-endian canonical elements.
+
+    Decoding reads the elements as an (n, 4) array of limbs.  Only one
+    int64 vector can have produced them: a nonzero top limb marks P - |v|,
+    so v = low limb - P0 there and v = low limb elsewhere (mod 2**64).
+    That v is taken when every element lies in (-SMALL, SMALL) and its
+    encoding, made block by block, equals the limbs read, which is exactly
+    when every element is the canonical encoding of a small value.  Any
+    other frame is read element by element, which rejects elements >= P.
     """
 
     def __init__(self, values) -> None:
@@ -207,11 +228,7 @@ class FieldVector:
         head = len(self).to_bytes(4, "little")
         if self._signed is None:
             return head + b"".join(v.to_bytes(32, "little") for v in self._values)
-        s = self._signed
-        # P's limbs where v < 0, plus v in the low limb: modulo 2**64 that is P - |v|
-        limbs = np.where((s < 0)[:, None], _P_LIMBS, np.uint64(0))
-        limbs[:, 0] += s.view(np.uint64)
-        return head + limbs.tobytes()
+        return b"".join((head, memoryview(_limbs(self._signed))))
 
     @staticmethod
     def _decode(data: bytes, what: str):
@@ -223,12 +240,14 @@ class FieldVector:
         n = int.from_bytes(data[:4], "little")
         if len(data) != 4 + 32 * n:
             raise ValueError(f"truncated {what}")
-        low, l1, l2, l3 = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4).T
-        p1, p2, p3 = _P_LIMBS[1:]
-        pos = ((l1 | l2 | l3) == 0) & (low < SMALL)
-        neg = (((l1 ^ p1) | (l2 ^ p2) | (l3 ^ p3)) == 0) & (low > _P0 - SMALL) & (low < _P0)
-        if (pos | neg).all():
-            return low.astype(np.int64) - neg * _P0
+        limbs = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4)
+        v = limbs[:, 0].copy()
+        v[limbs[:, 3] != 0] -= _P_LIMBS[0]
+        v = v.view(np.int64)
+        if n == 0 or (v.min() > -SMALL and v.max() < SMALL and all(
+                np.array_equal(_limbs(v[i : i + _DECODE_BLOCK]), limbs[i : i + _DECODE_BLOCK])
+                for i in range(0, n, _DECODE_BLOCK))):
+            return v
         vals = []
         for i in range(n):
             v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
@@ -266,6 +285,12 @@ class _Csr:
 
     ``l1`` is the largest row L1 norm, or None when a coefficient or a row
     sum does not fit in int64 (then only the exact replay applies).
+
+    Row sums are one ``np.add.reduceat`` over the starts of the nonempty
+    rows, computed once; empty rows, leading, inner or trailing, sum to 0.
+    Every partial sum stays inside one row, so with every |w_i| <= wmax
+    it is bounded by that row's L1 norm times wmax, and the bound that
+    ``CompiledR1CS.fits`` checks rules out overflow.
     """
 
     def __init__(self, rows: Sequence[LinComb]):
@@ -278,8 +303,10 @@ class _Csr:
             indptr.append(len(index))
         self.indptr = np.array(indptr, dtype=np.int64)
         self.index = np.array(index, dtype=np.int64)
-        widest = int(np.diff(self.indptr).max(initial=0))
-        if max(map(abs, coeff), default=0) * widest >= 1 << 63:
+        counts = np.diff(self.indptr)
+        self._nonempty = np.flatnonzero(counts)
+        self._starts = self.indptr[self._nonempty]
+        if max(map(abs, coeff), default=0) * int(counts.max(initial=0)) >= 1 << 63:
             self.coeff = None
             self.l1: int | None = None
             return
@@ -287,11 +314,10 @@ class _Csr:
         self.l1 = int(self._row_sums(np.abs(self.coeff)).max(initial=0))
 
     def _row_sums(self, terms: np.ndarray) -> np.ndarray:
-        # the running sum may wrap modulo 2**64, but every row's own sum
-        # fits in int64, so the differences at row boundaries are exact
-        sums = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum(terms, out=sums[1:])
-        return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
+        sums = np.zeros(len(self.indptr) - 1, dtype=np.int64)
+        if self._starts.size:
+            sums[self._nonempty] = np.add.reduceat(terms, self._starts)
+        return sums
 
     def dot(self, w: np.ndarray) -> np.ndarray:
         return self._row_sums(self.coeff * w[self.index])
@@ -775,7 +801,13 @@ def _check_range(vals: np.ndarray, c: CircuitConstants, what: str) -> None:
 
 
 def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
-    """The eta little-endian bits of every element of r, element-major."""
+    """The eta little-endian bits of every element of r, element-major.
+
+    An int64 r is unpacked from its bytes; an array of Python ints, as
+    for eta = 60, is shifted."""
+    if r.dtype == np.int64:
+        octets = np.ascontiguousarray(r, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, count=eta, bitorder="little").ravel()
     return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
 
 

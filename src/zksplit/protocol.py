@@ -149,7 +149,8 @@ class RoundReport:
     loss: Optional[float] = None  # mean training loss over the round's batches
     eval_loss: Optional[float] = None  # loss on the fixed held-out batch
     # seconds summed over the round's turns: compute, witness (generation,
-    # zk modes only), proof (prove time), verify and transport (encoding)
+    # zk modes only), proof (prove time), verify and transport (encoding);
+    # other is the rest of run_round's wall time, so the values add up to it
     timings: Dict[str, float] = field(default_factory=dict)
     stalled: bool = False
     verification_skipped: bool = False
@@ -375,6 +376,7 @@ class Trainer:
     # -- round state machine -------------------------------------------------
 
     def run_round(self, round_id: int) -> RoundReport:
+        t_round = time.perf_counter()
         report = RoundReport(round_id=round_id, mode=self.mode,
                              verification_skipped=not self.zk)
         timings = {"compute": 0.0, "witness": 0.0, "proof": 0.0, "verify": 0.0,
@@ -400,12 +402,13 @@ class Trainer:
         smashed_eval = client_forward(self.model.client, self.eval_batch)
         eval_loss, _, _ = server_step(self.model.server, smashed_eval, self.eval_batch.y)
         report.eval_loss = float(eval_loss)
-        report.timings = timings
         report.stalled = not losses
         report.suspects = [
             c.client_id for c in self.clients
             if c.rejection_count >= self.config.suspect_threshold
         ]
+        timings["other"] = time.perf_counter() - t_round - sum(timings.values())
+        report.timings = timings
         self.reports.append(report)
         return report
 

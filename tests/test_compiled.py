@@ -24,7 +24,11 @@ from zksplit.circuit import (
     CircuitConstants,
     CircuitError,
     ConstraintSystem,
+    FieldVector,
     Witness,
+    _DECODE_BLOCK,
+    _bit_rows,
+    _Csr,
     build_aggregation_circuit,
     build_protocol_circuit,
     build_update_circuit,
@@ -486,6 +490,180 @@ class TestStatementCodec:
         big = Statement(MIXED_LARGE)
         with pytest.raises(TypeError):
             big.values[0] = 2
+
+
+# -- the codec, row sums and bit rows against the implementations that
+# took several passes over each array; these copies are the oracles
+
+P_LIMBS = [(P >> (64 * i)) & (2**64 - 1) for i in range(4)]
+P0 = P_LIMBS[0]
+
+
+def reference_encode(signed):
+    limbs = np.where((signed < 0)[:, None], np.array(P_LIMBS, dtype="<u8"), np.uint64(0))
+    limbs[:, 0] += signed.view(np.uint64)
+    return len(signed).to_bytes(4, "little") + limbs.tobytes()
+
+
+def reference_decode(data, what):
+    if len(data) < 4:
+        raise ValueError(f"truncated {what}")
+    n = int.from_bytes(data[:4], "little")
+    if len(data) != 4 + 32 * n:
+        raise ValueError(f"truncated {what}")
+    low, l1, l2, l3 = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4).T
+    p1, p2, p3 = (np.uint64(x) for x in P_LIMBS[1:])
+    pos = ((l1 | l2 | l3) == 0) & (low < SMALL)
+    neg = (((l1 ^ p1) | (l2 ^ p2) | (l3 ^ p3)) == 0) & (low > P0 - SMALL) & (low < P0)
+    if (pos | neg).all():
+        return low.astype(np.int64) - neg * P0
+    vals = []
+    for i in range(n):
+        v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
+        if v >= P:
+            raise ValueError(f"{what} element not reduced")
+        vals.append(v)
+    return vals
+
+
+def reference_row_sums(indptr, terms):
+    sums = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(terms, out=sums[1:])
+    return sums[indptr[1:]] - sums[indptr[:-1]]
+
+
+def reference_bit_rows(r, eta):
+    return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
+
+
+def decode_outcome(decode, data):
+    """("error", message), or the representation and the values decoded."""
+    try:
+        out = decode(data, "witness")
+    except ValueError as e:
+        return "error", str(e)
+    if isinstance(out, np.ndarray):
+        assert out.dtype == np.int64
+        return "int64", out.tolist()
+    return "list", list(out)
+
+
+def set_limbs(frame, i, limbs):
+    at = 4 + 32 * i
+    return frame[:at] + b"".join(x.to_bytes(8, "little") for x in limbs) + frame[at + 32 :]
+
+
+def frame_limbs(frame, i):
+    return [int.from_bytes(frame[4 + 32 * i + 8 * k : 12 + 32 * i + 8 * k], "little")
+            for k in range(4)]
+
+
+BOUNDARY_LIMBS = [0, 1, SMALL - 1, SMALL, P0 - SMALL, P0 - SMALL + 1, P0 - 1, P0, P0 + 1,
+                  2**63, 2**64 - 1]
+
+
+@st.composite
+def boundary_elements(draw, honest_limbs):
+    """Limbs of one element: an honest element with one limb set to a
+    boundary value, P's high limbs under a boundary low limb, P's high
+    limbs with one limb off by one, or only the top limb set."""
+    how = draw(st.sampled_from(["one limb", "P high", "P high, one off", "top only"]))
+    low = draw(st.sampled_from(BOUNDARY_LIMBS))
+    if how == "one limb":
+        limbs = list(honest_limbs)
+        limbs[draw(st.integers(0, 3))] = low
+        return limbs
+    limbs = [low] + P_LIMBS[1:]
+    if how == "P high, one off":
+        k = draw(st.integers(1, 3))
+        limbs[k] = (limbs[k] + draw(st.sampled_from([-1, 1]))) % 2**64
+    if how == "top only":
+        top = draw(st.sampled_from([1, P_LIMBS[3] - 1, P_LIMBS[3], P_LIMBS[3] + 1, 2**64 - 1]))
+        limbs = [0, 0, 0, top]
+    return limbs
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_encode_of_honest_witnesses(self, kind, m, name):
+        w = Witness(honest(kind, m, name)[1])
+        assert w.to_bytes() == reference_encode(w.signed)
+
+    @settings(deadline=None, max_examples=400)
+    @given(case=st.sampled_from(CASES), data=st.data())
+    def test_decode_of_an_honest_frame_with_boundary_limbs(self, case, data):
+        frame = Witness(honest(*case)[1]).to_bytes()
+        n = int.from_bytes(frame[:4], "little")
+        for _ in range(data.draw(st.integers(1, 3), label="elements changed")):
+            i = data.draw(st.integers(0, n - 1), label="element")
+            frame = set_limbs(frame, i, data.draw(boundary_elements(frame_limbs(frame, i))))
+        assert decode_outcome(FieldVector._decode, frame) == \
+            decode_outcome(reference_decode, frame)
+
+    @pytest.mark.parametrize("i", [0, _DECODE_BLOCK - 1, _DECODE_BLOCK, 2 * _DECODE_BLOCK,
+                                   2 * _DECODE_BLOCK + 2])
+    @pytest.mark.parametrize("limbs", [[5, 0, 7, 0], [P0 - 3] + P_LIMBS[1:3] + [0],
+                                       [2**63] + P_LIMBS[1:], [0, 0, 0, 1]])
+    def test_decode_checks_every_block(self, i, limbs):
+        rnd = random.Random(i)
+        values = np.array([rnd.randint(-4000, 4000) for _ in range(2 * _DECODE_BLOCK + 3)],
+                          dtype=np.int64)
+        frame = set_limbs(Witness(values).to_bytes(), i, limbs)
+        outcome = decode_outcome(FieldVector._decode, frame)
+        assert outcome == decode_outcome(reference_decode, frame)
+        assert outcome[0] != "int64"
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from(BOUNDARY_LIMBS + P_LIMBS[1:]), min_size=4,
+                             max_size=4), max_size=6))
+    def test_decode_of_frames_built_from_boundary_limbs(self, elements):
+        frame = len(elements).to_bytes(4, "little") + b"".join(
+            b"".join(x.to_bytes(8, "little") for x in limbs) for limbs in elements)
+        assert decode_outcome(FieldVector._decode, frame) == \
+            decode_outcome(reference_decode, frame)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{}],
+        [{0: 3}],
+        [{}, {}, {}],
+        [{}, {0: 1, 2: -4}, {1: 5}],
+        [{0: 1}, {}, {}, {2: 7, 1: -2}],
+        [{0: 2}, {1: 3}, {}, {}],
+        [{}, {0: 2}, {}, {1: 3, 2: 1}, {}],
+    ], ids=["no rows", "one empty row", "single row", "no terms", "empty first",
+            "empty inside", "empty last", "empty everywhere"])
+    def test_row_sums_with_empty_rows(self, rows):
+        csr = _Csr(rows)
+        w = np.array([2, -3, 5], dtype=np.int64)
+        terms = csr.coeff * w[csr.index]
+        expected = [sum(co * int(w[i]) for i, co in lc.items()) for lc in rows]
+        assert csr._row_sums(terms).tolist() == expected
+        assert csr.dot(w).tolist() == expected
+        assert reference_row_sums(csr.indptr, terms).tolist() == expected
+        assert csr.l1 == max((sum(map(abs, lc.values())) for lc in rows), default=0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-2**40, 2**40), max_size=6),
+                    max_size=12),
+           st.lists(st.integers(-2**20, 2**20), min_size=8, max_size=8))
+    def test_row_sums_match_the_cumulative_sums(self, rows, values):
+        csr = _Csr(rows)
+        terms = csr.coeff * np.array(values, dtype=np.int64)[csr.index]
+        assert np.array_equal(csr._row_sums(terms), reference_row_sums(csr.indptr, terms))
+
+    @settings(deadline=None, max_examples=200)
+    @given(eta=st.sampled_from([22, 40, 60]), data=st.data())
+    def test_bit_rows(self, eta, data):
+        values = data.draw(st.lists(st.integers(0, 2**eta - 1), max_size=20))
+        arrays = [np.array(values, dtype=np.int64), np.array(values, dtype=object)]
+        for r in arrays:
+            bits = _bit_rows(r, eta)
+            expected = reference_bit_rows(r, eta)
+            assert bits.tolist() == expected.tolist()
+            assert len(bits) == eta * len(values)
+        # a witness concatenates the bits into one int64 array
+        assert np.concatenate([arrays[0], _bit_rows(arrays[0], eta)]).dtype == np.int64
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
-"""Whole proof frames: their size without re-encoding, and verification
-that returns a verdict for every frame that decodes."""
+"""Whole proof frames: their bytes, their size without re-encoding, and
+verification that returns a verdict for every frame that decodes."""
 
 import random
 from functools import lru_cache
@@ -69,6 +69,28 @@ class TestSizeBytes:
         proof = Proof.from_bytes(frame)
         assert proof.body == body
         assert proof.size_bytes == len(proof.to_bytes()) == len(frame)
+
+
+def reference_encode_frame(backend, circuit_digest, payload):
+    """The frame as it was built before one join: header + digest + payload."""
+    return bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(circuit_digest) + payload
+
+
+class TestToBytes:
+    def test_real_proofs(self):
+        _, _, _, frames = instance()
+        for frame in frames.values():
+            p = Proof.from_bytes(frame)
+            assert p.to_bytes() == frame == reference_encode_frame(
+                p.backend, p.circuit_digest, bytes.fromhex(p.statement_digest) + p.body)
+
+    @given(st.sampled_from(sorted(BACKEND_IDS)), st.binary(min_size=32, max_size=32),
+           st.binary(min_size=32, max_size=32), st.binary(max_size=257))
+    def test_matches_the_concatenation(self, backend, circuit_digest, statement_digest, body):
+        proof = Proof(backend=backend, circuit_digest=circuit_digest.hex(),
+                      statement_digest=statement_digest.hex(), body=body)
+        assert proof.to_bytes() == reference_encode_frame(
+            backend, circuit_digest.hex(), statement_digest + body)
 
 
 @st.composite

@@ -5,6 +5,7 @@ scale."""
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_witness_time_is_reported_in_every_mode(mode):
             assert 0.0 < witness < sum(report.timings.values())
         else:
             assert witness == 0.0
+
+
+@pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
+def test_round_timings_add_up_to_the_round(mode):
+    tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=2, seed=3))
+    for round_id in range(2):
+        t0 = time.perf_counter()
+        report = tr.run_round(round_id)
+        wall = time.perf_counter() - t0
+        assert report.timings["other"] >= 0.0
+        assert sum(report.timings.values()) <= wall
 
 
 # SHA-256 of wq_cur (little-endian int64) and model_digest after 3 rounds
