@@ -28,7 +28,7 @@ from .circuit import (
     generate_witness,
 )
 from .config import SimConfig
-from .ledger import Block, Chain, verify_chain
+from .ledger import Block, Chain
 from .nn import Batch, GradientBatch, SmashedBatch, SplitModel, init_split_model
 from .protocol import ProverEntity, RoundMessage, RoundReport, Trainer, VerifierEntity
 from .quant import QuantParams, QuantVector, calibrate, dequantize, quantize
@@ -67,5 +67,4 @@ __all__ = [
     "get_backend",
     "init_split_model",
     "quantize",
-    "verify_chain",
 ]

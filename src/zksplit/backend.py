@@ -16,7 +16,8 @@ and every proof payload starts with the 32-byte statement digest, computed
 as SHA-256 of the canonical statement encoding.  Statements and witnesses
 (the mock proof body) share one element codec, circuit.FieldVector: a
 little-endian u32 count followed by 32-byte little-endian field elements,
-held in memory as int64 signed representatives whenever they are small.
+held in memory as int64 signed representatives whenever they are small;
+snark keys and proof bodies write their elements without the count.
 A Statement is immutable, so its encoding and digest are computed once.
 """
 
@@ -56,10 +57,14 @@ class DecodeError(BackendError):
     pass
 
 
+def _frame_parts(backend: str, circuit_digest: str, *payload: bytes) -> tuple:
+    """The pieces whose concatenation is the frame carrying ``payload``."""
+    return (bytes([WIRE_VERSION, BACKEND_IDS[backend]]), bytes.fromhex(circuit_digest), *payload)
+
+
 def encode_frame(backend: str, circuit_digest: str, *payload: bytes) -> bytes:
     """The frame carrying the concatenation of ``payload``, built in one copy."""
-    return b"".join((bytes([WIRE_VERSION, BACKEND_IDS[backend]]),
-                     bytes.fromhex(circuit_digest), *payload))
+    return b"".join(_frame_parts(backend, circuit_digest, *payload))
 
 
 def decode_frame(data: bytes) -> tuple:
@@ -121,9 +126,14 @@ class Proof:
     body: bytes
     prove_time: float = 0.0
 
-    def to_bytes(self) -> bytes:
-        return encode_frame(self.backend, self.circuit_digest,
+    def _parts(self) -> tuple:
+        """The pieces of ``to_bytes()``, which a larger encoding can join
+        without a copy of the whole frame."""
+        return _frame_parts(self.backend, self.circuit_digest,
                             bytes.fromhex(self.statement_digest), self.body)
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._parts())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Proof":
@@ -183,9 +193,7 @@ class MockProvingKey:
 
 
 class MockVerifyingKey(MockProvingKey):
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "MockVerifyingKey":
-        return cls(cs=_unpack_circuit(payload))
+    """The same circuit, held by the Verifying Entity."""
 
 
 class Backend:

@@ -30,6 +30,15 @@ The remainder convention here is R = floor_term - 2**eta*(out - z) >= 0,
 the mirror image of writing the leftover on the other side of the
 equation; nonnegative remainders admit direct binary range checks.
 
+The gadget.  Every relation row of every circuit kind is a _Floor row,
+a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt, followed by the eta
+booleanity rows of its bits; a builder only allocates wires and names the
+factors a and b.  Aggregation with n = 1 and the composed circuit share
+c_a * (K - z_K) times (U - z_U), update and composed share
+c_w * (W - z_W) + c_u * (U' - z_U') times 1, and aggregation with n > 1
+multiplies the sum of c_a * Pa_kj over its n product rows by 1.
+_Floor.bits derives the same bits for generate_witness.
+
 The arithmetic.  aggregation_floor and update_floor compute the left-hand
 sides above, the floor terms, on numpy arrays; they are the one
 implementation of the quantized arithmetic.  quantized_aggregate and
@@ -178,6 +187,24 @@ def _limbs(s: np.ndarray) -> np.ndarray:
     return limbs
 
 
+def _write_elements(values):
+    """The 32-byte little-endian canonical encodings of field elements, with
+    no count: the limbs of an int64 array of signed representatives, or
+    each integer of a sequence reduced mod P."""
+    if isinstance(values, np.ndarray):
+        return memoryview(_limbs(values))
+    return b"".join((v % P).to_bytes(32, "little") for v in values)
+
+
+def _read_elements(data, what: str) -> List[int]:
+    """The canonical ints of a count-less encoding, 32 bytes each.  Raises
+    ValueError on an element that is not reduced mod P."""
+    vals = [int.from_bytes(data[i : i + 32], "little") for i in range(0, len(data), 32)]
+    if vals and max(vals) >= P:
+        raise ValueError(f"{what} element not reduced")
+    return vals
+
+
 class FieldVector:
     """A vector of field elements in one of two representations.
 
@@ -225,10 +252,8 @@ class FieldVector:
         return len(self._values) if self._signed is None else len(self._signed)
 
     def _encode(self) -> bytes:
-        head = len(self).to_bytes(4, "little")
-        if self._signed is None:
-            return head + b"".join(v.to_bytes(32, "little") for v in self._values)
-        return b"".join((head, memoryview(_limbs(self._signed))))
+        elements = self._values if self._signed is None else self._signed
+        return b"".join((len(self).to_bytes(4, "little"), _write_elements(elements)))
 
     @staticmethod
     def _decode(data: bytes, what: str):
@@ -248,13 +273,7 @@ class FieldVector:
                 np.array_equal(_limbs(v[i : i + _DECODE_BLOCK]), limbs[i : i + _DECODE_BLOCK])
                 for i in range(0, n, _DECODE_BLOCK))):
             return v
-        vals = []
-        for i in range(n):
-            v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
-            if v >= P:
-                raise ValueError(f"{what} element not reduced")
-            vals.append(v)
-        return vals
+        return _read_elements(memoryview(data)[4:], what)
 
 
 class Witness(FieldVector):
@@ -400,7 +419,6 @@ class ConstraintSystem:
         self.num_public = 0
         self.num_private = 0
         self.constraints: List[Tuple[LinComb, LinComb, LinComb]] = []
-        self.layout: Dict[str, list] = {}
         self._digest: str | None = None
         self._compiled: CompiledR1CS | None = None
 
@@ -540,21 +558,12 @@ class ConstraintSystem:
             cs.constraints.append(
                 tuple({int(i): to_signed(int(co) % P) for i, co in lc} for lc in (a, b, c))
             )
-        cs.rebuild_layout()
         return cs
 
     def digest(self) -> str:
         if self._digest is None:
             self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
         return self._digest
-
-    def rebuild_layout(self) -> None:
-        """Recover the semantic wire groups from variable names."""
-        groups: Dict[str, list] = {}
-        for idx, name in enumerate(self.var_names):
-            key = name.split("[", 1)[0]
-            groups.setdefault(key, []).append(idx)
-        self.layout = groups
 
 
 # -- builders --------------------------------------------------------------
@@ -563,6 +572,59 @@ class ConstraintSystem:
 def _check_m(m: int) -> None:
     if m < 1:
         raise CircuitError("m must be >= 1")
+
+
+class _Floor:
+    """The floor relation a * b = 2**eta * (out_j - z) + R_j, 0 <= R_j < 2**eta.
+
+    One instance covers one output vector ``out`` of a circuit.  R_j is
+    recomposed from eta bit wires {name}[j]:b{t}, allocated here, which
+    range-checks it through eta booleanity rows.  ``row`` emits the
+    relation row of element j for given factors a and b, ``booleans`` its
+    booleanity rows, and ``bits`` computes the same bits for a witness.
+    """
+
+    def __init__(self, cs: ConstraintSystem, name: str, out: List[int], z: int):
+        eta = cs.constants.eta
+        self.out = out
+        self.z = z
+        self.wires = [[cs.add_private(f"{name}[{j}]:b{t}") for t in range(eta)]
+                      for j in range(len(out))]
+
+    def row(self, cs: ConstraintSystem, j: int, a: LinComb, b: LinComb) -> None:
+        two_eta = 1 << cs.constants.eta
+        c: LinComb = {self.out[j]: two_eta, 0: -two_eta * self.z}
+        for t, bit in enumerate(self.wires[j]):
+            c[bit] = 1 << t
+        cs.add_constraint(a, b, c)
+
+    def booleans(self, cs: ConstraintSystem, j: int) -> None:
+        for bit in self.wires[j]:
+            cs.add_boolean(bit)
+
+    @staticmethod
+    def bits(floor: np.ndarray, out: np.ndarray, z: int, eta: int) -> np.ndarray:
+        """The bit wires of every element, element-major: the eta bits of
+        R = floor - 2**eta * (out - z), which lies in [0, 2**eta) exactly
+        when out is the honest quantized output (floor >> eta) + z."""
+        two_eta = 1 << eta
+        r = floor - two_eta * (out.astype(floor.dtype, copy=False) - z)
+        if not ((r >= 0) & (r < two_eta)).all():
+            raise InconsistentStatementError("inconsistent statement")
+        return _bit_rows(r, eta)
+
+
+def _aggregation_factors(c: CircuitConstants, k: int, u: int) -> Tuple[LinComb, LinComb]:
+    """ca * (K - z_K) and (U - z_U), the factors of one aggregation row with n = 1."""
+    ca = 1 << c.agg_shift
+    return {k: ca, 0: -ca * c.z_k}, {u: 1, 0: -c.z_u}
+
+
+def _update_factors(c: CircuitConstants, w: int, up: int) -> Tuple[LinComb, LinComb]:
+    """cw * (W - z_W) + cu * (U' - z_U') and 1, the factors of one update row."""
+    cw = 1 << c.upd_w_shift
+    cu = 1 << c.upd_u_shift
+    return {w: cw, up: cu, 0: -(cw * c.z_w + cu * c.z_up)}, {0: 1}
 
 
 def build_aggregation_circuit(m: int, n: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -577,28 +639,18 @@ def build_aggregation_circuit(m: int, n: int, constants: CircuitConstants) -> Co
     constants.require_aggregation_exact()
     cs = ConstraintSystem("aggregation", m, n, constants)
     c = constants
-    ca = 1 << c.agg_shift
-    two_eta = 1 << c.eta
 
     up = [cs.add_public(f"Up[{j}]") for j in range(m)]
     kk = [cs.add_public(f"K[{k}]") for k in range(n)]
     uu = [[cs.add_private(f"U[{k}][{j}]") for j in range(m)] for k in range(n)]
-    pp = None
     if n > 1:
         pp = [[cs.add_private(f"Pa[{k}][{j}]") for j in range(m)] for k in range(n)]
-    bits = [[cs.add_private(f"Ra[{j}]:b{t}") for t in range(c.eta)] for j in range(m)]
+    ra = _Floor(cs, "Ra", up, c.z_up)
 
     for j in range(m):
-        out_c: LinComb = {up[j]: two_eta, 0: -two_eta * c.z_up}
-        for t in range(c.eta):
-            out_c[bits[j][t]] = 1 << t
         if n == 1:
             # single product folded straight into the relation constraint
-            cs.add_constraint(
-                {kk[0]: ca, 0: -ca * c.z_k},
-                {uu[0][j]: 1, 0: -c.z_u},
-                out_c,
-            )
+            ra.row(cs, j, *_aggregation_factors(c, kk[0], uu[0][j]))
         else:
             for k in range(n):
                 cs.add_constraint(
@@ -606,11 +658,8 @@ def build_aggregation_circuit(m: int, n: int, constants: CircuitConstants) -> Co
                     {uu[k][j]: 1, 0: -c.z_u},
                     {pp[k][j]: 1},
                 )
-            cs.add_constraint({p[j]: ca for p in pp}, {0: 1}, out_c)
-        for t in range(c.eta):
-            cs.add_boolean(bits[j][t])
-
-    cs.rebuild_layout()
+            ra.row(cs, j, {p[j]: 1 << c.agg_shift for p in pp}, {0: 1})
+        ra.booleans(cs, j)
     return cs
 
 
@@ -624,28 +673,15 @@ def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSyste
     constants.require_update_exact()
     cs = ConstraintSystem("update", m, 1, constants)
     c = constants
-    cw = 1 << c.upd_w_shift
-    cu = 1 << c.upd_u_shift
-    two_eta = 1 << c.eta
 
     wp = [cs.add_public(f"Wp[{j}]") for j in range(m)]
     ww = [cs.add_public(f"W[{j}]") for j in range(m)]
     up = [cs.add_private(f"Up[{j}]") for j in range(m)]
-    bits = [[cs.add_private(f"Ru[{j}]:b{t}") for t in range(c.eta)] for j in range(m)]
+    ru = _Floor(cs, "Ru", wp, c.z_wp)
 
     for j in range(m):
-        out_c: LinComb = {wp[j]: two_eta, 0: -two_eta * c.z_wp}
-        for t in range(c.eta):
-            out_c[bits[j][t]] = 1 << t
-        cs.add_constraint(
-            {ww[j]: cw, up[j]: cu, 0: -(cw * c.z_w + cu * c.z_up)},
-            {0: 1},
-            out_c,
-        )
-        for t in range(c.eta):
-            cs.add_boolean(bits[j][t])
-
-    cs.rebuild_layout()
+        ru.row(cs, j, *_update_factors(c, ww[j], up[j]))
+        ru.booleans(cs, j)
     return cs
 
 
@@ -661,42 +697,20 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     constants.require_update_exact()
     cs = ConstraintSystem("composed", m, 1, constants)
     c = constants
-    ca = 1 << c.agg_shift
-    cw = 1 << c.upd_w_shift
-    cu = 1 << c.upd_u_shift
-    two_eta = 1 << c.eta
 
     wp = [cs.add_public(f"Wp[{j}]") for j in range(m)]
     ww = [cs.add_public(f"W[{j}]") for j in range(m)]
     k0 = cs.add_public("K[0]")
     uu = [cs.add_private(f"U[{j}]") for j in range(m)]
     up = [cs.add_private(f"Up[{j}]") for j in range(m)]
-    ra = [[cs.add_private(f"Ra[{j}]:b{t}") for t in range(c.eta)] for j in range(m)]
-    ru = [[cs.add_private(f"Ru[{j}]:b{t}") for t in range(c.eta)] for j in range(m)]
+    ra = _Floor(cs, "Ra", up, c.z_up)
+    ru = _Floor(cs, "Ru", wp, c.z_wp)
 
     for j in range(m):
-        agg_c: LinComb = {up[j]: two_eta, 0: -two_eta * c.z_up}
-        for t in range(c.eta):
-            agg_c[ra[j][t]] = 1 << t
-        cs.add_constraint(
-            {k0: ca, 0: -ca * c.z_k},
-            {uu[j]: 1, 0: -c.z_u},
-            agg_c,
-        )
-        upd_c: LinComb = {wp[j]: two_eta, 0: -two_eta * c.z_wp}
-        for t in range(c.eta):
-            upd_c[ru[j][t]] = 1 << t
-        cs.add_constraint(
-            {ww[j]: cw, up[j]: cu, 0: -(cw * c.z_w + cu * c.z_up)},
-            {0: 1},
-            upd_c,
-        )
-        for t in range(c.eta):
-            cs.add_boolean(ra[j][t])
-        for t in range(c.eta):
-            cs.add_boolean(ru[j][t])
-
-    cs.rebuild_layout()
+        ra.row(cs, j, *_aggregation_factors(c, k0, uu[j]))
+        ru.row(cs, j, *_update_factors(c, ww[j], up[j]))
+        ra.booleans(cs, j)
+        ru.booleans(cs, j)
     return cs
 
 
@@ -794,10 +808,12 @@ def _signed_array(values) -> np.ndarray:
     return np.array([to_signed(v) for v in vec.values], dtype=object)
 
 
-def _check_range(vals: np.ndarray, c: CircuitConstants, what: str) -> None:
+def _check_range(cs: ConstraintSystem, vals: np.ndarray) -> None:
+    """Raise unless every vals[i], the value of wire 1 + i, is in the quantized range."""
+    c = cs.constants
     if vals.size and (vals.min() < c.q_min or vals.max() > c.q_max):
-        bad = next(v for v in vals.tolist() if not c.q_min <= v <= c.q_max)
-        raise CircuitError(f"{what} value {bad} outside quantized range")
+        i, bad = next((i, v) for i, v in enumerate(vals.tolist()) if not c.q_min <= v <= c.q_max)
+        raise CircuitError(f"{cs.var_names[1 + i]} value {bad} outside quantized range")
 
 
 def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
@@ -811,26 +827,17 @@ def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
     return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
 
 
-def _remainders(floor: np.ndarray, out: np.ndarray, z: int, eta: int) -> np.ndarray:
-    """floor - 2**eta * (out - z), which lies in [0, 2**eta) exactly when
-    out is the honest quantized output (floor >> eta) + z."""
-    two_eta = 1 << eta
-    r = floor - two_eta * (out.astype(floor.dtype, copy=False) - z)
-    if not ((r >= 0) & (r < two_eta)).all():
-        raise InconsistentStatementError("inconsistent statement")
-    return r
-
-
 def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
                      private_values: Sequence[int]) -> Witness:
     """Compute the full assignment, deriving remainders and their bits.
 
     public_values follows the circuit's statement order; private_values
     supplies only the free private inputs (U row-major for aggregation,
-    U' for the update circuit, U for the composed circuit).  Remainders
-    are computed exactly from aggregation_floor and update_floor; a
-    remainder outside [0, 2**eta) means the public outputs were not
-    produced by honest quantization of these inputs and raises
+    U' for the update circuit, U for the composed circuit), whose wires
+    follow the public ones.  Every value must lie in the quantized range.
+    Remainders are computed exactly from aggregation_floor and
+    update_floor; a remainder outside [0, 2**eta) means the public outputs
+    were not produced by honest quantization of these inputs and raises
     InconsistentStatementError.
     """
     c = cs.constants
@@ -840,44 +847,29 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     priv = _signed_array(private_values)
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
+    if len(priv) != n * m:  # n is 1 but for aggregation
+        raise CircuitError(f"expected {n * m} private values, got {len(priv)}")
+    inputs = np.concatenate([pub, priv])
+    _check_range(cs, inputs)
 
     if cs.kind == "aggregation":
-        if len(priv) != n * m:
-            raise CircuitError(f"expected {n * m} private values, got {len(priv)}")
-        _check_range(pub[:m], c, "U'")
-        _check_range(pub[m:], c, "K")
-        _check_range(priv, c, "U")
         u = priv.reshape(n, m)
-        r = _remainders(aggregation_floor(pub[m:], u, c), pub[:m], c.z_up, c.eta)
         # partial product wires are laid out Pa[k][j], k-major
         partials = _aggregation_products(pub[m:], u, c).ravel() if n > 1 else priv[:0]
-        tail = [priv, partials, _bit_rows(r, c.eta)]
+        tail = [partials, _Floor.bits(aggregation_floor(pub[m:], u, c), pub[:m], c.z_up, c.eta)]
 
     elif cs.kind == "update":
-        if len(priv) != m:
-            raise CircuitError(f"expected {m} private values, got {len(priv)}")
-        _check_range(pub[:m], c, "W'")
-        _check_range(pub[m:], c, "W")
-        _check_range(priv, c, "U'")
-        r = _remainders(update_floor(pub[m:], priv, c), pub[:m], c.z_wp, c.eta)
-        tail = [priv, _bit_rows(r, c.eta)]
+        tail = [_Floor.bits(update_floor(pub[m:], priv, c), pub[:m], c.z_wp, c.eta)]
 
     elif cs.kind == "composed":
-        if len(priv) != m:
-            raise CircuitError(f"expected {m} private values, got {len(priv)}")
-        _check_range(pub[:m], c, "W'")
-        _check_range(pub[m : 2 * m], c, "W")
-        _check_range(pub[2 * m :], c, "K")
-        _check_range(priv, c, "U")
         t_agg = aggregation_floor(pub[2 * m :], priv.reshape(1, m), c)
         up = (t_agg >> c.eta) + c.z_up
         if ((up < c.q_min) | (up > c.q_max)).any():
             raise InconsistentStatementError("inconsistent statement")
-        r_a = _remainders(t_agg, up, c.z_up, c.eta)
-        r_u = _remainders(update_floor(pub[m : 2 * m], up, c), pub[:m], c.z_wp, c.eta)
-        tail = [priv, up, _bit_rows(r_a, c.eta), _bit_rows(r_u, c.eta)]
+        tail = [up, _Floor.bits(t_agg, up, c.z_up, c.eta),
+                _Floor.bits(update_floor(pub[m : 2 * m], up, c), pub[:m], c.z_wp, c.eta)]
 
     else:
         raise CircuitError(f"unknown circuit kind {cs.kind!r}")
 
-    return Witness(np.concatenate([np.ones(1, dtype=np.int64), pub, *tail]))
+    return Witness(np.concatenate([np.ones(1, dtype=np.int64), inputs, *tail]))

@@ -79,10 +79,6 @@ class SimConfig:
             if md not in MODES:
                 raise ConfigError(f"mode_grid entry {md!r} invalid")
 
-    @property
-    def backend_name(self) -> Optional[str]:
-        return MODE_BACKENDS.get(self.mode)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -136,6 +136,3 @@ class Chain:
                     blocks.append(Block.from_dict(json.loads(line)))
         return cls(blocks)
 
-
-def verify_chain(chain: Chain) -> bool:
-    return chain.verify()

@@ -132,13 +132,15 @@ class RoundMessage:
         }
 
     def canonical_bytes(self) -> bytes:
+        """Envelope, statement, proof frame and payload, NUL-separated and
+        joined in one copy."""
         parts = [json.dumps(self.envelope(), sort_keys=True, separators=(",", ":")).encode()]
         if self.statement is not None:
-            parts.append(self.statement.to_bytes())
+            parts += (b"\x00", self.statement.to_bytes())
         if self.proof is not None:
-            parts.append(self.proof.to_bytes())
-        parts.append(self.payload)
-        return b"\x00".join(parts)
+            parts += (b"\x00", *self.proof._parts())
+        parts += (b"\x00", self.payload)
+        return b"".join(parts)
 
 
 @dataclass(slots=True)
@@ -214,7 +216,6 @@ class ClientWorker:
     stream: object  # batch iterator
     tamper: bool = False
     rejection_count: int = 0
-    needs_resync: bool = False
     sender: str = field(init=False)  # one string shared by all its messages
 
     def __post_init__(self) -> None:
@@ -384,7 +385,6 @@ class Trainer:
         losses = []
 
         for client in self.clients:
-            client.needs_resync = False
             batch = next(client.stream)
             try:
                 verdict, loss = self._client_turn(client, batch, round_id, timings)
@@ -486,24 +486,6 @@ class Trainer:
         timings["verify"] += dt
         self.verify_times.append(dt)
         return verdict is Verdict.ACCEPT
-
-    def exclude_and_continue(self, report: RoundReport, client_id: int) -> List[int]:
-        """Record an exclusion; the client rejoins next round after resync.
-
-        Returns the next round's schedule.  State sync is implicit in the
-        relay design: every client reads the current global model (and the
-        current cut-layer vector) at the start of its turn.
-        """
-        for c in self.clients:
-            if c.client_id == client_id:
-                c.needs_resync = True
-                break
-        else:
-            raise ProtocolError(f"unknown client {client_id}")
-        active = [c.client_id for c in self.clients if c.client_id != client_id]
-        if not active:
-            report.stalled = True
-        return [c.client_id for c in self.clients]
 
     # -- training loop -------------------------------------------------------
 

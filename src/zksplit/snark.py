@@ -59,7 +59,7 @@ from .backend import (
     _unpack_circuit,
     encode_frame,
 )
-from .circuit import ConstraintSystem, FieldVector, Witness
+from .circuit import ConstraintSystem, FieldVector, Witness, _read_elements, _write_elements
 from .field import P, batch_inv, inv
 
 MAX_CONSTRAINTS = 1 << 20
@@ -85,10 +85,6 @@ def _u32(v: int) -> bytes:
     return v.to_bytes(4, "little")
 
 
-def _fe(v: int) -> bytes:
-    return (v % P).to_bytes(32, "little")
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -101,24 +97,18 @@ class _Reader:
         self.pos += 4
         return v
 
-    def fe(self) -> int:
-        if self.pos + 32 > len(self.data):
-            raise DecodeError("truncated key")
-        v = int.from_bytes(self.data[self.pos : self.pos + 32], "little")
-        self.pos += 32
-        if v >= P:
-            raise DecodeError("element not reduced")
-        return v
-
-    def fes(self, n: int) -> List[int]:
-        return [self.fe() for _ in range(n)]
-
     def raw(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise DecodeError("truncated key")
         b = self.data[self.pos : self.pos + n]
         self.pos += n
         return b
+
+    def elements(self, n: int) -> List[int]:
+        try:
+            return _read_elements(self.raw(32 * n), "key")
+        except ValueError as e:
+            raise DecodeError(str(e)) from None
 
 
 @dataclass
@@ -136,27 +126,21 @@ class SnarkProvingKey:
 
     def to_bytes(self) -> bytes:
         blob = _pack_circuit(self.cs)
-        out = bytearray()
-        out += _u32(len(blob))
-        out += blob
-        out += _fe(self.alpha) + _fe(self.beta) + _fe(self.delta) + _fe(self.delta_inv)
-        out += _u32(len(self.a_tau))
-        for arr in (self.a_tau, self.b_tau, self.c_tau):
-            for v in arr:
-                out += _fe(v)
-        out += _u32(len(self.l_priv))
-        for v in self.l_priv:
-            out += _fe(v)
-        return encode_frame("snark", self.circuit_digest, bytes(out))
+        return encode_frame(
+            "snark", self.circuit_digest, _u32(len(blob)), blob,
+            _write_elements((self.alpha, self.beta, self.delta, self.delta_inv)),
+            _u32(len(self.a_tau)), _write_elements(self.a_tau + self.b_tau + self.c_tau),
+            _u32(len(self.l_priv)), _write_elements(self.l_priv),
+        )
 
     @classmethod
     def from_payload(cls, payload: bytes, circuit_digest: str) -> "SnarkProvingKey":
         r = _Reader(payload)
         cs = _unpack_circuit(r.raw(r.u32()))
-        alpha, beta, delta, delta_inv = r.fe(), r.fe(), r.fe(), r.fe()
+        alpha, beta, delta, delta_inv = r.elements(4)
         nw = r.u32()
-        a_tau, b_tau, c_tau = r.fes(nw), r.fes(nw), r.fes(nw)
-        l_priv = r.fes(r.u32())
+        a_tau, b_tau, c_tau = r.elements(nw), r.elements(nw), r.elements(nw)
+        l_priv = r.elements(r.u32())
         return cls(cs, circuit_digest, alpha, beta, delta, delta_inv, a_tau, b_tau, c_tau, l_priv)
 
 
@@ -170,18 +154,17 @@ class SnarkVerifyingKey:
     ic: List[int]  # (beta*A_i + alpha*B_i + C_i)/gamma for wire 0 and public wires
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += _fe(self.alpha_beta) + _fe(self.gamma) + _fe(self.delta)
-        out += _u32(len(self.ic))
-        for v in self.ic:
-            out += _fe(v)
-        return encode_frame("snark", self.circuit_digest, bytes(out))
+        return encode_frame(
+            "snark", self.circuit_digest,
+            _write_elements((self.alpha_beta, self.gamma, self.delta)),
+            _u32(len(self.ic)), _write_elements(self.ic),
+        )
 
     @classmethod
     def from_payload(cls, payload: bytes, circuit_digest: str) -> "SnarkVerifyingKey":
         r = _Reader(payload)
-        alpha_beta, gamma, delta = r.fe(), r.fe(), r.fe()
-        ic = r.fes(r.u32())
+        alpha_beta, gamma, delta = r.elements(3)
+        ic = r.elements(r.u32())
         return cls(circuit_digest, len(ic) - 1, alpha_beta, gamma, delta, ic)
 
 
@@ -312,12 +295,11 @@ class QapSnarkBackend(Backend):
             priv_acc + hz * pk.delta_inv + s * pi_a + r * pi_b - r * s % P * pk.delta
         ) % P
 
-        body = _fe(pi_a) + _fe(pi_b) + _fe(pi_c)
         return Proof(
             backend="snark",
             circuit_digest=pk.circuit_digest,
             statement_digest=statement.digest(),
-            body=body,
+            body=_write_elements((pi_a, pi_b, pi_c)),
             prove_time=time.perf_counter() - t0,
         )
 
@@ -325,8 +307,7 @@ class QapSnarkBackend(Backend):
         try:
             if not self._addressed(vk, statement, proof) or len(proof.body) != 96:
                 return Verdict.REJECT
-            r = _Reader(proof.body)
-            pi_a, pi_b, pi_c = r.fe(), r.fe(), r.fe()
+            pi_a, pi_b, pi_c = _Reader(proof.body).elements(3)
             idx, v = _nonzero(statement)
             pi = (vk.ic[0] + _dot(v, vk.ic, idx + 1)) % P
             lhs = pi_a * pi_b % P

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,15 @@ class TestWitnessAndSatisfaction:
         cs = build_update_circuit(1, EQUAL)
         with pytest.raises(CircuitError, match="length"):
             cs.is_satisfied([1, 2, 3])
+
+    @pytest.mark.parametrize("cs,pub,priv,wire", [
+        (build_aggregation_circuit(2, 2, EQUAL), [0, 0, 1, 1], [0, 0, 0, EQUAL.q_max + 1], "U[1][1]"),
+        (build_update_circuit(2, EQUAL), [0, EQUAL.q_min - 1, 0, 0], [0, 0], "Wp[1]"),
+        (build_protocol_circuit(2, EQUAL), [0, 0, 0, 0, EQUAL.q_max + 1], [0, 0], "K[0]"),
+    ])
+    def test_out_of_range_input_names_its_wire(self, cs, pub, priv, wire):
+        with pytest.raises(CircuitError, match=re.escape(f"{wire} value")):
+            generate_witness(cs, pub, priv)
 
     def test_empty_constraint_list_vacuous(self):
         cs = ConstraintSystem("update", 1, 1, EQUAL)

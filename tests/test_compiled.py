@@ -49,13 +49,17 @@ BUILDERS = {
     "composed": build_protocol_circuit,
 }
 CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8, 64) for name in CONSTANTS]
+# pinned only: eta = 60 runs the arithmetic on arrays of Python ints, and
+# n = 2 is the smallest aggregation with partial-product wires
+PINNED_CONSTANTS = {**CONSTANTS, "ETA60": CircuitConstants(eta=60)}
+PINNED_BUILDERS = {**BUILDERS, "aggregation-2": lambda m, c: build_aggregation_circuit(m, 2, c)}
 
 
 @lru_cache(maxsize=None)
 def honest(kind, m, name):
     """A circuit and an honest witness for it, as a canonical tuple."""
-    c = CONSTANTS[name]
-    cs = BUILDERS[kind](m, c)
+    c = PINNED_CONSTANTS[name]
+    cs = PINNED_BUILDERS[kind](m, c)
     rnd = random.Random(f"{kind}/{m}/{name}")
     u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
@@ -293,15 +297,59 @@ PINNED_DIGESTS = {
     # taken before to_json wrote the constraint list from templates
     ("EQUAL", "composed", 1000): "1c77bf2751fd4a6e49c51dbc7e82111d3ca7cf561c4bceee8e600a6d2fda0416",
     ("MIXED", "composed", 1000): "863f9fa6bb125d09626b20fb303195fb4f3310b32391659d63fcffd71b5c19f6",
+    # taken before every relation row went through one floor gadget
+    ("ETA60", "aggregation-1", 8): "4563efb2f65a9d88ec2d7feb416e80f7ab5a177f6f20aef2c6b3f89d6dbb22d1",
+    ("ETA60", "aggregation-2", 8): "d0fbc7545ded40a82073cb13633a597125979f87fb202ae04676afa54fe29719",
+    ("ETA60", "aggregation-3", 8): "11e9c10d6c81ccf8564a2690b35c52c6384c5622c6a1dce130ebcec7e7955f68",
+    ("ETA60", "update", 8): "559df7bf9e488d46ccdad1c9a0d22d2c66a2fa557672ecfdb4215cd2fec67f7c",
+    ("ETA60", "composed", 8): "fcb7b91d121d0334b330932a38453235632c1e344a87b7fe15811034b29c0845",
+    ("EQUAL", "aggregation-2", 8): "04c18aefbca4d6aebc0243f01807a48e6ea2cb3f27fec560068099375733ec9f",
+    ("MIXED", "aggregation-2", 8): "28be6108c014727d41de44757ee66af7e18d4edcbf4ada932d9f07442ae3ab3b",
 }
 
 
 @pytest.mark.parametrize("name,kind,m", sorted(PINNED_DIGESTS))
 def test_pinned_circuit_digest(name, kind, m):
-    cs = BUILDERS[kind](m, CONSTANTS[name])
+    cs = PINNED_BUILDERS[kind](m, PINNED_CONSTANTS[name])
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
     cs.compiled()
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
+
+
+# sha256 of generate_witness(...).to_bytes() for the honest() instances,
+# taken before every relation row and its bits went through one floor gadget
+PINNED_WITNESSES = {
+    ("EQUAL", "aggregation-1", 1): "bda50f335fbea54ce6b72ecfa003d25af9bddd2d4c6578168d72429612ce9ce2",
+    ("MIXED", "aggregation-1", 1): "da8fdbace5b15f15584e8be8c96053aaf5939f6165863868b5899e0a1c3114ab",
+    ("EQUAL", "aggregation-1", 8): "e6572e1f61e8fcf750274d7604a852827faf23bfabd4785f61a5322658de1c3b",
+    ("MIXED", "aggregation-1", 8): "18a8c9cf27e163a6409782e2f67b51ad75f4b0dfe308f467907be2dd0d60308f",
+    ("EQUAL", "aggregation-1", 64): "bb46ea066e26fe89b6dd6fcc5397899f833ef24662bccb5219a130a020e3a0c1",
+    ("MIXED", "aggregation-1", 64): "5674bc4b7d136c4c42997e56ab5edf5ffbd27ff30be8d4005f82317fa7673a03",
+    ("EQUAL", "aggregation-3", 1): "bea0937763e9bfbc10152dfebda42cfa69ccf20a005bda889af2a0016d6c5859",
+    ("MIXED", "aggregation-3", 1): "50f2bc1fc41ea267926aa9af8d708e735e8f55e365dcc4936bda8ae9ffb198d6",
+    ("EQUAL", "aggregation-3", 8): "731470b5d2db750cb72aec295f78dd0378f1bc785518aae7af71feacaaddc1b7",
+    ("MIXED", "aggregation-3", 8): "780ca4faacadbcc0c4a9046ddb99bc0b05ffa759033683bb460d3ac3a8c69c09",
+    ("EQUAL", "aggregation-3", 64): "8b055a20f6807d0dfd2fb2b422a6fcad9d6e75de2ba4666b34ab0cbc05c4855b",
+    ("MIXED", "aggregation-3", 64): "d4ef62f0e056f1ff5b5631fbdc814177182c6275e5271070d94d9e0863caaf68",
+    ("EQUAL", "update", 1): "b2fb20fd0c9dafbddea8e94decff809ffc522c95c4b8cd4bd074938e2e110191",
+    ("MIXED", "update", 1): "7318697fe1eee0ac36e34f91ab9c6b7822cbbb580de5e45cb6ce22b28dd93cb0",
+    ("EQUAL", "update", 8): "ac9037a86b1b235ec2155784a5a52dc3c9cc2d402a853150069eb5af361f6db2",
+    ("MIXED", "update", 8): "0d267ca87182205e7872e1c04283b296a10ae8399f7779623e22ad101424a031",
+    ("EQUAL", "update", 64): "961020484209d60a79cd8ca1eb8e9505a90bae826e9475159bdc3bd935c9ba05",
+    ("MIXED", "update", 64): "e7c137f425533c09206d54b9068a1997bc0c334807f929b3ca57d040dc933745",
+    ("EQUAL", "aggregation-2", 8): "c1f82937d9df9a87e9b592dabbf106f76cdb458a20d3ed627c8c71045d1811db",
+    ("MIXED", "aggregation-2", 8): "1c3cc4e525635d8c1f958be123bd6a368ff02874a047ef8f935a46cad7f5a386",
+    ("ETA60", "aggregation-2", 8): "a773dce0febe93428bdc20db2f74ac0d9d45d4d139860522c750ae13cf425432",
+    ("ETA60", "update", 8): "29e8dc2f3b408dff14100846e21a23111ebc802a0052dde621477d871b5b9db2",
+    ("ETA60", "composed", 8): "0bc8712e8d342df02698112e8c3a66ace366d34ffd21487ec571fadff30cd8ce",
+}
+
+
+@pytest.mark.parametrize("name,kind,m", sorted(PINNED_WITNESSES))
+def test_pinned_witness_bytes(name, kind, m):
+    _, values = honest(kind, m, name)
+    got = hashlib.sha256(Witness(values).to_bytes()).hexdigest()
+    assert got == PINNED_WITNESSES[name, kind, m]
 
 
 def reference_json(cs):

@@ -1,6 +1,7 @@
 """Whole proof frames: their bytes, their size without re-encoding, and
 verification that returns a verdict for every frame that decodes."""
 
+import json
 import random
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from zksplit.circuit import (
     quantized_aggregate,
     quantized_update,
 )
+from zksplit.protocol import RoundMessage
 from zksplit.snark import QapSnarkBackend
 
 C = CircuitConstants()
@@ -76,6 +78,18 @@ def reference_encode_frame(backend, circuit_digest, payload):
     return bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(circuit_digest) + payload
 
 
+def reference_canonical_bytes(msg):
+    """RoundMessage.canonical_bytes as it was written before the proof frame
+    was joined in piecewise: one NUL-separated join of whole parts."""
+    parts = [json.dumps(msg.envelope(), sort_keys=True, separators=(",", ":")).encode()]
+    if msg.statement is not None:
+        parts.append(msg.statement.to_bytes())
+    if msg.proof is not None:
+        parts.append(msg.proof.to_bytes())
+    parts.append(msg.payload)
+    return b"\x00".join(parts)
+
+
 class TestToBytes:
     def test_real_proofs(self):
         _, _, _, frames = instance()
@@ -91,6 +105,16 @@ class TestToBytes:
                       statement_digest=statement_digest.hex(), body=body)
         assert proof.to_bytes() == reference_encode_frame(
             backend, circuit_digest.hex(), statement_digest + body)
+
+    def test_message_bytes(self):
+        _, stmt, _, frames = instance()
+        payload = bytes(range(40))
+        messages = [RoundMessage("SmashedForward", "client-0", 3, payload, stmt,
+                                 Proof.from_bytes(frame)) for frame in frames.values()]
+        messages += [RoundMessage("GradientBackward", "server", 3, payload, stmt),
+                     RoundMessage("SmashedForward", "client-1", 4, b"")]
+        for msg in messages:
+            assert msg.canonical_bytes() == reference_canonical_bytes(msg)
 
 
 @st.composite

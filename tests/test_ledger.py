@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from zksplit.ledger import Block, Chain, block_hash, verify_chain
+from zksplit.ledger import Block, Chain, block_hash
 
 
 class TestAppend:
@@ -86,9 +86,6 @@ class TestVerify:
         )
         chain.blocks[-2] = forged
         assert not chain.verify()
-
-    def test_wrapper_function(self):
-        assert verify_chain(self._chain())
 
 
 class TestPersistence:

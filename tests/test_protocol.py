@@ -120,15 +120,18 @@ class TestTamperHandling:
         assert 1 in reports[3].suspects
 
     def test_excluded_client_rejoins_and_recovers(self):
-        # tamper for no rounds: exclude_and_continue path exercised directly
-        cfg = SimConfig(mode="zk-mock", num_clients=3, m=M, rounds=1, seed=5)
+        # client 2 tampers in round 1 only
+        cfg = SimConfig(mode="zk-mock", num_clients=3, m=M, rounds=3, seed=5)
         tr = Trainer(cfg)
-        report = tr.run_round(0)
-        schedule = tr.exclude_and_continue(report, 2)
-        assert schedule == [0, 1, 2]
-        assert tr.clients[2].needs_resync
-        with pytest.raises(ProtocolError):
-            tr.exclude_and_continue(report, 99)
+        verdicts, counts = [], []
+        for r in range(3):
+            tr.clients[2].tamper = r == 1
+            report = tr.run_round(r)
+            verdicts.append(report.verdicts[2])
+            counts.append(tr.clients[2].rejection_count)
+            assert 2 not in report.suspects
+        assert verdicts == ["Accepted", "RejectedProof", "Accepted"]
+        assert counts == [0, 1, 0]
 
     def test_canary_mismatch_rejects(self):
         cfg = SimConfig(mode="zk-mock", num_clients=2, m=M, rounds=1, seed=0,
