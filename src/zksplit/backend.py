@@ -168,7 +168,8 @@ def _pack_circuit(cs: ConstraintSystem) -> bytes:
 def _unpack_circuit(payload: bytes) -> ConstraintSystem:
     try:
         return ConstraintSystem.from_json_dict(json.loads(zlib.decompress(payload)))
-    except (zlib.error, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (zlib.error, ValueError, OverflowError, KeyError, TypeError) as e:
+        # ValueError covers CircuitError and the JSON and UTF-8 decode errors
         raise DecodeError(f"bad circuit payload: {e}") from None
 
 
@@ -287,25 +288,23 @@ def backend_capabilities() -> Dict[str, bool]:
     return {"mock": MockBackend.available(), "snark": snark.QapSnarkBackend.available()}
 
 
-def load_proving_key(data: bytes):
+def _load_key(data: bytes, mock_cls, snark_cls: str):
+    """A key from its frame; a key that packs a circuit must pack the one the frame names."""
     backend, digest, payload = decode_frame(data)
     if backend == "mock":
-        key = MockProvingKey.from_payload(payload)
-        if key.circuit_digest != digest:
-            raise DecodeError("digest mismatch")
-        return key
-    from . import snark
+        key = mock_cls.from_payload(payload)
+    else:
+        from . import snark
 
-    return snark.SnarkProvingKey.from_payload(payload, digest)
+        key = getattr(snark, snark_cls).from_payload(payload, digest)
+    if hasattr(key, "cs") and key.cs.digest() != digest:
+        raise DecodeError("digest mismatch")
+    return key
+
+
+def load_proving_key(data: bytes):
+    return _load_key(data, MockProvingKey, "SnarkProvingKey")
 
 
 def load_verifying_key(data: bytes):
-    backend, digest, payload = decode_frame(data)
-    if backend == "mock":
-        key = MockVerifyingKey.from_payload(payload)
-        if key.circuit_digest != digest:
-            raise DecodeError("digest mismatch")
-        return key
-    from . import snark
-
-    return snark.SnarkVerifyingKey.from_payload(payload, digest)
+    return _load_key(data, MockVerifyingKey, "SnarkVerifyingKey")

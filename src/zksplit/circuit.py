@@ -550,13 +550,16 @@ class ConstraintSystem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstraintSystem":
+        """The circuit a JSON dict describes, with the wire checks a builder gets."""
         cs = cls(d["kind"], int(d["m"]), int(d["n"]), CircuitConstants(**d["constants"]))
         cs.var_names = list(d["variables"])
-        cs.num_public = int(d["num_public"])
-        cs.num_private = int(d["num_private"])
+        counts = (int(d["num_public"]), int(d["num_private"]))
+        if min(counts) < 0 or 1 + sum(counts) != len(cs.var_names):
+            raise CircuitError("wire counts do not match the variables")
+        cs.num_public, cs.num_private = counts
         for a, b, c in d["constraints"]:
-            cs.constraints.append(
-                tuple({int(i): to_signed(int(co) % P) for i, co in lc} for lc in (a, b, c))
+            cs.add_constraint(
+                *({int(i): to_signed(int(co) % P) for i, co in lc} for lc in (a, b, c))
             )
         return cs
 

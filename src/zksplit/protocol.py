@@ -6,7 +6,8 @@ shared client-side model):
   1. the client forwards its batch to the cut layer and attaches a proof
      that the model's current cut-layer bias vector was produced from the
      previously published one by the last verified update (W' = W + K*U
-     with K = 1);
+     with K = 1); the proof is made from the statement and witness stored
+     when that update was accepted, a zero update W' = W at the start;
   2. the server verifies that statement through the Verifying Entity and,
      only on Accept, runs its forward/loss/backward and updates its own
      parameters;
@@ -46,6 +47,7 @@ from .backend import Proof, Statement, Verdict, get_backend
 from .circuit import (
     CircuitConstants,
     ConstraintSystem,
+    Witness,
     build_protocol_circuit,
     generate_witness,
     quantized_aggregate,
@@ -55,9 +57,7 @@ from .config import MODE_BACKENDS, SimConfig
 from .ledger import Chain
 from .nn import (
     Batch,
-    GradientBatch,
     NumericError,
-    SmashedBatch,
     batch_stream,
     client_backward,
     client_forward,
@@ -290,12 +290,14 @@ class Trainer:
         self.chain = Chain.genesis() if self.mode == "blockchain" else None
 
         # snap the cut-layer bias onto the quantization grid and start the
-        # published-statement chain with a zero update
-        bias0 = quantize_array(self.model.client.biases[-1], self.wq_params)
-        self.model.client.biases[-1] = dequantize_array(bias0, self.wq_params)
-        self.wq_prev = [int(v) for v in bias0]
-        self.wq_cur = list(self.wq_prev)
-        self.uq_last = [self.constants.z_u] * config.m
+        # published-statement chain with a zero update W' = W
+        self.wq_cur = quantize_array(self.model.client.biases[-1], self.wq_params)
+        self.model.client.biases[-1] = dequantize_array(self.wq_cur, self.wq_params)
+        # statement and witness of the last accepted update (zk modes only)
+        self.last_update: Optional[Tuple[Statement, Witness]] = None
+        if self.zk:
+            self.last_update = self._update(
+                self.wq_cur, self.wq_cur, np.full(config.m, self.constants.z_u, dtype=np.int64))
 
         self.canary_batch: Optional[Batch] = None
         if config.canary:
@@ -315,64 +317,36 @@ class Trainer:
         self.proof_sizes: List[int] = []
         self.verify_times: List[float] = []
 
-    # -- statements --------------------------------------------------------
+    # -- messages ------------------------------------------------------------
 
-    def _prove(self, wq_new: List[int], wq_old: List[int], uq: List[int],
-               timings: Optional[Dict[str, float]]) -> Tuple[Statement, Proof]:
-        """The statement W', W, K of one update and its proof, U the witness;
-        witness generation is timed into ``timings`` when it is given."""
-        statement = Statement(np.array(wq_new + wq_old + [self.k_q], dtype=np.int64))
-        t0 = time.perf_counter()
-        witness = generate_witness(self.circuit, statement, uq)
-        if timings is not None:
-            timings["witness"] += time.perf_counter() - t0
-        return statement, self.pe.prove(self.circuit.digest(), statement, witness)
+    def _update(self, wq_new: np.ndarray, wq_old: np.ndarray,
+                uq: np.ndarray) -> Tuple[Statement, Witness]:
+        """The statement W', W, K of one update and its witness, U private."""
+        statement = Statement(np.concatenate((wq_new, wq_old, [self.k_q]), dtype=np.int64))
+        return statement, generate_witness(self.circuit, statement, uq)
 
-    def _forward_message(self, client: ClientWorker, smashed: SmashedBatch,
-                         round_id: int,
-                         timings: Optional[Dict[str, float]] = None) -> RoundMessage:
-        payload = smashed.z.astype("<f8").tobytes()
+    def _message(self, kind: str, sender: str, round_id: int, payload: bytes,
+                 update: Optional[Tuple[Statement, Witness]],
+                 tamper: bool = False) -> RoundMessage:
+        """One cut-layer message carrying ``payload``, and in zk modes the
+        statement of ``update`` with its proof; ``tamper`` forges the
+        statement after the proof is made."""
         statement = proof = None
-        if self.zk:
-            statement, proof = self._prove(self.wq_cur, self.wq_prev, self.uq_last, timings)
-            if client.tamper:
+        if update is not None:
+            statement, witness = update
+            proof = self.pe.prove(self.circuit.digest(), statement, witness)
+            if tamper:
                 forged = statement.signed.copy()
                 forged[0] += 1
                 statement = Statement(forged)
-        canary = None
-        if self.canary_batch is not None:
-            canary = self._canary_digest()
-        return RoundMessage(
-            kind="SmashedForward",
-            sender=client.sender,
-            round_id=round_id,
-            payload=payload,
-            statement=statement,
-            proof=proof,
-            canary_digest=canary,
-        )
+        return RoundMessage(kind=kind, sender=sender, round_id=round_id, payload=payload,
+                            statement=statement, proof=proof)
 
     def _canary_digest(self) -> str:
         z = client_forward(self.model.client, self.canary_batch).z
         zq = quantize_array(np.clip(z, -self.config.w_range, self.config.w_range),
                             self.wq_params)
         return hashlib.sha256(zq.astype("<i8").tobytes()).hexdigest()
-
-    def _backward_message(self, grad: GradientBatch, wq_next: List[int],
-                          uq_next: List[int], round_id: int,
-                          timings: Optional[Dict[str, float]] = None) -> RoundMessage:
-        payload = grad.g_z.astype("<f8").tobytes() + np.float64(grad.loss).tobytes()
-        statement = proof = None
-        if self.zk:
-            statement, proof = self._prove(wq_next, self.wq_cur, uq_next, timings)
-        return RoundMessage(
-            kind="GradientBackward",
-            sender="server",
-            round_id=round_id,
-            payload=payload,
-            statement=statement,
-            proof=proof,
-        )
 
     # -- round state machine -------------------------------------------------
 
@@ -425,12 +399,16 @@ class Trainer:
         smashed = client_forward(self.model.client, batch)
         timings["compute"] += time.perf_counter() - t0
 
-        msg_fwd = self._forward_message(client, smashed, round_id, timings)
+        # the forward message re-proves the last accepted update
+        msg_fwd = self._message("SmashedForward", client.sender, round_id,
+                                smashed.z.astype("<f8").tobytes(), self.last_update,
+                                tamper=client.tamper)
+        if self.canary_batch is not None:
+            msg_fwd.canary_digest = self._canary_digest()
         if not self._deliver(msg_fwd, timings):
             return VERDICT_REJECTED, None
-        if self.canary_batch is not None and msg_fwd.canary_digest is not None:
-            if msg_fwd.canary_digest != self._canary_digest():
-                return VERDICT_REJECTED, None
+        if self.canary_batch is not None and msg_fwd.canary_digest != self._canary_digest():
+            return VERDICT_REJECTED, None
 
         # server side: forward, loss, backward, own update
         t0 = time.perf_counter()
@@ -441,12 +419,17 @@ class Trainer:
         # prescribed cut-layer bias update, quantized
         u_next = (-cfg.lr / batch.size) * grad.g_z.sum(axis=0)
         uq = quantize_array(u_next, self.wq_params)
-        uq_next = uq.tolist()
         upq = quantized_aggregate([self.k_q], uq[None, :], self.constants)
-        wq_next = quantized_update(self.wq_cur, upq, self.constants)
-        if max(wq_next) > self.wq_params.q_max or min(wq_next) < self.wq_params.q_min:
+        wq_next = np.asarray(quantized_update(self.wq_cur, upq, self.constants), dtype=np.int64)
+        if wq_next.max() > self.wq_params.q_max or wq_next.min() < self.wq_params.q_min:
             raise OverflowError_("quantization overflow")
-        msg_back = self._backward_message(grad, wq_next, uq_next, round_id, timings)
+        update = None
+        if self.zk:
+            t0 = time.perf_counter()
+            update = self._update(wq_next, self.wq_cur, uq)
+            timings["witness"] += time.perf_counter() - t0
+        payload = grad.g_z.astype("<f8").tobytes() + np.float64(grad.loss).tobytes()
+        msg_back = self._message("GradientBackward", "server", round_id, payload, update)
         if not self._deliver(msg_back, timings):
             return VERDICT_REJECTED, None
 
@@ -456,12 +439,10 @@ class Trainer:
         self.model.server = new_server
         self.model.client = sgd_step(self.model.client, g_wc, cfg.lr, batch.size)
         # keep the cut-layer bias on the proven quantized trajectory
-        self.model.client.biases[-1] = dequantize_array(
-            np.array(wq_next, dtype=np.int64), self.wq_params
-        )
+        self.model.client.biases[-1] = dequantize_array(wq_next, self.wq_params)
         timings["compute"] += time.perf_counter() - t0
-        # nothing changes these lists in place, so they are handed on uncopied
-        self.wq_prev, self.wq_cur, self.uq_last = self.wq_cur, wq_next, uq_next
+        # nothing changes these in place, so they are handed on uncopied
+        self.wq_cur, self.last_update = wq_next, update
         return VERDICT_ACCEPTED, loss
 
     def _deliver(self, msg: RoundMessage, timings: Dict[str, float]) -> bool:

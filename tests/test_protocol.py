@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from zksplit import protocol
 from zksplit.backend import Statement, Verdict
-from zksplit.circuit import build_protocol_circuit
+from zksplit.circuit import build_protocol_circuit, generate_witness
 from zksplit.config import ConfigError, SimConfig
 from zksplit.protocol import (
     ProtocolError,
@@ -26,6 +27,14 @@ def model_arrays(trainer):
 
 def models_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(model_arrays(a), model_arrays(b)))
+
+
+def private_u(trainer):
+    """The private U of the last accepted update, from its stored witness:
+    the m wires that follow the constant and the public wires."""
+    witness = trainer.last_update[1]
+    start = 1 + trainer.circuit.num_public
+    return witness.signed[start : start + trainer.config.m]
 
 
 class TestHonestRun:
@@ -56,9 +65,7 @@ class TestHonestRun:
         t1, t2 = Trainer(cfg), Trainer(cfg)
         t1.run_round(0)
         t2.run_round(0)
-        s1 = Statement(t1.wq_cur + t1.wq_prev + [t1.k_q])
-        s2 = Statement(t2.wq_cur + t2.wq_prev + [t2.k_q])
-        assert s1.digest() == s2.digest()
+        assert t1.last_update[0].digest() == t2.last_update[0].digest()
 
     def test_snark_mode_round(self):
         cfg = SimConfig(mode="zk-snark", num_clients=2, m=M, rounds=2, seed=0)
@@ -72,9 +79,11 @@ class TestHonestRun:
         tr.train()
         c = tr.constants
         assert (tr.k_q - c.z_k) * 2 ** -c.f_k == 1.0
-        w = np.array(tr.wq_prev) - c.z_w
-        u = np.array(tr.uq_last) - c.z_u
-        assert list(w + u + c.z_wp) == tr.wq_cur  # equal scales: exact addition
+        s = tr.last_update[0].signed
+        w_new, w_old = s[:M], s[M : 2 * M]
+        assert np.array_equal(w_new, tr.wq_cur)
+        u = private_u(tr) - c.z_u
+        assert np.array_equal(w_old - c.z_w + u + c.z_wp, w_new)  # equal scales: exact addition
 
 
 class TestTamperHandling:
@@ -187,7 +196,8 @@ class TestMessages:
         batch = next(tr.clients[0].stream)
 
         smashed = client_forward(tr.model.client, batch)
-        msg = tr._forward_message(tr.clients[0], smashed, 0)
+        msg = tr._message("SmashedForward", tr.clients[0].sender, 0,
+                          smashed.z.astype("<f8").tobytes(), tr.last_update)
         env = msg.envelope()
         assert env["kind"] == "SmashedForward"
         assert env["sender"] == "client-0"
@@ -214,7 +224,7 @@ class TestMessages:
             RoundMessage.canonical_bytes = orig
 
         assert captured
-        priv_u = np.array(tr.uq_last, dtype="<i8").tobytes()
+        priv_u = private_u(tr).astype("<i8").tobytes()
         for msg, blob in captured:
             batch = next(Trainer(cfg).clients[0].stream)
             assert batch.x.astype("<f8").tobytes() not in blob  # raw inputs never leave
@@ -230,12 +240,13 @@ class TestMessages:
         from zksplit.nn import client_forward
 
         smashed = client_forward(tr.model.client, batch)
-        msg = tr._forward_message(tr.clients[0], smashed, 99)
+        msg = tr._message("SmashedForward", tr.clients[0].sender, 99,
+                          smashed.z.astype("<f8").tobytes(), tr.last_update)
         blob_without_proof = RoundMessage(
             kind=msg.kind, sender=msg.sender, round_id=msg.round_id,
             payload=msg.payload, statement=msg.statement, proof=None,
         ).canonical_bytes()
-        priv_u = np.array(tr.uq_last, dtype="<i8").tobytes()
+        priv_u = private_u(tr).astype("<i8").tobytes()
         assert priv_u not in blob_without_proof
 
     def test_overflow_sits_out_round(self):
@@ -245,6 +256,71 @@ class TestMessages:
         report = tr.run_round(0)
         assert report.verdicts[0] == "MissingProof"
         assert report.stalled
+
+
+class TestMessagePipeline:
+    @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark", "none", "blockchain"])
+    def test_one_witness_per_accepted_update(self, mode, monkeypatch):
+        calls = []
+        orig = protocol.generate_witness
+
+        def counted(*args):
+            calls.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(protocol, "generate_witness", counted)
+        tr = Trainer(SimConfig(mode=mode, num_clients=3, m=M, rounds=2, seed=0,
+                               tamper_clients=[2]))
+        reports = tr.train()
+        accepted = sum(v == "Accepted" for r in reports for v in r.verdicts.values())
+        assert accepted == (4 if tr.zk else 6)  # only the zk modes reject tampering
+        # the zero update at construction, then one per accepted turn
+        assert len(calls) == (1 + accepted if tr.zk else 0)
+
+    @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
+    def test_forward_message_reproves_last_accepted_update(self, mode, monkeypatch):
+        tr = Trainer(SimConfig(mode=mode, num_clients=3, m=M, rounds=2, seed=0,
+                               tamper_clients=[2]))
+        # the first turn proves the zero update W' = W, U = z_U
+        w0 = np.asarray(tr.wq_cur, dtype=np.int64)
+        zero = Statement(np.concatenate((w0, w0, [tr.k_q])))
+        witness = generate_witness(tr.circuit, zero, [tr.constants.z_u] * M)
+        # (statement digest, mock proof body) of the last accepted update
+        last = (zero.digest(), witness.to_bytes())
+        delivered = []
+        orig = Trainer._deliver
+
+        def record(self, msg, timings):
+            ok = orig(self, msg, timings)
+            delivered.append((msg, ok))
+            return ok
+
+        monkeypatch.setattr(Trainer, "_deliver", record)
+        tr.train()
+        forwards = 0
+        for msg, ok in delivered:
+            if msg.kind == "SmashedForward":
+                forwards += 1
+                assert msg.proof.statement_digest == last[0]
+                if msg.sender != "client-2":  # the tamperer forges its statement
+                    assert msg.statement.digest() == last[0]
+                if mode == "zk-mock":
+                    assert msg.proof.body == last[1]
+            elif ok:
+                last = (msg.statement.digest(), msg.proof.body)
+        assert forwards == 6
+
+    @pytest.mark.parametrize("overrides, verdict", [
+        ({"tamper_clients": [0]}, "RejectedProof"),
+        ({"lr": 1e9}, "MissingProof"),  # quantization overflow
+    ])
+    def test_state_kept_when_sole_client_not_applied(self, overrides, verdict):
+        tr = Trainer(SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=1, seed=0,
+                               **overrides))
+        last_update, wq_cur = tr.last_update, tr.wq_cur
+        assert tr.run_round(0).verdicts[0] == verdict
+        assert tr.last_update is last_update
+        assert tr.wq_cur is wq_cur
 
 
 class TestEntities:
