@@ -17,21 +17,39 @@ and verification checks the single field equation
 
 with PI the public-input combination -- the same algebra a pairing-based
 Groth16 verifier checks in the exponent.  Proofs are 162 bytes regardless
-of circuit size and verification is linear in the statement length.  The
-prover's inner products and the verifier's PI run over the nonzero
-elements only; honest witnesses are mostly zero remainder bits.
+of circuit size and verification is linear in the statement length.
+
+Key tables (A_i, B_i, C_i at tau, the private and the public combinations)
+are held as read-only (n, 16) arrays of little-endian 16-bit limbs: the
+bytes of their 32-byte canonical wire encoding, never Python ints.  The
+prover's four inner products and the verifier's PI gather the limb rows of
+the nonzero wires only (honest witnesses are mostly zero remainder bits)
+and sum w_i * limb_l for each limb column l; the element is then
+sum_l s_l * 2**(16*l) mod P.  Those column sums are exact in int64 while
+max|w| * (2**16 - 1) * nnz < 2**63; at the default constants that product
+stays under 2**46 for any in-range witness at m=500.  A witness or
+statement past the bound, such as one holding canonical or huge elements,
+is summed over Python ints instead, on the same rows.
 
 Security caveat: key material here consists of plain field scalars, not
-group elements.  Anyone who holds the *verifying* key can forge an Accept
-for any statement, true or false: pick piA and piB, then set
-piC = (piA*piB - alpha*beta - PI*gamma)/delta
-(tests/test_snark_threats.py pins this).  At best this is a
-designated-verifier scheme whose verifying key must stay secret with the
-Verifying Entity; prove() refusing unsatisfied witnesses binds only
-provers that run this code.  The backend reproduces the data flow, sizes,
-and accept/reject behavior of a preprocessing SNARK for testing and
-benchmarking; production deployments should bind a pairing-based prover
-behind the same Backend contract.
+group elements, so this backend is not sound against whoever holds a key:
+
+- Anyone who holds the *verifying* key can forge an Accept for any
+  statement, true or false: pick piA and piB, then set
+  piC = (piA*piB - alpha*beta - PI*gamma)/delta.
+- Anyone who holds the *proving* key can too: nothing ties
+  hz = a*b - c to divisibility by Z(tau), so the prover's own formulas
+  give an accepted proof for any wire vector and any statement.  Only
+  prove() refusing unsatisfied witnesses stands in the way, and that binds
+  only a Prover Entity that runs this code.
+
+tests/test_snark_threats.py pins both forgeries.  Snark soundness thus
+rests on trusting the Prover Entity's code, and on the verifying key
+staying secret with the Verifying Entity; the mock backend is the only
+sound one, and it is not zero-knowledge.  The backend reproduces the data
+flow, sizes, and accept/reject behavior of a preprocessing SNARK for
+testing and benchmarking; production deployments should bind a
+pairing-based prover behind the same Backend contract.
 """
 
 from __future__ import annotations
@@ -41,7 +59,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from operator import mul
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +76,7 @@ from .backend import (
     _unpack_circuit,
     encode_frame,
 )
-from .circuit import ConstraintSystem, FieldVector, Witness, _read_elements, _write_elements
+from .circuit import ConstraintSystem, Witness, _read_elements, _signed_array, _write_elements
 from .field import P, batch_inv, inv
 
 MAX_CONSTRAINTS = 1 << 20
@@ -110,6 +127,19 @@ class _Reader:
         except ValueError as e:
             raise DecodeError(str(e)) from None
 
+    def table(self, n: int) -> np.ndarray:
+        start = self.pos
+        self.elements(n)  # only to reject elements >= P
+        return _limb_table(self.data[start : self.pos])
+
+
+def _limb_table(data) -> np.ndarray:
+    """Count-less 32-byte elements as a read-only (n, 16) array of their
+    little-endian 16-bit limbs, with ``data`` as its buffer."""
+    table = np.frombuffer(data, dtype="<u2").reshape(-1, 16)
+    table.flags.writeable = False
+    return table
+
 
 @dataclass
 class SnarkProvingKey:
@@ -119,18 +149,19 @@ class SnarkProvingKey:
     beta: int
     delta: int
     delta_inv: int
-    a_tau: List[int]
-    b_tau: List[int]
-    c_tau: List[int]
-    l_priv: List[int]  # (beta*A_i + alpha*B_i + C_i)/delta for private wires
+    # limb tables (see _limb_table), one row per wire
+    a_tau: np.ndarray
+    b_tau: np.ndarray
+    c_tau: np.ndarray
+    l_priv: np.ndarray  # (beta*A_i + alpha*B_i + C_i)/delta for the private wires
 
     def to_bytes(self) -> bytes:
         blob = _pack_circuit(self.cs)
         return encode_frame(
             "snark", self.circuit_digest, _u32(len(blob)), blob,
             _write_elements((self.alpha, self.beta, self.delta, self.delta_inv)),
-            _u32(len(self.a_tau)), _write_elements(self.a_tau + self.b_tau + self.c_tau),
-            _u32(len(self.l_priv)), _write_elements(self.l_priv),
+            _u32(len(self.a_tau)), self.a_tau, self.b_tau, self.c_tau,
+            _u32(len(self.l_priv)), self.l_priv,
         )
 
     @classmethod
@@ -139,9 +170,14 @@ class SnarkProvingKey:
         cs = _unpack_circuit(r.raw(r.u32()))
         alpha, beta, delta, delta_inv = r.elements(4)
         nw = r.u32()
-        a_tau, b_tau, c_tau = r.elements(nw), r.elements(nw), r.elements(nw)
-        l_priv = r.elements(r.u32())
-        return cls(cs, circuit_digest, alpha, beta, delta, delta_inv, a_tau, b_tau, c_tau, l_priv)
+        if nw != cs.num_wires:
+            raise DecodeError(f"key tables hold {nw} wires, circuit has {cs.num_wires}")
+        a_tau, b_tau, c_tau = r.table(nw), r.table(nw), r.table(nw)
+        n_priv = r.u32()
+        if n_priv != cs.num_wires - cs.num_public - 1:
+            raise DecodeError(f"key holds {n_priv} private wires, circuit has {cs.num_private}")
+        return cls(cs, circuit_digest, alpha, beta, delta, delta_inv,
+                   a_tau, b_tau, c_tau, r.table(n_priv))
 
 
 @dataclass
@@ -151,20 +187,20 @@ class SnarkVerifyingKey:
     alpha_beta: int
     gamma: int
     delta: int
-    ic: List[int]  # (beta*A_i + alpha*B_i + C_i)/gamma for wire 0 and public wires
+    ic: np.ndarray  # limb table of (beta*A_i + alpha*B_i + C_i)/gamma for wire 0 and public wires
 
     def to_bytes(self) -> bytes:
         return encode_frame(
             "snark", self.circuit_digest,
             _write_elements((self.alpha_beta, self.gamma, self.delta)),
-            _u32(len(self.ic)), _write_elements(self.ic),
+            _u32(len(self.ic)), self.ic,
         )
 
     @classmethod
     def from_payload(cls, payload: bytes, circuit_digest: str) -> "SnarkVerifyingKey":
         r = _Reader(payload)
         alpha_beta, gamma, delta = r.elements(3)
-        ic = r.elements(r.u32())
+        ic = r.table(r.u32())
         return cls(circuit_digest, len(ic) - 1, alpha_beta, gamma, delta, ic)
 
 
@@ -196,31 +232,33 @@ def _lagrange_at(tau: int, nc: int) -> tuple:
     return [z_tau * iv % P for iv in invs], z_tau
 
 
-def _nonzero(vec: FieldVector) -> Tuple[np.ndarray, List[int]]:
-    """Indices of the nonzero elements, and those elements as Python ints
-    (signed representatives when small, canonical otherwise)."""
-    arr = vec.signed if vec.signed is not None else np.array(vec.values, dtype=object)
-    idx = np.flatnonzero(arr)
-    return idx, arr[idx].tolist()
+def _inner_products(w: np.ndarray, *tables: np.ndarray) -> List[int]:
+    """For each limb table t, sum_i w[off + i] * t[i] mod P, where
+    off = len(w) - len(t): a table holds the rows of the last len(t)
+    elements of w.
 
-
-def _dot(w: List[int], table: List[int], idx: np.ndarray) -> int:
-    """sum_k w[k] * table[idx[k]], not reduced."""
-    return sum(map(mul, w, map(table.__getitem__, idx.tolist())))
+    w holds signed representatives, int64 or Python ints.  Only the rows of
+    its nonzero elements are gathered; each limb column is one exact dot
+    product, in int64 while max|w| * (2**16 - 1) * nnz < 2**63 and over
+    Python ints otherwise.
+    """
+    idx = np.flatnonzero(w != 0)
+    wn = w[idx]
+    bound = int(np.abs(wn).max(initial=0)) * 0xFFFF * idx.size
+    wn = wn.astype(np.int64 if bound < 1 << 63 else object, copy=False)
+    out = []
+    for t in tables:
+        off = len(w) - len(t)
+        k = int(np.searchsorted(idx, off))
+        rows = t.take(idx[k:] - off, axis=0).astype(wn.dtype)
+        sums = (wn[k:] @ rows).tolist()
+        out.append(sum(int(s) << (16 * limb) for limb, s in enumerate(sums)) % P)
+    return out
 
 
 def _accumulators(pk: SnarkProvingKey, witness: Witness) -> Tuple[int, int, int, int]:
-    """<w, a_tau>, <w, b_tau>, <w, c_tau> and the private <w, l_priv>, mod P.
-
-    Zero wires add nothing, so the sums run over the nonzero wires only;
-    signed and canonical representatives agree mod P.
-    """
-    idx, w = _nonzero(witness)
-    a, b, c = (_dot(w, t, idx) % P for t in (pk.a_tau, pk.b_tau, pk.c_tau))
-    off = pk.cs.num_public + 1
-    first = int(np.searchsorted(idx, off))
-    priv = _dot(w[first:], pk.l_priv, idx[first:] - off) % P
-    return a, b, c, priv
+    """<w, a_tau>, <w, b_tau>, <w, c_tau> and the private <w, l_priv>, mod P."""
+    return tuple(_inner_products(_signed_array(witness), pk.a_tau, pk.b_tau, pk.c_tau, pk.l_priv))
 
 
 class QapSnarkBackend(Backend):
@@ -266,6 +304,8 @@ class QapSnarkBackend(Backend):
             (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) * delta_inv % P
             for i in range(cs.num_public + 1, nw)
         ]
+        a_tau, b_tau, c_tau, l_priv, ic = (
+            _limb_table(_write_elements(t)) for t in (a_tau, b_tau, c_tau, l_priv, ic))
         pk = SnarkProvingKey(cs, digest, alpha, beta, delta, delta_inv, a_tau, b_tau, c_tau, l_priv)
         vk = SnarkVerifyingKey(digest, cs.num_public, alpha * beta % P, gamma, delta, ic)
         return KeyPair(backend="snark", proving_key=pk, verifying_key=vk)
@@ -308,8 +348,7 @@ class QapSnarkBackend(Backend):
             if not self._addressed(vk, statement, proof) or len(proof.body) != 96:
                 return Verdict.REJECT
             pi_a, pi_b, pi_c = _Reader(proof.body).elements(3)
-            idx, v = _nonzero(statement)
-            pi = (vk.ic[0] + _dot(v, vk.ic, idx + 1)) % P
+            (pi,) = _inner_products(np.concatenate(([1], _signed_array(statement))), vk.ic)
             lhs = pi_a * pi_b % P
             rhs = (vk.alpha_beta + pi * vk.gamma + pi_c * vk.delta) % P
             return Verdict.ACCEPT if lhs == rhs else Verdict.REJECT

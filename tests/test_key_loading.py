@@ -2,11 +2,13 @@
 its digest names or raises DecodeError, never another exception."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import zlib
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from zksplit.backend import (
 )
 from zksplit.circuit import CircuitConstants, Witness, build_protocol_circuit
 from zksplit.cli import main
+from zksplit.field import P
 from zksplit.snark import QapSnarkBackend
 
 LOADERS = [load_proving_key, load_verifying_key]
@@ -104,6 +107,48 @@ def test_snark_proving_key_for_another_circuit_is_decode_error():
     other = build_protocol_circuit(2, CircuitConstants()).digest()
     with pytest.raises(DecodeError, match="digest mismatch"):
         load_proving_key(snark_pk_frame(circuit().to_json_dict(), digest=other))
+
+
+@lru_cache(maxsize=None)
+def snark_pair(m: int):
+    return QapSnarkBackend().setup(build_protocol_circuit(m, CircuitConstants()), b"seed")
+
+
+@pytest.mark.parametrize("short", ["wire tables", "private table"])
+def test_snark_proving_key_tables_must_match_its_circuit(short):
+    pk = snark_pair(4).proving_key
+    if short == "wire tables":
+        pk = dataclasses.replace(pk, a_tau=pk.a_tau[:10], b_tau=pk.b_tau[:10], c_tau=pk.c_tau[:10])
+    else:
+        pk = dataclasses.replace(pk, l_priv=pk.l_priv[:-1])
+    with pytest.raises(DecodeError):
+        load_proving_key(pk.to_bytes())
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+@pytest.mark.parametrize("kind", ["proving", "verifying"])
+def test_snark_key_round_trips_with_read_only_tables(kind, m):
+    key = getattr(snark_pair(m), f"{kind}_key")
+    data = key.to_bytes()
+    loaded = (load_proving_key if kind == "proving" else load_verifying_key)(data)
+    assert loaded.to_bytes() == data
+    names = ["a_tau", "b_tau", "c_tau", "l_priv"] if kind == "proving" else ["ic"]
+    for name in names:
+        table = getattr(loaded, name)
+        assert table.dtype == "<u2" and table.shape[1] == 16 and not table.flags.writeable
+        assert table.tobytes() == getattr(key, name).tobytes()
+
+
+@pytest.mark.parametrize("name", ["a_tau", "l_priv", "ic"])
+def test_snark_key_element_not_reduced_is_decode_error(name):
+    pair = snark_pair(1)
+    key = pair.verifying_key if name == "ic" else pair.proving_key
+    table = getattr(key, name).copy()
+    table[-1] = np.frombuffer(P.to_bytes(32, "little"), dtype="<u2")
+    bad = dataclasses.replace(key, **{name: table})
+    load = load_verifying_key if name == "ic" else load_proving_key
+    with pytest.raises(DecodeError, match="not reduced"):
+        load(bad.to_bytes())
 
 
 EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, -1, 0, 21,

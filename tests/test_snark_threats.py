@@ -1,6 +1,7 @@
 """The snark backend's inner products, its verifier on arbitrary input, and
-the forgery its verifying key admits."""
+the forgeries its verifying key and its proving key admit."""
 
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -9,18 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zksplit.backend import Proof, Statement, Verdict, load_verifying_key
+from zksplit.backend import (
+    Proof,
+    Statement,
+    UnsatisfiedRelationError,
+    Verdict,
+    load_proving_key,
+    load_verifying_key,
+)
 from zksplit.circuit import (
     CircuitConstants,
     InconsistentStatementError,
     Witness,
+    _read_elements,
+    _write_elements,
     build_protocol_circuit,
     generate_witness,
     quantized_aggregate,
     quantized_update,
 )
 from zksplit.field import P, inv
-from zksplit.snark import QapSnarkBackend, _accumulators
+from zksplit.snark import QapSnarkBackend, _accumulators, _limb_table
 
 C = CircuitConstants()
 M = 8
@@ -45,14 +55,16 @@ def instance():
 
 def plain_accumulators(pk, values):
     """Every wire, one at a time, in unbounded integers."""
+    a_tau, b_tau, c_tau, l_priv = (_read_elements(t.tobytes(), "key")
+                                   for t in (pk.a_tau, pk.b_tau, pk.c_tau, pk.l_priv))
     a = b = c = priv = 0
     off = pk.cs.num_public + 1
     for i, v in enumerate(values):
-        a += v * pk.a_tau[i]
-        b += v * pk.b_tau[i]
-        c += v * pk.c_tau[i]
+        a += v * a_tau[i]
+        b += v * b_tau[i]
+        c += v * c_tau[i]
         if i >= off:
-            priv += v * pk.l_priv[i - off]
+            priv += v * l_priv[i - off]
     return a % P, b % P, c % P, priv % P
 
 
@@ -76,13 +88,59 @@ def huge_witness():
     return values
 
 
-@pytest.mark.parametrize("make", [lambda: list(instance()[2].values), dense_witness, huge_witness],
-                         ids=["sparse", "dense", "huge"])
-def test_gathered_accumulators_equal_plain_sums(make):
+def at_int64_bound(excess):
+    """The dense witness with every nonzero element set to the largest
+    magnitude B for which B * (2**16 - 1) * nnz < 2**63, plus ``excess``."""
+    values = dense_witness()
+    nnz = sum(1 for v in values if v)
+    top = ((1 << 63) - 1) // (0xFFFF * nnz) + excess
+    return [top if v else 0 for v in values]
+
+
+def negated_witness():
+    return [(-v) % P for v in dense_witness()]
+
+
+def zero_private_witness():
+    cs = instance()[0].proving_key.cs
+    values = list(instance()[2].values)
+    return values[: 1 + cs.num_public] + [0] * cs.num_private
+
+
+def with_element(table, row, value):
+    """A copy of a limb table whose row ``row`` holds ``value``."""
+    elements = _read_elements(table.tobytes(), "key")
+    elements[row] = value
+    return _limb_table(_write_elements(elements))
+
+
+def max_element_key():
+    """The proving key with P - 1 on the constant wire of a_tau and on
+    private U_0, a nonzero wire of the honest witness, in l_priv."""
     pk = instance()[0].proving_key
-    values = make()
-    wit = Witness(values)
-    assert (wit.signed is None) == (make is huge_witness)
+    u0 = 1 + pk.cs.num_public
+    assert instance()[2].values[u0] != 0
+    return dataclasses.replace(pk, a_tau=with_element(pk.a_tau, 0, P - 1),
+                               l_priv=with_element(pk.l_priv, 0, P - 1))
+
+
+WITNESSES = {
+    "sparse": lambda: list(instance()[2].values),
+    "dense": dense_witness,
+    "huge": huge_witness,
+    "int64 bound": lambda: at_int64_bound(0),
+    "past int64 bound": lambda: at_int64_bound(1),
+    "negative": negated_witness,
+    "zero private": zero_private_witness,
+    "element P-1": lambda: list(instance()[2].values),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_gathered_accumulators_equal_plain_sums(name):
+    pk = max_element_key() if name == "element P-1" else instance()[0].proving_key
+    wit = Witness(WITNESSES[name]())
+    assert (wit.signed is None) == (name == "huge")
     assert _accumulators(pk, wit) == plain_accumulators(pk, wit.values)
 
 
@@ -141,29 +199,76 @@ def test_snark_verify_rejects_random_bodies_for_the_honest_statement(body):
     assert verdict is (Verdict.ACCEPT if body == honest_proof.body else Verdict.REJECT)
 
 
-# -- the verifying key is enough to forge ------------------------------------
+# -- either key is enough to forge -------------------------------------------
+
+
+def forge(vk, statement, rnd):
+    """pi_C = (pi_A*pi_B - alpha*beta - PI*gamma)/delta for random pi_A, pi_B,
+    with PI by the plain formula in unbounded integers."""
+    ic = _read_elements(vk.ic.tobytes(), "key")
+    pi_a, pi_b = rnd.randrange(1, P), rnd.randrange(1, P)
+    pi = (ic[0] + sum(v * x for v, x in zip(statement.values, ic[1:]))) % P
+    pi_c = (pi_a * pi_b - vk.alpha_beta - pi * vk.gamma) * inv(vk.delta) % P
+    return Proof(backend="snark", circuit_digest=vk.circuit_digest,
+                 statement_digest=statement.digest(),
+                 body=b"".join(x.to_bytes(32, "little") for x in (pi_a, pi_b, pi_c)))
+
+
+def false_statement():
+    """The honest statement with W'[0] off by one: no witness exists."""
+    pair, stmt, wit, _ = instance()
+    false = list(stmt.values)
+    false[0] += 1
+    cs = pair.proving_key.cs
+    with pytest.raises(InconsistentStatementError):
+        generate_witness(cs, false, [wit.values[1 + cs.num_public + j] for j in range(M)])
+    return Statement(false)
 
 
 def test_verifying_key_holder_forges_accept_for_false_statement():
-    """pi_C = (pi_A*pi_B - alpha*beta - PI*gamma)/delta passes for any statement.
+    """A forged pi_C passes for any statement.
 
     The scheme is at best designated-verifier: its verifying key must stay
     secret.  The docstring of snark.py and the README say so.
     """
-    pair, stmt, wit, _ = instance()
+    pair = instance()[0]
     vk = load_verifying_key(pair.verifying_key.to_bytes())  # the serialized key alone
-    false = list(stmt.values)
-    false[0] += 1  # W'[0] off by one: no witness exists
-    cs = pair.proving_key.cs
-    with pytest.raises(InconsistentStatementError):
-        generate_witness(cs, false, [wit.values[1 + cs.num_public + j] for j in range(M)])
-    false_stmt = Statement(false)
+    stmt = false_statement()
+    assert QapSnarkBackend().verify(vk, stmt, forge(vk, stmt, random.Random(0))) is Verdict.ACCEPT
 
-    rnd = random.Random(0)
-    pi_a, pi_b = rnd.randrange(1, P), rnd.randrange(1, P)
-    pi = (vk.ic[0] + sum(v * ic for v, ic in zip(false_stmt.values, vk.ic[1:]))) % P
-    pi_c = (pi_a * pi_b - vk.alpha_beta - pi * vk.gamma) * inv(vk.delta) % P
-    forged = Proof(backend="snark", circuit_digest=vk.circuit_digest,
-                   statement_digest=false_stmt.digest(),
-                   body=b"".join(x.to_bytes(32, "little") for x in (pi_a, pi_b, pi_c)))
-    assert QapSnarkBackend().verify(vk, false_stmt, forged) is Verdict.ACCEPT
+
+@pytest.mark.parametrize("tweak", [0, 1])
+def test_limb_pi_of_huge_statement_agrees_with_plain_formula(tweak):
+    """A statement holding the canonical element 2**100 takes the Python-int
+    path of the verifier's PI, and gets the verdict of the plain formula."""
+    vk = instance()[0].verifying_key
+    values = list(instance()[1].values)
+    values[1] = 2**100
+    stmt = Statement(values)
+    assert stmt.signed is None
+    proof = forge(vk, stmt, random.Random(tweak))
+    if tweak:  # pi_C off by one fails the plain equation
+        pi = _read_elements(proof.body, "proof")
+        proof = dataclasses.replace(proof, body=_write_elements(pi[:2] + [(pi[2] + 1) % P]))
+    expected = Verdict.REJECT if tweak else Verdict.ACCEPT
+    assert QapSnarkBackend().verify(vk, stmt, proof) is expected
+
+
+def test_proving_key_holder_forges_accept_for_false_statement(monkeypatch):
+    """Without prove() refusing unsatisfied witnesses, the prover's own formulas
+    give an accepted proof for random private wires under a false statement:
+    nothing ties a*b - c to divisibility by Z(tau).  Snark soundness rests on
+    the Prover Entity running this code; the docstring of snark.py and the
+    README say so."""
+    pair = instance()[0]
+    pk = load_proving_key(pair.proving_key.to_bytes())  # the serialized key alone
+    stmt = false_statement()
+    rnd = random.Random(5)
+    wit = Witness([1, *stmt.values, *(rnd.randrange(P) for _ in range(pk.cs.num_private))])
+    assert not pk.cs.is_satisfied(wit)
+    backend = QapSnarkBackend()
+    with pytest.raises(UnsatisfiedRelationError):
+        backend.prove(pk, stmt, wit)
+    monkeypatch.setattr(QapSnarkBackend, "_require_satisfied", staticmethod(lambda *args: None))
+    proof = backend.prove(pk, stmt, wit, rng=random.Random(2))
+    assert backend.verify(pair.verifying_key, stmt, proof) is Verdict.ACCEPT
