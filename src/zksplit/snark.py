@@ -174,7 +174,7 @@ class SnarkProvingKey:
             raise DecodeError(f"key tables hold {nw} wires, circuit has {cs.num_wires}")
         a_tau, b_tau, c_tau = r.table(nw), r.table(nw), r.table(nw)
         n_priv = r.u32()
-        if n_priv != cs.num_wires - cs.num_public - 1:
+        if n_priv != cs.num_private:
             raise DecodeError(f"key holds {n_priv} private wires, circuit has {cs.num_private}")
         return cls(cs, circuit_digest, alpha, beta, delta, delta_inv,
                    a_tau, b_tau, c_tau, r.table(n_priv))
