@@ -18,7 +18,9 @@ as SHA-256 of the canonical statement encoding.  Statements and witnesses
 little-endian u32 count followed by 32-byte little-endian field elements,
 held in memory as int64 signed representatives whenever they are small;
 snark keys and proof bodies write their elements without the count.
-A Statement is immutable, so its encoding and digest are computed once.
+Statements and witnesses are immutable, so each is encoded at most once
+(a decoded one keeps the frame it came from), and a statement's digest is
+computed once too.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict
-
-import numpy as np
 
 from .circuit import ConstraintSystem, FieldVector, Witness
 
@@ -82,31 +82,20 @@ def decode_frame(data: bytes) -> tuple:
 class Statement(FieldVector):
     """Public field elements in circuit order.
 
-    Immutable: ``values`` is a tuple, ``signed`` a read-only copy of the
-    input, and neither can be assigned, so the encoding and its digest are
-    computed once and cached.  ``from_bytes`` rejects elements >= P
-    instead of reducing them, so decoding and encoding round-trip.
+    Immutable like every FieldVector, so its digest, like its encoding, is
+    computed once and cached.  ``from_bytes`` rejects elements >= P instead
+    of reducing them, so decoding and encoding round-trip.
     """
 
-    def __init__(self, values) -> None:
-        super().__init__(values.copy() if isinstance(values, np.ndarray) else values)
-        if self._signed is not None:
-            self._signed.flags.writeable = False
-        self._bytes: bytes | None = None
-        self._digest: str | None = None
+    _digest: str | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Statement) and self.to_bytes() == other.to_bytes()
 
-    def to_bytes(self) -> bytes:
-        if self._bytes is None:
-            self._bytes = self._encode()
-        return self._bytes
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Statement":
         try:
-            return cls(cls._decode(data, "statement"))
+            return cls._from_frame(data, "statement")
         except ValueError as e:
             raise DecodeError(str(e)) from None
 
@@ -166,8 +155,13 @@ def _pack_circuit(cs: ConstraintSystem) -> bytes:
 
 
 def _unpack_circuit(payload: bytes) -> ConstraintSystem:
+    """The circuit ``_pack_circuit`` wrote as the whole of ``payload``."""
+    inflate = zlib.decompressobj()
     try:
-        return ConstraintSystem.from_json_dict(json.loads(zlib.decompress(payload)))
+        text = inflate.decompress(payload)
+        if not inflate.eof or inflate.unused_data:
+            raise DecodeError("bad circuit payload: trailing or missing bytes")
+        return ConstraintSystem.from_json_dict(json.loads(text))
     except (zlib.error, ValueError, OverflowError, KeyError, TypeError) as e:
         # ValueError covers CircuitError and the JSON and UTF-8 decode errors
         raise DecodeError(f"bad circuit payload: {e}") from None

@@ -54,11 +54,11 @@ constants), and on arrays of Python ints otherwise, as for eta = 60.
 
 Checking satisfaction.  Each circuit is compiled once, on its first
 check.  Its booleanity rows b * (b - 1) = 0, eta per output element,
-become one array of bit wires, each tested to be 0 or 1; the other rows
-become CSR matrices A, B and C with int64 coefficients, together with
-each matrix's largest row L1 norm.  A witness whose elements all
-have signed representatives in (-2**62, 2**62) is carried as an int64
-array, and when
+become one array of bit wires, tested to be 0 or 1 one contiguous range
+of wires at a time; the other rows become CSR matrices A, B and C with
+int64 coefficients, together with each matrix's largest row L1 norm.  A
+witness whose elements all have signed representatives in
+(-2**62, 2**62) is carried as an int64 array, and when
 
     L1(A) * L1(B) * max|w|**2 + L1(C) * max|w|  <  2**63
 
@@ -167,13 +167,11 @@ class CircuitConstants:
 # carried as int64; on the wire they are 32-byte little-endian canonical
 # elements, read here as four uint64 limbs.  A small negative v encodes as
 # P - |v|, which never borrows from the upper limbs because P's low limb
-# exceeds SMALL.
+# exceeds SMALL.  P's upper limbs are all nonzero, which the decoder's
+# count of nonzero upper limbs relies on.
 SMALL = 1 << 62
 _P_LIMBS = np.array([(P >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)], dtype="<u8")
-assert int(_P_LIMBS[0]) > SMALL
-# decoding re-encodes this many elements at a time, so that checking a
-# 1.5 MB transcript allocates no second copy of it
-_DECODE_BLOCK = 8192
+assert int(_P_LIMBS[0]) > SMALL and _P_LIMBS[1:].all()
 
 
 def _limbs(s: np.ndarray) -> np.ndarray:
@@ -206,37 +204,55 @@ def _read_elements(data, what: str) -> List[int]:
 
 
 class FieldVector:
-    """A vector of field elements in one of two representations.
+    """An immutable vector of field elements in one of two representations.
 
-    ``signed`` is an int64 array of signed representatives when every
-    element lies in (-SMALL, SMALL), and None otherwise; then the canonical
-    tuple is held instead.  ``values`` is always the canonical tuple,
-    derived on first use.  Witnesses and statements share this
+    ``signed`` is a read-only int64 array of signed representatives when
+    every element lies in (-SMALL, SMALL), and None otherwise; then the
+    canonical tuple is held instead.  ``values`` is always the canonical
+    tuple, derived on first use.  Witnesses and statements share this
     representation and its codec: a little-endian u32 count followed by
-    32-byte little-endian canonical elements.
+    32-byte little-endian canonical elements.  Nothing can change a vector
+    after it is made, so ``to_bytes`` encodes it once and returns the same
+    bytes on every later call; a decoded vector keeps the frame it was read
+    from as its encoding.
 
-    Decoding reads the elements as an (n, 4) array of limbs.  Only one
-    int64 vector can have produced them: a nonzero top limb marks P - |v|,
-    so v = low limb - P0 there and v = low limb elsewhere (mod 2**64).
-    That v is taken when every element lies in (-SMALL, SMALL) and its
-    encoding, made block by block, equals the limbs read, which is exactly
-    when every element is the canonical encoding of a small value.  Any
-    other frame is read element by element, which rejects elements >= P.
+    Decoding reads the elements as an (n, 4) array of limbs and takes the
+    int64 path exactly when every element is the canonical encoding of a
+    small value v:
+
+      - its top three limbs are either all 0 or exactly P's;
+      - its low limb then gives v, the low limb itself on the rows of
+        zeros and the low limb - P0 (mod 2**64) on the rows of P's limbs,
+        and v lies in (-SMALL, SMALL);
+      - v is negative exactly on the rows of P's limbs.
+
+    That is the same as "re-encoding v gives the bytes read": the encoder
+    writes a nonnegative v as the limbs (v, 0, 0, 0) and a negative one as
+    (P0 + v, P1, P2, P3), so a frame passes these three tests exactly when
+    it is the encoding of the v they give.  The check runs on whole columns
+    and gathers only the rows of P's limbs, which are the negatives and so
+    usually few.  Any other frame is read element by element, which
+    rejects elements >= P.
     """
 
+    _values: Tuple[int, ...] | None = None
+    _bytes: bytes | None = None
+
     def __init__(self, values) -> None:
-        self._values: Tuple[int, ...] | None = None
         if isinstance(values, np.ndarray) and values.dtype == np.int64 and (
             values.size == 0 or (values.min() > -SMALL and values.max() < SMALL)
         ):
-            self._signed: np.ndarray | None = values
-            return
-        ints = [to_signed(int(v) % P) for v in values]
-        if all(-SMALL < v < SMALL for v in ints):
-            self._signed = np.array(ints, dtype=np.int64)
+            signed = values.copy()
         else:
-            self._signed = None
-            self._values = tuple(v % P for v in ints)
+            ints = [to_signed(int(v) % P) for v in values]
+            if all(-SMALL < v < SMALL for v in ints):
+                signed = np.array(ints, dtype=np.int64)
+            else:
+                signed = None
+                self._values = tuple(v % P for v in ints)
+        if signed is not None:
+            signed.flags.writeable = False
+        self._signed: np.ndarray | None = signed
 
     @property
     def signed(self) -> np.ndarray | None:
@@ -251,9 +267,25 @@ class FieldVector:
     def __len__(self) -> int:
         return len(self._values) if self._signed is None else len(self._signed)
 
-    def _encode(self) -> bytes:
-        elements = self._values if self._signed is None else self._signed
-        return b"".join((len(self).to_bytes(4, "little"), _write_elements(elements)))
+    def to_bytes(self) -> bytes:
+        if self._bytes is None:
+            elements = self._values if self._signed is None else self._signed
+            self._bytes = b"".join((len(self).to_bytes(4, "little"), _write_elements(elements)))
+        return self._bytes
+
+    @classmethod
+    def _from_frame(cls, data: bytes, what: str):
+        """The vector an encoding holds, keeping ``data`` as its encoding."""
+        decoded = cls._decode(data, what)
+        if isinstance(decoded, np.ndarray):
+            vec = cls.__new__(cls)
+            decoded.flags.writeable = False
+            vec._signed = decoded
+        else:
+            vec = cls(decoded)
+        if isinstance(data, bytes):
+            vec._bytes = data
+        return vec
 
     @staticmethod
     def _decode(data: bytes, what: str):
@@ -266,13 +298,18 @@ class FieldVector:
         if len(data) != 4 + 32 * n:
             raise ValueError(f"truncated {what}")
         limbs = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4)
-        v = limbs[:, 0].copy()
-        v[limbs[:, 3] != 0] -= _P_LIMBS[0]
-        v = v.view(np.int64)
-        if n == 0 or (v.min() > -SMALL and v.max() < SMALL and all(
-                np.array_equal(_limbs(v[i : i + _DECODE_BLOCK]), limbs[i : i + _DECODE_BLOCK])
-                for i in range(0, n, _DECODE_BLOCK))):
-            return v
+        # rows with a nonzero top limb must hold P's upper limbs, and no
+        # other row may have a nonzero upper limb
+        neg = np.flatnonzero(limbs[:, 3] != 0)
+        u = limbs[:, 0].copy()
+        u[neg] -= _P_LIMBS[0]
+        # as uint64, v in [0, SMALL) is below SMALL and v in (-SMALL, 0) above -SMALL
+        if (np.count_nonzero(limbs[:, 1] != 0) == len(neg)
+                and np.count_nonzero(limbs[:, 2] != 0) == len(neg)
+                and (limbs[neg, 1:] == _P_LIMBS[1:]).all()
+                and np.count_nonzero(u < SMALL) == n - len(neg)
+                and (u[neg] > np.uint64(2**64 - SMALL)).all()):
+            return u.view(np.int64)
         return _read_elements(memoryview(data)[4:], what)
 
 
@@ -291,12 +328,13 @@ class Witness(FieldVector):
             return bool(np.array_equal(self._signed[1 : 1 + n], public.signed))
         return self.values[1 : 1 + n] == public.values
 
-    def to_bytes(self) -> bytes:
-        return self._encode()
+    # the witness codec, as attributes of this class so that the benchmark's
+    # trace hooks can time it apart from the statement codec
+    to_bytes = FieldVector.to_bytes
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Witness":
-        return cls(cls._decode(data, "witness"))
+        return cls._from_frame(data, "witness")
 
 
 class _Csr:
@@ -347,10 +385,14 @@ class CompiledR1CS:
 
     Rows of exactly the ``add_boolean`` shape, {i: 1} * {i: 1, 0: -1} = {}
     with i != 0, are kept apart as ``bits``, the int64 array of their wires
-    i.  Mod P such a row holds iff w_i is 0 or 1, and for a signed int64
-    representative in (-2**62, 2**62) that is iff w_i is 0 or 1 as an
-    integer: a bit test, with no arithmetic and so no overflow bound.  Any
-    other row, however close to that shape, goes into the CSR matrices.
+    i in row order.  Mod P such a row holds iff w_i is 0 or 1, and for a
+    signed int64 representative in (-2**62, 2**62) that is iff w_i is 0 or
+    1 as an integer: a bit test, with no arithmetic and so no overflow
+    bound.  The test runs over ``bit_runs``, the sorted maximal ranges
+    [a, b) of consecutive bit wires, derived once here: a builder allocates
+    each bank of bit wires in one stretch, so a circuit has a few long runs
+    and each is tested as a slice, with no gather.  Any other row, however
+    close to that shape, goes into the CSR matrices.
 
     With every |w_i| <= wmax, |<A,w>| <= L1(A)*wmax and so on, so when
     L1(A)*L1(B)*wmax**2 + L1(C)*wmax < 2**63 nothing overflows int64 and
@@ -371,6 +413,10 @@ class CompiledR1CS:
                     continue
             rows.append(row)
         self.bits = np.array(bits, dtype=np.int64)
+        wires = np.unique(self.bits)
+        breaks = np.flatnonzero(np.diff(wires) != 1) + 1
+        self.bit_runs = [(int(run[0]), int(run[-1]) + 1) for run in np.split(wires, breaks)
+                         if run.size]
         self.a, self.b, self.c = (_Csr([row[k] for row in rows]) for k in range(3))
 
     def fits(self, wmax: int) -> bool:
@@ -380,7 +426,9 @@ class CompiledR1CS:
         return la * lb * wmax * wmax + lc * wmax < 1 << 63
 
     def is_satisfied(self, w: np.ndarray) -> bool:
-        if not ((w[self.bits] & ~1) == 0).all():
+        # as uint64 a negative w_i is at least 2**63, so a largest bit of at
+        # most 1 means every bit wire is 0 or 1
+        if not all(w[a:b].view(np.uint64).max() <= 1 for a, b in self.bit_runs):
             return False
         return bool(np.array_equal(self.a.dot(w) * self.b.dot(w), self.c.dot(w)))
 
@@ -483,7 +531,7 @@ class ConstraintSystem:
             if w[0] != 1:
                 return False
             compiled = self.compiled()
-            if compiled.fits(int(np.abs(w).max())):
+            if compiled.fits(max(-int(w.min()), int(w.max()))):
                 return compiled.is_satisfied(w)
         return self.is_satisfied_exact(witness.values)
 

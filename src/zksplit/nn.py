@@ -181,11 +181,11 @@ def client_forward(client: DenseStack, batch: Batch) -> SmashedBatch:
     return SmashedBatch(z=z)
 
 
-def server_step(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
-    """Forward from the cut layer, then loss and gradients.
+def server_loss(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
+    """Forward from the cut layer and softmax cross-entropy, with no gradients.
 
-    Returns (mean per-sample loss, (g_w, g_b) summed over the batch,
-    GradientBatch with per-sample rows dL_i/dz_i).
+    Returns (mean per-sample loss, softmax probabilities, and the layer
+    pre-activations and activations that _backward takes).
     """
     z = smashed.z
     if z.shape[1] != server.in_dim:
@@ -201,12 +201,19 @@ def server_step(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    n = z.shape[0]
-    idx = np.arange(n)
-    losses = -shifted[idx, labels] + np.log(exp.sum(axis=1))
-    loss = float(losses.mean())
+    losses = -shifted[np.arange(z.shape[0]), labels] + np.log(exp.sum(axis=1))
+    return float(losses.mean()), probs, pres, acts
+
+
+def server_step(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
+    """Forward from the cut layer, then loss and gradients.
+
+    Returns (mean per-sample loss, (g_w, g_b) summed over the batch,
+    GradientBatch with per-sample rows dL_i/dz_i).
+    """
+    loss, probs, pres, acts = server_loss(server, smashed, labels)
     d_logits = probs.copy()
-    d_logits[idx, labels] -= 1.0  # dL_i/dlogits, per sample
+    d_logits[np.arange(len(probs)), np.asarray(labels)] -= 1.0  # dL_i/dlogits, per sample
     g_w, g_b, g_z = _backward(server, pres, acts, d_logits)
     return loss, (g_w, g_b), GradientBatch(g_z=g_z, loss=loss)
 

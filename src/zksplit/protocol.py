@@ -64,6 +64,7 @@ from .nn import (
     init_split_model,
     make_blobs,
     partition_iid,
+    server_loss,
     server_step,
     sgd_step,
 )
@@ -374,8 +375,7 @@ class Trainer:
 
         report.loss = float(np.mean(losses)) if losses else None
         smashed_eval = client_forward(self.model.client, self.eval_batch)
-        eval_loss, _, _ = server_step(self.model.server, smashed_eval, self.eval_batch.y)
-        report.eval_loss = float(eval_loss)
+        report.eval_loss = server_loss(self.model.server, smashed_eval, self.eval_batch.y)[0]
         report.stalled = not losses
         report.suspects = [
             c.client_id for c in self.clients

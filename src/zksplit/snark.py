@@ -132,6 +132,11 @@ class _Reader:
         self.elements(n)  # only to reject elements >= P
         return _limb_table(self.data[start : self.pos])
 
+    def end(self) -> None:
+        """Raise unless every byte has been read, so one key has one frame."""
+        if self.pos != len(self.data):
+            raise DecodeError("trailing bytes after key")
+
 
 def _limb_table(data) -> np.ndarray:
     """Count-less 32-byte elements as a read-only (n, 16) array of their
@@ -176,8 +181,9 @@ class SnarkProvingKey:
         n_priv = r.u32()
         if n_priv != cs.num_private:
             raise DecodeError(f"key holds {n_priv} private wires, circuit has {cs.num_private}")
-        return cls(cs, circuit_digest, alpha, beta, delta, delta_inv,
-                   a_tau, b_tau, c_tau, r.table(n_priv))
+        l_priv = r.table(n_priv)
+        r.end()
+        return cls(cs, circuit_digest, alpha, beta, delta, delta_inv, a_tau, b_tau, c_tau, l_priv)
 
 
 @dataclass
@@ -201,6 +207,7 @@ class SnarkVerifyingKey:
         r = _Reader(payload)
         alpha_beta, gamma, delta = r.elements(3)
         ic = r.table(r.u32())
+        r.end()
         return cls(circuit_digest, len(ic) - 1, alpha_beta, gamma, delta, ic)
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zksplit.backend import DecodeError, MockBackend, Proof, Statement, Verdict
+from zksplit import circuit
 from zksplit.circuit import (
     MIN_ETA,
     SMALL,
@@ -26,7 +27,6 @@ from zksplit.circuit import (
     ConstraintSystem,
     FieldVector,
     Witness,
-    _DECODE_BLOCK,
     _bit_rows,
     _Csr,
     build_aggregation_circuit,
@@ -215,6 +215,28 @@ class TestBooleanRows:
         back = ConstraintSystem.from_json_dict(cs.to_json_dict()).compiled()
         np.testing.assert_array_equal(back.bits, cs.compiled().bits)
         assert general_rows(back) == general_rows(cs.compiled())
+
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_bit_runs_are_the_sorted_runs_of_the_bits(self, kind, m, name):
+        compiled = BUILDERS[kind](m, CONSTANTS[name]).compiled()
+        runs = compiled.bit_runs
+        assert [w for a, b in runs for w in range(a, b)] == sorted(compiled.bits.tolist())
+        # maximal: consecutive runs are separated by at least one wire
+        assert all(b < a2 for (_, b), (a2, _) in zip(runs, runs[1:]))
+        # each builder allocates all of its bit wires in one stretch
+        assert len(runs) == 1
+
+    def test_scattered_and_repeated_bits(self):
+        cs = ConstraintSystem("test", 1, 1, EQUAL)
+        wires = [cs.add_private(f"v{t}") for t in range(8)]
+        for idx in (wires[5], wires[2], wires[3], wires[7], wires[2]):
+            cs.add_boolean(idx)
+        compiled = cs.compiled()
+        assert compiled.bits.tolist() == [6, 3, 4, 8, 3]
+        assert compiled.bit_runs == [(3, 5), (6, 7), (8, 9)]
+        for vs in itertools.product((0, 1, -1, 2), repeat=4):
+            values = [1, 5, 7, *vs[:2], 9, vs[2], 11, vs[3]]
+            assert agree(cs, [v % P for v in values]) == (set(vs) <= {0, 1})
 
     @pytest.mark.parametrize("row,holds", NEAR_BOOLEAN.values(), ids=list(NEAR_BOOLEAN))
     def test_near_boolean_rows_stay_general(self, row, holds):
@@ -454,6 +476,39 @@ class TestWitnessCodec:
         with pytest.raises(ValueError, match="not reduced"):
             Witness.from_bytes(data)
 
+    def test_witness_is_immutable_and_encoded_once(self):
+        cs, values = honest("composed", 8, "MIXED")
+        w = generate_witness(cs, values[1 : 1 + cs.num_public],
+                             values[1 + cs.num_public : 1 + cs.num_public + 8])
+        with pytest.raises(ValueError):
+            w.signed[0] = 2
+        with pytest.raises(AttributeError):
+            w.signed = np.zeros(len(w), dtype=np.int64)
+        data = w.to_bytes()
+        assert w.to_bytes() is data
+        back = Witness.from_bytes(data)
+        assert not back.signed.flags.writeable
+        assert back.to_bytes() is data  # the frame it was read from
+
+    def test_int64_array_is_copied(self):
+        arr = np.array([1, -2, 3], dtype=np.int64)
+        w = Witness(arr)
+        arr[0] = 5
+        assert w.values == (1, P - 2, 3) and arr.flags.writeable
+
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_decoding_never_encodes(self, kind, m, name, monkeypatch):
+        calls = []
+        limbs = circuit._limbs
+        monkeypatch.setattr(circuit, "_limbs", lambda s: calls.append(len(s)) or limbs(s))
+        cs, values = honest(kind, m, name)
+        wire = per_element_bytes(values)
+        statement = per_element_bytes(values[1 : 1 + cs.num_public])
+        assert calls == []
+        assert Witness.from_bytes(wire).values == tuple(values)
+        assert Statement.from_bytes(statement).values == tuple(values[1 : 1 + cs.num_public])
+        assert calls == []
+
     def test_truncated_frame_rejected(self):
         data = Witness([1, -2, 3]).to_bytes()
         for cut in (0, 3, 4, 35, len(data) - 1):
@@ -648,13 +703,14 @@ class TestAgainstReferences:
         assert decode_outcome(FieldVector._decode, frame) == \
             decode_outcome(reference_decode, frame)
 
-    @pytest.mark.parametrize("i", [0, _DECODE_BLOCK - 1, _DECODE_BLOCK, 2 * _DECODE_BLOCK,
-                                   2 * _DECODE_BLOCK + 2])
+    # the positions either side of the 8192-element blocks an earlier decoder
+    # checked one at a time, kept as cases for the whole-column check
+    @pytest.mark.parametrize("i", [0, 8191, 8192, 16384, 16386])
     @pytest.mark.parametrize("limbs", [[5, 0, 7, 0], [P0 - 3] + P_LIMBS[1:3] + [0],
                                        [2**63] + P_LIMBS[1:], [0, 0, 0, 1]])
     def test_decode_checks_every_block(self, i, limbs):
         rnd = random.Random(i)
-        values = np.array([rnd.randint(-4000, 4000) for _ in range(2 * _DECODE_BLOCK + 3)],
+        values = np.array([rnd.randint(-4000, 4000) for _ in range(16387)],
                           dtype=np.int64)
         frame = set_limbs(Witness(values).to_bytes(), i, limbs)
         outcome = decode_outcome(FieldVector._decode, frame)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from zksplit.backend import (
     DecodeError,
+    MockBackend,
     Statement,
     decode_frame,
     encode_frame,
@@ -137,6 +138,26 @@ def test_snark_key_round_trips_with_read_only_tables(kind, m):
         table = getattr(loaded, name)
         assert table.dtype == "<u2" and table.shape[1] == 16 and not table.flags.writeable
         assert table.tobytes() == getattr(key, name).tobytes()
+
+
+@pytest.mark.parametrize("backend", ["mock", "snark"])
+@pytest.mark.parametrize("kind", ["proving", "verifying"])
+def test_key_with_trailing_bytes_is_decode_error(backend, kind):
+    pair = snark_pair(1) if backend == "snark" else MockBackend().setup(circuit())
+    data = getattr(pair, f"{kind}_key").to_bytes()
+    load = load_proving_key if kind == "proving" else load_verifying_key
+    assert load(data).to_bytes() == data
+    for junk in (b"junk", b"\0"):
+        with pytest.raises(DecodeError):
+            load(data + junk)
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_mock_key_cut_short_is_decode_error(load):
+    data = MockBackend().setup(circuit()).verifying_key.to_bytes()
+    for cut in (1, 8, len(decode_frame(data)[2]) - 1):
+        with pytest.raises(DecodeError):
+            load(data[:-cut])
 
 
 @pytest.mark.parametrize("name", ["a_tau", "l_priv", "ic"])

@@ -18,6 +18,7 @@ from zksplit.nn import (
     make_blobs,
     partition_iid,
     save_checkpoint,
+    server_loss,
     server_step,
     sgd_step,
 )
@@ -144,6 +145,15 @@ class TestServerStep:
             y = np.random.default_rng(1).integers(0, classes, size=6)
             loss, _, _ = server_step(st, sm, y)
             assert abs(loss - math.log(classes)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_without_gradients_is_bit_identical(self, seed):
+        model, batch = toy_instance(seed)
+        sm = client_forward(model.client, batch)
+        loss, probs, _, _ = server_loss(model.server, sm, batch.y)
+        step_loss, _, grad = server_step(model.server, sm, batch.y)
+        assert loss == step_loss == grad.loss
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         model, batch = toy_instance(0)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from zksplit import protocol
+from zksplit import circuit, protocol
 from zksplit.backend import Statement, Verdict
 from zksplit.circuit import build_protocol_circuit, generate_witness
 from zksplit.config import ConfigError, SimConfig
+from zksplit.nn import client_forward, server_step
 from zksplit.protocol import (
     ProtocolError,
     ProverEntity,
@@ -38,6 +39,15 @@ def private_u(trainer):
 
 
 class TestHonestRun:
+    @pytest.mark.parametrize("mode", ["zk-mock", "none"])
+    def test_eval_loss_is_the_server_step_loss(self, mode):
+        tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=1, seed=3))
+        for r in range(3):
+            report = tr.run_round(r)
+            smashed = client_forward(tr.model.client, tr.eval_batch)
+            loss, _, _ = server_step(tr.model.server, smashed, tr.eval_batch.y)
+            assert report.eval_loss == loss
+
     def test_two_clients_five_rounds_all_accept_loss_decreases(self):
         # fixed one-batch shards: full-batch descent, monotone by construction
         cfg = SimConfig(mode="zk-mock", num_clients=2, m=M, rounds=5, seed=0,
@@ -309,6 +319,33 @@ class TestMessagePipeline:
             elif ok:
                 last = (msg.statement.digest(), msg.proof.body)
         assert forwards == 6
+
+    def test_each_witness_is_encoded_once(self, monkeypatch):
+        encoded = []
+        orig = circuit._write_elements
+
+        def record(values):
+            out = orig(values)
+            encoded.append(bytes(out))
+            return out
+
+        monkeypatch.setattr(circuit, "_write_elements", record)
+        proved = []
+        orig_prove = ProverEntity.prove
+
+        def prove(self, digest, statement, witness):
+            proved.append(witness)
+            return orig_prove(self, digest, statement, witness)
+
+        monkeypatch.setattr(ProverEntity, "prove", prove)
+        reports = Trainer(SimConfig(mode="zk-mock", num_clients=1, m=8, rounds=3,
+                                    seed=0)).train()
+        assert all(r.verdicts == {0: "Accepted"} for r in reports)
+        # a forward and a backward proof per round; each forward proof
+        # re-proves the witness of the previous backward one
+        assert len(proved) == 6 and len({id(w) for w in proved}) == 4
+        bodies = [w.to_bytes()[4:] for w in dict.fromkeys(proved)]
+        assert sorted(e for e in encoded if len(e) == len(bodies[0])) == sorted(bodies)
 
     @pytest.mark.parametrize("overrides, verdict", [
         ({"tamper_clients": [0]}, "RejectedProof"),

@@ -13,10 +13,11 @@ alternating which side goes first.  ``--trace-seed`` adds one ``--trace 1``
 run per side and workload.  Every run's result object and metadata (the
 record perfbench writes under ``perfbench/results/``) is appended to
 ``--runs`` as it ends; ``--out`` then gets all of them together with, per
-workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the change won.  A pair enters the summary only when both
-runs exited 0 and passed the correctness gate; the others are counted under
-``dropped``.  With no ``workload:seeds`` argument and no ``--trace-seed`` the
+workload and end-to-end metric, each side's median and quartiles, the
+number of pairs the change won and a ``verdict`` under the acceptance rule
+(``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``).  A
+pair enters the summary only when both runs exited 0 and passed the
+correctness gate; the others are counted under ``dropped``.  With no ``workload:seeds`` argument and no ``--trace-seed`` the
 command runs nothing and only rebuilds ``--out`` from the ``--runs`` file.
 """
 
@@ -60,8 +61,36 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def summary(runs, better):
-    """Per workload and end-to-end metric: both sides' quartiles and the pairs won.
+def verdict(parent, change, better: str, bound: float) -> str:
+    """The acceptance rule for one metric over paired runs (same order).
+
+    ``gain``: the change wins at least 9 of 10 pairs and the medians differ,
+    in its favour, by more than the parent's interquartile range.
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the
+    parent's IQR exceeds ``bound`` times its median, and not every change
+    run beats every parent run.  ``no worse``: anything else.
+    """
+    if len(parent) < 2:
+        return "unresolved"
+    sign = 1 if better == "lower" else -1
+    p, c = quartiles(parent), quartiles(change)
+    iqr = p["q3"] - p["q1"]
+    gained = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and gained > iqr:
+        return "gain"
+    if -gained > bound * abs(p["median"]):
+        return "worse"
+    apart = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    if iqr > bound * abs(p["median"]) and not apart:
+        return "unresolved"
+    return "no worse"
+
+
+def summary(runs, better, bounds):
+    """Per workload and end-to-end metric: both sides' quartiles, the pairs
+    won and the ``verdict``.
 
     Pairs where either run failed or failed the correctness gate are left out
     and counted as ``dropped``.
@@ -83,6 +112,7 @@ def summary(runs, better):
             out.setdefault(workload, {})[metric] = {
                 "pairs": len(done), "dropped": len(both) - len(done),
                 "change_wins": wins, "ties": ties,
+                "verdict": verdict(vals["parent"], vals["change"], direction, bounds[metric]),
                 **{side: {"values": v, **quartiles(v)} for side, v in vals.items() if len(v) > 1},
             }
     return out
@@ -115,11 +145,12 @@ def main(argv=None) -> int:
     runs = [json.loads(line) for line in args.runs.read_text().splitlines()]
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     args.out.write_text(json.dumps({
         "command": [*spec["command"], "--seconds", SECONDS],
         "commits": {side: next((r["record"]["metadata"]["commit"] for r in runs
                                 if r["side"] == side), None) for side in sides},
-        "summary": summary(runs, better),
+        "summary": summary(runs, better, bounds),
         "runs": runs,
     }, indent=1) + "\n")
     return 0 if all(ok(r) for r in runs) else 1
