@@ -6,6 +6,14 @@ computes softmax cross-entropy, and returns per-sample gradients with
 respect to the smashed batch.  Hidden layers are ReLU, the cut layer and
 the logit layer are linear.
 
+client_forward returns a ClientPass: the smashed batch, which is all the
+server receives, and the layer activations (the raw inputs first), which
+stay on the client.  client_backward differentiates that recorded pass,
+so a client turn runs its forward pass once.  Each layer allocates one
+output buffer: the bias is added into the array the matmul returns, and
+ReLU clips that array in place.  A ReLU's mask is read from its output
+(x > 0 exactly when max(x, 0) > 0), so no pre-activation is kept.
+
 Gradient conventions: server_step and client_backward return gradients
 summed over the batch (the per-sample sum), and sgd_step applies
 w <- w - lr * g / batch_size.  Reported loss values are per-sample means.
@@ -106,6 +114,16 @@ class SmashedBatch:
 
 
 @dataclass
+class ClientPass:
+    """One client forward pass: ``smashed`` goes to the server; ``acts``,
+    the raw inputs followed by every layer's output, stay with the client
+    for client_backward."""
+
+    smashed: SmashedBatch
+    acts: List[np.ndarray]
+
+
+@dataclass
 class GradientBatch:
     g_z: np.ndarray
     loss: float
@@ -146,46 +164,53 @@ def init_split_model(
 
 
 def _forward_cached(stack: DenseStack, x: np.ndarray):
+    """The stack's output and its activations, the inputs first."""
     a = x
-    pres = []
     acts = [x]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite checked by callers
         for w, b, act in zip(stack.weights, stack.biases, stack.activations):
             if a.shape[1] != w.shape[0]:
                 raise ShapeError(f"input width {a.shape[1]} != layer width {w.shape[0]}")
-            pre = a @ w + b
-            a = np.maximum(pre, 0.0) if act == "relu" else pre
-            pres.append(pre)
+            a = a @ w
+            a += b
+            if act == "relu":
+                np.maximum(a, 0.0, out=a)
             acts.append(a)
-    return a, pres, acts
+    return a, acts
 
 
-def _backward(stack: DenseStack, pres, acts, d_out: np.ndarray):
-    """Backprop d_out (batch rows) through the stack; grads are batch sums."""
+def _backward(stack: DenseStack, acts, d_out: np.ndarray):
+    """Backprop d_out (batch rows) through the stack; grads are batch sums.
+
+    Also returns d, the gradient at the first layer's pre-activation; the
+    gradient for the stack's inputs is d @ weights[0].T, which only the
+    server needs (the client's inputs are raw data).
+    """
     g_w = [None] * len(stack.weights)
     g_b = [None] * len(stack.biases)
     d = d_out
     for i in range(len(stack.weights) - 1, -1, -1):
+        if i < len(stack.weights) - 1:
+            d = d @ stack.weights[i + 1].T
         if stack.activations[i] == "relu":
-            d = d * (pres[i] > 0.0)
+            d = d * (acts[i + 1] > 0.0)
         g_w[i] = acts[i].T @ d
         g_b[i] = d.sum(axis=0)
-        d = d @ stack.weights[i].T
     return g_w, g_b, d
 
 
-def client_forward(client: DenseStack, batch: Batch) -> SmashedBatch:
-    z, _, _ = _forward_cached(client, batch.x)
+def client_forward(client: DenseStack, batch: Batch) -> ClientPass:
+    z, acts = _forward_cached(client, batch.x)
     if not np.all(np.isfinite(z)):
         raise NumericError("numeric blowup")
-    return SmashedBatch(z=z)
+    return ClientPass(SmashedBatch(z=z), acts)
 
 
 def server_loss(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
     """Forward from the cut layer and softmax cross-entropy, with no gradients.
 
     Returns (mean per-sample loss, softmax probabilities, and the layer
-    pre-activations and activations that _backward takes).
+    activations that _backward takes).
     """
     z = smashed.z
     if z.shape[1] != server.in_dim:
@@ -195,14 +220,14 @@ def server_loss(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
         raise ShapeError("labels do not match batch size")
     if labels.min() < 0 or labels.max() >= server.out_dim:
         raise ShapeError("label outside class count")
-    logits, pres, acts = _forward_cached(server, z)
+    logits, acts = _forward_cached(server, z)
     if not np.all(np.isfinite(logits)):
         raise NumericError("numeric blowup")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
     losses = -shifted[np.arange(z.shape[0]), labels] + np.log(exp.sum(axis=1))
-    return float(losses.mean()), probs, pres, acts
+    return float(losses.mean()), probs, acts
 
 
 def server_step(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
@@ -211,19 +236,19 @@ def server_step(server: DenseStack, smashed: SmashedBatch, labels: np.ndarray):
     Returns (mean per-sample loss, (g_w, g_b) summed over the batch,
     GradientBatch with per-sample rows dL_i/dz_i).
     """
-    loss, probs, pres, acts = server_loss(server, smashed, labels)
+    loss, probs, acts = server_loss(server, smashed, labels)
     d_logits = probs.copy()
     d_logits[np.arange(len(probs)), np.asarray(labels)] -= 1.0  # dL_i/dlogits, per sample
-    g_w, g_b, g_z = _backward(server, pres, acts, d_logits)
-    return loss, (g_w, g_b), GradientBatch(g_z=g_z, loss=loss)
+    g_w, g_b, d = _backward(server, acts, d_logits)
+    return loss, (g_w, g_b), GradientBatch(g_z=d @ server.weights[0].T, loss=loss)
 
 
-def client_backward(client: DenseStack, batch: Batch, grad: GradientBatch):
-    """Chain rule through the client layers; returns (g_w, g_b) batch sums."""
-    _, pres, acts = _forward_cached(client, batch.x)
-    if grad.g_z.shape != (batch.size, client.out_dim):
+def client_backward(client: DenseStack, forward: ClientPass, grad: GradientBatch):
+    """Chain rule through the client layers of ``forward``, the pass
+    client_forward ran on ``client``; returns (g_w, g_b) batch sums."""
+    if grad.g_z.shape != forward.smashed.z.shape:
         raise ShapeError("gradient shape does not match client output")
-    g_w, g_b, _ = _backward(client, pres, acts, grad.g_z)
+    g_w, g_b, _ = _backward(client, forward.acts, grad.g_z)
     return g_w, g_b
 
 

@@ -344,7 +344,7 @@ class Trainer:
                             statement=statement, proof=proof)
 
     def _canary_digest(self) -> str:
-        z = client_forward(self.model.client, self.canary_batch).z
+        z = client_forward(self.model.client, self.canary_batch).smashed.z
         zq = quantize_array(np.clip(z, -self.config.w_range, self.config.w_range),
                             self.wq_params)
         return hashlib.sha256(zq.astype("<i8").tobytes()).hexdigest()
@@ -374,7 +374,7 @@ class Trainer:
                 client.rejection_count += 1
 
         report.loss = float(np.mean(losses)) if losses else None
-        smashed_eval = client_forward(self.model.client, self.eval_batch)
+        smashed_eval = client_forward(self.model.client, self.eval_batch).smashed
         report.eval_loss = server_loss(self.model.server, smashed_eval, self.eval_batch.y)[0]
         report.stalled = not losses
         report.suspects = [
@@ -396,7 +396,8 @@ class Trainer:
         """
         cfg = self.config
         t0 = time.perf_counter()
-        smashed = client_forward(self.model.client, batch)
+        forward = client_forward(self.model.client, batch)
+        smashed = forward.smashed  # all the server sees of the client's pass
         timings["compute"] += time.perf_counter() - t0
 
         # the forward message re-proves the last accepted update
@@ -435,7 +436,7 @@ class Trainer:
 
         # both directions verified: apply updates
         t0 = time.perf_counter()
-        g_wc = client_backward(self.model.client, batch, grad)
+        g_wc = client_backward(self.model.client, forward, grad)
         self.model.server = new_server
         self.model.client = sgd_step(self.model.client, g_wc, cfg.lr, batch.size)
         # keep the cut-layer bias on the proven quantized trajectory

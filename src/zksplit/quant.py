@@ -163,14 +163,21 @@ def calibrate(
     return QuantParams(scale_exp=scale_exp, zero_point=z, eps=eps, q_min=q_min, q_max=q_max)
 
 
+def _real_range(p: QuantParams):
+    """[lo, hi), the reals x with q_min <= floor(x / s) + z <= q_max.
+
+    Both ends are small integers times a power of two, so they are exact,
+    and the range is checked before anything is scaled or cast.
+    """
+    return p.scale * (p.q_min - p.zero_point), p.scale * (p.q_max - p.zero_point + 1)
+
+
 def quantize(x: float, p: QuantParams) -> int:
     """q = floor(x / s) + z; errors on overflow instead of clamping."""
-    if not math.isfinite(x):
+    lo, hi = _real_range(p)
+    if not lo <= x < hi:  # also false for nan
         raise OverflowError_("quantization overflow")
-    q = math.floor(x * (2.0 ** p.scale_exp)) + p.zero_point
-    if q < p.q_min or q > p.q_max:
-        raise OverflowError_("quantization overflow")
-    return q
+    return math.floor(x * (2.0 ** p.scale_exp)) + p.zero_point
 
 
 def dequantize(q: int, p: QuantParams) -> float:
@@ -183,12 +190,10 @@ def dequantize(q: int, p: QuantParams) -> float:
 def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
     """Vector form of quantize; raises on any out-of-range element."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    lo, hi = _real_range(p)
+    if not (x.min(initial=lo) >= lo and x.max(initial=lo) < hi):  # nan propagates
         raise OverflowError_("quantization overflow")
-    q = np.floor(x * (2.0 ** p.scale_exp)).astype(np.int64) + p.zero_point
-    if q.min(initial=p.zero_point) < p.q_min or q.max(initial=p.zero_point) > p.q_max:
-        raise OverflowError_("quantization overflow")
-    return q
+    return np.floor(x * (2.0 ** p.scale_exp)).astype(np.int64) + p.zero_point
 
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:

@@ -92,15 +92,15 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
 
     def sum_loss(model, batch):
-        sm = client_forward(model.client, batch)
+        sm = client_forward(model.client, batch).smashed
         loss, _, _ = server_step(model.server, sm, batch.y)
         return loss * batch.size
 
     for seed in range(20):
         model, batch = _toy(seed)
-        sm = client_forward(model.client, batch)
-        _, (gw_s, gb_s), grad = server_step(model.server, sm, batch.y)
-        gw_c, gb_c = client_backward(model.client, batch, grad)
+        fwd = client_forward(model.client, batch)
+        _, (gw_s, gb_s), grad = server_step(model.server, fwd.smashed, batch.y)
+        gw_c, gb_c = client_backward(model.client, fwd, grad)
         for stack, gws, gbs in ((model.server, gw_s, gb_s), (model.client, gw_c, gb_c)):
             for li, (W, b) in enumerate(zip(stack.weights, stack.biases)):
                 for arr, g in ((W, gws[li]), (b, gbs[li])):

@@ -51,14 +51,31 @@ def test_identical_runs_are_no_worse():
     assert verdict([1.0] * 10, [1.0] * 10, "higher", 0.01) == "no worse"
 
 
-def test_summary_carries_the_verdict():
+def paired_runs(parent, change, rounds=(0, 0), ok_pairs=None):
+    """Synthetic run records, one pair per seed; ``rounds`` is each side's
+    rounds completed, plus the seed; pairs outside ``ok_pairs`` fail."""
     runs = []
-    for seed, (p, c) in enumerate(zip(PARENT, shifted(-1.0))):
-        for side, v in (("parent", p), ("change", c)):
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        for side, v, n in (("parent", p, rounds[0]), ("change", c, rounds[1])):
             runs.append({"workload": "w", "seed": seed, "trace": 0, "side": side,
-                         "returncode": 0, "record": {"result": {
+                         "returncode": 0 if ok_pairs is None or seed in ok_pairs else 1,
+                         "record": {"rounds": n + seed, "result": {
                              "correct": True, "metrics": {"round_ms.p90": {"value": v}}}}})
+    return runs
+
+
+def test_summary_carries_the_verdict():
+    runs = paired_runs(PARENT, shifted(-1.0))
     out = bench_pairs.summary(runs, {"round_ms.p90": "lower"}, {"round_ms.p90": 0.25})
     cell = out["w"]["round_ms.p90"]
     assert cell["pairs"] == 10 and cell["change_wins"] == 10
     assert cell["verdict"] == "gain"
+
+
+def test_summary_carries_each_sides_median_rounds_over_the_kept_pairs():
+    runs = paired_runs(PARENT, shifted(-1.0), rounds=(1000, 1200), ok_pairs={0, 1, 2, 9})
+    out = bench_pairs.summary(runs, {"round_ms.p90": "lower"}, {"round_ms.p90": 0.25})
+    # seeds 0, 1, 2 and 9 are kept: medians of 1000 + (0, 1, 2, 9) and 1200 + ...
+    assert out["w"]["rounds"] == {"parent": 1001.5, "change": 1201.5}
+    assert out["w"]["round_ms.p90"]["pairs"] == 4
+    assert out["w"]["round_ms.p90"]["dropped"] == 6

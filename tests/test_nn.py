@@ -22,6 +22,9 @@ from zksplit.nn import (
     server_step,
     sgd_step,
 )
+from zksplit import nn
+from zksplit.config import SimConfig
+from zksplit.protocol import Trainer
 
 H = 1e-5
 REL_TOL = 1e-5
@@ -46,7 +49,7 @@ def naive_forward(stack: DenseStack, x: np.ndarray) -> np.ndarray:
 
 def sum_loss(model: SplitModel, batch: Batch) -> float:
     """FD oracle target: gradients returned by the API are batch sums."""
-    sm = client_forward(model.client, batch)
+    sm = client_forward(model.client, batch).smashed
     loss, _, _ = server_step(model.server, sm, batch.y)
     return loss * batch.size
 
@@ -85,9 +88,9 @@ def toy_instance(seed: int, input_dim=6, cut=5, classes=3, batch=4,
 
 def fd_check_all_params(model: SplitModel, batch: Batch) -> float:
     """Central finite differences against every parameter coordinate."""
-    sm = client_forward(model.client, batch)
-    _, (gw_s, gb_s), grad = server_step(model.server, sm, batch.y)
-    gw_c, gb_c = client_backward(model.client, batch, grad)
+    fwd = client_forward(model.client, batch)
+    _, (gw_s, gb_s), grad = server_step(model.server, fwd.smashed, batch.y)
+    gw_c, gb_c = client_backward(model.client, fwd, grad)
     worst = 0.0
     for stack, gws, gbs in ((model.server, gw_s, gb_s), (model.client, gw_c, gb_c)):
         for li, (W, b) in enumerate(zip(stack.weights, stack.biases)):
@@ -108,13 +111,13 @@ def fd_check_all_params(model: SplitModel, batch: Batch) -> float:
 class TestClientForward:
     def test_zero_parameters_give_zero_output(self):
         st = DenseStack([np.zeros((4, 3))], [np.zeros(3)], ["linear"])
-        z = client_forward(st, Batch(x=np.ones((5, 4)), y=np.zeros(5, dtype=int))).z
+        z = client_forward(st, Batch(x=np.ones((5, 4)), y=np.zeros(5, dtype=int))).smashed.z
         assert np.all(z == 0.0)
 
     def test_identity_client_passes_input_through(self):
         st = DenseStack([np.eye(4)], [np.zeros(4)], ["linear"])
         x = np.random.default_rng(0).normal(size=(6, 4))
-        z = client_forward(st, Batch(x=x, y=np.zeros(6, dtype=int))).z
+        z = client_forward(st, Batch(x=x, y=np.zeros(6, dtype=int))).smashed.z
         assert np.array_equal(z, x)
 
     def test_matches_naive_triple_loop(self):
@@ -125,7 +128,7 @@ class TestClientForward:
             ["relu", "linear"],
         )
         x = rng.normal(size=(8, 5))
-        z = client_forward(st, Batch(x=x, y=np.zeros(8, dtype=int))).z
+        z = client_forward(st, Batch(x=x, y=np.zeros(8, dtype=int))).smashed.z
         ref = naive_forward(st, x)
         assert np.max(np.abs(z - ref) / np.maximum(1e-12, np.abs(ref))) < 1e-12
 
@@ -149,15 +152,15 @@ class TestServerStep:
     @pytest.mark.parametrize("seed", range(5))
     def test_loss_without_gradients_is_bit_identical(self, seed):
         model, batch = toy_instance(seed)
-        sm = client_forward(model.client, batch)
-        loss, probs, _, _ = server_loss(model.server, sm, batch.y)
+        sm = client_forward(model.client, batch).smashed
+        loss, probs, _ = server_loss(model.server, sm, batch.y)
         step_loss, _, grad = server_step(model.server, sm, batch.y)
         assert loss == step_loss == grad.loss
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         model, batch = toy_instance(0)
-        sm = client_forward(model.client, batch)
+        sm = client_forward(model.client, batch).smashed
         logits = sm.z @ model.server.weights[0] + model.server.biases[0]
         logits = np.maximum(logits, 0) @ model.server.weights[1] + model.server.biases[1]
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -170,7 +173,7 @@ class TestServerStep:
 
     def test_g_z_matches_finite_differences(self):
         model, batch = toy_instance(2)
-        sm = client_forward(model.client, batch)
+        sm = client_forward(model.client, batch).smashed
         _, _, grad = server_step(model.server, sm, batch.y)
         worst = 0.0
         for r in range(sm.z.shape[0]):
@@ -197,7 +200,7 @@ class TestClientBackward:
     def test_zero_upstream_gradient(self):
         model, batch = toy_instance(3)
         grad = GradientBatch(g_z=np.zeros((batch.size, model.cut_width)), loss=0.0)
-        gw, gb = client_backward(model.client, batch, grad)
+        gw, gb = client_backward(model.client, client_forward(model.client, batch), grad)
         assert all(np.all(g == 0) for g in gw) and all(np.all(g == 0) for g in gb)
 
     def test_linearity_in_upstream_gradient(self):
@@ -206,15 +209,91 @@ class TestClientBackward:
         st = DenseStack([rng.normal(size=(4, 3))], [rng.normal(size=3)], ["linear"])
         batch = Batch(x=rng.normal(size=(5, 4)), y=np.zeros(5, dtype=int))
         g = rng.normal(size=(5, 3))
-        gw1, gb1 = client_backward(st, batch, GradientBatch(g_z=g, loss=0.0))
-        gw2, gb2 = client_backward(st, batch, GradientBatch(g_z=2 * g, loss=0.0))
+        fwd = client_forward(st, batch)
+        gw1, gb1 = client_backward(st, fwd, GradientBatch(g_z=g, loss=0.0))
+        gw2, gb2 = client_backward(st, fwd, GradientBatch(g_z=2 * g, loss=0.0))
         assert np.allclose(2 * gw1[0], gw2[0]) and np.allclose(2 * gb1[0], gb2[0])
 
     def test_gradient_shape_check(self):
         model, batch = toy_instance(4)
         with pytest.raises(ShapeError):
-            client_backward(model.client, batch,
+            client_backward(model.client, client_forward(model.client, batch),
                             GradientBatch(g_z=np.zeros((batch.size, 999)), loss=0.0))
+
+
+def two_buffer_forward(stack: DenseStack, x: np.ndarray):
+    """The forward pass as it was before each layer kept one buffer:
+    ``a @ w + b``, then ReLU into a new array; pre-activations kept."""
+    a, pres, acts = x, [], [x]
+    for w, b, act in zip(stack.weights, stack.biases, stack.activations):
+        pre = a @ w + b
+        a = np.maximum(pre, 0.0) if act == "relu" else pre
+        pres.append(pre)
+        acts.append(a)
+    return pres, acts
+
+
+def two_buffer_backward(stack: DenseStack, pres, acts, d: np.ndarray):
+    """Backprop with the ReLU mask read from the pre-activations."""
+    g_w, g_b = [None] * len(stack.weights), [None] * len(stack.weights)
+    for i in range(len(stack.weights) - 1, -1, -1):
+        if stack.activations[i] == "relu":
+            d = d * (pres[i] > 0.0)
+        g_w[i] = acts[i].T @ d
+        g_b[i] = d.sum(axis=0)
+        d = d @ stack.weights[i].T
+    return g_w, g_b
+
+
+class TestRecordedPass:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backward_of_the_recorded_pass_equals_a_fresh_pass(self, seed):
+        model, batch = toy_instance(seed, client_hidden=(7, 5))
+        fwd = client_forward(model.client, batch)
+        _, _, grad = server_step(model.server, fwd.smashed, batch.y)
+        gw, gb = client_backward(model.client, fwd, grad)
+
+        z, acts = nn._forward_cached(model.client, batch.x)
+        assert np.array_equal(z, fwd.smashed.z)
+        fresh_w, fresh_b, _ = nn._backward(model.client, acts, grad.g_z)
+        pres, old_acts = two_buffer_forward(model.client, batch.x)
+        old_w, old_b = two_buffer_backward(model.client, pres, old_acts, grad.g_z)
+        assert np.array_equal(old_acts[-1], z)
+        for ref_w, ref_b in ((fresh_w, fresh_b), (old_w, old_b)):
+            assert all(np.array_equal(a, b) for a, b in zip(gw, ref_w))
+            assert all(np.array_equal(a, b) for a, b in zip(gb, ref_b))
+
+    def test_relu_mask_from_outputs_matches_pre_activations_at_zero(self):
+        # exact zeros and negative zeros stay masked, as with pre > 0
+        st = DenseStack([np.eye(3), np.eye(3)], [np.zeros(3), np.zeros(3)], ["relu", "linear"])
+        x = np.array([[0.0, -0.0, 2.0], [-1.0, 1e-300, -1e-300]])
+        fwd = client_forward(st, Batch(x=x, y=np.zeros(2, dtype=int)))
+        g = np.ones((2, 3))
+        gw, gb = client_backward(st, fwd, GradientBatch(g_z=g, loss=0.0))
+        pres, acts = two_buffer_forward(st, x)
+        old_w, old_b = two_buffer_backward(st, pres, acts, g)
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, old_w + old_b))
+
+    def test_the_server_receives_only_the_cut_layer_batch(self):
+        model, batch = toy_instance(2)
+        fwd = client_forward(model.client, batch)
+        assert list(vars(fwd.smashed)) == ["z"]
+        assert fwd.acts[0] is batch.x  # raw inputs stay in the client's pass
+
+    def test_one_client_round_runs_the_client_forward_twice(self, monkeypatch):
+        # once for the turn (its backward reuses it) and once for the eval
+        tr = Trainer(SimConfig(mode="blockchain", num_clients=1, m=32, seed=0))
+        calls = []
+        forward = nn._forward_cached
+
+        def counted(stack, x):
+            calls.append("client" if stack is tr.model.client else
+                         "server" if stack is tr.model.server else "other")
+            return forward(stack, x)
+
+        monkeypatch.setattr(nn, "_forward_cached", counted)
+        tr.run_round(0)
+        assert sorted(calls) == ["client", "client", "server", "server"]
 
 
 class TestSgdStep:
@@ -260,10 +339,10 @@ class TestTrainingBehavior:
         batch = Batch(x=x, y=y)  # full batch
         losses = []
         for _ in range(20):
-            sm = client_forward(model.client, batch)
-            loss, g_ws, grad = server_step(model.server, sm, batch.y)
+            fwd = client_forward(model.client, batch)
+            loss, g_ws, grad = server_step(model.server, fwd.smashed, batch.y)
             losses.append(loss)
-            g_wc = client_backward(model.client, batch, grad)
+            g_wc = client_backward(model.client, fwd, grad)
             model.server = sgd_step(model.server, g_ws, 0.1, batch.size)
             model.client = sgd_step(model.client, g_wc, 0.1, batch.size)
         assert all(a > b for a, b in zip(losses, losses[1:])), losses
@@ -274,9 +353,9 @@ class TestTrainingBehavior:
             model = init_split_model(4, [5], 4, [], 2, lr=0.1, seed=3)
             batch = Batch(x=x, y=y)
             for _ in range(5):
-                sm = client_forward(model.client, batch)
-                _, g_ws, grad = server_step(model.server, sm, batch.y)
-                g_wc = client_backward(model.client, batch, grad)
+                fwd = client_forward(model.client, batch)
+                _, g_ws, grad = server_step(model.server, fwd.smashed, batch.y)
+                g_wc = client_backward(model.client, fwd, grad)
                 model.server = sgd_step(model.server, g_ws, 0.1, batch.size)
                 model.client = sgd_step(model.client, g_wc, 0.1, batch.size)
             return model

@@ -44,7 +44,7 @@ class TestHonestRun:
         tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=1, seed=3))
         for r in range(3):
             report = tr.run_round(r)
-            smashed = client_forward(tr.model.client, tr.eval_batch)
+            smashed = client_forward(tr.model.client, tr.eval_batch).smashed
             loss, _, _ = server_step(tr.model.server, smashed, tr.eval_batch.y)
             assert report.eval_loss == loss
 
@@ -205,7 +205,7 @@ class TestMessages:
 
         batch = next(tr.clients[0].stream)
 
-        smashed = client_forward(tr.model.client, batch)
+        smashed = client_forward(tr.model.client, batch).smashed
         msg = tr._message("SmashedForward", tr.clients[0].sender, 0,
                           smashed.z.astype("<f8").tobytes(), tr.last_update)
         env = msg.envelope()
@@ -249,7 +249,7 @@ class TestMessages:
         batch = next(tr.clients[0].stream)
         from zksplit.nn import client_forward
 
-        smashed = client_forward(tr.model.client, batch)
+        smashed = client_forward(tr.model.client, batch).smashed
         msg = tr._message("SmashedForward", tr.clients[0].sender, 99,
                           smashed.z.astype("<f8").tobytes(), tr.last_update)
         blob_without_proof = RoundMessage(

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,26 @@ class TestArrays:
         p = calibrate(-1.0, 1.0)
         with pytest.raises(OverflowError_):
             quantize_array(np.array([0.0, 100.0]), p)
+
+    @pytest.mark.parametrize("big", [1e20, -1e20, 1e300, -1e300])
+    def test_values_beyond_int64_raise_before_the_cast(self, big):
+        p = calibrate(-4.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-cast or overflow warning
+            with pytest.raises(OverflowError_, match="quantization overflow"):
+                quantize_array(np.array([0.0, big]), p)
+            with pytest.raises(OverflowError_, match="quantization overflow"):
+                quantize(big, p)
+
+    def test_array_range_ends_are_exact(self):
+        p = calibrate(-2.0, 2.0)
+        top = p.effective_hi + p.scale  # the first real that floors past q_max
+        assert list(quantize_array([p.effective_lo, np.nextafter(top, 0.0)], p)) == [
+            p.q_min, p.q_max]
+        for x in (top, np.nextafter(p.effective_lo, -np.inf), np.nan, np.inf):
+            with pytest.raises(OverflowError_):
+                quantize_array([x], p)
+        assert quantize_array(np.zeros(0), p).shape == (0,)
 
     def test_quant_vector_validates(self):
         p = calibrate(-1.0, 1.0)

@@ -6,6 +6,7 @@ scale."""
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +138,32 @@ def test_trajectory_at_benchmark_scale_is_pinned(mode, clients):
         assert set(report.verdicts.values()) == {VERDICT_ACCEPTED}
     wq = hashlib.sha256(np.array(tr.wq_cur, dtype="<i8").tobytes()).hexdigest()
     assert (wq, model_digest(tr)) == PINNED_TRAJECTORIES[mode, clients]
+
+
+# model_digest and the last round's eval_loss (float hex) after 3 rounds of
+# SimConfig(mode=mode, m=1000, rounds=3, seed=0), two honest clients, taken
+# before the client's forward pass was recorded for its backward pass and
+# each layer wrote into one buffer.  Every mode trains the same model here.
+PINNED_MODEL_M1000 = "294c3d2d8ee8ac3cb48635d5a478e30816dd45fedbcd94bbc032e808a4738ccf"
+PINNED_EVAL_LOSS_M1000 = "0x1.8aca9fe6a22a3p+1"
+
+
+@pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock"])
+def test_model_and_eval_loss_at_benchmark_scale_are_pinned(mode):
+    tr = Trainer(SimConfig(mode=mode, m=1000, rounds=3, seed=0))
+    reports = tr.train()
+    assert all(set(r.verdicts.values()) == {VERDICT_ACCEPTED} for r in reports)
+    assert model_digest(tr) == PINNED_MODEL_M1000
+    assert reports[-1].eval_loss.hex() == PINNED_EVAL_LOSS_M1000
+
+
+def test_quantization_overflow_from_a_huge_step_sits_the_client_out():
+    # u = -lr/B * sum(g_z) is far beyond int64 at lr = 1e30; the range is
+    # checked on the floats, so no invalid-cast warning escapes the round
+    tr = Trainer(SimConfig(mode="blockchain", num_clients=1, m=M, seed=0, lr=1e30))
+    before = model_digest(tr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = tr.run_round(0)
+    assert report.verdicts == {0: VERDICT_MISSING}
+    assert model_digest(tr) == before

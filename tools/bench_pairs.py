@@ -15,7 +15,8 @@ record perfbench writes under ``perfbench/results/``) is appended to
 ``--runs`` as it ends; ``--out`` then gets all of them together with, per
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won and a ``verdict`` under the acceptance rule
-(``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``).  A
+(``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``), and
+per workload each side's median number of rounds completed.  A
 pair enters the summary only when both runs exited 0 and passed the
 correctness gate; the others are counted under ``dropped``.  With no ``workload:seeds`` argument and no ``--trace-seed`` the
 command runs nothing and only rebuilds ``--out`` from the ``--runs`` file.
@@ -90,7 +91,9 @@ def verdict(parent, change, better: str, bound: float) -> str:
 
 def summary(runs, better, bounds):
     """Per workload and end-to-end metric: both sides' quartiles, the pairs
-    won and the ``verdict``.
+    won and the ``verdict``; per workload also each side's median ``rounds``
+    (the rounds a run completed, so that a metric which grows with them,
+    such as ``peak_rss_mb``, can be read against them).
 
     Pairs where either run failed or failed the correctness gate are left out
     and counted as ``dropped``.
@@ -103,6 +106,10 @@ def summary(runs, better, bounds):
     for workload, by_seed in pairs.items():
         both = [p for p in by_seed.values() if {"parent", "change"} <= p.keys()]
         done = [p for p in both if ok(p["parent"]) and ok(p["change"])]
+        if done:
+            out[workload] = {"rounds": {side: statistics.median(p[side]["record"]["rounds"]
+                                                                for p in done)
+                                        for side in ("parent", "change")}}
         for metric, direction in better.items():
             vals = {side: [p[side]["record"]["result"]["metrics"][metric]["value"] for p in done]
                     for side in ("parent", "change")}
