@@ -2,7 +2,7 @@
 
 Two relations are circuit-compiled, both stated over quantized integers:
 
-  aggregation   U' = K * U        (K a 1 x n weight row, U an n x m matrix)
+  aggregation   U' = K * U        (K one weight, U and U' of length m)
   update        W' = W + U'       (elementwise, length m)
 
 Dequantizing each symbol with its own scale and zero-point and clearing
@@ -11,7 +11,7 @@ an exact integer identity with a nonnegative remainder R < 2**eta that
 absorbs floor rounding:
 
   aggregation, per output j:
-      c_a * sum_k (K_k - z_K)(U_kj - z_U)  =  2**eta * (U'_j - z_U') + R_j
+      c_a * (K - z_K)(U_j - z_U)  =  2**eta * (U'_j - z_U') + R_j
       with c_a = 2**(eta + f_U' - f_K - f_U)
 
   update, per element j:
@@ -24,26 +24,28 @@ integers whenever their exponents are nonnegative; a negative exponent is
 rejected at build time.  R is never materialized as its own wire: the
 relation constraint recomposes it directly from eta boolean wires, which
 both range-checks R and keeps the count at m * (1 + eta) constraints per
-circuit.
+relation.
 
 The remainder convention here is R = floor_term - 2**eta*(out - z) >= 0,
 the mirror image of writing the leftover on the other side of the
 equation; nonnegative remainders admit direct binary range checks.
 
-The gadget.  Every relation row of every circuit kind is a _Floor row,
-a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt, followed by the eta
-booleanity rows of its bits; a builder only allocates wires and names the
-factors a and b.  Aggregation with n = 1 and the composed circuit share
-c_a * (K - z_K) times (U - z_U), update and composed share
-c_w * (W - z_W) + c_u * (U' - z_U') times 1, and aggregation with n > 1
-multiplies the sum of c_a * Pa_kj over its n product rows by 1.
-_Floor.bits derives the same bits for generate_witness.
+The gadgets.  A circuit kind, listed in BUILDERS, is its public and free
+private wires plus a list of _Floor gadgets, one per relation
+(_Aggregation, _Update).  Each gadget owns a contiguous range of wires:
+its eta bit wires per element, and its output bank when that is private,
+as U' in the composed circuit.  It writes its rows, the relation row
+a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt and the eta booleanity
+rows of its bits, and for a witness it computes its floor term from the
+wires before its own and fills in its range.  generate_witness thus has
+no branch per kind.
 
 The arithmetic.  aggregation_floor and update_floor compute the left-hand
 sides above, the floor terms, on numpy arrays; they are the one
-implementation of the quantized arithmetic.  quantized_aggregate and
+implementation of the quantized arithmetic, and also accept n weights and
+n rows of U, summing the n products.  quantized_aggregate and
 quantized_update are (floor >> eta) + z, which floors like the
-rationals, and generate_witness derives U', W' and every remainder
+rationals, and the gadgets derive U' and every remainder
 floor - 2**eta * (out - z) from the same two functions.  With d the
 largest |v - z| over the quantized range, widened to cover the operands,
 the aggregation floor and its remainder stay below
@@ -211,7 +213,8 @@ class FieldVector:
     canonical tuple is held instead.  ``values`` is always the canonical
     tuple, derived on first use.  Witnesses and statements share this
     representation and its codec: a little-endian u32 count followed by
-    32-byte little-endian canonical elements.  Nothing can change a vector
+    32-byte little-endian canonical elements.  An int64 array is copied,
+    unless ``copy=False`` hands it over; nothing can change a vector
     after it is made, so ``to_bytes`` encodes it once and returns the same
     bytes on every later call; a decoded vector keeps the frame it was read
     from as its encoding.
@@ -238,11 +241,11 @@ class FieldVector:
     _values: Tuple[int, ...] | None = None
     _bytes: bytes | None = None
 
-    def __init__(self, values) -> None:
+    def __init__(self, values, copy: bool = True) -> None:
         if isinstance(values, np.ndarray) and values.dtype == np.int64 and (
             values.size == 0 or (values.min() > -SMALL and values.max() < SMALL)
         ):
-            signed = values.copy()
+            signed = values.copy() if copy else values
         else:
             ints = [to_signed(int(v) % P) for v in values]
             if all(-SMALL < v < SMALL for v in ints):
@@ -469,6 +472,8 @@ class ConstraintSystem:
         self.constraints: List[Tuple[LinComb, LinComb, LinComb]] = []
         self._digest: str | None = None
         self._compiled: CompiledR1CS | None = None
+        # the gadgets that derive a witness: set by the builders, none from JSON
+        self.gadgets: List["_Floor"] = []
 
     # -- construction ----------------------------------------------------
 
@@ -620,98 +625,124 @@ class ConstraintSystem:
 # -- builders --------------------------------------------------------------
 
 
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise CircuitError("m must be >= 1")
+def _bank(cs: ConstraintSystem, name: str, m: int, public: bool = False) -> range:
+    """Allocate wires {name}[0..m), a contiguous range."""
+    add = cs.add_public if public else cs.add_private
+    wires = [add(f"{name}[{j}]") for j in range(m)]
+    return range(wires[0], wires[-1] + 1)
 
 
 class _Floor:
     """The floor relation a * b = 2**eta * (out_j - z) + R_j, 0 <= R_j < 2**eta.
 
-    One instance covers one output vector ``out`` of a circuit.  R_j is
-    recomposed from eta bit wires {name}[j]:b{t}, allocated here, which
-    range-checks it through eta booleanity rows.  ``row`` emits the
-    relation row of element j for given factors a and b, ``booleans`` its
-    booleanity rows, and ``bits`` computes the same bits for a witness.
+    One gadget covers one output bank ``out`` of a circuit and owns the
+    wire range ``wires``: ``out`` when it is given as a name, a private
+    bank allocated here and derived as (floor >> eta) + z, and ``bits[j]``,
+    the eta wires {rem}[j]:b{t} of element j, all in one stretch, that
+    recompose R_j and range-check it through eta booleanity rows.  A
+    subclass names the factors a and b of element j (``factors``) and
+    computes every element's floor term from the wires before its own
+    (``floor``).
     """
 
-    def __init__(self, cs: ConstraintSystem, name: str, out: List[int], z: int):
-        eta = cs.constants.eta
-        self.out = out
-        self.z = z
-        self.wires = [[cs.add_private(f"{name}[{j}]:b{t}") for t in range(eta)]
-                      for j in range(len(out))]
+    def __init__(self, cs: ConstraintSystem, rem: str, out: range | str, z: int):
+        self.c, self.z, eta, first = cs.constants, z, cs.constants.eta, cs.num_wires
+        self.private_out = isinstance(out, str)
+        self.out = _bank(cs, out, cs.m) if self.private_out else out
+        self.bits = [[cs.add_private(f"{rem}[{j}]:b{t}") for t in range(eta)] for j in range(cs.m)]
+        self.wires = range(first, cs.num_wires)
 
-    def row(self, cs: ConstraintSystem, j: int, a: LinComb, b: LinComb) -> None:
-        two_eta = 1 << cs.constants.eta
+    def row(self, cs: ConstraintSystem, j: int) -> None:
+        two_eta = 1 << self.c.eta
         c: LinComb = {self.out[j]: two_eta, 0: -two_eta * self.z}
-        for t, bit in enumerate(self.wires[j]):
+        for t, bit in enumerate(self.bits[j]):
             c[bit] = 1 << t
-        cs.add_constraint(a, b, c)
+        cs.add_constraint(*self.factors(j), c)
 
     def booleans(self, cs: ConstraintSystem, j: int) -> None:
-        for bit in self.wires[j]:
+        for bit in self.bits[j]:
             cs.add_boolean(bit)
 
-    @staticmethod
-    def bits(floor: np.ndarray, out: np.ndarray, z: int, eta: int) -> np.ndarray:
-        """The bit wires of every element, element-major: the eta bits of
-        R = floor - 2**eta * (out - z), which lies in [0, 2**eta) exactly
-        when out is the honest quantized output (floor >> eta) + z."""
-        two_eta = 1 << eta
-        r = floor - two_eta * (out.astype(floor.dtype, copy=False) - z)
+    def fill(self, w: np.ndarray) -> None:
+        """Write this gadget's wires of the witness w: a private output, and
+        the eta bits of every R = floor - 2**eta * (out - z), which lies in
+        [0, 2**eta) exactly when out is the honest quantized output
+        (floor >> eta) + z."""
+        c, floor, out = self.c, self.floor(w), slice(self.out.start, self.out.stop)
+        if self.private_out:
+            derived = (floor >> c.eta) + self.z
+            if ((derived < c.q_min) | (derived > c.q_max)).any():
+                raise InconsistentStatementError("inconsistent statement")
+            w[out] = derived
+        two_eta = 1 << c.eta
+        r = floor - two_eta * (w[out].astype(floor.dtype, copy=False) - self.z)
         if not ((r >= 0) & (r < two_eta)).all():
             raise InconsistentStatementError("inconsistent statement")
-        return _bit_rows(r, eta)
+        w[self.bits[0][0] : self.bits[-1][-1] + 1] = _bit_rows(r, c.eta)
 
 
-def _aggregation_factors(c: CircuitConstants, k: int, u: int) -> Tuple[LinComb, LinComb]:
-    """ca * (K - z_K) and (U - z_U), the factors of one aggregation row with n = 1."""
-    ca = 1 << c.agg_shift
-    return {k: ca, 0: -ca * c.z_k}, {u: 1, 0: -c.z_u}
+class _Aggregation(_Floor):
+    """U' = K * U: ca * (K - z_K) times (U_j - z_U)."""
+
+    def __init__(self, cs: ConstraintSystem, k: int, u: range, out: range | str):
+        cs.constants.require_aggregation_exact()
+        self.k, self.u = k, u
+        super().__init__(cs, "Ra", out, cs.constants.z_up)
+
+    def factors(self, j: int) -> Tuple[LinComb, LinComb]:
+        ca = 1 << self.c.agg_shift
+        return {self.k: ca, 0: -ca * self.c.z_k}, {self.u[j]: 1, 0: -self.c.z_u}
+
+    def floor(self, w: np.ndarray) -> np.ndarray:
+        u = w[None, self.u.start : self.u.stop]
+        return aggregation_floor(w[self.k : self.k + 1], u, self.c)
 
 
-def _update_factors(c: CircuitConstants, w: int, up: int) -> Tuple[LinComb, LinComb]:
-    """cw * (W - z_W) + cu * (U' - z_U') and 1, the factors of one update row."""
-    cw = 1 << c.upd_w_shift
-    cu = 1 << c.upd_u_shift
-    return {w: cw, up: cu, 0: -(cw * c.z_w + cu * c.z_up)}, {0: 1}
+class _Update(_Floor):
+    """W' = W + U': cw * (W_j - z_W) + cu * (U'_j - z_U') times 1."""
+
+    def __init__(self, cs: ConstraintSystem, w: range, up: range, out: range):
+        cs.constants.require_update_exact()
+        self.w, self.up = w, up
+        super().__init__(cs, "Ru", out, cs.constants.z_wp)
+
+    def factors(self, j: int) -> Tuple[LinComb, LinComb]:
+        c = self.c
+        cw, cu = 1 << c.upd_w_shift, 1 << c.upd_u_shift
+        return {self.w[j]: cw, self.up[j]: cu, 0: -(cw * c.z_w + cu * c.z_up)}, {0: 1}
+
+    def floor(self, w: np.ndarray) -> np.ndarray:
+        return update_floor(w[self.w.start : self.w.stop], w[self.up.start : self.up.stop], self.c)
 
 
-def build_aggregation_circuit(m: int, n: int, constants: CircuitConstants) -> ConstraintSystem:
+def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem:
+    if m < 1:
+        raise CircuitError("m must be >= 1")
+    return ConstraintSystem(kind, m, 1, constants)
+
+
+def _emit(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
+    """Write, element by element, every gadget's relation row and then every
+    gadget's booleanity rows, and keep the gadgets for generate_witness."""
+    for j in range(cs.m):
+        for g in gadgets:
+            g.row(cs, j)
+        for g in gadgets:
+            g.booleans(cs, j)
+    cs.gadgets = gadgets
+    return cs
+
+
+def build_aggregation_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
     """Circuit for U' = K * U over quantized integers.
 
-    Public wires: U'[0..m), K[0..n).  Private wires: U[k][j], partial
-    products for n > 1, and eta remainder bits per output element.
+    Public wires: U'[0..m), K[0].  Private wires: U[0][j] and eta
+    remainder bits per output element.
     """
-    _check_m(m)
-    if n < 1:
-        raise CircuitError("n must be >= 1")
-    constants.require_aggregation_exact()
-    cs = ConstraintSystem("aggregation", m, n, constants)
-    c = constants
-
-    up = [cs.add_public(f"Up[{j}]") for j in range(m)]
-    kk = [cs.add_public(f"K[{k}]") for k in range(n)]
-    uu = [[cs.add_private(f"U[{k}][{j}]") for j in range(m)] for k in range(n)]
-    if n > 1:
-        pp = [[cs.add_private(f"Pa[{k}][{j}]") for j in range(m)] for k in range(n)]
-    ra = _Floor(cs, "Ra", up, c.z_up)
-
-    for j in range(m):
-        if n == 1:
-            # single product folded straight into the relation constraint
-            ra.row(cs, j, *_aggregation_factors(c, kk[0], uu[0][j]))
-        else:
-            for k in range(n):
-                cs.add_constraint(
-                    {kk[k]: 1, 0: -c.z_k},
-                    {uu[k][j]: 1, 0: -c.z_u},
-                    {pp[k][j]: 1},
-                )
-            ra.row(cs, j, {p[j]: 1 << c.agg_shift for p in pp}, {0: 1})
-        ra.booleans(cs, j)
-    return cs
+    cs = _circuit("aggregation", m, constants)
+    up = _bank(cs, "Up", m, public=True)
+    k = cs.add_public("K[0]")
+    return _emit(cs, [_Aggregation(cs, k, _bank(cs, "U[0]", m), up)])
 
 
 def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -720,49 +751,27 @@ def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSyste
     Public wires: W'[0..m), W[0..m).  Private wires: U'[j] and eta
     remainder bits per element.
     """
-    _check_m(m)
-    constants.require_update_exact()
-    cs = ConstraintSystem("update", m, 1, constants)
-    c = constants
-
-    wp = [cs.add_public(f"Wp[{j}]") for j in range(m)]
-    ww = [cs.add_public(f"W[{j}]") for j in range(m)]
-    up = [cs.add_private(f"Up[{j}]") for j in range(m)]
-    ru = _Floor(cs, "Ru", wp, c.z_wp)
-
-    for j in range(m):
-        ru.row(cs, j, *_update_factors(c, ww[j], up[j]))
-        ru.booleans(cs, j)
-    return cs
+    cs = _circuit("update", m, constants)
+    wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
+    return _emit(cs, [_Update(cs, ww, _bank(cs, "Up", m), wp)])
 
 
 def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
     """Aggregation feeding update with U' kept private: W' = W + K*U.
 
     This is the relation attached to protocol messages.  Public wires in
-    statement order: W'[0..m), W[0..m), K.  Private wires: U[j], U'[j],
-    and the two remainder bit banks.
+    statement order: W'[0..m), W[0..m), K.  Private wires: U[j], then the
+    aggregation's U'[j] and remainder bits, then the update's bits.
     """
-    _check_m(m)
-    constants.require_aggregation_exact()
-    constants.require_update_exact()
-    cs = ConstraintSystem("composed", m, 1, constants)
-    c = constants
+    cs = _circuit("composed", m, constants)
+    wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
+    k = cs.add_public("K[0]")
+    agg = _Aggregation(cs, k, _bank(cs, "U", m), "Up")
+    return _emit(cs, [agg, _Update(cs, ww, agg.out, wp)])
 
-    wp = [cs.add_public(f"Wp[{j}]") for j in range(m)]
-    ww = [cs.add_public(f"W[{j}]") for j in range(m)]
-    k0 = cs.add_public("K[0]")
-    uu = [cs.add_private(f"U[{j}]") for j in range(m)]
-    up = [cs.add_private(f"Up[{j}]") for j in range(m)]
-    ra = _Floor(cs, "Ra", up, c.z_up)
-    ru = _Floor(cs, "Ru", wp, c.z_wp)
 
-    for j in range(m):
-        ra.row(cs, j, *_aggregation_factors(c, k0, uu[j]))
-        ru.row(cs, j, *_update_factors(c, ww[j], up[j]))
-        ra.booleans(cs, j)
-        ru.booleans(cs, j)
-    return cs
+BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
+            "composed": build_protocol_circuit}
 
 
 # -- the honest quantized arithmetic, shared by the protocol and witnesses --
@@ -794,24 +803,20 @@ def _span(c: CircuitConstants, *operands: np.ndarray) -> int:
     return top + max(abs(z) for z in (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp))
 
 
-def _aggregation_products(k_q, u_q, c: CircuitConstants) -> np.ndarray:
-    """The n x m matrix (K_k - z_K)(U_kj - z_U), in the dtype of aggregation_floor."""
-    c.require_aggregation_exact()
-    k, u = _ints(k_q), _ints(u_q)
-    if u.ndim != 2 or u.shape[0] != k.size:
-        raise CircuitError(f"U has shape {u.shape}, expected {k.size} rows")
-    d = _span(c, k, u)
-    dt = _int_dtype((1 << c.agg_shift) * k.size * d * d + (1 << c.eta) * (d + 1))
-    return (k.astype(dt, copy=False)[:, None] - c.z_k) * (u.astype(dt, copy=False) - c.z_u)
-
-
 def aggregation_floor(k_q, u_q, c: CircuitConstants) -> np.ndarray:
     """ca * sum_k (K_k - z_K)(U_kj - z_U) for every output j, exactly.
 
     K is a length-n vector and U an n x m matrix.  Its floor division by
     2**eta gives U'_j - z_U'.
     """
-    return (1 << c.agg_shift) * _aggregation_products(k_q, u_q, c).sum(axis=0)
+    c.require_aggregation_exact()
+    k, u = _ints(k_q), _ints(u_q)
+    if u.ndim != 2 or u.shape[0] != k.size:
+        raise CircuitError(f"U has shape {u.shape}, expected {k.size} rows")
+    d = _span(c, k, u)
+    dt = _int_dtype((1 << c.agg_shift) * k.size * d * d + (1 << c.eta) * (d + 1))
+    products = (k.astype(dt, copy=False)[:, None] - c.z_k) * (u.astype(dt, copy=False) - c.z_u)
+    return (1 << c.agg_shift) * products.sum(axis=0)
 
 
 def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
@@ -880,47 +885,32 @@ def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
 
 def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
                      private_values: Sequence[int]) -> Witness:
-    """Compute the full assignment, deriving remainders and their bits.
+    """Compute the full assignment, deriving private outputs and remainder bits.
 
     public_values follows the circuit's statement order; private_values
-    supplies only the free private inputs (U row-major for aggregation,
-    U' for the update circuit, U for the composed circuit), whose wires
-    follow the public ones.  Every value must lie in the quantized range.
-    Remainders are computed exactly from aggregation_floor and
-    update_floor; a remainder outside [0, 2**eta) means the public outputs
-    were not produced by honest quantization of these inputs and raises
-    InconsistentStatementError.
+    supplies only the free private inputs (U for aggregation and the
+    composed circuit, U' for the update circuit), whose wires follow the
+    public ones.  Every value must lie in the quantized range.  Each of the
+    circuit's gadgets then fills in its own wires; a remainder outside
+    [0, 2**eta) means the public outputs were not produced by honest
+    quantization of these inputs and raises InconsistentStatementError.
+    A circuit read back from JSON has no gadgets and raises CircuitError.
     """
-    c = cs.constants
-    m, n = cs.m, cs.n
+    if not cs.gadgets:
+        raise CircuitError("circuit has no gadgets to derive a witness")
     # accept either signed quantized integers or canonical field elements
     pub = _signed_array(public_values)
     priv = _signed_array(private_values)
+    free = cs.gadgets[0].wires.start - 1 - cs.num_public
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
-    if len(priv) != n * m:  # n is 1 but for aggregation
-        raise CircuitError(f"expected {n * m} private values, got {len(priv)}")
+    if len(priv) != free:
+        raise CircuitError(f"expected {free} private values, got {len(priv)}")
     inputs = np.concatenate([pub, priv])
     _check_range(cs, inputs)
-
-    if cs.kind == "aggregation":
-        u = priv.reshape(n, m)
-        # partial product wires are laid out Pa[k][j], k-major
-        partials = _aggregation_products(pub[m:], u, c).ravel() if n > 1 else priv[:0]
-        tail = [partials, _Floor.bits(aggregation_floor(pub[m:], u, c), pub[:m], c.z_up, c.eta)]
-
-    elif cs.kind == "update":
-        tail = [_Floor.bits(update_floor(pub[m:], priv, c), pub[:m], c.z_wp, c.eta)]
-
-    elif cs.kind == "composed":
-        t_agg = aggregation_floor(pub[2 * m :], priv.reshape(1, m), c)
-        up = (t_agg >> c.eta) + c.z_up
-        if ((up < c.q_min) | (up > c.q_max)).any():
-            raise InconsistentStatementError("inconsistent statement")
-        tail = [up, _Floor.bits(t_agg, up, c.z_up, c.eta),
-                _Floor.bits(update_floor(pub[m : 2 * m], up, c), pub[:m], c.z_wp, c.eta)]
-
-    else:
-        raise CircuitError(f"unknown circuit kind {cs.kind!r}")
-
-    return Witness(np.concatenate([np.ones(1, dtype=np.int64), inputs, *tail]))
+    w = np.zeros(cs.num_wires, dtype=inputs.dtype)
+    w[0] = 1
+    w[1 : 1 + len(inputs)] = inputs
+    for g in cs.gadgets:
+        g.fill(w)
+    return Witness(w, copy=False)  # nothing else holds w

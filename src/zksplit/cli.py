@@ -20,7 +20,7 @@ import argparse
 import json
 import signal
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -34,13 +34,7 @@ from .backend import (
     load_verifying_key,
 )
 from .bench import BenchError, emit, format_summary, run_benchmark, summarize
-from .circuit import (
-    CircuitConstants,
-    ConstraintSystem,
-    build_aggregation_circuit,
-    build_protocol_circuit,
-    build_update_circuit,
-)
+from .circuit import BUILDERS, CircuitConstants, ConstraintSystem, generate_witness
 from .config import MODES, ConfigError, SimConfig
 from .ledger import Chain
 from .nn import save_checkpoint
@@ -141,26 +135,35 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _build_circuit_from_spec(spec: dict) -> ConstraintSystem:
-    constants = CircuitConstants(**spec.get("constants", {}))
-    kind = spec.get("kind", "composed")
-    m = int(spec.get("m", 1))
-    if kind == "aggregation":
-        return build_aggregation_circuit(m, int(spec.get("n", 1)), constants)
-    if kind == "update":
-        return build_update_circuit(m, constants)
-    if kind == "composed":
-        return build_protocol_circuit(m, constants)
-    raise ConfigError(f"unknown circuit kind {kind!r}")
+_CONSTANT_NAMES = {f.name for f in fields(CircuitConstants)}
+
+
+def _build_circuit_from_spec(spec) -> ConstraintSystem:
+    """The circuit of a spec {"kind": ..., "m": ..., "constants": {...}}."""
+    if not isinstance(spec, dict) or not set(spec) <= {"kind", "m", "constants"}:
+        raise ConfigError("a circuit spec is an object with keys kind, m and constants")
+    kind, m, constants = spec.get("kind", "composed"), spec.get("m", 1), spec.get("constants", {})
+    if not isinstance(kind, str) or kind not in BUILDERS:
+        raise ConfigError(f"unknown circuit kind {kind!r}")
+    if not isinstance(constants, dict) or not set(constants) <= _CONSTANT_NAMES:
+        raise ConfigError(f"unknown circuit constants in {constants!r}")
+    if not all(type(v) is int for v in (m, *constants.values())):
+        raise ConfigError("circuit m and constants must be integers")
+    return BUILDERS[kind](m, CircuitConstants(**constants))
+
+
+def _read_ints(path: str) -> list:
+    """A JSON file holding a list of integers (no bools, floats or others)."""
+    values = json.loads(Path(path).read_text())
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ConfigError(f"{path}: expected a JSON list of integers")
+    return values
 
 
 def _cmd_prove(args) -> int:
     circuit = _build_circuit_from_spec(json.loads(Path(args.circuit).read_text()))
-    statement = Statement(json.loads(Path(args.statement).read_text()))
-    private = json.loads(Path(args.witness).read_text())
-    from .circuit import generate_witness
-
-    witness = generate_witness(circuit, statement, private)
+    statement = Statement(_read_ints(args.statement))
+    witness = generate_witness(circuit, statement, _read_ints(args.witness))
     backend = get_backend(args.backend)
     pair = backend.setup(circuit, args.setup_seed.encode())
     proof = backend.prove(pair.proving_key, statement, witness)
@@ -182,7 +185,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_verify(args) -> int:
     vk = load_verifying_key(Path(args.vk).read_bytes())
-    statement = Statement(json.loads(Path(args.statement).read_text()))
+    statement = Statement(_read_ints(args.statement))
     proof = Proof.from_bytes(Path(args.proof).read_bytes())
     backend = get_backend(proof.backend)
     verdict = backend.verify(vk, statement, proof)
@@ -204,7 +207,7 @@ def _cmd_ledger_verify(args) -> int:
 
 
 def _cmd_circuit_export(args) -> int:
-    spec = {"kind": args.kind, "m": args.m, "n": args.n}
+    spec = {"kind": args.kind, "m": args.m}
     if args.eta is not None:
         spec["constants"] = {"eta": args.eta}
     circuit = _build_circuit_from_spec(spec)
@@ -283,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_circuit = sub.add_parser("circuit", help="circuit operations")
     circuit_sub = p_circuit.add_subparsers(dest="circuit_command", required=True)
     p_ce = circuit_sub.add_parser("export", help="dump a circuit as JSON")
-    p_ce.add_argument("--kind", default="composed",
-                      choices=["aggregation", "update", "composed"])
+    p_ce.add_argument("--kind", default="composed", choices=list(BUILDERS))
     p_ce.add_argument("--m", type=int, default=4)
-    p_ce.add_argument("--n", type=int, default=1)
     p_ce.add_argument("--eta", type=int)
     p_ce.add_argument("--compact", action="store_true",
                       help="print the canonical JSON whose SHA-256 is the circuit digest")

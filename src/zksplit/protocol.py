@@ -21,9 +21,11 @@ A rejected or missing proof excludes the client for the round: nothing it
 sent touches the server parameters, so the global model after the round
 is bit-identical to a run without that client's contribution.
 
-What is proven is exactly the quantized cut-layer bias update relation,
-not the full network forward pass; the proof pipeline attests update
-consistency at the split boundary.
+A proof binds the statement W', W, K, not the message's payload nor the
+network's passes.  U and U' are not range-checked: for any in-range W', W
+and any K != z_K the rows solve by division mod P, and under the
+trainer's constants they force U = W' - W.  tests/test_snark_threats.py
+pins both, and that a payload replaced after proving is still accepted.
 
 The Prover Entity and Verifying Entity are in-process trusted roles: the
 PE holds proving keys and sees witnesses, the VE holds verifying keys and

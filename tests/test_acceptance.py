@@ -156,7 +156,7 @@ def _honest_agg(rnd, m, c):
     k_q = rnd.randint(c.z_k + 1, 4000)
     u_q = [[rnd.randint(-4000, 4000) for _ in range(m)]]
     up_q = quantized_aggregate([k_q], u_q, c)
-    cs = build_aggregation_circuit(m, 1, c)
+    cs = build_aggregation_circuit(m, c)
     wit = generate_witness(cs, up_q + [k_q], u_q[0])
     return cs, wit
 

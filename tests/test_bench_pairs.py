@@ -1,6 +1,8 @@
-"""The per-metric verdict of tools/bench_pairs.py on synthetic paired runs."""
+"""The per-metric verdict and the summary of tools/bench_pairs.py on
+synthetic paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,27 @@ def test_summary_carries_each_sides_median_rounds_over_the_kept_pairs():
     assert out["w"]["rounds"] == {"parent": 1001.5, "change": 1201.5}
     assert out["w"]["round_ms.p90"]["pairs"] == 4
     assert out["w"]["round_ms.p90"]["dropped"] == 6
+
+
+def traced_run(side, seed, metrics):
+    return {"workload": "w", "seed": seed, "trace": 1, "side": side, "returncode": 0,
+            "record": {"rounds": 40, "result": {"correct": True, "metrics": {
+                name: {"value": v} for name, v in metrics.items()}}}}
+
+
+def test_summary_lists_the_traced_layers_side_by_side():
+    runs = paired_runs(PARENT, shifted(-1.0)) + [
+        traced_run("parent", 5, {"round_ms.p90": 11.0, "setup.circuit_build_s": 0.08,
+                                 "circuit.witness.ms_per_round": 0.7}),
+        traced_run("change", 5, {"round_ms.p90": 10.0, "setup.circuit_build_s": 0.07,
+                                 "circuit.witness.ms_per_round": 0.6, "nn.ms_per_round": 2.0}),
+        traced_run("parent", 6, {"setup.circuit_build_s": 0.09}),  # no change side: left out
+    ]
+    out = bench_pairs.summary(runs, {"round_ms.p90": "lower"}, {"round_ms.p90": 0.25})
+    # end-to-end metrics keep their verdict from the untraced pairs only
+    assert out["w"]["round_ms.p90"]["pairs"] == 10
+    assert out["w"]["traced"] == {"5": {
+        "circuit.witness.ms_per_round": {"parent": 0.7, "change": 0.6},
+        "setup.circuit_build_s": {"parent": 0.08, "change": 0.07},
+    }}
+    json.dumps(out)

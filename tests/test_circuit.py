@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zksplit.circuit import (
+    BUILDERS,
     CircuitConstants,
     CircuitError,
     ConstraintSystem,
@@ -76,7 +77,7 @@ class TestConstants:
     def test_scale_exponent_underflow(self):
         bad = CircuitConstants(f_k=20, f_u=20, f_up=13)  # eta + 13 - 40 < 0
         with pytest.raises(ScaleUnderflowError, match="scale exponent underflow"):
-            build_aggregation_circuit(2, 1, bad)
+            build_aggregation_circuit(2, bad)
         bad2 = CircuitConstants(f_w=36, f_wp=13)
         with pytest.raises(ScaleUnderflowError):
             build_update_circuit(2, bad2)
@@ -85,12 +86,12 @@ class TestConstants:
 class TestAggregationCircuit:
     def test_constraint_count_linear_in_m(self):
         for m in (1, 5, 40):
-            cs = build_aggregation_circuit(m, 1, EQUAL)
+            cs = build_aggregation_circuit(m, EQUAL)
             assert len(cs.constraints) == m * (1 + EQUAL.eta)
 
     def test_zero_update_is_zero_point(self):
         # U at the zero-point dequantizes to 0, so U' is its zero-point
-        cs = build_aggregation_circuit(2, 1, EQUAL)
+        cs = build_aggregation_circuit(2, EQUAL)
         up = quantized_aggregate([123], [[EQUAL.z_u, EQUAL.z_u]], EQUAL)
         assert up == [EQUAL.z_up, EQUAL.z_up]
         w = generate_witness(cs, up + [123], [EQUAL.z_u, EQUAL.z_u])
@@ -103,7 +104,7 @@ class TestAggregationCircuit:
         expected = rational_aggregate([k_q], [[u_q]], c)
         got = quantized_aggregate([k_q], [[u_q]], c)
         assert got == expected
-        cs = build_aggregation_circuit(1, 1, c)
+        cs = build_aggregation_circuit(1, c)
         w = generate_witness(cs, got + [k_q], [u_q])
         assert cs.is_satisfied(w)
 
@@ -113,23 +114,13 @@ class TestAggregationCircuit:
         for _ in range(50):
             k_q, u_q, up_q = random_agg_instance(rnd, 4, 1, c)
             assert up_q == rational_aggregate(k_q, u_q, c)
-            cs = build_aggregation_circuit(4, 1, c)
+            cs = build_aggregation_circuit(4, c)
             w = generate_witness(cs, up_q + k_q, u_q[0])
-            assert cs.is_satisfied(w)
-
-    def test_multi_node_aggregation(self):
-        rnd = random.Random(9)
-        for n in (2, 3, 4):
-            cs = build_aggregation_circuit(3, n, MIXED)
-            k_q, u_q, up_q = random_agg_instance(rnd, 3, n, MIXED)
-            assert up_q == rational_aggregate(k_q, u_q, MIXED)
-            flat_u = [u_q[k][j] for k in range(n) for j in range(3)]
-            w = generate_witness(cs, up_q + k_q, flat_u)
             assert cs.is_satisfied(w)
 
     def test_m500_witnesses_and_u_perturbation(self):
         rnd = random.Random(17)
-        cs = build_aggregation_circuit(500, 1, EQUAL)
+        cs = build_aggregation_circuit(500, EQUAL)
         u_index_base = 1 + cs.num_public  # U wires follow the statement
         for trial in range(10):
             k_q, u_q, up_q = random_agg_instance(rnd, 500, 1, EQUAL)
@@ -146,16 +137,14 @@ class TestAggregationCircuit:
         c = EQUAL
         rnd = random.Random(2)
         k_q, u_q, up_q = random_agg_instance(rnd, 3, 1, c)
-        cs = build_aggregation_circuit(3, 1, c)
+        cs = build_aggregation_circuit(3, c)
         bad = [up_q[0] + 1] + up_q[1:]
         with pytest.raises(InconsistentStatementError, match="inconsistent statement"):
             generate_witness(cs, bad + k_q, u_q[0])
 
     def test_degenerate_m(self):
         with pytest.raises(CircuitError):
-            build_aggregation_circuit(0, 1, EQUAL)
-        with pytest.raises(CircuitError):
-            build_aggregation_circuit(3, 0, EQUAL)
+            build_aggregation_circuit(0, EQUAL)
 
 
 class TestUpdateCircuit:
@@ -243,7 +232,7 @@ class TestWitnessAndSatisfaction:
             cs.is_satisfied([1, 2, 3])
 
     @pytest.mark.parametrize("cs,pub,priv,wire", [
-        (build_aggregation_circuit(2, 2, EQUAL), [0, 0, 1, 1], [0, 0, 0, EQUAL.q_max + 1], "U[1][1]"),
+        (build_aggregation_circuit(2, EQUAL), [0, 0, 1], [0, EQUAL.q_max + 1], "U[0][1]"),
         (build_update_circuit(2, EQUAL), [0, EQUAL.q_min - 1, 0, 0], [0, 0], "Wp[1]"),
         (build_protocol_circuit(2, EQUAL), [0, 0, 0, 0, EQUAL.q_max + 1], [0, 0], "K[0]"),
     ])
@@ -281,10 +270,10 @@ class TestWitnessAndSatisfaction:
         # unbounded integers and mod P must agree
         rnd = random.Random(13)
         c = MIXED
-        cs = build_aggregation_circuit(8, 2, c)
-        k_q, u_q, up_q = random_agg_instance(rnd, 8, 2, c)
-        flat = [u_q[k][j] for k in range(2) for j in range(8)]
-        wit = generate_witness(cs, up_q + k_q, flat)
+        cs = build_protocol_circuit(8, c)
+        k_q, u_q, up_q = random_agg_instance(rnd, 8, 1, c)
+        w_q = [rnd.randint(-4000, 4000) for _ in range(8)]
+        wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + k_q, u_q[0])
         signed = [v - P if v > P // 2 else v for v in wit.values]
         for a, b, cc in cs.constraints:
             av = sum(co * signed[i] for i, co in a.items())
@@ -307,6 +296,42 @@ class TestWitnessAndSatisfaction:
         wp = quantized_update([5, 6], [7, 8], EQUAL)
         wit = generate_witness(cs, wp + [5, 6], [7, 8])
         assert wit.statement(cs) == [v % P for v in wp + [5, 6]]
+
+
+ETA60 = CircuitConstants(eta=60)
+
+
+class TestGadgetLayout:
+    @pytest.mark.parametrize("c", [EQUAL, MIXED, ETA60], ids=["equal", "mixed", "eta60"])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_gadget_wires_tile_the_rest_of_the_witness(self, kind, c, m):
+        cs = BUILDERS[kind](m, c)
+        first = 1 + cs.num_public + m  # after the m free private inputs
+        assert [i for g in cs.gadgets for i in g.wires] == list(range(first, cs.num_wires))
+        for g in cs.gadgets:
+            assert [len(row) for row in g.bits] == [c.eta] * m and g.bits[-1][-1] == g.wires[-1]
+            assert len(g.out) == m and (g.out[0] in g.wires) == g.private_out
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_circuit_without_gadgets_derives_no_witness(self, kind):
+        cs = BUILDERS[kind](2, EQUAL)
+        clone = ConstraintSystem.from_json_dict(cs.to_json_dict())
+        assert clone.digest() == cs.digest() and clone.gadgets == []
+        with pytest.raises(CircuitError, match="no gadgets"):
+            generate_witness(clone, [0] * cs.num_public, [0, 0])
+
+    def test_hand_built_circuit_derives_no_witness(self):
+        cs = ConstraintSystem("update", 1, 1, EQUAL)
+        cs.add_public("x")
+        cs.add_private("y")
+        with pytest.raises(CircuitError, match="no gadgets"):
+            generate_witness(cs, [0], [0])
+
+    def test_wrong_private_count_raises(self):
+        cs = build_protocol_circuit(3, EQUAL)
+        with pytest.raises(CircuitError, match="expected 3 private values, got 2"):
+            generate_witness(cs, [0] * cs.num_public, [0, 0])
 
 
 class TestExport:

@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from zksplit.circuit import (
     CircuitConstants,
     build_protocol_circuit,
@@ -123,6 +125,50 @@ class TestProveVerify:
         assert rc == 3
 
 
+    def _proved(self, tmp_path):
+        make_prove_fixture(tmp_path)
+        assert run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
+                       "--statement", str(tmp_path / "statement.json"),
+                       "--witness", str(tmp_path / "witness.json"),
+                       "--backend", "mock", "--out", str(tmp_path / "proofs")) == 0
+
+    # (command, file replaced, its content): each is a usage error, reported
+    # on one line and never accepted
+    MALFORMED = {
+        "verify, float in statement": ("verify", "statement.json", "[4.9, 6, 1, 2]"),
+        "verify, statement not a list": ("verify", "statement.json", "5"),
+        "verify, bool in statement": ("verify", "statement.json", "[true]"),
+        "prove, statement not a list": ("prove", "statement.json", "5"),
+        "prove, string in witness": ("prove", "witness.json", '[1, "2", 3]'),
+        "prove, float in witness": ("prove", "witness.json", "[120.0, -44, 913]"),
+        "prove, unknown constant": ("prove", "circuit.json",
+                                    '{"kind": "composed", "m": 3, "constants": {"bogus": 1}}'),
+        "prove, unknown kind": ("prove", "circuit.json", '{"kind": "sum", "m": 3}'),
+        "prove, removed n key": ("prove", "circuit.json", '{"kind": "aggregation", "m": 3, "n": 2}'),
+        "prove, float m": ("prove", "circuit.json", '{"kind": "composed", "m": 3.0}'),
+        "prove, spec not an object": ("prove", "circuit.json", "[]"),
+    }
+
+    @pytest.mark.parametrize("command,name,text", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, command, name, text):
+        self._proved(tmp_path)
+        capsys.readouterr()
+        (tmp_path / name).write_text(text)
+        if command == "prove":
+            rc = run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
+                         "--statement", str(tmp_path / "statement.json"),
+                         "--witness", str(tmp_path / "witness.json"),
+                         "--backend", "mock", "--out", str(tmp_path / "again"))
+        else:
+            rc = run_cli("verify", "--vk", str(tmp_path / "proofs" / "vk.bin"),
+                         "--statement", str(tmp_path / name),
+                         "--proof", str(tmp_path / "proofs" / "proof.bin"))
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "Accept" not in out.out
+
+
 class TestLedgerCommand:
     def test_verify_good_and_tampered(self, tmp_path, capsys):
         from zksplit.ledger import Chain
@@ -147,6 +193,10 @@ class TestCircuitExport:
         assert data["kind"] == "update"
         assert len(data["constraints"]) == 3 * (1 + 22)
         assert data["variables"][0] == "one"
+
+    def test_kind_choices_are_the_builders(self, capsys):
+        assert run_cli("circuit", "export", "--kind", "aggregation", "--m", "1", "--n", "2") == 1
+        assert run_cli("circuit", "export", "--kind", "sum") == 1
 
     def test_export_stdout(self, capsys):
         rc = run_cli("circuit", "export", "--kind", "aggregation", "--m", "1",

@@ -43,32 +43,28 @@ MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
                          f_w=12, z_w=2, f_wp=11, z_wp=-1)
 CONSTANTS = {"EQUAL": EQUAL, "MIXED": MIXED}
 BUILDERS = {
-    "aggregation-1": lambda m, c: build_aggregation_circuit(m, 1, c),
-    "aggregation-3": lambda m, c: build_aggregation_circuit(m, 3, c),
+    "aggregation-1": build_aggregation_circuit,
     "update": build_update_circuit,
     "composed": build_protocol_circuit,
 }
 CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8, 64) for name in CONSTANTS]
-# pinned only: eta = 60 runs the arithmetic on arrays of Python ints, and
-# n = 2 is the smallest aggregation with partial-product wires
+# pinned only: eta = 60 runs the arithmetic on arrays of Python ints
 PINNED_CONSTANTS = {**CONSTANTS, "ETA60": CircuitConstants(eta=60)}
-PINNED_BUILDERS = {**BUILDERS, "aggregation-2": lambda m, c: build_aggregation_circuit(m, 2, c)}
 
 
 @lru_cache(maxsize=None)
 def honest(kind, m, name):
     """A circuit and an honest witness for it, as a canonical tuple."""
     c = PINNED_CONSTANTS[name]
-    cs = PINNED_BUILDERS[kind](m, c)
+    cs = BUILDERS[kind](m, c)
     rnd = random.Random(f"{kind}/{m}/{name}")
     u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     if kind.startswith("aggregation"):
-        n = cs.n
-        k_q = [c.z_k + rnd.choice([-1, 1]) * rnd.randint(1, 4000) for _ in range(n)]
-        u_rows = [[rnd.randint(-4000, 4000) for _ in range(m)] for _ in range(n)]
+        k_q = [c.z_k + rnd.choice([-1, 1]) * rnd.randint(1, 4000)]
+        u_rows = [[rnd.randint(-4000, 4000) for _ in range(m)]]
         up_q = quantized_aggregate(k_q, u_rows, c)
-        wit = generate_witness(cs, up_q + k_q, [v for row in u_rows for v in row])
+        wit = generate_witness(cs, up_q + k_q, u_rows[0])
     elif kind == "update":
         wit = generate_witness(cs, quantized_update(w_q, u_q, c) + w_q, u_q)
     else:
@@ -297,23 +293,18 @@ class TestBooleanRows:
 # must not change constraints, keys or manifests
 PINNED_DIGESTS = {
     ("EQUAL", "aggregation-1", 1): "c31b6edb0227331d825c0444a8b3612e943bc12a74e88d7b8a0e97a7f514694d",
-    ("EQUAL", "aggregation-3", 1): "bb9bcbf50c4bbf8fe519c8f08ac6383382d5c0ffddd28da911a23ef43a430bb0",
     ("EQUAL", "update", 1): "d5814ffad6e29897d3c843880edb23b090d1b05232bedfe5be3a6e69d34ce91e",
     ("EQUAL", "composed", 1): "e5a9a8a3dd8acf9fb8f9acdd028684c71c9c7444f60f8f09d1518ecd82f892d6",
     ("EQUAL", "aggregation-1", 8): "4bbde9f7858d409e99928ea3b9fe945adfbbd6e56d81bf46ad9f28819aa82ee2",
-    ("EQUAL", "aggregation-3", 8): "2d63f9fb92d4615ea404b28c573305369524e91bba580f3a663dce28693bbac2",
     ("EQUAL", "update", 8): "6ccad08768932217524cb7849bd838020b029125e441d4c90a80a77ba00d1c8a",
     ("EQUAL", "composed", 8): "ab9fe87e48665d781f6208a8da7b1b47538c95de50675448b36458eaf0bf4b78",
     ("EQUAL", "aggregation-1", 500): "daaf7b2c26d39bba878ce33864a8cf1ee91bff1a15fb8d946ff735940ccb8582",
-    ("EQUAL", "aggregation-3", 500): "6627e44af1f2e5f30afbca224ae0a329184f0baed9a5c7e78b635c3f3200c49b",
     ("EQUAL", "update", 500): "9e526e5d48aef38828a873b9d3f5d7abf44d4f5789a3ff31ac6126767f7827f6",
     ("EQUAL", "composed", 500): "0580c8629769b2df0547da84a145c79c6ce853d2218b419ce0a0de0129e99bd0",
     ("MIXED", "aggregation-1", 1): "8047d7d24dc6e17b9d4a2955af6a97d4eea8279140d34634340bbb0c933e51e8",
-    ("MIXED", "aggregation-3", 1): "25ddafc1b04ade257a1f8236baa4cacf4bfd181a004a367de83c84f3d63f7527",
     ("MIXED", "update", 1): "ab01f1f086f340d1cefae4fa2b1fcbae8da06df31b1b3a69b74115460c2e4281",
     ("MIXED", "composed", 1): "b03620b7b15153c76dc56d8a2814318f8c60c5293d95ba17299cdeb19128cd66",
     ("MIXED", "aggregation-1", 8): "c06160cbce184f107a07dfa1d6999e9d4086c0f4d39a38c978db583fba03608f",
-    ("MIXED", "aggregation-3", 8): "a25ff3a56890f909d2488eac16ffe78243437039d41345b53920a99203219dd0",
     ("MIXED", "update", 8): "a035352e7a277145ece9c3bd51f582c218ad5248c99cafe2675235be4edfe1ac",
     ("MIXED", "composed", 8): "04ab8a2321cb112dc6cd42d7d089543a5622ed13154901b1f469f0699d892b71",
     # taken before to_json wrote the constraint list from templates
@@ -321,18 +312,14 @@ PINNED_DIGESTS = {
     ("MIXED", "composed", 1000): "863f9fa6bb125d09626b20fb303195fb4f3310b32391659d63fcffd71b5c19f6",
     # taken before every relation row went through one floor gadget
     ("ETA60", "aggregation-1", 8): "4563efb2f65a9d88ec2d7feb416e80f7ab5a177f6f20aef2c6b3f89d6dbb22d1",
-    ("ETA60", "aggregation-2", 8): "d0fbc7545ded40a82073cb13633a597125979f87fb202ae04676afa54fe29719",
-    ("ETA60", "aggregation-3", 8): "11e9c10d6c81ccf8564a2690b35c52c6384c5622c6a1dce130ebcec7e7955f68",
     ("ETA60", "update", 8): "559df7bf9e488d46ccdad1c9a0d22d2c66a2fa557672ecfdb4215cd2fec67f7c",
     ("ETA60", "composed", 8): "fcb7b91d121d0334b330932a38453235632c1e344a87b7fe15811034b29c0845",
-    ("EQUAL", "aggregation-2", 8): "04c18aefbca4d6aebc0243f01807a48e6ea2cb3f27fec560068099375733ec9f",
-    ("MIXED", "aggregation-2", 8): "28be6108c014727d41de44757ee66af7e18d4edcbf4ada932d9f07442ae3ab3b",
 }
 
 
 @pytest.mark.parametrize("name,kind,m", sorted(PINNED_DIGESTS))
 def test_pinned_circuit_digest(name, kind, m):
-    cs = PINNED_BUILDERS[kind](m, PINNED_CONSTANTS[name])
+    cs = BUILDERS[kind](m, PINNED_CONSTANTS[name])
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
     cs.compiled()
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
@@ -347,21 +334,12 @@ PINNED_WITNESSES = {
     ("MIXED", "aggregation-1", 8): "18a8c9cf27e163a6409782e2f67b51ad75f4b0dfe308f467907be2dd0d60308f",
     ("EQUAL", "aggregation-1", 64): "bb46ea066e26fe89b6dd6fcc5397899f833ef24662bccb5219a130a020e3a0c1",
     ("MIXED", "aggregation-1", 64): "5674bc4b7d136c4c42997e56ab5edf5ffbd27ff30be8d4005f82317fa7673a03",
-    ("EQUAL", "aggregation-3", 1): "bea0937763e9bfbc10152dfebda42cfa69ccf20a005bda889af2a0016d6c5859",
-    ("MIXED", "aggregation-3", 1): "50f2bc1fc41ea267926aa9af8d708e735e8f55e365dcc4936bda8ae9ffb198d6",
-    ("EQUAL", "aggregation-3", 8): "731470b5d2db750cb72aec295f78dd0378f1bc785518aae7af71feacaaddc1b7",
-    ("MIXED", "aggregation-3", 8): "780ca4faacadbcc0c4a9046ddb99bc0b05ffa759033683bb460d3ac3a8c69c09",
-    ("EQUAL", "aggregation-3", 64): "8b055a20f6807d0dfd2fb2b422a6fcad9d6e75de2ba4666b34ab0cbc05c4855b",
-    ("MIXED", "aggregation-3", 64): "d4ef62f0e056f1ff5b5631fbdc814177182c6275e5271070d94d9e0863caaf68",
     ("EQUAL", "update", 1): "b2fb20fd0c9dafbddea8e94decff809ffc522c95c4b8cd4bd074938e2e110191",
     ("MIXED", "update", 1): "7318697fe1eee0ac36e34f91ab9c6b7822cbbb580de5e45cb6ce22b28dd93cb0",
     ("EQUAL", "update", 8): "ac9037a86b1b235ec2155784a5a52dc3c9cc2d402a853150069eb5af361f6db2",
     ("MIXED", "update", 8): "0d267ca87182205e7872e1c04283b296a10ae8399f7779623e22ad101424a031",
     ("EQUAL", "update", 64): "961020484209d60a79cd8ca1eb8e9505a90bae826e9475159bdc3bd935c9ba05",
     ("MIXED", "update", 64): "e7c137f425533c09206d54b9068a1997bc0c334807f929b3ca57d040dc933745",
-    ("EQUAL", "aggregation-2", 8): "c1f82937d9df9a87e9b592dabbf106f76cdb458a20d3ed627c8c71045d1811db",
-    ("MIXED", "aggregation-2", 8): "1c3cc4e525635d8c1f958be123bd6a368ff02874a047ef8f935a46cad7f5a386",
-    ("ETA60", "aggregation-2", 8): "a773dce0febe93428bdc20db2f74ac0d9d45d4d139860522c750ae13cf425432",
     ("ETA60", "update", 8): "29e8dc2f3b408dff14100846e21a23111ebc802a0052dde621477d871b5b9db2",
     ("ETA60", "composed", 8): "0bc8712e8d342df02698112e8c3a66ace366d34ffd21487ec571fadff30cd8ce",
 }

@@ -145,7 +145,7 @@ class TestBackendConformance:
             bad = Statement([stmt.values[0] + 1] + list(stmt.values[1:]))
             vectors.append(("stmt-tamper", cs, stmt, wit, bad))
         rnd = random.Random(0)
-        cs = build_aggregation_circuit(5, 1, C)
+        cs = build_aggregation_circuit(5, C)
         k_q = [2 ** C.f_k]
         u_q = [[rnd.randint(-500, 500) for _ in range(5)]]
         up_q = quantized_aggregate(k_q, u_q, C)

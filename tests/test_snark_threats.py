@@ -1,5 +1,6 @@
-"""The snark backend's inner products, its verifier on arbitrary input, and
-the forgeries its verifying key and its proving key admit."""
+"""The snark backend's inner products, its verifier on arbitrary input, the
+forgeries its verifying key and its proving key admit, and, in both
+backends, what the composed circuit and the messages do not bind."""
 
 import dataclasses
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zksplit.backend import (
+    MockBackend,
     Proof,
     Statement,
     UnsatisfiedRelationError,
@@ -29,7 +31,9 @@ from zksplit.circuit import (
     quantized_aggregate,
     quantized_update,
 )
-from zksplit.field import P, inv
+from zksplit.config import SimConfig
+from zksplit.field import P, inv, to_signed
+from zksplit.protocol import Trainer
 from zksplit.snark import QapSnarkBackend, _accumulators, _limb_table
 
 C = CircuitConstants()
@@ -272,3 +276,106 @@ def test_proving_key_holder_forges_accept_for_false_statement(monkeypatch):
     monkeypatch.setattr(QapSnarkBackend, "_require_satisfied", staticmethod(lambda *args: None))
     proof = backend.prove(pk, stmt, wit, rng=random.Random(2))
     assert backend.verify(pair.verifying_key, stmt, proof) is Verdict.ACCEPT
+
+
+# -- what the composed circuit and the messages do not bind ------------------
+#
+# These pin today's Accepts, made by the honest prove with no forgery.  They
+# are the gaps a range gadget on U and U' and a proof bound to its payload
+# are to close; then each of them flips to Reject.
+
+BACKENDS = {"mock": MockBackend, "snark": QapSnarkBackend}
+
+
+@lru_cache(maxsize=None)
+def keys(name):
+    """Keys of the composed circuit at m = M in backend ``name``."""
+    return instance()[0] if name == "snark" else MockBackend().setup(build_protocol_circuit(M, C))
+
+
+def prove_and_verify(name, values):
+    """The verdict on the honest proof of a full assignment, whose public
+    wires are its statement; prove refuses an unsatisfied assignment."""
+    pair = keys(name)
+    stmt = Statement(values[1 : 1 + pair.proving_key.cs.num_public])
+    backend = BACKENDS[name]()
+    return backend.verify(pair.verifying_key, stmt, backend.prove(pair.proving_key, stmt,
+                                                                   Witness(values)))
+
+
+def division_witness(w_new, w_old, k):
+    """U' and U solved from the update and the aggregation rows by division
+    in F_P, with every remainder bit 0."""
+    cw, cu, ca, two_eta = (1 << x for x in (C.upd_w_shift, C.upd_u_shift, C.agg_shift, C.eta))
+    # cw * (W - z_W) + cu * (U' - z_U') = 2**eta * (W' - z_W')
+    up = [(C.z_up + (two_eta * (a - C.z_wp) - cw * (b - C.z_w)) * inv(cu)) % P
+          for a, b in zip(w_new, w_old)]
+    # ca * (K - z_K) * (U - z_U) = 2**eta * (U' - z_U')
+    u = [(C.z_u + two_eta * (v - C.z_up) * inv(ca * (k - C.z_k))) % P for v in up]
+    return [1, *w_new, *w_old, k, *u, *up] + [0] * (2 * M * C.eta)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("k", [3, 5, 7, 1000])
+def test_finding_a_unrelated_statement_is_accepted(name, k):
+    """U and U' are free field elements: for W' drawn independently of W and
+    any K != z_K the rows solve by division, and the honest prove gets an
+    Accept for a statement that no in-range U produces."""
+    rnd = random.Random(k)
+    for _ in range(5):
+        w_new, w_old = ([rnd.randint(C.q_min, C.q_max) for _ in range(M)] for _ in range(2))
+        values = division_witness(w_new, w_old, k)
+        private = [to_signed(v) for v in values[2 + 2 * M : 2 + 4 * M]]
+        assert not all(C.q_min <= v <= C.q_max for v in private)
+        assert prove_and_verify(name, values) is Verdict.ACCEPT
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_finding_b_private_u_is_the_public_difference(name):
+    """Under the default constants ca * (k_q - z_K) = cw = cu = 2**eta, so the
+    rows force U = U' = W' - W: the statement gives the private U away, and
+    any W', W one in-range step apart is provable."""
+    k_q = 2 ** C.f_k
+    assert (1 << C.agg_shift) * (k_q - C.z_k) == 1 << C.upd_w_shift == 1 << C.upd_u_shift \
+        == 1 << C.eta
+    _, stmt, wit, _ = instance()
+    s = stmt.signed
+    assert wit.signed[2 + 2 * M : 2 + 3 * M].tolist() == (s[:M] - s[M : 2 * M]).tolist()
+    rnd = random.Random(4)
+    w_old = [rnd.randint(-4000, 4000) for _ in range(M)]
+    diff = [rnd.randint(-4000, 4000) for _ in range(M)]
+    w_new = [a + d for a, d in zip(w_old, diff)]
+    values = generate_witness(keys(name).proving_key.cs, w_new + w_old + [k_q], diff).values
+    assert prove_and_verify(name, list(values)) is Verdict.ACCEPT
+
+
+@pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
+def test_trainer_witness_u_is_the_public_difference(mode):
+    """The trainer's constants give the same: each accepted U is W' - W."""
+    tr = Trainer(SimConfig(mode=mode, num_clients=1, m=M, rounds=2, seed=0))
+    tr.train()
+    statement, witness = tr.last_update
+    s = statement.signed
+    assert tr.constants != C and s[:M].tolist() != s[M : 2 * M].tolist()
+    assert witness.signed[2 + 2 * M : 2 + 3 * M].tolist() == (s[:M] - s[M : 2 * M]).tolist()
+
+
+@pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
+def test_gradient_payload_swapped_after_proving_is_accepted(mode, monkeypatch):
+    """Nothing binds a message's payload to its proof: the verifier accepts a
+    GradientBackward message whose gradients were replaced after proving."""
+    message = Trainer._message
+    swapped = []
+
+    def swap(self, kind, *args, **kwargs):
+        msg = message(self, kind, *args, **kwargs)
+        if kind == "GradientBackward":
+            msg = dataclasses.replace(msg, payload=bytes(len(msg.payload)))
+            swapped.append(msg)
+        return msg
+
+    monkeypatch.setattr(Trainer, "_message", swap)
+    tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=2, seed=0))
+    reports = tr.train()
+    assert len(swapped) == 4
+    assert all(v == "Accepted" for r in reports for v in r.verdicts.values())

@@ -15,8 +15,10 @@ record perfbench writes under ``perfbench/results/``) is appended to
 ``--runs`` as it ends; ``--out`` then gets all of them together with, per
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won and a ``verdict`` under the acceptance rule
-(``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``), and
-per workload each side's median number of rounds completed.  A
+(``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``),
+per workload each side's median number of rounds completed, and under
+``traced`` the per-layer metrics of each side's ``--trace 1`` run, side by
+side and with no verdict.  A
 pair enters the summary only when both runs exited 0 and passed the
 correctness gate; the others are counted under ``dropped``.  With no ``workload:seeds`` argument and no ``--trace-seed`` the
 command runs nothing and only rebuilds ``--out`` from the ``--runs`` file.
@@ -89,11 +91,30 @@ def verdict(parent, change, better: str, bound: float) -> str:
     return "no worse"
 
 
+def traced(runs, better):
+    """Per workload and trace seed, every metric of the traced runs that is
+    not an end-to-end one, as {metric: {"parent": value, "change": value}}."""
+    by_seed = {}
+    for r in runs:
+        if r["trace"] == 1:
+            by_seed.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r
+    out = {}
+    for (workload, seed), sides in by_seed.items():
+        if {"parent", "change"} <= sides.keys():
+            metrics = {side: sides[side]["record"]["result"]["metrics"] for side in sides}
+            out.setdefault(workload, {})[str(seed)] = {
+                name: {side: metrics[side][name]["value"] for side in ("parent", "change")}
+                for name in sorted(metrics["parent"].keys() & metrics["change"].keys())
+                if name not in better}
+    return out
+
+
 def summary(runs, better, bounds):
     """Per workload and end-to-end metric: both sides' quartiles, the pairs
     won and the ``verdict``; per workload also each side's median ``rounds``
     (the rounds a run completed, so that a metric which grows with them,
-    such as ``peak_rss_mb``, can be read against them).
+    such as ``peak_rss_mb``, can be read against them) and, under
+    ``traced``, the per-layer metrics of the traced runs (see ``traced``).
 
     Pairs where either run failed or failed the correctness gate are left out
     and counted as ``dropped``.
@@ -122,6 +143,8 @@ def summary(runs, better, bounds):
                 "verdict": verdict(vals["parent"], vals["change"], direction, bounds[metric]),
                 **{side: {"values": v, **quartiles(v)} for side, v in vals.items() if len(v) > 1},
             }
+    for workload, layers in traced(runs, better).items():
+        out.setdefault(workload, {})["traced"] = layers
     return out
 
 
