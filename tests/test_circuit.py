@@ -118,6 +118,16 @@ class TestAggregationCircuit:
             w = generate_witness(cs, up_q + k_q, u_q[0])
             assert cs.is_satisfied(w)
 
+    def test_multi_node_aggregation(self):
+        # the arithmetic still sums n rows; the circuit proves n = 1 only
+        rnd = random.Random(9)
+        cs = build_aggregation_circuit(3, MIXED)
+        for n in (2, 3, 4):
+            k_q, u_q, up_q = random_agg_instance(rnd, 3, n, MIXED)
+            assert up_q == rational_aggregate(k_q, u_q, MIXED)
+            with pytest.raises(CircuitError, match="public values"):
+                generate_witness(cs, up_q + k_q, u_q[0])
+
     def test_m500_witnesses_and_u_perturbation(self):
         rnd = random.Random(17)
         cs = build_aggregation_circuit(500, EQUAL)

@@ -314,6 +314,25 @@ PINNED_DIGESTS = {
     ("ETA60", "aggregation-1", 8): "4563efb2f65a9d88ec2d7feb416e80f7ab5a177f6f20aef2c6b3f89d6dbb22d1",
     ("ETA60", "update", 8): "559df7bf9e488d46ccdad1c9a0d22d2c66a2fa557672ecfdb4215cd2fec67f7c",
     ("ETA60", "composed", 8): "fcb7b91d121d0334b330932a38453235632c1e344a87b7fe15811034b29c0845",
+    # taken before each gadget laid out its own wires and rows
+    ("EQUAL", "aggregation-1", 64): "525c01c45dccdb41e88f2d825febebb0e49da6d350857965c5d7c2457a1b5216",
+    ("EQUAL", "update", 64): "8314baf7d5e1b18a81df0adb0ad6f1896f5579f7aaf3083a6b6daf9eb0b11b8c",
+    ("EQUAL", "composed", 64): "fedb51766af4ac9b354ed6cd71e41fe6c415114f27f6d7f6f6df192eb050f415",
+    ("MIXED", "aggregation-1", 64): "93fceec83a27063d967615ca755916a9889c7046b71f8c792bc5302d4fb21b70",
+    ("MIXED", "aggregation-1", 500): "69b0a9b8fc268f6779f9788343b74c5383445d9d25dafe82d30c34b42e85cea4",
+    ("MIXED", "update", 64): "6b75e268d6ccbfc7efc0d91896a1100bd68d44c5523b3c6a4abee8a25f35e440",
+    ("MIXED", "update", 500): "f278f700e2acbaddc3154078968faeb6f64b364b5066a2ea44c99ec01ac2163a",
+    ("MIXED", "composed", 64): "82600f7365b3dafc49a01ac36a8011a0343b68c64f53fe1abc17a2af973fd026",
+    ("MIXED", "composed", 500): "e6c4fb81a047343e49aae1d2f20baa30d8a33dc46f6f62148a4913482b7d0d9b",
+    ("ETA60", "aggregation-1", 1): "71c31f14467f80cb648d19289385e4229c224b87b09f3b7b553acbf5fa199d70",
+    ("ETA60", "aggregation-1", 64): "91aa51663c1867383110d41d565a697d33fb49c9f53d9eaf36285a42c1c38cef",
+    ("ETA60", "aggregation-1", 500): "6bcf028addebc4caeb48910d258f1f24f189bb198252defc8e6566f72621c35f",
+    ("ETA60", "update", 1): "c30e5e5189ba3fa9e65351c092510ad768f97957c76e490cb7eaf94fb9318cb5",
+    ("ETA60", "update", 64): "e06d44df9c5ec8eb937edf441fd1e7c1527476e4bbfc2f2bb533c06eb6a5f24c",
+    ("ETA60", "update", 500): "f1e3a4ee4085b656082a31a58154db673d9277905a220190014c301fb9019605",
+    ("ETA60", "composed", 1): "ef13f1dd6b777edc03e96815053ed1c57a0fc96ed8161724404fc241f0d6051a",
+    ("ETA60", "composed", 64): "150b8cd0928f24aff087406aed29eb4729b259f93e57ba8dd3fd863963ade93e",
+    ("ETA60", "composed", 500): "b4c809dd69a5a260b2ecb5b89d30ae34920a15d7ac7f1bcda874411e84f39350",
 }
 
 
@@ -342,6 +361,29 @@ PINNED_WITNESSES = {
     ("MIXED", "update", 64): "e7c137f425533c09206d54b9068a1997bc0c334807f929b3ca57d040dc933745",
     ("ETA60", "update", 8): "29e8dc2f3b408dff14100846e21a23111ebc802a0052dde621477d871b5b9db2",
     ("ETA60", "composed", 8): "0bc8712e8d342df02698112e8c3a66ace366d34ffd21487ec571fadff30cd8ce",
+    # taken before each gadget filled its own range of the witness
+    ("EQUAL", "composed", 1): "c7c40c71468a6ca584998bf27be86be36f6dbbb020e89d417582032b2c9dd0c3",
+    ("EQUAL", "composed", 8): "037e6361893fddb7b47d37e504547d3153f00cd78696cca3100568dac49cac2c",
+    ("EQUAL", "composed", 64): "fc5841f3b50fbdf283013baca7b7ccc3c828bc3ef90ddf1194afe1f24db6a44d",
+    ("MIXED", "composed", 1): "cffed9327b9760acd3f10dc360e6181ea6294134b37ea72e0eb5c3c7b761c72f",
+    ("MIXED", "composed", 8): "30bafbc7310140da61a7e528000b8b30ec82239eeb55f55341ddf053a38cd9fd",
+    ("MIXED", "composed", 64): "ee6c7cd0f5ab2dc8b3c7625758fdeba44fbfeaee1bc8f6508db7b2b703797f9d",
+    ("ETA60", "aggregation-1", 1): "bbca2984df5bca7346f6f8741c40d5663c893453041594fee2753f6be3882379",
+    ("ETA60", "aggregation-1", 8): "cd0134c4b8b1384431c1be94b9eb1c8a45ba4f0e3934f4147f99e04d4d155534",
+    ("ETA60", "aggregation-1", 64): "0da400bc869e61058769fa6cee969b5991f3adb63de1621a4be0448a43163fdd",
+    ("ETA60", "update", 1): "2277f052dd9d3bffd695470d8b0aa434c86516d35401948031aec22f99d66d0a",
+    ("ETA60", "update", 64): "48bd4510134e1461d70cd513630b2f08d3c822c514b735f05ab2fc7749f4d85f",
+    ("ETA60", "composed", 1): "cf5b295da2b651bd4bfb3ce0c4cccc4598a8d2d135a78bfe711e7ee8e1c175d7",
+    ("ETA60", "composed", 64): "6e8480739099a2f65e4ecd79719c3afca43f210acc5c9e186ae057e3ffff39f5",
+    ("EQUAL", "aggregation-1", 500): "4b3e22e273891bcae67f1481b2a6ef1f8014365421493f17adcc017977877cc3",
+    ("EQUAL", "update", 500): "3f7a6f196b403f1fc84fbd7e70f9993898575ef707d1a3269e400252b97be74f",
+    ("EQUAL", "composed", 500): "659305dc4d0d2f60d7b297e94ad6362482b96aed1fce0280a7f68e4174afeed3",
+    ("MIXED", "aggregation-1", 500): "c9e598a218a58ccbf2c6a0605227c73293c4ad047f3dc4b1c47a98f6d31cbf31",
+    ("MIXED", "update", 500): "de70b53a0f04ee26133c8bddfd0f3e99fac94df8f2d84ed170b37fd67d7ad7f8",
+    ("MIXED", "composed", 500): "0d9992a81ba4662dd13e7360df0891eaa0a57bcf46d24cb30bc08173a7b91012",
+    ("ETA60", "aggregation-1", 500): "dc998c430a4fc2bfe418ec2d7b6734820baf2f8af5077f73f320d6f9778bc630",
+    ("ETA60", "update", 500): "0270da72de56642683ae1f66daa7e72a89f7ff16b17e1cde789912a616d51121",
+    ("ETA60", "composed", 500): "67eb375b45293fe416d596a24e4d5eb2ec3091e7f71e21ccebc9b70be6db117c",
 }
 
 
