@@ -54,9 +54,11 @@ c_a * n * d**2 + 2**eta * (d + 1), and the update's below
 that bound is under 2**62 (it is about 2**39 under the default
 constants), and on arrays of Python ints otherwise, as for eta = 60.
 
-Checking satisfaction.  Each circuit is compiled once, on its first
-check.  Its booleanity rows b * (b - 1) = 0, eta per output element,
-become one array of bit wires, tested to be 0 or 1 one contiguous range
+Checking satisfaction.  A circuit stores each booleanity row
+b * (b - 1) = 0, eta per output element, as the bare index of its wire b,
+from the moment it is added; only the other rows are (A, B, C) triples of
+dicts.  Each circuit is compiled once, on its first check.  Its boolean
+rows give one array of bit wires, tested to be 0 or 1 one contiguous range
 of wires at a time; the other rows become CSR matrices A, B and C with
 int64 coefficients, together with each matrix's largest row L1 norm.  A
 witness whose elements all have signed representatives in
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -386,16 +389,17 @@ class _Csr:
 class CompiledR1CS:
     """The A, B, C matrices of a constraint system, compiled once.
 
-    Rows of exactly the ``add_boolean`` shape, {i: 1} * {i: 1, 0: -1} = {}
-    with i != 0, are kept apart as ``bits``, the int64 array of their wires
-    i in row order.  Mod P such a row holds iff w_i is 0 or 1, and for a
-    signed int64 representative in (-2**62, 2**62) that is iff w_i is 0 or
-    1 as an integer: a bit test, with no arithmetic and so no overflow
-    bound.  The test runs over ``bit_runs``, the sorted maximal ranges
-    [a, b) of consecutive bit wires, derived once here: a builder allocates
-    each bank of bit wires in one stretch, so a circuit has a few long runs
-    and each is tested as a slice, with no gather.  Any other row, however
-    close to that shape, goes into the CSR matrices.
+    ``rows`` is ``ConstraintSystem.rows``: the boolean rows, stored as the
+    int i of {i: 1} * {i: 1, 0: -1} = {} with i != 0, become ``bits``, the
+    int64 array of their wires in row order.  Mod P such a row holds iff
+    w_i is 0 or 1, and for a signed int64 representative in (-2**62, 2**62)
+    that is iff w_i is 0 or 1 as an integer: a bit test, with no arithmetic
+    and so no overflow bound.  The test runs over ``bit_runs``, the sorted
+    maximal ranges [a, b) of consecutive bit wires, derived once here: a
+    builder allocates each bank of bit wires in one stretch, so a circuit
+    has a few long runs and each is tested as a slice, with no gather.
+    Every (A, B, C) triple, however close to that shape, goes into the CSR
+    matrices.
 
     With every |w_i| <= wmax, |<A,w>| <= L1(A)*wmax and so on, so when
     L1(A)*L1(B)*wmax**2 + L1(C)*wmax < 2**63 nothing overflows int64 and
@@ -403,24 +407,17 @@ class CompiledR1CS:
     equality mod P.
     """
 
-    def __init__(self, constraints: Sequence[Tuple[LinComb, LinComb, LinComb]]):
+    def __init__(self, rows: Sequence["int | Tuple[LinComb, LinComb, LinComb]"]):
         bits: List[int] = []
-        rows = []
-        for row in constraints:
-            a, b, c = row
-            if len(a) == 1 and len(b) == 2 and not c:
-                (i, ca), = a.items()
-                # b[i] == 1 and b[0] == -1 in a two-term b force i != 0
-                if ca == 1 and b.get(i) == 1 and b.get(0) == -1:
-                    bits.append(i)
-                    continue
-            rows.append(row)
+        triples = []
+        for row in rows:
+            (bits if isinstance(row, int) else triples).append(row)
         self.bits = np.array(bits, dtype=np.int64)
         wires = np.unique(self.bits)
         breaks = np.flatnonzero(np.diff(wires) != 1) + 1
         self.bit_runs = [(int(run[0]), int(run[-1]) + 1) for run in np.split(wires, breaks)
                          if run.size]
-        self.a, self.b, self.c = (_Csr([row[k] for row in rows]) for k in range(3))
+        self.a, self.b, self.c = (_Csr([row[k] for row in triples]) for k in range(3))
 
     def fits(self, wmax: int) -> bool:
         la, lb, lc = self.a.l1, self.b.l1, self.c.l1
@@ -450,15 +447,38 @@ class _LcTemplates(dict):
         return text
 
 
+_BOOLEAN_JSON = "[[[%%d,1]],[[0,%d],[%%d,1]],[]]" % (P - 1)
+
+
+class _Constraints(_Sequence):
+    """A read-only view of ``ConstraintSystem.rows`` as (A, B, C) triples;
+    a boolean row's dicts are built when that row is read."""
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        row = self._rows[k]
+        return ({row: 1}, {row: 1, 0: -1}, {}) if isinstance(row, int) else row
+
+
 class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
     Wire 0 is the constant 1.  Public wires occupy 1..num_public, private
-    wires follow.  Coefficients are stored as signed ints.  is_satisfied
-    evaluates the compiled int64 form (see ``compiled``) when the overflow
-    bound in the module docstring holds, and otherwise falls back to
-    is_satisfied_exact, which replays every constraint in unbounded
-    integers with a single final reduction per constraint.
+    wires follow.  ``rows`` holds the constraints in order: the boolean row
+    {i: 1} * {i: 1, 0: -1} = {}, for a Python int i != 0, as the int i, and
+    any other row as its (A, B, C) triple with signed int coefficients;
+    ``constraints`` shows each row as a triple.  is_satisfied evaluates the
+    compiled int64 form (see ``compiled``) when the overflow bound in the
+    module docstring holds, and otherwise falls back to is_satisfied_exact,
+    which replays every constraint in unbounded integers with a single
+    final reduction per constraint.
     """
 
     def __init__(self, kind: str, m: int, n: int, constants: CircuitConstants):
@@ -469,7 +489,7 @@ class ConstraintSystem:
         self.var_names: List[str] = ["one"]
         self.num_public = 0
         self.num_private = 0
-        self.constraints: List[Tuple[LinComb, LinComb, LinComb]] = []
+        self.rows: List["int | Tuple[LinComb, LinComb, LinComb]"] = []
         self._digest: str | None = None
         self._compiled: CompiledR1CS | None = None
         # the gadgets that derive a witness: set by the builders, none from JSON
@@ -495,13 +515,31 @@ class ConstraintSystem:
             for idx in lc:
                 if not 0 <= idx < nv:
                     raise CircuitError(f"constraint references unallocated wire {idx}")
-        self.constraints.append((a, b, c))
+        if len(a) == 1 and len(b) == 2 and not c:
+            (i, ca), = a.items()
+            # b[i] == 1 and b[0] == -1 in a two-term b force i != 0
+            if type(i) is int and ca == 1 and b.get(i) == 1 and b.get(0) == -1:
+                self._append(i)
+                return
+        self._append((a, b, c))
+
+    def add_boolean(self, idx: int) -> None:
+        """Add b * (b - 1) = 0 on wire idx.  On wire 0 it is the general row
+        {0: 1} * {0: -1} = {}, which no witness satisfies."""
+        if type(idx) is int and 0 < idx < len(self.var_names):
+            self._append(idx)
+        else:
+            self.add_constraint({idx: 1}, {idx: 1, 0: -1}, {})
+
+    def _append(self, row) -> None:
+        self.rows.append(row)
         self._digest = None
         self._compiled = None
 
-    def add_boolean(self, idx: int) -> None:
-        # b * (b - 1) = 0
-        self.add_constraint({idx: 1}, {idx: 1, 0: -1}, {})
+    @property
+    def constraints(self) -> Sequence[Tuple[LinComb, LinComb, LinComb]]:
+        """Every row as its (A, B, C) triple, in order, read-only."""
+        return _Constraints(self.rows)
 
     @property
     def num_wires(self) -> int:
@@ -513,7 +551,7 @@ class ConstraintSystem:
         """The booleanity wires and A, B and C as CSR int64 matrices of the
         other rows, built on first use and cached."""
         if self._compiled is None:
-            self._compiled = CompiledR1CS(self.constraints)
+            self._compiled = CompiledR1CS(self.rows)
         return self._compiled
 
     def _check_length(self, n: int) -> None:
@@ -546,7 +584,12 @@ class ConstraintSystem:
         ws = [to_signed(int(v) % P) for v in values]
         if ws[0] != 1:
             return False
-        for a, b, c in self.constraints:
+        for row in self.rows:
+            if isinstance(row, int):
+                if ws[row] * (ws[row] - 1) % P:
+                    return False
+                continue
+            a, b, c = row
             av = 0
             for i, co in a.items():
                 av += co * ws[i]
@@ -572,9 +615,10 @@ class ConstraintSystem:
         combination is a list of [wire, coefficient mod P] pairs sorted by
         wire.  Only the small header goes through ``json.dumps``; the
         constraint list is written directly and spliced in after
-        ``constants``, its first key.  Each linear combination is the
-        template of its coefficient sequence (see ``_LcTemplates``) filled
-        with its wire indices, so the text is the same as the dict's.
+        ``constants``, its first key.  A boolean row is one fixed template
+        filled with its wire; in every other row each linear combination is
+        the template of its coefficient sequence (see ``_LcTemplates``)
+        filled with its wire indices, so the text is the same as the dict's.
         """
         templates = _LcTemplates()
 
@@ -585,7 +629,8 @@ class ConstraintSystem:
             return templates[coeffs] % wires
 
         constraints = ",".join(
-            "[%s,%s,%s]" % (lc_text(a), lc_text(b), lc_text(c)) for a, b, c in self.constraints
+            _BOOLEAN_JSON % (row, row) if isinstance(row, int)
+            else "[%s,%s,%s]" % tuple(map(lc_text, row)) for row in self.rows
         )
         rest = _canonical_json({
             "kind": self.kind,
@@ -603,14 +648,25 @@ class ConstraintSystem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstraintSystem":
-        """The circuit a JSON dict describes, with the wire checks a builder gets."""
+        """The circuit a JSON dict describes, with the wire checks a builder
+        gets.  A boolean row in ``to_json``'s spelling is stored with no
+        dicts built; ``add_constraint`` takes every other row."""
         cs = cls(d["kind"], int(d["m"]), int(d["n"]), CircuitConstants(**d["constants"]))
         cs.var_names = list(d["variables"])
         counts = (int(d["num_public"]), int(d["num_private"]))
         if min(counts) < 0 or 1 + sum(counts) != len(cs.var_names):
             raise CircuitError("wire counts do not match the variables")
         cs.num_public, cs.num_private = counts
-        for a, b, c in d["constraints"]:
+        nv = len(cs.var_names)
+        for row in d["constraints"]:
+            try:
+                i = row[0][0][0]
+            except (TypeError, IndexError, KeyError):
+                i = None
+            if type(i) is int and 0 < i < nv and row == [[[i, 1]], [[0, P - 1], [i, 1]], []]:
+                cs.rows.append(i)
+                continue
+            a, b, c = row
             cs.add_constraint(
                 *({int(i): to_signed(int(co) % P) for i, co in lc} for lc in (a, b, c))
             )

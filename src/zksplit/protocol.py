@@ -270,8 +270,11 @@ class Trainer:
             w=self.wq_params, wp=self.wq_params, eta=config.eta,
         )
         self.k_q = quantize(1.0, self.k_params)
-        # exact tamper evidence: a +-1 change of any private U shifts the
-        # remainder by at least 2**eta, so no alternative witness exists
+        # tamper evidence among integer witnesses in the quantized range: a
+        # +-1 change of a private U shifts its remainder by at least 2**eta,
+        # out of [0, 2**eta), so no other such witness proves the statement.
+        # Nothing range-checks U or U', so field elements outside that range
+        # can still satisfy the circuit (Finding A in the threat tests).
         shift = (1 << self.constants.agg_shift) * (self.k_q - self.constants.z_k)
         if self.zk and shift < (1 << self.constants.eta):
             raise ProtocolError("quantization config is not tamper-evident")

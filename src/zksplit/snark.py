@@ -276,7 +276,7 @@ class QapSnarkBackend(Backend):
         return True
 
     def setup(self, cs: ConstraintSystem, seed: bytes = b"") -> KeyPair:
-        nc = len(cs.constraints)
+        nc = len(cs.rows)
         if nc > MAX_CONSTRAINTS:
             raise BackendError("circuit too large")
         digest = cs.digest()
@@ -292,14 +292,24 @@ class QapSnarkBackend(Backend):
         a_tau = [0] * nw
         b_tau = [0] * nw
         c_tau = [0] * nw
-        for j, (a, b, c) in enumerate(cs.constraints):
+        # a boolean row i is {i: 1} * {i: 1, 0: -1} = {}: L_j(tau) on a_tau[i]
+        # and b_tau[i], and the sum of those L_j(tau) comes off b_tau[0] once
+        boolean_sum = 0
+        for j, row in enumerate(cs.rows):
             lj = lag[j]
+            if isinstance(row, int):
+                a_tau[row] = (a_tau[row] + lj) % P
+                b_tau[row] = (b_tau[row] + lj) % P
+                boolean_sum += lj
+                continue
+            a, b, c = row
             for i, co in a.items():
                 a_tau[i] = (a_tau[i] + co * lj) % P
             for i, co in b.items():
                 b_tau[i] = (b_tau[i] + co * lj) % P
             for i, co in c.items():
                 c_tau[i] = (c_tau[i] + co * lj) % P
+        b_tau[0] = (b_tau[0] - boolean_sum) % P
 
         gamma_inv = inv(gamma)
         delta_inv = inv(delta)
