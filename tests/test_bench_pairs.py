@@ -83,6 +83,22 @@ def test_summary_carries_each_sides_median_rounds_over_the_kept_pairs():
     assert out["w"]["round_ms.p90"]["dropped"] == 6
 
 
+def test_summary_carries_each_sides_median_fastest_setup_sample():
+    runs = paired_runs(PARENT, shifted(-1.0), ok_pairs={0, 1, 2})
+    for r in runs:
+        base = 0.4 if r["side"] == "parent" else 0.2
+        # five samples per run, the fastest being base + seed / 100
+        r["record"]["setup_samples_s"] = [base + 0.3, base + r["seed"] / 100, base + 0.1,
+                                          base + 0.5, base + 0.2]
+    bounds = {"round_ms.p90": 0.25}
+    out = bench_pairs.summary(runs, {"round_ms.p90": "lower"}, bounds)
+    # kept seeds 0, 1, 2: the medians of base + (0.00, 0.01, 0.02)
+    assert out["w"]["setup_min_s"] == pytest.approx({"parent": 0.41, "change": 0.21})
+    # runs without set-up samples get no such entry
+    assert "setup_min_s" not in bench_pairs.summary(
+        paired_runs(PARENT, PARENT), {"round_ms.p90": "lower"}, bounds)["w"]
+
+
 def traced_run(side, seed, metrics):
     return {"workload": "w", "seed": seed, "trace": 1, "side": side, "returncode": 0,
             "record": {"rounds": 40, "result": {"correct": True, "metrics": {

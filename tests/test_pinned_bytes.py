@@ -3,6 +3,8 @@
 The hashes were taken before statements became int64 vectors and before
 the snark inner products moved to a gather over nonzero wires; a change
 of representation or of evaluation order must leave every byte alone.
+The snark keys at the benchmark's size, m=500, were taken while every
+boolean row was still stored as three dicts.
 """
 
 import hashlib
@@ -114,3 +116,20 @@ CASES = [(name, m) for name in CONSTANTS for m in (1, 8, 64)]
 def test_pinned_artifact_bytes(name, m):
     got = {k: hashlib.sha256(v).hexdigest() for k, v in artifacts(name, m).items()}
     assert got == PINNED[name, m]
+
+
+# the snark keys of the composed circuit at m=500, as in snark-m500-tamper
+PINNED_KEYS = {
+    ("EQUAL", 500): {
+        "snark_pk": "c0d4c9770d6b3cfdbf441cf313308a0c50d66bb556702c985e6211024f788596",
+        "snark_vk": "e2477c10d88af0d5baf9d7e1bce5e33f5b1da4e588a946c498426a2f1f98b880",
+    },
+}
+
+
+@pytest.mark.parametrize("name,m", list(PINNED_KEYS))
+def test_pinned_snark_keys_at_benchmark_size(name, m):
+    pair = QapSnarkBackend().setup(build_protocol_circuit(m, CONSTANTS[name]), SETUP_SEED)
+    got = {"snark_pk": hashlib.sha256(pair.proving_key.to_bytes()).hexdigest(),
+           "snark_vk": hashlib.sha256(pair.verifying_key.to_bytes()).hexdigest()}
+    assert got == PINNED_KEYS[name, m]

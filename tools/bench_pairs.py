@@ -16,7 +16,8 @@ record perfbench writes under ``perfbench/results/``) is appended to
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won and a ``verdict`` under the acceptance rule
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``),
-per workload each side's median number of rounds completed, and under
+per workload each side's median number of rounds completed and median
+fastest set-up sample (``setup_min_s``), and under
 ``traced`` the per-layer metrics of each side's ``--trace 1`` run, side by
 side and with no verdict.  A
 pair enters the summary only when both runs exited 0 and passed the
@@ -109,12 +110,21 @@ def traced(runs, better):
     return out
 
 
+def side_medians(done, value):
+    """Each side's median of ``value(record)`` over the kept pairs ``done``."""
+    return {side: statistics.median(value(p[side]["record"]) for p in done)
+            for side in ("parent", "change")}
+
+
 def summary(runs, better, bounds):
     """Per workload and end-to-end metric: both sides' quartiles, the pairs
     won and the ``verdict``; per workload also each side's median ``rounds``
     (the rounds a run completed, so that a metric which grows with them,
-    such as ``peak_rss_mb``, can be read against them) and, under
-    ``traced``, the per-layer metrics of the traced runs (see ``traced``).
+    such as ``peak_rss_mb``, can be read against them), each side's median
+    ``setup_min_s``, the fastest of a run's ``setup_samples_s``, to read
+    beside ``setup_s``, their median, whose verdict it leaves alone, and,
+    under ``traced``, the per-layer metrics of the traced runs (see
+    ``traced``).
 
     Pairs where either run failed or failed the correctness gate are left out
     and counted as ``dropped``.
@@ -128,9 +138,10 @@ def summary(runs, better, bounds):
         both = [p for p in by_seed.values() if {"parent", "change"} <= p.keys()]
         done = [p for p in both if ok(p["parent"]) and ok(p["change"])]
         if done:
-            out[workload] = {"rounds": {side: statistics.median(p[side]["record"]["rounds"]
-                                                                for p in done)
-                                        for side in ("parent", "change")}}
+            out[workload] = {"rounds": side_medians(done, lambda r: r["rounds"])}
+            if all("setup_samples_s" in p[side]["record"] for p in done for side in p):
+                out[workload]["setup_min_s"] = side_medians(
+                    done, lambda r: min(r["setup_samples_s"]))
         for metric, direction in better.items():
             vals = {side: [p[side]["record"]["result"]["metrics"][metric]["value"] for p in done]
                     for side in ("parent", "change")}
