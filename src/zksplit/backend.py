@@ -21,6 +21,13 @@ snark keys and proof bodies write their elements without the count.
 Statements and witnesses are immutable, so each is encoded at most once
 (a decoded one keeps the frame it came from), and a statement's digest is
 computed once too.
+
+Mock keys and the snark proving key pack their circuit as its canonical
+JSON (ConstraintSystem.to_json), zlib-compressed.  A key can carry only a
+circuit that one of circuit.BUILDERS makes: loading reads the kind, m and
+constants from the head of the text, rebuilds the circuit, and requires the
+text to be, byte for byte, what the builder writes (see _unpack_circuit).
+The circuit JSON is never parsed back into rows.
 """
 
 from __future__ import annotations
@@ -28,12 +35,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import re
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict
 
-from .circuit import ConstraintSystem, FieldVector, Witness
+from .circuit import BUILDERS, CircuitConstants, ConstraintSystem, FieldVector, Witness
 
 WIRE_VERSION = 1
 BACKEND_IDS = {"mock": 1, "snark": 2}
@@ -154,17 +162,48 @@ def _pack_circuit(cs: ConstraintSystem) -> bytes:
     return zlib.compress(cs.to_json().encode(), level=6)
 
 
+# The canonical circuit JSON opens with its constants, which hold only ints,
+# so the first "}" closes them; the constraint list after them holds no
+# quotes, and "kind" and "m" are the next keys.
+_HEADER = re.compile(
+    rb'\{"constants":(\{[^}]*\}),"constraints":\[[^"]*\],"kind":"(\w+)","m":(\d+),')
+
+
 def _unpack_circuit(payload: bytes) -> ConstraintSystem:
-    """The circuit ``_pack_circuit`` wrote as the whole of ``payload``."""
+    """The builder circuit ``_pack_circuit`` wrote as the whole of ``payload``.
+
+    A key carries only a circuit that one of ``BUILDERS`` makes.  Only the
+    header of the packed text is read: its constants, kind and m.  The
+    circuit is rebuilt from them, and the text must be, byte for byte, the
+    rebuilt circuit's ``to_json``; the constraint list is never parsed.  A
+    misread header can thus only fail that comparison.  Each of the
+    m * (1 + eta) rows a builder writes takes more than one byte of text,
+    so a header whose m * (1 + eta) exceeds the text's length is refused
+    before anything is built.
+    """
     inflate = zlib.decompressobj()
     try:
         text = inflate.decompress(payload)
         if not inflate.eof or inflate.unused_data:
             raise DecodeError("bad circuit payload: trailing or missing bytes")
-        return ConstraintSystem.from_json_dict(json.loads(text))
-    except (zlib.error, ValueError, OverflowError, KeyError, TypeError) as e:
-        # ValueError covers CircuitError and the JSON and UTF-8 decode errors
+        header = _HEADER.match(text)
+        build = header and BUILDERS.get(header[2].decode())
+        if not build:
+            raise DecodeError("bad circuit payload: no builder header")
+        constants = json.loads(header[1])
+        if not all(type(v) is int for v in constants.values()):
+            raise DecodeError("bad circuit payload: constants must be integers")
+        m, c = int(header[3]), CircuitConstants(**constants)
+        if m * (1 + c.eta) > len(text):
+            raise DecodeError(f"bad circuit payload: m = {m} is too large for its text")
+        cs = build(m, c)
+    except (zlib.error, ValueError, TypeError, RecursionError) as e:
+        # ValueError covers CircuitError and the JSON and UTF-8 decode errors;
+        # a deeply nested constants object raises RecursionError
         raise DecodeError(f"bad circuit payload: {e}") from None
+    if not cs.matches_json(text):
+        raise DecodeError("bad circuit payload: not the circuit its builder writes")
+    return cs
 
 
 @dataclass
@@ -195,10 +234,6 @@ class Backend:
     """Interface shared by all proving backends."""
 
     name = "?"
-
-    @classmethod
-    def available(cls) -> bool:
-        return True
 
     def setup(self, cs: ConstraintSystem, seed: bytes) -> KeyPair:
         raise NotImplementedError
@@ -277,9 +312,8 @@ def get_backend(name: str) -> Backend:
 
 
 def backend_capabilities() -> Dict[str, bool]:
-    from . import snark
-
-    return {"mock": MockBackend.available(), "snark": snark.QapSnarkBackend.available()}
+    """Every backend runs in pure Python, so each is always available."""
+    return {name: True for name in BACKEND_IDS}
 
 
 def _load_key(data: bytes, mock_cls, snark_cls: str):

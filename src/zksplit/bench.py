@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .backend import backend_capabilities
 from .config import MODE_BACKENDS, SimConfig
 from .protocol import Trainer
 
@@ -79,14 +78,6 @@ class BenchRecord:
             raise BenchError("negative measurement")
         if UNITS.get(self.metric) != self.unit:
             raise BenchError(f"unit {self.unit!r} wrong for metric {self.metric!r}")
-
-
-def _check_backends(modes: Iterable[str]) -> None:
-    caps = backend_capabilities()
-    for mode in modes:
-        backend = MODE_BACKENDS.get(mode)
-        if backend is not None and not caps.get(backend, False):
-            raise BenchError(f"mode {mode} requires unavailable backend {backend}")
 
 
 def _cell_trainer(config: SimConfig, mode: str, m: int) -> Trainer:
@@ -175,7 +166,6 @@ def run_benchmark(config: SimConfig, include_real_epoch: bool = True) -> List[Be
     the sequential relay, so client cells at one (mode, m) share a
     trainer.
     """
-    _check_backends(config.mode_grid)
     sink: "queue.Queue[BenchRecord]" = queue.Queue()
     trainers: Dict[Tuple[str, int], Trainer] = {}
     rounds_done: Dict[Tuple[str, int], int] = {}

@@ -21,7 +21,8 @@ absorbs floor rounding:
 
 Scales are powers of two (s = 2**-f), so the c constants are exact
 integers whenever their exponents are nonnegative; a negative exponent is
-rejected at build time.  R is never materialized as its own wire: the
+rejected at build time, and so is one that puts a constant past P, as is
+an eta with 2**eta past P.  R is never materialized as its own wire: the
 relation constraint recomposes it directly from eta boolean wires, which
 both range-checks R and keeps the count at m * (1 + eta) constraints per
 relation.
@@ -88,6 +89,8 @@ from .field import P, to_signed
 from .quant import DEFAULT_Q_MAX, DEFAULT_Q_MIN, QuantParams
 
 MIN_ETA = 22
+# 2**e < P exactly when e < _P_BITS
+_P_BITS = P.bit_length()
 
 LinComb = Dict[int, int]  # wire index -> signed integer coefficient
 
@@ -102,6 +105,14 @@ class ScaleUnderflowError(CircuitError):
 
 class InconsistentStatementError(CircuitError):
     """Public outputs were not produced by honest quantized arithmetic."""
+
+
+def _require_exact(*shifts: int) -> None:
+    """Raise unless every scale constant 2**shift is an integer below P."""
+    if min(shifts) < 0:
+        raise ScaleUnderflowError("scale exponent underflow")
+    if max(shifts) >= _P_BITS:
+        raise CircuitError(f"scale constant 2**{max(shifts)} is not below P")
 
 
 @dataclass(frozen=True)
@@ -123,8 +134,8 @@ class CircuitConstants:
     q_max: int = DEFAULT_Q_MAX
 
     def __post_init__(self) -> None:
-        if self.eta < MIN_ETA:
-            raise CircuitError(f"eta must be >= {MIN_ETA}")
+        if not MIN_ETA <= self.eta < _P_BITS:
+            raise CircuitError(f"eta must be >= {MIN_ETA} and < {_P_BITS}")
 
     @property
     def agg_shift(self) -> int:
@@ -139,12 +150,10 @@ class CircuitConstants:
         return self.eta + self.f_wp - self.f_up
 
     def require_aggregation_exact(self) -> None:
-        if self.agg_shift < 0:
-            raise ScaleUnderflowError("scale exponent underflow")
+        _require_exact(self.agg_shift)
 
     def require_update_exact(self) -> None:
-        if self.upd_w_shift < 0 or self.upd_u_shift < 0:
-            raise ScaleUnderflowError("scale exponent underflow")
+        _require_exact(self.upd_w_shift, self.upd_u_shift)
 
     @classmethod
     def from_quant_params(
@@ -492,7 +501,7 @@ class ConstraintSystem:
         self.rows: List["int | Tuple[LinComb, LinComb, LinComb]"] = []
         self._digest: str | None = None
         self._compiled: CompiledR1CS | None = None
-        # the gadgets that derive a witness: set by the builders, none from JSON
+        # the gadgets that derive a witness: set by the builders, none by hand
         self.gadgets: List["_Floor"] = []
 
     # -- construction ----------------------------------------------------
@@ -646,36 +655,18 @@ class ConstraintSystem:
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConstraintSystem":
-        """The circuit a JSON dict describes, with the wire checks a builder
-        gets.  A boolean row in ``to_json``'s spelling is stored with no
-        dicts built; ``add_constraint`` takes every other row."""
-        cs = cls(d["kind"], int(d["m"]), int(d["n"]), CircuitConstants(**d["constants"]))
-        cs.var_names = list(d["variables"])
-        counts = (int(d["num_public"]), int(d["num_private"]))
-        if min(counts) < 0 or 1 + sum(counts) != len(cs.var_names):
-            raise CircuitError("wire counts do not match the variables")
-        cs.num_public, cs.num_private = counts
-        nv = len(cs.var_names)
-        for row in d["constraints"]:
-            try:
-                i = row[0][0][0]
-            except (TypeError, IndexError, KeyError):
-                i = None
-            if type(i) is int and 0 < i < nv and row == [[[i, 1]], [[0, P - 1], [i, 1]], []]:
-                cs.rows.append(i)
-                continue
-            a, b, c = row
-            cs.add_constraint(
-                *({int(i): to_signed(int(co) % P) for i, co in lc} for lc in (a, b, c))
-            )
-        return cs
-
     def digest(self) -> str:
         if self._digest is None:
             self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
         return self._digest
+
+    def matches_json(self, text: bytes) -> bool:
+        """Whether ``text`` is, byte for byte, this circuit's ``to_json``;
+        if it is, its SHA-256 is kept as the digest."""
+        if self.to_json().encode() != text:
+            return False
+        self._digest = hashlib.sha256(text).hexdigest()
+        return True
 
 
 # -- builders --------------------------------------------------------------
@@ -950,7 +941,8 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     circuit's gadgets then fills in its own wires; a remainder outside
     [0, 2**eta) means the public outputs were not produced by honest
     quantization of these inputs and raises InconsistentStatementError.
-    A circuit read back from JSON has no gadgets and raises CircuitError.
+    A hand-built circuit has no gadgets and raises CircuitError; a loaded
+    key's circuit is rebuilt by its builder and has them.
     """
     if not cs.gadgets:
         raise CircuitError("circuit has no gadgets to derive a witness")

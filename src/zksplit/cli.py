@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -106,26 +105,13 @@ def _cmd_bench(args) -> int:
         cfg = replace(cfg, m_grid=[args.m])
     if args.clients is not None:
         cfg = replace(cfg, client_grid=[args.clients], real_epoch_clients=[args.clients])
-    records = []
-    flushed = {"done": False}
-
-    def flush(*_sig):
-        if not flushed["done"] and cfg.out_dir:
-            flushed["done"] = True
-            emit(records, cfg.out_dir, cfg)
-        if _sig:
-            sys.exit(EXIT_RUNTIME)
-
-    old = signal.signal(signal.SIGINT, flush)
-    try:
-        records.extend(run_benchmark(cfg, include_real_epoch=not args.no_real_epoch))
-    finally:
-        signal.signal(signal.SIGINT, old)
+    # an interrupted run raises out of here and writes nothing, so the
+    # tables of an earlier run in out_dir survive
+    records = run_benchmark(cfg, include_real_epoch=not args.no_real_epoch)
     stats = summarize(records)
     if cfg.out_dir:
         _write_manifest(cfg, Path(cfg.out_dir))
         paths = emit(records, cfg.out_dir, cfg)
-        flushed["done"] = True
         if not args.json:
             print(f"wrote {', '.join(str(p) for p in paths)}")
     if args.json:

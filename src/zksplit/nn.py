@@ -67,13 +67,6 @@ class DenseStack:
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "DenseStack":
-        return DenseStack(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
-
 
 @dataclass
 class SplitModel:
@@ -87,9 +80,6 @@ class SplitModel:
             raise ShapeError("client output width and server input width must equal cut_width")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-
-    def copy(self) -> "SplitModel":
-        return SplitModel(self.client.copy(), self.server.copy(), self.cut_width, self.lr)
 
 
 @dataclass

@@ -271,10 +271,6 @@ def _accumulators(pk: SnarkProvingKey, witness: Witness) -> Tuple[int, int, int,
 class QapSnarkBackend(Backend):
     name = "snark"
 
-    @classmethod
-    def available(cls) -> bool:
-        return True
-
     def setup(self, cs: ConstraintSystem, seed: bytes = b"") -> KeyPair:
         nc = len(cs.rows)
         if nc > MAX_CONSTRAINTS:

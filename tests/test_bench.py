@@ -46,14 +46,6 @@ class TestRecords:
         with pytest.raises(BenchError):
             BenchRecord("batch_time", "none", 1, 16, 0, 1.0, "bytes")
 
-    def test_unknown_backend_mode_errors_before_timing(self, monkeypatch):
-        import zksplit.bench as bench_mod
-
-        monkeypatch.setattr(bench_mod, "backend_capabilities",
-                            lambda: {"mock": False, "snark": False})
-        with pytest.raises(BenchError, match="unavailable backend"):
-            run_benchmark(SimConfig(**{**FAST, "mode_grid": ["zk-mock"]}))
-
 
 class TestRunBenchmark:
     def test_expected_cells_present(self, records):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zksplit.backend import MockBackend, load_verifying_key
 from zksplit.circuit import (
     BUILDERS,
     CircuitConstants,
@@ -29,6 +30,24 @@ from zksplit.field import P
 EQUAL = CircuitConstants()  # all scale exponents equal, zero-points 0
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
                          f_w=12, z_w=2, f_wp=11, z_wp=-1)
+
+
+def through_key(cs):
+    """The circuit a mock verifying key of cs loads back with."""
+    return load_verifying_key(MockBackend().setup(cs).verifying_key.to_bytes()).cs
+
+
+def honest_inputs(kind, m, c, rnd):
+    """The public values and free private inputs of an honest witness."""
+    u_q = [rnd.randint(-100, 100) for _ in range(m)]
+    w_q = [rnd.randint(-100, 100) for _ in range(m)]
+    k_q = c.z_k + 2 ** c.f_k
+    if kind == "aggregation":
+        return quantized_aggregate([k_q], [u_q], c) + [k_q], u_q
+    if kind == "update":
+        return quantized_update(w_q, u_q, c) + w_q, u_q
+    up_q = quantized_aggregate([k_q], [u_q], c)
+    return quantized_update(w_q, up_q, c) + w_q + [k_q], u_q
 
 
 def rational_aggregate(k_q, u_q, c):
@@ -81,6 +100,17 @@ class TestConstants:
         bad2 = CircuitConstants(f_w=36, f_wp=13)
         with pytest.raises(ScaleUnderflowError):
             build_update_circuit(2, bad2)
+
+    def test_powers_of_two_stay_below_p(self):
+        # P has 254 bits, so 2**253 < P < 2**254
+        assert CircuitConstants(eta=253).eta == 253
+        with pytest.raises(CircuitError, match="eta must be"):
+            CircuitConstants(eta=254)
+        build_aggregation_circuit(1, CircuitConstants(f_up=257))  # ca = 2**253
+        with pytest.raises(CircuitError, match=r"2\*\*254 is not below P"):
+            build_aggregation_circuit(1, CircuitConstants(f_up=258))
+        with pytest.raises(CircuitError, match="not below P"):
+            build_update_circuit(1, CircuitConstants(f_w=-10**12))
 
 
 class TestAggregationCircuit:
@@ -323,13 +353,16 @@ class TestGadgetLayout:
             assert [len(row) for row in g.bits] == [c.eta] * m and g.bits[-1][-1] == g.wires[-1]
             assert len(g.out) == m and (g.out[0] in g.wires) == g.private_out
 
+    @pytest.mark.parametrize("c", [EQUAL, MIXED, ETA60], ids=["equal", "mixed", "eta60"])
     @pytest.mark.parametrize("kind", list(BUILDERS))
-    def test_circuit_without_gadgets_derives_no_witness(self, kind):
-        cs = BUILDERS[kind](2, EQUAL)
-        clone = ConstraintSystem.from_json_dict(cs.to_json_dict())
-        assert clone.digest() == cs.digest() and clone.gadgets == []
-        with pytest.raises(CircuitError, match="no gadgets"):
-            generate_witness(clone, [0] * cs.num_public, [0, 0])
+    def test_loaded_key_circuit_has_its_builders_gadgets(self, kind, c):
+        cs = BUILDERS[kind](3, c)
+        loaded = through_key(cs)
+        assert loaded.digest() == cs.digest()
+        assert [type(g) for g in loaded.gadgets] == [type(g) for g in cs.gadgets] != []
+        public, private = honest_inputs(kind, 3, c, random.Random(kind))
+        assert (generate_witness(loaded, public, private).to_bytes()
+                == generate_witness(cs, public, private).to_bytes())
 
     def test_hand_built_circuit_derives_no_witness(self):
         cs = ConstraintSystem("update", 1, 1, EQUAL)
@@ -347,7 +380,7 @@ class TestGadgetLayout:
 class TestExport:
     def test_json_round_trip_preserves_digest_and_satisfaction(self):
         cs = build_protocol_circuit(2, MIXED)
-        clone = ConstraintSystem.from_json_dict(cs.to_json_dict())
+        clone = through_key(cs)
         assert clone.digest() == cs.digest()
         rnd = random.Random(1)
         k_q = MIXED.z_k + 2 ** MIXED.f_k

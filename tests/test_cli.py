@@ -239,6 +239,17 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "batch_time" in out
 
+    def test_interrupted_bench_leaves_earlier_tables(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("zksplit.cli.run_benchmark", interrupted)
+        (tmp_path / "bench.csv").write_text("metric,value\nbatch_time,1.0\n")
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("bench", "--mode", "none", "--out", str(tmp_path))
+        assert (tmp_path / "bench.csv").read_text() == "metric,value\nbatch_time,1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv"]
+
 
 class TestBackendsCommand:
     def test_lists_availability(self, capsys):

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import zlib
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -18,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zksplit.backend import DecodeError, MockBackend, Proof, Statement, Verdict
+from zksplit.backend import (
+    DecodeError,
+    MockBackend,
+    Proof,
+    Statement,
+    Verdict,
+    encode_frame,
+    load_verifying_key,
+)
 from zksplit import circuit
 from zksplit.circuit import (
     MIN_ETA,
@@ -73,6 +82,11 @@ def honest(kind, m, name):
         up_q = quantized_aggregate([k_q], [u_q], c)
         wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + [k_q], u_q)
     return cs, wit.values
+
+
+def through_key(cs):
+    """The circuit a mock verifying key of cs loads back with."""
+    return load_verifying_key(MockBackend().setup(cs).verifying_key.to_bytes()).cs
 
 
 def agree(cs, values):
@@ -209,7 +223,7 @@ class TestBooleanRows:
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_json_round_trip_keeps_split(self, kind, m, name):
         cs = BUILDERS[kind](m, CONSTANTS[name])
-        back = ConstraintSystem.from_json_dict(cs.to_json_dict()).compiled()
+        back = through_key(cs).compiled()
         np.testing.assert_array_equal(back.bits, cs.compiled().bits)
         assert general_rows(back) == general_rows(cs.compiled())
 
@@ -338,27 +352,33 @@ class TestBooleanStorage:
         assert all(type(row) is int for row in ints)
         assert ints == cs.compiled().bits.tolist()
         assert len(cs.rows) - len(ints) == (2 * m if kind == "composed" else m)
-        back = ConstraintSystem.from_json_dict(cs.to_json_dict())
+        back = through_key(cs)
         assert back.rows == cs.rows
         assert back.digest() == cs.digest()
 
     def test_json_spellings_of_a_boolean_row(self):
-        cs = one_boolean_row(2, "add_boolean")
-        d = cs.to_json_dict()
-        assert d["constraints"] == [[[[2, 1]], [[0, P - 1], [2, 1]], []]]
-        # unsorted, unreduced or float-valued spellings are the same row
-        for row in ([[[2, 1]], [[2, 1], [0, P - 1]], []], [[[2, P + 1]], [[0, -1], [2, 1]], []],
-                    [[[2.0, 1]], [[0, P - 1], [2, 1.0]], []]):
-            back = ConstraintSystem.from_json_dict({**d, "constraints": [row]})
-            assert back.rows == [2]
-            assert back.digest() == cs.digest()
-        # the canonical spelling on wire 0 or past the last wire is no boolean row
-        zero = ConstraintSystem.from_json_dict(
-            {**d, "constraints": [[[[0, 1]], [[0, P - 1], [0, 1]], []]]})
-        assert zero.rows == [({0: 1}, {0: 1}, {})]
-        with pytest.raises(CircuitError, match="unallocated wire 3"):
-            ConstraintSystem.from_json_dict(
-                {**d, "constraints": [[[[3, 1]], [[0, P - 1], [3, 1]], []]]})
+        assert one_boolean_row(2, "add_boolean").to_json_dict()["constraints"] == [
+            [[[2, 1]], [[0, P - 1], [2, 1]], []]]
+        cs = build_update_circuit(1, EQUAL)
+        d, bit = cs.to_json_dict(), cs.rows[-1]
+
+        def load(last_row):
+            text = json.dumps({**d, "constraints": d["constraints"][:-1] + [last_row]},
+                              separators=(",", ":"), sort_keys=True).encode()
+            frame = encode_frame("mock", hashlib.sha256(text).hexdigest(), zlib.compress(text))
+            return load_verifying_key(frame).cs
+
+        assert load([[[bit, 1]], [[0, P - 1], [bit, 1]], []]).digest() == cs.digest()
+        # a key holds a boolean row only in to_json's spelling: unsorted,
+        # unreduced or float-valued spellings of the same row are refused, and
+        # so is that spelling on wire 0 or past the last wire
+        for row in ([[[bit, 1]], [[bit, 1], [0, P - 1]], []],
+                    [[[bit, P + 1]], [[0, -1], [bit, 1]], []],
+                    [[[float(bit), 1]], [[0, P - 1], [bit, 1.0]], []],
+                    [[[0, 1]], [[0, P - 1], [0, 1]], []],
+                    [[[cs.num_wires, 1]], [[0, P - 1], [cs.num_wires, 1]], []]):
+            with pytest.raises(DecodeError, match="not the circuit its builder writes"):
+                load(row)
 
     def test_constraints_is_a_read_only_view(self):
         cs = build_update_circuit(1, EQUAL)
@@ -540,7 +560,9 @@ def test_to_json_matches_dict_writer(cs):
     text = cs.to_json()
     assert text == reference_json(cs)
     assert cs.digest() == hashlib.sha256(text.encode()).hexdigest()
-    assert ConstraintSystem.from_json_dict(json.loads(text)).digest() == cs.digest()
+    # no builder writes such a circuit, so no key may carry it
+    with pytest.raises(DecodeError):
+        load_verifying_key(MockBackend().setup(cs).verifying_key.to_bytes())
 
 
 def per_element_bytes(values):
