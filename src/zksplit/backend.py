@@ -26,22 +26,21 @@ Mock keys and the snark proving key pack their circuit as its canonical
 JSON (ConstraintSystem.to_json), zlib-compressed.  A key can carry only a
 circuit that one of circuit.BUILDERS makes: loading reads the kind, m and
 constants from the head of the text, rebuilds the circuit, and requires the
-text to be, byte for byte, what the builder writes (see _unpack_circuit).
-The circuit JSON is never parsed back into rows.
+rebuilt circuit's digest to be the one the key frame names (see
+_unpack_circuit and _load_key).  The circuit JSON is never parsed back
+into rows.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
-import re
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict
 
-from .circuit import BUILDERS, CircuitConstants, ConstraintSystem, FieldVector, Witness
+from .circuit import CircuitError, ConstraintSystem, FieldVector, Witness, from_builder_json
 
 WIRE_VERSION = 1
 BACKEND_IDS = {"mock": 1, "snark": 2}
@@ -162,48 +161,25 @@ def _pack_circuit(cs: ConstraintSystem) -> bytes:
     return zlib.compress(cs.to_json().encode(), level=6)
 
 
-# The canonical circuit JSON opens with its constants, which hold only ints,
-# so the first "}" closes them; the constraint list after them holds no
-# quotes, and "kind" and "m" are the next keys.
-_HEADER = re.compile(
-    rb'\{"constants":(\{[^}]*\}),"constraints":\[[^"]*\],"kind":"(\w+)","m":(\d+),')
-
-
 def _unpack_circuit(payload: bytes) -> ConstraintSystem:
-    """The builder circuit ``_pack_circuit`` wrote as the whole of ``payload``.
+    """The builder circuit whose header opens the text ``_pack_circuit``
+    wrote as the whole of ``payload`` (see circuit.from_builder_json).
 
-    A key carries only a circuit that one of ``BUILDERS`` makes.  Only the
-    header of the packed text is read: its constants, kind and m.  The
-    circuit is rebuilt from them, and the text must be, byte for byte, the
-    rebuilt circuit's ``to_json``; the constraint list is never parsed.  A
-    misread header can thus only fail that comparison.  Each of the
-    m * (1 + eta) rows a builder writes takes more than one byte of text,
-    so a header whose m * (1 + eta) exceeds the text's length is refused
-    before anything is built.
+    A key carries only a circuit that one of ``circuit.BUILDERS`` makes.
+    Only the header of the packed text is read; the constraint list is
+    never parsed.
+    ``_load_key`` then requires the rebuilt circuit's digest to be the one
+    the key frame names, so a misread header or a text no builder writes
+    fails that check.
     """
     inflate = zlib.decompressobj()
     try:
         text = inflate.decompress(payload)
         if not inflate.eof or inflate.unused_data:
             raise DecodeError("bad circuit payload: trailing or missing bytes")
-        header = _HEADER.match(text)
-        build = header and BUILDERS.get(header[2].decode())
-        if not build:
-            raise DecodeError("bad circuit payload: no builder header")
-        constants = json.loads(header[1])
-        if not all(type(v) is int for v in constants.values()):
-            raise DecodeError("bad circuit payload: constants must be integers")
-        m, c = int(header[3]), CircuitConstants(**constants)
-        if m * (1 + c.eta) > len(text):
-            raise DecodeError(f"bad circuit payload: m = {m} is too large for its text")
-        cs = build(m, c)
-    except (zlib.error, ValueError, TypeError, RecursionError) as e:
-        # ValueError covers CircuitError and the JSON and UTF-8 decode errors;
-        # a deeply nested constants object raises RecursionError
+        return from_builder_json(text)
+    except (zlib.error, CircuitError) as e:
         raise DecodeError(f"bad circuit payload: {e}") from None
-    if not cs.matches_json(text):
-        raise DecodeError("bad circuit payload: not the circuit its builder writes")
-    return cs
 
 
 @dataclass
@@ -317,7 +293,8 @@ def backend_capabilities() -> Dict[str, bool]:
 
 
 def _load_key(data: bytes, mock_cls, snark_cls: str):
-    """A key from its frame; a key that packs a circuit must pack the one the frame names."""
+    """A key from its frame; a key that packs a circuit must pack the one the
+    frame names, so a rebuilt circuit must have the frame's digest."""
     backend, digest, payload = decode_frame(data)
     if backend == "mock":
         key = mock_cls.from_payload(payload)

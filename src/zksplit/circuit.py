@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -660,14 +661,6 @@ class ConstraintSystem:
             self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
         return self._digest
 
-    def matches_json(self, text: bytes) -> bool:
-        """Whether ``text`` is, byte for byte, this circuit's ``to_json``;
-        if it is, its SHA-256 is kept as the digest."""
-        if self.to_json().encode() != text:
-            return False
-        self._digest = hashlib.sha256(text).hexdigest()
-        return True
-
 
 # -- builders --------------------------------------------------------------
 
@@ -819,6 +812,39 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
 
 BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
             "composed": build_protocol_circuit}
+
+# to_json opens with the constants, which hold only ints, so the first "}"
+# closes them; the constraint list after them holds no quotes, and "kind"
+# and "m" are the next keys.
+_BUILDER_HEADER = re.compile(
+    rb'\{"constants":(\{[^}]*\}),"constraints":\[[^"]*\],"kind":"(\w+)","m":(\d+),')
+
+
+def from_builder_json(text: bytes) -> ConstraintSystem:
+    """The circuit a builder makes from the constants, kind and m at the head
+    of ``text``, a circuit's ``to_json``; the rest of the text is not read.
+
+    The caller checks that the circuit is the one the text was meant to be,
+    by its digest.  A builder writes m * eta boolean rows, each at least as
+    long as the row on wire 1, so a header that asks for more than ``text``
+    could hold is refused before anything is built.  Every failure is a
+    CircuitError.
+    """
+    header = _BUILDER_HEADER.match(text)
+    build = header and BUILDERS.get(header[2].decode())
+    if not build:
+        raise CircuitError("no builder header")
+    try:
+        constants, m = json.loads(header[1]), int(header[3])
+        if not all(type(v) is int for v in constants.values()):
+            raise CircuitError("constants must be integers")
+        c = CircuitConstants(**constants)
+    except (ValueError, TypeError, RecursionError) as e:
+        # JSON and digit-count errors, unknown constants, deep nesting
+        raise CircuitError(f"bad header: {e}") from None
+    if m * c.eta * len(_BOOLEAN_JSON % (1, 1)) > len(text):
+        raise CircuitError(f"m = {m} is too large for its text")
+    return build(m, c)
 
 
 # -- the honest quantized arithmetic, shared by the protocol and witnesses --

@@ -1,5 +1,5 @@
 """A key's circuit is rebuilt by its builder from the header of the packed
-text, and the text must be, byte for byte, what that builder writes.  A
+text, and the rebuilt circuit must have the digest the key frame names.  A
 header is bounded by its text before anything is built."""
 
 import hashlib
@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from zksplit import backend
+from zksplit import circuit
 from zksplit.backend import (
     DecodeError,
     MockBackend,
@@ -30,6 +30,13 @@ LOADERS = [load_proving_key, load_verifying_key]
 EQUAL = CircuitConstants()
 
 
+def boolean_row_bytes() -> int:
+    """The length of the shortest boolean row in a circuit's JSON, on wire 1."""
+    cs = ConstraintSystem("update", 1, 1, EQUAL)
+    cs.add_boolean(cs.add_private("b"))
+    return len(json.dumps(cs.to_json_dict()["constraints"][0], separators=(",", ":")))
+
+
 def mock_frame(text: bytes) -> bytes:
     """A mock key frame packing ``text``, named by the digest of that text."""
     return encode_frame("mock", hashlib.sha256(text).hexdigest(), zlib.compress(text))
@@ -49,13 +56,13 @@ def update_text(**header) -> bytes:
 def builds(monkeypatch):
     """The m of every circuit the update builder is asked for."""
     calls = []
-    build = backend.BUILDERS["update"]
+    build = circuit.BUILDERS["update"]
 
     def recording(m, constants):
         calls.append(m)
         return build(m, constants)
 
-    monkeypatch.setitem(backend.BUILDERS, "update", recording)
+    monkeypatch.setitem(circuit.BUILDERS, "update", recording)
     return calls
 
 
@@ -65,7 +72,12 @@ def test_loaded_circuit_is_its_builders(load, builds):
     loaded = load(mock_frame(update_text())).cs
     assert builds == [1]
     assert loaded.digest() == cs.digest() and loaded.rows == cs.rows
-    assert loaded.gadgets and loaded.matches_json(cs.to_json().encode())
+    assert loaded.gadgets and loaded.to_json() == cs.to_json()
+
+
+def padded_update_text(m: int, zeros: int) -> bytes:
+    """update_text(m=m) with ``zeros`` bytes of "0" opening its constraint list."""
+    return update_text(m=m).replace(b'"constraints":[', b'"constraints":[' + b"0" * zeros, 1)
 
 
 @pytest.mark.parametrize("load", LOADERS)
@@ -73,12 +85,20 @@ def test_m_past_the_text_is_refused_before_building(load, builds):
     with pytest.raises(DecodeError, match="too large for its text"):
         load(mock_frame(update_text(m=10 ** 7)))
     assert builds == []
-    # the largest m the text admits is built, and fails only the comparison
-    most = len(update_text()) // (1 + EQUAL.eta)
-    with pytest.raises(DecodeError, match="not the circuit its builder writes"):
-        load(mock_frame(update_text(m=most)))
-    with pytest.raises(DecodeError, match="too large for its text"):
-        load(mock_frame(update_text(m=most + 1)))
+    # 4 MiB of zeros compress to about 4 KB, and admit only the m whose
+    # m * eta boolean rows could fill them
+    zeros = 1 << 22
+    most = len(padded_update_text(1000, zeros)) // (EQUAL.eta * boolean_row_bytes())
+    assert 1000 <= most < 9999
+    frame = mock_frame(padded_update_text(most + 1, zeros))
+    assert len(frame) < 10_000
+    for m in (most + 1, len(padded_update_text(10 ** 5, zeros)) // (1 + EQUAL.eta)):
+        with pytest.raises(DecodeError, match="too large for its text"):
+            load(mock_frame(padded_update_text(m, zeros)))
+    assert builds == []
+    # the largest m the text admits is built, and fails only the digest check
+    with pytest.raises(DecodeError, match="digest mismatch"):
+        load(mock_frame(padded_update_text(most, zeros)))
     assert builds == [most]
 
 
@@ -104,10 +124,12 @@ def test_header_its_builder_refuses_is_decode_error(load, header):
 
 
 def hand_built() -> ConstraintSystem:
-    """A circuit with a builder's kind and header that no builder writes."""
+    """A circuit with a builder's kind and header that no builder writes,
+    with as many boolean rows as the builder writes for its m."""
     cs = ConstraintSystem("update", 1, 1, EQUAL)
     x = cs.add_public("x")
-    cs.add_boolean(cs.add_private("y"))
+    for t in range(EQUAL.eta):
+        cs.add_boolean(cs.add_private(f"y:b{t}"))
     cs.add_constraint({x: 1}, {0: 1}, {x: 1})
     return cs
 
@@ -123,9 +145,10 @@ def test_hand_built_circuit_key_is_decode_error(make):
     cs = make()
     pair = MockBackend().setup(cs)
     for load, key in zip(LOADERS, (pair.proving_key, pair.verifying_key)):
-        with pytest.raises(DecodeError, match="not the circuit its builder writes"):
+        with pytest.raises(DecodeError, match="digest mismatch"):
             load(key.to_bytes())
-    with pytest.raises(DecodeError, match="not the circuit its builder writes"):
+    # a snark proving key's tables may be refused first, by their wire count
+    with pytest.raises(DecodeError, match="digest mismatch|key tables"):
         load_proving_key(QapSnarkBackend().setup(cs, b"seed").proving_key.to_bytes())
 
 

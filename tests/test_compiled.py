@@ -377,7 +377,7 @@ class TestBooleanStorage:
                     [[[float(bit), 1]], [[0, P - 1], [bit, 1.0]], []],
                     [[[0, 1]], [[0, P - 1], [0, 1]], []],
                     [[[cs.num_wires, 1]], [[0, P - 1], [cs.num_wires, 1]], []]):
-            with pytest.raises(DecodeError, match="not the circuit its builder writes"):
+            with pytest.raises(DecodeError, match="digest mismatch"):
                 load(row)
 
     def test_constraints_is_a_read_only_view(self):
