@@ -31,7 +31,7 @@ from .config import SimConfig
 from .ledger import Block, Chain
 from .nn import Batch, GradientBatch, SmashedBatch, SplitModel, init_split_model
 from .protocol import ProverEntity, RoundMessage, RoundReport, Trainer, VerifierEntity
-from .quant import QuantParams, QuantVector, calibrate, dequantize, quantize
+from .quant import QuantParams, calibrate, dequantize, quantize
 from .snark import QapSnarkBackend
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ProverEntity",
     "QapSnarkBackend",
     "QuantParams",
-    "QuantVector",
     "RoundMessage",
     "RoundReport",
     "SimConfig",

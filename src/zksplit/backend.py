@@ -184,6 +184,7 @@ def _unpack_circuit(payload: bytes) -> ConstraintSystem:
 
 @dataclass
 class MockProvingKey:
+    backend = "mock"
     cs: ConstraintSystem
 
     @property
@@ -221,10 +222,11 @@ class Backend:
         raise NotImplementedError
 
     def _addressed(self, vk, statement: Statement, proof: Proof) -> bool:
-        """The checks every verify makes first: the proof is this backend's,
-        made for the key's circuit and for this statement, and the statement
-        has the circuit's number of public values."""
-        return (proof.backend == self.name
+        """The checks every verify makes first: the key and the proof are
+        this backend's, the proof was made for the key's circuit and for this
+        statement, and the statement has the circuit's number of public
+        values."""
+        return (proof.backend == self.name == vk.backend
                 and proof.circuit_digest == vk.circuit_digest
                 and proof.statement_digest == statement.digest()
                 and len(statement) == vk.num_public)

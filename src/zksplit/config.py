@@ -47,7 +47,6 @@ class SimConfig:
     k_range: float = 2.0
 
     # protocol options
-    canary: bool = False
     suspect_threshold: int = 3
     tamper_clients: List[int] = field(default_factory=list)
 

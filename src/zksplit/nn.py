@@ -259,10 +259,17 @@ def sgd_step(stack: DenseStack, grads, lr: float, batch_size: int) -> DenseStack
 
 
 def make_blobs(count: int, dim: int, num_classes: int, seed: int,
-               spread: float = 4.0, noise: float = 0.6):
-    """Gaussian class blobs: well separated, so losses fall fast."""
+               spread: float = 4.0, noise: float = 0.6, sample_seed: int | None = None):
+    """Gaussian class blobs: well separated, so losses fall fast.
+
+    ``seed`` draws the class means; ``sample_seed``, if given, draws the
+    labels and samples instead, so other seeds give more samples of the
+    same task.
+    """
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, spread, size=(num_classes, dim))
+    if sample_seed is not None:
+        rng = np.random.default_rng(sample_seed)
     y = rng.integers(0, num_classes, size=count)
     x = means[y] + rng.normal(0.0, noise, size=(count, dim))
     return x, y

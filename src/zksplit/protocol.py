@@ -28,15 +28,17 @@ trainer's constants they force U = W' - W.  tests/test_snark_threats.py
 pins both, and that a payload replaced after proving is still accepted.
 
 The Prover Entity and Verifying Entity are in-process trusted roles: the
-PE holds proving keys and sees witnesses, the VE holds verifying keys and
-sees only statements and proofs.  All messages pass through the
-serialization layer so a socket transport could replace the in-process
-channel without protocol changes.
+PE holds the circuit's one proving key and sees witnesses, the VE holds its
+one verifying key and sees only statements and proofs.  All messages pass
+through the serialization layer (``RoundMessage.canonical_bytes``: an
+envelope of kind, sender, round, statement digest and proof size, then the
+statement, the proof frame and the payload) so a socket transport could
+replace the in-process channel without protocol changes; in blockchain mode
+the chain hashes those bytes, so every payload byte is hashed once.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -121,22 +123,28 @@ class RoundMessage:
     payload: bytes
     statement: Optional[Statement] = None
     proof: Optional[Proof] = None
-    canary_digest: Optional[str] = None
 
     def envelope(self) -> dict:
         return {
             "kind": self.kind,
             "sender": self.sender,
             "round": self.round_id,
-            "payload_digest": hashlib.sha256(self.payload).hexdigest(),
             "statement_digest": self.statement.digest() if self.statement else None,
             "proof_size": self.proof.size_bytes if self.proof else 0,
-            "canary_digest": self.canary_digest,
         }
 
     def canonical_bytes(self) -> bytes:
         """Envelope, statement, proof frame and payload, NUL-separated and
-        joined in one copy."""
+        joined in one copy.
+
+        The encoding is injective, so the chain's digest of these bytes
+        covers every field once: the envelope JSON holds no NUL (json.dumps
+        escapes control characters), so the first NUL ends it; a non-null
+        ``statement_digest`` means a statement follows, and a statement
+        carries its own element count; ``proof_size`` is the proof frame's
+        length, and 0 means there is no proof; the payload is everything
+        that is left.
+        """
         parts = [json.dumps(self.envelope(), sort_keys=True, separators=(",", ":")).encode()]
         if self.statement is not None:
             parts += (b"\x00", self.statement.to_bytes())
@@ -176,41 +184,27 @@ class RoundReport:
 
 
 class ProverEntity:
-    """Holds proving keys; the only role that ever touches witnesses."""
+    """Holds the proving key; the only role that ever touches witnesses."""
 
-    def __init__(self, backend_name: str):
+    def __init__(self, backend_name: str, proving_key):
         self.backend = get_backend(backend_name)
-        self._keys: Dict[str, object] = {}
+        self.proving_key = proving_key
 
-    def prove(self, circuit_digest: str, statement: Statement, witness) -> Proof:
-        pk = self._keys.get(circuit_digest)
-        if pk is None:
-            raise ProtocolError(f"no proving key for circuit {circuit_digest[:12]}")
-        return self.backend.prove(pk, statement, witness)
+    def prove(self, statement: Statement, witness: Witness) -> Proof:
+        return self.backend.prove(self.proving_key, statement, witness)
 
 
 class VerifierEntity:
-    """Holds verifying keys; sees statements and proofs, never witnesses."""
+    """Holds the verifying key; sees statements and proofs, never witnesses."""
 
-    def __init__(self, backend_name: str):
+    def __init__(self, backend_name: str, verifying_key):
         self.backend = get_backend(backend_name)
-        self._keys: Dict[str, object] = {}
-        self.log: List[dict] = []
+        self.verifying_key = verifying_key
 
-    def register(self, circuit_digest: str, verifying_key) -> None:
-        self._keys[circuit_digest] = verifying_key
-
-    def verify(self, circuit_digest: str, statement: Statement, proof: Optional[Proof],
-               sender: str = "?") -> Verdict:
-        vk = self._keys.get(circuit_digest)
-        if vk is None:
-            raise ProtocolError(f"no verifying key for circuit {circuit_digest[:12]}")
+    def verify(self, statement: Statement, proof: Optional[Proof]) -> Verdict:
         if proof is None:
-            verdict = Verdict.REJECT
-        else:
-            verdict = self.backend.verify(vk, statement, proof)
-        self.log.append({"sender": sender, "verdict": verdict.value})
-        return verdict
+            return Verdict.REJECT
+        return self.backend.verify(self.verifying_key, statement, proof)
 
 
 @dataclass
@@ -286,12 +280,10 @@ class Trainer:
         if self.zk:
             self.circuit = protocol_circuit(config.m, self.constants)
             backend = MODE_BACKENDS[self.mode]
-            self.pe = ProverEntity(backend)
-            self.ve = VerifierEntity(backend)
             pair = _setup_keys(backend, self.circuit,
                                seed.to_bytes(8, "little", signed=True))
-            self.pe._keys[self.circuit.digest()] = pair.proving_key
-            self.ve.register(self.circuit.digest(), pair.verifying_key)
+            self.pe = ProverEntity(backend, pair.proving_key)
+            self.ve = VerifierEntity(backend, pair.verifying_key)
 
         self.chain = Chain.genesis() if self.mode == "blockchain" else None
 
@@ -305,15 +297,9 @@ class Trainer:
             self.last_update = self._update(
                 self.wq_cur, self.wq_cur, np.full(config.m, self.constants.z_u, dtype=np.int64))
 
-        self.canary_batch: Optional[Batch] = None
-        if config.canary:
-            cx, cy = make_blobs(config.batch_size, config.input_dim,
-                                config.num_classes, seed=seed + 7,
-                                spread=config.blob_spread, noise=config.blob_noise)
-            self.canary_batch = Batch(x=cx, y=cy)
-
+        # held-out samples of the training task: its class means, new draws
         ex, ey = make_blobs(4 * config.batch_size, config.input_dim,
-                            config.num_classes, seed=seed + 13,
+                            config.num_classes, seed=seed, sample_seed=seed + 13,
                             spread=config.blob_spread, noise=config.blob_noise)
         self.eval_batch = Batch(x=ex, y=ey)
 
@@ -340,19 +326,13 @@ class Trainer:
         statement = proof = None
         if update is not None:
             statement, witness = update
-            proof = self.pe.prove(self.circuit.digest(), statement, witness)
+            proof = self.pe.prove(statement, witness)
             if tamper:
                 forged = statement.signed.copy()
                 forged[0] += 1
                 statement = Statement(forged)
         return RoundMessage(kind=kind, sender=sender, round_id=round_id, payload=payload,
                             statement=statement, proof=proof)
-
-    def _canary_digest(self) -> str:
-        z = client_forward(self.model.client, self.canary_batch).smashed.z
-        zq = quantize_array(np.clip(z, -self.config.w_range, self.config.w_range),
-                            self.wq_params)
-        return hashlib.sha256(zq.astype("<i8").tobytes()).hexdigest()
 
     # -- round state machine -------------------------------------------------
 
@@ -409,11 +389,7 @@ class Trainer:
         msg_fwd = self._message("SmashedForward", client.sender, round_id,
                                 smashed.z.astype("<f8").tobytes(), self.last_update,
                                 tamper=client.tamper)
-        if self.canary_batch is not None:
-            msg_fwd.canary_digest = self._canary_digest()
         if not self._deliver(msg_fwd, timings):
-            return VERDICT_REJECTED, None
-        if self.canary_batch is not None and msg_fwd.canary_digest != self._canary_digest():
             return VERDICT_REJECTED, None
 
         # server side: forward, loss, backward, own update
@@ -467,8 +443,7 @@ class Trainer:
         if not self.zk:
             return True
         t0 = time.perf_counter()
-        verdict = self.ve.verify(self.circuit.digest(), msg.statement, msg.proof,
-                                 sender=msg.sender)
+        verdict = self.ve.verify(msg.statement, msg.proof)
         dt = time.perf_counter() - t0
         timings["verify"] += dt
         self.verify_times.append(dt)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -93,24 +92,6 @@ class QuantParams:
             q_min=int(d["q_min"]),
             q_max=int(d["q_max"]),
         )
-
-
-@dataclass(frozen=True)
-class QuantVector:
-    """A sequence of quantized integers together with its parameters."""
-
-    values: tuple
-    params: QuantParams
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        p = self.params
-        for v in self.values:
-            if v < p.q_min or v > p.q_max:
-                raise OverflowError_(f"quantized value {v} outside [{p.q_min}, {p.q_max}]")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def calibrate(
@@ -201,7 +182,3 @@ def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
     if q.size and (q.min() < p.q_min or q.max() > p.q_max):
         raise QuantError("invalid quantized value")
     return (q - p.zero_point).astype(np.float64) * (2.0 ** (-p.scale_exp))
-
-
-def quantize_vector(xs: Sequence[float], p: QuantParams) -> QuantVector:
-    return QuantVector(values=tuple(quantize(float(x), p) for x in xs), params=p)

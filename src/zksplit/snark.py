@@ -148,6 +148,7 @@ def _limb_table(data) -> np.ndarray:
 
 @dataclass
 class SnarkProvingKey:
+    backend = "snark"
     cs: ConstraintSystem
     circuit_digest: str
     alpha: int
@@ -188,6 +189,7 @@ class SnarkProvingKey:
 
 @dataclass
 class SnarkVerifyingKey:
+    backend = "snark"
     circuit_digest: str
     num_public: int
     alpha_beta: int

@@ -121,3 +121,43 @@ def test_summary_lists_the_traced_layers_side_by_side():
         "setup.circuit_build_s": {"parent": 0.08, "change": 0.07},
     }}
     json.dumps(out)
+
+
+STUB_RUN = '''import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if int(args["--seed"]) in FAIL_SEEDS:
+    sys.exit("stub: no result for seed " + args["--seed"])
+out = Path("perfbench/results")
+out.mkdir(exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+(out / name).write_text(json.dumps({"rounds": 10, "metadata": {"commit": "stub"},
+    "result": {"correct": True, "metrics": {"round_ms.p90": {"value": 5.0}}}}))
+'''
+
+
+def stub_checkout(path: Path, fail_seeds) -> Path:
+    """A checkout whose perfbench/run.py writes a record, or, for a seed in
+    ``fail_seeds``, exits 1 without one."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(f"FAIL_SEEDS = {set(fail_seeds)!r}\n" + STUB_RUN)
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"],
+        "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
+    return path
+
+
+def test_a_run_that_writes_no_result_is_kept_and_its_pair_dropped(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail_seeds=())
+    change = stub_checkout(tmp_path / "change", fail_seeds={2})
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--runs", str(runs), "--out", str(out), "w:1-3"])
+    assert code == 1
+    records = [json.loads(line) for line in runs.read_text().splitlines()]
+    assert len(records) == 6
+    (failed,) = [r for r in records if r["record"] is None]
+    assert (failed["side"], failed["seed"], failed["returncode"]) == ("change", 2, 1)
+    assert "stub: no result for seed 2" in failed["stderr_tail"]
+    summary = json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]
+    assert (summary["pairs"], summary["dropped"]) == (2, 1)

@@ -125,6 +125,22 @@ class TestProveVerify:
         assert rc == 3
 
 
+    def test_key_and_proof_of_different_backends_exit_two(self, tmp_path, capsys):
+        make_prove_fixture(tmp_path)
+        for backend in ("mock", "snark"):
+            assert run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
+                           "--statement", str(tmp_path / "statement.json"),
+                           "--witness", str(tmp_path / "witness.json"),
+                           "--backend", backend, "--out", str(tmp_path / backend)) == 0
+        capsys.readouterr()
+        for key, proof in (("mock", "snark"), ("snark", "mock")):
+            rc = run_cli("verify", "--vk", str(tmp_path / key / "vk.bin"),
+                         "--statement", str(tmp_path / "statement.json"),
+                         "--proof", str(tmp_path / proof / "proof.bin"))
+            out = capsys.readouterr()
+            assert rc == 2
+            assert out.out == "Reject\n" and out.err == ""
+
     def _proved(self, tmp_path):
         make_prove_fixture(tmp_path)
         assert run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),

@@ -1,5 +1,6 @@
-"""Whole proof frames: their bytes, their size without re-encoding, and
-verification that returns a verdict for every frame that decodes."""
+"""Whole proof frames: their bytes, their size without re-encoding, the
+message bytes that carry them, and verification that returns a verdict for
+every frame that decodes, whichever backend's key it meets."""
 
 import json
 import random
@@ -118,6 +119,51 @@ class TestToBytes:
 
 
 @st.composite
+def message_pairs(draw):
+    """A message, with or without a statement and a proof, and a copy that
+    differs from it in one payload byte, one statement element or one
+    proof-body byte, or that lacks its statement or its proof."""
+    _, stmt, _, frames = instance()
+    payload = draw(st.binary(min_size=1, max_size=64))
+    statement = draw(st.sampled_from([None, stmt]))
+    proof = draw(st.sampled_from([None] + [Proof.from_bytes(f) for f in sorted(frames.values())]))
+    msg = RoundMessage("GradientBackward", "server", 3, payload, statement, proof)
+    changes = ["payload"]
+    if statement is not None:
+        changes += ["statement element", "no statement"]
+    if proof is not None:
+        changes += ["proof byte", "no proof"]
+    change = draw(st.sampled_from(changes))
+    flip = draw(st.integers(1, 255))
+    if change == "payload":
+        at = draw(st.integers(0, len(payload) - 1))
+        payload = payload[:at] + bytes([payload[at] ^ flip]) + payload[at + 1 :]
+    elif change == "statement element":
+        values = list(statement.values)
+        values[draw(st.integers(0, len(values) - 1))] += draw(st.integers(1, 2**64))
+        statement = Statement(values)
+    elif change == "no statement":
+        statement = None
+    elif change == "proof byte":
+        body = proof.body
+        at = draw(st.integers(0, len(body) - 1))
+        proof = Proof(proof.backend, proof.circuit_digest, proof.statement_digest,
+                      body[:at] + bytes([body[at] ^ flip]) + body[at + 1 :])
+    else:
+        proof = None
+    other = RoundMessage(msg.kind, msg.sender, msg.round_id, payload, statement, proof)
+    # a message lacking a statement or a proof may be on either side
+    return (other, msg) if draw(st.booleans()) else (msg, other)
+
+
+@settings(deadline=None, max_examples=200)
+@given(message_pairs())
+def test_message_bytes_cover_every_payload_statement_and_proof_byte(pair):
+    a, b = pair
+    assert a.canonical_bytes() != b.canonical_bytes()
+
+
+@st.composite
 def random_body_frames(draw):
     """A valid header carrying the circuit's digest, the statement's digest
     or a random one, and a random body: any bytes, a snark-sized body, an
@@ -167,3 +213,12 @@ def test_frame_verification_is_total(data):
             assert verdict is Verdict.ACCEPT
         else:
             assert verdict is Verdict.REJECT
+
+
+def test_a_key_and_a_proof_of_different_backends_reject():
+    _, stmt, vks, frames = instance()
+    for key_name, vk in vks.items():
+        for proof_name, frame in frames.items():
+            if key_name != proof_name:
+                for backend in BACKENDS.values():
+                    assert backend.verify(vk, stmt, Proof.from_bytes(frame)) is Verdict.REJECT

@@ -5,16 +5,10 @@ import pytest
 
 from zksplit import circuit, protocol
 from zksplit.backend import Statement, Verdict
-from zksplit.circuit import build_protocol_circuit, generate_witness
+from zksplit.circuit import generate_witness
 from zksplit.config import ConfigError, SimConfig
 from zksplit.nn import client_forward, server_step
-from zksplit.protocol import (
-    ProtocolError,
-    ProverEntity,
-    RoundMessage,
-    Trainer,
-    VerifierEntity,
-)
+from zksplit.protocol import ProverEntity, RoundMessage, Trainer, VerifierEntity
 
 M = 16  # small cut width keeps proof work cheap in unit tests
 
@@ -61,14 +55,26 @@ class TestHonestRun:
         evals = [r.eval_loss for r in reports]
         assert all(e is not None for e in evals)
 
-    def test_every_applied_update_has_accept_verdict(self):
+    def test_every_applied_update_has_accept_verdict(self, monkeypatch):
+        verdicts = []
+        orig = VerifierEntity.verify
+
+        def counted(self, statement, proof):
+            verdicts.append(orig(self, statement, proof))
+            return verdicts[-1]
+
+        monkeypatch.setattr(VerifierEntity, "verify", counted)
         cfg = SimConfig(mode="zk-mock", num_clients=3, m=M, rounds=3, seed=4)
-        tr = Trainer(cfg)
-        reports = tr.train()
+        reports = Trainer(cfg).train()
         applied = sum(1 for r in reports for v in r.verdicts.values() if v == "Accepted")
         # two verified messages per applied client turn
-        assert len(tr.ve.log) == 2 * applied
-        assert all(e["verdict"] == "Accept" for e in tr.ve.log)
+        assert len(verdicts) == 2 * applied
+        assert all(v is Verdict.ACCEPT for v in verdicts)
+
+    def test_eval_loss_falls_under_the_default_config(self):
+        reports = Trainer(SimConfig()).train()
+        evals = [r.eval_loss for r in reports]
+        assert evals[-1] < evals[0] / 10
 
     def test_statement_digests_deterministic(self):
         cfg = SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=2, seed=9)
@@ -151,25 +157,6 @@ class TestTamperHandling:
             assert 2 not in report.suspects
         assert verdicts == ["Accepted", "RejectedProof", "Accepted"]
         assert counts == [0, 1, 0]
-
-    def test_canary_mismatch_rejects(self):
-        cfg = SimConfig(mode="zk-mock", num_clients=2, m=M, rounds=1, seed=0,
-                        canary=True)
-        tr = Trainer(cfg)
-        orig = tr._canary_digest
-
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            d = orig()
-            # corrupt only the copy client 0 sends
-            return d[::-1] if calls["n"] == 1 else d
-
-        tr._canary_digest = flaky
-        report = tr.run_round(0)
-        assert report.verdicts[0] == "RejectedProof"
-        assert report.verdicts[1] == "Accepted"
 
 
 class TestBaselineModes:
@@ -333,9 +320,9 @@ class TestMessagePipeline:
         proved = []
         orig_prove = ProverEntity.prove
 
-        def prove(self, digest, statement, witness):
+        def prove(self, statement, witness):
             proved.append(witness)
-            return orig_prove(self, digest, statement, witness)
+            return orig_prove(self, statement, witness)
 
         monkeypatch.setattr(ProverEntity, "prove", prove)
         reports = Trainer(SimConfig(mode="zk-mock", num_clients=1, m=8, rounds=3,
@@ -361,21 +348,10 @@ class TestMessagePipeline:
 
 
 class TestEntities:
-    def test_ve_requires_registered_circuit(self):
-        ve = VerifierEntity("mock")
-        cs = build_protocol_circuit(2, Trainer(SimConfig(m=2, rounds=1)).constants)
-        with pytest.raises(ProtocolError, match="no verifying key"):
-            ve.verify(cs.digest(), Statement([]), None)
-
-    def test_pe_requires_registered_circuit(self):
-        pe = ProverEntity("mock")
-        with pytest.raises(ProtocolError, match="no proving key"):
-            pe.prove("ff" * 32, Statement([]), None)
-
     def test_missing_proof_rejected(self):
         cfg = SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=1, seed=0)
         tr = Trainer(cfg)
-        verdict = tr.ve.verify(tr.circuit.digest(), Statement([0] * (2 * M + 1)), None)
+        verdict = tr.ve.verify(Statement([0] * (2 * M + 1)), None)
         assert verdict is Verdict.REJECT
 
 

@@ -11,13 +11,11 @@ from zksplit.quant import (
     OverflowError_,
     QuantError,
     QuantParams,
-    QuantVector,
     calibrate,
     dequantize,
     dequantize_array,
     quantize,
     quantize_array,
-    quantize_vector,
 )
 
 
@@ -159,13 +157,6 @@ class TestArrays:
             with pytest.raises(OverflowError_):
                 quantize_array([x], p)
         assert quantize_array(np.zeros(0), p).shape == (0,)
-
-    def test_quant_vector_validates(self):
-        p = calibrate(-1.0, 1.0)
-        v = quantize_vector([0.0, 0.5, -0.5], p)
-        assert len(v) == 3
-        with pytest.raises(OverflowError_):
-            QuantVector(values=(p.q_max + 1,), params=p)
 
 
 class TestSerialization:

@@ -17,12 +17,14 @@ workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won and a ``verdict`` under the acceptance rule
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``),
 per workload each side's median number of rounds completed and median
-fastest set-up sample (``setup_min_s``), and under
-``traced`` the per-layer metrics of each side's ``--trace 1`` run, side by
-side and with no verdict.  A
-pair enters the summary only when both runs exited 0 and passed the
-correctness gate; the others are counted under ``dropped``.  With no ``workload:seeds`` argument and no ``--trace-seed`` the
-command runs nothing and only rebuilds ``--out`` from the ``--runs`` file.
+fastest set-up sample (``setup_min_s``), and under ``traced`` the
+per-layer metrics of each side's ``--trace 1`` run, side by side and with
+no verdict.  A pair enters the summary only when both runs exited 0 and
+passed the correctness gate; the others are counted under ``dropped``.  A
+run that writes no record is appended to ``--runs`` with its exit code and
+the tail of its stderr, and the session goes on.  With no
+``workload:seeds`` argument and no ``--trace-seed`` the command runs
+nothing and only rebuilds ``--out`` from the ``--runs`` file.
 """
 
 import argparse
@@ -34,6 +36,7 @@ import time
 from pathlib import Path
 
 SECONDS = "20"
+STDERR_TAIL = 2000  # characters of a failed run's stderr kept in --runs
 
 
 def seeds(spec: str):
@@ -45,19 +48,21 @@ def seeds(spec: str):
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The run's exit code and record; a run that wrote no record gets
+    ``record`` None and the tail of its stderr instead."""
     path = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     path.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", SECONDS, "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if not path.exists():
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} wrote no result "
-                           f"(exit {proc.returncode}):\n{proc.stderr}")
+        return {"returncode": proc.returncode, "record": None,
+                "stderr_tail": proc.stderr[-STDERR_TAIL:]}
     return {"returncode": proc.returncode, "record": json.loads(path.read_text())}
 
 
 def ok(r) -> bool:
-    return r["returncode"] == 0 and r["record"]["result"]["correct"]
+    return r["returncode"] == 0 and r["record"] is not None and r["record"]["result"]["correct"]
 
 
 def quartiles(values):
@@ -97,7 +102,7 @@ def traced(runs, better):
     not an end-to-end one, as {metric: {"parent": value, "change": value}}."""
     by_seed = {}
     for r in runs:
-        if r["trace"] == 1:
+        if r["trace"] == 1 and r["record"] is not None:
             by_seed.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r
     out = {}
     for (workload, seed), sides in by_seed.items():
@@ -190,7 +195,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "command": [*spec["command"], "--seconds", SECONDS],
         "commits": {side: next((r["record"]["metadata"]["commit"] for r in runs
-                                if r["side"] == side), None) for side in sides},
+                                if r["side"] == side and r["record"] is not None), None)
+                    for side in sides},
         "summary": summary(runs, better, bounds),
         "runs": runs,
     }, indent=1) + "\n")
