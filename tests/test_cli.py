@@ -124,7 +124,6 @@ class TestProveVerify:
                      "--proof", str(tmp_path / "nope.bin"))
         assert rc == 3
 
-
     def test_key_and_proof_of_different_backends_exit_two(self, tmp_path, capsys):
         make_prove_fixture(tmp_path)
         for backend in ("mock", "snark"):
