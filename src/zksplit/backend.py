@@ -22,25 +22,27 @@ Statements and witnesses are immutable, so each is encoded at most once
 (a decoded one keeps the frame it came from), and a statement's digest is
 computed once too.
 
-Mock keys and the snark proving key pack their circuit as its canonical
-JSON (ConstraintSystem.to_json), zlib-compressed.  A key can carry only a
-circuit that one of circuit.BUILDERS makes: loading reads the kind, m and
-constants from the head of the text, rebuilds the circuit, and requires the
-rebuilt circuit's digest to be the one the key frame names (see
-_unpack_circuit and _load_key).  The circuit JSON is never parsed back
-into rows.
+Mock keys and the snark proving key carry their circuit as its spec
+(ConstraintSystem.spec), the canonical JSON of its kind, m and constants:
+a mock key's whole payload, and the u32-length-prefixed head of a snark
+proving key's.  Loading parses the spec with circuit.from_spec, which
+refuses a circuit larger than circuit.MAX_CONSTRAINTS before building it,
+requires the spec to be the one the circuit writes, and requires the
+built circuit's digest to be the one the key frame names (see _circuit_of
+and _load_key).  So a key can carry only a circuit that one of
+circuit.BUILDERS makes, and each key has one encoding.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import json
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Dict
 
-from .circuit import CircuitError, ConstraintSystem, FieldVector, Witness, from_builder_json
+from .circuit import ConstraintSystem, FieldVector, Witness, from_spec
 
 WIRE_VERSION = 1
 BACKEND_IDS = {"mock": 1, "snark": 2}
@@ -157,29 +159,18 @@ class KeyPair:
     verifying_key: "object"
 
 
-def _pack_circuit(cs: ConstraintSystem) -> bytes:
-    return zlib.compress(cs.to_json().encode(), level=6)
-
-
-def _unpack_circuit(payload: bytes) -> ConstraintSystem:
-    """The builder circuit whose header opens the text ``_pack_circuit``
-    wrote as the whole of ``payload`` (see circuit.from_builder_json).
-
-    A key carries only a circuit that one of ``circuit.BUILDERS`` makes.
-    Only the header of the packed text is read; the constraint list is
-    never parsed.
-    ``_load_key`` then requires the rebuilt circuit's digest to be the one
-    the key frame names, so a misread header or a text no builder writes
-    fails that check.
-    """
-    inflate = zlib.decompressobj()
+def _circuit_of(spec: bytes) -> ConstraintSystem:
+    """The circuit whose spec (ConstraintSystem.spec) is ``spec``.  Any
+    other bytes, including another spelling of the same spec, are a
+    DecodeError."""
     try:
-        text = inflate.decompress(payload)
-        if not inflate.eof or inflate.unused_data:
-            raise DecodeError("bad circuit payload: trailing or missing bytes")
-        return from_builder_json(text)
-    except (zlib.error, CircuitError) as e:
-        raise DecodeError(f"bad circuit payload: {e}") from None
+        cs = from_spec(json.loads(spec.decode()))
+    except (ValueError, RecursionError) as e:
+        # UTF-8 and JSON errors, deep nesting, and every CircuitError
+        raise DecodeError(f"bad circuit spec: {e}") from None
+    if cs.spec() != spec:
+        raise DecodeError("circuit spec is not canonical")
+    return cs
 
 
 @dataclass
@@ -196,11 +187,11 @@ class MockProvingKey:
         return self.cs.num_public
 
     def to_bytes(self) -> bytes:
-        return encode_frame("mock", self.circuit_digest, _pack_circuit(self.cs))
+        return encode_frame("mock", self.circuit_digest, self.cs.spec())
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "MockProvingKey":
-        return cls(cs=_unpack_circuit(payload))
+        return cls(cs=_circuit_of(payload))
 
 
 class MockVerifyingKey(MockProvingKey):
@@ -232,11 +223,11 @@ class Backend:
                 and len(statement) == vk.num_public)
 
     @staticmethod
-    def _require_satisfied(cs: ConstraintSystem, statement: Statement, witness: Witness) -> None:
-        """Refuse to prove unless the witness publishes the statement and satisfies cs."""
-        if (len(witness) != cs.num_wires or len(statement) != cs.num_public
-                or not witness.publishes(statement) or not cs.is_satisfied(witness)):
-            raise UnsatisfiedRelationError("unsatisfied relation")
+    def _satisfies(cs: ConstraintSystem, statement: Statement, witness: Witness) -> bool:
+        """Whether the witness has cs's wires, publishes the statement and
+        satisfies cs: what prove requires and what the mock verify checks."""
+        return (len(witness) == cs.num_wires and len(statement) == cs.num_public
+                and witness.publishes(statement) and cs.is_satisfied(witness))
 
 
 class MockBackend(Backend):
@@ -257,7 +248,8 @@ class MockBackend(Backend):
     def prove(self, pk: MockProvingKey, statement: Statement, witness: Witness) -> Proof:
         t0 = time.perf_counter()
         cs = pk.cs
-        self._require_satisfied(cs, statement, witness)
+        if not self._satisfies(cs, statement, witness):
+            raise UnsatisfiedRelationError("unsatisfied relation")
         return Proof(
             backend="mock",
             circuit_digest=cs.digest(),
@@ -270,11 +262,8 @@ class MockBackend(Backend):
         try:
             if not self._addressed(vk, statement, proof):
                 return Verdict.REJECT
-            cs = vk.cs
             witness = Witness.from_bytes(proof.body)
-            if len(witness) != cs.num_wires or not witness.publishes(statement):
-                return Verdict.REJECT
-            return Verdict.ACCEPT if cs.is_satisfied(witness) else Verdict.REJECT
+            return Verdict.ACCEPT if self._satisfies(vk.cs, statement, witness) else Verdict.REJECT
         except (ValueError, DecodeError):
             return Verdict.REJECT
 
@@ -295,8 +284,8 @@ def backend_capabilities() -> Dict[str, bool]:
 
 
 def _load_key(data: bytes, mock_cls, snark_cls: str):
-    """A key from its frame; a key that packs a circuit must pack the one the
-    frame names, so a rebuilt circuit must have the frame's digest."""
+    """A key from its frame; a key that carries a circuit must carry the one
+    the frame names, so its circuit must have the frame's digest."""
     backend, digest, payload = decode_frame(data)
     if backend == "mock":
         key = mock_cls.from_payload(payload)

@@ -30,7 +30,6 @@ import dataclasses
 import json
 import os
 import platform
-import queue
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -96,23 +95,23 @@ def _cell_trainer(config: SimConfig, mode: str, m: int) -> Trainer:
 
 def _measure_one_round(trainer: Trainer, mode: str, clients: int, m: int, rep: int,
                        round_id: int, batches_per_epoch: int,
-                       sink: "queue.Queue[BenchRecord]") -> None:
+                       sink: List[BenchRecord]) -> None:
     n_proof = len(trainer.proof_times)
     n_size = len(trainer.proof_sizes)
     n_verify = len(trainer.verify_times)
     t0 = time.perf_counter()
     trainer.run_round(round_id)
     dt = time.perf_counter() - t0
-    sink.put(BenchRecord("batch_time", mode, clients, m, rep, dt, "s"))
-    sink.put(BenchRecord("epoch_estimate", mode, clients, m, rep,
-                         dt * batches_per_epoch, "s"))
+    sink.append(BenchRecord("batch_time", mode, clients, m, rep, dt, "s"))
+    sink.append(BenchRecord("epoch_estimate", mode, clients, m, rep,
+                            dt * batches_per_epoch, "s"))
     for i, v in enumerate(trainer.proof_times[n_proof:]):
-        sink.put(BenchRecord("proof_time", mode, clients, m, 2 * rep + i, v, "s"))
+        sink.append(BenchRecord("proof_time", mode, clients, m, 2 * rep + i, v, "s"))
     for i, v in enumerate(trainer.proof_sizes[n_size:]):
-        sink.put(BenchRecord("proof_size", mode, clients, m, 2 * rep + i,
-                             float(v), "bytes"))
+        sink.append(BenchRecord("proof_size", mode, clients, m, 2 * rep + i,
+                                float(v), "bytes"))
     for i, v in enumerate(trainer.verify_times[n_verify:]):
-        sink.put(BenchRecord("verify_time", mode, clients, m, 2 * rep + i, v, "s"))
+        sink.append(BenchRecord("verify_time", mode, clients, m, 2 * rep + i, v, "s"))
 
 
 def _epoch_worker(args: dict) -> float:
@@ -135,7 +134,7 @@ def _epoch_worker(args: dict) -> float:
 
 
 def _measure_real_epoch(config: SimConfig, mode: str, clients: int, m: int,
-                        total_batches: int, sink: "queue.Queue[BenchRecord]") -> None:
+                        total_batches: int, sink: List[BenchRecord]) -> None:
     if total_batches % clients:
         raise BenchError("real_epoch total batches must divide evenly across clients")
     per_worker = total_batches // clients
@@ -151,7 +150,7 @@ def _measure_real_epoch(config: SimConfig, mode: str, clients: int, m: int,
             list(pool.map(_epoch_worker, jobs))
         dt = time.perf_counter() - t0
         if rep >= 0:
-            sink.put(BenchRecord("real_epoch", mode, clients, m, rep, dt, "s"))
+            sink.append(BenchRecord("real_epoch", mode, clients, m, rep, dt, "s"))
 
 
 def run_benchmark(config: SimConfig, include_real_epoch: bool = True) -> List[BenchRecord]:
@@ -166,7 +165,7 @@ def run_benchmark(config: SimConfig, include_real_epoch: bool = True) -> List[Be
     the sequential relay, so client cells at one (mode, m) share a
     trainer.
     """
-    sink: "queue.Queue[BenchRecord]" = queue.Queue()
+    records: List[BenchRecord] = []
     trainers: Dict[Tuple[str, int], Trainer] = {}
     rounds_done: Dict[Tuple[str, int], int] = {}
     for mode in config.mode_grid:
@@ -192,7 +191,7 @@ def run_benchmark(config: SimConfig, include_real_epoch: bool = True) -> List[Be
             for k in range(inner):
                 _measure_one_round(trainer, mode, clients, m, rep * inner + k,
                                    rounds_done[(mode, m)], config.batches_per_epoch,
-                                   sink)
+                                   records)
                 rounds_done[(mode, m)] += 1
     if include_real_epoch:
         for mode in config.mode_grid:
@@ -200,10 +199,7 @@ def run_benchmark(config: SimConfig, include_real_epoch: bool = True) -> List[Be
                 continue
             for clients in config.real_epoch_clients:
                 _measure_real_epoch(config, mode, clients, config.m,
-                                    config.real_epoch_batches, sink)
-    records = []
-    while not sink.empty():
-        records.append(sink.get())
+                                    config.real_epoch_batches, records)
     return sorted(records, key=lambda r: (r.metric, r.mode, r.clients, r.m, r.rep))
 
 

@@ -79,9 +79,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections.abc import Sequence as _Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +89,9 @@ from .field import P, to_signed
 from .quant import DEFAULT_Q_MAX, DEFAULT_Q_MIN, QuantParams
 
 MIN_ETA = 22
+# the most rows a circuit may have: from_spec builds no larger circuit, and
+# the snark setup refuses one
+MAX_CONSTRAINTS = 1 << 20
 # 2**e < P exactly when e < _P_BITS
 _P_BITS = P.bit_length()
 
@@ -491,10 +493,9 @@ class ConstraintSystem:
     final reduction per constraint.
     """
 
-    def __init__(self, kind: str, m: int, n: int, constants: CircuitConstants):
+    def __init__(self, kind: str, m: int, constants: CircuitConstants):
         self.kind = kind
         self.m = m
-        self.n = n
         self.constants = constants
         self.var_names: List[str] = ["one"]
         self.num_public = 0
@@ -620,7 +621,8 @@ class ConstraintSystem:
 
         It is ``json.dumps(d, separators=(",", ":"), sort_keys=True)`` of
         the dict d with keys constants (the CircuitConstants fields),
-        constraints, kind, m, n, num_private, num_public and variables.
+        constraints, kind, m, n, num_private, num_public and variables,
+        where n, the number of aggregated weights, is 1 in every circuit.
         ``constraints`` lists [A, B, C] per constraint, and each linear
         combination is a list of [wire, coefficient mod P] pairs sorted by
         wire.  Only the small header goes through ``json.dumps``; the
@@ -645,7 +647,7 @@ class ConstraintSystem:
         rest = _canonical_json({
             "kind": self.kind,
             "m": self.m,
-            "n": self.n,
+            "n": 1,
             "num_public": self.num_public,
             "num_private": self.num_private,
             "variables": self.var_names,
@@ -655,6 +657,12 @@ class ConstraintSystem:
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
+
+    def spec(self) -> bytes:
+        """The canonical JSON of kind, m and constants, the spec from_spec
+        reads: all a key carries of its circuit."""
+        return _canonical_json(
+            {"kind": self.kind, "m": self.m, "constants": asdict(self.constants)}).encode()
 
     def digest(self) -> str:
         if self._digest is None:
@@ -758,7 +766,7 @@ class _Update(_Floor):
 def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem:
     if m < 1:
         raise CircuitError("m must be >= 1")
-    return ConstraintSystem(kind, m, 1, constants)
+    return ConstraintSystem(kind, m, constants)
 
 
 def _emit(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
@@ -813,38 +821,32 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
 BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
             "composed": build_protocol_circuit}
 
-# to_json opens with the constants, which hold only ints, so the first "}"
-# closes them; the constraint list after them holds no quotes, and "kind"
-# and "m" are the next keys.
-_BUILDER_HEADER = re.compile(
-    rb'\{"constants":(\{[^}]*\}),"constraints":\[[^"]*\],"kind":"(\w+)","m":(\d+),')
+# each gadget writes one relation row and eta booleanity rows per element
+_GADGETS = {"aggregation": 1, "update": 1, "composed": 2}
+_CONSTANT_NAMES = {f.name for f in fields(CircuitConstants)}
 
 
-def from_builder_json(text: bytes) -> ConstraintSystem:
-    """The circuit a builder makes from the constants, kind and m at the head
-    of ``text``, a circuit's ``to_json``; the rest of the text is not read.
+def from_spec(spec) -> ConstraintSystem:
+    """The circuit of a decoded spec {"kind": ..., "m": ..., "constants": {...}}.
 
-    The caller checks that the circuit is the one the text was meant to be,
-    by its digest.  A builder writes m * eta boolean rows, each at least as
-    long as the row on wire 1, so a header that asks for more than ``text``
-    could hold is refused before anything is built.  Every failure is a
-    CircuitError.
+    Missing keys mean "composed", 1 and the default constants.  m and every
+    constant must be ints, not bools or floats.  A spec whose builder would
+    write more than MAX_CONSTRAINTS rows is refused before anything is
+    built.  Every failure is a CircuitError.
     """
-    header = _BUILDER_HEADER.match(text)
-    build = header and BUILDERS.get(header[2].decode())
-    if not build:
-        raise CircuitError("no builder header")
-    try:
-        constants, m = json.loads(header[1]), int(header[3])
-        if not all(type(v) is int for v in constants.values()):
-            raise CircuitError("constants must be integers")
-        c = CircuitConstants(**constants)
-    except (ValueError, TypeError, RecursionError) as e:
-        # JSON and digit-count errors, unknown constants, deep nesting
-        raise CircuitError(f"bad header: {e}") from None
-    if m * c.eta * len(_BOOLEAN_JSON % (1, 1)) > len(text):
-        raise CircuitError(f"m = {m} is too large for its text")
-    return build(m, c)
+    if not isinstance(spec, dict) or not set(spec) <= {"kind", "m", "constants"}:
+        raise CircuitError("a circuit spec is an object with keys kind, m and constants")
+    kind, m, constants = spec.get("kind", "composed"), spec.get("m", 1), spec.get("constants", {})
+    if not isinstance(kind, str) or kind not in BUILDERS:
+        raise CircuitError(f"unknown circuit kind {kind!r}")
+    if not isinstance(constants, dict) or not set(constants) <= _CONSTANT_NAMES:
+        raise CircuitError(f"unknown circuit constants in {constants!r}")
+    if not all(type(v) is int for v in (m, *constants.values())):
+        raise CircuitError("circuit m and constants must be integers")
+    c = CircuitConstants(**constants)
+    if m * (1 + c.eta) * _GADGETS[kind] > MAX_CONSTRAINTS:
+        raise CircuitError(f"m = {m} gives more than {MAX_CONSTRAINTS} constraints")
+    return BUILDERS[kind](m, c)
 
 
 # -- the honest quantized arithmetic, shared by the protocol and witnesses --

@@ -7,6 +7,7 @@ Subcommands:
   verify          check a proof file against a statement file
   ledger verify   check a persisted hash chain
   circuit export  dump a circuit description as JSON
+  backends        list the proving backends
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 runtime
 error.  Configuration comes from an optional JSON file plus flag
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,7 @@ from .backend import (
     load_verifying_key,
 )
 from .bench import BenchError, emit, format_summary, run_benchmark, summarize
-from .circuit import BUILDERS, CircuitConstants, ConstraintSystem, generate_witness
+from .circuit import BUILDERS, CircuitError, ConstraintSystem, from_spec, generate_witness
 from .config import MODES, ConfigError, SimConfig
 from .ledger import Chain
 from .nn import save_checkpoint
@@ -121,21 +122,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_CONSTANT_NAMES = {f.name for f in fields(CircuitConstants)}
-
-
-def _build_circuit_from_spec(spec) -> ConstraintSystem:
-    """The circuit of a spec {"kind": ..., "m": ..., "constants": {...}}."""
-    if not isinstance(spec, dict) or not set(spec) <= {"kind", "m", "constants"}:
-        raise ConfigError("a circuit spec is an object with keys kind, m and constants")
-    kind, m, constants = spec.get("kind", "composed"), spec.get("m", 1), spec.get("constants", {})
-    if not isinstance(kind, str) or kind not in BUILDERS:
-        raise ConfigError(f"unknown circuit kind {kind!r}")
-    if not isinstance(constants, dict) or not set(constants) <= _CONSTANT_NAMES:
-        raise ConfigError(f"unknown circuit constants in {constants!r}")
-    if not all(type(v) is int for v in (m, *constants.values())):
-        raise ConfigError("circuit m and constants must be integers")
-    return BUILDERS[kind](m, CircuitConstants(**constants))
+def _circuit(spec) -> ConstraintSystem:
+    """The circuit of a decoded spec; a spec from_spec refuses is a usage error."""
+    try:
+        return from_spec(spec)
+    except CircuitError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _read_ints(path: str) -> list:
@@ -147,7 +139,7 @@ def _read_ints(path: str) -> list:
 
 
 def _cmd_prove(args) -> int:
-    circuit = _build_circuit_from_spec(json.loads(Path(args.circuit).read_text()))
+    circuit = _circuit(json.loads(Path(args.circuit).read_text()))
     statement = Statement(_read_ints(args.statement))
     witness = generate_witness(circuit, statement, _read_ints(args.witness))
     backend = get_backend(args.backend)
@@ -196,7 +188,7 @@ def _cmd_circuit_export(args) -> int:
     spec = {"kind": args.kind, "m": args.m}
     if args.eta is not None:
         spec["constants"] = {"eta": args.eta}
-    circuit = _build_circuit_from_spec(spec)
+    circuit = _circuit(spec)
     text = circuit.to_json() if args.compact else json.dumps(circuit.to_json_dict(), indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

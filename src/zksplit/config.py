@@ -72,6 +72,12 @@ class SimConfig:
             self.data_partitions = self.num_clients
         if self.data_partitions < self.num_clients:
             raise ConfigError("data_partitions must cover all clients")
+        if self.samples_per_client < self.batch_size:
+            raise ConfigError("samples_per_client must be at least batch_size")
+        if not all(0 <= c < self.num_clients for c in self.tamper_clients):
+            raise ConfigError(f"tamper_clients must be in range({self.num_clients})")
+        if self.suspect_threshold < 1:
+            raise ConfigError("suspect_threshold must be >= 1")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         for md in self.mode_grid:

@@ -284,9 +284,12 @@ def partition_iid(x: np.ndarray, y: np.ndarray, num_clients: int, seed: int):
 
 
 def batch_stream(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int) -> Iterator[Batch]:
-    """Endless shuffled batches; each pass reshuffles deterministically."""
+    """Endless shuffled batches; each pass reshuffles deterministically.
+    Raises ValueError when the samples cannot fill one batch."""
     rng = np.random.default_rng(seed)
     n = len(y)
+    if n < batch_size:
+        raise ValueError(f"{n} samples cannot fill a batch of {batch_size}")
     while True:
         order = rng.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):

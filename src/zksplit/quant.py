@@ -17,6 +17,7 @@ an honestly generated witness violate its circuit constraints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,11 @@ def calibrate(
         raise CalibrationError("q_min must be below q_max")
 
     s0 = (b - a + 2.0 * eps) / (q_max - q_min)
+    # a scale below the smallest normal float would make 2.0 ** scale_exp overflow
+    if not sys.float_info.min <= s0 < math.inf:
+        raise CalibrationError("calibration range too narrow or too wide for a float scale")
     z0 = q_min - (a - eps) / s0
-    z = int(round(z0))
-    z = max(q_min, min(q_max, z))
+    z = round(max(q_min, min(q_max, z0)))
 
     # Largest power of two <= s0: frexp gives s0 = frac * 2**e with
     # frac in [0.5, 1), so that power is always 2**(e-1).

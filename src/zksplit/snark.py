@@ -72,14 +72,12 @@ from .backend import (
     Statement,
     UnsatisfiedRelationError,
     Verdict,
-    _pack_circuit,
-    _unpack_circuit,
+    _circuit_of,
     encode_frame,
 )
-from .circuit import ConstraintSystem, Witness, _read_elements, _signed_array, _write_elements
+from .circuit import (MAX_CONSTRAINTS, ConstraintSystem, Witness, _read_elements, _signed_array,
+                      _write_elements)
 from .field import P, batch_inv, inv
-
-MAX_CONSTRAINTS = 1 << 20
 
 
 class _Drbg:
@@ -162,9 +160,9 @@ class SnarkProvingKey:
     l_priv: np.ndarray  # (beta*A_i + alpha*B_i + C_i)/delta for the private wires
 
     def to_bytes(self) -> bytes:
-        blob = _pack_circuit(self.cs)
+        spec = self.cs.spec()
         return encode_frame(
-            "snark", self.circuit_digest, _u32(len(blob)), blob,
+            "snark", self.circuit_digest, _u32(len(spec)), spec,
             _write_elements((self.alpha, self.beta, self.delta, self.delta_inv)),
             _u32(len(self.a_tau)), self.a_tau, self.b_tau, self.c_tau,
             _u32(len(self.l_priv)), self.l_priv,
@@ -173,7 +171,7 @@ class SnarkProvingKey:
     @classmethod
     def from_payload(cls, payload: bytes, circuit_digest: str) -> "SnarkProvingKey":
         r = _Reader(payload)
-        cs = _unpack_circuit(r.raw(r.u32()))
+        cs = _circuit_of(r.raw(r.u32()))
         alpha, beta, delta, delta_inv = r.elements(4)
         nw = r.u32()
         if nw != cs.num_wires:
@@ -333,7 +331,8 @@ class QapSnarkBackend(Backend):
         rng: Optional[random.Random] = None,
     ) -> Proof:
         t0 = time.perf_counter()
-        self._require_satisfied(pk.cs, statement, witness)
+        if not self._satisfies(pk.cs, statement, witness):
+            raise UnsatisfiedRelationError("unsatisfied relation")
 
         if rng is None:
             r = int.from_bytes(os.urandom(32), "little") % P

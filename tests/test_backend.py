@@ -92,7 +92,7 @@ class TestMockBackend:
         assert self.backend.verify(self.pair.verifying_key, self.stmt, garbage) is Verdict.REJECT
 
     def test_empty_circuit_vacuous(self):
-        cs0 = ConstraintSystem("update", 1, 1, C)
+        cs0 = ConstraintSystem("update", 1, C)
         pair = self.backend.setup(cs0, b"")
         proof = self.backend.prove(pair.proving_key, Statement([]), Witness((1,)))
         assert self.backend.verify(pair.verifying_key, Statement([]), proof) is Verdict.ACCEPT

@@ -1,5 +1,4 @@
 import os
-import queue
 
 import numpy as np
 import pytest
@@ -194,11 +193,10 @@ class _RecordingTrainer:
 
 
 def test_one_round_reads_each_record_list_from_its_own_start():
-    sink = queue.Queue()
-    _measure_one_round(_RecordingTrainer(), "zk-mock", 1, 8, 0, 0, 4, sink)
+    records = []
+    _measure_one_round(_RecordingTrainer(), "zk-mock", 1, 8, 0, 0, 4, records)
     got = {}
-    while not sink.empty():
-        r = sink.get()
+    for r in records:
         got.setdefault(r.metric, []).append(r.value)
     assert got["proof_time"] == [0.5]
     assert got["proof_size"] == [100.0, 101.0]

@@ -1,10 +1,10 @@
-"""A key's circuit is rebuilt by its builder from the header of the packed
-text, and the rebuilt circuit must have the digest the key frame names.  A
-header is bounded by its text before anything is built."""
+"""A key carries its circuit's spec, and loading builds the circuit with its
+builder through circuit.from_spec; the built circuit must have the digest
+the key frame names.  A spec is bounded by MAX_CONSTRAINTS before anything
+is built."""
 
-import hashlib
 import json
-import zlib
+from dataclasses import asdict
 
 import pytest
 
@@ -13,15 +13,20 @@ from zksplit.backend import (
     DecodeError,
     MockBackend,
     Statement,
+    decode_frame,
     encode_frame,
     load_proving_key,
     load_verifying_key,
 )
 from zksplit.circuit import (
+    BUILDERS,
+    MAX_CONSTRAINTS,
     CircuitConstants,
+    CircuitError,
     ConstraintSystem,
     build_protocol_circuit,
     build_update_circuit,
+    from_spec,
 )
 from zksplit.cli import main
 from zksplit.snark import QapSnarkBackend
@@ -30,106 +35,173 @@ LOADERS = [load_proving_key, load_verifying_key]
 EQUAL = CircuitConstants()
 
 
-def boolean_row_bytes() -> int:
-    """The length of the shortest boolean row in a circuit's JSON, on wire 1."""
-    cs = ConstraintSystem("update", 1, 1, EQUAL)
-    cs.add_boolean(cs.add_private("b"))
-    return len(json.dumps(cs.to_json_dict()["constraints"][0], separators=(",", ":")))
+def update_spec(**changes) -> bytes:
+    """The spec of build_update_circuit(1, EQUAL) with values replaced."""
+    d = json.loads(build_update_circuit(1, EQUAL).spec())
+    for key, value in changes.items():
+        (d if key in ("kind", "m") else d["constants"])[key] = value
+    return json.dumps(d, separators=(",", ":"), sort_keys=True).encode()
 
 
-def mock_frame(text: bytes) -> bytes:
-    """A mock key frame packing ``text``, named by the digest of that text."""
-    return encode_frame("mock", hashlib.sha256(text).hexdigest(), zlib.compress(text))
-
-
-def update_text(**header) -> bytes:
-    """The text of build_update_circuit(1, EQUAL) with header values replaced."""
-    text = build_update_circuit(1, EQUAL).to_json()
-    for key, value in header.items():
-        old = f'"{key}":1,' if key == "m" else f'"{key}":{getattr(EQUAL, key)},'
-        assert text.count(old) == 1
-        text = text.replace(old, f'"{key}":{json.dumps(value)},')
-    return text.encode()
+def mock_frame(spec: bytes) -> bytes:
+    """A mock key frame carrying ``spec``, named by the digest of
+    build_update_circuit(1, EQUAL)."""
+    return encode_frame("mock", build_update_circuit(1, EQUAL).digest(), spec)
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The m of every circuit the update builder is asked for."""
+    """The (kind, m) of every circuit a builder is asked for."""
     calls = []
-    build = circuit.BUILDERS["update"]
 
-    def recording(m, constants):
-        calls.append(m)
-        return build(m, constants)
+    def recording(kind, build):
+        def record(m, constants):
+            calls.append((kind, m))
+            return build(m, constants)
+        return record
 
-    monkeypatch.setitem(circuit.BUILDERS, "update", recording)
+    for kind, build in list(BUILDERS.items()):
+        monkeypatch.setitem(BUILDERS, kind, recording(kind, build))
     return calls
 
 
 @pytest.mark.parametrize("load", LOADERS)
 def test_loaded_circuit_is_its_builders(load, builds):
     cs = build_update_circuit(1, EQUAL)
-    loaded = load(mock_frame(update_text())).cs
-    assert builds == [1]
+    data = MockBackend().setup(cs).verifying_key.to_bytes()
+    assert decode_frame(data)[2] == cs.spec()
+    loaded = load(data).cs
+    assert builds == [("update", 1)]
     assert loaded.digest() == cs.digest() and loaded.rows == cs.rows
     assert loaded.gadgets and loaded.to_json() == cs.to_json()
 
 
-def padded_update_text(m: int, zeros: int) -> bytes:
-    """update_text(m=m) with ``zeros`` bytes of "0" opening its constraint list."""
-    return update_text(m=m).replace(b'"constraints":[', b'"constraints":[' + b"0" * zeros, 1)
+def test_spec_is_the_canonical_json_of_kind_m_and_constants():
+    cs = build_protocol_circuit(3, CircuitConstants(eta=30))
+    spec = cs.spec()
+    assert spec == json.dumps({"kind": "composed", "m": 3, "constants": asdict(cs.constants)},
+                              separators=(",", ":"), sort_keys=True).encode()
+    assert from_spec(json.loads(spec)).digest() == cs.digest()
+    assert len(ConstraintSystem("composed", 500, EQUAL).spec()) == 168
+
+
+def test_mock_keys_at_m1000_carry_only_the_spec():
+    cs = build_protocol_circuit(1000, EQUAL)
+    pair = MockBackend().setup(cs)
+    for key in (pair.proving_key, pair.verifying_key):
+        data = key.to_bytes()
+        assert decode_frame(data)[2] == cs.spec()
+        assert len(data) < 1024  # 551 002 bytes when keys carried the zlib'd circuit JSON
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("m,eta", [(1, 22), (3, 22), (2, 40)])
+def test_row_count_bound_is_the_builders(kind, m, eta):
+    rows = len(BUILDERS[kind](m, CircuitConstants(eta=eta)).rows)
+    assert rows == m * (1 + eta) * circuit._GADGETS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_largest_m_under_the_bound_builds(kind, monkeypatch, builds):
+    # under a bound of 5 elements the largest m is built in full, one more is not
+    per_element = (1 + EQUAL.eta) * circuit._GADGETS[kind]
+    monkeypatch.setattr(circuit, "MAX_CONSTRAINTS", 5 * per_element)
+    assert len(from_spec({"kind": kind, "m": 5}).rows) == 5 * per_element
+    with pytest.raises(CircuitError, match="constraints"):
+        from_spec({"kind": kind, "m": 6})
+    assert builds == [(kind, 5)]
+
+
+@pytest.fixture
+def asks(monkeypatch):
+    """The (kind, m) of every circuit a builder is asked for, refusing each
+    one unbuilt: a circuit at the bound has a million rows."""
+    calls = []
+
+    def refusing(kind):
+        def record(m, constants):
+            calls.append((kind, m))
+            raise CircuitError("not built")
+        return record
+
+    for kind in list(BUILDERS):
+        monkeypatch.setitem(BUILDERS, kind, refusing(kind))
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_the_bound_is_checked_before_the_builder_is_called(kind, asks):
+    most = MAX_CONSTRAINTS // ((1 + EQUAL.eta) * circuit._GADGETS[kind])
+    for m in (most + 1, 10 ** 9, 10 ** 100):
+        with pytest.raises(CircuitError, match=f"more than {MAX_CONSTRAINTS} constraints"):
+            from_spec({"kind": kind, "m": m})
+    assert asks == []
+    with pytest.raises(CircuitError, match="not built"):
+        from_spec({"kind": kind, "m": most})
+    assert asks == [(kind, most)]
 
 
 @pytest.mark.parametrize("load", LOADERS)
-def test_m_past_the_text_is_refused_before_building(load, builds):
-    with pytest.raises(DecodeError, match="too large for its text"):
-        load(mock_frame(update_text(m=10 ** 7)))
+def test_oversized_spec_in_a_key_is_refused_before_building(load, builds):
+    for spec in (update_spec(m=10 ** 9), update_spec(kind="composed", m=10 ** 9)):
+        with pytest.raises(DecodeError, match="constraints"):
+            load(mock_frame(spec))
     assert builds == []
-    # 4 MiB of zeros compress to about 4 KB, and admit only the m whose
-    # m * eta boolean rows could fill them
-    zeros = 1 << 22
-    most = len(padded_update_text(1000, zeros)) // (EQUAL.eta * boolean_row_bytes())
-    assert 1000 <= most < 9999
-    frame = mock_frame(padded_update_text(most + 1, zeros))
-    assert len(frame) < 10_000
-    for m in (most + 1, len(padded_update_text(10 ** 5, zeros)) // (1 + EQUAL.eta)):
-        with pytest.raises(DecodeError, match="too large for its text"):
-            load(mock_frame(padded_update_text(m, zeros)))
+
+
+def test_oversized_spec_through_the_cli_is_usage_error(tmp_path, capsys, builds):
+    (tmp_path / "circuit.json").write_text('{"kind": "composed", "m": 1000000000}')
+    (tmp_path / "values.json").write_text("[0]")
+    rc = main(["prove", "--circuit", str(tmp_path / "circuit.json"),
+               "--statement", str(tmp_path / "values.json"),
+               "--witness", str(tmp_path / "values.json"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert main(["circuit", "export", "--m", str(10 ** 9)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("constraints") == 2 and "Traceback" not in err
     assert builds == []
-    # the largest m the text admits is built, and fails only the digest check
-    with pytest.raises(DecodeError, match="digest mismatch"):
-        load(mock_frame(padded_update_text(most, zeros)))
-    assert builds == [most]
 
 
 @pytest.mark.parametrize("load", LOADERS)
-@pytest.mark.parametrize("header", [
-    {"m": True}, {"m": 1.0}, {"m": "1"}, {"m": -1},
-    {"eta": 22.0}, {"eta": True}, {"z_k": False}, {"eta": 254}, {"eta": 10 ** 6},
+@pytest.mark.parametrize("changes", [
+    {"m": True}, {"m": 1.0}, {"m": "1"}, {"kind": "sum"}, {"kind": 1}, {"bogus": 1},
+    {"eta": 22.0}, {"eta": True}, {"z_k": False}, {"eta": 21}, {"eta": 254}, {"eta": 10 ** 6},
+    {"m": 10 ** 9},
 ], ids=repr)
-def test_crafted_header_is_refused_before_building(load, header, builds):
-    with pytest.raises(DecodeError):
-        load(mock_frame(update_text(**header)))
+def test_crafted_spec_is_refused_before_building(load, changes, builds):
+    with pytest.raises(DecodeError, match="bad circuit spec"):
+        load(mock_frame(update_spec(**changes)))
     assert builds == []
 
 
 @pytest.mark.parametrize("load", LOADERS)
-@pytest.mark.parametrize("header", [{"m": 0}, {"f_up": -10 ** 12}, {"f_w": -10 ** 12}],
+@pytest.mark.parametrize("changes", [{"m": 0}, {"m": -1}, {"f_up": -10 ** 12}, {"f_w": -10 ** 12}],
                          ids=repr)
-def test_header_its_builder_refuses_is_decode_error(load, header):
+def test_spec_its_builder_refuses_is_decode_error(load, changes):
     # a scale constant 2**(10**12) would take 125 GB: the builder refuses
     # any constant past P before it computes one
-    with pytest.raises(DecodeError):
-        load(mock_frame(update_text(**header)))
+    with pytest.raises(DecodeError, match="bad circuit spec"):
+        load(mock_frame(update_spec(**changes)))
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_only_the_canonical_spelling_of_a_spec_loads(load):
+    spec = update_spec()
+    assert load(mock_frame(spec)).cs.spec() == spec
+    d = json.loads(spec)
+    # each names the same circuit, in another spelling
+    for other in (json.dumps(d).encode(), json.dumps(d, sort_keys=True).encode(),
+                  spec + b" ", spec.decode().encode("utf-16"),
+                  spec.replace(b'"z_w":0,', b""), b'{"kind":"update","m":1}'):
+        assert from_spec(json.loads(other)).digest() == build_update_circuit(1, EQUAL).digest()
+        with pytest.raises(DecodeError, match="bad circuit spec|not canonical"):
+            load(mock_frame(other))
 
 
 def hand_built() -> ConstraintSystem:
-    """A circuit with a builder's kind and header that no builder writes,
-    with as many boolean rows as the builder writes for its m."""
-    cs = ConstraintSystem("update", 1, 1, EQUAL)
+    """A circuit with a builder's kind, m and constants that no builder writes."""
+    cs = ConstraintSystem("update", 1, EQUAL)
     x = cs.add_public("x")
-    for t in range(EQUAL.eta):
-        cs.add_boolean(cs.add_private(f"y:b{t}"))
     cs.add_constraint({x: 1}, {0: 1}, {x: 1})
     return cs
 
@@ -152,10 +224,30 @@ def test_hand_built_circuit_key_is_decode_error(make):
         load_proving_key(QapSnarkBackend().setup(cs, b"seed").proving_key.to_bytes())
 
 
+def test_a_keys_spec_proves_through_the_cli(tmp_path, capsys):
+    c = EQUAL
+    cs = build_protocol_circuit(3, c)
+    pk = QapSnarkBackend().setup(cs, b"seed").proving_key.to_bytes()
+    payload = decode_frame(pk)[2]
+    (tmp_path / "circuit.json").write_bytes(payload[4 : 4 + int.from_bytes(payload[:4], "little")])
+    u, w = [120, -44, 913], [7, 2048, -5]
+    up = circuit.quantized_aggregate([2 ** c.f_k], [u], c)
+    (tmp_path / "statement.json").write_text(
+        json.dumps(circuit.quantized_update(w, up, c) + w + [2 ** c.f_k]))
+    (tmp_path / "witness.json").write_text(json.dumps(u))
+    capsys.readouterr()
+    assert main(["prove", "--circuit", str(tmp_path / "circuit.json"),
+                 "--statement", str(tmp_path / "statement.json"),
+                 "--witness", str(tmp_path / "witness.json"),
+                 "--out", str(tmp_path / "out"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["circuit_digest"] == cs.digest()
+    assert decode_frame((tmp_path / "out" / "proof.bin").read_bytes())[1] == cs.digest()
+
+
 DEPTH = 200_000
 NESTED = {
     "array": b"[" * DEPTH + b"]" * DEPTH,
-    "constants": update_text().replace(
+    "constants": update_spec().replace(
         b'"eta":22,', b'"eta":' + b"[" * DEPTH + b"]" * DEPTH + b","),
 }
 

@@ -281,7 +281,7 @@ class TestWitnessAndSatisfaction:
             generate_witness(cs, pub, priv)
 
     def test_empty_constraint_list_vacuous(self):
-        cs = ConstraintSystem("update", 1, 1, EQUAL)
+        cs = ConstraintSystem("update", 1, EQUAL)
         cs.add_public("x")
         assert cs.is_satisfied([1, 12345])
 
@@ -365,7 +365,7 @@ class TestGadgetLayout:
                 == generate_witness(cs, public, private).to_bytes())
 
     def test_hand_built_circuit_derives_no_witness(self):
-        cs = ConstraintSystem("update", 1, 1, EQUAL)
+        cs = ConstraintSystem("update", 1, EQUAL)
         cs.add_public("x")
         cs.add_private("y")
         with pytest.raises(CircuitError, match="no gadgets"):

@@ -55,6 +55,12 @@ class TestTrain:
     def test_clients_zero_is_usage_error(self, capsys):
         assert run_cli("train", "--clients", "0", "--m", "8", "--rounds", "1") == 1
 
+    def test_shard_smaller_than_a_batch_is_usage_error(self, tmp_path, capsys):
+        cfg = {"samples_per_client": 16, "batch_size": 32, "mode": "none", "m": 8, "rounds": 1}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert run_cli("train", "--config", str(tmp_path / "c.json")) == 1
+        assert "batch_size" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("train", "--definitely-not-a-flag") == 1
 

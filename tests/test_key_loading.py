@@ -1,11 +1,8 @@
 """Loading serialized keys: a key frame either gives a key for the circuit
 its digest names or raises DecodeError, never another exception."""
 
-import copy
 import dataclasses
-import hashlib
 import json
-import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -37,55 +34,62 @@ def circuit():
 
 @lru_cache(maxsize=None)
 def snark_pk_tail() -> bytes:
-    """The snark proving-key payload after its packed circuit."""
+    """The snark proving-key payload after its spec."""
     pk = QapSnarkBackend().setup(circuit(), b"seed").proving_key
     payload = decode_frame(pk.to_bytes())[2]
     return payload[4 + int.from_bytes(payload[:4], "little"):]
 
 
-def canonical(d: dict) -> str:
-    return json.dumps(d, separators=(",", ":"), sort_keys=True)
+def canonical(d) -> bytes:
+    return json.dumps(d, separators=(",", ":"), sort_keys=True).encode()
 
 
-def mock_frame(d: dict) -> bytes:
-    """A mock key frame packing ``d``, named by the digest of its own text."""
-    text = canonical(d)
-    return encode_frame("mock", hashlib.sha256(text.encode()).hexdigest(),
-                        zlib.compress(text.encode()))
+def mock_frame(d) -> bytes:
+    """A mock key frame carrying the spec ``d``, named by circuit()'s digest."""
+    return encode_frame("mock", circuit().digest(), canonical(d))
 
 
-def snark_pk_frame(d: dict, digest: str = None) -> bytes:
-    """A snark proving-key frame packing ``d`` with the keys of circuit()."""
-    text = canonical(d)
-    blob = zlib.compress(text.encode())
-    digest = digest or hashlib.sha256(text.encode()).hexdigest()
-    return encode_frame("snark", digest, len(blob).to_bytes(4, "little"), blob, snark_pk_tail())
+def snark_pk_frame(d, digest: str = None) -> bytes:
+    """A snark proving-key frame carrying the spec ``d`` with the keys of circuit()."""
+    spec = canonical(d)
+    return encode_frame("snark", digest or circuit().digest(), len(spec).to_bytes(4, "little"),
+                        spec, snark_pk_tail())
 
 
-def altered(**changes) -> dict:
-    d = copy.deepcopy(circuit().to_json_dict())
+def altered(**changes):
+    """circuit()'s spec with the value at each path (keys joined by "__") replaced."""
+    d = json.loads(circuit().spec())
     for path, value in changes.items():
         *parents, last = path.split("__")
         target = d
         for key in parents:
-            target = target[int(key) if key.isdigit() else key]
-        target[int(last) if last.isdigit() else last] = value
+            target = target[key]
+        target[last] = value
     return d
 
 
-# the first constraint's A is [[0, 0], [3, ca]]: a wire above 3 in its last
-# term keeps the text canonical, so the frame's digest matches its circuit
+# specs that no builder is asked for, or whose builder refuses them
 CRAFTED = {
-    "wire 10**6": altered(constraints__0__0__1__0=10 ** 6),
+    "kind sum": altered(kind="sum"),
+    "kind null": altered(kind=None),
+    "extra key n": altered(n=1),
+    "m true": altered(m=True),
+    "m 1.0": altered(m=1.0),
+    "m 0": altered(m=0),
+    "m 10**9": altered(m=10 ** 9),
+    "m nested": altered(m=[[[1]]]),
     "eta 21": altered(constants__eta=21),
-    'wire "x"': altered(constraints__0__0__0__0="x"),
-    "wire Infinity": altered(constraints__0__0__0__0=float("inf")),
-    "counts": altered(num_private=circuit().num_private + 1),
+    "eta 254": altered(constants__eta=254),
+    "eta 22.0": altered(constants__eta=22.0),
+    "z_k false": altered(constants__z_k=False),
+    "unknown constant": altered(constants__bogus=1),
+    "constants nested": altered(constants={"eta": {"eta": 22}}),
+    "spec a list": [json.loads(circuit().spec())],
 }
 
 
 def test_unaltered_frames_load():
-    d = circuit().to_json_dict()
+    d = altered()
     for load in LOADERS:
         assert load(mock_frame(d)).cs.digest() == circuit().digest()
     assert load_proving_key(snark_pk_frame(d)).cs.digest() == circuit().digest()
@@ -94,20 +98,20 @@ def test_unaltered_frames_load():
 @pytest.mark.parametrize("load", LOADERS)
 @pytest.mark.parametrize("name", sorted(CRAFTED))
 def test_crafted_mock_key_is_decode_error(name, load):
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="bad circuit spec"):
         load(mock_frame(CRAFTED[name]))
 
 
 @pytest.mark.parametrize("name", sorted(CRAFTED))
 def test_crafted_snark_proving_key_is_decode_error(name):
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="bad circuit spec"):
         load_proving_key(snark_pk_frame(CRAFTED[name]))
 
 
 def test_snark_proving_key_for_another_circuit_is_decode_error():
     other = build_protocol_circuit(2, CircuitConstants()).digest()
     with pytest.raises(DecodeError, match="digest mismatch"):
-        load_proving_key(snark_pk_frame(circuit().to_json_dict(), digest=other))
+        load_proving_key(snark_pk_frame(altered(), digest=other))
 
 
 @lru_cache(maxsize=None)
@@ -180,29 +184,26 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
-FIELDS = (
-    ["constants", "constraints", "kind", "m", "n", "num_private", "num_public", "variables"]
-    + [f"constants__{k}" for k in circuit().to_json_dict()["constants"]]
-    + [f"constraints__{i}__{j}__0__{t}" for i in (0, 3) for j in range(2) for t in range(2)]
-    + ["variables__1", "constraints__0", "constraints__0__0"]
-)
+FIELDS = ["kind", "m", "constants", "n"] + [f"constants__{k}" for k in altered()["constants"]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
-def test_altered_field_loads_or_is_decode_error(field, value):
+def test_altered_spec_loads_exactly_when_it_is_the_circuits(field, value):
     d = altered(**{field: value})
     for load, frame in [(load_proving_key, mock_frame(d)), (load_verifying_key, mock_frame(d)),
                         (load_proving_key, snark_pk_frame(d))]:
         try:
-            load(frame)
+            loaded = load(frame)
         except DecodeError:
-            pass
+            assert canonical(d) != circuit().spec()
+        else:
+            assert canonical(d) == circuit().spec() == loaded.cs.spec()
 
 
-def test_cli_verify_with_out_of_range_wire_key_is_runtime_error(tmp_path, capsys):
+def test_cli_verify_with_crafted_spec_key_is_runtime_error(tmp_path, capsys):
     # a proof addressed to the key and statement, so verify would replay it
-    vk = mock_frame(CRAFTED["wire 10**6"])
+    vk = mock_frame(CRAFTED["eta 21"])
     cs = circuit()
     statement = Statement([0] * cs.num_public)
     body = Witness([1] + [0] * (cs.num_wires - 1)).to_bytes()
@@ -215,5 +216,5 @@ def test_cli_verify_with_out_of_range_wire_key_is_runtime_error(tmp_path, capsys
                "--proof", str(tmp_path / "proof.bin")])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.startswith("error:")
+    assert err.startswith("error: bad circuit spec")
     assert "Traceback" not in err

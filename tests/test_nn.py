@@ -386,6 +386,12 @@ class TestDataAndCheckpoints:
             b1, b2 = next(s1), next(s2)
             assert np.array_equal(b1.x, b2.x) and np.array_equal(b1.y, b2.y)
 
+    def test_batch_stream_refuses_a_shard_smaller_than_a_batch(self):
+        x, y = make_blobs(16, 4, 2, seed=1)
+        assert len(next(batch_stream(x, y, 16, seed=9)).y) == 16
+        with pytest.raises(ValueError, match="cannot fill a batch"):
+            next(batch_stream(x, y, 17, seed=9))
+
     def test_checkpoint_round_trip(self, tmp_path):
         model, _ = toy_instance(30)
         path = save_checkpoint(model, str(tmp_path), "ckpt", extra={"note": 1})

@@ -366,6 +366,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"not_a_field": 1})
 
+    @pytest.mark.parametrize("bad", [
+        {"samples_per_client": 16, "batch_size": 32},  # no shard fills one batch
+        {"tamper_clients": [5]},  # no such client: no one would tamper
+        {"tamper_clients": [-1]},
+        {"suspect_threshold": 0},  # every client would be a suspect every round
+    ], ids=repr)
+    def test_silently_wrong_configs_are_refused(self, bad):
+        with pytest.raises(ConfigError):
+            SimConfig(num_clients=2, **bad)
+
+    def test_edges_of_the_refused_configs_are_valid(self):
+        cfg = SimConfig(mode="none", num_clients=3, m=M, samples_per_client=32, batch_size=32,
+                        tamper_clients=[0, 2], suspect_threshold=1)
+        assert [c.tamper for c in Trainer(cfg).clients] == [True, False, True]
+
     def test_round_trip(self):
         cfg = SimConfig(mode="blockchain", num_clients=3, m=24, seed=5)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg

@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zksplit.quant import (
+    DEFAULT_Q_MAX,
+    DEFAULT_Q_MIN,
     CalibrationError,
     OverflowError_,
     QuantError,
@@ -57,6 +61,12 @@ class TestCalibrate:
         assert s * (p.q_min - p.zero_point) <= a
         assert s * (p.q_max - p.zero_point) >= b
         assert p.q_min <= p.zero_point <= p.q_max
+
+    @pytest.mark.parametrize("a,b", [(-5e-324, 0.0), (-1e-320, 1e-320), (0.0, 1e-305)])
+    def test_range_too_narrow_for_a_float_scale(self, a, b):
+        # the width underflows to 0, or needs a scale 2**-f with 2.0**f past the largest float
+        with pytest.raises(CalibrationError, match="float scale"):
+            calibrate(a, b)
 
     def test_scale_is_power_of_two(self):
         for a, b in [(-3.7, 2.2), (0.1, 0.9), (-128.0, 128.0)]:
@@ -165,3 +175,48 @@ class TestSerialization:
         d = json.loads(json.dumps(p.to_dict()))
         assert QuantParams.from_dict(d) == p
         assert set(d) == {"scale_exp", "zero_point", "eps", "q_min", "q_max"}
+
+
+anything = st.floats(allow_nan=True, allow_infinity=True)
+# every scale whose 2.0 ** scale_exp is a finite float, and any zero point
+params = st.builds(QuantParams, scale_exp=st.integers(-64, 1022),
+                   zero_point=st.integers(DEFAULT_Q_MIN, DEFAULT_Q_MAX), eps=st.just(0.0),
+                   q_min=st.just(DEFAULT_Q_MIN), q_max=st.just(DEFAULT_Q_MAX))
+
+
+class TestProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(x=anything, y=anything, eps=st.one_of(st.just(0.0), anything))
+    def test_calibrate_covers_the_range_or_refuses(self, x, y, eps):
+        for a, b in ((x, y), (y, x)):
+            try:
+                p = calibrate(a, b, eps)
+            except CalibrationError:
+                continue
+            assert type(p.scale_exp) is int and math.frexp(p.scale)[0] == 0.5
+            assert p.q_min <= p.zero_point <= p.q_max
+            assert p.scale * (p.q_min - p.zero_point) <= a and p.scale * (p.q_max - p.zero_point) >= b
+            assert p.q_min <= quantize(a, p) <= quantize(b, p) <= p.q_max
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=params, x=anything)
+    def test_quantize_floors_or_raises_never_clamps(self, p, x):
+        lo, hi = p.scale * (p.q_min - p.zero_point), p.scale * (p.q_max - p.zero_point + 1)
+        try:
+            q = quantize(x, p)
+        except OverflowError_:
+            assert not lo <= x < hi
+            return
+        assert p.q_min <= q <= p.q_max
+        assert dequantize(q, p) <= x < dequantize(q, p) + p.scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=params, xs=st.lists(anything, max_size=8))
+    def test_quantize_array_agrees_with_quantize(self, p, xs):
+        try:
+            scalar = [quantize(x, p) for x in xs]
+        except OverflowError_:
+            with pytest.raises(OverflowError_):
+                quantize_array(np.array(xs, dtype=np.float64), p)
+            return
+        assert quantize_array(np.array(xs, dtype=np.float64), p).tolist() == scalar

@@ -128,7 +128,7 @@ class TestQapSnark:
         assert len(vk.ic) == cs.num_public + 1
 
     def test_empty_circuit(self):
-        cs0 = ConstraintSystem("update", 1, 1, C)
+        cs0 = ConstraintSystem("update", 1, C)
         pair = self.backend.setup(cs0, b"")
         proof = self.backend.prove(pair.proving_key, Statement([]), Witness((1,)))
         assert self.backend.verify(pair.verifying_key, Statement([]), proof) is Verdict.ACCEPT

@@ -273,7 +273,7 @@ def test_proving_key_holder_forges_accept_for_false_statement(monkeypatch):
     backend = QapSnarkBackend()
     with pytest.raises(UnsatisfiedRelationError):
         backend.prove(pk, stmt, wit)
-    monkeypatch.setattr(QapSnarkBackend, "_require_satisfied", staticmethod(lambda *args: None))
+    monkeypatch.setattr(QapSnarkBackend, "_satisfies", staticmethod(lambda *args: True))
     proof = backend.prove(pk, stmt, wit, rng=random.Random(2))
     assert backend.verify(pair.verifying_key, stmt, proof) is Verdict.ACCEPT
 
