@@ -10,7 +10,9 @@ Subcommands:
   backends        list the proving backends
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 runtime
-error.  Configuration comes from an optional JSON file plus flag
+error.  A JSON input file (--config, --circuit, --statement, --witness)
+that is not UTF-8, not JSON or nested too deeply is a usage error.
+Configuration comes from an optional JSON file plus flag
 overrides; the fully resolved config is echoed as a run manifest so any
 run can be reproduced from its output directory alone.
 """
@@ -46,10 +48,26 @@ EXIT_VERIFY_FAILED = 2
 EXIT_RUNTIME = 3
 
 
+def _read_json(path: str):
+    """The value of a JSON input file.  A file that is not UTF-8, not JSON,
+    or nested too deeply to decode is a usage error."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
+
+
 def _load_config(args) -> SimConfig:
     base = {}
     if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text())
+        base = _read_json(args.config)
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
     cfg = SimConfig.from_dict(base)
     overrides = {}
     for key in ("mode", "seed", "out_dir", "epochs", "rounds", "eta", "reps"):
@@ -84,6 +102,7 @@ def _cmd_train(args) -> int:
     summary = {
         "rounds": len(reports),
         "final_loss": reports[-1].loss if reports else None,
+        "final_eval_accuracy": reports[-1].eval_accuracy if reports else None,
         "verdicts": {
             v: sum(1 for r in reports for vv in r.verdicts.values() if vv == v)
             for v in ("Accepted", "RejectedProof", "MissingProof")
@@ -132,14 +151,14 @@ def _circuit(spec) -> ConstraintSystem:
 
 def _read_ints(path: str) -> list:
     """A JSON file holding a list of integers (no bools, floats or others)."""
-    values = json.loads(Path(path).read_text())
+    values = _read_json(path)
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ConfigError(f"{path}: expected a JSON list of integers")
     return values
 
 
 def _cmd_prove(args) -> int:
-    circuit = _circuit(json.loads(Path(args.circuit).read_text()))
+    circuit = _circuit(_read_json(args.circuit))
     statement = Statement(_read_ints(args.statement))
     witness = generate_witness(circuit, statement, _read_ints(args.witness))
     backend = get_backend(args.backend)

@@ -161,6 +161,8 @@ class RoundReport:
     verdicts: Dict[int, str] = field(default_factory=dict)
     loss: Optional[float] = None  # mean training loss over the round's batches
     eval_loss: Optional[float] = None  # loss on the fixed held-out batch
+    # share of the held-out batch whose most probable class is its label
+    eval_accuracy: Optional[float] = None
     # seconds summed over the round's turns: compute, witness (generation,
     # zk modes only), proof (prove time), verify and transport (encoding);
     # other is the rest of run_round's wall time, so the values add up to it
@@ -176,6 +178,7 @@ class RoundReport:
             "verdicts": {str(k): v for k, v in self.verdicts.items()},
             "loss": self.loss,
             "eval_loss": self.eval_loss,
+            "eval_accuracy": self.eval_accuracy,
             "timings": self.timings,
             "stalled": self.stalled,
             "verification_skipped": self.verification_skipped,
@@ -360,7 +363,9 @@ class Trainer:
 
         report.loss = float(np.mean(losses)) if losses else None
         smashed_eval = client_forward(self.model.client, self.eval_batch).smashed
-        report.eval_loss = server_loss(self.model.server, smashed_eval, self.eval_batch.y)[0]
+        labels = self.eval_batch.y
+        report.eval_loss, probs, _ = server_loss(self.model.server, smashed_eval, labels)
+        report.eval_accuracy = np.count_nonzero(probs.argmax(axis=1) == labels) / len(labels)
         report.stalled = not losses
         report.suspects = [
             c.client_id for c in self.clients

@@ -161,7 +161,9 @@ def quantize(x: float, p: QuantParams) -> int:
     lo, hi = _real_range(p)
     if not lo <= x < hi:  # also false for nan
         raise OverflowError_("quantization overflow")
-    return math.floor(x * (2.0 ** p.scale_exp)) + p.zero_point
+    scaled = x * (2.0 ** p.scale_exp)
+    # with s > 1 a negative subnormal x can scale to -0.0, whose floor is 0, not -1
+    return math.floor(scaled) - (scaled == 0 and x < 0) + p.zero_point
 
 
 def dequantize(q: int, p: QuantParams) -> float:
@@ -177,7 +179,10 @@ def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
     lo, hi = _real_range(p)
     if not (x.min(initial=lo) >= lo and x.max(initial=lo) < hi):  # nan propagates
         raise OverflowError_("quantization overflow")
-    return np.floor(x * (2.0 ** p.scale_exp)).astype(np.int64) + p.zero_point
+    scaled = x * (2.0 ** p.scale_exp)
+    q = np.floor(scaled).astype(np.int64)
+    q -= (scaled == 0) & (x < 0)  # as in quantize
+    return q + p.zero_point
 
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:

@@ -125,6 +125,7 @@ def test_summary_lists_the_traced_layers_side_by_side():
 
 STUB_RUN = '''import json, sys
 from pathlib import Path
+touched = b"\\x01" * (TOUCH_MB << 20)  # written, so every page faults in
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if int(args["--seed"]) in FAIL_SEEDS:
     sys.exit("stub: no result for seed " + args["--seed"])
@@ -136,11 +137,12 @@ name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
 '''
 
 
-def stub_checkout(path: Path, fail_seeds) -> Path:
-    """A checkout whose perfbench/run.py writes a record, or, for a seed in
-    ``fail_seeds``, exits 1 without one."""
+def stub_checkout(path: Path, fail_seeds, touch_mb=0) -> Path:
+    """A checkout whose perfbench/run.py writes ``touch_mb`` MiB and then a
+    record, or, for a seed in ``fail_seeds``, exits 1 without one."""
     (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text(f"FAIL_SEEDS = {set(fail_seeds)!r}\n" + STUB_RUN)
+    (path / "perfbench" / "run.py").write_text(
+        f"FAIL_SEEDS = {set(fail_seeds)!r}\nTOUCH_MB = {touch_mb}\n" + STUB_RUN)
     (path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"],
         "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
@@ -161,3 +163,18 @@ def test_a_run_that_writes_no_result_is_kept_and_its_pair_dropped(tmp_path, caps
     assert "stub: no result for seed 2" in failed["stderr_tail"]
     summary = json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]
     assert (summary["pairs"], summary["dropped"]) == (2, 1)
+
+
+def test_each_run_keeps_its_minor_faults_and_each_side_their_median(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail_seeds=())
+    change = stub_checkout(tmp_path / "change", fail_seeds=(), touch_mb=16)
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--runs", str(runs), "--out", str(out), "w:1-3"]) == 0
+    records = [json.loads(line) for line in runs.read_text().splitlines()]
+    assert all(type(r["minflt"]) is int and r["minflt"] > 0 for r in records)
+    medians = json.loads(out.read_text())["summary"]["w"]["minflt"]
+    assert medians == {side: sorted(r["minflt"] for r in records if r["side"] == side)[1]
+                       for side in ("parent", "change")}
+    # the 16 MiB written are 4096 pages of 4 KiB, each faulted in
+    assert medians["change"] - medians["parent"] > 3000

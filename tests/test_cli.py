@@ -34,7 +34,32 @@ def make_prove_fixture(tmp_path: Path, tamper=False):
     (tmp_path / "witness.json").write_text(json.dumps(u))
 
 
+# JSON input files that no command reads: each is a usage error (exit 1)
+# reported on one line, never a traceback or a runtime error
+UNREADABLE = {
+    "not UTF-8": b"\xff\xfe[1, 2]",
+    "not JSON": b"[1, 2",
+    "nested too deeply": b"[" * 100_000,
+}
+
+
+def assert_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTrain:
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        (tmp_path / "c.json").write_bytes(content)
+        assert_usage_error(run_cli("train", "--config", str(tmp_path / "c.json")), capsys)
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"mode"'])
+    def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, text):
+        (tmp_path / "c.json").write_text(text)
+        assert_usage_error(run_cli("train", "--config", str(tmp_path / "c.json")), capsys)
+
     def test_basic_run_exit_zero(self, tmp_path, capsys):
         rc = run_cli("train", "--mode", "zk-mock", "--clients", "2", "--m", "16",
                      "--rounds", "2", "--seed", "1", "--out", str(tmp_path / "run"))
@@ -44,6 +69,9 @@ class TestTrain:
         assert (tmp_path / "run" / "run_log.jsonl").exists()
         assert (tmp_path / "run" / "manifest.json").exists()
         assert (tmp_path / "run" / "model.json").exists()
+        logged = [json.loads(line) for line in
+                  (tmp_path / "run" / "run_log.jsonl").read_text().splitlines()]
+        assert all(0.0 <= r["eval_accuracy"] <= 1.0 for r in logged)
 
     def test_json_output(self, capsys):
         rc = run_cli("train", "--mode", "none", "--clients", "1", "--m", "8",
@@ -51,6 +79,7 @@ class TestTrain:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["rounds"] == 1
+        assert 0.0 <= summary["final_eval_accuracy"] <= 1.0
 
     def test_clients_zero_is_usage_error(self, capsys):
         assert run_cli("train", "--clients", "0", "--m", "8", "--rounds", "1") == 1
@@ -188,6 +217,29 @@ class TestProveVerify:
         assert rc == 1
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert "Accept" not in out.out
+
+
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+    @pytest.mark.parametrize("name", ["circuit.json", "statement.json", "witness.json"])
+    def test_unreadable_prove_input_is_usage_error(self, tmp_path, capsys, name, content):
+        make_prove_fixture(tmp_path)
+        (tmp_path / name).write_bytes(content)
+        rc = run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
+                     "--statement", str(tmp_path / "statement.json"),
+                     "--witness", str(tmp_path / "witness.json"),
+                     "--backend", "mock", "--out", str(tmp_path / "proofs"))
+        assert_usage_error(rc, capsys)
+        assert not (tmp_path / "proofs").exists()
+
+    @pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+    def test_unreadable_verify_statement_is_usage_error(self, tmp_path, capsys, content):
+        self._proved(tmp_path)
+        capsys.readouterr()
+        (tmp_path / "statement.json").write_bytes(content)
+        rc = run_cli("verify", "--vk", str(tmp_path / "proofs" / "vk.bin"),
+                     "--statement", str(tmp_path / "statement.json"),
+                     "--proof", str(tmp_path / "proofs" / "proof.bin"))
+        assert_usage_error(rc, capsys)
 
 
 class TestLedgerCommand:

@@ -157,16 +157,17 @@ class TestCompiledCheck:
 
 
 def built_with_boolean_rows(kind, m, name):
-    """A fresh circuit and the (row position, wire) of every add_boolean call."""
+    """A fresh circuit and the (row position, wire) of every boolean row
+    added through add_booleans, the one entry point for boolean rows."""
     calls = []
-    add_boolean = ConstraintSystem.add_boolean
+    add_booleans = ConstraintSystem.add_booleans
 
-    def recording(self, idx):
-        calls.append((len(self.constraints), idx))
-        add_boolean(self, idx)
+    def recording(self, wires):
+        calls.extend(enumerate(wires, start=len(self.rows)))
+        add_booleans(self, wires)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConstraintSystem, "add_boolean", recording)
+        mp.setattr(ConstraintSystem, "add_booleans", recording)
         cs = BUILDERS[kind](m, CONSTANTS[name])
     return cs, calls
 
@@ -354,6 +355,28 @@ class TestBooleanStorage:
         assert back.rows == cs.rows
         assert back.digest() == cs.digest()
 
+    def test_add_booleans_is_add_boolean_per_wire(self):
+        wires = [2, 0, 3, 2]
+        one_by_one, bulk, by_range = (ConstraintSystem("test", 1, EQUAL) for _ in range(3))
+        for cs in (one_by_one, bulk, by_range):
+            cs.add_wires(["p", "q", "r"])
+        for wire in wires:
+            one_by_one.add_boolean(wire)
+        bulk.add_booleans(iter(wires))
+        by_range.add_booleans(range(1, 4))
+        assert bulk.rows == one_by_one.rows == [2, ({0: 1}, {0: -1}, {}), 3, 2]
+        assert bulk.digest() == one_by_one.digest()
+        assert by_range.rows == [1, 2, 3]
+        with pytest.raises(CircuitError, match="unallocated wire 4"):
+            by_range.add_booleans(range(3, 5))
+
+    def test_digest_follows_new_wires(self):
+        cs = build_update_circuit(1, EQUAL)
+        before = cs.digest()
+        assert cs.add_wires(["extra[0]", "extra[1]"]) == range(cs.num_wires - 2, cs.num_wires)
+        assert cs.digest() != before
+        assert cs.digest() == hashlib.sha256(reference_json(cs).encode()).hexdigest()
+
     def test_json_spelling_of_a_boolean_row(self):
         assert one_boolean_row(2, "add_boolean").to_json_dict()["constraints"] == [
             [[[2, 1]], [[0, P - 1], [2, 1]], []]]
@@ -540,6 +563,41 @@ def test_to_json_matches_dict_writer(cs):
     # no builder writes such a circuit, so no key may carry it
     with pytest.raises(DecodeError):
         load_verifying_key(MockBackend().setup(cs).verifying_key.to_bytes())
+
+
+# per builder, for 10, 100, 1 000 and 10 000, the smallest m at which one
+# bank of a gadget's bits holds both that wire and the one before it, so
+# that one boolean-row template is filled with wires of two decimal widths
+WIDTH_CROSSINGS = {"aggregation-1": (1, 6, 42, 417), "update": (1, 4, 40, 400),
+                   "composed": (1, 3, 21, 209)}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+@pytest.mark.parametrize("kind,wire,m", [
+    (kind, 10 ** (i + 1), m) for kind, ms in WIDTH_CROSSINGS.items() for i, m in enumerate(ms)])
+def test_to_json_where_a_bit_bank_crosses_a_decimal_width(kind, wire, m, name):
+    cs = BUILDERS[kind](m, CONSTANTS[name])
+    assert any(wire - 1 in bank and wire in bank for g in cs.gadgets for bank in g.bits)
+    text = cs.to_json()
+    assert text == reference_json(cs)
+    assert cs.digest() == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_digest_holds_the_text_about_once():
+    """The digest's preimage is one buffer, written in place: at m=1000 the
+    text is about 5.9 MiB, and writing and hashing it peaks at about 7.5 MiB
+    above the built circuit under tracemalloc (13.2 MiB when the text was
+    joined from a list of row strings and then encoded)."""
+    cs = build_protocol_circuit(1000, CircuitConstants())
+    size = len(cs.to_json())
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        cs.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * size
 
 
 def per_element_bytes(values):

@@ -7,7 +7,7 @@ from zksplit import circuit, protocol
 from zksplit.backend import Statement, Verdict
 from zksplit.circuit import generate_witness
 from zksplit.config import ConfigError, SimConfig
-from zksplit.nn import client_forward, server_step
+from zksplit.nn import client_forward, server_loss, server_step
 from zksplit.protocol import ProverEntity, RoundMessage, Trainer, VerifierEntity
 
 M = 16  # small cut width keeps proof work cheap in unit tests
@@ -75,6 +75,17 @@ class TestHonestRun:
         reports = Trainer(SimConfig()).train()
         evals = [r.eval_loss for r in reports]
         assert evals[-1] < evals[0] / 10
+
+    def test_eval_accuracy_reaches_one_within_five_rounds_under_the_default_config(self):
+        tr = Trainer(SimConfig())
+        accuracies = []
+        for r in range(5):
+            report = tr.run_round(r)
+            smashed = client_forward(tr.model.client, tr.eval_batch).smashed
+            _, probs, _ = server_loss(tr.model.server, smashed, tr.eval_batch.y)
+            assert report.eval_accuracy == np.mean(probs.argmax(axis=1) == tr.eval_batch.y)
+            accuracies.append(report.eval_accuracy)
+        assert 1.0 in accuracies
 
     def test_statement_digests_deterministic(self):
         cfg = SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=2, seed=9)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zksplit.quant import (
@@ -200,6 +200,8 @@ class TestProperties:
 
     @settings(max_examples=500, deadline=None)
     @given(p=params, x=anything)
+    # x / s underflows to -0.0, whose floor is 0 where floor(x / s) is -1
+    @example(p=QuantParams(-37, 0, 0.0, DEFAULT_Q_MIN, DEFAULT_Q_MAX), x=-2.2250738585e-313)
     def test_quantize_floors_or_raises_never_clamps(self, p, x):
         lo, hi = p.scale * (p.q_min - p.zero_point), p.scale * (p.q_max - p.zero_point + 1)
         try:

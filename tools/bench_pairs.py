@@ -12,23 +12,26 @@ Each ``workload:seeds`` argument runs ``perfbench/run.py --seconds 20
 alternating which side goes first.  ``--trace-seed`` adds one ``--trace 1``
 run per side and workload.  Every run's result object and metadata (the
 record perfbench writes under ``perfbench/results/``) is appended to
-``--runs`` as it ends; ``--out`` then gets all of them together with, per
+``--runs`` as it ends, together with its minor page faults (``minflt``,
+the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run, so its set-up
+probes count too); ``--out`` then gets all of them together with, per
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won and a ``verdict`` under the acceptance rule
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see ``verdict``),
-per workload each side's median number of rounds completed and median
-fastest set-up sample (``setup_min_s``), and under ``traced`` the
-per-layer metrics of each side's ``--trace 1`` run, side by side and with
-no verdict.  A pair enters the summary only when both runs exited 0 and
-passed the correctness gate; the others are counted under ``dropped``.  A
-run that writes no record is appended to ``--runs`` with its exit code and
-the tail of its stderr, and the session goes on.  With no
+per workload each side's median number of rounds completed, median
+fastest set-up sample (``setup_min_s``) and median ``minflt``, and under
+``traced`` the per-layer metrics of each side's ``--trace 1`` run, side by
+side and with no verdict.  A pair enters the summary only when both runs
+exited 0 and passed the correctness gate; the others are counted under
+``dropped``.  A run that writes no record is appended to ``--runs`` with
+its exit code and the tail of its stderr, and the session goes on.  With no
 ``workload:seeds`` argument and no ``--trace-seed`` the command runs
 nothing and only rebuilds ``--out`` from the ``--runs`` file.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,18 +50,24 @@ def seeds(spec: str):
     return out
 
 
+def child_minflt() -> int:
+    """Minor page faults of every finished child process so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The run's exit code and record; a run that wrote no record gets
-    ``record`` None and the tail of its stderr instead."""
+    """The run's exit code, minor page faults and record; a run that wrote
+    no record gets ``record`` None and the tail of its stderr instead."""
     path = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     path.unlink(missing_ok=True)
+    faults = child_minflt()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", SECONDS, "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
+    out = {"returncode": proc.returncode, "minflt": child_minflt() - faults}
     if not path.exists():
-        return {"returncode": proc.returncode, "record": None,
-                "stderr_tail": proc.stderr[-STDERR_TAIL:]}
-    return {"returncode": proc.returncode, "record": json.loads(path.read_text())}
+        return {**out, "record": None, "stderr_tail": proc.stderr[-STDERR_TAIL:]}
+    return {**out, "record": json.loads(path.read_text())}
 
 
 def ok(r) -> bool:
@@ -116,8 +125,8 @@ def traced(runs, better):
 
 
 def side_medians(done, value):
-    """Each side's median of ``value(record)`` over the kept pairs ``done``."""
-    return {side: statistics.median(value(p[side]["record"]) for p in done)
+    """Each side's median of ``value(run)`` over the kept pairs ``done``."""
+    return {side: statistics.median(value(p[side]) for p in done)
             for side in ("parent", "change")}
 
 
@@ -127,7 +136,8 @@ def summary(runs, better, bounds):
     (the rounds a run completed, so that a metric which grows with them,
     such as ``peak_rss_mb``, can be read against them), each side's median
     ``setup_min_s``, the fastest of a run's ``setup_samples_s``, to read
-    beside ``setup_s``, their median, whose verdict it leaves alone, and,
+    beside ``setup_s``, their median, whose verdict it leaves alone, each
+    side's median ``minflt``, the minor page faults of a whole run, and,
     under ``traced``, the per-layer metrics of the traced runs (see
     ``traced``).
 
@@ -143,10 +153,13 @@ def summary(runs, better, bounds):
         both = [p for p in by_seed.values() if {"parent", "change"} <= p.keys()]
         done = [p for p in both if ok(p["parent"]) and ok(p["change"])]
         if done:
-            out[workload] = {"rounds": side_medians(done, lambda r: r["rounds"])}
+            out[workload] = {"rounds": side_medians(done, lambda r: r["record"]["rounds"])}
             if all("setup_samples_s" in p[side]["record"] for p in done for side in p):
                 out[workload]["setup_min_s"] = side_medians(
-                    done, lambda r: min(r["setup_samples_s"]))
+                    done, lambda r: min(r["record"]["setup_samples_s"]))
+            # runs recorded before minflt was kept have none
+            if all("minflt" in p[side] for p in done for side in p):
+                out[workload]["minflt"] = side_medians(done, lambda r: r["minflt"])
         for metric, direction in better.items():
             vals = {side: [p[side]["record"]["result"]["metrics"][metric]["value"] for p in done]
                     for side in ("parent", "change")}
