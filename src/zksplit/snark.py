@@ -21,15 +21,26 @@ of circuit size and verification is linear in the statement length.
 
 Key tables (A_i, B_i, C_i at tau, the private and the public combinations)
 are held as read-only (n, 16) arrays of little-endian 16-bit limbs: the
-bytes of their 32-byte canonical wire encoding, never Python ints.  The
-prover's four inner products and the verifier's PI gather the limb rows of
-the nonzero wires only (honest witnesses are mostly zero remainder bits)
-and sum w_i * limb_l for each limb column l; the element is then
-sum_l s_l * 2**(16*l) mod P.  Those column sums are exact in int64 while
-max|w| * (2**16 - 1) * nnz < 2**63; at the default constants that product
-stays under 2**46 for any in-range witness at m=500.  A witness or
-statement past the bound, such as one holding canonical or huge elements,
-is summed over Python ints instead, on the same rows.
+bytes of their 32-byte canonical wire encoding, never Python ints.  An
+element is sum_l t_l * 2**(16*l) mod P, so sum_i w_i * t_i mod P is
+recomposed the same way from the 16 limb column sums s_l = sum_i w_i * t_il.
+
+Those sums are taken in float64 by BLAS while max|w| * (2**16 - 1) * n
+< 2**53 over the n rows summed.  Then each w_i, each product w_i * t_il
+and each partial sum of any subset of the products is an integer of
+magnitude below 2**53; float64 holds every such integer exactly, so no
+addition, multiplication or fused multiply-add rounds, and the sums are
+exact whatever order BLAS adds the terms in.  At the default constants the
+left side, q_max * (2**16 - 1) * num_wires, stays under 2**47 for any
+in-range witness at m=1000.  A witness or statement past the bound, such as
+one holding canonical or huge elements, is summed over Python ints instead,
+on the same rows; _limb_dtype owns the bound.
+
+The prover's four inner products gather the limb rows of the nonzero wires
+only (honest witnesses are mostly zero remainder bits) and widen just those
+rows to float64.  The verifying key also holds its public table as a
+float64 (16, num_public + 1) matrix, built once with the key, so the
+verifier's PI is one matrix-vector product plus its constant column.
 
 Security caveat: key material here consists of plain field scalars, not
 group elements, so this backend is not sound against whoever holds a key:
@@ -58,7 +69,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -194,6 +205,12 @@ class SnarkVerifyingKey:
     gamma: int
     delta: int
     ic: np.ndarray  # limb table of (beta*A_i + alpha*B_i + C_i)/gamma for wire 0 and public wires
+    # ic transposed to float64, (16, num_public + 1), for _public_input
+    ic_float: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.ic_float = np.ascontiguousarray(self.ic.T, dtype=np.float64)
+        self.ic_float.flags.writeable = False
 
     def to_bytes(self) -> bytes:
         return encode_frame(
@@ -208,6 +225,8 @@ class SnarkVerifyingKey:
         alpha_beta, gamma, delta = r.elements(3)
         ic = r.table(r.u32())
         r.end()
+        if len(ic) == 0:
+            raise DecodeError("key table holds no constant wire")
         return cls(circuit_digest, len(ic) - 1, alpha_beta, gamma, delta, ic)
 
 
@@ -239,28 +258,49 @@ def _lagrange_at(tau: int, nc: int) -> tuple:
     return [z_tau * iv % P for iv in invs], z_tau
 
 
+def _limb_dtype(w: np.ndarray, n: int):
+    """float64 when sum_i w_i * t_i over n rows t_i of 16-bit limbs is exact
+    in float64, that is while max|w| * (2**16 - 1) * n < 2**53, and object
+    (Python ints) otherwise."""
+    top = max(int(w.max(initial=0)), -int(w.min(initial=0)))
+    return np.float64 if top * 0xFFFF * n < 1 << 53 else object
+
+
+def _element(sums: np.ndarray) -> int:
+    """The element sum_l s_l * 2**(16*l) mod P of exact limb column sums s."""
+    return sum(int(s) << (16 * limb) for limb, s in enumerate(sums.tolist())) % P
+
+
 def _inner_products(w: np.ndarray, *tables: np.ndarray) -> List[int]:
     """For each limb table t, sum_i w[off + i] * t[i] mod P, where
     off = len(w) - len(t): a table holds the rows of the last len(t)
     elements of w.
 
     w holds signed representatives, int64 or Python ints.  Only the rows of
-    its nonzero elements are gathered; each limb column is one exact dot
-    product, in int64 while max|w| * (2**16 - 1) * nnz < 2**63 and over
-    Python ints otherwise.
+    its nonzero elements are gathered, and each limb column is one exact
+    dot product in the dtype _limb_dtype picks.
     """
     idx = np.flatnonzero(w != 0)
     wn = w[idx]
-    bound = int(np.abs(wn).max(initial=0)) * 0xFFFF * idx.size
-    wn = wn.astype(np.int64 if bound < 1 << 63 else object, copy=False)
+    wn = wn.astype(_limb_dtype(wn, idx.size), copy=False)
     out = []
     for t in tables:
         off = len(w) - len(t)
         k = int(np.searchsorted(idx, off))
         rows = t.take(idx[k:] - off, axis=0).astype(wn.dtype)
-        sums = (wn[k:] @ rows).tolist()
-        out.append(sum(int(s) << (16 * limb) for limb, s in enumerate(sums)) % P)
+        out.append(_element(wn[k:] @ rows))
     return out
+
+
+def _public_input(vk: SnarkVerifyingKey, s: np.ndarray) -> int:
+    """PI = ic_0 + sum_i s_i * ic_(1+i) mod P for the statement's signed
+    representatives s: on the key's float64 table, with wire 0's coefficient
+    1 counted as one more row towards the bound, and past it over Python
+    ints by _inner_products."""
+    if _limb_dtype(s, len(s) + 1) is np.float64:
+        return _element(vk.ic_float[:, 1:] @ s.astype(np.float64) + vk.ic_float[:, 0])
+    (pi,) = _inner_products(np.concatenate(([1], s)), vk.ic)
+    return pi
 
 
 def _accumulators(pk: SnarkProvingKey, witness: Witness) -> Tuple[int, int, int, int]:
@@ -362,7 +402,7 @@ class QapSnarkBackend(Backend):
             if not self._addressed(vk, statement, proof) or len(proof.body) != 96:
                 return Verdict.REJECT
             pi_a, pi_b, pi_c = _Reader(proof.body).elements(3)
-            (pi,) = _inner_products(np.concatenate(([1], _signed_array(statement))), vk.ic)
+            pi = _public_input(vk, _signed_array(statement))
             lhs = pi_a * pi_b % P
             rhs = (vk.alpha_beta + pi * vk.gamma + pi_c * vk.delta) % P
             return Verdict.ACCEPT if lhs == rhs else Verdict.REJECT

@@ -133,16 +133,18 @@ out = Path("perfbench/results")
 out.mkdir(exist_ok=True)
 name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
 (out / name).write_text(json.dumps({"rounds": 10, "metadata": {"commit": "stub"},
-    "result": {"correct": True, "metrics": {"round_ms.p90": {"value": 5.0}}}}))
+    "result": {"correct": True, "metrics": {"round_ms.p90": {"value": VALUE}}}}))
 '''
 
 
-def stub_checkout(path: Path, fail_seeds, touch_mb=0) -> Path:
+def stub_checkout(path: Path, fail_seeds, touch_mb=0, value=5.0) -> Path:
     """A checkout whose perfbench/run.py writes ``touch_mb`` MiB and then a
-    record, or, for a seed in ``fail_seeds``, exits 1 without one."""
+    record with ``round_ms.p90`` at ``value``, or, for a seed in
+    ``fail_seeds``, exits 1 without one."""
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text(
-        f"FAIL_SEEDS = {set(fail_seeds)!r}\nTOUCH_MB = {touch_mb}\n" + STUB_RUN)
+        f"FAIL_SEEDS = {set(fail_seeds)!r}\nTOUCH_MB = {touch_mb}\nVALUE = {value}\n"
+        + STUB_RUN)
     (path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"],
         "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
@@ -178,3 +180,16 @@ def test_each_run_keeps_its_minor_faults_and_each_side_their_median(tmp_path, ca
                        for side in ("parent", "change")}
     # the 16 MiB written are 4096 pages of 4 KiB, each faulted in
     assert medians["change"] - medians["parent"] > 3000
+
+
+def test_each_end_to_end_verdict_is_printed_after_the_file(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail_seeds=())
+    change = stub_checkout(tmp_path / "change", fail_seeds={3}, value=4.0)
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--runs", str(runs), "--out", str(out), "w:1-3"])
+    lines = capsys.readouterr().out.splitlines()
+    # six run lines, then one verdict line for the one end-to-end metric
+    assert len(lines) == 7
+    assert lines[-1] == "w round_ms.p90 gain 2/2"
+    assert json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]["verdict"] == "gain"

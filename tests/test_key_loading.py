@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from zksplit.backend import (
     DecodeError,
     MockBackend,
+    Proof,
     Statement,
     decode_frame,
     encode_frame,
@@ -174,6 +175,29 @@ def test_snark_key_element_not_reduced_is_decode_error(name):
     load = load_verifying_key if name == "ic" else load_proving_key
     with pytest.raises(DecodeError, match="not reduced"):
         load(bad.to_bytes())
+
+
+def test_snark_verifying_key_with_empty_table_is_decode_error(tmp_path, capsys):
+    """A public table of no rows lacks the constant wire; such a key would
+    have num_public == -1 and reject every statement."""
+    vk = snark_pair(1).verifying_key
+    data = dataclasses.replace(vk, num_public=-1, ic=vk.ic[:0]).to_bytes()
+    with pytest.raises(DecodeError, match="no constant wire"):
+        load_verifying_key(data)
+    # a proof addressed to the key and the empty statement
+    statement = Statement([])
+    proof = Proof(backend="snark", circuit_digest=vk.circuit_digest,
+                  statement_digest=statement.digest(), body=bytes(96))
+    (tmp_path / "vk.bin").write_bytes(data)
+    (tmp_path / "statement.json").write_text("[]")
+    (tmp_path / "proof.bin").write_bytes(proof.to_bytes())
+    rc = main(["verify", "--vk", str(tmp_path / "vk.bin"),
+               "--statement", str(tmp_path / "statement.json"),
+               "--proof", str(tmp_path / "proof.bin")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: key table holds no constant wire")
+    assert "Traceback" not in err
 
 
 EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, -1, 0, 21,

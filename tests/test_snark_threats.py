@@ -25,6 +25,7 @@ from zksplit.circuit import (
     InconsistentStatementError,
     Witness,
     _read_elements,
+    _signed_array,
     _write_elements,
     build_protocol_circuit,
     generate_witness,
@@ -34,7 +35,15 @@ from zksplit.circuit import (
 from zksplit.config import SimConfig
 from zksplit.field import P, inv, to_signed
 from zksplit.protocol import Trainer
-from zksplit.snark import QapSnarkBackend, _accumulators, _limb_table
+from zksplit.snark import (
+    QapSnarkBackend,
+    SnarkVerifyingKey,
+    _accumulators,
+    _inner_products,
+    _limb_dtype,
+    _limb_table,
+    _public_input,
+)
 
 C = CircuitConstants()
 M = 8
@@ -92,12 +101,12 @@ def huge_witness():
     return values
 
 
-def at_int64_bound(excess):
+def at_bound(bits, excess):
     """The dense witness with every nonzero element set to the largest
-    magnitude B for which B * (2**16 - 1) * nnz < 2**63, plus ``excess``."""
+    magnitude B for which B * (2**16 - 1) * nnz < 2**bits, plus ``excess``."""
     values = dense_witness()
     nnz = sum(1 for v in values if v)
-    top = ((1 << 63) - 1) // (0xFFFF * nnz) + excess
+    top = ((1 << bits) - 1) // (0xFFFF * nnz) + excess
     return [top if v else 0 for v in values]
 
 
@@ -132,8 +141,10 @@ WITNESSES = {
     "sparse": lambda: list(instance()[2].values),
     "dense": dense_witness,
     "huge": huge_witness,
-    "int64 bound": lambda: at_int64_bound(0),
-    "past int64 bound": lambda: at_int64_bound(1),
+    "float64 bound": lambda: at_bound(53, 0),
+    "past float64 bound": lambda: at_bound(53, 1),
+    "int64 bound": lambda: at_bound(63, 0),
+    "past int64 bound": lambda: at_bound(63, 1),
     "negative": negated_witness,
     "zero private": zero_private_witness,
     "element P-1": lambda: list(instance()[2].values),
@@ -153,6 +164,85 @@ def test_honest_witness_is_sparse_and_dense_one_is_not():
     dense = Witness(dense_witness()).signed
     assert np.count_nonzero(sparse) < len(sparse) // 4
     assert np.count_nonzero(dense) > len(dense) // 3
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("sparse", np.float64), ("dense", np.float64), ("negative", np.float64),
+    ("float64 bound", np.float64), ("past float64 bound", object),
+    ("int64 bound", object), ("past int64 bound", object), ("huge", object),
+])
+def test_each_witness_takes_the_tier_it_names(name, dtype):
+    w = _signed_array(Witness(WITNESSES[name]()))
+    nonzero = w[w != 0]
+    assert _limb_dtype(nonzero, len(nonzero)) is dtype
+
+
+def plain_sum(w, elements):
+    """sum_i w[off + i] * elements[i] mod P in unbounded integers, where
+    off = len(w) - len(elements)."""
+    off = len(w) - len(elements)
+    return sum(int(w[off + i]) * e for i, e in enumerate(elements)) % P
+
+
+limb_element = st.one_of(st.integers(0, P - 1), st.sampled_from([0, 1, 0xFFFF, P - 1]))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """An int64 vector of n elements whose magnitudes fall on both sides of
+    the float64 bound, the n + 1 elements of a verifier's public table and
+    the elements of a table for the vector's tail."""
+    n = draw(st.integers(0, 24))
+    bound = ((1 << 53) - 1) // (0xFFFF * (n + 1))
+    top = draw(st.sampled_from([1, 0xFFFF, bound // 2, bound, bound + 1, 1 << 40, 1 << 63]))
+    lo, hi = -top, min(top, (1 << 63) - 1)
+    w = draw(st.lists(st.one_of(st.just(0), st.integers(lo, hi), st.sampled_from([lo, hi])),
+                      min_size=n, max_size=n))
+    ic = draw(st.lists(limb_element, min_size=n + 1, max_size=n + 1))
+    tail = draw(st.lists(limb_element, max_size=n))
+    return np.array(w, dtype=np.int64), ic, tail
+
+
+@settings(deadline=None, max_examples=300)
+@given(inputs=kernel_inputs())
+def test_limb_kernels_equal_plain_sums(inputs):
+    w, ic, tail = inputs
+    table = _limb_table(_write_elements(ic))
+    assert _inner_products(w, table[1:], _limb_table(_write_elements(tail))) == [
+        plain_sum(w, ic[1:]), plain_sum(w, tail)]
+    vk = SnarkVerifyingKey("", len(w), 1, 1, 1, table)
+    assert _public_input(vk, w) == (ic[0] + plain_sum(w, ic[1:])) % P
+
+
+@pytest.mark.parametrize("m", [500, 1000])
+def test_every_in_range_witness_takes_the_float64_tier(m):
+    """At the default constants a witness whose elements lie in
+    [q_min, q_max] (remainder bits are 0 or 1) stays under the float64 bound
+    over all of its wires, and so does its statement with wire 0: prove and
+    verify at the benchmark's sizes take the BLAS tier."""
+    n = build_protocol_circuit(m, C).num_wires
+    top = max(C.q_max, -C.q_min)
+    assert top * 0xFFFF * n < 1 << 53
+    assert _limb_dtype(np.array([top, -top]), n) is np.float64
+
+
+def test_trainer_updates_take_the_float64_tier():
+    tr = Trainer(SimConfig(mode="zk-snark", num_clients=1, m=M, rounds=2, seed=0))
+    tr.train()
+    statement, witness = tr.last_update
+    assert max(tr.constants.q_max, -tr.constants.q_min) <= max(C.q_max, -C.q_min)
+    assert _limb_dtype(witness.signed, len(witness)) is np.float64
+    assert _limb_dtype(statement.signed, len(statement) + 1) is np.float64
+
+
+def test_verifying_key_float_table_equals_its_limb_table():
+    vk = instance()[0].verifying_key
+    for key in (vk, load_verifying_key(vk.to_bytes())):
+        assert key.ic_float.dtype == np.float64
+        assert key.ic_float.shape == (16, key.num_public + 1)
+        assert not key.ic_float.flags.writeable
+        assert (key.ic_float.astype("<u2") == key.ic.T).all()
+        assert (key.ic_float == key.ic.T).all()
 
 
 # -- verify is total ---------------------------------------------------------
@@ -206,12 +296,17 @@ def test_snark_verify_rejects_random_bodies_for_the_honest_statement(body):
 # -- either key is enough to forge -------------------------------------------
 
 
+def plain_pi(vk, values):
+    """The verifier's PI by the plain formula in unbounded integers."""
+    ic = _read_elements(vk.ic.tobytes(), "key")
+    return (ic[0] + plain_sum(values, ic[1:])) % P
+
+
 def forge(vk, statement, rnd):
     """pi_C = (pi_A*pi_B - alpha*beta - PI*gamma)/delta for random pi_A, pi_B,
-    with PI by the plain formula in unbounded integers."""
-    ic = _read_elements(vk.ic.tobytes(), "key")
+    with PI by the plain formula."""
     pi_a, pi_b = rnd.randrange(1, P), rnd.randrange(1, P)
-    pi = (ic[0] + sum(v * x for v, x in zip(statement.values, ic[1:]))) % P
+    pi = plain_pi(vk, statement.values)
     pi_c = (pi_a * pi_b - vk.alpha_beta - pi * vk.gamma) * inv(vk.delta) % P
     return Proof(backend="snark", circuit_digest=vk.circuit_digest,
                  statement_digest=statement.digest(),
@@ -251,11 +346,33 @@ def test_limb_pi_of_huge_statement_agrees_with_plain_formula(tweak):
     stmt = Statement(values)
     assert stmt.signed is None
     proof = forge(vk, stmt, random.Random(tweak))
-    if tweak:  # pi_C off by one fails the plain equation
-        pi = _read_elements(proof.body, "proof")
-        proof = dataclasses.replace(proof, body=_write_elements(pi[:2] + [(pi[2] + 1) % P]))
+    if tweak:
+        proof = off_by_one(proof)
     expected = Verdict.REJECT if tweak else Verdict.ACCEPT
     assert QapSnarkBackend().verify(vk, stmt, proof) is expected
+
+
+def off_by_one(proof):
+    """The proof with pi_C off by one, which fails the plain equation."""
+    pi = _read_elements(proof.body, "proof")
+    return dataclasses.replace(proof, body=_write_elements(pi[:2] + [(pi[2] + 1) % P]))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("excess, dtype", [(0, np.float64), (1, object)])
+def test_pi_at_and_past_float64_bound_agrees_with_plain_formula(sign, excess, dtype):
+    """Every statement value at sign * (B + excess), B the largest magnitude
+    with B * (2**16 - 1) * (num_public + 1) < 2**53: the float64 tier at the
+    bound, the Python-int tier one past it, and the plain formula's PI and
+    verdict on both."""
+    vk = instance()[0].verifying_key
+    n = vk.num_public
+    stmt = Statement([sign * (((1 << 53) - 1) // (0xFFFF * (n + 1)) + excess)] * n)
+    assert _limb_dtype(stmt.signed, n + 1) is dtype
+    assert _public_input(vk, stmt.signed) == plain_pi(vk, stmt.values)
+    proof = forge(vk, stmt, random.Random(excess))
+    assert QapSnarkBackend().verify(vk, stmt, proof) is Verdict.ACCEPT
+    assert QapSnarkBackend().verify(vk, stmt, off_by_one(proof)) is Verdict.REJECT
 
 
 def test_proving_key_holder_forges_accept_for_false_statement(monkeypatch):

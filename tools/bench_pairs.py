@@ -24,9 +24,11 @@ fastest set-up sample (``setup_min_s``) and median ``minflt``, and under
 side and with no verdict.  A pair enters the summary only when both runs
 exited 0 and passed the correctness gate; the others are counted under
 ``dropped``.  A run that writes no record is appended to ``--runs`` with
-its exit code and the tail of its stderr, and the session goes on.  With no
-``workload:seeds`` argument and no ``--trace-seed`` the command runs
-nothing and only rebuilds ``--out`` from the ``--runs`` file.
+its exit code and the tail of its stderr, and the session goes on.  Once
+``--out`` is written, one ``workload metric verdict wins/pairs`` line per
+workload and end-to-end metric goes to stdout.  With no ``workload:seeds``
+argument and no ``--trace-seed`` the command runs nothing and only rebuilds
+``--out`` from the ``--runs`` file.
 """
 
 import argparse
@@ -205,14 +207,20 @@ def main(argv=None) -> int:
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    table = summary(runs, better, bounds)
     args.out.write_text(json.dumps({
         "command": [*spec["command"], "--seconds", SECONDS],
         "commits": {side: next((r["record"]["metadata"]["commit"] for r in runs
                                 if r["side"] == side and r["record"] is not None), None)
                     for side in sides},
-        "summary": summary(runs, better, bounds),
+        "summary": table,
         "runs": runs,
     }, indent=1) + "\n")
+    for workload, cells in table.items():
+        for metric in better:
+            if metric in cells:
+                cell = cells[metric]
+                print(workload, metric, cell["verdict"], f"{cell['change_wins']}/{cell['pairs']}")
     return 0 if all(ok(r) for r in runs) else 1
 
 
