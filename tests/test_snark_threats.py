@@ -241,7 +241,6 @@ def test_verifying_key_float_table_equals_its_limb_table():
         assert key.ic_float.dtype == np.float64
         assert key.ic_float.shape == (16, key.num_public + 1)
         assert not key.ic_float.flags.writeable
-        assert (key.ic_float.astype("<u2") == key.ic.T).all()
         assert (key.ic_float == key.ic.T).all()
 
 
