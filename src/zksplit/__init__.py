@@ -15,7 +15,6 @@ from .backend import (
     Proof,
     Statement,
     Verdict,
-    backend_capabilities,
     get_backend,
 )
 from .circuit import (
@@ -56,7 +55,6 @@ __all__ = [
     "Verdict",
     "VerifierEntity",
     "Witness",
-    "backend_capabilities",
     "build_aggregation_circuit",
     "build_protocol_circuit",
     "build_update_circuit",

@@ -16,7 +16,8 @@ and every proof payload starts with the 32-byte statement digest, computed
 as SHA-256 of the canonical statement encoding.  Statements and witnesses
 (the mock proof body) share one element codec, circuit.FieldVector: a
 little-endian u32 count followed by 32-byte little-endian field elements,
-held in memory as int64 signed representatives whenever they are small;
+held in memory as an array of signed representatives, int64 whenever
+they are small;
 snark keys and proof bodies write their elements without the count.
 Statements and witnesses are immutable, so each is encoded at most once
 (a decoded one keeps the frame it came from), and a statement's digest is
@@ -40,7 +41,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict
 
 from .circuit import ConstraintSystem, FieldVector, Witness, from_spec
 
@@ -276,11 +276,6 @@ def get_backend(name: str) -> Backend:
 
         return snark.QapSnarkBackend()
     raise BackendError(f"unknown backend {name!r}")
-
-
-def backend_capabilities() -> Dict[str, bool]:
-    """Every backend runs in pure Python, so each is always available."""
-    return {name: True for name in BACKEND_IDS}
 
 
 def _load_key(data: bytes, mock_cls, snark_cls: str):

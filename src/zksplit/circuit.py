@@ -53,18 +53,18 @@ the writer formats integers and copies bytes; it builds no dict and no
 list of row strings, and no other object as large as the text.
 
 The arithmetic.  aggregation_floor and update_floor compute the left-hand
-sides above, the floor terms, on numpy arrays; they are the one
-implementation of the quantized arithmetic, and also accept n weights and
-n rows of U, summing the n products.  quantized_aggregate and
-quantized_update are (floor >> eta) + z, which floors like the
-rationals, and the gadgets derive U' and every remainder
-floor - 2**eta * (out - z) from the same two functions.  With d the
-largest |v - z| over the quantized range, widened to cover the operands,
-the aggregation floor and its remainder stay below
-c_a * n * d**2 + 2**eta * (d + 1), and the update's below
+sides above, the floor terms, from the one integer K and the vectors U,
+W and U'; they are the one implementation of the quantized arithmetic.
+quantized_aggregate and quantized_update are (floor >> eta) + z, which
+floors like the rationals, and return the array the floor gives; the
+gadgets derive U' and every remainder floor - 2**eta * (out - z) from the
+same two functions.  With d the largest |v - z| over the quantized range,
+widened to cover the operands, the aggregation floor and its remainder
+stay below c_a * d**2 + 2**eta * (d + 1), and the update's below
 (c_w + c_u + 2**eta) * d + 2**eta.  The arithmetic runs in int64 when
 that bound is under 2**62 (it is about 2**39 under the default
-constants), and on arrays of Python ints otherwise, as for eta = 60.
+constants), and on arrays of Python ints otherwise, as for eta = 60;
+the outputs then are Python ints too, however small.
 
 Checking satisfaction.  A circuit stores each booleanity row
 b * (b - 1) = 0, eta per output element, as the bare index of its wire b,
@@ -217,8 +217,8 @@ def _limbs(s: np.ndarray) -> np.ndarray:
 def _write_elements(values):
     """The 32-byte little-endian canonical encodings of field elements, with
     no count: the limbs of an int64 array of signed representatives, or
-    each integer of a sequence reduced mod P."""
-    if isinstance(values, np.ndarray):
+    each integer of any other sequence reduced mod P."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return memoryview(_limbs(values))
     return b"".join((v % P).to_bytes(32, "little") for v in values)
 
@@ -233,13 +233,14 @@ def _read_elements(data, what: str) -> List[int]:
 
 
 class FieldVector:
-    """An immutable vector of field elements in one of two representations.
+    """An immutable vector of field elements, held as their signed
+    representatives.
 
-    ``signed`` is a read-only int64 array of signed representatives when
-    every element lies in (-SMALL, SMALL), and None otherwise; then the
-    canonical tuple is held instead.  ``values`` is always the canonical
-    tuple, derived on first use.  Witnesses and statements share this
-    representation and its codec: a little-endian u32 count followed by
+    ``signed`` is the read-only array of signed representatives, the v with
+    v = x mod P and |v| < P/2: int64 when every element lies in
+    (-SMALL, SMALL), and Python ints otherwise.  ``values``, the canonical
+    tuple, is derived from it on first use.  Witnesses and statements share
+    this representation and its codec: a little-endian u32 count followed by
     32-byte little-endian canonical elements.  An int64 array is copied,
     unless ``copy=False`` hands it over; nothing can change a vector
     after it is made, so ``to_bytes`` encodes it once and returns the same
@@ -275,17 +276,13 @@ class FieldVector:
             signed = values.copy() if copy else values
         else:
             ints = [to_signed(int(v) % P) for v in values]
-            if all(-SMALL < v < SMALL for v in ints):
-                signed = np.array(ints, dtype=np.int64)
-            else:
-                signed = None
-                self._values = tuple(v % P for v in ints)
-        if signed is not None:
-            signed.flags.writeable = False
-        self._signed: np.ndarray | None = signed
+            small = all(-SMALL < v < SMALL for v in ints)
+            signed = np.array(ints, dtype=np.int64 if small else object)
+        signed.flags.writeable = False
+        self._signed = signed
 
     @property
-    def signed(self) -> np.ndarray | None:
+    def signed(self) -> np.ndarray:
         return self._signed
 
     @property
@@ -295,12 +292,12 @@ class FieldVector:
         return self._values
 
     def __len__(self) -> int:
-        return len(self._values) if self._signed is None else len(self._signed)
+        return len(self._signed)
 
     def to_bytes(self) -> bytes:
         if self._bytes is None:
-            elements = self._values if self._signed is None else self._signed
-            self._bytes = b"".join((len(self).to_bytes(4, "little"), _write_elements(elements)))
+            self._bytes = b"".join((len(self).to_bytes(4, "little"),
+                                    _write_elements(self._signed)))
         return self._bytes
 
     @classmethod
@@ -347,16 +344,11 @@ class Witness(FieldVector):
     """Full assignment: leading constant 1, then public, then private wires."""
 
     def statement(self, cs: "ConstraintSystem") -> List[int]:
-        if self._signed is None:
-            return list(self.values[1 : 1 + cs.num_public])
         return [v % P for v in self._signed[1 : 1 + cs.num_public].tolist()]
 
     def publishes(self, public: FieldVector) -> bool:
         """Whether wires 1..len(public) hold exactly the elements of ``public``."""
-        n = len(public)
-        if self._signed is not None and public.signed is not None:
-            return bool(np.array_equal(self._signed[1 : 1 + n], public.signed))
-        return self.values[1 : 1 + n] == public.values
+        return bool(np.array_equal(self._signed[1 : 1 + len(public)], public.signed))
 
     # the witness codec, as attributes of this class so that the benchmark's
     # trace hooks can time it apart from the statement codec
@@ -626,9 +618,9 @@ class ConstraintSystem:
         if not isinstance(witness, Witness):
             witness = Witness(witness)
         w = witness.signed
-        if w is not None:
-            if w[0] != 1:
-                return False
+        if w[0] != 1:
+            return False
+        if w.dtype == np.int64:
             compiled = self.compiled()
             if compiled.fits(max(-int(w.min()), int(w.max()))):
                 return compiled.is_satisfied(w)
@@ -803,8 +795,7 @@ class _Aggregation(_Floor):
         return {self.k: ca, 0: -ca * self.c.z_k}, {self.u[j]: 1, 0: -self.c.z_u}
 
     def floor(self, w: np.ndarray) -> np.ndarray:
-        u = w[None, self.u.start : self.u.stop]
-        return aggregation_floor(w[self.k : self.k + 1], u, self.c)
+        return aggregation_floor(int(w[self.k]), w[self.u.start : self.u.stop], self.c)
 
 
 class _Update(_Floor):
@@ -939,20 +930,17 @@ def _span(c: CircuitConstants, *operands: np.ndarray) -> int:
     return top + max(abs(z) for z in (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp))
 
 
-def aggregation_floor(k_q, u_q, c: CircuitConstants) -> np.ndarray:
-    """ca * sum_k (K_k - z_K)(U_kj - z_U) for every output j, exactly.
+def aggregation_floor(k_q: int, u_q, c: CircuitConstants) -> np.ndarray:
+    """ca * (K - z_K)(U_j - z_U) for every output j, exactly.
 
-    K is a length-n vector and U an n x m matrix.  Its floor division by
-    2**eta gives U'_j - z_U'.
+    K is one integer and U a vector.  Its floor division by 2**eta gives
+    U'_j - z_U'.
     """
     c.require_aggregation_exact()
-    k, u = _ints(k_q), _ints(u_q)
-    if u.ndim != 2 or u.shape[0] != k.size:
-        raise CircuitError(f"U has shape {u.shape}, expected {k.size} rows")
-    d = _span(c, k, u)
-    dt = _int_dtype((1 << c.agg_shift) * k.size * d * d + (1 << c.eta) * (d + 1))
-    products = (k.astype(dt, copy=False)[:, None] - c.z_k) * (u.astype(dt, copy=False) - c.z_u)
-    return (1 << c.agg_shift) * products.sum(axis=0)
+    u = _ints(u_q)
+    d = _span(c, _ints([k_q]), u)
+    dt = _int_dtype((1 << c.agg_shift) * d * d + (1 << c.eta) * (d + 1))
+    return ((1 << c.agg_shift) * (int(k_q) - c.z_k)) * (u.astype(dt, copy=False) - c.z_u)
 
 
 def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
@@ -970,34 +958,19 @@ def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
     return cw * (w.astype(dt, copy=False) - c.z_w) + cu * (up.astype(dt, copy=False) - c.z_up)
 
 
-def quantized_aggregate(k_q: Sequence[int], u_q: Sequence[Sequence[int]],
-                        c: CircuitConstants) -> List[int]:
-    """Exact integer computation of U'_j = quantize(sum_k deq(K_k)*deq(U_kj))."""
-    return ((aggregation_floor(k_q, u_q, c) >> c.eta) + c.z_up).tolist()
+def quantized_aggregate(k_q: int, u_q: Sequence[int], c: CircuitConstants) -> np.ndarray:
+    """Exact integer computation of U'_j = quantize(deq(K) * deq(U_j)), as
+    an array of the floor's dtype."""
+    return (aggregation_floor(k_q, u_q, c) >> c.eta) + c.z_up
 
 
-def quantized_update(w_q: Sequence[int], up_q: Sequence[int],
-                     c: CircuitConstants) -> List[int]:
-    """Exact integer computation of W'_j = quantize(deq(W_j) + deq(U'_j))."""
-    return ((update_floor(w_q, up_q, c) >> c.eta) + c.z_wp).tolist()
+def quantized_update(w_q: Sequence[int], up_q: Sequence[int], c: CircuitConstants) -> np.ndarray:
+    """Exact integer computation of W'_j = quantize(deq(W_j) + deq(U'_j)), as
+    an array of the floor's dtype."""
+    return (update_floor(w_q, up_q, c) >> c.eta) + c.z_wp
 
 
 # -- witness generation ------------------------------------------------------
-
-
-def _signed_array(values) -> np.ndarray:
-    """Signed representatives of field elements: int64 when every element
-    is small, Python ints otherwise.  Accepts a FieldVector, an array or
-    any sequence of signed or canonical integers."""
-    if not isinstance(values, (np.ndarray, FieldVector)):
-        try:
-            values = np.array(values, dtype=np.int64)
-        except OverflowError:  # canonical negatives or huge elements
-            pass
-    vec = values if isinstance(values, FieldVector) else FieldVector(values)
-    if vec.signed is not None:
-        return vec.signed
-    return np.array([to_signed(v) for v in vec.values], dtype=object)
 
 
 def _check_range(cs: ConstraintSystem, vals: np.ndarray) -> None:
@@ -1036,8 +1009,8 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     if not cs.gadgets:
         raise CircuitError("circuit has no gadgets to derive a witness")
     # accept either signed quantized integers or canonical field elements
-    pub = _signed_array(public_values)
-    priv = _signed_array(private_values)
+    pub, priv = (v.signed if isinstance(v, FieldVector) else FieldVector(v).signed
+                 for v in (public_values, private_values))
     free = cs.gadgets[0].wires.start - 1 - cs.num_public
     if len(pub) != cs.num_public:
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")

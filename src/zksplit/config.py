@@ -7,7 +7,7 @@ configuration and reproduce the run from it alone.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 MODES = ("zk-snark", "zk-mock", "blockchain", "none")
 
@@ -16,6 +16,29 @@ MODE_BACKENDS = {"zk-snark": "snark", "zk-mock": "mock"}
 
 class ConfigError(ValueError):
     pass
+
+
+def _is(value, kind) -> bool:
+    """Whether value has the declared type kind: a bool is neither an int
+    nor a float, and an int is a float."""
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_type(name: str, value, hint) -> None:
+    """Raise ConfigError naming the field unless value has type hint, one of
+    T, Optional[T] and List[T] for a plain class T."""
+    if get_origin(hint) is Union:  # Optional[T]
+        if value is None:
+            return
+        hint, _ = get_args(hint)
+    if get_origin(hint) is list:
+        (elem,) = get_args(hint)
+        if not (isinstance(value, list) and all(_is(v, elem) for v in value)):
+            raise ConfigError(f"{name} must be a list of {elem.__name__}, not {value!r}")
+    elif not _is(value, hint):
+        raise ConfigError(f"{name} must be {hint.__name__}, not {value!r}")
 
 
 @dataclass
@@ -59,6 +82,8 @@ class SimConfig:
     real_epoch_batches: int = 8
 
     def __post_init__(self) -> None:
+        for name, hint in get_type_hints(type(self)).items():
+            _check_type(name, getattr(self, name), hint)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         for name in ("num_clients", "m", "batches_per_epoch", "batch_size", "epochs"):

@@ -20,6 +20,9 @@ from pathlib import Path
 from typing import List
 
 GENESIS_PREV = bytes(32)
+# the fields of a saved block and the JSON type of each
+_FIELDS = {"index": int, "prev_hash": str, "payload_digest": str, "timestamp_ms": int,
+           "sender": str, "hash": str}
 
 
 def _now_ms() -> int:
@@ -59,11 +62,22 @@ class Block:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
+        """The block of a decoded to_dict.  Raises ValueError unless d holds
+        exactly the six fields: index and timestamp_ms ints (not bools) that
+        fit in 8 bytes, the three hashes as hex strings and sender a str."""
+        if not isinstance(d, dict) or set(d) != set(_FIELDS):
+            raise ValueError(f"a block is an object with the keys {', '.join(_FIELDS)}")
+        for name, kind in _FIELDS.items():
+            if type(d[name]) is not kind:
+                raise ValueError(f"block {name} must be {kind.__name__}, not {d[name]!r}")
+        for name in ("index", "timestamp_ms"):
+            if not 0 <= d[name] < 1 << 64:
+                raise ValueError(f"block {name} {d[name]} does not fit in 8 bytes")
         return cls(
-            index=int(d["index"]),
+            index=d["index"],
             prev_hash=bytes.fromhex(d["prev_hash"]),
             payload_digest=bytes.fromhex(d["payload_digest"]),
-            timestamp_ms=int(d["timestamp_ms"]),
+            timestamp_ms=d["timestamp_ms"],
             sender=d["sender"],
             hash=bytes.fromhex(d["hash"]),
         )
@@ -128,11 +142,17 @@ class Chain:
 
     @classmethod
     def load(cls, path: str | Path) -> "Chain":
+        """The chain of a saved file.  Raises ValueError, naming the line,
+        on a line that is not JSON or not a block (see Block.from_dict)."""
         blocks = []
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     blocks.append(Block.from_dict(json.loads(line)))
+                except ValueError as e:
+                    raise ValueError(f"{path}: line {lineno}: {e}") from None
         return cls(blocks)
 

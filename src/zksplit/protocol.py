@@ -406,10 +406,11 @@ class Trainer:
         # prescribed cut-layer bias update, quantized
         u_next = (-cfg.lr / batch.size) * grad.g_z.sum(axis=0)
         uq = quantize_array(u_next, self.wq_params)
-        upq = quantized_aggregate([self.k_q], uq[None, :], self.constants)
-        wq_next = np.asarray(quantized_update(self.wq_cur, upq, self.constants), dtype=np.int64)
+        upq = quantized_aggregate(self.k_q, uq, self.constants)
+        wq_next = quantized_update(self.wq_cur, upq, self.constants)
         if wq_next.max() > self.wq_params.q_max or wq_next.min() < self.wq_params.q_min:
             raise OverflowError_("quantization overflow")
+        wq_next = wq_next.astype(np.int64, copy=False)  # Python ints when eta is large
         update = None
         if self.zk:
             t0 = time.perf_counter()

@@ -10,8 +10,14 @@ the circuit-side ratio constants between scales are exact integer powers
 of two.  Because of that restriction, dequantization is exact in 64-bit
 floats: an integer up to 2**53 times a power of two is representable.
 
+quantize_array and dequantize_array are the one implementation of both
+maps; quantize and dequantize apply them to a single element.
+
 Overflow is an error, never a clamp: a silently clamped value would make
-an honestly generated witness violate its circuit constraints.
+an honestly generated witness violate its circuit constraints.  Every
+input outside the range, nan and ints past the float or int64 range
+included, raises OverflowError_ when quantized and QuantError when
+dequantized.
 """
 
 from __future__ import annotations
@@ -157,36 +163,41 @@ def _real_range(p: QuantParams):
 
 
 def quantize(x: float, p: QuantParams) -> int:
-    """q = floor(x / s) + z; errors on overflow instead of clamping."""
-    lo, hi = _real_range(p)
-    if not lo <= x < hi:  # also false for nan
-        raise OverflowError_("quantization overflow")
-    scaled = x * (2.0 ** p.scale_exp)
-    # with s > 1 a negative subnormal x can scale to -0.0, whose floor is 0, not -1
-    return math.floor(scaled) - (scaled == 0 and x < 0) + p.zero_point
+    """quantize_array of the one element x."""
+    return int(quantize_array([x], p)[0])
 
 
 def dequantize(q: int, p: QuantParams) -> float:
-    """x = s * (q - z); exact for the supported bit budget."""
-    if q < p.q_min or q > p.q_max:
-        raise QuantError("invalid quantized value")
-    return (q - p.zero_point) * (2.0 ** (-p.scale_exp))
+    """dequantize_array of the one element q."""
+    return float(dequantize_array([q], p)[0])
 
 
 def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
-    """Vector form of quantize; raises on any out-of-range element."""
-    x = np.asarray(x, dtype=np.float64)
+    """q = floor(x / s) + z for every element, as int64; raises
+    OverflowError_ unless every q lies in [q_min, q_max], instead of
+    clamping, also for nan and for ints past the float range."""
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except OverflowError:
+        raise OverflowError_("quantization overflow") from None
     lo, hi = _real_range(p)
     if not (x.min(initial=lo) >= lo and x.max(initial=lo) < hi):  # nan propagates
         raise OverflowError_("quantization overflow")
     scaled = x * (2.0 ** p.scale_exp)
     q = np.floor(scaled).astype(np.int64)
-    q -= (scaled == 0) & (x < 0)  # as in quantize
+    # with s > 1 a negative subnormal x can scale to -0.0, whose floor is 0, not -1
+    q -= (scaled == 0) & (x < 0)
     return q + p.zero_point
 
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
-    q = np.asarray(q, dtype=np.int64)
+    """x = s * (q - z) for every element, exact for the supported bit
+    budget; raises QuantError unless every q lies in [q_min, q_max], also
+    for ints past the int64 range."""
+    try:
+        q = np.asarray(q, dtype=np.int64)
+    except OverflowError:
+        raise QuantError("invalid quantized value") from None
     if q.size and (q.min() < p.q_min or q.max() > p.q_max):
         raise QuantError("invalid quantized value")
     return (q - p.zero_point).astype(np.float64) * (2.0 ** (-p.scale_exp))

@@ -86,8 +86,7 @@ from .backend import (
     _circuit_of,
     encode_frame,
 )
-from .circuit import (MAX_CONSTRAINTS, ConstraintSystem, Witness, _read_elements, _signed_array,
-                      _write_elements)
+from .circuit import MAX_CONSTRAINTS, ConstraintSystem, Witness, _read_elements, _write_elements
 from .field import P, batch_inv, inv
 
 
@@ -305,7 +304,7 @@ def _public_input(vk: SnarkVerifyingKey, s: np.ndarray) -> int:
 
 def _accumulators(pk: SnarkProvingKey, witness: Witness) -> Tuple[int, int, int, int]:
     """<w, a_tau>, <w, b_tau>, <w, c_tau> and the private <w, l_priv>, mod P."""
-    return tuple(_inner_products(_signed_array(witness), pk.a_tau, pk.b_tau, pk.c_tau, pk.l_priv))
+    return tuple(_inner_products(witness.signed, pk.a_tau, pk.b_tau, pk.c_tau, pk.l_priv))
 
 
 class QapSnarkBackend(Backend):
@@ -402,7 +401,7 @@ class QapSnarkBackend(Backend):
             if not self._addressed(vk, statement, proof) or len(proof.body) != 96:
                 return Verdict.REJECT
             pi_a, pi_b, pi_c = _Reader(proof.body).elements(3)
-            pi = _public_input(vk, _signed_array(statement))
+            pi = _public_input(vk, statement.signed)
             lhs = pi_a * pi_b % P
             rhs = (vk.alpha_beta + pi * vk.gamma + pi_c * vk.delta) % P
             return Verdict.ACCEPT if lhs == rhs else Verdict.REJECT

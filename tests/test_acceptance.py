@@ -154,17 +154,17 @@ def test_criterion_2_quantization_bounds():
 
 def _honest_agg(rnd, m, c):
     k_q = rnd.randint(c.z_k + 1, 4000)
-    u_q = [[rnd.randint(-4000, 4000) for _ in range(m)]]
-    up_q = quantized_aggregate([k_q], u_q, c)
+    u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
+    up_q = quantized_aggregate(k_q, u_q, c).tolist()
     cs = build_aggregation_circuit(m, c)
-    wit = generate_witness(cs, up_q + [k_q], u_q[0])
+    wit = generate_witness(cs, up_q + [k_q], u_q)
     return cs, wit
 
 
 def _honest_upd(rnd, m, c):
     w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     up_q = [rnd.randint(-4000, 4000) for _ in range(m)]
-    wp_q = quantized_update(w_q, up_q, c)
+    wp_q = quantized_update(w_q, up_q, c).tolist()
     cs = build_update_circuit(m, c)
     wit = generate_witness(cs, wp_q + w_q, up_q)
     return cs, wit
@@ -247,8 +247,8 @@ def test_criterion_4_circuit_soundness():
     pair = mock.setup(cs, b"")
     u_q = [rnd.randint(-2000, 2000) for _ in range(m)]
     w_q = [rnd.randint(-2000, 2000) for _ in range(m)]
-    up_q = quantized_aggregate([k_q], [u_q], c)
-    wp_q = quantized_update(w_q, up_q, c)
+    up_q = quantized_aggregate(k_q, u_q, c)
+    wp_q = quantized_update(w_q, up_q, c).tolist()
     statement = wp_q + w_q + [k_q]
     honest = generate_witness(cs, statement, u_q)
     assert cs.is_satisfied(honest)
@@ -266,8 +266,8 @@ def test_criterion_4_circuit_soundness():
     pair_big = mock.setup(cs_big, b"")
     u_q = [rnd.randint(-2000, 2000) for _ in range(m)]
     w_q = [rnd.randint(-2000, 2000) for _ in range(m)]
-    up_q = quantized_aggregate([k_q], [u_q], c)
-    wp_q = quantized_update(w_q, up_q, c)
+    up_q = quantized_aggregate(k_q, u_q, c)
+    wp_q = quantized_update(w_q, up_q, c).tolist()
     statement = wp_q + w_q + [k_q]
     sampled = 0
     for _ in range(200):
@@ -304,8 +304,8 @@ def test_criterion_5_oracle_equivalence():
         k_q = rnd.randint(c.z_k + 1, c.z_k + 2 ** f_k)  # dequantizes to (0, 1]
         u_q = [c.z_u + rnd.randint(-1000, 1000) for _ in range(m)]
         w_q = [c.z_w + rnd.randint(-1000, 1000) for _ in range(m)]
-        up_q = quantized_aggregate([k_q], [u_q], c)
-        wp_q = quantized_update(w_q, up_q, c)
+        up_q = quantized_aggregate(k_q, u_q, c)
+        wp_q = quantized_update(w_q, up_q, c).tolist()
 
         # the proven statement must actually verify
         cs = build_protocol_circuit(m, c)

@@ -10,7 +10,6 @@ from zksplit.backend import (
     Statement,
     UnsatisfiedRelationError,
     Verdict,
-    backend_capabilities,
     decode_frame,
     get_backend,
     load_proving_key,
@@ -35,8 +34,8 @@ def honest_instance(m=4, seed=0):
     k_q = 2 ** C.f_k
     u_q = [rnd.randint(-1000, 1000) for _ in range(m)]
     w_q = [rnd.randint(-1000, 1000) for _ in range(m)]
-    up_q = quantized_aggregate([k_q], [u_q], C)
-    wp_q = quantized_update(w_q, up_q, C)
+    up_q = quantized_aggregate(k_q, u_q, C)
+    wp_q = quantized_update(w_q, up_q, C).tolist()
     wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
     return cs, Statement(wit.statement(cs)), wit
 
@@ -144,11 +143,6 @@ class TestSerialization:
 
 
 class TestRegistry:
-    def test_capabilities(self):
-        caps = backend_capabilities()
-        assert caps["mock"] is True
-        assert "snark" in caps
-
     def test_get_backend(self):
         assert get_backend("mock").name == "mock"
         assert get_backend("snark").name == "snark"

@@ -189,7 +189,35 @@ def test_each_end_to_end_verdict_is_printed_after_the_file(tmp_path, capsys):
     bench_pairs.main(["--parent", str(parent), "--change", str(change),
                       "--runs", str(runs), "--out", str(out), "w:1-3"])
     lines = capsys.readouterr().out.splitlines()
-    # six run lines, then one verdict line for the one end-to-end metric
-    assert len(lines) == 7
-    assert lines[-1] == "w round_ms.p90 gain 2/2"
+    # six run lines, one verdict line for the one end-to-end metric, and
+    # one line of the workload's medians
+    assert len(lines) == 8
+    assert lines[-2] == "w round_ms.p90 gain 2/2"
+    assert lines[-1].startswith("w medians rounds parent=10 change=10 minflt parent=")
     assert json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]["verdict"] == "gain"
+
+
+def test_each_workloads_median_rounds_and_minflt_are_printed_last(tmp_path, capsys):
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    records = paired_runs(PARENT, shifted(-1.0), rounds=(1000, 1200), ok_pairs={0, 1, 2})
+    for r in records:
+        r["minflt"] = (30_000 if r["side"] == "parent" else 125_000) + r["seed"]
+        r["record"]["metadata"] = {"commit": r["side"]}
+    runs.write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"],
+        "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--runs", str(runs),
+            "--out", str(out)]
+    bench_pairs.main(argv)
+    # only the kept seeds 0, 1 and 2 count
+    assert capsys.readouterr().out.splitlines() == [
+        "w round_ms.p90 gain 3/3",
+        "w medians rounds parent=1001 change=1201 minflt parent=30001 change=125001"]
+    # runs recorded before minflt was kept print none
+    for r in records:
+        del r["minflt"]
+    runs.write_text("".join(json.dumps(r) + "\n" for r in records))
+    bench_pairs.main(argv)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "w medians rounds parent=1001 change=1201 minflt -")

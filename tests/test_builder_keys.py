@@ -220,9 +220,9 @@ def test_a_keys_spec_proves_through_the_cli(tmp_path, capsys):
     payload = decode_frame(pk)[2]
     (tmp_path / "circuit.json").write_bytes(payload[4 : 4 + int.from_bytes(payload[:4], "little")])
     u, w = [120, -44, 913], [7, 2048, -5]
-    up = circuit.quantized_aggregate([2 ** c.f_k], [u], c)
+    up = circuit.quantized_aggregate(2 ** c.f_k, u, c)
     (tmp_path / "statement.json").write_text(
-        json.dumps(circuit.quantized_update(w, up, c) + w + [2 ** c.f_k]))
+        json.dumps(circuit.quantized_update(w, up, c).tolist() + w + [2 ** c.f_k]))
     (tmp_path / "witness.json").write_text(json.dumps(u))
     capsys.readouterr()
     assert main(["prove", "--circuit", str(tmp_path / "circuit.json"),

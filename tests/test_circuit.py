@@ -43,11 +43,11 @@ def honest_inputs(kind, m, c, rnd):
     w_q = [rnd.randint(-100, 100) for _ in range(m)]
     k_q = c.z_k + 2 ** c.f_k
     if kind == "aggregation":
-        return quantized_aggregate([k_q], [u_q], c) + [k_q], u_q
+        return quantized_aggregate(k_q, u_q, c).tolist() + [k_q], u_q
     if kind == "update":
-        return quantized_update(w_q, u_q, c) + w_q, u_q
-    up_q = quantized_aggregate([k_q], [u_q], c)
-    return quantized_update(w_q, up_q, c) + w_q + [k_q], u_q
+        return quantized_update(w_q, u_q, c).tolist() + w_q, u_q
+    up_q = quantized_aggregate(k_q, u_q, c)
+    return quantized_update(w_q, up_q, c).tolist() + w_q + [k_q], u_q
 
 
 def rational_aggregate(k_q, u_q, c):
@@ -56,9 +56,8 @@ def rational_aggregate(k_q, u_q, c):
     su = Fraction(1, 2 ** c.f_u)
     sup = Fraction(1, 2 ** c.f_up)
     out = []
-    for j in range(len(u_q[0])):
-        real = sum(sk * (k_q[k] - c.z_k) * su * (u_q[k][j] - c.z_u)
-                   for k in range(len(k_q)))
+    for j in range(len(u_q)):
+        real = sk * (k_q - c.z_k) * su * (u_q[j] - c.z_u)
         out.append((real / sup).__floor__() + c.z_up)
     return out
 
@@ -74,12 +73,12 @@ def rational_update(w_q, up_q, c):
     return out
 
 
-def random_agg_instance(rnd, m, n, c):
-    k_q = [rnd.randint(-4000, 4000) for _ in range(n)]
-    while any(k == c.z_k for k in k_q):
-        k_q = [rnd.randint(-4000, 4000) for _ in range(n)]
-    u_q = [[rnd.randint(-4000, 4000) for _ in range(m)] for _ in range(n)]
-    up_q = quantized_aggregate(k_q, u_q, c)
+def random_agg_instance(rnd, m, c):
+    k_q = rnd.randint(-4000, 4000)
+    while k_q == c.z_k:
+        k_q = rnd.randint(-4000, 4000)
+    u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
+    up_q = quantized_aggregate(k_q, u_q, c).tolist()
     return k_q, u_q, up_q
 
 
@@ -122,7 +121,7 @@ class TestAggregationCircuit:
     def test_zero_update_is_zero_point(self):
         # U at the zero-point dequantizes to 0, so U' is its zero-point
         cs = build_aggregation_circuit(2, EQUAL)
-        up = quantized_aggregate([123], [[EQUAL.z_u, EQUAL.z_u]], EQUAL)
+        up = quantized_aggregate(123, [EQUAL.z_u, EQUAL.z_u], EQUAL).tolist()
         assert up == [EQUAL.z_up, EQUAL.z_up]
         w = generate_witness(cs, up + [123], [EQUAL.z_u, EQUAL.z_u])
         assert cs.is_satisfied(w)
@@ -131,8 +130,8 @@ class TestAggregationCircuit:
         # K dequantizes to 1.0, U to 0.5
         c = EQUAL
         k_q, u_q = 2 ** c.f_k, 2 ** (c.f_u - 1)
-        expected = rational_aggregate([k_q], [[u_q]], c)
-        got = quantized_aggregate([k_q], [[u_q]], c)
+        expected = rational_aggregate(k_q, [u_q], c)
+        got = quantized_aggregate(k_q, [u_q], c).tolist()
         assert got == expected
         cs = build_aggregation_circuit(1, c)
         w = generate_witness(cs, got + [k_q], [u_q])
@@ -142,29 +141,19 @@ class TestAggregationCircuit:
     def test_oracle_agreement_randomized(self, c):
         rnd = random.Random(5)
         for _ in range(50):
-            k_q, u_q, up_q = random_agg_instance(rnd, 4, 1, c)
+            k_q, u_q, up_q = random_agg_instance(rnd, 4, c)
             assert up_q == rational_aggregate(k_q, u_q, c)
             cs = build_aggregation_circuit(4, c)
-            w = generate_witness(cs, up_q + k_q, u_q[0])
+            w = generate_witness(cs, up_q + [k_q], u_q)
             assert cs.is_satisfied(w)
-
-    def test_multi_node_aggregation(self):
-        # the arithmetic still sums n rows; the circuit proves n = 1 only
-        rnd = random.Random(9)
-        cs = build_aggregation_circuit(3, MIXED)
-        for n in (2, 3, 4):
-            k_q, u_q, up_q = random_agg_instance(rnd, 3, n, MIXED)
-            assert up_q == rational_aggregate(k_q, u_q, MIXED)
-            with pytest.raises(CircuitError, match="public values"):
-                generate_witness(cs, up_q + k_q, u_q[0])
 
     def test_m500_witnesses_and_u_perturbation(self):
         rnd = random.Random(17)
         cs = build_aggregation_circuit(500, EQUAL)
         u_index_base = 1 + cs.num_public  # U wires follow the statement
         for trial in range(10):
-            k_q, u_q, up_q = random_agg_instance(rnd, 500, 1, EQUAL)
-            w = generate_witness(cs, up_q + k_q, u_q[0])
+            k_q, u_q, up_q = random_agg_instance(rnd, 500, EQUAL)
+            w = generate_witness(cs, up_q + [k_q], u_q)
             assert cs.is_satisfied(w)
         # witness-level +1 on any single U wire breaks its relation constraint
         vals = list(w.values)
@@ -176,11 +165,11 @@ class TestAggregationCircuit:
     def test_published_output_off_by_one_rejected(self):
         c = EQUAL
         rnd = random.Random(2)
-        k_q, u_q, up_q = random_agg_instance(rnd, 3, 1, c)
+        k_q, u_q, up_q = random_agg_instance(rnd, 3, c)
         cs = build_aggregation_circuit(3, c)
         bad = [up_q[0] + 1] + up_q[1:]
         with pytest.raises(InconsistentStatementError, match="inconsistent statement"):
-            generate_witness(cs, bad + k_q, u_q[0])
+            generate_witness(cs, bad + [k_q], u_q)
 
     def test_degenerate_m(self):
         with pytest.raises(CircuitError):
@@ -196,7 +185,7 @@ class TestUpdateCircuit:
         # U' at zero-point and equal scales: W' = W elementwise, R = 0
         c = EQUAL
         w_q = [5, -100, 3000]
-        wp_q = quantized_update(w_q, [c.z_up] * 3, c)
+        wp_q = quantized_update(w_q, [c.z_up] * 3, c).tolist()
         assert wp_q == w_q
         cs = build_update_circuit(3, c)
         wit = generate_witness(cs, wp_q + w_q, [c.z_up] * 3)
@@ -207,7 +196,7 @@ class TestUpdateCircuit:
         c = EQUAL
         w_q = [2 ** (c.f_w - 2)]
         up_q = [2 ** (c.f_up - 1)]
-        wp_q = quantized_update(w_q, up_q, c)
+        wp_q = quantized_update(w_q, up_q, c).tolist()
         assert wp_q == [3 * 2 ** (c.f_wp - 2)]
         assert wp_q == rational_update(w_q, up_q, c)
         cs = build_update_circuit(1, c)
@@ -221,7 +210,7 @@ class TestUpdateCircuit:
         for _ in range(50):
             w_q = [rnd.randint(-4000, 4000) for _ in range(6)]
             up_q = [rnd.randint(-4000, 4000) for _ in range(6)]
-            wp_q = quantized_update(w_q, up_q, c)
+            wp_q = quantized_update(w_q, up_q, c).tolist()
             assert wp_q == rational_update(w_q, up_q, c)
             wit = generate_witness(cs, wp_q + w_q, up_q)
             assert cs.is_satisfied(wit)
@@ -229,7 +218,7 @@ class TestUpdateCircuit:
     def test_inconsistent_statement(self):
         c = MIXED
         w_q, up_q = [10, 20], [30, 40]
-        wp_q = quantized_update(w_q, up_q, c)
+        wp_q = quantized_update(w_q, up_q, c).tolist()
         cs = build_update_circuit(2, c)
         with pytest.raises(InconsistentStatementError):
             generate_witness(cs, [wp_q[0] - 1, wp_q[1]] + w_q, up_q)
@@ -252,8 +241,8 @@ class TestComposedCircuit:
         k_q = 2 ** c.f_k
         u_q = [rnd.randint(-1000, 1000) for _ in range(3)]
         w_q = [rnd.randint(-1000, 1000) for _ in range(3)]
-        up_q = quantized_aggregate([k_q], [u_q], c)
-        wp_q = quantized_update(w_q, up_q, c)
+        up_q = quantized_aggregate(k_q, u_q, c)
+        wp_q = quantized_update(w_q, up_q, c).tolist()
         wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
         assert cs.is_satisfied(wit)
         # flipping any decomposition bit must break the system
@@ -292,8 +281,8 @@ class TestWitnessAndSatisfaction:
         k_q = 2 ** c.f_k
         u_q = [rnd.randint(-500, 500) for _ in range(4)]
         w_q = [rnd.randint(-500, 500) for _ in range(4)]
-        up_q = quantized_aggregate([k_q], [u_q], c)
-        wp_q = quantized_update(w_q, up_q, c)
+        up_q = quantized_aggregate(k_q, u_q, c)
+        wp_q = quantized_update(w_q, up_q, c).tolist()
         wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
         vals = list(wit.values)
         rejected = 0
@@ -311,9 +300,9 @@ class TestWitnessAndSatisfaction:
         rnd = random.Random(13)
         c = MIXED
         cs = build_protocol_circuit(8, c)
-        k_q, u_q, up_q = random_agg_instance(rnd, 8, 1, c)
+        k_q, u_q, up_q = random_agg_instance(rnd, 8, c)
         w_q = [rnd.randint(-4000, 4000) for _ in range(8)]
-        wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + k_q, u_q[0])
+        wit = generate_witness(cs, quantized_update(w_q, up_q, c).tolist() + w_q + [k_q], u_q)
         signed = [v - P if v > P // 2 else v for v in wit.values]
         for a, b, cc in cs.constraints:
             av = sum(co * signed[i] for i, co in a.items())
@@ -324,7 +313,7 @@ class TestWitnessAndSatisfaction:
 
     def test_witness_serialization_round_trip(self):
         cs = build_update_circuit(2, EQUAL)
-        wp = quantized_update([1, 2], [3, 4], EQUAL)
+        wp = quantized_update([1, 2], [3, 4], EQUAL).tolist()
         wit = generate_witness(cs, wp + [1, 2], [3, 4])
         back = Witness.from_bytes(wit.to_bytes())
         assert back.values == wit.values
@@ -333,7 +322,7 @@ class TestWitnessAndSatisfaction:
 
     def test_statement_view(self):
         cs = build_update_circuit(2, EQUAL)
-        wp = quantized_update([5, 6], [7, 8], EQUAL)
+        wp = quantized_update([5, 6], [7, 8], EQUAL).tolist()
         wit = generate_witness(cs, wp + [5, 6], [7, 8])
         assert wit.statement(cs) == [v % P for v in wp + [5, 6]]
 
@@ -386,8 +375,8 @@ class TestExport:
         k_q = MIXED.z_k + 2 ** MIXED.f_k
         u_q = [rnd.randint(-100, 100) for _ in range(2)]
         w_q = [rnd.randint(-100, 100) for _ in range(2)]
-        up_q = quantized_aggregate([k_q], [u_q], MIXED)
-        wp_q = quantized_update(w_q, up_q, MIXED)
+        up_q = quantized_aggregate(k_q, u_q, MIXED)
+        wp_q = quantized_update(w_q, up_q, MIXED).tolist()
         wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
         assert clone.is_satisfied(wit)
 
@@ -406,12 +395,7 @@ def loop_aggregate(k_q, u_q, c):
     before it ran on arrays."""
     c.require_aggregation_exact()
     ca = 1 << c.agg_shift
-    m = len(u_q[0])
-    out = []
-    for j in range(m):
-        mj = sum((k_q[k] - c.z_k) * (u_q[k][j] - c.z_u) for k in range(len(k_q)))
-        out.append((ca * mj >> c.eta) + c.z_up)
-    return out
+    return [(ca * (k_q - c.z_k) * (u - c.z_u) >> c.eta) + c.z_up for u in u_q]
 
 
 def loop_update(w_q, up_q, c):
@@ -433,41 +417,37 @@ ARITH_CONSTANTS = [EQUAL, MIXED, WIDE]
 
 class TestArrayArithmetic:
     @settings(deadline=None, max_examples=300)
-    @given(c=st.sampled_from(ARITH_CONSTANTS), n=st.sampled_from([1, 3]),
-           m=st.integers(1, 6), data=st.data())
-    def test_matches_the_loops(self, c, n, m, data):
+    @given(c=st.sampled_from(ARITH_CONSTANTS), m=st.integers(1, 6), data=st.data())
+    def test_matches_the_loops(self, c, m, data):
         q = st.integers(c.q_min, c.q_max)
-        k_q = data.draw(st.lists(q, min_size=n, max_size=n))
-        u_q = data.draw(st.lists(st.lists(q, min_size=m, max_size=m), min_size=n, max_size=n))
-        w_q = data.draw(st.lists(q, min_size=m, max_size=m))
-        up_q = data.draw(st.lists(q, min_size=m, max_size=m))
+        k_q = data.draw(q)
+        u_q, w_q, up_q = (data.draw(st.lists(q, min_size=m, max_size=m)) for _ in range(3))
         for got, want in ((quantized_aggregate(k_q, u_q, c), loop_aggregate(k_q, u_q, c)),
                           (quantized_update(w_q, up_q, c), loop_update(w_q, up_q, c))):
-            assert got == want
-            assert all(type(v) is int for v in got)
+            assert got.tolist() == want
+            assert got.dtype == (object if c is WIDE else np.int64)
 
     def test_negative_terms_floor(self):
         # -2**9 and -2**21 over 2**22 floor to -1, where truncation gives 0
-        assert quantized_aggregate([-1], [[1]], EQUAL) == [-1]
-        assert quantized_update([-1], [0], CircuitConstants(f_w=14)) == [-1]
+        assert quantized_aggregate(-1, [1], EQUAL).tolist() == [-1]
+        assert quantized_update([-1], [0], CircuitConstants(f_w=14)).tolist() == [-1]
 
     def test_dtype_follows_the_bound(self):
-        one = [[1, -1]]
-        assert aggregation_floor([3], one, EQUAL).dtype == np.int64
+        one = [1, -1]
+        assert aggregation_floor(3, one, EQUAL).dtype == np.int64
         assert update_floor([1, 2], [3, 4], EQUAL).dtype == np.int64
-        assert aggregation_floor([3], one, WIDE).dtype == object
+        assert aggregation_floor(3, one, WIDE).dtype == object
         assert update_floor([1, 2], [3, 4], WIDE).dtype == object
 
     def test_operands_outside_the_range_widen_the_bound(self):
         # no range check here, so a huge operand must still be exact
         big = 1 << 70
-        assert quantized_update([big], [0], EQUAL) == loop_update([big], [0], EQUAL)
-        assert quantized_aggregate([big], [[3]], EQUAL) == loop_aggregate([big], [[3]], EQUAL)
+        assert quantized_update([big], [0], EQUAL).tolist() == loop_update([big], [0], EQUAL)
+        assert quantized_aggregate(big, [3], EQUAL).tolist() == loop_aggregate(big, [3], EQUAL)
+        assert quantized_aggregate(3, [big], EQUAL).tolist() == loop_aggregate(3, [big], EQUAL)
         near = 1 << 40  # fits in int64, but the product with ca does not
-        assert quantized_update([near], [near], EQUAL) == loop_update([near], [near], EQUAL)
+        assert quantized_update([near], [near], EQUAL).tolist() == loop_update([near], [near], EQUAL)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(CircuitError):
-            quantized_aggregate([1, 2], [[1, 2, 3]], EQUAL)
         with pytest.raises(CircuitError):
             quantized_update([1, 2], [1], EQUAL)

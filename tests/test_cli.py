@@ -25,8 +25,8 @@ def make_prove_fixture(tmp_path: Path, tamper=False):
     k_q = 2 ** C.f_k
     u = [120, -44, 913]
     w = [7, 2048, -5]
-    up = quantized_aggregate([k_q], [u], C)
-    wp = quantized_update(w, up, C)
+    up = quantized_aggregate(k_q, u, C)
+    wp = quantized_update(w, up, C).tolist()
     stmt = wp + w + [k_q]
     if tamper:
         stmt = [stmt[0] + 1] + stmt[1:]
@@ -59,6 +59,17 @@ class TestTrain:
     def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, text):
         (tmp_path / "c.json").write_text(text)
         assert_usage_error(run_cli("train", "--config", str(tmp_path / "c.json")), capsys)
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("cfg,field", [
+        ({"m": "5"}, "m"), ({"tamper_clients": 3}, "tamper_clients"), ({"m": True}, "m"),
+    ], ids=["m str", "tamper_clients int", "m bool"])
+    def test_wrongly_typed_config_is_usage_error(self, tmp_path, capsys, command, cfg, field):
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc = run_cli(command, "--config", str(tmp_path / "c.json"))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith(f"error: {field} must be ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_basic_run_exit_zero(self, tmp_path, capsys):
         rc = run_cli("train", "--mode", "zk-mock", "--clients", "2", "--m", "16",
@@ -255,6 +266,31 @@ class TestLedgerCommand:
         path.write_text(path.read_text().replace("client-0", "mallory", 1))
         assert run_cli("ledger", "verify", str(path)) == 2
 
+    @pytest.mark.parametrize("line,why", [
+        ("{}", "a block is an object"),
+        ("[]", "a block is an object"),
+        ("sender 7", "block sender must be str"),
+        ("index true", "block index must be int"),
+        ("index -1", "does not fit in 8 bytes"),
+        ("hash zz", "non-hexadecimal"),
+        ("[1, 2", "Expecting"),
+    ])
+    def test_malformed_line_is_runtime_error_naming_it(self, tmp_path, capsys, line, why):
+        from zksplit.ledger import Chain
+
+        chain = Chain.genesis()
+        chain.append_payload(b"m", "client-0")
+        good = chain.blocks[1].to_dict()
+        edits = {"sender 7": {"sender": 7}, "index true": {"index": True},
+                 "index -1": {"index": -1}, "hash zz": {"hash": "zz"}}
+        bad = json.dumps({**good, **edits[line]}) if line in edits else line
+        path = tmp_path / "chain.jsonl"
+        path.write_text(json.dumps(chain.blocks[0].to_dict()) + "\n" + bad + "\n")
+        assert run_cli("ledger", "verify", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: ") and why in err
+        assert err.count("\n") == 1
+
 
 class TestCircuitExport:
     def test_export_writes_json(self, tmp_path, capsys):
@@ -327,5 +363,6 @@ class TestBenchCommand:
 class TestBackendsCommand:
     def test_lists_availability(self, capsys):
         assert run_cli("backends", "--json") == 0
-        caps = json.loads(capsys.readouterr().out)
-        assert caps["mock"] is True
+        assert json.loads(capsys.readouterr().out) == {"mock": True, "snark": True}
+        assert run_cli("backends") == 0
+        assert capsys.readouterr().out == "mock: available\nsnark: available\n"

@@ -69,16 +69,16 @@ def honest(kind, m, name):
     u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     if kind.startswith("aggregation"):
-        k_q = [c.z_k + rnd.choice([-1, 1]) * rnd.randint(1, 4000)]
-        u_rows = [[rnd.randint(-4000, 4000) for _ in range(m)]]
-        up_q = quantized_aggregate(k_q, u_rows, c)
-        wit = generate_witness(cs, up_q + k_q, u_rows[0])
+        k_q = c.z_k + rnd.choice([-1, 1]) * rnd.randint(1, 4000)
+        u_row = [rnd.randint(-4000, 4000) for _ in range(m)]
+        up_q = quantized_aggregate(k_q, u_row, c)
+        wit = generate_witness(cs, up_q.tolist() + [k_q], u_row)
     elif kind == "update":
-        wit = generate_witness(cs, quantized_update(w_q, u_q, c) + w_q, u_q)
+        wit = generate_witness(cs, quantized_update(w_q, u_q, c).tolist() + w_q, u_q)
     else:
         k_q = c.z_k + 2 ** c.f_k
-        up_q = quantized_aggregate([k_q], [u_q], c)
-        wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + [k_q], u_q)
+        up_q = quantized_aggregate(k_q, u_q, c)
+        wit = generate_witness(cs, quantized_update(w_q, up_q, c).tolist() + w_q + [k_q], u_q)
     return cs, wit.values
 
 
@@ -98,7 +98,7 @@ class TestCompiledCheck:
     def test_honest_witness_takes_compiled_path(self, kind, m, name):
         cs, values = honest(kind, m, name)
         w = Witness(values)
-        assert w.signed is not None
+        assert w.signed.dtype == np.int64
         assert cs.compiled().fits(int(np.abs(w.signed).max()))
         assert agree(cs, values)
 
@@ -126,7 +126,7 @@ class TestCompiledCheck:
         big = data.draw(st.sampled_from([2**100, P - 2**100, SMALL, P - SMALL]), label="big")
         mutated = list(values)
         mutated[i] = big
-        assert Witness(mutated).signed is None
+        assert Witness(mutated).signed.dtype == object
         assert not agree(cs, mutated)
 
     @pytest.mark.parametrize("kind", BUILDERS)
@@ -136,7 +136,7 @@ class TestCompiledCheck:
         assert not cs.compiled().fits(2**40)
         mutated = list(values)
         mutated[-1] = 2**40
-        assert Witness(mutated).signed is not None
+        assert Witness(mutated).signed.dtype == np.int64
         assert not agree(cs, mutated)
 
     @pytest.mark.parametrize("kind", BUILDERS)
@@ -294,7 +294,7 @@ class TestBooleanRows:
         mutated = list(values)
         mutated[i] = v % P
         w = Witness(mutated).signed
-        assert w is not None
+        assert w.dtype == np.int64
         expected = cs.is_satisfied_exact(mutated)
         # a bit other than its honest value breaks the remainder recomposition
         assert expected == (v == values[i])
@@ -617,27 +617,27 @@ class TestWitnessCodec:
         assert w.to_bytes() == per_element_bytes(values)
         back = Witness.from_bytes(w.to_bytes())
         assert back.values == w.values
-        assert (back.signed is None) == (w.signed is None)
+        assert back.signed.dtype == w.signed.dtype
 
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_honest_witness_encoding(self, kind, m, name):
         _, values = honest(kind, m, name)
         w = Witness(values)
-        assert w.signed is not None
+        assert w.signed.dtype == np.int64
         assert w.to_bytes() == per_element_bytes(values)
         assert np.array_equal(Witness.from_bytes(w.to_bytes()).signed, w.signed)
 
     @pytest.mark.parametrize("v", [SMALL - 1, P - (SMALL - 1), 0, 1, P - 1])
     def test_small_boundary_is_int64(self, v):
         w = Witness.from_bytes(per_element_bytes([1, v]))
-        assert w.signed is not None
+        assert w.signed.dtype == np.int64
         assert w.values == (1, v)
 
     @pytest.mark.parametrize("v", [SMALL, P - SMALL, 2**100, P - 2**100, 2**200])
     def test_large_element_round_trips_through_fallback(self, v):
         data = per_element_bytes([1, -5, v, 7])
         w = Witness.from_bytes(data)
-        assert w.signed is None
+        assert w.signed.dtype == object
         assert w.values == (1, P - 5, v, 7)
         assert w.to_bytes() == data
 
@@ -705,13 +705,13 @@ class TestStatementCodec:
         assert s.values == tuple(v % P for v in values)
         back = Statement.from_bytes(s.to_bytes())
         assert back.values == s.values
-        assert (back.signed is None) == (s.signed is None)
+        assert back.signed.dtype == s.signed.dtype
 
     @pytest.mark.parametrize("values", [SIGNED, CANONICAL, MIXED_LARGE],
                              ids=["signed", "canonical", "mixed"])
     def test_representations(self, values):
         s = Statement(values)
-        assert (s.signed is None) == (values is MIXED_LARGE)
+        assert (s.signed.dtype == object) == (values is MIXED_LARGE)
         assert s.to_bytes() == per_element_bytes(values)
         assert s == Statement.from_bytes(per_element_bytes(values))
 
@@ -765,6 +765,8 @@ class TestStatementCodec:
         big = Statement(MIXED_LARGE)
         with pytest.raises(TypeError):
             big.values[0] = 2
+        with pytest.raises(ValueError):
+            big.signed[0] = 2
 
 
 # -- the codec, row sums and bit rows against the implementations that

@@ -43,8 +43,8 @@ def instance():
     k_q = 2 ** C.f_k
     u_q = [rnd.randint(-4000, 4000) for _ in range(M)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(M)]
-    up_q = quantized_aggregate([k_q], [u_q], C)
-    wit = generate_witness(cs, quantized_update(w_q, up_q, C) + w_q + [k_q], u_q)
+    up_q = quantized_aggregate(k_q, u_q, C)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, C).tolist() + w_q + [k_q], u_q)
     stmt = Statement(wit.statement(cs))
     pairs = {name: backend.setup(cs, b"frames") for name, backend in BACKENDS.items()}
     vks = {name: pair.verifying_key for name, pair in pairs.items()}

@@ -44,8 +44,8 @@ def instance(name, m):
     u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(m)]
     k_q = c.z_k + 2 ** c.f_k
-    up_q = quantized_aggregate([k_q], [u_q], c)
-    wit = generate_witness(cs, quantized_update(w_q, up_q, c) + w_q + [k_q], u_q)
+    up_q = quantized_aggregate(k_q, u_q, c)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, c).tolist() + w_q + [k_q], u_q)
     return cs, Statement(wit.statement(cs)), wit
 
 

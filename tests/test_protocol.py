@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -195,6 +196,36 @@ class TestBaselineModes:
         assert abs(zk.reports[-1].loss - plain.reports[-1].loss) < 0.05
 
 
+class TestWideEta:
+    """eta = 60 puts the quantized arithmetic on Python ints (ca * d**2 is
+    past int64), so the trainer must still build int64 statements from it."""
+
+    # pinned from the list-returning arithmetic the array forms replaced
+    PINS = {
+        "zk-mock": ("RejectedProof",
+                    "3e05bec8fb819c6ca0827756297ed02a0db9ba3a03c4c483692476f2f7c1f1f0"),
+        "blockchain": ("Accepted",
+                       "43ca4d02e5151324f3348ed7ad4a214990e2d98a27fbb342be6def1ed72cd209"),
+    }
+
+    @pytest.mark.parametrize("mode", list(PINS))
+    def test_verdicts_and_model_match_the_pins(self, mode):
+        cfg = SimConfig(mode=mode, m=8, eta=60, num_clients=3, tamper_clients=[2], seed=4,
+                        rounds=3)
+        tr = Trainer(cfg)
+        reports = tr.train()
+        tampered, digest = self.PINS[mode]
+        assert [r.verdicts for r in reports] == [
+            {0: "Accepted", 1: "Accepted", 2: tampered}] * 3
+        h = hashlib.sha256()
+        for a in model_arrays(tr):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+        assert tr.wq_cur.dtype == np.int64
+        if tr.zk:
+            assert tr.last_update[0].signed.dtype == np.int64
+
+
 class TestMessages:
     def test_wire_form_round_trip_fields(self):
         cfg = SimConfig(mode="zk-mock", num_clients=1, m=M, rounds=1, seed=0)
@@ -376,6 +407,28 @@ class TestConfig:
             SimConfig(num_clients=64)
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"not_a_field": 1})
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"m": "5"}, "m"),
+        ({"m": True}, "m"),  # a bool is not an int
+        ({"m": 5.0}, "m"),
+        ({"lr": "0.1"}, "lr"),
+        ({"lr": False}, "lr"),
+        ({"mode": 3}, "mode"),
+        ({"tamper_clients": 3}, "tamper_clients"),
+        ({"client_grid": [1, "2"]}, "client_grid"),
+        ({"mode_grid": ["none", None]}, "mode_grid"),
+        ({"out_dir": 7}, "out_dir"),
+        ({"rounds": "3"}, "rounds"),
+    ], ids=repr)
+    def test_wrongly_typed_fields_are_refused(self, bad, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            SimConfig.from_dict(bad)
+
+    def test_ints_for_floats_and_none_for_optionals_are_valid(self):
+        cfg = SimConfig.from_dict({"lr": 1, "w_range": 4, "rounds": None, "out_dir": None,
+                                   "data_partitions": None, "client_hidden": []})
+        assert cfg.lr == 1 and cfg.rounds == cfg.epochs * cfg.batches_per_epoch
 
     @pytest.mark.parametrize("bad", [
         {"samples_per_client": 16, "batch_size": 32},  # no shard fills one batch

@@ -158,6 +158,19 @@ class TestArrays:
             with pytest.raises(OverflowError_, match="quantization overflow"):
                 quantize(big, p)
 
+    @pytest.mark.parametrize("big", [2**63, -2**70, 10**400, -10**400],
+                             ids=["2**63", "-2**70", "10**400", "-10**400"])
+    def test_ints_past_int64_and_float_raise_quant_errors(self, big):
+        p = calibrate(-4.0, 4.0)
+        # quantizing converts to float first; 10**400 has no float
+        for f in (lambda: quantize_array([0, big], p), lambda: quantize(big, p)):
+            with pytest.raises(OverflowError_, match="quantization overflow"):
+                f()
+        # dequantizing converts to int64 first; none of these fit
+        for f in (lambda: dequantize_array([0, big], p), lambda: dequantize(big, p)):
+            with pytest.raises(QuantError, match="invalid quantized value"):
+                f()
+
     def test_array_range_ends_are_exact(self):
         p = calibrate(-2.0, 2.0)
         top = p.effective_hi + p.scale  # the first real that floors past q_max

@@ -32,8 +32,8 @@ def honest_composed(m, seed):
     k_q = 2 ** C.f_k
     u_q = [rnd.randint(-1000, 1000) for _ in range(m)]
     w_q = [rnd.randint(-1000, 1000) for _ in range(m)]
-    up_q = quantized_aggregate([k_q], [u_q], C)
-    wp_q = quantized_update(w_q, up_q, C)
+    up_q = quantized_aggregate(k_q, u_q, C)
+    wp_q = quantized_update(w_q, up_q, C).tolist()
     wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
     return cs, Statement(wit.statement(cs)), wit
 
@@ -146,10 +146,10 @@ class TestBackendConformance:
             vectors.append(("stmt-tamper", cs, stmt, wit, bad))
         rnd = random.Random(0)
         cs = build_aggregation_circuit(5, C)
-        k_q = [2 ** C.f_k]
-        u_q = [[rnd.randint(-500, 500) for _ in range(5)]]
-        up_q = quantized_aggregate(k_q, u_q, C)
-        wit = generate_witness(cs, up_q + k_q, u_q[0])
+        k_q = 2 ** C.f_k
+        u_q = [rnd.randint(-500, 500) for _ in range(5)]
+        up_q = quantized_aggregate(k_q, u_q, C).tolist()
+        wit = generate_witness(cs, up_q + [k_q], u_q)
         stmt = Statement(wit.statement(cs))
         vectors.append(("agg-honest", cs, stmt, wit, None))
         return vectors

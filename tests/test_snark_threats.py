@@ -25,7 +25,6 @@ from zksplit.circuit import (
     InconsistentStatementError,
     Witness,
     _read_elements,
-    _signed_array,
     _write_elements,
     build_protocol_circuit,
     generate_witness,
@@ -57,8 +56,8 @@ def instance():
     k_q = 2 ** C.f_k
     u_q = [rnd.randint(-4000, 4000) for _ in range(M)]
     w_q = [rnd.randint(-4000, 4000) for _ in range(M)]
-    up_q = quantized_aggregate([k_q], [u_q], C)
-    wit = generate_witness(cs, quantized_update(w_q, up_q, C) + w_q + [k_q], u_q)
+    up_q = quantized_aggregate(k_q, u_q, C)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, C).tolist() + w_q + [k_q], u_q)
     stmt = Statement(wit.statement(cs))
     backend = QapSnarkBackend()
     pair = backend.setup(cs, b"threats")
@@ -155,7 +154,7 @@ WITNESSES = {
 def test_gathered_accumulators_equal_plain_sums(name):
     pk = max_element_key() if name == "element P-1" else instance()[0].proving_key
     wit = Witness(WITNESSES[name]())
-    assert (wit.signed is None) == (name == "huge")
+    assert (wit.signed.dtype == object) == (name == "huge")
     assert _accumulators(pk, wit) == plain_accumulators(pk, wit.values)
 
 
@@ -172,7 +171,7 @@ def test_honest_witness_is_sparse_and_dense_one_is_not():
     ("int64 bound", object), ("past int64 bound", object), ("huge", object),
 ])
 def test_each_witness_takes_the_tier_it_names(name, dtype):
-    w = _signed_array(Witness(WITNESSES[name]()))
+    w = Witness(WITNESSES[name]()).signed
     nonzero = w[w != 0]
     assert _limb_dtype(nonzero, len(nonzero)) is dtype
 
@@ -343,7 +342,7 @@ def test_limb_pi_of_huge_statement_agrees_with_plain_formula(tweak):
     values = list(instance()[1].values)
     values[1] = 2**100
     stmt = Statement(values)
-    assert stmt.signed is None
+    assert stmt.signed.dtype == object
     proof = forge(vk, stmt, random.Random(tweak))
     if tweak:
         proof = off_by_one(proof)

@@ -26,7 +26,11 @@ exited 0 and passed the correctness gate; the others are counted under
 ``dropped``.  A run that writes no record is appended to ``--runs`` with
 its exit code and the tail of its stderr, and the session goes on.  Once
 ``--out`` is written, one ``workload metric verdict wins/pairs`` line per
-workload and end-to-end metric goes to stdout.  With no ``workload:seeds``
+workload and end-to-end metric goes to stdout, and after them one
+``workload medians rounds parent=P change=C minflt parent=P change=C``
+line per workload, since metrics such as ``peak_rss_mb`` and
+``evidence_bytes_per_round`` grow with the rounds a run completes; a
+``minflt`` of ``-`` means the runs recorded none.  With no ``workload:seeds``
 argument and no ``--trace-seed`` the command runs nothing and only rebuilds
 ``--out`` from the ``--runs`` file.
 """
@@ -221,6 +225,11 @@ def main(argv=None) -> int:
             if metric in cells:
                 cell = cells[metric]
                 print(workload, metric, cell["verdict"], f"{cell['change_wins']}/{cell['pairs']}")
+    for workload, cells in table.items():
+        if "rounds" in cells:
+            print(workload, "medians", *(
+                f"{key} parent={cells[key]['parent']:.10g} change={cells[key]['change']:.10g}"
+                if key in cells else f"{key} -" for key in ("rounds", "minflt")))
     return 0 if all(ok(r) for r in runs) else 1
 
 
