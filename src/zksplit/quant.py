@@ -16,8 +16,8 @@ maps; quantize and dequantize apply them to a single element.
 Overflow is an error, never a clamp: a silently clamped value would make
 an honestly generated witness violate its circuit constraints.  Every
 input outside the range, nan and ints past the float or int64 range
-included, raises OverflowError_ when quantized and QuantError when
-dequantized.
+included, raises OverflowError_ when quantized, and every one that is not
+an integer in the range raises QuantError when dequantized.
 """
 
 from __future__ import annotations
@@ -192,11 +192,14 @@ def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
     """x = s * (q - z) for every element, exact for the supported bit
-    budget; raises QuantError unless every q lies in [q_min, q_max], also
-    for ints past the int64 range."""
+    budget; raises QuantError unless every q is an integer in
+    [q_min, q_max], also for ints past the int64 range."""
+    q = np.asarray(q)
+    if q.size and q.dtype.kind not in "iuO":  # a float is no quantized value, however integral
+        raise QuantError("invalid quantized value")
     try:
-        q = np.asarray(q, dtype=np.int64)
-    except OverflowError:
+        q = q.astype(np.int64, copy=False)
+    except (OverflowError, TypeError):
         raise QuantError("invalid quantized value") from None
     if q.size and (q.min() < p.q_min or q.max() > p.q_max):
         raise QuantError("invalid quantized value")

@@ -171,6 +171,14 @@ class TestArrays:
             with pytest.raises(QuantError, match="invalid quantized value"):
                 f()
 
+    @pytest.mark.parametrize("q", [1.5, 1.0, "1", None])
+    def test_dequantize_refuses_what_is_not_an_integer(self, q):
+        p = calibrate(-4.0, 4.0)
+        for f in (lambda: dequantize_array([0, q], p), lambda: dequantize(q, p)):
+            with pytest.raises(QuantError, match="invalid quantized value"):
+                f()
+        assert dequantize_array([], p).shape == (0,)
+
     def test_array_range_ends_are_exact(self):
         p = calibrate(-2.0, 2.0)
         top = p.effective_hi + p.scale  # the first real that floors past q_max
