@@ -61,27 +61,32 @@ gadgets derive U' and every remainder floor - 2**eta * (out - z) from the
 same two functions.  With d the largest |v - z| over the quantized range,
 widened to cover the operands, the aggregation floor and its remainder
 stay below c_a * d**2 + 2**eta * (d + 1), and the update's below
-(c_w + c_u + 2**eta) * d + 2**eta.  The arithmetic runs in int64 when
-that bound is under 2**62 (it is about 2**39 under the default
-constants), and on arrays of Python ints otherwise, as for eta = 60;
-the outputs then are Python ints too, however small.
+(c_w + c_u) * d + 2**eta * (d + 1): each gadget's ``bound``.  The
+arithmetic runs in int64 when that bound is under 2**62 (it is about
+2**39 under the default constants), and on arrays of Python ints
+otherwise, as for eta = 60; the outputs then are Python ints too,
+however small.
 
 Checking satisfaction.  A circuit stores each booleanity row
 b * (b - 1) = 0, eta per output element, as the bare index of its wire b,
 from the moment it is added; only the other rows are (A, B, C) triples of
-dicts.  Each circuit is compiled once, on its first check.  Its boolean
-rows give one array of bit wires, tested to be 0 or 1 one contiguous range
-of wires at a time; the other rows become CSR matrices A, B and C with
-int64 coefficients, together with each matrix's largest row L1 norm.  A
-witness whose elements all have signed representatives in
-(-2**62, 2**62) is carried as an int64 array, and when
-
-    L1(A) * L1(B) * max|w|**2 + L1(C) * max|w|  <  2**63
-
-every <A,w>, <B,w>, <C,w> and a*b - c fits in int64 and |a*b - c| < P,
-so the exact int64 test a*b == c decides a*b == c mod P.  For the
-default constants (max|w| = 2**13, L1 = 2**23, 1, 2**23) the bound holds
-with about 2**14 to spare.  Witnesses or circuits outside the bound, such
+dicts.  A built circuit's rows are exactly its gadgets' rows, so it is
+checked gadget by gadget, each over whole banks of wires (``holds``): its
+bit bank must be all 0 or 1, and each R = floor - 2**eta * (out - z),
+computed by the same floor function that fills the witness, must equal
+sum_t 2**t * bit_t over its element's bits, which lies in [0, 2**eta).
+That is the gadget's rows read as integers, not mod P, and it decides
+them exactly when nothing overflows.  A witness whose elements all have signed
+representatives in (-2**62, 2**62) is carried as an int64 array; take d
+as in the arithmetic, but widened to cover every wire of the witness,
+the outputs included.  When every gadget's bound at that d is below
+2**62, every floor, every R and every intermediate fits in int64, and
+|floor - 2**eta * (out - z) - sum_t 2**t * bit_t| < 2**63 < P, so the
+integer test is the same as the rows' test mod P.  Operands alone do not
+give d: an output wire holding 2**59 wraps 2**eta * (out - z) in int64.
+For the default constants d is about 2**15 on an honest witness, and the
+bound about 2**39.  Hand-built circuits, circuits edited after they were
+built (which drops their gadgets), and witnesses outside the bound, such
 as adversarial transcripts carrying huge elements, take the exact replay
 of every constraint in unbounded integers instead.
 """
@@ -359,96 +364,6 @@ class Witness(FieldVector):
         return cls._from_frame(data, "witness")
 
 
-class _Csr:
-    """One constraint matrix in CSR form with int64 coefficients.
-
-    ``l1`` is the largest row L1 norm, or None when a coefficient or a row
-    sum does not fit in int64 (then only the exact replay applies).
-
-    Row sums are one ``np.add.reduceat`` over the starts of the nonempty
-    rows, computed once; empty rows, leading, inner or trailing, sum to 0.
-    Every partial sum stays inside one row, so with every |w_i| <= wmax
-    it is bounded by that row's L1 norm times wmax, and the bound that
-    ``CompiledR1CS.fits`` checks rules out overflow.
-    """
-
-    def __init__(self, rows: Sequence[LinComb]):
-        indptr = [0]
-        index: List[int] = []
-        coeff: List[int] = []
-        for lc in rows:
-            index.extend(lc)
-            coeff.extend(lc.values())
-            indptr.append(len(index))
-        self.indptr = np.array(indptr, dtype=np.int64)
-        self.index = np.array(index, dtype=np.int64)
-        counts = np.diff(self.indptr)
-        self._nonempty = np.flatnonzero(counts)
-        self._starts = self.indptr[self._nonempty]
-        if max(map(abs, coeff), default=0) * int(counts.max(initial=0)) >= 1 << 63:
-            self.coeff = None
-            self.l1: int | None = None
-            return
-        self.coeff = np.array(coeff, dtype=np.int64)
-        self.l1 = int(self._row_sums(np.abs(self.coeff)).max(initial=0))
-
-    def _row_sums(self, terms: np.ndarray) -> np.ndarray:
-        sums = np.zeros(len(self.indptr) - 1, dtype=np.int64)
-        if self._starts.size:
-            sums[self._nonempty] = np.add.reduceat(terms, self._starts)
-        return sums
-
-    def dot(self, w: np.ndarray) -> np.ndarray:
-        return self._row_sums(self.coeff * w[self.index])
-
-
-class CompiledR1CS:
-    """The A, B, C matrices of a constraint system, compiled once.
-
-    ``rows`` is ``ConstraintSystem.rows``: the boolean rows, stored as the
-    int i of {i: 1} * {i: 1, 0: -1} = {} with i != 0, become ``bits``, the
-    int64 array of their wires in row order.  Mod P such a row holds iff
-    w_i is 0 or 1, and for a signed int64 representative in (-2**62, 2**62)
-    that is iff w_i is 0 or 1 as an integer: a bit test, with no arithmetic
-    and so no overflow bound.  The test runs over ``bit_runs``, the sorted
-    maximal ranges [a, b) of consecutive bit wires, derived once here: a
-    builder allocates each bank of bit wires in one stretch, so a circuit
-    has a few long runs and each is tested as a slice, with no gather.
-    Every (A, B, C) triple, however close to that shape, goes into the CSR
-    matrices.
-
-    With every |w_i| <= wmax, |<A,w>| <= L1(A)*wmax and so on, so when
-    L1(A)*L1(B)*wmax**2 + L1(C)*wmax < 2**63 nothing overflows int64 and
-    |a*b - c| < 2**63 < P: exact equality a*b == c is then the same as
-    equality mod P.
-    """
-
-    def __init__(self, rows: Sequence["int | Tuple[LinComb, LinComb, LinComb]"]):
-        bits: List[int] = []
-        triples = []
-        for row in rows:
-            (bits if isinstance(row, int) else triples).append(row)
-        self.bits = np.array(bits, dtype=np.int64)
-        wires = np.unique(self.bits)
-        breaks = np.flatnonzero(np.diff(wires) != 1) + 1
-        self.bit_runs = [(int(run[0]), int(run[-1]) + 1) for run in np.split(wires, breaks)
-                         if run.size]
-        self.a, self.b, self.c = (_Csr([row[k] for row in triples]) for k in range(3))
-
-    def fits(self, wmax: int) -> bool:
-        la, lb, lc = self.a.l1, self.b.l1, self.c.l1
-        if la is None or lb is None or lc is None:
-            return False
-        return la * lb * wmax * wmax + lc * wmax < 1 << 63
-
-    def is_satisfied(self, w: np.ndarray) -> bool:
-        # as uint64 a negative w_i is at least 2**63, so a largest bit of at
-        # most 1 means every bit wire is 0 or 1
-        if not all(w[a:b].view(np.uint64).max() <= 1 for a, b in self.bit_runs):
-            return False
-        return bool(np.array_equal(self.a.dot(w) * self.b.dot(w), self.c.dot(w)))
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
@@ -500,11 +415,14 @@ class ConstraintSystem:
     wires follow.  ``rows`` holds the constraints in order: the boolean row
     {i: 1} * {i: 1, 0: -1} = {}, for a Python int i != 0, as the int i, and
     any other row as its (A, B, C) triple with signed int coefficients;
-    ``constraints`` shows each row as a triple.  is_satisfied evaluates the
-    compiled int64 form (see ``compiled``) when the overflow bound in the
-    module docstring holds, and otherwise falls back to is_satisfied_exact,
-    which replays every constraint in unbounded integers with a single
-    final reduction per constraint.
+    ``constraints`` shows each row as a triple.  ``gadgets`` are the
+    _Floor gadgets whose rows are all the rows: a builder sets them, and
+    any later row or wire clears them.  is_satisfied asks each gadget
+    whether its rows hold (``holds``) for an int64 witness when every
+    gadget's bound, taken over every wire of the witness, is below 2**62
+    (see the module docstring), and otherwise falls back to
+    is_satisfied_exact, which replays every constraint in unbounded
+    integers with a single final reduction per constraint.
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
@@ -516,8 +434,8 @@ class ConstraintSystem:
         self.num_private = 0
         self.rows: List["int | Tuple[LinComb, LinComb, LinComb]"] = []
         self._digest: str | None = None
-        self._compiled: CompiledR1CS | None = None
-        # the gadgets that derive a witness: set by the builders, none by hand
+        # the gadgets that derive and check a witness: set by the builders,
+        # none by hand, and dropped by any edit after the build
         self.gadgets: List["_Floor"] = []
 
     # -- construction ----------------------------------------------------
@@ -540,6 +458,7 @@ class ConstraintSystem:
         else:
             self.num_private += len(wires)
         self._digest = None
+        self.gadgets = []
         return wires
 
     def add_constraint(self, a: LinComb, b: LinComb, c: LinComb) -> None:
@@ -582,7 +501,7 @@ class ConstraintSystem:
     def _extend(self, rows) -> None:
         self.rows.extend(rows)
         self._digest = None
-        self._compiled = None
+        self.gadgets = []
 
     @property
     def constraints(self) -> Sequence[Tuple[LinComb, LinComb, LinComb]]:
@@ -595,13 +514,6 @@ class ConstraintSystem:
 
     # -- evaluation -------------------------------------------------------
 
-    def compiled(self) -> "CompiledR1CS":
-        """The booleanity wires and A, B and C as CSR int64 matrices of the
-        other rows, built on first use and cached."""
-        if self._compiled is None:
-            self._compiled = CompiledR1CS(self.rows)
-        return self._compiled
-
     def _check_length(self, n: int) -> None:
         if n != self.num_wires:
             raise CircuitError(f"witness length {n} != wire count {self.num_wires}")
@@ -609,10 +521,9 @@ class ConstraintSystem:
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
         """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
 
-        Small witnesses are checked exactly in int64 by the compiled form
-        whenever the overflow bound holds: booleanity rows as a test that
-        each of their wires is 0 or 1, every other row through the A, B
-        and C matrices.  Anything else takes the exact replay.
+        A small witness of a built circuit is checked exactly in int64,
+        gadget by gadget, whenever every gadget's bound at the span of the
+        whole witness is below 2**62.  Anything else takes the exact replay.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):
@@ -620,10 +531,10 @@ class ConstraintSystem:
         w = witness.signed
         if w[0] != 1:
             return False
-        if w.dtype == np.int64:
-            compiled = self.compiled()
-            if compiled.fits(max(-int(w.min()), int(w.max()))):
-                return compiled.is_satisfied(w)
+        if self.gadgets and w.dtype == np.int64:
+            d = _span(self.constants, w)
+            if all(g.bound(self.constants, d) < SMALL for g in self.gadgets):
+                return all(g.holds(w) for g in self.gadgets)
         return self.is_satisfied_exact(witness.values)
 
     def is_satisfied_exact(self, values: Sequence[int]) -> bool:
@@ -742,9 +653,9 @@ class _Floor:
     bank allocated here and derived as (floor >> eta) + z, and ``bits[j]``,
     the eta wires {rem}[j]:b{t} of element j, all in one stretch, that
     recompose R_j and range-check it through eta booleanity rows.  A
-    subclass names the factors a and b of element j (``factors``) and
+    subclass names the factors a and b of element j (``factors``),
     computes every element's floor term from the wires before its own
-    (``floor``).
+    (``floor``), and bounds that term and R (``bound``).
     """
 
     def __init__(self, cs: ConstraintSystem, rem: str, out: range | str, z: int):
@@ -755,6 +666,7 @@ class _Floor:
         bits = cs.add_wires(chain.from_iterable(
             map(f"{rem}[{j}]".__add__, suffixes) for j in range(cs.m)))
         self.bits = [bits[j * eta : (j + 1) * eta] for j in range(cs.m)]
+        self._bank = slice(bits.start, bits.stop)
         self.wires = range(first, cs.num_wires)
         self._powers = [1 << t for t in range(eta)]
 
@@ -779,7 +691,21 @@ class _Floor:
         r = floor - two_eta * (w[out].astype(floor.dtype, copy=False) - self.z)
         if not ((r >= 0) & (r < two_eta)).all():
             raise InconsistentStatementError("inconsistent statement")
-        w[self.bits[0].start : self.bits[-1].stop] = _bit_rows(r, c.eta)
+        w[self._bank] = _bit_rows(r, c.eta)
+
+    def holds(self, w: np.ndarray) -> bool:
+        """Whether this gadget's rows hold for the int64 witness w, read as
+        integers: its booleanity rows, every bit is 0 or 1, and then its
+        relation rows, every R = floor - 2**eta * (out - z) equals
+        sum_t 2**t * bit_t, which lies in [0, 2**eta).  This decides the
+        rows mod P only while ``bound`` at the span of w is below 2**62,
+        which is_satisfied checks first."""
+        eta, bank = self.c.eta, w[self._bank]
+        # as uint64 a negative bit is at least 2**63
+        if bank.view(np.uint64).max() > 1:
+            return False
+        r = self.floor(w) - (1 << eta) * (w[self.out.start : self.out.stop] - self.z)
+        return np.array_equal(bank.reshape(-1, eta) @ (1 << np.arange(eta, dtype=np.int64)), r)
 
 
 class _Aggregation(_Floor):
@@ -797,6 +723,11 @@ class _Aggregation(_Floor):
     def floor(self, w: np.ndarray) -> np.ndarray:
         return aggregation_floor(int(w[self.k]), w[self.u.start : self.u.stop], self.c)
 
+    @staticmethod
+    def bound(c: CircuitConstants, d: int) -> int:
+        """Above |floor| and every |R| when each |v - z| is at most d."""
+        return (1 << c.agg_shift) * d * d + (1 << c.eta) * (d + 1)
+
 
 class _Update(_Floor):
     """W' = W + U': cw * (W_j - z_W) + cu * (U'_j - z_U') times 1."""
@@ -813,6 +744,11 @@ class _Update(_Floor):
 
     def floor(self, w: np.ndarray) -> np.ndarray:
         return update_floor(w[self.w.start : self.w.stop], w[self.up.start : self.up.stop], self.c)
+
+    @staticmethod
+    def bound(c: CircuitConstants, d: int) -> int:
+        """Above |floor| and every |R| when each |v - z| is at most d."""
+        return ((1 << c.upd_w_shift) + (1 << c.upd_u_shift)) * d + (1 << c.eta) * (d + 1)
 
 
 def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -938,8 +874,7 @@ def aggregation_floor(k_q: int, u_q, c: CircuitConstants) -> np.ndarray:
     """
     c.require_aggregation_exact()
     u = _ints(u_q)
-    d = _span(c, _ints([k_q]), u)
-    dt = _int_dtype((1 << c.agg_shift) * d * d + (1 << c.eta) * (d + 1))
+    dt = _int_dtype(_Aggregation.bound(c, _span(c, _ints([k_q]), u)))
     return ((1 << c.agg_shift) * (int(k_q) - c.z_k)) * (u.astype(dt, copy=False) - c.z_u)
 
 
@@ -954,7 +889,7 @@ def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
         raise CircuitError(f"W has shape {w.shape} but U' has {up.shape}")
     cw = 1 << c.upd_w_shift
     cu = 1 << c.upd_u_shift
-    dt = _int_dtype((cw + cu + (1 << c.eta)) * _span(c, w, up) + (1 << c.eta))
+    dt = _int_dtype(_Update.bound(c, _span(c, w, up)))
     return cw * (w.astype(dt, copy=False) - c.z_w) + cu * (up.astype(dt, copy=False) - c.z_up)
 
 

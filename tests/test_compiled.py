@@ -1,8 +1,10 @@
-"""The compiled int64 satisfaction check, the int64 witness codec, the
-canonical circuit JSON, and the circuit digests they must leave untouched.
+"""The gadget-by-gadget int64 satisfaction check, the int64 witness codec,
+the canonical circuit JSON, and the circuit digests they must leave
+untouched.
 
 ``ConstraintSystem.is_satisfied_exact`` replays every constraint in
-unbounded integers; it is the oracle the compiled check is compared with.
+unbounded integers; it is the oracle the gadgets' check is compared with,
+and the check of every circuit that has no gadgets.
 """
 
 import hashlib
@@ -36,7 +38,6 @@ from zksplit.circuit import (
     FieldVector,
     Witness,
     _bit_rows,
-    _Csr,
     build_aggregation_circuit,
     build_protocol_circuit,
     build_update_circuit,
@@ -44,7 +45,7 @@ from zksplit.circuit import (
     quantized_aggregate,
     quantized_update,
 )
-from zksplit.field import P
+from zksplit.field import P, to_signed
 
 EQUAL = CircuitConstants()
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
@@ -56,6 +57,7 @@ BUILDERS = {
     "composed": build_protocol_circuit,
 }
 CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8, 64) for name in CONSTANTS]
+ETA60_CASES = [(kind, m, "ETA60") for kind in BUILDERS for m in (1, 8, 64)]
 # pinned only: eta = 60 runs the arithmetic on arrays of Python ints
 PINNED_CONSTANTS = {**CONSTANTS, "ETA60": CircuitConstants(eta=60)}
 
@@ -93,14 +95,36 @@ def agree(cs, values):
     return verdict
 
 
-class TestCompiledCheck:
-    @pytest.mark.parametrize("kind,m,name", CASES)
-    def test_honest_witness_takes_compiled_path(self, kind, m, name):
+def checked(cs, values):
+    """is_satisfied's verdict, which must be the replay's, and whether
+    is_satisfied reached the replay to give it."""
+    replays = []
+    exact = ConstraintSystem.is_satisfied_exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConstraintSystem, "is_satisfied_exact",
+                   lambda self, vals: replays.append(self) or exact(self, vals))
+        verdict = cs.is_satisfied(values)
+    assert verdict == cs.is_satisfied_exact(values)
+    return verdict, bool(replays)
+
+
+# a single change to a built circuit after its builder returned
+EDITS = {
+    "add_constraint": lambda cs: cs.add_constraint({0: 1}, {0: 1}, {0: 2}),  # 1 * 1 = 2
+    "add_boolean": lambda cs: cs.add_boolean(cs.var_names.index("U[0]")),
+    "add_wires": lambda cs: cs.add_wires(["extra"]),
+}
+
+
+class TestGadgetCheck:
+    @pytest.mark.parametrize("kind,m,name", CASES + ETA60_CASES)
+    def test_honest_witness_path(self, kind, m, name):
+        """Honest EQUAL and MIXED witnesses are checked by the gadgets and
+        never replayed; eta = 60 puts every gadget's bound past 2**62, so
+        those witnesses are."""
         cs, values = honest(kind, m, name)
-        w = Witness(values)
-        assert w.signed.dtype == np.int64
-        assert cs.compiled().fits(int(np.abs(w.signed).max()))
-        assert agree(cs, values)
+        assert Witness(values).signed.dtype == np.int64
+        assert checked(cs, values) == (True, name == "ETA60")
 
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(CASES), data=st.data())
@@ -129,15 +153,41 @@ class TestCompiledCheck:
         assert Witness(mutated).signed.dtype == object
         assert not agree(cs, mutated)
 
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_bits_that_recompose_but_are_not_bits(self, kind, m, name):
+        """Bits b, c at t, t + 1 rewritten as b + 2, c - 1 recompose the same
+        R, and b + 2 is no bit: only the booleanity rows reject them."""
+        cs, values = honest(kind, m, name)
+        for g in cs.gadgets:
+            i = g.bits[-1][3]
+            mutated = list(values)
+            mutated[i] += 2
+            mutated[i + 1] = (mutated[i + 1] - 1) % P
+            assert checked(cs, mutated) == (False, False)
+
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_small_but_out_of_bound_element(self, kind):
-        # fits in int64 but would overflow <A,w>*<B,w>: exact replay decides
+        # fits in int64 but puts every gadget's bound past 2**62: the replay decides
         cs, values = honest(kind, 8, "MIXED")
-        assert not cs.compiled().fits(2**40)
+        assert all(g.bound(MIXED, 2**40) >= SMALL for g in cs.gadgets)
         mutated = list(values)
         mutated[-1] = 2**40
         assert Witness(mutated).signed.dtype == np.int64
-        assert not agree(cs, mutated)
+        assert checked(cs, mutated) == (False, True)
+
+    @pytest.mark.parametrize("v", [2**59 - 207, 2**59 + 158])
+    def test_huge_output_is_rejected(self, v):
+        """Up[4] is 158 in the honest witness.  In int64, 2**59 + 158 gives
+        the same 2**22 * (out - z), and so the same R and bits, and 2**59 - 207
+        an R out of range with the same low 22 bits: a bound over the
+        floor's operands alone keeps both witnesses on int64."""
+        cs, values = honest("aggregation-1", 8, "EQUAL")
+        i = cs.var_names.index("Up[4]")
+        assert values[i] == 158
+        mutated = list(values)
+        mutated[i] = v
+        assert Witness(mutated).signed.dtype == np.int64
+        assert checked(cs, mutated) == (False, True)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_wrong_length_raises(self, kind):
@@ -148,12 +198,18 @@ class TestCompiledCheck:
             with pytest.raises(CircuitError, match="length"):
                 cs.is_satisfied_exact(bad)
 
-    def test_compiled_cache_follows_new_constraints(self):
-        _, values = honest("update", 1, "EQUAL")
-        cs = build_update_circuit(1, EQUAL)  # a fresh copy, not the cached one
-        assert cs.is_satisfied(values)
-        cs.add_constraint({0: 1}, {0: 1}, {0: 2})  # 1 * 1 = 2 never holds
-        assert not cs.is_satisfied(values)
+    @pytest.mark.parametrize("edit,holds", [("add_constraint", False), ("add_boolean", False),
+                                            ("add_wires", True)])
+    def test_edits_after_build_are_replayed(self, edit, holds):
+        _, values = honest("composed", 1, "EQUAL")
+        cs = build_protocol_circuit(1, EQUAL)  # a fresh copy, not the cached one
+        assert checked(cs, values) == (True, False)
+        assert values[cs.var_names.index("U[0]")] not in (0, 1)
+        EDITS[edit](cs)
+        values += (0,) * (cs.num_wires - len(values))
+        assert checked(cs, values) == (holds, True)
+        with pytest.raises(CircuitError, match="no gadgets"):
+            generate_witness(cs, [0] * cs.num_public, [0])
 
 
 def built_with_boolean_rows(kind, m, name):
@@ -170,15 +226,6 @@ def built_with_boolean_rows(kind, m, name):
         mp.setattr(ConstraintSystem, "add_booleans", recording)
         cs = BUILDERS[kind](m, CONSTANTS[name])
     return cs, calls
-
-
-def csr_rows(matrix):
-    return [dict(zip(matrix.index[s:e].tolist(), matrix.coeff[s:e].tolist()))
-            for s, e in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())]
-
-
-def general_rows(compiled):
-    return list(zip(*(csr_rows(x) for x in (compiled.a, compiled.b, compiled.c))))
 
 
 def single_row_circuit(*rows):
@@ -210,40 +257,19 @@ class TestBooleanRows:
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_bits_are_the_add_boolean_rows(self, kind, m, name):
         cs, calls = built_with_boolean_rows(kind, m, name)
-        compiled = cs.compiled()
         eta = CONSTANTS[name].eta
         assert len(calls) == (2 * eta * m if kind == "composed" else eta * m)
-        assert compiled.bits.dtype == np.int64
-        assert compiled.bits.tolist() == [idx for _, idx in calls]
-        boolean_at = {pos for pos, _ in calls}
-        rest = [row for pos, row in enumerate(cs.constraints) if pos not in boolean_at]
-        assert general_rows(compiled) == rest
+        assert [row for row in cs.rows if isinstance(row, int)] == [idx for _, idx in calls]
+        assert all(cs.rows[pos] == idx for pos, idx in calls)
 
-    @pytest.mark.parametrize("kind,m,name", CASES)
-    def test_json_round_trip_keeps_split(self, kind, m, name):
-        cs = BUILDERS[kind](m, CONSTANTS[name])
-        back = through_key(cs).compiled()
-        np.testing.assert_array_equal(back.bits, cs.compiled().bits)
-        assert general_rows(back) == general_rows(cs.compiled())
-
-    @pytest.mark.parametrize("kind,m,name", CASES)
-    def test_bit_runs_are_the_sorted_runs_of_the_bits(self, kind, m, name):
-        compiled = BUILDERS[kind](m, CONSTANTS[name]).compiled()
-        runs = compiled.bit_runs
-        assert [w for a, b in runs for w in range(a, b)] == sorted(compiled.bits.tolist())
-        # maximal: consecutive runs are separated by at least one wire
-        assert all(b < a2 for (_, b), (a2, _) in zip(runs, runs[1:]))
-        # each builder allocates all of its bit wires in one stretch
-        assert len(runs) == 1
+    # hand-built circuits have no gadgets, so the replay checks them
 
     def test_scattered_and_repeated_bits(self):
         cs = ConstraintSystem("test", 1, EQUAL)
         wires = [cs.add_private(f"v{t}") for t in range(8)]
         for idx in (wires[5], wires[2], wires[3], wires[7], wires[2]):
             cs.add_boolean(idx)
-        compiled = cs.compiled()
-        assert compiled.bits.tolist() == [6, 3, 4, 8, 3]
-        assert compiled.bit_runs == [(3, 5), (6, 7), (8, 9)]
+        assert cs.rows == [6, 3, 4, 8, 3]
         for vs in itertools.product((0, 1, -1, 2), repeat=4):
             values = [1, 5, 7, *vs[:2], 9, vs[2], 11, vs[3]]
             assert agree(cs, [v % P for v in values]) == (set(vs) <= {0, 1})
@@ -251,15 +277,13 @@ class TestBooleanRows:
     @pytest.mark.parametrize("row,holds", NEAR_BOOLEAN.values(), ids=list(NEAR_BOOLEAN))
     def test_near_boolean_rows_stay_general(self, row, holds):
         cs = single_row_circuit(row)
-        compiled = cs.compiled()
-        assert len(compiled.bits) == 0
-        assert general_rows(compiled) == [row]
+        assert cs.rows == [row]
         for b, j, k in itertools.product(SMALL_VALUES, (0, 1), (0, 1)):
             assert agree(cs, [1, b % P, j, k]) == holds(b, j, k)
 
     def test_boolean_row_is_a_bit_test(self):
         cs = single_row_circuit(({I: 1}, {I: 1, 0: -1}, {}))
-        assert cs.compiled().bits.tolist() == [I]
+        assert cs.rows == [I]
         for v in SMALL_VALUES:
             assert agree(cs, [1, v % P, 0, 0]) == (v in (0, 1))
 
@@ -268,39 +292,40 @@ class TestBooleanRows:
         wires = [cs.add_private(f"b{t}") for t in range(3)]
         for idx in wires:
             cs.add_boolean(idx)
-        compiled = cs.compiled()
-        assert compiled.bits.tolist() == wires
-        assert general_rows(compiled) == []
+        assert cs.rows == wires
         for vs in itertools.product(SMALL_VALUES, repeat=3):
             assert agree(cs, [1] + [v % P for v in vs]) == (set(vs) <= {0, 1})
 
     def test_no_boolean_rows(self):
-        cs = single_row_circuit(({I: 1}, {J: 1}, {K: 1}), ({I: 1, 0: -1}, {0: 1}, {J: 1}))
-        compiled = cs.compiled()
-        assert len(compiled.bits) == 0
-        assert len(general_rows(compiled)) == 2
+        rows = (({I: 1}, {J: 1}, {K: 1}), ({I: 1, 0: -1}, {0: 1}, {J: 1}))
+        cs = single_row_circuit(*rows)
+        assert cs.rows == list(rows)
         for vs in itertools.product(SMALL_VALUES, repeat=3):
             assert agree(cs, [1] + [v % P for v in vs]) == (
                 vs[0] * vs[1] == vs[2] and vs[0] - 1 == vs[1])
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=400)
     @given(case=st.sampled_from(CASES), data=st.data())
-    def test_any_int64_value_on_a_bit_wire(self, case, data):
+    def test_any_int64_value_on_any_wire(self, case, data):
         cs, values = honest(*case)
-        bits = cs.compiled().bits
-        i = int(bits[data.draw(st.integers(0, len(bits) - 1), label="bit")])
-        v = data.draw(st.one_of(st.integers(-3, 3),
-                                st.integers(-(SMALL - 1), SMALL - 1)), label="value")
+        # half the draws land on a public wire, the outputs among them
+        i = data.draw(st.one_of(st.integers(1, cs.num_public), st.integers(1, len(values) - 1)),
+                      label="wire")
+        near = to_signed(values[i])
+        # near + k * 2**(64 - eta) is the honest value once multiplied by
+        # 2**eta in int64, and near + k * 256 is it in its low byte
+        aliases = st.sampled_from([1 << (64 - cs.constants.eta), 256]).flatmap(
+            lambda step: st.integers(-(SMALL // step), SMALL // step).map(lambda k: near + k * step))
+        v = data.draw(st.one_of(
+            st.integers(-3, 3),
+            st.integers(near - 3, near + 3),
+            st.integers(-(SMALL - 1), SMALL - 1),
+            aliases,
+        ).filter(lambda v: -SMALL < v < SMALL), label="value")
         mutated = list(values)
         mutated[i] = v % P
-        w = Witness(mutated).signed
-        assert w.dtype == np.int64
-        expected = cs.is_satisfied_exact(mutated)
-        # a bit other than its honest value breaks the remainder recomposition
-        assert expected == (v == values[i])
-        assert agree(cs, mutated) == expected
-        # the bit test needs no overflow bound: it is exact for any int64 bit
-        assert cs.compiled().is_satisfied(w) == expected
+        assert Witness(mutated).signed.dtype == np.int64
+        agree(cs, mutated)
 
 
 def one_boolean_row(wire, via):
@@ -327,18 +352,12 @@ class TestBooleanStorage:
         assert by_boolean.rows == by_constraint.rows
         assert by_boolean.to_json() == by_constraint.to_json() == reference_json(by_boolean)
         assert by_boolean.digest() == by_constraint.digest()
-        compiled = [cs.compiled() for cs in (by_boolean, by_constraint)]
-        np.testing.assert_array_equal(compiled[0].bits, compiled[1].bits)
-        assert general_rows(compiled[0]) == general_rows(compiled[1])
         if wire == 0:
             # {0: 1, 0: -1} keeps its last key: 1 * -1 = 0, which never holds
             assert by_boolean.rows == [({0: 1}, {0: -1}, {})]
-            assert len(compiled[0].bits) == 0
         else:
             assert by_boolean.rows == [wire]
             assert by_boolean.constraints[0] == ({wire: 1}, {wire: 1, 0: -1}, {})
-            assert compiled[0].bits.tolist() == [wire]
-            assert general_rows(compiled[0]) == []
         for v in SMALL_VALUES:
             values = [1, v % P, v % P]
             for cs in (by_boolean, by_constraint):
@@ -349,7 +368,8 @@ class TestBooleanStorage:
         cs = BUILDERS[kind](m, CONSTANTS[name])
         ints = [row for row in cs.rows if isinstance(row, int)]
         assert all(type(row) is int for row in ints)
-        assert ints == cs.compiled().bits.tolist()
+        # the booleanity rows are on exactly the bit banks the gadgets check
+        assert sorted(ints) == [i for g in cs.gadgets for bank in g.bits for i in bank]
         assert len(cs.rows) - len(ints) == (2 * m if kind == "composed" else m)
         back = through_key(cs)
         assert back.rows == cs.rows
@@ -405,8 +425,8 @@ class TestBooleanStorage:
         assert retained < 20 * 2**20
 
 
-# cs.digest() of the parent commit of the compiled check; compilation
-# must not change constraints, keys or manifests
+# cs.digest() as taken before any int64 satisfaction check; checking a
+# witness must not change constraints, keys or manifests
 PINNED_DIGESTS = {
     ("EQUAL", "aggregation-1", 1): "c31b6edb0227331d825c0444a8b3612e943bc12a74e88d7b8a0e97a7f514694d",
     ("EQUAL", "update", 1): "d5814ffad6e29897d3c843880edb23b090d1b05232bedfe5be3a6e69d34ce91e",
@@ -456,7 +476,7 @@ PINNED_DIGESTS = {
 def test_pinned_circuit_digest(name, kind, m):
     cs = BUILDERS[kind](m, PINNED_CONSTANTS[name])
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
-    cs.compiled()
+    assert cs.is_satisfied(honest(kind, m, name)[1])
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
 
 
@@ -769,7 +789,7 @@ class TestStatementCodec:
             big.signed[0] = 2
 
 
-# -- the codec, row sums and bit rows against the implementations that
+# -- the codec and bit rows against the implementations that
 # took several passes over each array; these copies are the oracles
 
 P_LIMBS = [(P >> (64 * i)) & (2**64 - 1) for i in range(4)]
@@ -801,12 +821,6 @@ def reference_decode(data, what):
             raise ValueError(f"{what} element not reduced")
         vals.append(v)
     return vals
-
-
-def reference_row_sums(indptr, terms):
-    sums = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(terms, out=sums[1:])
-    return sums[indptr[1:]] - sums[indptr[:-1]]
 
 
 def reference_bit_rows(r, eta):
@@ -899,36 +913,6 @@ class TestAgainstReferences:
             b"".join(x.to_bytes(8, "little") for x in limbs) for limbs in elements)
         assert decode_outcome(FieldVector._decode, frame) == \
             decode_outcome(reference_decode, frame)
-
-    @pytest.mark.parametrize("rows", [
-        [],
-        [{}],
-        [{0: 3}],
-        [{}, {}, {}],
-        [{}, {0: 1, 2: -4}, {1: 5}],
-        [{0: 1}, {}, {}, {2: 7, 1: -2}],
-        [{0: 2}, {1: 3}, {}, {}],
-        [{}, {0: 2}, {}, {1: 3, 2: 1}, {}],
-    ], ids=["no rows", "one empty row", "single row", "no terms", "empty first",
-            "empty inside", "empty last", "empty everywhere"])
-    def test_row_sums_with_empty_rows(self, rows):
-        csr = _Csr(rows)
-        w = np.array([2, -3, 5], dtype=np.int64)
-        terms = csr.coeff * w[csr.index]
-        expected = [sum(co * int(w[i]) for i, co in lc.items()) for lc in rows]
-        assert csr._row_sums(terms).tolist() == expected
-        assert csr.dot(w).tolist() == expected
-        assert reference_row_sums(csr.indptr, terms).tolist() == expected
-        assert csr.l1 == max((sum(map(abs, lc.values())) for lc in rows), default=0)
-
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-2**40, 2**40), max_size=6),
-                    max_size=12),
-           st.lists(st.integers(-2**20, 2**20), min_size=8, max_size=8))
-    def test_row_sums_match_the_cumulative_sums(self, rows, values):
-        csr = _Csr(rows)
-        terms = csr.coeff * np.array(values, dtype=np.int64)[csr.index]
-        assert np.array_equal(csr._row_sums(terms), reference_row_sums(csr.indptr, terms))
 
     @settings(deadline=None, max_examples=200)
     @given(eta=st.sampled_from([22, 40, 60]), data=st.data())
