@@ -76,12 +76,12 @@ bit bank must be all 0 or 1, and each R = floor - 2**eta * (out - z),
 computed by the same floor function that fills the witness, must equal
 sum_t 2**t * bit_t over its element's bits, which lies in [0, 2**eta).
 That is the gadget's rows read as integers, not mod P, and it decides
-them exactly when nothing overflows.  A witness whose elements all have signed
-representatives in (-2**62, 2**62) is carried as an int64 array; take d
-as in the arithmetic, but widened to cover every wire of the witness,
-the outputs included.  When every gadget's bound at that d is below
-2**62, every floor, every R and every intermediate fits in int64, and
-|floor - 2**eta * (out - z) - sum_t 2**t * bit_t| < 2**63 < P, so the
+them exactly when nothing overflows.  A witness whose elements all have
+signed representatives in (-2**62, 2**62) is carried as an int64 array;
+take d as in the arithmetic, but widened to cover every wire of the
+witness, the outputs included.  When every gadget's bound at that d is
+below 2**62, every floor, every R and every intermediate fits in int64,
+and |floor - 2**eta * (out - z) - sum_t 2**t * bit_t| < 2**63 < P, so the
 integer test is the same as the rows' test mod P.  Operands alone do not
 give d: an output wire holding 2**59 wraps 2**eta * (out - z) in int64.
 For the default constants d is about 2**15 on an honest witness, and the
