@@ -262,6 +262,23 @@ class TestBooleanRows:
         assert [row for row in cs.rows if isinstance(row, int)] == [idx for _, idx in calls]
         assert all(cs.rows[pos] == idx for pos, idx in calls)
 
+    @pytest.mark.parametrize("kind,m,name", CASES)
+    def test_json_round_trip_keeps_split(self, kind, m, name):
+        """A circuit loaded back from its key keeps the split into booleanity
+        and relation rows and the gadgets that own them, so a verifier's
+        circuit checks an honest witness gadget by gadget, as the built one
+        does, and rejects a flipped bit the same way."""
+        cs, values = honest(kind, m, name)
+        back = through_key(cs)
+        assert back.rows == cs.rows
+        assert [(type(g), g.wires, g.out, g.bits) for g in back.gadgets] == \
+            [(type(g), g.wires, g.out, g.bits) for g in cs.gadgets]
+        assert checked(back, values) == (True, False)
+        bit = cs.gadgets[-1].bits[-1][0]
+        flipped = list(values)
+        flipped[bit] = 1 - flipped[bit]
+        assert checked(back, flipped) == checked(cs, flipped) == (False, False)
+
     # hand-built circuits have no gadgets, so the replay checks them
 
     def test_scattered_and_repeated_bits(self):
