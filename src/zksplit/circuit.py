@@ -687,9 +687,8 @@ class _Floor:
             if ((derived < c.q_min) | (derived > c.q_max)).any():
                 raise InconsistentStatementError("inconsistent statement")
             w[out] = derived
-        two_eta = 1 << c.eta
-        r = floor - two_eta * (w[out].astype(floor.dtype, copy=False) - self.z)
-        if not ((r >= 0) & (r < two_eta)).all():
+        r = self._remainder(w, floor)
+        if not ((r >= 0) & (r < (1 << c.eta))).all():
             raise InconsistentStatementError("inconsistent statement")
         w[self._bank] = _bit_rows(r, c.eta)
 
@@ -704,8 +703,13 @@ class _Floor:
         # as uint64 a negative bit is at least 2**63
         if bank.view(np.uint64).max() > 1:
             return False
-        r = self.floor(w) - (1 << eta) * (w[self.out.start : self.out.stop] - self.z)
+        r = self._remainder(w, self.floor(w))
         return np.array_equal(bank.reshape(-1, eta) @ (1 << np.arange(eta, dtype=np.int64)), r)
+
+    def _remainder(self, w: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """Every R = floor - 2**eta * (out - z), in the dtype of floor."""
+        out = w[self.out.start : self.out.stop].astype(floor.dtype, copy=False)
+        return floor - (1 << self.c.eta) * (out - self.z)
 
 
 class _Aggregation(_Floor):

@@ -342,7 +342,12 @@ class TestBooleanRows:
         mutated = list(values)
         mutated[i] = v % P
         assert Witness(mutated).signed.dtype == np.int64
-        agree(cs, mutated)
+        verdict = agree(cs, mutated)
+        # a changed bit breaks its booleanity row or its recomposition, and
+        # a changed output moves R by a nonzero multiple of 2**eta; only an
+        # input can change unseen, as K does when every U_j = z_U
+        if any(i in g.wires or i in g.out for g in cs.gadgets):
+            assert verdict == (v == near)
 
 
 def one_boolean_row(wire, via):
