@@ -15,13 +15,13 @@ Binary encodings share one frame:
 and every proof payload starts with the 32-byte statement digest, computed
 as SHA-256 of the canonical statement encoding.  Statements and witnesses
 (the mock proof body) share one element codec, circuit.FieldVector: a
-little-endian u32 count followed by 32-byte little-endian field elements,
-held in memory as an array of signed representatives, int64 whenever
-they are small;
-snark keys and proof bodies write their elements without the count.
-Statements and witnesses are immutable, so each is encoded at most once
-(a decoded one keeps the frame it came from), and a statement's digest is
-computed once too.
+width byte, a u32 count, then each element at the narrowest width that
+holds them all, int16, int32 or int64, or 32 canonical bytes past 2**62;
+any other frame is a DecodeError.  Snark keys and proof bodies write 32
+canonical bytes per element with no count.  Statements and witnesses are
+immutable, so each is encoded at most once (a decoded one keeps its
+frame), and a statement's digest is computed once too.  A frame of any
+version but WIRE_VERSION is a DecodeError.
 
 Mock keys and the snark proving key carry their circuit as its spec
 (ConstraintSystem.spec), the canonical JSON of its kind, m and constants:
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .circuit import ConstraintSystem, FieldVector, Witness, from_spec
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 BACKEND_IDS = {"mock": 1, "snark": 2}
 _ID_TO_NAME = {v: k for k, v in BACKEND_IDS.items()}
 

@@ -198,33 +198,15 @@ class CircuitConstants:
 
 
 # Field elements whose signed representative lies in (-SMALL, SMALL) are
-# carried as int64; on the wire they are 32-byte little-endian canonical
-# elements, read here as four uint64 limbs.  A small negative v encodes as
-# P - |v|, which never borrows from the upper limbs because P's low limb
-# exceeds SMALL.  P's upper limbs are all nonzero, which the decoder's
-# count of nonzero upper limbs relies on.
+# carried as int64.
 SMALL = 1 << 62
-_P_LIMBS = np.array([(P >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)], dtype="<u8")
-assert int(_P_LIMBS[0]) > SMALL and _P_LIMBS[1:].all()
+# frame widths in bytes: int16, int32, int64 signed values; canonical elements
+_INT_WIDTHS = (2, 4, 8)
+_WIDE = 32
 
 
-def _limbs(s: np.ndarray) -> np.ndarray:
-    """The canonical encodings of the int64 array s as (n, 4) limbs."""
-    limbs = np.zeros((len(s), 4), dtype="<u8")
-    limbs[:, 0] = s.view(np.uint64)
-    # P's limbs where v < 0, plus v in the low limb: modulo 2**64 that is P - |v|
-    neg = np.flatnonzero(s < 0)
-    limbs[neg, 1:] = _P_LIMBS[1:]
-    limbs[neg, 0] += _P_LIMBS[0]
-    return limbs
-
-
-def _write_elements(values):
-    """The 32-byte little-endian canonical encodings of field elements, with
-    no count: the limbs of an int64 array of signed representatives, or
-    each integer of any other sequence reduced mod P."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        return memoryview(_limbs(values))
+def _write_elements(values) -> bytes:
+    """The integers of ``values`` mod P as 32-byte little-endian, no count."""
     return b"".join((v % P).to_bytes(32, "little") for v in values)
 
 
@@ -237,6 +219,22 @@ def _read_elements(data, what: str) -> List[int]:
     return vals
 
 
+def _width(s: np.ndarray) -> int:
+    """The frame width of the signed representatives s: the narrowest integer
+    width that holds them all, or 32 when one lies past (-SMALL, SMALL)."""
+    lo, hi = int(s.min(initial=0)), int(s.max(initial=0))
+    if not -SMALL < lo <= hi < SMALL:
+        return _WIDE
+    return next(w for w in _INT_WIDTHS if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
+
+
+def _frame(s: np.ndarray) -> bytes:
+    """The encoding of the signed representatives s: width, count, elements."""
+    width = _width(s)
+    body = _write_elements(s.tolist()) if width == _WIDE else s.astype(f"<i{width}")
+    return b"".join((bytes([width]), len(s).to_bytes(4, "little"), body))
+
+
 class FieldVector:
     """An immutable vector of field elements, held as their signed
     representatives.
@@ -244,31 +242,19 @@ class FieldVector:
     ``signed`` is the read-only array of signed representatives, the v with
     v = x mod P and |v| < P/2: int64 when every element lies in
     (-SMALL, SMALL), and Python ints otherwise.  ``values``, the canonical
-    tuple, is derived from it on first use.  Witnesses and statements share
-    this representation and its codec: a little-endian u32 count followed by
-    32-byte little-endian canonical elements.  An int64 array is copied,
-    unless ``copy=False`` hands it over; nothing can change a vector
-    after it is made, so ``to_bytes`` encodes it once and returns the same
-    bytes on every later call; a decoded vector keeps the frame it was read
-    from as its encoding.
+    tuple, is derived from it on first use.  An int64 array is copied,
+    unless ``copy=False`` hands it over; nothing can change a vector after
+    it is made, so ``to_bytes`` encodes it once, and a decoded vector keeps
+    the frame it was read from as its encoding.
 
-    Decoding reads the elements as an (n, 4) array of limbs and takes the
-    int64 path exactly when every element is the canonical encoding of a
-    small value v:
-
-      - its top three limbs are either all 0 or exactly P's;
-      - its low limb then gives v, the low limb itself on the rows of
-        zeros and the low limb - P0 (mod 2**64) on the rows of P's limbs,
-        and v lies in (-SMALL, SMALL);
-      - v is negative exactly on the rows of P's limbs.
-
-    That is the same as "re-encoding v gives the bytes read": the encoder
-    writes a nonnegative v as the limbs (v, 0, 0, 0) and a negative one as
-    (P0 + v, P1, P2, P3), so a frame passes these three tests exactly when
-    it is the encoding of the v they give.  The check runs on whole columns
-    and gathers only the rows of P's limbs, which are the negatives and so
-    usually few.  Any other frame is read element by element, which
-    rejects elements >= P.
+    Witnesses and statements share one codec, a frame: a width byte, a
+    little-endian u32 count, then little-endian signed representatives at
+    width 2, 4 or 8, or 32-byte canonical elements at width 32.  A vector's
+    one frame has the narrowest width that holds all its values (2 when
+    empty), so an int64 vector is never at 32.  An honest witness lies
+    within int16 under the default constants: 2 bytes per wire.  Decoding
+    refuses any other frame: an unknown width, a count that disagrees with
+    the length, a width wider than the values need, or an element >= P.
     """
 
     _values: Tuple[int, ...] | None = None
@@ -301,48 +287,31 @@ class FieldVector:
 
     def to_bytes(self) -> bytes:
         if self._bytes is None:
-            self._bytes = b"".join((len(self).to_bytes(4, "little"),
-                                    _write_elements(self._signed)))
+            self._bytes = _frame(self._signed)
         return self._bytes
 
     @classmethod
     def _from_frame(cls, data: bytes, what: str):
-        """The vector an encoding holds, keeping ``data`` as its encoding."""
-        decoded = cls._decode(data, what)
-        if isinstance(decoded, np.ndarray):
-            vec = cls.__new__(cls)
-            decoded.flags.writeable = False
-            vec._signed = decoded
+        """The vector a frame holds, keeping ``data`` as its encoding.  Raises
+        ValueError on any frame that is not the encoding of its vector."""
+        if len(data) < 5:
+            raise ValueError(f"truncated {what}")
+        width, n = data[0], int.from_bytes(data[1:5], "little")
+        if width not in (*_INT_WIDTHS, _WIDE):
+            raise ValueError(f"unknown {what} width {width}")
+        if len(data) != 5 + width * n:
+            raise ValueError(f"truncated {what}")
+        if width == _WIDE:
+            vec = cls(_read_elements(memoryview(data)[5:], what))
         else:
-            vec = cls(decoded)
+            vec = cls.__new__(cls)
+            vec._signed = np.frombuffer(data, dtype=f"<i{width}", offset=5).astype(np.int64)
+            vec._signed.flags.writeable = False
+        if _width(vec._signed) != width:
+            raise ValueError(f"{what} is not at the width of its values")
         if isinstance(data, bytes):
             vec._bytes = data
         return vec
-
-    @staticmethod
-    def _decode(data: bytes, what: str):
-        """The elements of an encoding: an int64 array when all are small,
-        else a list of canonical ints.  Raises ValueError on a truncated
-        frame or an element that is not reduced mod P."""
-        if len(data) < 4:
-            raise ValueError(f"truncated {what}")
-        n = int.from_bytes(data[:4], "little")
-        if len(data) != 4 + 32 * n:
-            raise ValueError(f"truncated {what}")
-        limbs = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4)
-        # rows with a nonzero top limb must hold P's upper limbs, and no
-        # other row may have a nonzero upper limb
-        neg = np.flatnonzero(limbs[:, 3] != 0)
-        u = limbs[:, 0].copy()
-        u[neg] -= _P_LIMBS[0]
-        # as uint64, v in [0, SMALL) is below SMALL and v in (-SMALL, 0) above -SMALL
-        if (np.count_nonzero(limbs[:, 1] != 0) == len(neg)
-                and np.count_nonzero(limbs[:, 2] != 0) == len(neg)
-                and (limbs[neg, 1:] == _P_LIMBS[1:]).all()
-                and np.count_nonzero(u < SMALL) == n - len(neg)
-                and (u[neg] > np.uint64(2**64 - SMALL)).all()):
-            return u.view(np.int64)
-        return _read_elements(memoryview(data)[4:], what)
 
 
 class Witness(FieldVector):

@@ -14,16 +14,21 @@ error.  A JSON input file (--config, --circuit, --statement, --witness)
 that is not UTF-8, not JSON or nested too deeply is a usage error.
 Configuration comes from an optional JSON file plus flag
 overrides; the fully resolved config is echoed as a run manifest so any
-run can be reproduced from its output directory alone.
+run can be reproduced from its output directory alone, together with the
+host's numpy, BLAS, OpenBLAS kernel and SIMD dispatch, on which the float
+results depend.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .backend import (
@@ -83,8 +88,24 @@ def _load_config(args) -> SimConfig:
     return cfg
 
 
+def _host() -> dict:
+    """What float results depend on besides the config: numpy, its BLAS, the
+    kernel OpenBLAS picked (None if unnamed) and numpy's SIMD dispatch."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+    except (AttributeError, OSError):
+        kernel = None
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "openblas_kernel": kernel, "cpu_features": config.get("SIMD Extensions")}
+
+
 def _write_manifest(cfg: SimConfig, out: Path) -> None:
-    manifest = {"version": __version__, "config": cfg.to_dict()}
+    manifest = {"version": __version__, "config": cfg.to_dict(), "host": _host()}
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

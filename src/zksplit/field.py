@@ -3,7 +3,7 @@
 All circuits operate over the 254-bit scalar field of the BN254 pairing
 curve, the field most commonly used by preprocessing SNARK deployments.
 Elements are plain Python ints kept in canonical form [0, P); vectors of
-them, and their 32-byte wire encoding, are circuit.FieldVector.
+them, and their wire encoding, are circuit.FieldVector.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ tolerances.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,14 @@ class SplitModel:
             raise ShapeError("client output width and server input width must equal cut_width")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+
+    def digest(self) -> str:
+        """SHA-256 of every weight and bias, client side first, as stored."""
+        h = hashlib.sha256()
+        for stack in (self.client, self.server):
+            for a in stack.weights + stack.biases:
+                h.update(a.tobytes())
+        return h.hexdigest()
 
 
 @dataclass

@@ -141,9 +141,9 @@ class RoundMessage:
         covers every field once: the envelope JSON holds no NUL (json.dumps
         escapes control characters), so the first NUL ends it; a non-null
         ``statement_digest`` means a statement follows, and a statement
-        carries its own element count; ``proof_size`` is the proof frame's
-        length, and 0 means there is no proof; the payload is everything
-        that is left.
+        frame gives its length by its width byte and element count;
+        ``proof_size`` is the proof frame's length, and 0 means there is no
+        proof; the payload is everything that is left.
         """
         parts = [json.dumps(self.envelope(), sort_keys=True, separators=(",", ":")).encode()]
         if self.statement is not None:
@@ -467,7 +467,8 @@ class Trainer:
             for r in range(self.config.rounds):
                 report = self.run_round(r)
                 if log_file:
-                    log_file.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+                    row = {**report.to_dict(), "model_digest": self.model.digest()}
+                    log_file.write(json.dumps(row, sort_keys=True) + "\n")
         finally:
             if log_file:
                 log_file.close()

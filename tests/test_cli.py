@@ -2,8 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from zksplit import cli
 from zksplit.circuit import (
     CircuitConstants,
     build_protocol_circuit,
@@ -83,6 +85,24 @@ class TestTrain:
         logged = [json.loads(line) for line in
                   (tmp_path / "run" / "run_log.jsonl").read_text().splitlines()]
         assert all(0.0 <= r["eval_accuracy"] <= 1.0 for r in logged)
+
+    @pytest.mark.parametrize("corename", [True, False])
+    def test_manifest_records_the_host(self, tmp_path, monkeypatch, corename):
+        if not corename:  # an OpenBLAS, or a BLAS, that does not export the symbol
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert run_cli("train", "--mode", "none", "--m", "8", "--rounds", "1",
+                       "--out", str(tmp_path)) == 0
+        host = json.loads((tmp_path / "manifest.json").read_text())["host"]
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        assert host["numpy"] == np.__version__
+        assert host["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert host["cpu_features"] == config["SIMD Extensions"]
+        assert set(host["cpu_features"]) == {"baseline", "found"}
+        if corename:
+            assert isinstance(host["openblas_kernel"], str) and host["openblas_kernel"]
+        else:
+            assert host["openblas_kernel"] is None
 
     def test_json_output(self, capsys):
         rc = run_cli("train", "--mode", "none", "--clients", "1", "--m", "8",
@@ -185,6 +205,26 @@ class TestProveVerify:
             out = capsys.readouterr()
             assert rc == 2
             assert out.out == "Reject\n" and out.err == ""
+
+    @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
+    @pytest.mark.parametrize("backend", ["mock", "snark"])
+    def test_version_1_frame_is_one_error_line(self, tmp_path, capsys, backend, name):
+        """A key or proof written before WIRE_VERSION 2 is refused by its
+        version byte, which decoding reads before anything else."""
+        make_prove_fixture(tmp_path)
+        assert run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
+                       "--statement", str(tmp_path / "statement.json"),
+                       "--witness", str(tmp_path / "witness.json"),
+                       "--backend", backend, "--out", str(tmp_path / "proofs")) == 0
+        path = tmp_path / "proofs" / name
+        path.write_bytes(bytes([1]) + path.read_bytes()[1:])
+        capsys.readouterr()
+        rc = run_cli("verify", "--vk", str(tmp_path / "proofs" / "vk.bin"),
+                     "--statement", str(tmp_path / "statement.json"),
+                     "--proof", str(tmp_path / "proofs" / "proof.bin"))
+        out = capsys.readouterr()
+        assert rc == 3 and out.out == ""
+        assert out.err == "error: version mismatch: 1 != 2\n"
 
     def _proved(self, tmp_path):
         make_prove_fixture(tmp_path)

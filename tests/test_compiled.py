@@ -1,4 +1,4 @@
-"""The gadget-by-gadget int64 satisfaction check, the int64 witness codec,
+"""The gadget-by-gadget int64 satisfaction check, the witness codec,
 the canonical circuit JSON, and the circuit digests they must leave
 untouched.
 
@@ -502,8 +502,10 @@ def test_pinned_circuit_digest(name, kind, m):
     assert cs.digest() == PINNED_DIGESTS[name, kind, m]
 
 
-# sha256 of generate_witness(...).to_bytes() for the honest() instances,
-# taken before every relation row and its bits went through one floor gadget
+# sha256 of the u32 count and the 32-byte canonical elements of the honest()
+# witnesses, which is the frame generate_witness(...).to_bytes() had before
+# frames carried a width byte; taken before every relation row and its bits
+# went through one floor gadget
 PINNED_WITNESSES = {
     ("EQUAL", "aggregation-1", 1): "bda50f335fbea54ce6b72ecfa003d25af9bddd2d4c6578168d72429612ce9ce2",
     ("MIXED", "aggregation-1", 1): "da8fdbace5b15f15584e8be8c96053aaf5939f6165863868b5899e0a1c3114ab",
@@ -548,8 +550,8 @@ PINNED_WITNESSES = {
 @pytest.mark.parametrize("name,kind,m", sorted(PINNED_WITNESSES))
 def test_pinned_witness_bytes(name, kind, m):
     _, values = honest(kind, m, name)
-    got = hashlib.sha256(Witness(values).to_bytes()).hexdigest()
-    assert got == PINNED_WITNESSES[name, kind, m]
+    data = len(values).to_bytes(4, "little") + circuit._write_elements(values)
+    assert hashlib.sha256(data).hexdigest() == PINNED_WITNESSES[name, kind, m]
 
 
 def reference_json(cs):
@@ -642,9 +644,62 @@ def test_digest_holds_the_text_about_once():
     assert peak - base < 1.5 * size
 
 
-def per_element_bytes(values):
-    return len(values).to_bytes(4, "little") + b"".join(
-        (v % P).to_bytes(32, "little") for v in values)
+# -- the witness and statement codec, against a reference that writes and
+# reads each element on its own; decoding must accept exactly the frames
+# the reference writes
+
+WIDTHS = (2, 4, 8, 32)
+
+
+def reference_width(signed):
+    """The width the encoder must choose for these signed representatives."""
+    if all(-(2**15) <= v < 2**15 for v in signed):
+        return 2
+    if all(-(2**31) <= v < 2**31 for v in signed):
+        return 4
+    if all(-SMALL < v < SMALL for v in signed):
+        return 8
+    return 32
+
+
+def reference_encode(values, width=None):
+    """The frame of ``values``, element by element, at ``width`` or else at
+    the width the encoder must choose."""
+    signed = [to_signed(v % P) for v in values]
+    width = width or reference_width(signed)
+    if width == 32:
+        body = b"".join((v % P).to_bytes(32, "little") for v in values)
+    else:
+        body = b"".join(v.to_bytes(width, "little", signed=True) for v in signed)
+    return bytes([width]) + len(values).to_bytes(4, "little") + body
+
+
+def reference_decode(data, what):
+    if len(data) < 5:
+        raise ValueError(f"truncated {what}")
+    width, n = data[0], int.from_bytes(data[1:5], "little")
+    if width not in WIDTHS:
+        raise ValueError(f"unknown {what} width {width}")
+    if len(data) != 5 + width * n:
+        raise ValueError(f"truncated {what}")
+    elements = [data[5 + width * i : 5 + width * (i + 1)] for i in range(n)]
+    if width == 32:
+        vals = [int.from_bytes(e, "little") for e in elements]
+        if any(v >= P for v in vals):
+            raise ValueError(f"{what} element not reduced")
+    else:
+        vals = [int.from_bytes(e, "little", signed=True) for e in elements]
+    if reference_encode(vals) != data:
+        raise ValueError(f"{what} is not at the width of its values")
+    return vals
+
+
+@st.composite
+def frames_of_any_width(draw):
+    """A width byte of the codec, a count and that many elements of random bytes."""
+    width = draw(st.sampled_from(WIDTHS))
+    elements = draw(st.lists(st.binary(min_size=width, max_size=width), max_size=6))
+    return bytes([width]) + len(elements).to_bytes(4, "little") + b"".join(elements)
 
 
 signed_small = st.integers(-(SMALL - 1), SMALL - 1)
@@ -656,7 +711,7 @@ class TestWitnessCodec:
     @given(st.lists(any_element, max_size=40))
     def test_to_bytes_matches_per_element_encoding(self, values):
         w = Witness(values)
-        assert w.to_bytes() == per_element_bytes(values)
+        assert w.to_bytes() == reference_encode(values)
         back = Witness.from_bytes(w.to_bytes())
         assert back.values == w.values
         assert back.signed.dtype == w.signed.dtype
@@ -666,18 +721,20 @@ class TestWitnessCodec:
         _, values = honest(kind, m, name)
         w = Witness(values)
         assert w.signed.dtype == np.int64
-        assert w.to_bytes() == per_element_bytes(values)
+        assert w.to_bytes() == reference_encode(values)
+        assert w.to_bytes()[0] == 2
         assert np.array_equal(Witness.from_bytes(w.to_bytes()).signed, w.signed)
 
     @pytest.mark.parametrize("v", [SMALL - 1, P - (SMALL - 1), 0, 1, P - 1])
     def test_small_boundary_is_int64(self, v):
-        w = Witness.from_bytes(per_element_bytes([1, v]))
+        w = Witness.from_bytes(reference_encode([1, v]))
         assert w.signed.dtype == np.int64
         assert w.values == (1, v)
 
     @pytest.mark.parametrize("v", [SMALL, P - SMALL, 2**100, P - 2**100, 2**200])
     def test_large_element_round_trips_through_fallback(self, v):
-        data = per_element_bytes([1, -5, v, 7])
+        data = reference_encode([1, -5, v, 7])
+        assert data[0] == 32
         w = Witness.from_bytes(data)
         assert w.signed.dtype == object
         assert w.values == (1, P - 5, v, 7)
@@ -685,7 +742,7 @@ class TestWitnessCodec:
 
     @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1, P + SMALL - 1])
     def test_unreduced_element_rejected(self, v):
-        data = (3).to_bytes(4, "little") + (1).to_bytes(32, "little") \
+        data = bytes([32]) + (3).to_bytes(4, "little") + (SMALL).to_bytes(32, "little") \
             + v.to_bytes(32, "little") + (2).to_bytes(32, "little")
         with pytest.raises(ValueError, match="not reduced"):
             Witness.from_bytes(data)
@@ -713,19 +770,18 @@ class TestWitnessCodec:
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_decoding_never_encodes(self, kind, m, name, monkeypatch):
         calls = []
-        limbs = circuit._limbs
-        monkeypatch.setattr(circuit, "_limbs", lambda s: calls.append(len(s)) or limbs(s))
+        frame = circuit._frame
+        monkeypatch.setattr(circuit, "_frame", lambda s: calls.append(len(s)) or frame(s))
         cs, values = honest(kind, m, name)
-        wire = per_element_bytes(values)
-        statement = per_element_bytes(values[1 : 1 + cs.num_public])
-        assert calls == []
+        wire = reference_encode(values)
+        statement = reference_encode(values[1 : 1 + cs.num_public])
         assert Witness.from_bytes(wire).values == tuple(values)
         assert Statement.from_bytes(statement).values == tuple(values[1 : 1 + cs.num_public])
         assert calls == []
 
     def test_truncated_frame_rejected(self):
         data = Witness([1, -2, 3]).to_bytes()
-        for cut in (0, 3, 4, 35, len(data) - 1):
+        for cut in (0, 3, 4, 5, 6, len(data) - 1):
             with pytest.raises(ValueError, match="truncated"):
                 Witness.from_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
@@ -742,8 +798,8 @@ class TestStatementCodec:
     @given(st.lists(any_element, max_size=40))
     def test_to_bytes_matches_per_element_encoding(self, values):
         s = Statement(values)
-        assert s.to_bytes() == per_element_bytes(values)
-        assert s.digest() == hashlib.sha256(per_element_bytes(values)).hexdigest()
+        assert s.to_bytes() == reference_encode(values)
+        assert s.digest() == hashlib.sha256(reference_encode(values)).hexdigest()
         assert s.values == tuple(v % P for v in values)
         back = Statement.from_bytes(s.to_bytes())
         assert back.values == s.values
@@ -754,37 +810,33 @@ class TestStatementCodec:
     def test_representations(self, values):
         s = Statement(values)
         assert (s.signed.dtype == object) == (values is MIXED_LARGE)
-        assert s.to_bytes() == per_element_bytes(values)
-        assert s == Statement.from_bytes(per_element_bytes(values))
+        assert s.to_bytes() == reference_encode(values)
+        assert s == Statement.from_bytes(reference_encode(values))
 
     def test_int64_array_and_list_agree(self):
         arr = np.array(SIGNED, dtype=np.int64)
         s = Statement(arr)
-        assert s.to_bytes() == Statement(SIGNED).to_bytes() == per_element_bytes(SIGNED)
+        assert s.to_bytes() == Statement(SIGNED).to_bytes() == reference_encode(SIGNED)
         arr[0] = 99  # the statement holds its own copy
         assert s.values[0] == 1
 
     @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1, P + SMALL - 1])
     def test_unreduced_element_is_decode_error(self, v):
-        data = (2).to_bytes(4, "little") + (1).to_bytes(32, "little") + v.to_bytes(32, "little")
+        data = bytes([32]) + (2).to_bytes(4, "little") + (SMALL).to_bytes(32, "little") \
+            + v.to_bytes(32, "little")
         with pytest.raises(DecodeError, match="not reduced"):
             Statement.from_bytes(data)
 
     def test_truncated_frame_is_decode_error(self):
         data = Statement([1, -2, 3]).to_bytes()
-        for cut in (0, 3, 4, 35, len(data) - 1):
+        for cut in (0, 3, 4, 5, 6, len(data) - 1):
             with pytest.raises(DecodeError, match="truncated"):
                 Statement.from_bytes(data[:cut])
         with pytest.raises(DecodeError, match="truncated"):
             Statement.from_bytes(data + b"\0")
 
     @settings(deadline=None, max_examples=300)
-    @given(st.one_of(
-        st.binary(max_size=200),
-        st.lists(st.one_of(st.binary(min_size=32, max_size=32),
-                           st.integers(0, P - 1).map(lambda v: v.to_bytes(32, "little"))),
-                 max_size=6).map(lambda els: len(els).to_bytes(4, "little") + b"".join(els)),
-    ))
+    @given(st.one_of(st.binary(max_size=200), frames_of_any_width()))
     def test_from_bytes_round_trips_or_raises_decode_error(self, data):
         try:
             s = Statement.from_bytes(data)
@@ -811,129 +863,87 @@ class TestStatementCodec:
             big.signed[0] = 2
 
 
-# -- the codec and bit rows against the implementations that
-# took several passes over each array; these copies are the oracles
-
-P_LIMBS = [(P >> (64 * i)) & (2**64 - 1) for i in range(4)]
-P0 = P_LIMBS[0]
-
-
-def reference_encode(signed):
-    limbs = np.where((signed < 0)[:, None], np.array(P_LIMBS, dtype="<u8"), np.uint64(0))
-    limbs[:, 0] += signed.view(np.uint64)
-    return len(signed).to_bytes(4, "little") + limbs.tobytes()
-
-
-def reference_decode(data, what):
-    if len(data) < 4:
-        raise ValueError(f"truncated {what}")
-    n = int.from_bytes(data[:4], "little")
-    if len(data) != 4 + 32 * n:
-        raise ValueError(f"truncated {what}")
-    low, l1, l2, l3 = np.frombuffer(data, dtype="<u8", offset=4).reshape(n, 4).T
-    p1, p2, p3 = (np.uint64(x) for x in P_LIMBS[1:])
-    pos = ((l1 | l2 | l3) == 0) & (low < SMALL)
-    neg = (((l1 ^ p1) | (l2 ^ p2) | (l3 ^ p3)) == 0) & (low > P0 - SMALL) & (low < P0)
-    if (pos | neg).all():
-        return low.astype(np.int64) - neg * P0
-    vals = []
-    for i in range(n):
-        v = int.from_bytes(data[4 + 32 * i : 36 + 32 * i], "little")
-        if v >= P:
-            raise ValueError(f"{what} element not reduced")
-        vals.append(v)
-    return vals
-
+# -- the codec and the bit rows against implementations that take one
+# element at a time; these are the oracles
 
 def reference_bit_rows(r, eta):
     return ((r[:, None] >> np.arange(eta, dtype=r.dtype)) & 1).ravel()
 
 
+def decode(data, what):
+    """The signed representatives FieldVector decodes from a frame."""
+    signed = FieldVector._from_frame(data, what).signed
+    assert (signed.dtype == np.int64) == (data[0] != 32)
+    return signed
+
+
 def decode_outcome(decode, data):
-    """("error", message), or the representation and the values decoded."""
+    """("error", message), or the signed representatives decoded."""
     try:
         out = decode(data, "witness")
     except ValueError as e:
         return "error", str(e)
-    if isinstance(out, np.ndarray):
-        assert out.dtype == np.int64
-        return "int64", out.tolist()
-    return "list", list(out)
+    return "ok", [to_signed(int(v) % P) for v in out]
 
 
-def set_limbs(frame, i, limbs):
-    at = 4 + 32 * i
-    return frame[:at] + b"".join(x.to_bytes(8, "little") for x in limbs) + frame[at + 32 :]
+EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, SMALL - 1, SMALL, 2**63 - 1]
+BOUNDARY = [0, 1, -1, -(2**63)] + [sign * e for e in EDGES for sign in (1, -1)]
+# 32-byte elements: the boundary values reduced mod P, and unreduced ones
+WIDE_BOUNDARY = [v % P for v in BOUNDARY] + [P, P + 1, 2**256 - 1]
 
 
-def frame_limbs(frame, i):
-    return [int.from_bytes(frame[4 + 32 * i + 8 * k : 12 + 32 * i + 8 * k], "little")
-            for k in range(4)]
+def boundary_bytes(width):
+    """One element at ``width``: a boundary value wrapped to the width's
+    integers, or any 32-byte boundary element, reduced or not."""
+    if width == 32:
+        return st.sampled_from(WIDE_BOUNDARY).map(lambda v: v.to_bytes(32, "little"))
+    return st.sampled_from(BOUNDARY).map(lambda v: (v % 2 ** (8 * width)).to_bytes(width, "little"))
 
 
-BOUNDARY_LIMBS = [0, 1, SMALL - 1, SMALL, P0 - SMALL, P0 - SMALL + 1, P0 - 1, P0, P0 + 1,
-                  2**63, 2**64 - 1]
-
-
-@st.composite
-def boundary_elements(draw, honest_limbs):
-    """Limbs of one element: an honest element with one limb set to a
-    boundary value, P's high limbs under a boundary low limb, P's high
-    limbs with one limb off by one, or only the top limb set."""
-    how = draw(st.sampled_from(["one limb", "P high", "P high, one off", "top only"]))
-    low = draw(st.sampled_from(BOUNDARY_LIMBS))
-    if how == "one limb":
-        limbs = list(honest_limbs)
-        limbs[draw(st.integers(0, 3))] = low
-        return limbs
-    limbs = [low] + P_LIMBS[1:]
-    if how == "P high, one off":
-        k = draw(st.integers(1, 3))
-        limbs[k] = (limbs[k] + draw(st.sampled_from([-1, 1]))) % 2**64
-    if how == "top only":
-        top = draw(st.sampled_from([1, P_LIMBS[3] - 1, P_LIMBS[3], P_LIMBS[3] + 1, 2**64 - 1]))
-        limbs = [0, 0, 0, top]
-    return limbs
+def set_element(frame, i, element):
+    width = len(element)
+    return frame[: 5 + width * i] + element + frame[5 + width * (i + 1) :]
 
 
 class TestAgainstReferences:
-    @pytest.mark.parametrize("kind,m,name", CASES)
-    def test_encode_of_honest_witnesses(self, kind, m, name):
-        w = Witness(honest(kind, m, name)[1])
-        assert w.to_bytes() == reference_encode(w.signed)
-
     @settings(deadline=None, max_examples=400)
-    @given(case=st.sampled_from(CASES), data=st.data())
-    def test_decode_of_an_honest_frame_with_boundary_limbs(self, case, data):
-        frame = Witness(honest(*case)[1]).to_bytes()
-        n = int.from_bytes(frame[:4], "little")
+    @given(case=st.sampled_from(CASES), width=st.sampled_from(WIDTHS), data=st.data())
+    def test_decode_of_an_honest_frame_with_boundary_elements(self, case, width, data):
+        values = honest(*case)[1]
+        frame = reference_encode(values, width)
         for _ in range(data.draw(st.integers(1, 3), label="elements changed")):
-            i = data.draw(st.integers(0, n - 1), label="element")
-            frame = set_limbs(frame, i, data.draw(boundary_elements(frame_limbs(frame, i))))
-        assert decode_outcome(FieldVector._decode, frame) == \
+            i = data.draw(st.integers(0, len(values) - 1), label="element")
+            frame = set_element(frame, i, data.draw(boundary_bytes(width)))
+        assert decode_outcome(decode, frame) == \
             decode_outcome(reference_decode, frame)
 
-    # the positions either side of the 8192-element blocks an earlier decoder
-    # checked one at a time, kept as cases for the whole-column check
+    # one element anywhere in a long vector needs the width, or nothing does
     @pytest.mark.parametrize("i", [0, 8191, 8192, 16384, 16386])
-    @pytest.mark.parametrize("limbs", [[5, 0, 7, 0], [P0 - 3] + P_LIMBS[1:3] + [0],
-                                       [2**63] + P_LIMBS[1:], [0, 0, 0, 1]])
-    def test_decode_checks_every_block(self, i, limbs):
+    @pytest.mark.parametrize("width,v", [(4, 2**15), (4, -(2**15) - 1), (8, 2**31),
+                                         (8, -(SMALL - 1)), (32, SMALL), (32, -SMALL)])
+    def test_one_element_sets_the_width(self, i, width, v):
         rnd = random.Random(i)
-        values = np.array([rnd.randint(-4000, 4000) for _ in range(16387)],
-                          dtype=np.int64)
-        frame = set_limbs(Witness(values).to_bytes(), i, limbs)
-        outcome = decode_outcome(FieldVector._decode, frame)
+        values = [rnd.randint(-4000, 4000) for _ in range(16387)]
+        values[i] = v
+        frame = reference_encode(values)
+        assert frame[0] == width
+        assert decode_outcome(decode, frame) == ("ok", values)
+        values[i] = 7
+        frame = reference_encode(values, width)
+        outcome = decode_outcome(decode, frame)
         assert outcome == decode_outcome(reference_decode, frame)
-        assert outcome[0] != "int64"
+        assert outcome[0] == "error"
 
     @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.lists(st.sampled_from(BOUNDARY_LIMBS + P_LIMBS[1:]), min_size=4,
-                             max_size=4), max_size=6))
-    def test_decode_of_frames_built_from_boundary_limbs(self, elements):
-        frame = len(elements).to_bytes(4, "little") + b"".join(
-            b"".join(x.to_bytes(8, "little") for x in limbs) for limbs in elements)
-        assert decode_outcome(FieldVector._decode, frame) == \
+    @given(st.sampled_from(WIDTHS + (0, 1, 3, 16, 255)), st.integers(-1, 1), st.data())
+    def test_decode_of_frames_built_from_boundary_elements(self, width, off, data):
+        if width in WIDTHS:
+            elements = data.draw(st.lists(boundary_bytes(width), max_size=6))
+        else:
+            elements = data.draw(st.lists(st.binary(min_size=width, max_size=width), max_size=6))
+        count = max(len(elements) + off, 0)
+        frame = bytes([width]) + count.to_bytes(4, "little") + b"".join(elements)
+        assert decode_outcome(decode, frame) == \
             decode_outcome(reference_decode, frame)
 
     @settings(deadline=None, max_examples=200)
@@ -959,28 +969,96 @@ def mock_instance():
     return pair.verifying_key, statement, proof.body
 
 
+def mock_verdict(body):
+    """The mock verdict on a proof of the honest statement with this body."""
+    vk, statement, _ = mock_instance()
+    proof = Proof(backend="mock", circuit_digest=vk.circuit_digest,
+                  statement_digest=statement.digest(), body=body)
+    return MockBackend().verify(vk, statement, proof)
+
+
 def mutated_bodies():
     _, _, body = mock_instance()
-    n = (len(body) - 4) // 32
+    width, n = body[0], int.from_bytes(body[1:5], "little")
+    values = Witness.from_bytes(body).values
     return st.one_of(
         st.binary(max_size=600),
         st.integers(0, len(body) - 1).map(lambda cut: body[:cut]),
         st.binary(min_size=1, max_size=64).map(lambda extra: body + extra),
-        st.tuples(st.integers(0, n - 1), st.binary(min_size=32, max_size=32)).map(
-            lambda t: body[: 4 + 32 * t[0]] + t[1] + body[36 + 32 * t[0] :]),
-        st.lists(st.binary(min_size=32, max_size=32), min_size=n, max_size=n).map(
-            lambda els: n.to_bytes(4, "little") + b"".join(els)),
+        st.tuples(st.integers(0, n - 1), st.binary(min_size=width, max_size=width)).map(
+            lambda t: set_element(body, *t)),
+        st.lists(st.binary(min_size=width, max_size=width), min_size=n, max_size=n).map(
+            lambda els: body[:5] + b"".join(els)),
+        st.integers(0, 255).map(lambda b: bytes([b]) + body[1:]),
+        st.sampled_from(WIDTHS).map(lambda w: reference_encode(values, w)),
     )
 
 
 @settings(deadline=None, max_examples=300)
 @given(mutated_bodies())
 def test_mock_verify_rejects_malformed_bodies_without_raising(body):
-    vk, statement, honest_body = mock_instance()
-    proof = Proof(backend="mock", circuit_digest=vk.circuit_digest,
-                  statement_digest=statement.digest(), body=body)
-    verdict = MockBackend().verify(vk, statement, proof)
-    if body == honest_body:
+    verdict = mock_verdict(body)
+    if body == mock_instance()[2]:
         assert verdict is Verdict.ACCEPT
     else:
         assert verdict is Verdict.REJECT
+
+
+edge_values = st.sampled_from([0, P - 1] + [sign * e for e in EDGES[:-1] for sign in (1, -1)])
+
+
+class TestWidths:
+    """Each width round-trips at the edges of its range, and every frame
+    the encoder would not write is a DecodeError as a statement and a
+    Reject, with no exception, as a mock proof body."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(edge_values, st.integers(-3, 3)), max_size=8))
+    def test_each_width_round_trips_and_no_wider_one_decodes(self, values):
+        narrowest = reference_width([to_signed(v % P) for v in values])
+        for vec in (Statement(values), Witness(values)):
+            data = vec.to_bytes()
+            assert data == reference_encode(values) and data[0] == narrowest
+            back = type(vec).from_bytes(data)
+            assert back.values == vec.values and back.signed.dtype == vec.signed.dtype
+        for width in WIDTHS:
+            if width > narrowest:
+                with pytest.raises(DecodeError, match="width of its values"):
+                    Statement.from_bytes(reference_encode(values, width))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_honest_witness_and_statement_at_each_width(self, width):
+        _, statement, body = mock_instance()
+        assert body[0] == statement.to_bytes()[0] == 2
+        frame = reference_encode(Witness.from_bytes(body).values, width)
+        assert mock_verdict(frame) is (Verdict.ACCEPT if width == 2 else Verdict.REJECT)
+        if width > 2:
+            with pytest.raises(DecodeError, match="width of its values"):
+                Statement.from_bytes(reference_encode(statement.values, width))
+
+    def test_unknown_width_bytes(self):
+        _, statement, body = mock_instance()
+        for b in sorted(set(range(256)) - set(WIDTHS)):
+            with pytest.raises(DecodeError, match="unknown statement width"):
+                Statement.from_bytes(bytes([b]) + statement.to_bytes()[1:])
+            assert mock_verdict(bytes([b]) + body[1:]) is Verdict.REJECT
+
+    def test_truncated_and_over_long_frames(self):
+        _, statement, body = mock_instance()
+        frame = statement.to_bytes()
+        for bad in [frame[:cut] for cut in range(len(frame))] + [frame + bytes(k) for k in (1, 2, 3)]:
+            with pytest.raises(DecodeError, match="truncated"):
+                Statement.from_bytes(bad)
+        for bad in [body[:cut] for cut in range(len(body))] + [body + bytes(k) for k in (1, 2, 3)]:
+            assert mock_verdict(bad) is Verdict.REJECT
+
+    @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1])
+    def test_unreduced_wide_element(self, v):
+        values = list(Witness.from_bytes(mock_instance()[2]).values)
+        values[-1] = SMALL  # a bit wire, so the witness takes width 32
+        frame = reference_encode(values)
+        assert frame[0] == 32 and mock_verdict(frame) is Verdict.REJECT
+        bad = set_element(frame, 3, v.to_bytes(32, "little"))
+        with pytest.raises(ValueError, match="not reduced"):
+            Witness.from_bytes(bad)
+        assert mock_verdict(bad) is Verdict.REJECT

@@ -26,7 +26,8 @@ from zksplit.circuit import (
     quantized_aggregate,
     quantized_update,
 )
-from zksplit.protocol import RoundMessage
+from zksplit.config import SimConfig
+from zksplit.protocol import RoundMessage, Trainer
 from zksplit.snark import QapSnarkBackend
 
 C = CircuitConstants()
@@ -57,6 +58,17 @@ def instance():
 
 
 class TestSizeBytes:
+    def test_trainer_mock_frames_at_m1000(self):
+        """The trainer's witnesses at m=1000 (48 002 wires) and statements
+        (2 001 values) lie within int16: a mock proof is 66 header bytes, a
+        width byte, a count and 2 bytes per wire."""
+        tr = Trainer(SimConfig(mode="zk-mock", m=1000, num_clients=1, rounds=2, seed=5))
+        tr.train()
+        statement, witness = tr.last_update
+        assert len(witness) == 48_002 and len(statement) == 2_001
+        assert tr.proof_sizes == [96_075] * 4
+        assert len(statement.to_bytes()) == 4_007
+
     def test_real_proofs(self):
         _, _, _, frames = instance()
         for name, frame in frames.items():
@@ -166,19 +178,21 @@ def test_message_bytes_cover_every_payload_statement_and_proof_byte(pair):
 @st.composite
 def random_body_frames(draw):
     """A valid header carrying the circuit's digest, the statement's digest
-    or a random one, and a random body: any bytes, a snark-sized body, an
-    element count a mock verifier could expect followed by random bytes, or
-    a well-formed transcript of small random elements."""
+    or a random one, and a random body: any bytes, a snark-sized body, a
+    width byte and an element count a mock verifier could expect followed by
+    random bytes, or a well-formed transcript of small random elements."""
     cs, stmt, _, _ = instance()
     backend = draw(st.sampled_from(sorted(BACKEND_IDS)))
     header = bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(cs.digest())
     statement_digest = draw(st.one_of(st.just(bytes.fromhex(stmt.digest())),
                                       st.binary(min_size=32, max_size=32)))
     count = draw(st.sampled_from([len(stmt), cs.num_wires]))
+    width = draw(st.sampled_from([2, 4, 8, 32]))
     body = draw(st.one_of(
         st.binary(max_size=200),
         st.binary(min_size=96, max_size=96),
-        st.binary(max_size=32 * (count + 1)).map(lambda rest: count.to_bytes(4, "little") + rest),
+        st.binary(max_size=width * (count + 1)).map(
+            lambda rest: bytes([width]) + count.to_bytes(4, "little") + rest),
         st.lists(st.integers(-2, 2), min_size=count, max_size=count).map(
             lambda vals: Witness(vals).to_bytes()),
     ))

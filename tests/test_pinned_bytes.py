@@ -7,6 +7,10 @@ The snark keys at the benchmark's size, m=500, were taken while every
 boolean row was still stored as three dicts.  The snark proving keys were
 re-pinned when their circuit slot went from the zlib'd circuit JSON to the
 circuit's spec; ``snark_pk_tail``, the bytes after that slot, did not move.
+Every other pin moved again when statements and witnesses went to the
+width-byte frame of WIRE_VERSION 2: rewriting the version byte and those
+frames back in the form of version 1 gives bytes that hash to the pins of
+version 1, so only the encoding changed.
 """
 
 import hashlib
@@ -79,52 +83,52 @@ def artifacts(name, m):
 
 PINNED = {
     ("EQUAL", 1): {
-        "statement": "8483bee3b66511ffaf6815dc20154909460cba321a90c36c0166d06869a964d2",
-        "mock_proof": "2939d537e95770e735a11b1d93f5895dd429892f14beeeebe5323f96041ca36c",
-        "snark_proof": "0d3fd6e274988dd3959d2fe91659d3dd8ff7e09ccba4993cce5bf70e9f6e75e2",
-        "snark_pk": "cabece7426ff397909ecf6c8512cb3db6d4bb656d4473b245af2b81fad67fe4c",
+        "statement": "15232c38cf482a7962595579350ee2d0aef1bfc18b994111444737d042ad2540",
+        "mock_proof": "86696c2144de156fba801b8eb3bc94c3349dccde7c5f8923fb82aa14f2ca7822",
+        "snark_proof": "79158d33e63ecda3f3a19632f5cdc2b2a2fa792057a53decf751641dca234e01",
+        "snark_pk": "050e1fc0c22415fa6d54df328d3466ebf26f7f9d781af3f542bad2f02b46d686",
         "snark_pk_tail": "fa02c7bc580aeccae7dff355a70990bb7c94e989afc8a9d8bb19adc5e60c68c1",
-        "snark_vk": "a5298cdd82c5f1af285f9c0980e15f6eec477c4a4cb9bf59414b6a1fb27ede5e",
+        "snark_vk": "d3a9c0ab05670acd37c7b71805931afe54eafc8aca2c1afea28c67cd5d1f43df",
     },
     ("EQUAL", 8): {
-        "statement": "771c564961336554e2a878a36a78311efdb517aca786b5bbf626373a92d064a8",
-        "mock_proof": "bece75348d05e370966b732c1d2078e829a843c9cb7295d65ce29c3ed400f887",
-        "snark_proof": "028f8124fb0053a6feebccd7a9ebe7498ff9279b89d7928d5d3581b97df35dca",
-        "snark_pk": "acd299a66dbab09b364abeeaf5a863b389ec76a55ac94472612a42a87f8e974b",
+        "statement": "2fc7d1ab12c1f660515ce439e1dba313c6b3eac71d4210b4f040d8a5667416b5",
+        "mock_proof": "bd798b7b26b8942cacb5ccd4c174ba610c68e37936bfff44179a87f64f9238fd",
+        "snark_proof": "1046a2a0bebc935115d492826eaf2eb9e619ca05e14c884a9b75d9cdb1c04d54",
+        "snark_pk": "14e12cdc995974a9174fcc68def168e9ee2b8035523cf178f6669b2fc6fee575",
         "snark_pk_tail": "d2ada07f3b55bc9107a56f3415dcd8ac2b9d0e1a4655e291c08fecaf3accff40",
-        "snark_vk": "04199f2091d84c2f4eea5a95aa1a98af5dbfc9a4e78aff1c50dab4ecd21978da",
+        "snark_vk": "dcfb468925eb9c62840ad5d627cbbd83e3e74028ddd7b873d0cba5a96ce027bd",
     },
     ("EQUAL", 64): {
-        "statement": "ce5011082d900bf0e289dc383e80a88b98ac7222c48707e8f2cf9905441112be",
-        "mock_proof": "2713de5bb36c0e21bb6d1cf6398603f8308aa27832fdec5cf67f220471e8f627",
-        "snark_proof": "7458e4d441a356a06912085b9fc2620ca24399c211ae4de3b4440c8133b44045",
-        "snark_pk": "8a12756d774f988b0bfd7c10465d984a09a9a53ebff4535a845240ac3715b9d6",
+        "statement": "6a7c12a53cb3fb144482d187e5a9c1f74f4dae4408f7671312a10c7572bd469b",
+        "mock_proof": "eef604e1305222dcb2c690ba3e7e58127f90362ea9b7f0fb415d6aa14f216a26",
+        "snark_proof": "7373efd7ecf352c00203a8c8f4abc6fb8e99ccf4c6dc07bc0824bfe4b9298b75",
+        "snark_pk": "6dbfe7362be9dc35504fccbcea8805db3188453a610c36dc3d0eb0816348ffb2",
         "snark_pk_tail": "d0afe1ab5bd2aaed21f38a5b34696427e0f05ad69fb3cfb4cfe123c4a1832100",
-        "snark_vk": "c9241e8702df92257d7b3c5bb6ee82e2e29e2d353e9690e0353948b05ab94352",
+        "snark_vk": "2883eb9774ea9098b0fcba6b620b64b71e38fe34f3f4e8cb63049ce827da00e7",
     },
     ("MIXED", 1): {
-        "statement": "dd776faab7efacc78fd4e02b6ce48c725a1419f7695a17d7f21caf871986dc1f",
-        "mock_proof": "be40a60e277a0538b0e7b1cacfe1b75fe06f568579eb964e4715ee419565ebb1",
-        "snark_proof": "e4655319d84e5e98b0a23c06fc51206294e7a34e2a556924d26a62bbfba9d3b7",
-        "snark_pk": "7c58f20df16bcb56d55e0e68271553c9909a5987797dec40f849231588873560",
+        "statement": "bcc2c5692c0b01d2d3e628e16d8f444b6e56fb026e270ef708353c7f88085a4e",
+        "mock_proof": "be830404b3e64820b77f48f7722ca19a4574471a0c78874869be0f2548a57165",
+        "snark_proof": "34858e111c0481e1f6d7d786374470f75e4a5dc34338f51493f04b3a3c37f58f",
+        "snark_pk": "3d5855d23330d802254b3f96c94f33e3e2082c6f1d328984c98cbebc962653bc",
         "snark_pk_tail": "497b96be968785052f12c2bd6e492695ecb9562492e37afab6a9aa4cdef175d1",
-        "snark_vk": "c20e68f1c41bef430f5cc19e8288d2c2eb8e80dfdea0a19ed3554e6b6f64b644",
+        "snark_vk": "b4395afb2c31a3d0e49be116e6a7c75c2ca65dbecdf89cb3fee481266deb3727",
     },
     ("MIXED", 8): {
-        "statement": "ccaf8af9b2df4edd10dec3a8d06d57acb18352721494ae29643be9251d40200a",
-        "mock_proof": "09693cde66e9369d4b043a5a054e3e90282e102e67d408c030e83bb8e26b15dd",
-        "snark_proof": "2ac4acd126f45a512e4739cc5f49433b29e49625b9c828dc7aa804857e67f9ac",
-        "snark_pk": "99720fa9dd5218cd40d35b056f97cf1c26ec31dfeb8f5f195e4486f2cb72386a",
+        "statement": "619f85d86df3667e93958649903e4c44a9e9d20a304403e889a800c8a8d017fe",
+        "mock_proof": "07be9b1e7ef4ec2e2bb6fcd59b6f79b1ec197f060a96e245f639d8a4679001f8",
+        "snark_proof": "dd9634000da2585ccac0aeef7968176da6e02b7a221a40e089b88fae8c5a920c",
+        "snark_pk": "4b5e3b1d13b42a4fe9367a3c258b5e05b814d6fd8697f6ef89e9538afcbe9969",
         "snark_pk_tail": "4b4a0520a54edcd5267796281afcd165672c4d457e70f60cf1aef75e56d50686",
-        "snark_vk": "090b062b460adb034f700bb426afd55b4c0cef401100563d51d6fdce41fd3f0c",
+        "snark_vk": "8cc5ec845c7cca36f3dbf95a6abb08db180251bed598f98403a9ff0f3157b208",
     },
     ("MIXED", 64): {
-        "statement": "0d79cc35d7a70e7bb02e788544a5d29c999236e306294a09548e450817636744",
-        "mock_proof": "1e65b3da4f7edc16273ef759d680dd5992e1ebd80fe2c6f9f246de66f5ab1ad5",
-        "snark_proof": "0b366d8ee4bf90ce131c5c3006fd024c261401b583511fe7537b690527405b21",
-        "snark_pk": "12780554119fa295c005b05cb76d3bb003add1ed0c512e66b488f7a8600c98c9",
+        "statement": "6be39fa3aeabd0a20565b73c6d3fcf9252e181fd32a518ebefe1f0df146f737b",
+        "mock_proof": "9086d9ef8977e51feda3687dce8966b24cd6875d9abdb43c9a1a5e5dc849c7c8",
+        "snark_proof": "db918d57c8cd1172ca0c13d42fc5a0960c0860706331b2dac7c5992f0456aa11",
+        "snark_pk": "0725c6a8cf09f28f601057900112757a184dd88453b6347f6abeeaa06f006e70",
         "snark_pk_tail": "db8c3296498355ed1b934d79b4ec049907bffc5f21993aa80bff2076d50a2931",
-        "snark_vk": "72d7dc55cc3d7ca431c88c9903156ea897752b4d5146194feb74c961b4150634",
+        "snark_vk": "8b6218b2a5f9ae5a75abe60a633aec37cd335c629713e599f7c8f2b27a2bfc24",
     },
 }
 
@@ -140,9 +144,9 @@ def test_pinned_artifact_bytes(name, m):
 # the snark keys of the composed circuit at m=500, as in snark-m500-tamper
 PINNED_KEYS = {
     ("EQUAL", 500): {
-        "snark_pk": "7e6eb452f1f78fd2b427eadb1ad6d2a565f878917b789375292cf6cd88fa41c5",
+        "snark_pk": "c48ea279cfd1c10113f4664b3cdf786fe07051a59fb38c37341d8c68b9667aa2",
         "snark_pk_tail": "dfbc5957f6a2cc3336f1c3fa4689be92ca344a34e79ba0719b3693556151985f",
-        "snark_vk": "e2477c10d88af0d5baf9d7e1bce5e33f5b1da4e588a946c498426a2f1f98b880",
+        "snark_vk": "c5c7777adce38c9c3bfe5aadb899ad8c427d387b539613e9c04a876532f12ba3",
     },
 }
 

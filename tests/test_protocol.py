@@ -351,14 +351,14 @@ class TestMessagePipeline:
 
     def test_each_witness_is_encoded_once(self, monkeypatch):
         encoded = []
-        orig = circuit._write_elements
+        orig = circuit._frame
 
-        def record(values):
-            out = orig(values)
-            encoded.append(bytes(out))
+        def record(signed):
+            out = orig(signed)
+            encoded.append(out)
             return out
 
-        monkeypatch.setattr(circuit, "_write_elements", record)
+        monkeypatch.setattr(circuit, "_frame", record)
         proved = []
         orig_prove = ProverEntity.prove
 
@@ -373,7 +373,7 @@ class TestMessagePipeline:
         # a forward and a backward proof per round; each forward proof
         # re-proves the witness of the previous backward one
         assert len(proved) == 6 and len({id(w) for w in proved}) == 4
-        bodies = [w.to_bytes()[4:] for w in dict.fromkeys(proved)]
+        bodies = [w.to_bytes() for w in dict.fromkeys(proved)]
         assert sorted(e for e in encoded if len(e) == len(bodies[0])) == sorted(bodies)
 
     @pytest.mark.parametrize("overrides, verdict", [

@@ -1,8 +1,9 @@
 """Trainer behaviour that does not depend on proofs: which modes build the
 protocol circuit, the saved blockchain ledger, clients whose turn fails
-numerically, the round timings, and the quantized trajectory at benchmark
-scale."""
+numerically, the round timings, the model digests in the run log, and the
+quantized trajectory at benchmark scale."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -14,7 +15,7 @@ import pytest
 from zksplit import cli
 from zksplit.config import SimConfig
 from zksplit.ledger import Chain
-from zksplit.nn import Batch
+from zksplit.nn import Batch, SplitModel
 from zksplit.protocol import VERDICT_ACCEPTED, VERDICT_MISSING, Trainer
 
 M = 16
@@ -39,6 +40,22 @@ def test_blockchain_trainer_has_no_circuit_and_trains_as_before():
     assert tr.circuit is None and tr.pe is None and tr.ve is None
     tr.train()
     assert model_digest(tr) == PINNED_BLOCKCHAIN_MODEL
+
+
+def test_run_log_records_each_rounds_model_digest(tmp_path, monkeypatch):
+    """Each run_log.jsonl line names the model after its round, and a run
+    that writes no log computes no digest."""
+    calls = []
+    digest = SplitModel.digest
+    monkeypatch.setattr(SplitModel, "digest", lambda self: calls.append(1) or digest(self))
+    cfg = SimConfig(mode="blockchain", num_clients=3, m=M, rounds=4, seed=11)
+    Trainer(cfg).train()
+    assert calls == []
+    tr = Trainer(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    tr.train()
+    logged = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+    assert len(calls) == 4 and len({r["model_digest"] for r in logged}) == 4
+    assert logged[-1]["model_digest"] == model_digest(tr) == PINNED_BLOCKCHAIN_MODEL
 
 
 @pytest.mark.parametrize("mode", ["none", "blockchain"])
