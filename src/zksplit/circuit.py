@@ -35,22 +35,34 @@ The gadgets.  A circuit kind, listed in BUILDERS, is its public and free
 private wires plus a list of _Floor gadgets, one per relation
 (_Aggregation, _Update).  Each gadget owns a contiguous range of wires:
 its eta bit wires per element, and its output bank when that is private,
-as U' in the composed circuit.  It writes its rows, the relation row
-a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt and the eta booleanity
-rows of its bits, and for a witness it computes its floor term from the
-wires before its own and fills in its range.  generate_witness thus has
-no branch per kind.  A gadget allocates each bank of wires with one
-add_wires call, and its bits[j] is a range whose eta booleanity rows go in
-with one add_booleans call, so building the composed circuit at m=1000
-takes about 4 000 calls, not 94 000.
+as U' in the composed circuit.  It describes its rows of element j, the
+relation row a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt (``row``)
+and the eta booleanity rows of its bits (``bits[j]``), and for a witness
+it computes its floor term from the wires before its own and fills in its
+range.  generate_witness thus has no branch per kind.  A builder
+allocates each bank of wires with one add_wires call and adds no row: a
+built circuit's rows are, element by element, each gadget's relation row
+and then each gadget's booleanity rows (ConstraintSystem._element), and
+they are derived only when something reads ``rows``: snark key set-up,
+``constraints``, the exact replay, or an edit after the build, which
+derives them and then drops the gadgets.  The digest, the mock backend
+and the gadgets' check never read them, so a zk-mock run never holds the
+46 000 rows of the composed circuit at m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows.  The text is
-written straight into one bytes buffer, the digest's preimage: a stretch
-of boolean rows by one template per run length, and each other row by one
-template per row shape, the coefficients of A, B and C in wire order.  So
-the writer formats integers and copies bytes; it builds no dict and no
-list of row strings, and no other object as large as the text.
+written into one buffer of its exact length, the digest's preimage, by
+one kernel (_write_rows) from blocks of a template, the text of a row with
+a %d slot per wire, and a matrix of wire indices, one row per filled
+template.  The kernel formats the indices in numpy a chunk of rows at a
+time: it gathers their digits from a digit table into a uint8 matrix of
+the rows, which lies in the buffer.  A built circuit is one block: its
+template is element 0's rows, and the wires of element j are affine in j,
+since each gadget lays out its elements at a fixed stride.  Any other
+circuit gives a block per run of consecutive rows of one shape, the
+coefficients of A, B and C in wire order.  The writer builds no dict, no
+list of rows or row strings, and no other object as large as the text,
+and the buffer is freed once it is hashed.
 
 The arithmetic.  aggregation_floor and update_floor compute the left-hand
 sides above, the floor terms, from the one integer K and the vectors U,
@@ -68,27 +80,32 @@ otherwise, as for eta = 60; the outputs then are Python ints too,
 however small.
 
 Checking satisfaction.  A circuit stores each booleanity row
-b * (b - 1) = 0, eta per output element, as the bare index of its wire b,
-from the moment it is added; only the other rows are (A, B, C) triples of
-dicts.  A built circuit's rows are exactly its gadgets' rows, so it is
-checked gadget by gadget, each over whole banks of wires (``holds``): its
-bit bank must be all 0 or 1, and each R = floor - 2**eta * (out - z),
-computed by the same floor function that fills the witness, must equal
-sum_t 2**t * bit_t over its element's bits, which lies in [0, 2**eta).
-That is the gadget's rows read as integers, not mod P, and it decides
-them exactly when nothing overflows.  A witness whose elements all have
-signed representatives in (-2**62, 2**62) is carried as an int64 array;
-take d as in the arithmetic, but widened to cover every wire of the
-witness, the outputs included.  When every gadget's bound at that d is
-below 2**62, every floor, every R and every intermediate fits in int64,
-and |floor - 2**eta * (out - z) - sum_t 2**t * bit_t| < 2**63 < P, so the
-integer test is the same as the rows' test mod P.  Operands alone do not
-give d: an output wire holding 2**59 wraps 2**eta * (out - z) in int64.
-For the default constants d is about 2**15 on an honest witness, and the
-bound about 2**39.  Hand-built circuits, circuits edited after they were
-built (which drops their gadgets), and witnesses outside the bound, such
-as adversarial transcripts carrying huge elements, take the exact replay
-of every constraint in unbounded integers instead.
+b * (b - 1) = 0 as the bare index of its wire b; only the other rows are
+(A, B, C) triples of dicts.  A built circuit's rows are exactly its
+gadgets' rows, so it is checked gadget by gadget, each over whole banks
+of wires (``holds``): its bit bank must be all 0 or 1, and each
+R = floor - 2**eta * (out - z), computed by the same floor function that
+fills the witness, must equal sum_t 2**t * bit_t over its element's bits.
+That is the gadget's rows read as integers, not mod P.  A witness whose
+elements all have signed representatives in (-2**62, 2**62) is carried as
+an int64 array; take d as in the arithmetic, but widened to cover every
+wire of the witness, the outputs included, and let B be the largest
+gadget bound at d.  The integer test decides the rows mod P when
+B < P/2.  A booleanity row holds mod P exactly when b is 0 or 1, since P
+is prime and |b| < P/2.  With every bit 0 or 1, a relation row holds mod
+P exactly when P divides delta = R - sum_t 2**t * bit_t, and
+|delta| <= |R| + 2**eta - 1 < B + 2**eta <= 2 * B < P, because the bound
+covers |R| and is at least 2**eta * (d + 1); so it holds exactly when
+delta = 0.  While B < 2**62 every floor, every R and every intermediate
+fits in int64, and the test runs there; past that, as for every honest
+witness at eta = 60, the floors and remainders are Python ints.  Operands
+alone do not give d: an output wire holding 2**59 wraps
+2**eta * (out - z) in int64.  For the default constants d is about 2**15
+on an honest witness, and B about 2**39.  Hand-built circuits, circuits
+edited after they were built (which drops their gadgets), witnesses with
+an element past 2**62, such as adversarial transcripts carrying huge
+elements, and witnesses whose B reaches P/2 take the exact replay of every
+constraint in unbounded integers instead.
 """
 
 from __future__ import annotations
@@ -97,8 +114,8 @@ import hashlib
 import json
 from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, groupby, islice
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain, groupby
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -219,20 +236,25 @@ def _read_elements(data, what: str) -> List[int]:
     return vals
 
 
-def _width(s: np.ndarray) -> int:
-    """The frame width of the signed representatives s: the narrowest integer
-    width that holds them all, or 32 when one lies past (-SMALL, SMALL)."""
-    lo, hi = int(s.min(initial=0)), int(s.max(initial=0))
+def _width(lo: int, hi: int) -> int:
+    """The frame width of signed representatives that lie in [lo, hi]: the
+    narrowest integer width that holds them all, or 32 when one lies past
+    (-SMALL, SMALL)."""
     if not -SMALL < lo <= hi < SMALL:
         return _WIDE
     return next(w for w in _INT_WIDTHS if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
 
 
-def _frame(s: np.ndarray) -> bytes:
-    """The encoding of the signed representatives s: width, count, elements."""
-    width = _width(s)
+def _frame(vec: "FieldVector") -> bytes:
+    """The encoding of a vector: width, count, elements."""
+    s, width = vec._signed, _width(*vec._range)
     body = _write_elements(s.tolist()) if width == _WIDE else s.astype(f"<i{width}")
     return b"".join((bytes([width]), len(s).to_bytes(4, "little"), body))
+
+
+def _range(s: np.ndarray) -> Tuple[int, int]:
+    """The least and greatest of 0 and the elements of s."""
+    return int(s.min(initial=0)), int(s.max(initial=0))
 
 
 class FieldVector:
@@ -261,16 +283,18 @@ class FieldVector:
     _bytes: bytes | None = None
 
     def __init__(self, values, copy: bool = True) -> None:
-        if isinstance(values, np.ndarray) and values.dtype == np.int64 and (
-            values.size == 0 or (values.min() > -SMALL and values.max() < SMALL)
-        ):
+        int64 = isinstance(values, np.ndarray) and values.dtype == np.int64
+        lo, hi = _range(values) if int64 else (0, 0)
+        if int64 and -SMALL < lo and hi < SMALL:
             signed = values.copy() if copy else values
         else:
             ints = [to_signed(int(v) % P) for v in values]
-            small = all(-SMALL < v < SMALL for v in ints)
-            signed = np.array(ints, dtype=np.int64 if small else object)
+            lo, hi = min(0, min(ints, default=0)), max(0, max(ints, default=0))
+            signed = np.array(ints, dtype=np.int64 if -SMALL < lo and hi < SMALL else object)
         signed.flags.writeable = False
         self._signed = signed
+        # the least and greatest of 0 and the elements, which fix the frame width
+        self._range = lo, hi
 
     @property
     def signed(self) -> np.ndarray:
@@ -287,7 +311,7 @@ class FieldVector:
 
     def to_bytes(self) -> bytes:
         if self._bytes is None:
-            self._bytes = _frame(self._signed)
+            self._bytes = _frame(self)
         return self._bytes
 
     @classmethod
@@ -307,7 +331,8 @@ class FieldVector:
             vec = cls.__new__(cls)
             vec._signed = np.frombuffer(data, dtype=f"<i{width}", offset=5).astype(np.int64)
             vec._signed.flags.writeable = False
-        if _width(vec._signed) != width:
+            vec._range = _range(vec._signed)
+        if _width(*vec._range) != width:
             raise ValueError(f"{what} is not at the width of its values")
         if isinstance(data, bytes):
             vec._bytes = data
@@ -337,27 +362,125 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-# a boolean row and its comma, with a %d slot for each of its wire's two places
+def _json_strings(strings: List[str]) -> str:
+    """_canonical_json(strings): the strings joined between quotes when none
+    needs an escape, that is when each is printable ASCII with no quote and
+    no backslash."""
+    text = '","'.join(strings)
+    if (text.isascii() and text.isprintable() and "\\" not in text
+            and text.count('"') == 2 * (len(strings) - 1)):
+        return f'["{text}"]'
+    return _canonical_json(strings)
+
+
+# the text of a boolean row and its comma, with a %d slot for each of its
+# wire's two places
 _BOOLEAN_ROW = b"[[[%%d,1]],[[0,%d],[%%d,1]],[]]," % (P - 1)
-# the most consecutive boolean rows one template writes
-_RUN = 256
+# about the most wire slots _write_rows fills in one pass
+_CHUNK_SLOTS = 1 << 14
 
 
-class _RowTemplates(dict):
-    """Bytes templates of the JSON text of rows, each row followed by a
-    comma, built once per key: an int k for a run of k boolean rows, with
-    two %d slots per row for its wire, or a row shape, the coefficient
-    sequences of A, B and C in wire order, with a %d slot per wire.  A
-    circuit has only a handful of distinct keys."""
+def _row_shape(row) -> Tuple[tuple | None, List[int]]:
+    """A row's shape and its wires in the order its text names them: None
+    and the wire twice for a boolean row, and otherwise the coefficient
+    sequences of A, B and C in wire order and the wires in that order."""
+    if isinstance(row, int):
+        return None, [row, row]
+    shape, wires = [], []
+    for lc in row:
+        ws = sorted(lc)
+        shape.append(tuple(map(lc.__getitem__, ws)))
+        wires += ws
+    return tuple(shape), wires
 
-    def __missing__(self, key) -> bytes:
-        if isinstance(key, int):
-            text = _BOOLEAN_ROW * key
-        else:
-            text = b"[%b]," % b",".join(
-                b"[" + b",".join(b"[%%d,%d]" % (co % P) for co in coeffs) + b"]" for coeffs in key)
-        self[key] = text
-        return text
+
+def _template(shape: tuple | None) -> bytes:
+    """The text of the rows of one shape and their comma, with a %d slot per wire."""
+    if shape is None:
+        return _BOOLEAN_ROW
+    return b"[%b]," % b",".join(
+        b"[" + b",".join(b"[%%d,%d]" % (co % P) for co in coeffs) + b"]" for coeffs in shape)
+
+
+def _decimals(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..n-1, right-aligned with leading zeros in rows
+    of one width, and the number of digits of each."""
+    n = max(n, 1)
+    width = len(str(n - 1))
+    digits = np.empty((n, width), np.uint8)
+    for k in range(width):
+        # the k-th digit from the right cycles through 0..9, each for 10**k numbers
+        cycle = np.repeat(np.arange(48, 58, dtype=np.uint8), 10**k)
+        digits[:, width - 1 - k] = np.resize(cycle, n)
+    # 10 numbers have one digit, and 9 * 10**k have k + 1
+    counts = np.repeat(np.arange(1, width + 1, dtype=np.uint8),
+                       [10, *(9 * 10**k for k in range(1, width))])[:n]
+    return digits, counts
+
+
+class _Affine:
+    """The rows first + j * step for j in 0..n-1 of a matrix of wires, made
+    a slice of rows at a time."""
+
+    def __init__(self, first: np.ndarray, step: np.ndarray, n: int):
+        self.first, self.step, self.n = first, step, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.first + np.arange(self.n)[rows, None] * self.step
+
+
+def _chunks(template: bytes, wires) -> Tuple[int, Iterator[np.ndarray]]:
+    """The number of %d slots in template, and the rows of wires as
+    matrices of about _CHUNK_SLOTS wires each."""
+    slots = template.count(b"%d")
+    step = max(1, _CHUNK_SLOTS // max(1, slots))
+    return slots, (wires[lo : lo + step] for lo in range(0, len(wires), step))
+
+
+def _text_length(template: bytes, wires, counts: np.ndarray) -> int:
+    """len(template % tuple(row)) summed over the rows of wires."""
+    slots, chunks = _chunks(template, wires)
+    return len(wires) * (len(template) - 2 * slots) + sum(int(counts[c].sum()) for c in chunks)
+
+
+def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
+                decimals: Tuple[np.ndarray, np.ndarray]) -> int:
+    """Write ``template % tuple(row)`` for each row of ``wires``, a matrix
+    or an _Affine, into the uint8 array buf from pos on, and return where
+    the text ends.
+
+    ``template`` has one %d slot per column of ``wires``, and ``decimals``
+    is ``_decimals`` of more than the largest wire.  A chunk of rows at a
+    time is cut into runs in which each slot has the same number of
+    digits, so that every row of a run has the same length and the run is
+    one uint8 matrix in buf: its rows are filled with the template's
+    literal bytes, and its digit columns then with the digits of the
+    run's wires, gathered from the digit table."""
+    digits, counts = decimals
+    pieces = template.split(b"%d")
+    slots, chunks = _chunks(template, wires)
+    width = digits.shape[1]
+    for chunk in chunks:
+        lengths = counts[chunk]
+        cuts = (np.flatnonzero((lengths[1:] != lengths[:-1]).any(axis=1)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(chunk)]):
+            nd = lengths[a]
+            # the literal bytes of one row, with a 0 byte where each digit goes
+            row = np.frombuffer(b"".join(
+                p + bytes(k) for p, k in zip(pieces, [*nd.tolist(), 0])), np.uint8)
+            run = buf[pos : pos + (b - a) * len(row)].reshape(b - a, len(row))
+            run[:] = row
+            # a row's digits, slot after slot, are the last nd[s] columns of
+            # each slot s's row of the digit table
+            ends = np.cumsum(nd, dtype=np.int64)
+            slot = np.repeat(np.arange(slots), nd)
+            column = slot * width + np.arange(len(slot)) + width - ends[slot]
+            run[:, row == 0] = digits[chunk[a:b]].reshape(b - a, slots * width)[:, column]
+            pos += run.size
+    return pos
 
 
 class _Constraints(_Sequence):
@@ -386,10 +509,12 @@ class ConstraintSystem:
     any other row as its (A, B, C) triple with signed int coefficients;
     ``constraints`` shows each row as a triple.  ``gadgets`` are the
     _Floor gadgets whose rows are all the rows: a builder sets them, and
-    any later row or wire clears them.  is_satisfied asks each gadget
-    whether its rows hold (``holds``) for an int64 witness when every
-    gadget's bound, taken over every wire of the witness, is below 2**62
-    (see the module docstring), and otherwise falls back to
+    any later row or wire clears them.  A built circuit's rows are derived
+    from its gadgets the first time they are read (see ``rows``), and an
+    edit derives them before it drops the gadgets.  is_satisfied asks each
+    gadget whether its rows hold (``holds``) for an int64 witness when
+    every gadget's bound, taken over every wire of the witness, is below
+    P/2 (see the module docstring), and otherwise falls back to
     is_satisfied_exact, which replays every constraint in unbounded
     integers with a single final reduction per constraint.
     """
@@ -401,7 +526,8 @@ class ConstraintSystem:
         self.var_names: List[str] = ["one"]
         self.num_public = 0
         self.num_private = 0
-        self.rows: List["int | Tuple[LinComb, LinComb, LinComb]"] = []
+        # None while the rows are the gadgets' rows and none has been read
+        self._rows: List["int | Tuple[LinComb, LinComb, LinComb]"] | None = []
         self._digest: str | None = None
         # the gadgets that derive and check a witness: set by the builders,
         # none by hand, and dropped by any edit after the build
@@ -419,6 +545,7 @@ class ConstraintSystem:
         """Allocate one wire per name, in order, and return their range."""
         if public and self.num_private:
             raise CircuitError("public wires must be allocated before private ones")
+        self._edit()
         first = len(self.var_names)
         self.var_names.extend(names)
         wires = range(first, len(self.var_names))
@@ -426,8 +553,6 @@ class ConstraintSystem:
             self.num_public += len(wires)
         else:
             self.num_private += len(wires)
-        self._digest = None
-        self.gadgets = []
         return wires
 
     def add_constraint(self, a: LinComb, b: LinComb, c: LinComb) -> None:
@@ -451,26 +576,42 @@ class ConstraintSystem:
     def add_booleans(self, wires: Sequence[int]) -> None:
         """Add b * (b - 1) = 0 on each wire of ``wires``, in order.
 
-        When every wire is an int in 1..num_wires-1, as in a range of them,
-        the rows go in with one list extend; otherwise each goes through
-        add_constraint, and on wire 0 the row is the general row
-        {0: 1} * {0: -1} = {}, which no witness satisfies."""
-        nv = len(self.var_names)
-        if isinstance(wires, range) and wires.step == 1:
-            bare = not wires or (wires.start > 0 and wires.stop <= nv)
-        else:
-            wires = tuple(wires)
-            bare = all(type(i) is int and 0 < i < nv for i in wires)
-        if bare:
+        When every wire is an int in 1..num_wires-1 the rows go in with one
+        list extend; otherwise each goes through add_constraint, and on
+        wire 0 the row is the general row {0: 1} * {0: -1} = {}, which no
+        witness satisfies."""
+        nv, wires = len(self.var_names), tuple(wires)
+        if all(type(i) is int and 0 < i < nv for i in wires):
             self._extend(wires)
         else:
             for idx in wires:
                 self.add_constraint({idx: 1}, {idx: 1, 0: -1}, {})
 
     def _extend(self, rows) -> None:
-        self.rows.extend(rows)
+        self._edit()
+        self._rows.extend(rows)
+
+    def _edit(self) -> None:
+        """Make ready for a change: derive the rows while the gadgets still
+        can, then drop the gadgets and the digest."""
+        self._rows = self.rows
         self._digest = None
         self.gadgets = []
+
+    @property
+    def rows(self) -> List["int | Tuple[LinComb, LinComb, LinComb]"]:
+        """Every row, in order.  A built circuit derives them from its
+        gadgets on the first read, element by element (``_element``), and
+        keeps them."""
+        if self._rows is None:
+            self._rows = [row for j in range(self.m) for row in self._element(j)]
+        return self._rows
+
+    def _element(self, j: int) -> list:
+        """The rows of element j of a built circuit: each gadget's relation
+        row, then each gadget's eta booleanity rows."""
+        return [*(g.row(j) for g in self.gadgets),
+                *chain.from_iterable(g.bits[j] for g in self.gadgets)]
 
     @property
     def constraints(self) -> Sequence[Tuple[LinComb, LinComb, LinComb]]:
@@ -490,9 +631,10 @@ class ConstraintSystem:
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
         """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
 
-        A small witness of a built circuit is checked exactly in int64,
-        gadget by gadget, whenever every gadget's bound at the span of the
-        whole witness is below 2**62.  Anything else takes the exact replay.
+        An int64 witness of a built circuit is checked exactly, gadget by
+        gadget, whenever every gadget's bound at the span of the whole
+        witness is below P/2: in int64 while the bounds are below 2**62, and
+        in Python ints past that.  Anything else takes the exact replay.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):
@@ -502,8 +644,9 @@ class ConstraintSystem:
             return False
         if self.gadgets and w.dtype == np.int64:
             d = _span(self.constants, w)
-            if all(g.bound(self.constants, d) < SMALL for g in self.gadgets):
-                return all(g.holds(w) for g in self.gadgets)
+            bound = max(g.bound(self.constants, d) for g in self.gadgets)
+            if 2 * bound < P:
+                return all(g.holds(w, _int_dtype(bound)) for g in self.gadgets)
         return self.is_satisfied_exact(witness.values)
 
     def is_satisfied_exact(self, values: Sequence[int]) -> bool:
@@ -547,49 +690,66 @@ class ConstraintSystem:
         return self._json_bytes().decode("ascii")
 
     def _json_bytes(self) -> bytearray:
-        """The bytes of ``to_json``, written into one growing buffer.
+        """The bytes of ``to_json``, written into one buffer of their length.
 
         Only the small header goes through ``json.dumps``; the constraint
-        list is written directly and spliced in after ``constants``, its
-        first key.  Each stretch of consecutive boolean rows is written up
-        to ``_RUN`` rows at a time by one template filled with each wire
-        twice, and every other row by the template of its shape filled with
-        its wires in wire order (see ``_RowTemplates``), so the text is the
-        same as the dict's.  The buffer is the only object as large as the
-        text, and is the one object ``digest`` hashes.
+        list is written by _write_rows from ``_text_blocks`` and spliced in
+        after ``constants``, its first key.  The buffer is the only object
+        as large as the text, and is the one object ``digest`` hashes.
         """
-        # the keys after the constraints, written first, while the buffer
-        # is small, so that the encoder's pieces never sit beside it
-        rest = _canonical_json({
+        # the keys after the constraints; "variables" is the last of them
+        rest = b'%s,"variables":%s}' % (_canonical_json({
             "kind": self.kind,
             "m": self.m,
             "n": 1,
             "num_public": self.num_public,
             "num_private": self.num_private,
-            "variables": self.var_names,
-        }).encode()
-        templates = _RowTemplates()
-        out = bytearray(b'{"constants":%s,"constraints":[' % _canonical_json(
-            asdict(self.constants)).encode())
-        for kind, group in groupby(self.rows, type):
-            if kind is int:
-                while run := tuple(islice(group, _RUN)):
-                    both = [0] * (2 * len(run))
-                    both[::2] = both[1::2] = run
-                    out += templates[len(run)] % tuple(both)
-                continue
-            for row in group:
-                shape, wires = [], []
-                for lc in row:
-                    ws = sorted(lc)
-                    shape.append(tuple(map(lc.__getitem__, ws)))
-                    wires += ws
-                out += templates[tuple(shape)] % tuple(wires)
-        if self.rows:
-            del out[-1]  # the last row's comma
-        out += b"],"
-        out += memoryview(rest)[1:]  # after its opening brace
+        }).encode()[:-1], _json_strings(self.var_names).encode())
+        head = b'{"constants":%s,"constraints":[' % _canonical_json(
+            asdict(self.constants)).encode()
+        blocks = self._text_blocks()
+        decimals = _decimals(self.num_wires)
+        # every row's text ends in a comma; the last one's becomes the "]"
+        # that closes the list, which is all the list holds when it is empty
+        text = max(1, sum(_text_length(t, wires, decimals[1]) for t, wires in blocks))
+        out = bytearray(len(head) + text + len(rest))
+        # written through a view: a slice of the bytearray itself would
+        # take a copy of the bytes it is given
+        buf, end = np.frombuffer(out, np.uint8), len(head) + text
+        buf[: len(head)] = np.frombuffer(head, np.uint8)
+        buf[end:] = np.frombuffer(rest, np.uint8)
+        del rest
+        out[end] = ord(",")  # for the opening brace of rest
+        pos = len(head)
+        for template, wires in blocks:
+            pos = _write_rows(buf, pos, template, wires, decimals)
+        out[end - 1] = ord("]")
         return out
+
+    def _text_blocks(self) -> List[Tuple[bytes, "np.ndarray | _Affine"]]:
+        """The constraint list's text as (template, wires) blocks: the text
+        is ``template % tuple(row)`` for each row of wires, block after
+        block (see ``_row_shape`` and ``_template``).
+
+        A built circuit is one block of m rows, one per element: its
+        template is element 0's rows, and its wires are affine in j, since
+        each gadget places element j's wires at a fixed stride, so they are
+        element 0's plus j times their step to element 1.  Any other circuit
+        is a block per run of consecutive rows of one shape.
+        """
+        if self.gadgets:
+            shapes = [_row_shape(row) for row in self._element(0)]
+            first = np.array([i for _, ws in shapes for i in ws])
+            second = np.array([i for row in self._element(min(1, self.m - 1))
+                               for i in _row_shape(row)[1]])
+            template = b"".join(_template(shape) for shape, _ in shapes)
+            return [(template, _Affine(first, second - first, self.m))]
+        blocks = []
+        for shape, run in groupby(map(_row_shape, self.rows), lambda sw: sw[0]):
+            wires = [ws for _, ws in run]
+            blocks.append((_template(shape),
+                           np.array(wires, dtype=np.int64).reshape(len(wires), len(wires[0]))))
+        return blocks
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -621,10 +781,12 @@ class _Floor:
     wire range ``wires``: ``out`` when it is given as a name, a private
     bank allocated here and derived as (floor >> eta) + z, and ``bits[j]``,
     the eta wires {rem}[j]:b{t} of element j, all in one stretch, that
-    recompose R_j and range-check it through eta booleanity rows.  A
-    subclass names the factors a and b of element j (``factors``),
-    computes every element's floor term from the wires before its own
-    (``floor``), and bounds that term and R (``bound``).
+    recompose R_j and range-check it through eta booleanity rows.  Element
+    j's relation row (``row``) and bits name the wires of element 0 plus j
+    times a fixed stride per wire, which the digest's element template
+    relies on.  A subclass names the factors a and b of element j
+    (``factors``), computes every element's floor term from the wires
+    before its own (``floor``), and bounds that term and R (``bound``).
     """
 
     def __init__(self, cs: ConstraintSystem, rem: str, out: range | str, z: int):
@@ -639,11 +801,12 @@ class _Floor:
         self.wires = range(first, cs.num_wires)
         self._powers = [1 << t for t in range(eta)]
 
-    def row(self, cs: ConstraintSystem, j: int) -> None:
+    def row(self, j: int) -> Tuple[LinComb, LinComb, LinComb]:
+        """The relation row of element j."""
         two_eta = 1 << self.c.eta
         c: LinComb = {self.out[j]: two_eta, 0: -two_eta * self.z}
         c.update(zip(self.bits[j], self._powers))
-        cs.add_constraint(*self.factors(j), c)
+        return (*self.factors(j), c)
 
     def fill(self, w: np.ndarray) -> None:
         """Write this gadget's wires of the witness w: a private output, and
@@ -661,19 +824,21 @@ class _Floor:
             raise InconsistentStatementError("inconsistent statement")
         w[self._bank] = _bit_rows(r, c.eta)
 
-    def holds(self, w: np.ndarray) -> bool:
+    def holds(self, w: np.ndarray, dtype) -> bool:
         """Whether this gadget's rows hold for the int64 witness w, read as
         integers: its booleanity rows, every bit is 0 or 1, and then its
-        relation rows, every R = floor - 2**eta * (out - z) equals
-        sum_t 2**t * bit_t, which lies in [0, 2**eta).  This decides the
-        rows mod P only while ``bound`` at the span of w is below 2**62,
+        relation rows, every R = floor - 2**eta * (out - z), computed in
+        ``dtype``, equals sum_t 2**t * bit_t, which lies in [0, 2**eta).
+        This decides the rows mod P only while ``bound`` at the span of w
+        is below P/2, and the int64 dtype only while it is below 2**62,
         which is_satisfied checks first."""
         eta, bank = self.c.eta, w[self._bank]
         # as uint64 a negative bit is at least 2**63
         if bank.view(np.uint64).max() > 1:
             return False
-        r = self._remainder(w, self.floor(w))
-        return np.array_equal(bank.reshape(-1, eta) @ (1 << np.arange(eta, dtype=np.int64)), r)
+        r = self._remainder(w, self.floor(w).astype(dtype, copy=False))
+        powers = np.array(self._powers, dtype=_int_dtype(1 << eta))
+        return np.array_equal(bank.reshape(-1, eta) @ powers, r)
 
     def _remainder(self, w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Every R = floor - 2**eta * (out - z), in the dtype of floor."""
@@ -730,15 +895,10 @@ def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem
     return ConstraintSystem(kind, m, constants)
 
 
-def _emit(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
-    """Write, element by element, every gadget's relation row and then every
-    gadget's booleanity rows, and keep the gadgets for generate_witness."""
-    for j in range(cs.m):
-        for g in gadgets:
-            g.row(cs, j)
-        for g in gadgets:
-            cs.add_booleans(g.bits[j])
-    cs.gadgets = gadgets
+def _built(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
+    """cs with ``gadgets``, whose rows are all its rows, element by element
+    (ConstraintSystem._element), derived when they are first read."""
+    cs.gadgets, cs._rows = gadgets, None
     return cs
 
 
@@ -751,7 +911,7 @@ def build_aggregation_circuit(m: int, constants: CircuitConstants) -> Constraint
     cs = _circuit("aggregation", m, constants)
     up = _bank(cs, "Up", m, public=True)
     k = cs.add_public("K[0]")
-    return _emit(cs, [_Aggregation(cs, k, _bank(cs, "U[0]", m), up)])
+    return _built(cs, [_Aggregation(cs, k, _bank(cs, "U[0]", m), up)])
 
 
 def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -762,7 +922,7 @@ def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSyste
     """
     cs = _circuit("update", m, constants)
     wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
-    return _emit(cs, [_Update(cs, ww, _bank(cs, "Up", m), wp)])
+    return _built(cs, [_Update(cs, ww, _bank(cs, "Up", m), wp)])
 
 
 def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -776,7 +936,7 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
     k = cs.add_public("K[0]")
     agg = _Aggregation(cs, k, _bank(cs, "U", m), "Up")
-    return _emit(cs, [agg, _Update(cs, ww, agg.out, wp)])
+    return _built(cs, [agg, _Update(cs, ww, agg.out, wp)])
 
 
 BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,

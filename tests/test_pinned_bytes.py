@@ -159,3 +159,20 @@ def test_pinned_snark_keys_at_benchmark_size(name, m):
            "snark_pk_tail": hashlib.sha256(spec_slot_tail(pair.proving_key, cs)).hexdigest(),
            "snark_vk": hashlib.sha256(pair.verifying_key.to_bytes()).hexdigest()}
     assert got == PINNED_KEYS[name, m]
+
+
+# the composed circuit's digest at the benchmark's sizes, taken while the
+# builders still added every row one element at a time and the writer
+# formatted each row; at m=1000 the wire indices pass 10 000 inside one
+# element's bank of bits
+PINNED_CIRCUIT_DIGESTS = {
+    ("EQUAL", 500): "0580c8629769b2df0547da84a145c79c6ce853d2218b419ce0a0de0129e99bd0",
+    ("EQUAL", 1000): "1c77bf2751fd4a6e49c51dbc7e82111d3ca7cf561c4bceee8e600a6d2fda0416",
+    ("MIXED", 500): "e6c4fb81a047343e49aae1d2f20baa30d8a33dc46f6f62148a4913482b7d0d9b",
+    ("MIXED", 1000): "863f9fa6bb125d09626b20fb303195fb4f3310b32391659d63fcffd71b5c19f6",
+}
+
+
+@pytest.mark.parametrize("name,m", list(PINNED_CIRCUIT_DIGESTS))
+def test_pinned_circuit_digest_at_benchmark_sizes(name, m):
+    assert build_protocol_circuit(m, CONSTANTS[name]).digest() == PINNED_CIRCUIT_DIGESTS[name, m]

@@ -34,6 +34,26 @@ def private_u(trainer):
 
 
 class TestHonestRun:
+    def test_zk_mock_run_never_derives_circuit_rows(self, monkeypatch):
+        """Set-up names the circuit by its digest and every check goes
+        gadget by gadget, so a zk-mock run with a tampering client never
+        derives its circuit's rows."""
+        monkeypatch.setattr(protocol, "_CIRCUIT_CACHE", {})
+        monkeypatch.setattr(protocol, "_KEYPAIR_CACHE", {})
+        rows = circuit.ConstraintSystem.rows
+
+        def guarded(cs):
+            assert cs._rows is not None, "a circuit derived its rows"
+            return rows.fget(cs)
+
+        monkeypatch.setattr(circuit.ConstraintSystem, "rows", property(guarded))
+        reports = Trainer(SimConfig(mode="zk-mock", num_clients=2, m=M, rounds=3, seed=0,
+                                    tamper_clients=[1])).train()
+        assert [r.verdicts[0] for r in reports] == ["Accepted"] * 3
+        assert all(r.verdicts[1] != "Accepted" for r in reports)
+        (cs,) = protocol._CIRCUIT_CACHE.values()
+        assert cs._rows is None and cs.gadgets
+
     @pytest.mark.parametrize("mode", ["zk-mock", "none"])
     def test_eval_loss_is_the_server_step_loss(self, mode):
         tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=1, seed=3))
