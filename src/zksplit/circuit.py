@@ -43,11 +43,13 @@ range.  generate_witness thus has no branch per kind.  A builder
 allocates each bank of wires with one add_wires call and adds no row: a
 built circuit's rows are, element by element, each gadget's relation row
 and then each gadget's booleanity rows (ConstraintSystem._element), and
-they are derived only when something reads ``rows``: snark key set-up,
-``constraints``, the exact replay, or an edit after the build, which
-derives them and then drops the gadgets.  The digest, the mock backend
-and the gadgets' check never read them, so a zk-mock run never holds the
-46 000 rows of the composed circuit at m=1000.
+they are kept only once something reads ``rows``: ``constraints``, the
+exact replay, or an edit after the build, which derives them and then
+drops the gadgets.  Snark key set-up walks them element by element
+(``iter_rows``), ``num_constraints`` counts them as m * (1 + eta) per
+gadget, and the digest, the mock backend and the gadgets' check never
+read them, so no zk run holds the 46 000 rows of the composed circuit at
+m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows.  The text is
@@ -64,36 +66,44 @@ coefficients of A, B and C in wire order.  The writer builds no dict, no
 list of rows or row strings, and no other object as large as the text,
 and the buffer is freed once it is hashed.
 
-The arithmetic.  aggregation_floor and update_floor compute the left-hand
-sides above, the floor terms, from the one integer K and the vectors U,
-W and U'; they are the one implementation of the quantized arithmetic.
+The arithmetic.  Each gadget writes its floor term, a left-hand side
+above, once, as ``formula``: from the one integer K and the vector U, or
+from the vectors W and U', in a dtype it is given.  aggregation_floor and
+update_floor are its validated public entry points: they check their
+operands and pick the dtype from the operands' span.
 quantized_aggregate and quantized_update are (floor >> eta) + z, which
 floors like the rationals, and return the array the floor gives; the
 gadgets derive U' and every remainder floor - 2**eta * (out - z) from the
-same two functions.  With d the largest |v - z| over the quantized range,
+same formulas.  With d the largest |v - z| over the quantized range,
 widened to cover the operands, the aggregation floor and its remainder
 stay below c_a * d**2 + 2**eta * (d + 1), and the update's below
 (c_w + c_u) * d + 2**eta * (d + 1): each gadget's ``bound``.  The
 arithmetic runs in int64 when that bound is under 2**62 (it is about
 2**39 under the default constants), and on arrays of Python ints
 otherwise, as for eta = 60; the outputs then are Python ints too,
-however small.
+however small.  generate_witness has checked every input against the
+quantized range, and a gadget refuses a derived output outside it, so it
+takes each gadget's dtype from the bound at the range's own d.
 
 Checking satisfaction.  A circuit stores each booleanity row
 b * (b - 1) = 0 as the bare index of its wire b; only the other rows are
 (A, B, C) triples of dicts.  A built circuit's rows are exactly its
 gadgets' rows, so it is checked gadget by gadget, each over whole banks
 of wires (``holds``): its bit bank must be all 0 or 1, and each
-R = floor - 2**eta * (out - z), computed by the same floor function that
-fills the witness, must equal sum_t 2**t * bit_t over its element's bits.
+R = floor - 2**eta * (out - z), computed by the same formula that fills
+the witness, must equal sum_t 2**t * bit_t over its element's bits.
 That is the gadget's rows read as integers, not mod P.  A witness whose
 elements all have signed representatives in (-2**62, 2**62) is carried as
 an int64 array; take d as in the arithmetic, but widened to cover every
 wire of the witness, the outputs included, and let B be the largest
-gadget bound at d.  The integer test decides the rows mod P when
-B < P/2.  A booleanity row holds mod P exactly when b is 0 or 1, since P
-is prime and |b| < P/2.  With every bit 0 or 1, a relation row holds mod
-P exactly when P divides delta = R - sum_t 2**t * bit_t, and
+gadget bound at d.  The witness recorded the least and greatest of its
+elements when it was made or decoded (the range that also fixes its
+frame width), so d costs no pass over the wires; and each gadget
+computes its floors once, in the one dtype B picks.  The integer test
+decides the rows mod P when B < P/2.  A booleanity row holds mod P
+exactly when b is 0 or 1, since P is prime and |b| < P/2.  With every
+bit 0 or 1, a relation row holds mod P exactly when P divides
+delta = R - sum_t 2**t * bit_t, and
 |delta| <= |R| + 2**eta - 1 < B + 2**eta <= 2 * B < P, because the bound
 covers |R| and is at least 2**eta * (d + 1); so it holds exactly when
 delta = 0.  While B < 2**62 every floor, every R and every intermediate
@@ -329,9 +339,10 @@ class FieldVector:
             vec = cls(_read_elements(memoryview(data)[5:], what))
         else:
             vec = cls.__new__(cls)
-            vec._signed = np.frombuffer(data, dtype=f"<i{width}", offset=5).astype(np.int64)
+            narrow = np.frombuffer(data, dtype=f"<i{width}", offset=5)
+            vec._range = _range(narrow)
+            vec._signed = narrow.astype(np.int64)
             vec._signed.flags.writeable = False
-            vec._range = _range(vec._signed)
         if _width(*vec._range) != width:
             raise ValueError(f"{what} is not at the width of its values")
         if isinstance(data, bytes):
@@ -604,8 +615,23 @@ class ConstraintSystem:
         gadgets on the first read, element by element (``_element``), and
         keeps them."""
         if self._rows is None:
-            self._rows = [row for j in range(self.m) for row in self._element(j)]
+            self._rows = list(self.iter_rows())
         return self._rows
+
+    def iter_rows(self) -> Iterator["int | Tuple[LinComb, LinComb, LinComb]"]:
+        """Every row, in order, as ``rows`` lists them; a built circuit whose
+        rows have not been derived makes them element by element and keeps
+        none."""
+        if self._rows is None:
+            return chain.from_iterable(map(self._element, range(self.m)))
+        return iter(self._rows)
+
+    @property
+    def num_constraints(self) -> int:
+        """The number of rows, counted without deriving them."""
+        if self._rows is None:
+            return _row_count(self.m, self.constants.eta, len(self.gadgets))
+        return len(self._rows)
 
     def _element(self, j: int) -> list:
         """The rows of element j of a built circuit: each gadget's relation
@@ -633,8 +659,9 @@ class ConstraintSystem:
 
         An int64 witness of a built circuit is checked exactly, gadget by
         gadget, whenever every gadget's bound at the span of the whole
-        witness is below P/2: in int64 while the bounds are below 2**62, and
-        in Python ints past that.  Anything else takes the exact replay.
+        witness, read from the range the witness recorded, is below P/2:
+        in int64 while the bounds are below 2**62, and in Python ints past
+        that.  Anything else takes the exact replay.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):
@@ -643,7 +670,7 @@ class ConstraintSystem:
         if w[0] != 1:
             return False
         if self.gadgets and w.dtype == np.int64:
-            d = _span(self.constants, w)
+            d = _span(self.constants, *witness._range)
             bound = max(g.bound(self.constants, d) for g in self.gadgets)
             if 2 * bound < P:
                 return all(g.holds(w, _int_dtype(bound)) for g in self.gadgets)
@@ -785,8 +812,9 @@ class _Floor:
     j's relation row (``row``) and bits name the wires of element 0 plus j
     times a fixed stride per wire, which the digest's element template
     relies on.  A subclass names the factors a and b of element j
-    (``factors``), computes every element's floor term from the wires
-    before its own (``floor``), and bounds that term and R (``bound``).
+    (``factors``), writes the floor term of its relation (``formula``),
+    reads every element's floor term from the wires before its own
+    (``floor``), and bounds that term and R (``bound``).
     """
 
     def __init__(self, cs: ConstraintSystem, rem: str, out: range | str, z: int):
@@ -800,6 +828,8 @@ class _Floor:
         self._bank = slice(bits.start, bits.stop)
         self.wires = range(first, cs.num_wires)
         self._powers = [1 << t for t in range(eta)]
+        # the same powers as an array that recomposes R from a bank's bits
+        self._places = np.array(self._powers, dtype=_int_dtype(1 << eta))
 
     def row(self, j: int) -> Tuple[LinComb, LinComb, LinComb]:
         """The relation row of element j."""
@@ -808,12 +838,13 @@ class _Floor:
         c.update(zip(self.bits[j], self._powers))
         return (*self.factors(j), c)
 
-    def fill(self, w: np.ndarray) -> None:
+    def fill(self, w: np.ndarray, dtype) -> None:
         """Write this gadget's wires of the witness w: a private output, and
         the eta bits of every R = floor - 2**eta * (out - z), which lies in
         [0, 2**eta) exactly when out is the honest quantized output
-        (floor >> eta) + z."""
-        c, floor, out = self.c, self.floor(w), slice(self.out.start, self.out.stop)
+        (floor >> eta) + z.  The floors are computed in ``dtype``, which
+        must be exact up to ``bound`` at the span of the operands."""
+        c, floor, out = self.c, self.floor(w, dtype), slice(self.out.start, self.out.stop)
         if self.private_out:
             derived = (floor >> c.eta) + self.z
             if ((derived < c.q_min) | (derived > c.q_max)).any():
@@ -832,13 +863,12 @@ class _Floor:
         This decides the rows mod P only while ``bound`` at the span of w
         is below P/2, and the int64 dtype only while it is below 2**62,
         which is_satisfied checks first."""
-        eta, bank = self.c.eta, w[self._bank]
+        bank = w[self._bank]
         # as uint64 a negative bit is at least 2**63
         if bank.view(np.uint64).max() > 1:
             return False
-        r = self._remainder(w, self.floor(w).astype(dtype, copy=False))
-        powers = np.array(self._powers, dtype=_int_dtype(1 << eta))
-        return np.array_equal(bank.reshape(-1, eta) @ powers, r)
+        r = self._remainder(w, self.floor(w, dtype))
+        return np.array_equal(bank.reshape(-1, self.c.eta) @ self._places, r)
 
     def _remainder(self, w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Every R = floor - 2**eta * (out - z), in the dtype of floor."""
@@ -858,8 +888,13 @@ class _Aggregation(_Floor):
         ca = 1 << self.c.agg_shift
         return {self.k: ca, 0: -ca * self.c.z_k}, {self.u[j]: 1, 0: -self.c.z_u}
 
-    def floor(self, w: np.ndarray) -> np.ndarray:
-        return aggregation_floor(int(w[self.k]), w[self.u.start : self.u.stop], self.c)
+    def floor(self, w: np.ndarray, dtype) -> np.ndarray:
+        return self.formula(self.c, int(w[self.k]), w[self.u.start : self.u.stop], dtype)
+
+    @staticmethod
+    def formula(c: CircuitConstants, k: int, u: np.ndarray, dtype) -> np.ndarray:
+        """ca * (K - z_K)(U_j - z_U) for every j, in ``dtype``."""
+        return ((1 << c.agg_shift) * (k - c.z_k)) * (u.astype(dtype, copy=False) - c.z_u)
 
     @staticmethod
     def bound(c: CircuitConstants, d: int) -> int:
@@ -880,8 +915,16 @@ class _Update(_Floor):
         cw, cu = 1 << c.upd_w_shift, 1 << c.upd_u_shift
         return {self.w[j]: cw, self.up[j]: cu, 0: -(cw * c.z_w + cu * c.z_up)}, {0: 1}
 
-    def floor(self, w: np.ndarray) -> np.ndarray:
-        return update_floor(w[self.w.start : self.w.stop], w[self.up.start : self.up.stop], self.c)
+    def floor(self, w: np.ndarray, dtype) -> np.ndarray:
+        return self.formula(self.c, w[self.w.start : self.w.stop],
+                            w[self.up.start : self.up.stop], dtype)
+
+    @staticmethod
+    def formula(c: CircuitConstants, w: np.ndarray, up: np.ndarray, dtype) -> np.ndarray:
+        """cw * (W_j - z_W) + cu * (U'_j - z_U') for every j, in ``dtype``."""
+        cw, cu = 1 << c.upd_w_shift, 1 << c.upd_u_shift
+        return (cw * (w.astype(dtype, copy=False) - c.z_w)
+                + cu * (up.astype(dtype, copy=False) - c.z_up))
 
     @staticmethod
     def bound(c: CircuitConstants, d: int) -> int:
@@ -942,9 +985,15 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
 BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
             "composed": build_protocol_circuit}
 
-# each gadget writes one relation row and eta booleanity rows per element
+# the number of gadgets each builder adds
 _GADGETS = {"aggregation": 1, "update": 1, "composed": 2}
 _CONSTANT_NAMES = {f.name for f in fields(CircuitConstants)}
+
+
+def _row_count(m: int, eta: int, gadgets: int) -> int:
+    """The rows of a built circuit: each gadget writes one relation row and
+    eta booleanity rows per element."""
+    return m * (1 + eta) * gadgets
 
 
 def from_spec(spec) -> ConstraintSystem:
@@ -965,7 +1014,7 @@ def from_spec(spec) -> ConstraintSystem:
     if not all(type(v) is int for v in (m, *constants.values())):
         raise CircuitError("circuit m and constants must be integers")
     c = CircuitConstants(**constants)
-    if m * (1 + c.eta) * _GADGETS[kind] > MAX_CONSTRAINTS:
+    if _row_count(m, c.eta, _GADGETS[kind]) > MAX_CONSTRAINTS:
         raise CircuitError(f"m = {m} gives more than {MAX_CONSTRAINTS} constraints")
     return BUILDERS[kind](m, c)
 
@@ -989,14 +1038,17 @@ def _int_dtype(bound: int):
     return np.int64 if bound < SMALL else object
 
 
-def _span(c: CircuitConstants, *operands: np.ndarray) -> int:
+def _span(c: CircuitConstants, lo: int = 0, hi: int = 0) -> int:
     """Largest |v - z| for any zero-point z and any v in the quantized
-    range or among the elements of ``operands``."""
-    top = max(abs(c.q_min), abs(c.q_max))
-    for v in operands:
-        if v.size:
-            top = max(top, -int(v.min()), int(v.max()))
+    range or in [lo, hi]."""
+    top = max(abs(c.q_min), abs(c.q_max), -lo, hi)
     return top + max(abs(z) for z in (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp))
+
+
+def _operand_span(c: CircuitConstants, *operands: np.ndarray) -> int:
+    """_span over the elements of every operand."""
+    lows, highs = zip(*map(_range, operands))
+    return _span(c, min(lows), max(highs))
 
 
 def aggregation_floor(k_q: int, u_q, c: CircuitConstants) -> np.ndarray:
@@ -1006,9 +1058,9 @@ def aggregation_floor(k_q: int, u_q, c: CircuitConstants) -> np.ndarray:
     U'_j - z_U'.
     """
     c.require_aggregation_exact()
-    u = _ints(u_q)
-    dt = _int_dtype(_Aggregation.bound(c, _span(c, _ints([k_q]), u)))
-    return ((1 << c.agg_shift) * (int(k_q) - c.z_k)) * (u.astype(dt, copy=False) - c.z_u)
+    k, u = int(k_q), _ints(u_q)
+    d = _operand_span(c, u, _ints([k]))
+    return _Aggregation.formula(c, k, u, _int_dtype(_Aggregation.bound(c, d)))
 
 
 def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
@@ -1020,10 +1072,7 @@ def update_floor(w_q, up_q, c: CircuitConstants) -> np.ndarray:
     w, up = _ints(w_q), _ints(up_q)
     if w.shape != up.shape:
         raise CircuitError(f"W has shape {w.shape} but U' has {up.shape}")
-    cw = 1 << c.upd_w_shift
-    cu = 1 << c.upd_u_shift
-    dt = _int_dtype(_Update.bound(c, _span(c, w, up)))
-    return cw * (w.astype(dt, copy=False) - c.z_w) + cu * (up.astype(dt, copy=False) - c.z_up)
+    return _Update.formula(c, w, up, _int_dtype(_Update.bound(c, _operand_span(c, w, up))))
 
 
 def quantized_aggregate(k_q: int, u_q: Sequence[int], c: CircuitConstants) -> np.ndarray:
@@ -1089,6 +1138,9 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     w = np.zeros(cs.num_wires, dtype=inputs.dtype)
     w[0] = 1
     w[1 : 1 + len(inputs)] = inputs
+    # every input, and every private output fill derives, lies in the
+    # quantized range, so the span of the range itself covers each floor
+    d = _span(cs.constants)
     for g in cs.gadgets:
-        g.fill(w)
+        g.fill(w, _int_dtype(g.bound(cs.constants, d)))
     return Witness(w, copy=False)  # nothing else holds w

@@ -234,7 +234,7 @@ def _cmd_circuit_export(args) -> int:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)
         print(f"wrote {args.out} ({circuit.num_wires} wires, "
-              f"{len(circuit.constraints)} constraints)")
+              f"{circuit.num_constraints} constraints)")
     else:
         print(text)
     return EXIT_OK

@@ -64,7 +64,8 @@ class Block:
     def from_dict(cls, d: dict) -> "Block":
         """The block of a decoded to_dict.  Raises ValueError unless d holds
         exactly the six fields: index and timestamp_ms ints (not bools) that
-        fit in 8 bytes, the three hashes as hex strings and sender a str."""
+        fit in 8 bytes, the three hashes as hex strings and sender a str
+        that UTF-8 can encode, as block_hash does."""
         if not isinstance(d, dict) or set(d) != set(_FIELDS):
             raise ValueError(f"a block is an object with the keys {', '.join(_FIELDS)}")
         for name, kind in _FIELDS.items():
@@ -73,6 +74,10 @@ class Block:
         for name in ("index", "timestamp_ms"):
             if not 0 <= d[name] < 1 << 64:
                 raise ValueError(f"block {name} {d[name]} does not fit in 8 bytes")
+        try:
+            d["sender"].encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"block sender {d['sender']!r} is not encodable as UTF-8") from None
         return cls(
             index=d["index"],
             prev_hash=bytes.fromhex(d["prev_hash"]),

@@ -311,7 +311,7 @@ class QapSnarkBackend(Backend):
     name = "snark"
 
     def setup(self, cs: ConstraintSystem, seed: bytes = b"") -> KeyPair:
-        nc = len(cs.rows)
+        nc = cs.num_constraints
         if nc > MAX_CONSTRAINTS:
             raise BackendError("circuit too large")
         digest = cs.digest()
@@ -330,7 +330,7 @@ class QapSnarkBackend(Backend):
         # a boolean row i is {i: 1} * {i: 1, 0: -1} = {}: L_j(tau) on a_tau[i]
         # and b_tau[i], and the sum of those L_j(tau) comes off b_tau[0] once
         boolean_sum = 0
-        for j, row in enumerate(cs.rows):
+        for j, row in enumerate(cs.iter_rows()):
             lj = lag[j]
             if isinstance(row, int):
                 a_tau[row] = (a_tau[row] + lj) % P

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zksplit import cli
+from zksplit import circuit, cli
 from zksplit.circuit import (
     CircuitConstants,
     build_protocol_circuit,
@@ -310,6 +310,7 @@ class TestLedgerCommand:
         ("{}", "a block is an object"),
         ("[]", "a block is an object"),
         ("sender 7", "block sender must be str"),
+        ("sender surrogate", "not encodable as UTF-8"),
         ("index true", "block index must be int"),
         ("index -1", "does not fit in 8 bytes"),
         ("hash zz", "non-hexadecimal"),
@@ -321,7 +322,8 @@ class TestLedgerCommand:
         chain = Chain.genesis()
         chain.append_payload(b"m", "client-0")
         good = chain.blocks[1].to_dict()
-        edits = {"sender 7": {"sender": 7}, "index true": {"index": True},
+        edits = {"sender 7": {"sender": 7}, "sender surrogate": {"sender": "\ud800"},
+                 "index true": {"index": True},
                  "index -1": {"index": -1}, "hash zz": {"hash": "zz"}}
         bad = json.dumps({**good, **edits[line]}) if line in edits else line
         path = tmp_path / "chain.jsonl"
@@ -342,6 +344,26 @@ class TestCircuitExport:
         assert data["kind"] == "update"
         assert len(data["constraints"]) == 3 * (1 + 22)
         assert data["variables"][0] == "one"
+
+    @pytest.mark.parametrize("kind,m,eta", [("composed", 1000, None), ("update", 3, 60)])
+    def test_export_counts_rows_without_deriving_them(self, tmp_path, capsys, monkeypatch,
+                                                       kind, m, eta):
+        rows = circuit.ConstraintSystem.rows
+
+        def guarded(cs):
+            assert cs._rows is not None, "a circuit derived its rows"
+            return rows.fget(cs)
+
+        out = tmp_path / "circ.json"
+        eta_args = ("--eta", str(eta)) if eta else ()
+        with monkeypatch.context() as mp:
+            mp.setattr(circuit.ConstraintSystem, "rows", property(guarded))
+            assert run_cli("circuit", "export", "--kind", kind, "--m", str(m), *eta_args,
+                           "--compact", "--out", str(out)) == 0
+        cs = circuit.BUILDERS[kind](m, circuit.CircuitConstants(eta=eta or 22))
+        assert capsys.readouterr().out == (
+            f"wrote {out} ({cs.num_wires} wires, {len(cs.rows)} constraints)\n")
+        assert out.read_bytes() == cs.to_json().encode()
 
     def test_kind_choices_are_the_builders(self, capsys):
         assert run_cli("circuit", "export", "--kind", "aggregation", "--m", "1", "--n", "2") == 1

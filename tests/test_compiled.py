@@ -60,12 +60,14 @@ CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8, 64) for name in CO
 ETA60_CASES = [(kind, m, "ETA60") for kind in BUILDERS for m in (1, 8, 64)]
 # pinned only: eta = 60 runs the arithmetic on arrays of Python ints
 PINNED_CONSTANTS = {**CONSTANTS, "ETA60": CircuitConstants(eta=60)}
+# eta = 200 puts a gadget's bound past P/2 once a wire reaches about 2**26
+CHECK_CONSTANTS = {**PINNED_CONSTANTS, "ETA200": CircuitConstants(eta=200)}
 
 
 @lru_cache(maxsize=None)
 def honest(kind, m, name):
     """A circuit and an honest witness for it, as a canonical tuple."""
-    c = PINNED_CONSTANTS[name]
+    c = CHECK_CONSTANTS[name]
     cs = BUILDERS[kind](m, c)
     rnd = random.Random(f"{kind}/{m}/{name}")
     u_q = [rnd.randint(-4000, 4000) for _ in range(m)]
@@ -106,6 +108,26 @@ def checked(cs, values):
         verdict = cs.is_satisfied(values)
     assert verdict == cs.is_satisfied_exact(values)
     return verdict, bool(replays)
+
+
+def floor_operands(cs):
+    """The wires that some gadget's floor reads: K and U, W and U'."""
+    wires = set()
+    for g in cs.gadgets:
+        wires |= {g.k, *g.u} if isinstance(g, circuit._Aggregation) else {*g.w, *g.up}
+    return wires
+
+
+def reference_bound(cs, values):
+    """The largest gadget bound over the quantized range and every wire of
+    values, from the docstring's d, without the module's span helpers."""
+    c = cs.constants
+    top = max(abs(c.q_min), abs(c.q_max), *(abs(to_signed(v % P)) for v in values))
+    d = top + max(abs(z) for z in (c.z_k, c.z_u, c.z_up, c.z_w, c.z_wp))
+    return max(g.bound(c, d) for g in cs.gadgets)
+
+
+ONE_PASS_CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8) for name in CHECK_CONSTANTS]
 
 
 # a single change to a built circuit after its builder returned
@@ -154,6 +176,75 @@ class TestGadgetCheck:
         mutated[cs.var_names.index("U[1]")] = 2**61
         assert 2 * cs.gadgets[0].bound(c, 2**61) > P
         assert checked(cs, mutated) == (False, True)
+
+    @settings(deadline=None, max_examples=400)
+    @given(case=st.sampled_from(ONE_PASS_CASES), data=st.data())
+    def test_a_moved_wire_that_no_floor_reads(self, case, data):
+        """One bit, output or statement wire that no floor reads is moved,
+        up to and past 2**62, so that only the span of the whole witness,
+        not that of the floor operands, can pick the check's dtype.  The
+        check must give the replay's verdict, reject every move, and leave
+        the decision to the gadgets whenever the witness is int64 and its
+        bound is below P/2."""
+        cs, values = honest(*case)
+        eta, operands = cs.constants.eta, floor_operands(cs)
+        outputs = [i for i in range(1, 1 + cs.num_public) if i not in operands]
+        bits = [i for g in cs.gadgets for i in range(g._bank.start, g._bank.stop)]
+        assert outputs and not operands & set(bits)
+        i = data.draw(st.one_of(st.sampled_from(outputs), st.sampled_from(bits)), label="wire")
+        near = to_signed(values[i])
+        # near + k * step is near once multiplied by 2**eta in int64 (for
+        # eta < 64), or in its low byte
+        steps = [256, 1 << (64 - eta)] if eta < 64 else [256]
+        aliases = st.sampled_from(steps).flatmap(lambda step: st.integers(
+            -(SMALL // step), SMALL // step).map(lambda k: near + k * step))
+        v = data.draw(st.one_of(
+            st.sampled_from([SMALL - 1, -(SMALL - 1), SMALL, -SMALL]),
+            st.integers(near - 3, near + 3),
+            st.integers(-SMALL, SMALL),
+            aliases,
+        ).filter(lambda v: -SMALL <= v <= SMALL), label="value")
+        mutated = list(values)
+        mutated[i] = v % P
+        verdict, replayed = checked(cs, mutated)
+        assert verdict == (v == near)
+        int64 = Witness(mutated).signed.dtype == np.int64
+        assert int64 == (abs(v) < SMALL)
+        assert replayed == (not int64 or 2 * reference_bound(cs, mutated) >= P)
+
+    def test_the_check_scans_no_wire_and_calls_no_public_floor(self, monkeypatch):
+        """is_satisfied takes the witness span from the range the vector
+        recorded when it was made or decoded, and computes each floor once,
+        in the checker's dtype, without the public floor functions."""
+        cs, values = honest("composed", 64, "MIXED")
+        made = Witness(values)
+        decoded = Witness.from_bytes(made.to_bytes())
+        assert decoded._range == made._range
+        calls, span = [], circuit._span
+        monkeypatch.setattr(circuit, "_range", lambda s: calls.append(("_range", len(s))))
+        monkeypatch.setattr(circuit, "_span",
+                            lambda c, *r: calls.append(("_span", r)) or span(c, *r))
+        for name in ("aggregation_floor", "update_floor", "_operand_span"):
+            monkeypatch.setattr(circuit, name, lambda *a, name=name: calls.append((name,)))
+        assert cs.is_satisfied(made) and cs.is_satisfied(decoded)
+        assert calls == [("_span", made._range)] * 2
+
+    def test_witness_generation_scans_its_wires_once(self, monkeypatch):
+        """generate_witness picks each floor's dtype from the quantized
+        range its inputs were checked against, and scans the wires only
+        when it makes the witness."""
+        cs, values = honest("composed", 64, "MIXED")
+        pub = FieldVector(values[1 : 1 + cs.num_public])
+        priv = FieldVector(values[1 + cs.num_public : 1 + cs.num_public + 64])
+        calls, scan, span = [], circuit._range, circuit._span
+        monkeypatch.setattr(circuit, "_range",
+                            lambda s: calls.append(("_range", len(s))) or scan(s))
+        monkeypatch.setattr(circuit, "_span",
+                            lambda c, *r: calls.append(("_span", r)) or span(c, *r))
+        for name in ("aggregation_floor", "update_floor", "_operand_span"):
+            monkeypatch.setattr(circuit, name, lambda *a, name=name: calls.append((name,)))
+        assert generate_witness(cs, pub, priv).values == values
+        assert calls == [("_span", ()), ("_range", cs.num_wires)]
 
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(CASES), data=st.data())
@@ -735,6 +826,22 @@ def test_edit_after_build_keeps_the_rows_and_drops_the_gadgets(kind, edit):
     assert cs.rows == fresh.rows + added
     assert cs.digest() != before
     assert cs.to_json() == reference_json(cs) == by_rows(cs).to_json()
+
+
+@pytest.mark.parametrize("kind,m,name", ETA60_CASES + [(k, 9, "MIXED") for k in BUILDERS])
+def test_rows_are_walked_and_counted_without_being_derived(kind, m, name):
+    """iter_rows makes a built circuit's rows element by element and keeps
+    none, and num_constraints counts them as m * (1 + eta) per gadget;
+    once the rows are kept, or an edit drops the gadgets, both read them."""
+    cs, fresh = (BUILDERS[kind](m, PINNED_CONSTANTS[name]) for _ in range(2))
+    assert list(cs.iter_rows()) == fresh.rows == reference_rows(fresh)
+    assert cs.num_constraints == len(fresh.rows) and cs._rows is None
+    assert fresh.num_constraints == len(fresh.rows)
+    cs.add_boolean(1)
+    assert not cs.gadgets and cs.num_constraints == len(fresh.rows) + 1
+    assert list(cs.iter_rows()) == cs.rows == fresh.rows + [1]
+    plain = single_row_circuit(({1: 1}, {2: 1}, {3: 1}))
+    assert plain.num_constraints == 1 and list(plain.iter_rows()) == plain.rows
 
 
 def test_digest_holds_the_text_about_once():

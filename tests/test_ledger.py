@@ -99,6 +99,19 @@ class TestPersistence:
         assert back.verify()
         assert [b.hash for b in back.blocks] == [b.hash for b in chain.blocks]
 
+    def test_sender_that_utf8_cannot_encode_is_refused_naming_its_line(self, tmp_path):
+        """block_hash hashes the sender's UTF-8 bytes, so a lone surrogate,
+        which JSON can spell but UTF-8 cannot encode, is refused on load
+        instead of raising from verify."""
+        chain = Chain.genesis()
+        chain.append_payload(b"data", "honest")
+        path = tmp_path / "chain.jsonl"
+        chain.save(path)
+        path.write_text(path.read_text().replace('"honest"', '"\\ud800"'))
+        with pytest.raises(ValueError, match=r"line 2: block sender '\\ud800' is not") as e:
+            Chain.load(path)
+        assert not isinstance(e.value, UnicodeError)
+
     def test_tampered_file_detected(self, tmp_path):
         chain = Chain.genesis()
         chain.append_payload(b"data", "honest")

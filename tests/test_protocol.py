@@ -34,10 +34,12 @@ def private_u(trainer):
 
 
 class TestHonestRun:
-    def test_zk_mock_run_never_derives_circuit_rows(self, monkeypatch):
-        """Set-up names the circuit by its digest and every check goes
-        gadget by gadget, so a zk-mock run with a tampering client never
-        derives its circuit's rows."""
+    @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
+    def test_zk_run_never_derives_circuit_rows(self, monkeypatch, mode):
+        """Set-up names the circuit by its digest, snark key set-up walks
+        its rows element by element, and every check goes gadget by gadget,
+        so a zk run with a tampering client never derives its circuit's
+        rows."""
         monkeypatch.setattr(protocol, "_CIRCUIT_CACHE", {})
         monkeypatch.setattr(protocol, "_KEYPAIR_CACHE", {})
         rows = circuit.ConstraintSystem.rows
@@ -47,7 +49,7 @@ class TestHonestRun:
             return rows.fget(cs)
 
         monkeypatch.setattr(circuit.ConstraintSystem, "rows", property(guarded))
-        reports = Trainer(SimConfig(mode="zk-mock", num_clients=2, m=M, rounds=3, seed=0,
+        reports = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=3, seed=0,
                                     tamper_clients=[1])).train()
         assert [r.verdicts[0] for r in reports] == ["Accepted"] * 3
         assert all(r.verdicts[1] != "Accepted" for r in reports)
