@@ -40,31 +40,27 @@ relation row a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt (``row``)
 and the eta booleanity rows of its bits (``bits[j]``), and for a witness
 it computes its floor term from the wires before its own and fills in its
 range.  generate_witness thus has no branch per kind.  A builder
-allocates each bank of wires with one add_wires call and adds no row: a
-built circuit's rows are, element by element, each gadget's relation row
-and then each gadget's booleanity rows (ConstraintSystem._element), and
-they are kept only once something reads ``rows``: ``constraints``, the
-exact replay, or an edit after the build, which derives them and then
-drops the gadgets.  Snark key set-up walks them element by element
-(``iter_rows``), ``num_constraints`` counts them as m * (1 + eta) per
-gadget, and the digest, the mock backend and the gadgets' check never
-read them, so no zk run holds the 46 000 rows of the composed circuit at
-m=1000.
+allocates each bank of wires with one add_wires call and adds no row, and
+once it returns the circuit takes no more wires: every circuit is built,
+and its rows are, element by element, each gadget's relation row and then
+each gadget's booleanity rows (ConstraintSystem._element).  They are kept
+only once something reads ``rows``: ``constraints`` or the exact replay.
+Snark key set-up walks them element by element (``iter_rows``),
+``num_constraints`` counts them as m * (1 + eta) per gadget, and the
+digest, the mock backend and the gadgets' check never read them, so no
+zk run holds the 46 000 rows of the composed circuit at m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows.  The text is
 written into one buffer of its exact length, the digest's preimage, by
-one kernel (_write_rows) from blocks of a template, the text of a row with
-a %d slot per wire, and a matrix of wire indices, one row per filled
-template.  The kernel formats the indices in numpy a chunk of rows at a
-time: it gathers their digits from a digit table into a uint8 matrix of
-the rows, which lies in the buffer.  A built circuit is one block: its
-template is element 0's rows, and the wires of element j are affine in j,
-since each gadget lays out its elements at a fixed stride.  Any other
-circuit gives a block per run of consecutive rows of one shape, the
-coefficients of A, B and C in wire order.  The writer builds no dict, no
-list of rows or row strings, and no other object as large as the text,
-and the buffer is freed once it is hashed.
+one kernel (_write_rows) from a template, the text of element 0's rows
+with a %d slot per wire, and the wires of every element, one row of
+indices per filled template; they are affine in j, since each gadget lays
+out its elements at a fixed stride.  The kernel formats the indices in
+numpy a chunk of elements at a time: it gathers their digits from a digit
+table into a uint8 matrix of the rows, which lies in the buffer.  The
+writer builds no dict, no list of rows or row strings, and no other
+object as large as the text, and the buffer is freed once it is hashed.
 
 The arithmetic.  Each gadget writes its floor term, a left-hand side
 above, once, as ``formula``: from the one integer K and the vector U, or
@@ -87,9 +83,9 @@ takes each gadget's dtype from the bound at the range's own d.
 
 Checking satisfaction.  A circuit stores each booleanity row
 b * (b - 1) = 0 as the bare index of its wire b; only the other rows are
-(A, B, C) triples of dicts.  A built circuit's rows are exactly its
-gadgets' rows, so it is checked gadget by gadget, each over whole banks
-of wires (``holds``): its bit bank must be all 0 or 1, and each
+(A, B, C) triples of dicts.  A circuit's rows are exactly its gadgets'
+rows, so it is checked gadget by gadget, each over whole banks of wires
+(``holds``): its bit bank must be all 0 or 1, and each
 R = floor - 2**eta * (out - z), computed by the same formula that fills
 the witness, must equal sum_t 2**t * bit_t over its element's bits.
 That is the gadget's rows read as integers, not mod P.  A witness whose
@@ -111,11 +107,10 @@ fits in int64, and the test runs there; past that, as for every honest
 witness at eta = 60, the floors and remainders are Python ints.  Operands
 alone do not give d: an output wire holding 2**59 wraps
 2**eta * (out - z) in int64.  For the default constants d is about 2**15
-on an honest witness, and B about 2**39.  Hand-built circuits, circuits
-edited after they were built (which drops their gadgets), witnesses with
-an element past 2**62, such as adversarial transcripts carrying huge
-elements, and witnesses whose B reaches P/2 take the exact replay of every
-constraint in unbounded integers instead.
+on an honest witness, and B about 2**39.  Witnesses with an element past
+2**62, such as adversarial transcripts carrying huge elements, and
+witnesses whose B reaches P/2 take the exact replay of every constraint
+in unbounded integers instead.
 """
 
 from __future__ import annotations
@@ -124,7 +119,8 @@ import hashlib
 import json
 from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, groupby
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -373,17 +369,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def _json_strings(strings: List[str]) -> str:
-    """_canonical_json(strings): the strings joined between quotes when none
-    needs an escape, that is when each is printable ASCII with no quote and
-    no backslash."""
-    text = '","'.join(strings)
-    if (text.isascii() and text.isprintable() and "\\" not in text
-            and text.count('"') == 2 * (len(strings) - 1)):
-        return f'["{text}"]'
-    return _canonical_json(strings)
-
-
 # the text of a boolean row and its comma, with a %d slot for each of its
 # wire's two places
 _BOOLEAN_ROW = b"[[[%%d,1]],[[0,%d],[%%d,1]],[]]," % (P - 1)
@@ -458,10 +443,9 @@ def _text_length(template: bytes, wires, counts: np.ndarray) -> int:
 
 
 def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
-                decimals: Tuple[np.ndarray, np.ndarray]) -> int:
-    """Write ``template % tuple(row)`` for each row of ``wires``, a matrix
-    or an _Affine, into the uint8 array buf from pos on, and return where
-    the text ends.
+                decimals: Tuple[np.ndarray, np.ndarray]) -> None:
+    """Write ``template % tuple(row)`` for each row of the _Affine
+    ``wires`` into the uint8 array buf from pos on.
 
     ``template`` has one %d slot per column of ``wires``, and ``decimals``
     is ``_decimals`` of more than the largest wire.  A chunk of rows at a
@@ -491,7 +475,6 @@ def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
             column = slot * width + np.arange(len(slot)) + width - ends[slot]
             run[:, row == 0] = digits[chunk[a:b]].reshape(b - a, slots * width)[:, column]
             pos += run.size
-    return pos
 
 
 class _Constraints(_Sequence):
@@ -515,19 +498,19 @@ class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
     Wire 0 is the constant 1.  Public wires occupy 1..num_public, private
-    wires follow.  ``rows`` holds the constraints in order: the boolean row
-    {i: 1} * {i: 1, 0: -1} = {}, for a Python int i != 0, as the int i, and
-    any other row as its (A, B, C) triple with signed int coefficients;
-    ``constraints`` shows each row as a triple.  ``gadgets`` are the
-    _Floor gadgets whose rows are all the rows: a builder sets them, and
-    any later row or wire clears them.  A built circuit's rows are derived
-    from its gadgets the first time they are read (see ``rows``), and an
-    edit derives them before it drops the gadgets.  is_satisfied asks each
-    gadget whether its rows hold (``holds``) for an int64 witness when
-    every gadget's bound, taken over every wire of the witness, is below
-    P/2 (see the module docstring), and otherwise falls back to
-    is_satisfied_exact, which replays every constraint in unbounded
-    integers with a single final reduction per constraint.
+    wires follow.  A circuit is made by one of BUILDERS, which allocates
+    its wires and sets ``gadgets``, the _Floor gadgets whose rows are all
+    the rows; once the builder returns, nothing adds a wire or a row.
+    ``rows`` holds the constraints in order, derived from the gadgets the
+    first time they are read: the boolean row {i: 1} * {i: 1, 0: -1} = {},
+    for a Python int i != 0, as the int i, and any other row as its
+    (A, B, C) triple with signed int coefficients; ``constraints`` shows
+    each row as a triple.  is_satisfied asks each gadget whether its rows
+    hold (``holds``) for an int64 witness when every gadget's bound, taken
+    over every wire of the witness, is below P/2 (see the module
+    docstring), and otherwise falls back to is_satisfied_exact, which
+    replays every constraint in unbounded integers with a single final
+    reduction per constraint.
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
@@ -537,26 +520,18 @@ class ConstraintSystem:
         self.var_names: List[str] = ["one"]
         self.num_public = 0
         self.num_private = 0
-        # None while the rows are the gadgets' rows and none has been read
-        self._rows: List["int | Tuple[LinComb, LinComb, LinComb]"] | None = []
         self._digest: str | None = None
-        # the gadgets that derive and check a witness: set by the builders,
-        # none by hand, and dropped by any edit after the build
+        # the gadgets that derive and check a witness, set by the builder
         self.gadgets: List["_Floor"] = []
 
     # -- construction ----------------------------------------------------
 
-    def add_public(self, name: str) -> int:
-        return self.add_wires((name,), public=True).start
-
-    def add_private(self, name: str) -> int:
-        return self.add_wires((name,)).start
-
     def add_wires(self, names, public: bool = False) -> range:
         """Allocate one wire per name, in order, and return their range."""
+        if self.gadgets:
+            raise CircuitError("a built circuit takes no more wires")
         if public and self.num_private:
             raise CircuitError("public wires must be allocated before private ones")
-        self._edit()
         first = len(self.var_names)
         self.var_names.extend(names)
         wires = range(first, len(self.var_names))
@@ -566,76 +541,24 @@ class ConstraintSystem:
             self.num_private += len(wires)
         return wires
 
-    def add_constraint(self, a: LinComb, b: LinComb, c: LinComb) -> None:
-        nv = len(self.var_names)
-        for lc in (a, b, c):
-            if lc and not (0 <= min(lc) and max(lc) < nv):
-                bad = next(idx for idx in lc if not 0 <= idx < nv)
-                raise CircuitError(f"constraint references unallocated wire {bad}")
-        if len(a) == 1 and len(b) == 2 and not c:
-            (i, ca), = a.items()
-            # b[i] == 1 and b[0] == -1 in a two-term b force i != 0
-            if type(i) is int and ca == 1 and b.get(i) == 1 and b.get(0) == -1:
-                self._extend((i,))
-                return
-        self._extend(((a, b, c),))
-
-    def add_boolean(self, idx: int) -> None:
-        """Add b * (b - 1) = 0 on wire idx (see add_booleans)."""
-        self.add_booleans((idx,))
-
-    def add_booleans(self, wires: Sequence[int]) -> None:
-        """Add b * (b - 1) = 0 on each wire of ``wires``, in order.
-
-        When every wire is an int in 1..num_wires-1 the rows go in with one
-        list extend; otherwise each goes through add_constraint, and on
-        wire 0 the row is the general row {0: 1} * {0: -1} = {}, which no
-        witness satisfies."""
-        nv, wires = len(self.var_names), tuple(wires)
-        if all(type(i) is int and 0 < i < nv for i in wires):
-            self._extend(wires)
-        else:
-            for idx in wires:
-                self.add_constraint({idx: 1}, {idx: 1, 0: -1}, {})
-
-    def _extend(self, rows) -> None:
-        self._edit()
-        self._rows.extend(rows)
-
-    def _edit(self) -> None:
-        """Make ready for a change: derive the rows while the gadgets still
-        can, then drop the gadgets and the digest."""
-        self._rows = self.rows
-        self._digest = None
-        self.gadgets = []
-
-    @property
+    @cached_property
     def rows(self) -> List["int | Tuple[LinComb, LinComb, LinComb]"]:
-        """Every row, in order.  A built circuit derives them from its
-        gadgets on the first read, element by element (``_element``), and
-        keeps them."""
-        if self._rows is None:
-            self._rows = list(self.iter_rows())
-        return self._rows
+        """Every row, in order, derived on the first read and kept."""
+        return list(self.iter_rows())
 
     def iter_rows(self) -> Iterator["int | Tuple[LinComb, LinComb, LinComb]"]:
-        """Every row, in order, as ``rows`` lists them; a built circuit whose
-        rows have not been derived makes them element by element and keeps
-        none."""
-        if self._rows is None:
-            return chain.from_iterable(map(self._element, range(self.m)))
-        return iter(self._rows)
+        """Every row, in order, made element by element (``_element``);
+        none is kept."""
+        return chain.from_iterable(map(self._element, range(self.m)))
 
     @property
     def num_constraints(self) -> int:
         """The number of rows, counted without deriving them."""
-        if self._rows is None:
-            return _row_count(self.m, self.constants.eta, len(self.gadgets))
-        return len(self._rows)
+        return _row_count(self.m, self.constants.eta, len(self.gadgets))
 
     def _element(self, j: int) -> list:
-        """The rows of element j of a built circuit: each gadget's relation
-        row, then each gadget's eta booleanity rows."""
+        """The rows of element j: each gadget's relation row, then each
+        gadget's eta booleanity rows."""
         return [*(g.row(j) for g in self.gadgets),
                 *chain.from_iterable(g.bits[j] for g in self.gadgets)]
 
@@ -657,11 +580,11 @@ class ConstraintSystem:
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
         """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
 
-        An int64 witness of a built circuit is checked exactly, gadget by
-        gadget, whenever every gadget's bound at the span of the whole
-        witness, read from the range the witness recorded, is below P/2:
-        in int64 while the bounds are below 2**62, and in Python ints past
-        that.  Anything else takes the exact replay.
+        An int64 witness is checked exactly, gadget by gadget, whenever
+        every gadget's bound at the span of the whole witness, read from
+        the range the witness recorded, is below P/2: in int64 while the
+        bounds are below 2**62, and in Python ints past that.  Anything
+        else takes the exact replay.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):
@@ -669,7 +592,7 @@ class ConstraintSystem:
         w = witness.signed
         if w[0] != 1:
             return False
-        if self.gadgets and w.dtype == np.int64:
+        if w.dtype == np.int64:
             d = _span(self.constants, *witness._range)
             bound = max(g.bound(self.constants, d) for g in self.gadgets)
             if 2 * bound < P:
@@ -720,25 +643,26 @@ class ConstraintSystem:
         """The bytes of ``to_json``, written into one buffer of their length.
 
         Only the small header goes through ``json.dumps``; the constraint
-        list is written by _write_rows from ``_text_blocks`` and spliced in
+        list is written by _write_rows from ``_text_block`` and spliced in
         after ``constants``, its first key.  The buffer is the only object
         as large as the text, and is the one object ``digest`` hashes.
         """
-        # the keys after the constraints; "variables" is the last of them
-        rest = b'%s,"variables":%s}' % (_canonical_json({
+        # the keys after the constraints; "variables" is the last of them,
+        # and the builders' wire names need no escape in JSON
+        rest = b'%s,"variables":["%s"]}' % (_canonical_json({
             "kind": self.kind,
             "m": self.m,
             "n": 1,
             "num_public": self.num_public,
             "num_private": self.num_private,
-        }).encode()[:-1], _json_strings(self.var_names).encode())
+        }).encode()[:-1], '","'.join(self.var_names).encode())
         head = b'{"constants":%s,"constraints":[' % _canonical_json(
             asdict(self.constants)).encode()
-        blocks = self._text_blocks()
+        template, wires = self._text_block()
         decimals = _decimals(self.num_wires)
         # every row's text ends in a comma; the last one's becomes the "]"
-        # that closes the list, which is all the list holds when it is empty
-        text = max(1, sum(_text_length(t, wires, decimals[1]) for t, wires in blocks))
+        # that closes the list
+        text = _text_length(template, wires, decimals[1])
         out = bytearray(len(head) + text + len(rest))
         # written through a view: a slice of the bytearray itself would
         # take a copy of the bytes it is given
@@ -747,36 +671,25 @@ class ConstraintSystem:
         buf[end:] = np.frombuffer(rest, np.uint8)
         del rest
         out[end] = ord(",")  # for the opening brace of rest
-        pos = len(head)
-        for template, wires in blocks:
-            pos = _write_rows(buf, pos, template, wires, decimals)
+        _write_rows(buf, len(head), template, wires, decimals)
         out[end - 1] = ord("]")
         return out
 
-    def _text_blocks(self) -> List[Tuple[bytes, "np.ndarray | _Affine"]]:
-        """The constraint list's text as (template, wires) blocks: the text
-        is ``template % tuple(row)`` for each row of wires, block after
-        block (see ``_row_shape`` and ``_template``).
+    def _text_block(self) -> Tuple[bytes, _Affine]:
+        """The constraint list's text as a template and its wires: the text
+        is ``template % tuple(row)`` for each row of wires (see
+        ``_row_shape`` and ``_template``).
 
-        A built circuit is one block of m rows, one per element: its
-        template is element 0's rows, and its wires are affine in j, since
-        each gadget places element j's wires at a fixed stride, so they are
-        element 0's plus j times their step to element 1.  Any other circuit
-        is a block per run of consecutive rows of one shape.
+        The template is element 0's rows, and there is a row of wires per
+        element, affine in j, since each gadget places element j's wires at
+        a fixed stride: element 0's plus j times their step to element 1.
         """
-        if self.gadgets:
-            shapes = [_row_shape(row) for row in self._element(0)]
-            first = np.array([i for _, ws in shapes for i in ws])
-            second = np.array([i for row in self._element(min(1, self.m - 1))
-                               for i in _row_shape(row)[1]])
-            template = b"".join(_template(shape) for shape, _ in shapes)
-            return [(template, _Affine(first, second - first, self.m))]
-        blocks = []
-        for shape, run in groupby(map(_row_shape, self.rows), lambda sw: sw[0]):
-            wires = [ws for _, ws in run]
-            blocks.append((_template(shape),
-                           np.array(wires, dtype=np.int64).reshape(len(wires), len(wires[0]))))
-        return blocks
+        shapes = [_row_shape(row) for row in self._element(0)]
+        first = np.array([i for _, ws in shapes for i in ws])
+        second = np.array([i for row in self._element(min(1, self.m - 1))
+                           for i in _row_shape(row)[1]])
+        template = b"".join(_template(shape) for shape, _ in shapes)
+        return template, _Affine(first, second - first, self.m)
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -940,8 +853,8 @@ def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem
 
 def _built(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
     """cs with ``gadgets``, whose rows are all its rows, element by element
-    (ConstraintSystem._element), derived when they are first read."""
-    cs.gadgets, cs._rows = gadgets, None
+    (ConstraintSystem._element); it takes no more wires."""
+    cs.gadgets = gadgets
     return cs
 
 
@@ -953,7 +866,7 @@ def build_aggregation_circuit(m: int, constants: CircuitConstants) -> Constraint
     """
     cs = _circuit("aggregation", m, constants)
     up = _bank(cs, "Up", m, public=True)
-    k = cs.add_public("K[0]")
+    k = cs.add_wires(["K[0]"], public=True).start
     return _built(cs, [_Aggregation(cs, k, _bank(cs, "U[0]", m), up)])
 
 
@@ -977,7 +890,7 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     """
     cs = _circuit("composed", m, constants)
     wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
-    k = cs.add_public("K[0]")
+    k = cs.add_wires(["K[0]"], public=True).start
     agg = _Aggregation(cs, k, _bank(cs, "U", m), "Up")
     return _built(cs, [agg, _Update(cs, ww, agg.out, wp)])
 
@@ -1120,11 +1033,7 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     circuit's gadgets then fills in its own wires; a remainder outside
     [0, 2**eta) means the public outputs were not produced by honest
     quantization of these inputs and raises InconsistentStatementError.
-    A hand-built circuit has no gadgets and raises CircuitError; a loaded
-    key's circuit is rebuilt by its builder and has them.
     """
-    if not cs.gadgets:
-        raise CircuitError("circuit has no gadgets to derive a witness")
     # accept either signed quantized integers or canonical field elements
     pub, priv = (v.signed if isinstance(v, FieldVector) else FieldVector(v).signed
                  for v in (public_values, private_values))

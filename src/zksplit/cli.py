@@ -43,6 +43,7 @@ from .backend import (
 from .bench import BenchError, emit, format_summary, run_benchmark, summarize
 from .circuit import BUILDERS, CircuitError, ConstraintSystem, from_spec, generate_witness
 from .config import MODES, ConfigError, SimConfig
+from .field import P
 from .ledger import Chain
 from .nn import save_checkpoint
 from .protocol import Trainer
@@ -171,10 +172,15 @@ def _circuit(spec) -> ConstraintSystem:
 
 
 def _read_ints(path: str) -> list:
-    """A JSON file holding a list of integers (no bools, floats or others)."""
+    """A JSON file holding a list of integers (no bools, floats or others),
+    each of absolute value below P: a larger one would be reduced mod P,
+    and a statement other than the file's proved or verified."""
     values = _read_json(path)
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ConfigError(f"{path}: expected a JSON list of integers")
+    big = next((v for v in values if abs(v) >= P), None)
+    if big is not None:
+        raise ConfigError(f"{path}: integer {big} lies outside (-P, P), P the field modulus")
     return values
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ GENESIS_PREV = bytes(32)
 # the fields of a saved block and the JSON type of each
 _FIELDS = {"index": int, "prev_hash": str, "payload_digest": str, "timestamp_ms": int,
            "sender": str, "hash": str}
+# a hash as to_dict writes it
+_HEX32 = re.compile("[0-9a-f]{64}")
 
 
 def _now_ms() -> int:
@@ -63,9 +66,10 @@ class Block:
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
         """The block of a decoded to_dict.  Raises ValueError unless d holds
-        exactly the six fields: index and timestamp_ms ints (not bools) that
-        fit in 8 bytes, the three hashes as hex strings and sender a str
-        that UTF-8 can encode, as block_hash does."""
+        exactly the six fields as to_dict writes them: index and
+        timestamp_ms ints (not bools) that fit in 8 bytes, the three hashes
+        as 64 lowercase hex digits and sender a str that UTF-8 can encode,
+        as block_hash does."""
         if not isinstance(d, dict) or set(d) != set(_FIELDS):
             raise ValueError(f"a block is an object with the keys {', '.join(_FIELDS)}")
         for name, kind in _FIELDS.items():
@@ -74,6 +78,9 @@ class Block:
         for name in ("index", "timestamp_ms"):
             if not 0 <= d[name] < 1 << 64:
                 raise ValueError(f"block {name} {d[name]} does not fit in 8 bytes")
+        for name in ("prev_hash", "payload_digest", "hash"):
+            if not _HEX32.fullmatch(d[name]):
+                raise ValueError(f"block {name} {d[name]!r} is not 64 lowercase hex digits")
         try:
             d["sender"].encode()
         except UnicodeEncodeError:

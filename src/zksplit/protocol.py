@@ -84,8 +84,9 @@ VERDICT_ACCEPTED = "Accepted"
 VERDICT_REJECTED = "RejectedProof"
 VERDICT_MISSING = "MissingProof"
 
-# Circuits are immutable after build and keys are immutable, so both are
-# shared across trainers (and inherited by forked bench workers).
+# A circuit takes no wire or row once its builder returns, and keys are
+# immutable, so both are shared across trainers (and inherited by forked
+# bench workers).
 _CIRCUIT_CACHE: Dict[tuple, ConstraintSystem] = {}
 _KEYPAIR_CACHE: Dict[tuple, object] = {}
 

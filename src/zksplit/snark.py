@@ -236,8 +236,6 @@ def _lagrange_at(tau: int, nc: int) -> tuple:
     j+1 is 1/(j! * (nc-1-j)! * (-1)^(nc-1-j)), so every L_j(tau) costs one
     multiply after a single batch inversion.  Returns (L values, Z(tau)).
     """
-    if nc == 0:
-        return [], 1
     fact = [1] * nc
     for i in range(1, nc):
         fact[i] = fact[i - 1] * i % P
@@ -319,7 +317,7 @@ class QapSnarkBackend(Backend):
         alpha, beta, gamma, delta = (drbg.draw() for _ in range(4))
         while True:
             tau = drbg.draw()
-            if nc == 0 or not (1 <= tau <= nc):
+            if not 1 <= tau <= nc:
                 break
 
         lag, _ = _lagrange_at(tau, nc)

@@ -17,7 +17,6 @@ from zksplit.backend import (
 )
 from zksplit.circuit import (
     CircuitConstants,
-    ConstraintSystem,
     Witness,
     build_protocol_circuit,
     generate_witness,
@@ -89,12 +88,6 @@ class TestMockBackend:
         garbage = Proof(backend="mock", circuit_digest=proof.circuit_digest,
                         statement_digest=proof.statement_digest, body=b"\x01\x02")
         assert self.backend.verify(self.pair.verifying_key, self.stmt, garbage) is Verdict.REJECT
-
-    def test_empty_circuit_vacuous(self):
-        cs0 = ConstraintSystem("update", 1, C)
-        pair = self.backend.setup(cs0, b"")
-        proof = self.backend.prove(pair.proving_key, Statement([]), Witness((1,)))
-        assert self.backend.verify(pair.verifying_key, Statement([]), proof) is Verdict.ACCEPT
 
 
 class TestSerialization:

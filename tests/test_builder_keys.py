@@ -187,30 +187,23 @@ def test_key_packing_the_zlibd_circuit_json_is_decode_error(load):
         load(encode_frame("mock", cs.digest(), zlib.compress(cs.to_json().encode())))
 
 
-def hand_built() -> ConstraintSystem:
-    """A circuit with a builder's kind, m and constants that no builder writes."""
-    cs = ConstraintSystem("update", 1, EQUAL)
-    x = cs.add_public("x")
-    cs.add_constraint({x: 1}, {0: 1}, {x: 1})
-    return cs
-
-
-def builder_plus_a_row() -> ConstraintSystem:
-    cs = build_protocol_circuit(1, EQUAL)
-    cs.add_boolean(cs.num_wires - 1)
-    return cs
-
-
-@pytest.mark.parametrize("make", [hand_built, builder_plus_a_row])
-def test_hand_built_circuit_key_is_decode_error(make):
-    cs = make()
-    pair = MockBackend().setup(cs)
-    for load, key in zip(LOADERS, (pair.proving_key, pair.verifying_key)):
+@pytest.mark.parametrize("carried,named", [
+    (("update", 1), ("composed", 1)),  # another kind
+    (("composed", 2), ("composed", 1)),  # another m
+], ids=["kind", "m"])
+def test_spec_under_another_circuits_digest_is_decode_error(carried, named):
+    """A frame carrying one builder's spec under another circuit's digest:
+    the spec builds, but not the circuit the frame names."""
+    cs = BUILDERS[carried[0]](carried[1], EQUAL)
+    digest = BUILDERS[named[0]](named[1], EQUAL).digest()
+    mock = MockBackend().setup(cs)
+    snark = QapSnarkBackend().setup(cs, b"seed")
+    for load, key in [*zip(LOADERS, (mock.proving_key, mock.verifying_key)),
+                      (load_proving_key, snark.proving_key)]:
+        backend, _, payload = decode_frame(key.to_bytes())
+        assert load(key.to_bytes()).cs.digest() == cs.digest()
         with pytest.raises(DecodeError, match="digest mismatch"):
-            load(key.to_bytes())
-    # a snark proving key's tables may be refused first, by their wire count
-    with pytest.raises(DecodeError, match="digest mismatch|key tables"):
-        load_proving_key(QapSnarkBackend().setup(cs, b"seed").proving_key.to_bytes())
+            load(encode_frame(backend, digest, payload))
 
 
 def test_a_keys_spec_proves_through_the_cli(tmp_path, capsys):

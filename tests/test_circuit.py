@@ -12,7 +12,6 @@ from zksplit.circuit import (
     BUILDERS,
     CircuitConstants,
     CircuitError,
-    ConstraintSystem,
     InconsistentStatementError,
     ScaleUnderflowError,
     Witness,
@@ -269,11 +268,6 @@ class TestWitnessAndSatisfaction:
         with pytest.raises(CircuitError, match=re.escape(f"{wire} value")):
             generate_witness(cs, pub, priv)
 
-    def test_empty_constraint_list_vacuous(self):
-        cs = ConstraintSystem("update", 1, EQUAL)
-        cs.add_public("x")
-        assert cs.is_satisfied([1, 12345])
-
     def test_random_element_replacement_rejected(self):
         rnd = random.Random(31)
         c = EQUAL
@@ -352,13 +346,6 @@ class TestGadgetLayout:
         public, private = honest_inputs(kind, 3, c, random.Random(kind))
         assert (generate_witness(loaded, public, private).to_bytes()
                 == generate_witness(cs, public, private).to_bytes())
-
-    def test_hand_built_circuit_derives_no_witness(self):
-        cs = ConstraintSystem("update", 1, EQUAL)
-        cs.add_public("x")
-        cs.add_private("y")
-        with pytest.raises(CircuitError, match="no gadgets"):
-            generate_witness(cs, [0], [0])
 
     def test_wrong_private_count_raises(self):
         cs = build_protocol_circuit(3, EQUAL)

@@ -13,6 +13,7 @@ from zksplit.circuit import (
     quantized_update,
 )
 from zksplit.cli import main
+from zksplit.field import P
 
 C = CircuitConstants()
 
@@ -21,19 +22,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the private input U and the statement W', W, K of make_prove_fixture
+U = [120, -44, 913]
+W = [7, 2048, -5]
+K = 2 ** C.f_k
+STATEMENT = quantized_update(W, quantized_aggregate(K, U, C), C).tolist() + W + [K]
+
+
 def make_prove_fixture(tmp_path: Path, tamper=False):
     spec = {"kind": "composed", "m": 3, "constants": {"eta": 22}}
     (tmp_path / "circuit.json").write_text(json.dumps(spec))
-    k_q = 2 ** C.f_k
-    u = [120, -44, 913]
-    w = [7, 2048, -5]
-    up = quantized_aggregate(k_q, u, C)
-    wp = quantized_update(w, up, C).tolist()
-    stmt = wp + w + [k_q]
-    if tamper:
-        stmt = [stmt[0] + 1] + stmt[1:]
+    stmt = [STATEMENT[0] + 1] + STATEMENT[1:] if tamper else STATEMENT
     (tmp_path / "statement.json").write_text(json.dumps(stmt))
-    (tmp_path / "witness.json").write_text(json.dumps(u))
+    (tmp_path / "witness.json").write_text(json.dumps(U))
 
 
 # JSON input files that no command reads: each is a usage error (exit 1)
@@ -248,6 +249,10 @@ class TestProveVerify:
         "prove, removed n key": ("prove", "circuit.json", '{"kind": "aggregation", "m": 3, "n": 2}'),
         "prove, float m": ("prove", "circuit.json", '{"kind": "composed", "m": 3.0}'),
         "prove, spec not an object": ("prove", "circuit.json", "[]"),
+        # an element past P, reduced mod P, would be the proved one
+        "verify, element past P": ("verify", "statement.json",
+                                   json.dumps([STATEMENT[0] + P] + STATEMENT[1:])),
+        "prove, witness element past P": ("prove", "witness.json", json.dumps([U[0] + P] + U[1:])),
     }
 
     @pytest.mark.parametrize("command,name,text", MALFORMED.values(), ids=list(MALFORMED))
@@ -313,7 +318,10 @@ class TestLedgerCommand:
         ("sender surrogate", "not encodable as UTF-8"),
         ("index true", "block index must be int"),
         ("index -1", "does not fit in 8 bytes"),
-        ("hash zz", "non-hexadecimal"),
+        ("hash zz", "not 64 lowercase hex digits"),
+        ("hash upper case", "not 64 lowercase hex digits"),
+        ("digest with spaces", "not 64 lowercase hex digits"),
+        ("short prev_hash", "not 64 lowercase hex digits"),
         ("[1, 2", "Expecting"),
     ])
     def test_malformed_line_is_runtime_error_naming_it(self, tmp_path, capsys, line, why):
@@ -324,7 +332,11 @@ class TestLedgerCommand:
         good = chain.blocks[1].to_dict()
         edits = {"sender 7": {"sender": 7}, "sender surrogate": {"sender": "\ud800"},
                  "index true": {"index": True},
-                 "index -1": {"index": -1}, "hash zz": {"hash": "zz"}}
+                 "index -1": {"index": -1}, "hash zz": {"hash": "zz"},
+                 "hash upper case": {"hash": good["hash"].upper()},
+                 "digest with spaces": {"payload_digest": " ".join(
+                     good["payload_digest"][i : i + 2] for i in range(0, 64, 2))},
+                 "short prev_hash": {"prev_hash": good["prev_hash"][:-2]}}
         bad = json.dumps({**good, **edits[line]}) if line in edits else line
         path = tmp_path / "chain.jsonl"
         path.write_text(json.dumps(chain.blocks[0].to_dict()) + "\n" + bad + "\n")
@@ -348,11 +360,10 @@ class TestCircuitExport:
     @pytest.mark.parametrize("kind,m,eta", [("composed", 1000, None), ("update", 3, 60)])
     def test_export_counts_rows_without_deriving_them(self, tmp_path, capsys, monkeypatch,
                                                        kind, m, eta):
-        rows = circuit.ConstraintSystem.rows
-
         def guarded(cs):
-            assert cs._rows is not None, "a circuit derived its rows"
-            return rows.fget(cs)
+            # rows is a cached property: a circuit holds its rows once derived
+            assert "rows" in vars(cs), "a circuit derived its rows"
+            return vars(cs)["rows"]
 
         out = tmp_path / "circ.json"
         eta_args = ("--eta", str(eta)) if eta else ()

@@ -13,7 +13,6 @@ from zksplit.backend import (
 )
 from zksplit.circuit import (
     CircuitConstants,
-    ConstraintSystem,
     Witness,
     build_aggregation_circuit,
     build_protocol_circuit,
@@ -126,12 +125,6 @@ class TestQapSnark:
         pair = self.backend.setup(cs, b"s")
         vk = pair.verifying_key
         assert len(vk.ic) == cs.num_public + 1
-
-    def test_empty_circuit(self):
-        cs0 = ConstraintSystem("update", 1, C)
-        pair = self.backend.setup(cs0, b"")
-        proof = self.backend.prove(pair.proving_key, Statement([]), Witness((1,)))
-        assert self.backend.verify(pair.verifying_key, Statement([]), proof) is Verdict.ACCEPT
 
 
 class TestBackendConformance:
