@@ -8,6 +8,7 @@ and the check of every witness the gadgets cannot decide.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -95,6 +96,30 @@ def agree(cs, values):
     verdict = cs.is_satisfied(values)
     assert verdict == cs.is_satisfied_exact(values)
     return verdict
+
+
+def reference_replay(cs, values):
+    """Every row of cs evaluated from its (A, B, C) triple in ``constraints``,
+    with no special case for a boolean row."""
+    w = [v % P for v in values]
+
+    def dot(lc):
+        return sum(co * w[i] for i, co in lc.items())
+
+    return w[0] == 1 and all((dot(a) * dot(b) - dot(c)) % P == 0 for a, b, c in cs.constraints)
+
+
+# a bit, and the two values one step outside it on either side
+SMALL_VALUES = (0, 1, 2, -1)
+
+
+def set_bit(values, bank, t, v):
+    """values with bit t of a bank set to v, and the bank's bit 0 moved so
+    that the bank recomposes the same remainder as before."""
+    mutated = list(values)
+    mutated[bank[t]] = v % P
+    mutated[bank[0]] = (values[bank[0]] - (v - to_signed(values[bank[t]])) * 2**t) % P
+    return mutated
 
 
 def checked(cs, values):
@@ -388,6 +413,20 @@ class TestBooleanRows:
         flipped[bit] = 1 - flipped[bit]
         assert checked(back, flipped) == checked(cs, flipped) == (False, False)
 
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_scattered_bits_set_to_small_values(self, kind):
+        """Bit 1 of the first gadget's first bank and the last bit of the
+        last gadget's last bank, set to every pair of small values with both
+        banks still recomposing: the gadgets, the replay and the rows'
+        triples accept only the honest pair."""
+        cs, values = honest(kind, 8, "EQUAL")
+        first, last = cs.gadgets[0].bits[0], cs.gadgets[-1].bits[-1]
+        assert first[0] < last[0]
+        for a, b in itertools.product(SMALL_VALUES, repeat=2):
+            mutated = set_bit(set_bit(values, first, 1, a), last, len(last) - 1, b)
+            honest_pair = (a % P, b % P) == (values[first[1]], values[last[-1]])
+            assert agree(cs, mutated) == reference_replay(cs, mutated) == honest_pair
+
     @settings(deadline=None, max_examples=400)
     @given(case=st.sampled_from(CASES), data=st.data())
     def test_any_int64_value_on_any_wire(self, case, data):
@@ -432,6 +471,24 @@ class TestBooleanStorage:
         back = through_key(cs)
         assert back.rows == cs.rows
         assert back.digest() == cs.digest()
+
+    @pytest.mark.parametrize("v", SMALL_VALUES)
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_a_boolean_row_is_a_bit_test(self, kind, v):
+        """Each bit past the first of each bank in turn set to v, with the
+        bank still recomposing, so that only booleanity rows can fail: the
+        gadgets, the replay's bit test on the int row and the evaluation of
+        the row's triple give one verdict, and it holds only where v is the
+        honest bit."""
+        cs, values = honest(kind, 1, "MIXED")
+        banks = [bank for g in cs.gadgets for bank in g.bits]
+        assert sorted(i for bank in banks for i in bank) == sorted(
+            row for row in cs.rows if isinstance(row, int))
+        for bank in banks:
+            for t in range(1, len(bank)):
+                mutated = set_bit(values, bank, t, v)
+                assert agree(cs, mutated) == reference_replay(cs, mutated) == (
+                    v % P == values[bank[t]])
 
     def test_json_spelling_of_a_boolean_row(self):
         """The update circuit at m=1 has wires one, Wp[0], W[0], Up[0] and
@@ -633,6 +690,20 @@ def test_variable_names_need_no_json_escape(kind):
     names = circuit.BUILDERS[kind](12, CircuitConstants(eta=60)).var_names
     assert all(n.isascii() and n.isprintable() and '"' not in n and "\\" not in n
                for n in names)
+
+
+@pytest.mark.parametrize("kind", sorted(circuit.BUILDERS))
+def test_digest_follows_the_spec(kind):
+    """One spec built twice gives one digest, the hash of its text; another
+    m, another constant or another kind gives another digest."""
+    build = circuit.BUILDERS[kind]
+    digest = build(3, MIXED).digest()
+    assert build(3, MIXED).digest() == digest
+    assert digest == hashlib.sha256(reference_json(build(3, MIXED)).encode()).hexdigest()
+    others = [build(4, MIXED), build(3, EQUAL),
+              build(3, CircuitConstants(**{**asdict(MIXED), "eta": MIXED.eta + 1})),
+              *(b(3, MIXED) for k, b in circuit.BUILDERS.items() if k != kind)]
+    assert len({digest, *(cs.digest() for cs in others)}) == 1 + len(others)
 
 
 # per builder, for 10, 100, 1 000 and 10 000, the smallest m at which one

@@ -12,6 +12,7 @@ from zksplit.backend import (
     load_verifying_key,
 )
 from zksplit.circuit import (
+    BUILDERS,
     CircuitConstants,
     Witness,
     build_aggregation_circuit,
@@ -34,6 +35,25 @@ def honest_composed(m, seed):
     up_q = quantized_aggregate(k_q, u_q, C)
     wp_q = quantized_update(w_q, up_q, C).tolist()
     wit = generate_witness(cs, wp_q + w_q + [k_q], u_q)
+    return cs, Statement(wit.statement(cs)), wit
+
+
+def smallest_instance(kind):
+    """An m=1 circuit of the kind, with K = 2**f_k, and an honest statement
+    and witness for it."""
+    rnd = random.Random(kind)
+    cs = BUILDERS[kind](1, C)
+    k_q = 2 ** C.f_k
+    u_q = [rnd.randint(-1000, 1000)]
+    w_q = [rnd.randint(-1000, 1000)]
+    if kind == "aggregation":
+        public = quantized_aggregate(k_q, u_q, C).tolist() + [k_q]
+    elif kind == "update":
+        public = quantized_update(w_q, u_q, C).tolist() + w_q
+    else:
+        up_q = quantized_aggregate(k_q, u_q, C)
+        public = quantized_update(w_q, up_q, C).tolist() + w_q + [k_q]
+    wit = generate_witness(cs, public, u_q)
     return cs, Statement(wit.statement(cs)), wit
 
 
@@ -125,6 +145,15 @@ class TestQapSnark:
         pair = self.backend.setup(cs, b"s")
         vk = pair.verifying_key
         assert len(vk.ic) == cs.num_public + 1
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_smallest_circuit_of_each_kind(self, kind):
+        cs, stmt, wit = smallest_instance(kind)
+        pair = self.backend.setup(cs, b"")
+        proof = self.backend.prove(pair.proving_key, stmt, wit)
+        assert self.backend.verify(pair.verifying_key, stmt, proof) is Verdict.ACCEPT
+        bad = Statement([stmt.values[0] + 1, *stmt.values[1:]])
+        assert self.backend.verify(pair.verifying_key, bad, proof) is Verdict.REJECT
 
 
 class TestBackendConformance:
