@@ -39,16 +39,18 @@ as U' in the composed circuit.  It describes its rows of element j, the
 relation row a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt (``row``)
 and the eta booleanity rows of its bits (``bits[j]``), and for a witness
 it computes its floor term from the wires before its own and fills in its
-range.  generate_witness thus has no branch per kind.  A builder
-allocates each bank of wires with one add_wires call and adds no row, and
-once it returns the circuit takes no more wires: every circuit is built,
-and its rows are, element by element, each gadget's relation row and then
-each gadget's booleanity rows (ConstraintSystem._element).  They are kept
-only once something reads ``rows``: ``constraints`` or the exact replay.
-Snark key set-up walks them element by element (``iter_rows``),
-``num_constraints`` counts them as m * (1 + eta) per gadget, and the
-digest, the mock backend and the gadgets' check never read them, so no
-zk run holds the 46 000 rows of the composed circuit at m=1000.
+range.  generate_witness thus has no branch per kind.  The constructor
+runs its kind's layout, which allocates each bank of wires with one
+add_wires call and adds no row, and once it returns the circuit takes no
+more wires: every circuit is whole, and its rows are, element by element,
+each gadget's relation row and then each gadget's booleanity rows
+(ConstraintSystem._element).  They are kept only once something reads
+``rows``: ``constraints`` or the exact replay; ``iter_rows`` walks them
+without keeping them.  ``num_constraints`` counts them as m * (1 + eta) per gadget, and the
+digest, snark key set-up, the mock backend and the gadgets' check never
+read them: the digest and set-up read element 0's rows and the stride of
+each of their wires (``element_template``), so no zk run holds the
+46 000 rows of the composed circuit at m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows.  The text is
@@ -94,7 +96,9 @@ an int64 array; take d as in the arithmetic, but widened to cover every
 wire of the witness, the outputs included, and let B be the largest
 gadget bound at d.  The witness recorded the least and greatest of its
 elements when it was made or decoded (the range that also fixes its
-frame width), so d costs no pass over the wires; and each gadget
+frame width): generate_witness takes it from the inputs' range it checks
+and each gadget's derived outputs, since wire 0 is 1 and every bit 0 or
+1.  So d costs no pass over the wires; and each gadget
 computes its floors once, in the one dtype B picks.  The integer test
 decides the rows mod P when B < P/2.  A booleanity row holds mod P
 exactly when b is 0 or 1, since P is prime and |b| < P/2.  With every
@@ -230,7 +234,7 @@ _WIDE = 32
 
 def _write_elements(values) -> bytes:
     """The integers of ``values`` mod P as 32-byte little-endian, no count."""
-    return b"".join((v % P).to_bytes(32, "little") for v in values)
+    return b"".join([(v % P).to_bytes(32, "little") for v in values])
 
 
 def _read_elements(data, what: str) -> List[int]:
@@ -321,6 +325,16 @@ class FieldVector:
         return self._bytes
 
     @classmethod
+    def _held(cls, signed: np.ndarray, span: Tuple[int, int]):
+        """The vector of the int64 array ``signed``, which it takes over,
+        when ``span`` is the least and greatest of 0 and its elements, both
+        in (-SMALL, SMALL); nothing scans the elements."""
+        vec = cls.__new__(cls)
+        signed.flags.writeable = False
+        vec._signed, vec._range = signed, span
+        return vec
+
+    @classmethod
     def _from_frame(cls, data: bytes, what: str):
         """The vector a frame holds, keeping ``data`` as its encoding.  Raises
         ValueError on any frame that is not the encoding of its vector."""
@@ -334,11 +348,8 @@ class FieldVector:
         if width == _WIDE:
             vec = cls(_read_elements(memoryview(data)[5:], what))
         else:
-            vec = cls.__new__(cls)
             narrow = np.frombuffer(data, dtype=f"<i{width}", offset=5)
-            vec._range = _range(narrow)
-            vec._signed = narrow.astype(np.int64)
-            vec._signed.flags.writeable = False
+            vec = cls._held(narrow.astype(np.int64), _range(narrow))
         if _width(*vec._range) != width:
             raise ValueError(f"{what} is not at the width of its values")
         if isinstance(data, bytes):
@@ -498,9 +509,12 @@ class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
     Wire 0 is the constant 1.  Public wires occupy 1..num_public, private
-    wires follow.  A circuit is made by one of BUILDERS, which allocates
-    its wires and sets ``gadgets``, the _Floor gadgets whose rows are all
-    the rows; once the builder returns, nothing adds a wire or a row.
+    wires follow.  ``ConstraintSystem(kind, m, constants)`` is the whole
+    circuit of that kind, the one its builder in BUILDERS returns: its
+    kind's layout allocates every wire and returns ``gadgets``, the _Floor
+    gadgets whose rows are all the rows, before the constructor returns,
+    and then nothing adds a wire or a row.  An unknown kind or an m below
+    1 raises CircuitError.
     ``rows`` holds the constraints in order, derived from the gadgets the
     first time they are read: the boolean row {i: 1} * {i: 1, 0: -1} = {},
     for a Python int i != 0, as the int i, and any other row as its
@@ -514,6 +528,10 @@ class ConstraintSystem:
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
+        if kind not in _LAYOUTS:
+            raise CircuitError(f"unknown circuit kind {kind!r}")
+        if m < 1:
+            raise CircuitError("m must be >= 1")
         self.kind = kind
         self.m = m
         self.constants = constants
@@ -521,8 +539,10 @@ class ConstraintSystem:
         self.num_public = 0
         self.num_private = 0
         self._digest: str | None = None
-        # the gadgets that derive and check a witness, set by the builder
-        self.gadgets: List["_Floor"] = []
+        # the gadgets that derive and check a witness: empty only while the
+        # kind's layout allocates the wires, and then never changed
+        self.gadgets: Tuple["_Floor", ...] = ()
+        self.gadgets = tuple(_LAYOUTS[kind](self))
 
     # -- construction ----------------------------------------------------
 
@@ -643,9 +663,11 @@ class ConstraintSystem:
         """The bytes of ``to_json``, written into one buffer of their length.
 
         Only the small header goes through ``json.dumps``; the constraint
-        list is written by _write_rows from ``_text_block`` and spliced in
-        after ``constants``, its first key.  The buffer is the only object
-        as large as the text, and is the one object ``digest`` hashes.
+        list is written by _write_rows from ``element_template``, as the
+        text of element 0's rows with a %d slot per wire (``_template``)
+        filled with each element's wires, and spliced in after
+        ``constants``, its first key.  The buffer is the only object as
+        large as the text, and is the one object ``digest`` hashes.
         """
         # the keys after the constraints; "variables" is the last of them,
         # and the builders' wire names need no escape in JSON
@@ -658,7 +680,8 @@ class ConstraintSystem:
         }).encode()[:-1], '","'.join(self.var_names).encode())
         head = b'{"constants":%s,"constraints":[' % _canonical_json(
             asdict(self.constants)).encode()
-        template, wires = self._text_block()
+        shapes, wires = self.element_template()
+        template = b"".join(map(_template, shapes))
         decimals = _decimals(self.num_wires)
         # every row's text ends in a comma; the last one's becomes the "]"
         # that closes the list
@@ -675,21 +698,25 @@ class ConstraintSystem:
         out[end - 1] = ord("]")
         return out
 
-    def _text_block(self) -> Tuple[bytes, _Affine]:
-        """The constraint list's text as a template and its wires: the text
-        is ``template % tuple(row)`` for each row of wires (see
-        ``_row_shape`` and ``_template``).
+    def element_template(self) -> Tuple[List["tuple | None"], _Affine]:
+        """Element 0's rows as their shapes, and the wires of every element.
 
-        The template is element 0's rows, and there is a row of wires per
-        element, affine in j, since each gadget places element j's wires at
-        a fixed stride: element 0's plus j times their step to element 1.
+        Row r of element j is row j * R + r of the circuit, R the rows per
+        element.  It has the shape (``_row_shape``) of element 0's row r,
+        the same coefficients in every element, and names wires affine in
+        j, since each gadget places element j's wires at a fixed stride:
+        the _Affine has a row per element and a column per wire slot of
+        element 0's rows, in the order the shapes name them, and its
+        column k is element 0's wire plus j times its step to element 1.
+        The step is 0 on a wire every element shares, as wire 0 and K.
+        The digest writes its text, and snark set-up fills its key tables,
+        from these.
         """
         shapes = [_row_shape(row) for row in self._element(0)]
         first = np.array([i for _, ws in shapes for i in ws])
         second = np.array([i for row in self._element(min(1, self.m - 1))
                            for i in _row_shape(row)[1]])
-        template = b"".join(_template(shape) for shape, _ in shapes)
-        return template, _Affine(first, second - first, self.m)
+        return [shape for shape, _ in shapes], _Affine(first, second - first, self.m)
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -751,22 +778,26 @@ class _Floor:
         c.update(zip(self.bits[j], self._powers))
         return (*self.factors(j), c)
 
-    def fill(self, w: np.ndarray, dtype) -> None:
+    def fill(self, w: np.ndarray, dtype) -> Tuple[int, int]:
         """Write this gadget's wires of the witness w: a private output, and
         the eta bits of every R = floor - 2**eta * (out - z), which lies in
         [0, 2**eta) exactly when out is the honest quantized output
         (floor >> eta) + z.  The floors are computed in ``dtype``, which
-        must be exact up to ``bound`` at the span of the operands."""
+        must be exact up to ``bound`` at the span of the operands.  Returns
+        the least and greatest of 0 and the private outputs it wrote."""
         c, floor, out = self.c, self.floor(w, dtype), slice(self.out.start, self.out.stop)
+        lo = hi = 0
         if self.private_out:
             derived = (floor >> c.eta) + self.z
-            if ((derived < c.q_min) | (derived > c.q_max)).any():
+            lo, hi = int(derived.min()), int(derived.max())
+            if lo < c.q_min or hi > c.q_max:
                 raise InconsistentStatementError("inconsistent statement")
             w[out] = derived
         r = self._remainder(w, floor)
         if not ((r >= 0) & (r < (1 << c.eta))).all():
             raise InconsistentStatementError("inconsistent statement")
         w[self._bank] = _bit_rows(r, c.eta)
+        return min(lo, 0), max(hi, 0)
 
     def holds(self, w: np.ndarray, dtype) -> bool:
         """Whether this gadget's rows hold for the int64 witness w, read as
@@ -845,17 +876,29 @@ class _Update(_Floor):
         return ((1 << c.upd_w_shift) + (1 << c.upd_u_shift)) * d + (1 << c.eta) * (d + 1)
 
 
-def _circuit(kind: str, m: int, constants: CircuitConstants) -> ConstraintSystem:
-    if m < 1:
-        raise CircuitError("m must be >= 1")
-    return ConstraintSystem(kind, m, constants)
+def _aggregation_layout(cs: ConstraintSystem) -> List[_Floor]:
+    up = _bank(cs, "Up", cs.m, public=True)
+    k = cs.add_wires(["K[0]"], public=True).start
+    return [_Aggregation(cs, k, _bank(cs, "U[0]", cs.m), up)]
 
 
-def _built(cs: ConstraintSystem, gadgets: List[_Floor]) -> ConstraintSystem:
-    """cs with ``gadgets``, whose rows are all its rows, element by element
-    (ConstraintSystem._element); it takes no more wires."""
-    cs.gadgets = gadgets
-    return cs
+def _update_layout(cs: ConstraintSystem) -> List[_Floor]:
+    wp, ww = _bank(cs, "Wp", cs.m, public=True), _bank(cs, "W", cs.m, public=True)
+    return [_Update(cs, ww, _bank(cs, "Up", cs.m), wp)]
+
+
+def _composed_layout(cs: ConstraintSystem) -> List[_Floor]:
+    wp, ww = _bank(cs, "Wp", cs.m, public=True), _bank(cs, "W", cs.m, public=True)
+    k = cs.add_wires(["K[0]"], public=True).start
+    agg = _Aggregation(cs, k, _bank(cs, "U", cs.m), "Up")
+    return [agg, _Update(cs, ww, agg.out, wp)]
+
+
+# per kind, the function that allocates a new circuit's wires and returns
+# its gadgets, whose rows are all its rows, element by element
+# (ConstraintSystem._element)
+_LAYOUTS = {"aggregation": _aggregation_layout, "update": _update_layout,
+            "composed": _composed_layout}
 
 
 def build_aggregation_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -864,10 +907,7 @@ def build_aggregation_circuit(m: int, constants: CircuitConstants) -> Constraint
     Public wires: U'[0..m), K[0].  Private wires: U[0][j] and eta
     remainder bits per output element.
     """
-    cs = _circuit("aggregation", m, constants)
-    up = _bank(cs, "Up", m, public=True)
-    k = cs.add_wires(["K[0]"], public=True).start
-    return _built(cs, [_Aggregation(cs, k, _bank(cs, "U[0]", m), up)])
+    return ConstraintSystem("aggregation", m, constants)
 
 
 def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -876,9 +916,7 @@ def build_update_circuit(m: int, constants: CircuitConstants) -> ConstraintSyste
     Public wires: W'[0..m), W[0..m).  Private wires: U'[j] and eta
     remainder bits per element.
     """
-    cs = _circuit("update", m, constants)
-    wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
-    return _built(cs, [_Update(cs, ww, _bank(cs, "Up", m), wp)])
+    return ConstraintSystem("update", m, constants)
 
 
 def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -888,11 +926,7 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     statement order: W'[0..m), W[0..m), K.  Private wires: U[j], then the
     aggregation's U'[j] and remainder bits, then the update's bits.
     """
-    cs = _circuit("composed", m, constants)
-    wp, ww = _bank(cs, "Wp", m, public=True), _bank(cs, "W", m, public=True)
-    k = cs.add_wires(["K[0]"], public=True).start
-    agg = _Aggregation(cs, k, _bank(cs, "U", m), "Up")
-    return _built(cs, [agg, _Update(cs, ww, agg.out, wp)])
+    return ConstraintSystem("composed", m, constants)
 
 
 BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
@@ -1003,12 +1037,16 @@ def quantized_update(w_q: Sequence[int], up_q: Sequence[int], c: CircuitConstant
 # -- witness generation ------------------------------------------------------
 
 
-def _check_range(cs: ConstraintSystem, vals: np.ndarray) -> None:
-    """Raise unless every vals[i], the value of wire 1 + i, is in the quantized range."""
+def _check_range(cs: ConstraintSystem, vals: np.ndarray) -> Tuple[int, int]:
+    """Raise unless every vals[i], the value of wire 1 + i, is in the
+    quantized range; return the least and greatest of 0 and vals, which
+    must not be empty."""
     c = cs.constants
-    if vals.size and (vals.min() < c.q_min or vals.max() > c.q_max):
+    lo, hi = int(vals.min()), int(vals.max())
+    if lo < c.q_min or hi > c.q_max:
         i, bad = next((i, v) for i, v in enumerate(vals.tolist()) if not c.q_min <= v <= c.q_max)
         raise CircuitError(f"{cs.var_names[1 + i]} value {bad} outside quantized range")
+    return min(lo, 0), max(hi, 0)
 
 
 def _bit_rows(r: np.ndarray, eta: int) -> np.ndarray:
@@ -1043,7 +1081,7 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     if len(priv) != free:
         raise CircuitError(f"expected {free} private values, got {len(priv)}")
     inputs = np.concatenate([pub, priv])
-    _check_range(cs, inputs)
+    lo, hi = _check_range(cs, inputs)
     w = np.zeros(cs.num_wires, dtype=inputs.dtype)
     w[0] = 1
     w[1 : 1 + len(inputs)] = inputs
@@ -1051,5 +1089,8 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
     # quantized range, so the span of the range itself covers each floor
     d = _span(cs.constants)
     for g in cs.gadgets:
-        g.fill(w, _int_dtype(g.bound(cs.constants, d)))
-    return Witness(w, copy=False)  # nothing else holds w
+        out_lo, out_hi = g.fill(w, _int_dtype(g.bound(cs.constants, d)))
+        lo, hi = min(lo, out_lo), max(hi, out_hi)
+    # the other wires are wire 0, which is 1, and bits, each 0 or 1; nothing
+    # else holds w
+    return Witness._held(w, (lo, max(hi, 1)))

@@ -8,8 +8,6 @@ them, and their wire encoding, are circuit.FieldVector.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 # BN254 (alt_bn128) scalar field modulus.
 P = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 
@@ -24,19 +22,3 @@ def inv(a: int) -> int:
         raise ZeroDivisionError("no inverse for zero")
     return pow(a, P - 2, P)
 
-
-def batch_inv(values: Iterable[int]) -> List[int]:
-    """Montgomery batch inversion: one field inversion for the whole list."""
-    vals = [v % P for v in values]
-    n = len(vals)
-    prefix = [1] * (n + 1)
-    for i, v in enumerate(vals):
-        if v == 0:
-            raise ZeroDivisionError("no inverse for zero")
-        prefix[i + 1] = prefix[i] * v % P
-    acc = inv(prefix[n])
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * acc % P
-        acc = acc * vals[i] % P
-    return out

@@ -66,11 +66,12 @@ pairing-based prover behind the same Backend contract.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +88,7 @@ from .backend import (
     encode_frame,
 )
 from .circuit import MAX_CONSTRAINTS, ConstraintSystem, Witness, _read_elements, _write_elements
-from .field import P, batch_inv, inv
+from .field import P, inv
 
 
 class _Drbg:
@@ -229,30 +230,97 @@ class SnarkVerifyingKey:
         return cls(circuit_digest, len(ic) - 1, alpha_beta, gamma, delta, ic)
 
 
-def _lagrange_at(tau: int, nc: int) -> tuple:
-    """Evaluate all Lagrange basis polynomials for nodes 1..nc at tau.
+def _lagrange_at(tau: int, nc: int) -> List[int]:
+    """L_j(tau) for the Lagrange basis polynomials L_0..L_(nc-1) of the
+    nodes 1..nc, for tau off the nodes.
 
-    Barycentric form over consecutive integer nodes: the weight for node
-    j+1 is 1/(j! * (nc-1-j)! * (-1)^(nc-1-j)), so every L_j(tau) costs one
-    multiply after a single batch inversion.  Returns (L values, Z(tau)).
+    Over consecutive integer nodes L_j(tau) = c * N_j * S_j, with
+        N_j = prod_{i < j} -(tau - i - 1)(nc - 1 - i),
+        S_j = prod_{j <= i < nc - 1} (tau - i - 2)(i + 1),
+        c   = 1 / ((-1)**(nc - 1) * ((nc - 1)!)**2):
+    N_j * S_j is the numerator prod_{k != j} (tau - k - 1) times
+    (-1)**j * ((nc - 1)!)**2 / (j! * (nc - 1 - j)!), and c turns that
+    into the barycentric weight (-1)**(nc - 1 - j) / (j! * (nc - 1 - j)!)
+    of node j + 1, whose ratio to the next weight is a ratio of small
+    integers.  It takes one inversion and three modular products per node:
+    one for the running prefix c * N_j, one for the running suffix S_j, and
+    their product.
     """
-    fact = [1] * nc
-    for i in range(1, nc):
-        fact[i] = fact[i - 1] * i % P
-    z_tau = 1
-    diffs = []
-    for j in range(nc):
-        d = (tau - (j + 1)) % P
-        diffs.append(d)
-        z_tau = z_tau * d % P
-    denoms = []
-    for j in range(nc):
-        den = fact[j] * fact[nc - 1 - j] % P * diffs[j] % P
-        if (nc - 1 - j) & 1:
-            den = P - den
-        denoms.append(den)
-    invs = batch_inv(denoms)
-    return [z_tau * iv % P for iv in invs], z_tau
+    fact = 1  # (nc - 1)!, reduced once per 16 factors
+    for lo in range(1, nc, 16):
+        fact = fact * math.prod(range(lo, min(lo + 16, nc))) % P
+    c = inv(fact * fact)
+    if nc % 2 == 0:
+        c = P - c
+    lag = [c] * nc
+    for i in range(nc - 1):
+        lag[i + 1] = lag[i] * (i + 1 - tau) * (nc - 1 - i) % P
+    s = 1  # S_i, from S_(nc-1) = 1 down
+    for i in range(nc - 1, 0, -1):
+        lag[i] = lag[i] * s % P
+        s = s * (tau - i - 1) * i % P
+    lag[0] = lag[0] * s % P
+    return lag
+
+
+def _row_terms(shapes) -> Iterator[List[Tuple[int, int, Optional[int]]]]:
+    """The terms (t, co, k) of every row of an element template
+    (ConstraintSystem.element_template), in order: t is 0, 1 or 2 for A, B
+    or C, co the coefficient and k the template's column of the wire, or
+    None for wire 0 in B of a boolean row {i: 1} * {i: 1, 0: -1} = {},
+    which its text spells as a literal."""
+    k = 0
+    for shape in shapes:
+        if shape is None:
+            yield [(0, 1, k), (1, 1, k + 1), (1, -1, None)]
+            k += 2
+            continue
+        terms = []
+        for t, coeffs in enumerate(shape):
+            terms += [(t, co, k + n) for n, co in enumerate(coeffs)]
+            k += len(coeffs)
+        yield terms
+
+
+def _add(table: List[int], at: Tuple[int, int], co: int, lag: List[int]) -> None:
+    """Add co * lag[e] to table[first + e * step] for every e, (first,
+    step) = at, or co * sum(lag) once to table[first] when step is 0."""
+    first, step = at
+    if step:
+        dst = slice(first, first + step * len(lag), step)
+        table[dst] = [x + co * lj for x, lj in zip(table[dst], lag)]
+    else:
+        table[first] += co * sum(lag)
+
+
+def _qap_at(cs: ConstraintSystem, tau: int, alpha: int, beta: int, gamma_inv: int,
+            delta_inv: int) -> List[List[int]]:
+    """The wire polynomials A_i, B_i and C_i at tau, and their combination
+    (beta*A_i + alpha*B_i + C_i)/gamma for wire 0 and the public wires and
+    /delta for the private ones, as four lists over the wires, congruent
+    mod P to their values but not reduced.
+
+    Row j = e * R + r, element e's row r, contributes co * L_j(tau) for
+    each term co * wire.  Each term of element 0's row r has the same co
+    in every element and names wires first + e * step, so it adds
+    co * L[r::R] into one stride slice of its table, or co * sum(L[r::R])
+    once when its step is 0.  The terms of a row that name one wire add
+    into the combination once, with their weights summed: a boolean row's
+    bit with beta + alpha."""
+    shapes, wires = cs.element_template()
+    lag, rows = _lagrange_at(tau, cs.num_constraints), len(shapes)
+    first, step = wires.first.tolist(), wires.step.tolist()
+    tables = [[0] * cs.num_wires for _ in range(4)]
+    weights, npub = (beta, alpha, 1), cs.num_public + 1
+    for r, terms in enumerate(_row_terms(shapes)):
+        lr, combined = lag[r::rows], {}
+        for t, co, k in terms:
+            at = (0, 0) if k is None else (first[k], step[k])
+            _add(tables[t], at, co, lr)
+            combined[at] = combined.get(at, 0) + co * weights[t]
+        for at, w in combined.items():
+            _add(tables[3], at, w * (gamma_inv if at[0] < npub else delta_inv) % P, lr)
+    return tables
 
 
 def _limb_dtype(w: np.ndarray, n: int):
@@ -320,42 +388,11 @@ class QapSnarkBackend(Backend):
             if not 1 <= tau <= nc:
                 break
 
-        lag, _ = _lagrange_at(tau, nc)
-        nw = cs.num_wires
-        a_tau = [0] * nw
-        b_tau = [0] * nw
-        c_tau = [0] * nw
-        # a boolean row i is {i: 1} * {i: 1, 0: -1} = {}: L_j(tau) on a_tau[i]
-        # and b_tau[i], and the sum of those L_j(tau) comes off b_tau[0] once
-        boolean_sum = 0
-        for j, row in enumerate(cs.iter_rows()):
-            lj = lag[j]
-            if isinstance(row, int):
-                a_tau[row] = (a_tau[row] + lj) % P
-                b_tau[row] = (b_tau[row] + lj) % P
-                boolean_sum += lj
-                continue
-            a, b, c = row
-            for i, co in a.items():
-                a_tau[i] = (a_tau[i] + co * lj) % P
-            for i, co in b.items():
-                b_tau[i] = (b_tau[i] + co * lj) % P
-            for i, co in c.items():
-                c_tau[i] = (c_tau[i] + co * lj) % P
-        b_tau[0] = (b_tau[0] - boolean_sum) % P
-
-        gamma_inv = inv(gamma)
-        delta_inv = inv(delta)
-        ic = [
-            (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) * gamma_inv % P
-            for i in range(cs.num_public + 1)
-        ]
-        l_priv = [
-            (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) * delta_inv % P
-            for i in range(cs.num_public + 1, nw)
-        ]
-        a_tau, b_tau, c_tau, l_priv, ic = (
-            _limb_table(_write_elements(t)) for t in (a_tau, b_tau, c_tau, l_priv, ic))
+        gamma_inv, delta_inv = inv(gamma), inv(delta)
+        a_tau, b_tau, c_tau, combined = _qap_at(cs, tau, alpha, beta, gamma_inv, delta_inv)
+        npub = cs.num_public + 1
+        a_tau, b_tau, c_tau, l_priv, ic = (_limb_table(_write_elements(t)) for t in (
+            a_tau, b_tau, c_tau, combined[npub:], combined[:npub]))
         pk = SnarkProvingKey(cs, digest, alpha, beta, delta, delta_inv, a_tau, b_tau, c_tau, l_priv)
         vk = SnarkVerifyingKey(digest, cs.num_public, alpha * beta % P, gamma, delta, ic)
         return KeyPair(backend="snark", proving_key=pk, verifying_key=vk)

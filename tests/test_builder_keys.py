@@ -28,6 +28,7 @@ from zksplit.circuit import (
     build_protocol_circuit,
     build_update_circuit,
     from_spec,
+    generate_witness,
 )
 from zksplit.cli import main
 from zksplit.snark import QapSnarkBackend
@@ -83,7 +84,25 @@ def test_spec_is_the_canonical_json_of_kind_m_and_constants():
     assert spec == json.dumps({"kind": "composed", "m": 3, "constants": asdict(cs.constants)},
                               separators=(",", ":"), sort_keys=True).encode()
     assert from_spec(json.loads(spec)).digest() == cs.digest()
-    assert len(ConstraintSystem("composed", 500, EQUAL).spec()) == 168
+    assert len(build_protocol_circuit(500, EQUAL).spec()) == 168
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_constructor_makes_the_builders_whole_circuit(kind):
+    """ConstraintSystem(kind, m, constants) lays out every wire and gadget
+    before it returns, so it is the circuit the builder returns: it counts
+    its rows, names its digest and checks a witness."""
+    cs, built = ConstraintSystem(kind, 3, EQUAL), BUILDERS[kind](3, EQUAL)
+    assert cs.gadgets and cs.num_constraints == len(built.rows) > 0
+    assert cs.var_names == built.var_names and cs.digest() == built.digest()
+    free = cs.gadgets[0].wires.start - 1 - cs.num_public
+    assert cs.is_satisfied(generate_witness(cs, [0] * cs.num_public, [0] * free))
+
+
+@pytest.mark.parametrize("kind,m", [("unknown", 1), ("composed", 0), ("update", -1)])
+def test_constructor_refuses_what_no_builder_makes(kind, m):
+    with pytest.raises(CircuitError):
+        ConstraintSystem(kind, m, EQUAL)
 
 
 def test_mock_keys_at_m1000_carry_only_the_spec():

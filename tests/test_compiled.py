@@ -61,6 +61,8 @@ CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8, 64) for name in CO
 ETA60_CASES = [(kind, m, "ETA60") for kind in BUILDERS for m in (1, 8, 64)]
 # pinned only: eta = 60 runs the arithmetic on arrays of Python ints
 PINNED_CONSTANTS = {**CONSTANTS, "ETA60": CircuitConstants(eta=60)}
+# the constants under which generate_witness's recorded range is checked
+RANGE_CONSTANTS = {**PINNED_CONSTANTS, "MIXED60": CircuitConstants(**{**asdict(MIXED), "eta": 60})}
 # eta = 200 puts a gadget's bound past P/2 once a wire reaches about 2**26
 CHECK_CONSTANTS = {**PINNED_CONSTANTS, "ETA200": CircuitConstants(eta=200)}
 
@@ -246,10 +248,12 @@ class TestGadgetCheck:
         assert cs.is_satisfied(made) and cs.is_satisfied(decoded)
         assert calls == [("_span", made._range)] * 2
 
-    def test_witness_generation_scans_its_wires_once(self, monkeypatch):
+    def test_witness_generation_scans_no_wire(self, monkeypatch):
         """generate_witness picks each floor's dtype from the quantized
-        range its inputs were checked against, and scans the wires only
-        when it makes the witness."""
+        range its inputs were checked against, and records the witness's
+        range from its inputs and derived outputs without a scan of its
+        wires (test_generated_witness_records_its_exact_range checks the
+        range)."""
         cs, values = honest("composed", 64, "MIXED")
         pub = FieldVector(values[1 : 1 + cs.num_public])
         priv = FieldVector(values[1 + cs.num_public : 1 + cs.num_public + 64])
@@ -261,7 +265,29 @@ class TestGadgetCheck:
         for name in ("aggregation_floor", "update_floor", "_operand_span"):
             monkeypatch.setattr(circuit, name, lambda *a, name=name: calls.append((name,)))
         assert generate_witness(cs, pub, priv).values == values
-        assert calls == [("_span", ()), ("_range", cs.num_wires)]
+        assert calls == [("_span", ())]
+
+    @settings(deadline=None, max_examples=200)
+    @given(kind=st.sampled_from(sorted(BUILDERS)), name=st.sampled_from(sorted(RANGE_CONSTANTS)),
+           data=st.data())
+    def test_generated_witness_records_its_exact_range(self, kind, name, data):
+        """The range generate_witness records from its inputs and derived
+        outputs is the least and greatest of 0 and the witness's wires."""
+        c = RANGE_CONSTANTS[name]
+        m = data.draw(st.integers(1, 12), label="m")
+        q = st.lists(st.integers(-4000, 4000), min_size=m, max_size=m)
+        u_q, w_q = data.draw(q, label="U"), data.draw(q, label="W")
+        k_q = data.draw(st.integers(-4000, 4000), label="K")
+        cs = BUILDERS[kind](m, c)
+        if kind.startswith("aggregation"):
+            public = quantized_aggregate(k_q, u_q, c).tolist() + [k_q]
+        elif kind == "update":
+            public = quantized_update(w_q, u_q, c).tolist() + w_q
+        else:
+            up_q = quantized_aggregate(k_q, u_q, c)
+            public = quantized_update(w_q, up_q, c).tolist() + w_q + [k_q]
+        wit = generate_witness(cs, public, u_q)
+        assert wit._range == circuit._range(wit.signed)
 
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(CASES), data=st.data())

@@ -148,6 +148,13 @@ PINNED_KEYS = {
         "snark_pk_tail": "dfbc5957f6a2cc3336f1c3fa4689be92ca344a34e79ba0719b3693556151985f",
         "snark_vk": "c5c7777adce38c9c3bfe5aadb899ad8c427d387b539613e9c04a876532f12ba3",
     },
+    # taken while set-up still walked the rows over barycentric Lagrange
+    # values; MIXED's nonzero zero-points put terms on wire 0 in every row
+    ("MIXED", 500): {
+        "snark_pk": "be5b599413b8851e0d7fb9f6df3cee71e3e6a28586138e21879db40c4733633a",
+        "snark_pk_tail": "72e83514bd629370394345e1c635c7a1bce1233ca86739ed69f7455ed597c855",
+        "snark_vk": "bafb1498f64e7c7ca0e90c8069f9b0c927a85a820de05a4e7c61556ed4d33719",
+    },
 }
 
 
