@@ -33,11 +33,11 @@ its table, or co * sum(L[r::R]) once into wire 0 or K.  The private and
 public combinations (beta*A_i + alpha*B_i + C_i)/delta and /gamma
 accumulate in the same pass, with the inverses folded into each row's
 weights, and nothing is reduced until it is written, once per wire.  At
-m=500 (23 000 rows, 24 002 wires) the Lagrange values take about 80 ms,
-the fill 40 ms and writing the five tables 40 ms; walking the rows over
-barycentric values from a batch inversion took about 180, 50, 50 and
-30 ms for the values, the walk, the combinations and the write (medians
-of 15 alternating runs on a shared 2-vCPU host).
+m=500 (23 000 rows, 24 002 wires) the Lagrange values take about 70 ms,
+the fill 26 ms and reducing and writing the five tables 36 ms; walking
+the rows over barycentric values from a batch inversion took about 139,
+40, 51 and 24 ms for the values, the walk, the combinations and the
+write (medians of 15 alternating runs on a shared 2-vCPU host).
 
 Key tables (A_i, B_i, C_i at tau, the private and the public combinations)
 are held as read-only (n, 16) arrays of little-endian 16-bit limbs: the
@@ -336,14 +336,14 @@ def _qap_at(cs: ConstraintSystem, tau: int, alpha: int, beta: int, gamma_inv: in
     lag, rows = _lagrange_at(tau, cs.num_constraints), len(shapes)
     first, step = wires.first.tolist(), wires.step.tolist()
     tables = [[0] * cs.num_wires for _ in range(4)]
-    weights, npub = (beta, alpha, 1), cs.num_public + 1
+    factors, npub = (beta, alpha, 1), cs.num_public + 1
     for r, terms in enumerate(_row_terms(shapes)):
-        lr, combined = lag[r::rows], {}
+        lr, weight = lag[r::rows], {}
         for t, co, k in terms:
             at = (0, 0) if k is None else (first[k], step[k])
             _add(tables[t], at, co, lr)
-            combined[at] = combined.get(at, 0) + co * weights[t]
-        for at, w in combined.items():
+            weight[at] = weight.get(at, 0) + co * factors[t]
+        for at, w in weight.items():
             _add(tables[3], at, w * (gamma_inv if at[0] < npub else delta_inv) % P, lr)
     return tables
 

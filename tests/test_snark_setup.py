@@ -16,7 +16,7 @@ import pytest
 
 from zksplit.circuit import BUILDERS, CircuitConstants, ConstraintSystem, _write_elements
 from zksplit.field import P, inv
-from zksplit.snark import QapSnarkBackend, _Drbg, _lagrange_at, _limb_table
+from zksplit.snark import QapSnarkBackend, _add, _Drbg, _lagrange_at, _limb_table
 
 EQUAL = CircuitConstants()
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
@@ -123,6 +123,21 @@ def test_setup_reads_no_row(kind, monkeypatch):
     cs = BUILDERS[kind](3, MIXED)
     QapSnarkBackend().setup(cs, SEED)
     assert "rows" not in vars(cs)
+
+
+def test_a_term_adds_to_what_its_wires_hold():
+    """A term adds into its stride slice; only on a slice of zeros does a
+    coefficient of 1 place the values as they are.  (In the built circuits
+    every coefficient-1 term is the first on its wires.)"""
+    table = [0, 5, 0, 7, 0]
+    _add(table, (1, 2), 1, [10, 20])
+    assert table == [0, 15, 0, 27, 0]
+    _add(table, (0, 2), 1, [1, 2])
+    assert table == [1, 15, 2, 27, 0]
+    _add(table, (1, 2), 3, [1, 1])
+    assert table == [1, 18, 2, 30, 0]
+    _add(table, (4, 0), -2, [3, 4])
+    assert table == [1, 18, 2, 30, -14]
 
 
 @pytest.mark.parametrize("nc", [1, 2, 3, 46])
