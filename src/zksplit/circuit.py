@@ -123,7 +123,7 @@ import hashlib
 import json
 from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -528,7 +528,7 @@ class ConstraintSystem:
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
-        if kind not in _LAYOUTS:
+        if kind not in _KINDS:
             raise CircuitError(f"unknown circuit kind {kind!r}")
         if m < 1:
             raise CircuitError("m must be >= 1")
@@ -542,7 +542,7 @@ class ConstraintSystem:
         # the gadgets that derive and check a witness: empty only while the
         # kind's layout allocates the wires, and then never changed
         self.gadgets: Tuple["_Floor", ...] = ()
-        self.gadgets = tuple(_LAYOUTS[kind](self))
+        self.gadgets = tuple(_KINDS[kind][0](self))
 
     # -- construction ----------------------------------------------------
 
@@ -894,11 +894,14 @@ def _composed_layout(cs: ConstraintSystem) -> List[_Floor]:
     return [agg, _Update(cs, ww, agg.out, wp)]
 
 
-# per kind, the function that allocates a new circuit's wires and returns
-# its gadgets, whose rows are all its rows, element by element
-# (ConstraintSystem._element)
-_LAYOUTS = {"aggregation": _aggregation_layout, "update": _update_layout,
-            "composed": _composed_layout}
+# the circuit kinds: per kind, the function that allocates a new circuit's
+# wires and returns its gadgets, whose rows are all its rows, element by
+# element (ConstraintSystem._element), and the number of those gadgets
+_KINDS = {"aggregation": (_aggregation_layout, 1), "update": (_update_layout, 1),
+          "composed": (_composed_layout, 2)}
+
+# the builder of each kind, ConstraintSystem(kind, m, constants)
+BUILDERS = {kind: partial(ConstraintSystem, kind) for kind in _KINDS}
 
 
 def build_aggregation_circuit(m: int, constants: CircuitConstants) -> ConstraintSystem:
@@ -929,11 +932,6 @@ def build_protocol_circuit(m: int, constants: CircuitConstants) -> ConstraintSys
     return ConstraintSystem("composed", m, constants)
 
 
-BUILDERS = {"aggregation": build_aggregation_circuit, "update": build_update_circuit,
-            "composed": build_protocol_circuit}
-
-# the number of gadgets each builder adds
-_GADGETS = {"aggregation": 1, "update": 1, "composed": 2}
 _CONSTANT_NAMES = {f.name for f in fields(CircuitConstants)}
 
 
@@ -961,7 +959,7 @@ def from_spec(spec) -> ConstraintSystem:
     if not all(type(v) is int for v in (m, *constants.values())):
         raise CircuitError("circuit m and constants must be integers")
     c = CircuitConstants(**constants)
-    if _row_count(m, c.eta, _GADGETS[kind]) > MAX_CONSTRAINTS:
+    if _row_count(m, c.eta, _KINDS[kind][1]) > MAX_CONSTRAINTS:
         raise CircuitError(f"m = {m} gives more than {MAX_CONSTRAINTS} constraints")
     return BUILDERS[kind](m, c)
 
@@ -1082,15 +1080,20 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         raise CircuitError(f"expected {free} private values, got {len(priv)}")
     inputs = np.concatenate([pub, priv])
     lo, hi = _check_range(cs, inputs)
-    w = np.zeros(cs.num_wires, dtype=inputs.dtype)
+    # every input, and every private output fill derives, lies in the
+    # quantized range: within (-SMALL, SMALL) an int64 witness holds them
+    c = cs.constants
+    small = -SMALL < c.q_min and c.q_max < SMALL
+    w = np.zeros(cs.num_wires, dtype=np.int64 if small else object)
     w[0] = 1
     w[1 : 1 + len(inputs)] = inputs
-    # every input, and every private output fill derives, lies in the
-    # quantized range, so the span of the range itself covers each floor
-    d = _span(cs.constants)
+    # the span of the range itself covers each floor
+    d = _span(c)
     for g in cs.gadgets:
-        out_lo, out_hi = g.fill(w, _int_dtype(g.bound(cs.constants, d)))
+        out_lo, out_hi = g.fill(w, _int_dtype(g.bound(c, d)))
         lo, hi = min(lo, out_lo), max(hi, out_hi)
+    if not small:
+        return Witness(w, copy=False)  # nothing else holds w
     # the other wires are wire 0, which is 1, and bits, each 0 or 1; nothing
     # else holds w
     return Witness._held(w, (lo, max(hi, 1)))

@@ -309,11 +309,7 @@ def _add(table: List[int], at: Tuple[int, int], co: int, lag: List[int]) -> None
     first, step = at
     if step:
         dst = slice(first, first + step * len(lag), step)
-        old = table[dst]
-        # the first term on its wires with coefficient 1, as each bit's A
-        # and B in its booleanity row, places the values themselves
-        table[dst] = lag if co == 1 and not any(old) else [
-            x + co * lj for x, lj in zip(old, lag)]
+        table[dst] = [x + co * lj for x, lj in zip(table[dst], lag)]
     else:
         table[first] += co * sum(lag)
 

@@ -118,13 +118,13 @@ def test_mock_keys_at_m1000_carry_only_the_spec():
 @pytest.mark.parametrize("m,eta", [(1, 22), (3, 22), (2, 40)])
 def test_row_count_bound_is_the_builders(kind, m, eta):
     rows = len(BUILDERS[kind](m, CircuitConstants(eta=eta)).rows)
-    assert rows == m * (1 + eta) * circuit._GADGETS[kind]
+    assert rows == m * (1 + eta) * circuit._KINDS[kind][1]
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_largest_m_under_the_bound_builds(kind, monkeypatch, builds):
     # under a bound of 5 elements the largest m is built in full, one more is not
-    per_element = (1 + EQUAL.eta) * circuit._GADGETS[kind]
+    per_element = (1 + EQUAL.eta) * circuit._KINDS[kind][1]
     monkeypatch.setattr(circuit, "MAX_CONSTRAINTS", 5 * per_element)
     assert len(from_spec({"kind": kind, "m": 5}).rows) == 5 * per_element
     with pytest.raises(CircuitError, match="constraints"):
@@ -134,7 +134,7 @@ def test_largest_m_under_the_bound_builds(kind, monkeypatch, builds):
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_past_the_bound_nothing_is_built(kind, builds):
-    most = MAX_CONSTRAINTS // ((1 + EQUAL.eta) * circuit._GADGETS[kind])
+    most = MAX_CONSTRAINTS // ((1 + EQUAL.eta) * circuit._KINDS[kind][1])
     for m in (most + 1, 10 ** 9, 10 ** 100):
         with pytest.raises(CircuitError, match=f"more than {MAX_CONSTRAINTS} constraints"):
             from_spec({"kind": kind, "m": m})

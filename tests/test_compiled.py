@@ -289,6 +289,19 @@ class TestGadgetCheck:
         wit = generate_witness(cs, public, u_q)
         assert wit._range == circuit._range(wit.signed)
 
+    @pytest.mark.parametrize("z_up", [SMALL + 5, 2**63 + 5])
+    def test_wide_range_witness_holds_python_ints(self, z_up):
+        """Under a quantized range past (-SMALL, SMALL) a derived output may
+        leave int64, as the private U' = z_up of all-zero inputs does here:
+        the witness then holds Python ints and its range is the scanned
+        one."""
+        cs = build_protocol_circuit(2, CircuitConstants(z_up=z_up, q_max=2**64))
+        wit = generate_witness(cs, [0] * cs.num_public, [0, 0])
+        assert wit.signed.dtype == object
+        assert wit._range == (0, z_up) == circuit._range(wit.signed)
+        assert cs.is_satisfied(wit)
+        assert Witness.from_bytes(wit.to_bytes()).values == wit.values
+
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(CASES), data=st.data())
     def test_single_wire_perturbation(self, case, data):

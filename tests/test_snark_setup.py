@@ -126,9 +126,8 @@ def test_setup_reads_no_row(kind, monkeypatch):
 
 
 def test_a_term_adds_to_what_its_wires_hold():
-    """A term adds into its stride slice; only on a slice of zeros does a
-    coefficient of 1 place the values as they are.  (In the built circuits
-    every coefficient-1 term is the first on its wires.)"""
+    """A term adds co times the values into its stride slice, onto what the
+    slice holds, or co times their sum into one wire when its step is 0."""
     table = [0, 5, 0, 7, 0]
     _add(table, (1, 2), 1, [10, 20])
     assert table == [0, 15, 0, 27, 0]
