@@ -33,8 +33,8 @@ its table, or co * sum(L[r::R]) once into wire 0 or K.  The private and
 public combinations (beta*A_i + alpha*B_i + C_i)/delta and /gamma
 accumulate in the same pass, with the inverses folded into each row's
 weights, and nothing is reduced until it is written, once per wire.  At
-m=500 (23 000 rows, 24 002 wires) the Lagrange values take about 70 ms,
-the fill 26 ms and reducing and writing the five tables 36 ms; walking
+m=500 (23 000 rows, 24 002 wires) the Lagrange values take about 61 ms,
+the fill 39 ms and reducing and writing the five tables 39 ms; walking
 the rows over barycentric values from a batch inversion took about 139,
 40, 51 and 24 ms for the values, the walk, the combinations and the
 write (medians of 15 alternating runs on a shared 2-vCPU host).
