@@ -53,16 +53,21 @@ each of their wires (``element_template``), so no zk run holds the
 46 000 rows of the composed circuit at m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
-(to_json), which binds every proof and key to its rows.  The text is
-written into one buffer of its exact length, the digest's preimage, by
-one kernel (_write_rows) from a template, the text of element 0's rows
-with a %d slot per wire, and the wires of every element, one row of
-indices per filled template; they are affine in j, since each gadget lays
-out its elements at a fixed stride.  The kernel formats the indices in
-numpy a chunk of elements at a time: it gathers their digits from a digit
-table into a uint8 matrix of the rows, which lies in the buffer.  The
-writer builds no dict, no list of rows or row strings, and no other
-object as large as the text, and the buffer is freed once it is hashed.
+(to_json), which binds every proof and key to its rows and wire names.
+The text is written into one uint8 array of its exact length, the
+digest's preimage, by one kernel (_write_rows) that fills a template
+with rows of integers affine in j.  The constraints are the text of
+element 0's rows with a %d slot per wire, filled with the wires of every
+element, which are affine in j since each gadget lays out its elements
+at a fixed stride.  The names are kept as banks, one per add_wires call:
+the names of one row of the bank's wires with a %d slot for the row's
+index j, as "Ra[%d]:b0", and its number of rows; the same kernel fills
+each bank's row of names with every j.  The kernel formats the integers
+in numpy a chunk of rows at a time: it gathers their digits from a digit
+table into a uint8 matrix of the rows, which lies in the array.  The
+writer builds no dict, no list of rows or row strings, no string per
+wire, and no other object as large as the text, and the array is freed
+once it is hashed.  ``var_names`` parses the names from the same text.
 
 The arithmetic.  Each gadget writes its floor term, a left-hand side
 above, once, as ``formula``: from the one integer K and the vector U, or
@@ -409,20 +414,28 @@ def _template(shape: tuple | None) -> bytes:
         b"[" + b",".join(b"[%%d,%d]" % (co % P) for co in coeffs) + b"]" for coeffs in shape)
 
 
+# the bytes of a number in the digit table: its ASCII digits, right-aligned
+_DIGIT_BYTES = 8
+
+
 def _decimals(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of 0..n-1, right-aligned with leading zeros in rows
-    of one width, and the number of digits of each."""
+    """The digit table of 0..n-1, n at most 10**8, and the number of digits
+    of each.  The table is a uint64 per number whose _DIGIT_BYTES bytes are
+    its ASCII digits right-aligned with leading zeros, so that a gather
+    from it moves one machine word per number."""
     n = max(n, 1)
     width = len(str(n - 1))
-    digits = np.empty((n, width), np.uint8)
+    if width > _DIGIT_BYTES:
+        raise CircuitError(f"{n} numbers are too many for the digit table")
+    digits = np.full((n, _DIGIT_BYTES), 48, np.uint8)
     for k in range(width):
         # the k-th digit from the right cycles through 0..9, each for 10**k numbers
         cycle = np.repeat(np.arange(48, 58, dtype=np.uint8), 10**k)
-        digits[:, width - 1 - k] = np.resize(cycle, n)
+        digits[:, _DIGIT_BYTES - 1 - k] = np.resize(cycle, n)
     # 10 numbers have one digit, and 9 * 10**k have k + 1
     counts = np.repeat(np.arange(1, width + 1, dtype=np.uint8),
                        [10, *(9 * 10**k for k in range(1, width))])[:n]
-    return digits, counts
+    return digits.view(np.uint64).ravel(), counts
 
 
 class _Affine:
@@ -454,9 +467,10 @@ def _text_length(template: bytes, wires, counts: np.ndarray) -> int:
 
 
 def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
-                decimals: Tuple[np.ndarray, np.ndarray]) -> None:
+                decimals: Tuple[np.ndarray, np.ndarray]) -> int:
     """Write ``template % tuple(row)`` for each row of the _Affine
-    ``wires`` into the uint8 array buf from pos on.
+    ``wires`` into the uint8 array buf from pos on, and return where the
+    text ends.
 
     ``template`` has one %d slot per column of ``wires``, and ``decimals``
     is ``_decimals`` of more than the largest wire.  A chunk of rows at a
@@ -468,7 +482,7 @@ def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
     digits, counts = decimals
     pieces = template.split(b"%d")
     slots, chunks = _chunks(template, wires)
-    width = digits.shape[1]
+    width = _DIGIT_BYTES
     for chunk in chunks:
         lengths = counts[chunk]
         cuts = (np.flatnonzero((lengths[1:] != lengths[:-1]).any(axis=1)) + 1).tolist()
@@ -484,8 +498,31 @@ def _write_rows(buf: np.ndarray, pos: int, template: bytes, wires,
             ends = np.cumsum(nd, dtype=np.int64)
             slot = np.repeat(np.arange(slots), nd)
             column = slot * width + np.arange(len(slot)) + width - ends[slot]
-            run[:, row == 0] = digits[chunk[a:b]].reshape(b - a, slots * width)[:, column]
+            words = digits[chunk[a:b]].view(np.uint8).reshape(b - a, slots * width)
+            run[:, row == 0] = words[:, column]
             pos += run.size
+    return pos
+
+
+def _text(parts, decimals: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The parts, in order, in one new uint8 array of their length.
+
+    A part is bytes, copied as they are, or a list of (template, _Affine)
+    pairs, each written by _write_rows: their rows all end in a comma, and
+    the list's last comma becomes the "]" that closes it.  ``decimals`` is
+    ``_decimals`` of more than the largest value in the _Affines."""
+    size = sum(len(p) if isinstance(p, bytes) else
+               sum(_text_length(t, w, decimals[1]) for t, w in p) for p in parts)
+    buf, pos = np.empty(size, np.uint8), 0
+    for part in parts:
+        if isinstance(part, bytes):
+            buf[pos : pos + len(part)] = np.frombuffer(part, np.uint8)
+            pos += len(part)
+            continue
+        for template, wires in part:
+            pos = _write_rows(buf, pos, template, wires, decimals)
+        buf[pos - 1] = ord("]")
+    return buf
 
 
 class _Constraints(_Sequence):
@@ -514,7 +551,8 @@ class ConstraintSystem:
     kind's layout allocates every wire and returns ``gadgets``, the _Floor
     gadgets whose rows are all the rows, before the constructor returns,
     and then nothing adds a wire or a row.  An unknown kind or an m below
-    1 raises CircuitError.
+    1 raises CircuitError.  The wires' names are kept as banks
+    (``add_wires``), and ``var_names`` derives them when read.
     ``rows`` holds the constraints in order, derived from the gadgets the
     first time they are read: the boolean row {i: 1} * {i: 1, 0: -1} = {},
     for a Python int i != 0, as the int i, and any other row as its
@@ -535,7 +573,11 @@ class ConstraintSystem:
         self.kind = kind
         self.m = m
         self.constants = constants
-        self.var_names: List[str] = ["one"]
+        # the wires' names, one bank per add_wires call: its names of a row
+        # of wires, each with a %d slot for the row's index j or none, and
+        # its number of rows
+        self._banks: List[Tuple[Tuple[str, ...], int]] = [(("one",), 1)]
+        self.num_wires = 1
         self.num_public = 0
         self.num_private = 0
         self._digest: str | None = None
@@ -546,15 +588,21 @@ class ConstraintSystem:
 
     # -- construction ----------------------------------------------------
 
-    def add_wires(self, names, public: bool = False) -> range:
-        """Allocate one wire per name, in order, and return their range."""
+    def add_wires(self, names: Sequence[str], rows: int = 1, public: bool = False) -> range:
+        """Allocate ``rows`` rows of one wire per name, row after row, and
+        return their range.
+
+        The wires are one bank of ``var_names``: a name holds a %d slot
+        for the row's index j, as "Ra[%d]:b0", or none in a one-row bank,
+        as "K[0]"; it is kept as given, and no name is made per wire."""
         if self.gadgets:
             raise CircuitError("a built circuit takes no more wires")
         if public and self.num_private:
             raise CircuitError("public wires must be allocated before private ones")
-        first = len(self.var_names)
-        self.var_names.extend(names)
-        wires = range(first, len(self.var_names))
+        names = tuple(names)
+        self._banks.append((names, rows))
+        wires = range(self.num_wires, self.num_wires + len(names) * rows)
+        self.num_wires = wires.stop
         if public:
             self.num_public += len(wires)
         else:
@@ -588,8 +636,26 @@ class ConstraintSystem:
         return _Constraints(self.rows)
 
     @property
-    def num_wires(self) -> int:
-        return len(self.var_names)
+    def var_names(self) -> List[str]:
+        """Every wire's name, in order, as a new list on each read.
+
+        It is parsed from the names text of the digest, written from the
+        banks (``_name_banks``); only error messages and tests read it."""
+        text = _text([self._name_banks()], _decimals(max(rows for _, rows in self._banks)))
+        # the text is "one","Wp[0]",...,"Ru[999]:b21"]
+        return text.tobytes().decode("ascii")[1:-2].split('","')
+
+    def _name_banks(self) -> List[Tuple[bytes, "_Affine"]]:
+        """Per bank, the text of one row of its names, each quoted and
+        followed by a comma, and the _Affine of every row's index j in each
+        %d slot."""
+        banks = []
+        for names, rows in self._banks:
+            template = b"".join(b'"%b",' % name.encode() for name in names)
+            slots = template.count(b"%d")
+            banks.append((template, _Affine(np.zeros(slots, np.int64),
+                                            np.ones(slots, np.int64), rows)))
+        return banks
 
     # -- evaluation -------------------------------------------------------
 
@@ -655,48 +721,38 @@ class ConstraintSystem:
         where n, the number of aggregated weights, is 1 in every circuit.
         ``constraints`` lists [A, B, C] per constraint, and each linear
         combination is a list of [wire, coefficient mod P] pairs sorted by
-        wire.  The text is ASCII; see ``_json_bytes`` for how it is written.
+        wire; ``variables`` lists ``var_names``.  The text is ASCII; see
+        ``_json_bytes`` for how it is written.
         """
-        return self._json_bytes().decode("ascii")
+        return self._json_bytes().tobytes().decode("ascii")
 
-    def _json_bytes(self) -> bytearray:
-        """The bytes of ``to_json``, written into one buffer of their length.
+    def _json_bytes(self) -> np.ndarray:
+        """The bytes of ``to_json``, written into one uint8 array of their
+        length.
 
-        Only the small header goes through ``json.dumps``; the constraint
-        list is written by _write_rows from ``element_template``, as the
-        text of element 0's rows with a %d slot per wire (``_template``)
-        filled with each element's wires, and spliced in after
-        ``constants``, its first key.  The buffer is the only object as
-        large as the text, and is the one object ``digest`` hashes.
+        Only the small header and the keys between the two lists go
+        through ``json.dumps``.  _write_rows writes both lists into the
+        array (``_text``): the constraints from ``element_template``, as
+        the text of element 0's rows with a %d slot per wire
+        (``_template``) filled with each element's wires, and the
+        variables bank by bank (``_name_banks``), as the text of a row of
+        names filled with each row's index.  The builders' wire names need
+        no escape in JSON.  The array is the only object as large as the
+        text, and is the one object ``digest`` hashes.
         """
-        # the keys after the constraints; "variables" is the last of them,
-        # and the builders' wire names need no escape in JSON
-        rest = b'%s,"variables":["%s"]}' % (_canonical_json({
+        head = b'{"constants":%s,"constraints":[' % _canonical_json(
+            asdict(self.constants)).encode()
+        # the keys between the lists, without the braces
+        middle = b',%s,"variables":[' % _canonical_json({
             "kind": self.kind,
             "m": self.m,
             "n": 1,
             "num_public": self.num_public,
             "num_private": self.num_private,
-        }).encode()[:-1], '","'.join(self.var_names).encode())
-        head = b'{"constants":%s,"constraints":[' % _canonical_json(
-            asdict(self.constants)).encode()
+        }).encode()[1:-1]
         shapes, wires = self.element_template()
-        template = b"".join(map(_template, shapes))
-        decimals = _decimals(self.num_wires)
-        # every row's text ends in a comma; the last one's becomes the "]"
-        # that closes the list
-        text = _text_length(template, wires, decimals[1])
-        out = bytearray(len(head) + text + len(rest))
-        # written through a view: a slice of the bytearray itself would
-        # take a copy of the bytes it is given
-        buf, end = np.frombuffer(out, np.uint8), len(head) + text
-        buf[: len(head)] = np.frombuffer(head, np.uint8)
-        buf[end:] = np.frombuffer(rest, np.uint8)
-        del rest
-        out[end] = ord(",")  # for the opening brace of rest
-        _write_rows(buf, len(head), template, wires, decimals)
-        out[end - 1] = ord("]")
-        return out
+        rows = [(b"".join(map(_template, shapes)), wires)]
+        return _text([head, rows, middle, self._name_banks(), b"}"], _decimals(self.num_wires))
 
     def element_template(self) -> Tuple[List["tuple | None"], _Affine]:
         """Element 0's rows as their shapes, and the wires of every element.
@@ -738,7 +794,7 @@ class ConstraintSystem:
 
 def _bank(cs: ConstraintSystem, name: str, m: int, public: bool = False) -> range:
     """Allocate wires {name}[0..m), a contiguous range."""
-    return cs.add_wires([f"{name}[{j}]" for j in range(m)], public)
+    return cs.add_wires([f"{name}[%d]"], m, public)
 
 
 class _Floor:
@@ -761,9 +817,7 @@ class _Floor:
         self.c, self.z, eta, first = cs.constants, z, cs.constants.eta, cs.num_wires
         self.private_out = isinstance(out, str)
         self.out = _bank(cs, out, cs.m) if self.private_out else out
-        suffixes = [f":b{t}" for t in range(eta)]
-        bits = cs.add_wires(chain.from_iterable(
-            map(f"{rem}[{j}]".__add__, suffixes) for j in range(cs.m)))
+        bits = cs.add_wires([f"{rem}[%d]:b{t}" for t in range(eta)], cs.m)
         self.bits = [bits[j * eta : (j + 1) * eta] for j in range(cs.m)]
         self._bank = slice(bits.start, bits.stop)
         self.wires = range(first, cs.num_wires)

@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -259,14 +258,24 @@ class TestWitnessAndSatisfaction:
         with pytest.raises(CircuitError, match="length"):
             cs.is_satisfied([1, 2, 3])
 
-    @pytest.mark.parametrize("cs,pub,priv,wire", [
-        (build_aggregation_circuit(2, EQUAL), [0, 0, 1], [0, EQUAL.q_max + 1], "U[0][1]"),
-        (build_update_circuit(2, EQUAL), [0, EQUAL.q_min - 1, 0, 0], [0, 0], "Wp[1]"),
-        (build_protocol_circuit(2, EQUAL), [0, 0, 0, 0, EQUAL.q_max + 1], [0, 0], "K[0]"),
+    # at m = 8, a wire and where it lies among the public values (True) or
+    # the free private inputs (False)
+    @pytest.mark.parametrize("kind,wire,public,i", [
+        ("aggregation", "Up[5]", True, 5), ("aggregation", "K[0]", True, 8),
+        ("aggregation", "U[0][3]", False, 3),
+        ("update", "Wp[1]", True, 1), ("update", "W[7]", True, 15), ("update", "Up[3]", False, 3),
+        ("composed", "W[7]", True, 15), ("composed", "K[0]", True, 16),
+        ("composed", "U[3]", False, 3),
     ])
-    def test_out_of_range_input_names_its_wire(self, cs, pub, priv, wire):
-        with pytest.raises(CircuitError, match=re.escape(f"{wire} value")):
+    @pytest.mark.parametrize("bad", [EQUAL.q_max + 1, 40000, EQUAL.q_min - 1])
+    def test_out_of_range_input_names_its_wire(self, kind, wire, public, i, bad):
+        cs = BUILDERS[kind](8, EQUAL)
+        pub = [0] * cs.num_public
+        priv = [0] * (cs.gadgets[0].wires.start - 1 - cs.num_public)
+        (pub if public else priv)[i] = bad
+        with pytest.raises(CircuitError) as e:
             generate_witness(cs, pub, priv)
+        assert str(e.value) == f"{wire} value {bad} outside quantized range"
 
     def test_random_element_replacement_rejected(self):
         rnd = random.Random(31)

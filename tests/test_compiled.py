@@ -383,7 +383,7 @@ class TestGadgetCheck:
         before = cs.digest(), cs.num_wires, cs.num_private
         for public in (False, True):
             with pytest.raises(CircuitError, match="no more wires"):
-                cs.add_wires(["extra"], public)
+                cs.add_wires(["extra[%d]"], 2, public)
         assert (cs.digest(), cs.num_wires, cs.num_private) == before
         assert cs.to_json() == reference_json(cs)
 
@@ -393,7 +393,8 @@ def reference_rows(cs):
     circuit module's docstring, by wire name: per element j, each
     relation row a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt, then
     the eta booleanity rows of each relation's bits."""
-    k, wire = cs.constants, {name: i for i, name in enumerate(cs.var_names)}.__getitem__
+    k = cs.constants
+    wire = {name: i for i, name in enumerate(reference_names(cs.kind, cs.m, k.eta))}.__getitem__
     ca, cw, cu = 1 << k.agg_shift, 1 << k.upd_w_shift, 1 << k.upd_u_shift
     u = "U[0]" if cs.kind == "aggregation" else "U"
 
@@ -548,11 +549,12 @@ class TestBooleanStorage:
         assert not hasattr(view, "append")
 
     def test_protocol_circuit_memory(self):
-        """The composed circuit at m=1000 retains about 3.4 MiB under
-        tracemalloc as built, its wires and gadgets, and about 9.9 MiB once
-        its rows are read, with its 44 000 boolean rows stored as ints; when
-        it was built with its rows and three dicts per boolean row it
-        retained 33.8 MiB."""
+        """The composed circuit at m=1000 retains about 0.24 MiB under
+        tracemalloc as built, its wire banks and gadgets, and about 6.8 MiB
+        once its rows are read, with its 44 000 boolean rows stored as ints.
+        With a name string per wire it retained 3.4 MiB as built, and when
+        it was also built with its rows and three dicts per boolean row,
+        33.8 MiB."""
         tracemalloc.start()
         try:
             cs = build_protocol_circuit(1000, CircuitConstants())
@@ -561,8 +563,28 @@ class TestBooleanStorage:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert built < 5 * 2**20
+        assert built < 2**20
         assert retained < 20 * 2**20
+
+    @pytest.mark.parametrize("kind", sorted(circuit.BUILDERS))
+    def test_a_circuit_holds_no_name_per_wire(self, kind):
+        """A circuit keeps its wire names as banks, a name with a slot for
+        the row per row of wires, so the strings that it and its gadgets
+        hold in their attributes do not grow with m."""
+        def strings(obj):
+            if isinstance(obj, str):
+                return 1
+            if isinstance(obj, dict):
+                return strings(list(obj.items()))
+            if isinstance(obj, (list, tuple, set, frozenset)):
+                return sum(map(strings, obj))
+            return 0
+
+        def held(cs):
+            return sum(strings(v) for obj in (cs, *cs.gadgets) for v in vars(obj).values())
+
+        build = circuit.BUILDERS[kind]
+        assert held(build(1000, EQUAL)) == held(build(1, EQUAL)) < 100
 
 
 # cs.digest() as taken before any int64 satisfaction check; checking a
@@ -672,8 +694,36 @@ def test_pinned_witness_bytes(name, kind, m):
     assert hashlib.sha256(data).hexdigest() == PINNED_WITNESSES[name, kind, m]
 
 
+def reference_names(kind, m, eta):
+    """Every wire's name in the builders' layout: the constant "one", the
+    public banks in statement order, the free private inputs, and then
+    each gadget's private output bank and bits, element by element."""
+    def bank(name):
+        return [f"{name}[{j}]" for j in range(m)]
+
+    def bits(rem):
+        return [f"{rem}[{j}]:b{t}" for j in range(m) for t in range(eta)]
+
+    if kind == "aggregation":
+        return ["one", *bank("Up"), "K[0]", *bank("U[0]"), *bits("Ra")]
+    if kind == "update":
+        return ["one", *bank("Wp"), *bank("W"), *bank("Up"), *bits("Ru")]
+    return ["one", *bank("Wp"), *bank("W"), "K[0]", *bank("U"), *bank("Up"),
+            *bits("Ra"), *bits("Ru")]
+
+
+@pytest.mark.parametrize("eta", [22, 60, 200])
+@pytest.mark.parametrize("m", [1, 2, 17, 1000])
+@pytest.mark.parametrize("kind", sorted(circuit.BUILDERS))
+def test_var_names_follow_the_layout(kind, m, eta):
+    """The names parsed from the text the digest writes are the layout's."""
+    cs = circuit.BUILDERS[kind](m, CircuitConstants(eta=eta))
+    assert cs.var_names == reference_names(kind, m, eta)
+
+
 def reference_json(cs):
-    """The canonical JSON as the dict-building writer produced it."""
+    """The canonical JSON as the dict-building writer produced it, with the
+    wire names of the builders' layout."""
     def enc(lc):
         return sorted([i, co % P] for i, co in lc.items())
 
@@ -684,7 +734,7 @@ def reference_json(cs):
         "constants": asdict(cs.constants),
         "num_public": cs.num_public,
         "num_private": cs.num_private,
-        "variables": cs.var_names,
+        "variables": reference_names(cs.kind, cs.m, cs.constants.eta),
         "constraints": [[enc(a), enc(b), enc(c)] for a, b, c in cs.constraints],
     }
     return json.dumps(d, separators=(",", ":"), sort_keys=True)
@@ -791,7 +841,7 @@ def test_rows_are_walked_and_counted_without_being_derived(kind, m, name):
 def test_digest_holds_the_text_about_once():
     """The digest's preimage is one buffer of the text's length, written in
     place: at m=1000 the text is about 5.9 MiB, and writing and hashing it
-    peaks at about 6.8 MiB above the built circuit under tracemalloc (7.4 MiB
+    peaks at about 7.0 MiB above the built circuit under tracemalloc (7.4 MiB
     when the rows were written one at a time into a growing buffer, and
     13.2 MiB when the text was joined from a list of row strings and then
     encoded)."""

@@ -56,6 +56,26 @@ class TestHonestRun:
         (cs,) = protocol._CIRCUIT_CACHE.values()
         assert "rows" not in vars(cs) and cs.gadgets
 
+    @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
+    def test_zk_run_never_reads_wire_names(self, monkeypatch, mode):
+        """A circuit derives its wire names from its banks when they are
+        read, and only error messages read them, so a zk run with a
+        tampering client never reads them."""
+        monkeypatch.setattr(protocol, "_CIRCUIT_CACHE", {})
+        monkeypatch.setattr(protocol, "_KEYPAIR_CACHE", {})
+        names, reads = circuit.ConstraintSystem.var_names, []
+
+        def guarded(cs):
+            reads.append(cs.kind)
+            return names.fget(cs)
+
+        monkeypatch.setattr(circuit.ConstraintSystem, "var_names", property(guarded))
+        reports = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=3, seed=0,
+                                    tamper_clients=[1])).train()
+        assert [r.verdicts[0] for r in reports] == ["Accepted"] * 3
+        assert all(r.verdicts[1] != "Accepted" for r in reports)
+        assert reads == []
+
     @pytest.mark.parametrize("mode", ["zk-mock", "none"])
     def test_eval_loss_is_the_server_step_loss(self, mode):
         tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=1, seed=3))

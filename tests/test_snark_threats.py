@@ -85,9 +85,9 @@ def dense_witness():
     pair, _, wit, _ = instance()
     cs = pair.proving_key.cs
     rnd = random.Random(11)
-    values = list(wit.values)
+    values, names = list(wit.values), cs.var_names
     for i in range(1 + cs.num_public, len(values)):
-        bit = cs.var_names[i].split(":", 1)[-1].startswith("b")
+        bit = names[i].split(":", 1)[-1].startswith("b")
         values[i] = rnd.randint(0, 1) if bit else rnd.randint(-4000, 4000) % P
     return values
 
