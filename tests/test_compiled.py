@@ -825,7 +825,17 @@ def test_element_template_writes_the_rows_text(kind, m, name, eta):
     cs = BUILDERS[kind](m, CircuitConstants(**{**asdict(CONSTANTS[name]), "eta": eta}))
     text = cs.to_json()
     assert not derived(cs)
-    assert text == reference_json(cs)
+    assert_same_text(text, reference_json(cs))
+
+
+def assert_same_text(text, ref):
+    """text == ref, failing with where they first differ: pytest's own diff
+    of two texts of megabytes runs for hours."""
+    if text != ref:
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", ref + "\1")) if a != b)
+        lo = max(at - 40, 0)
+        pytest.fail(f"texts differ at character {at}: "
+                    f"{text[lo : at + 40]!r} != {ref[lo : at + 40]!r}")
 
 
 @pytest.mark.parametrize("kind,m,name", ETA60_CASES + [(k, 9, "MIXED") for k in BUILDERS])
