@@ -16,12 +16,17 @@ and every proof payload starts with the 32-byte statement digest, computed
 as SHA-256 of the canonical statement encoding.  Statements and witnesses
 (the mock proof body) share one element codec, circuit.FieldVector: a
 width byte, a u32 count, then each element at the narrowest width that
-holds them all, int16, int32 or int64, or 32 canonical bytes past 2**62;
-any other frame is a DecodeError.  Snark keys and proof bodies write 32
+holds them all, int16, int32 or int64, or 32 canonical bytes past 2**62.
+A vector whose trailing run of 0s and 1s is long enough ends its frame
+with that run as a bit tail, one bit per element: the width byte carries
+the flag 0x80 and the count is followed by the tail's length, so a
+witness's remainder bits cost 1/8 byte each, not 2.  Any other frame is a
+DecodeError.  Snark keys and proof bodies write 32
 canonical bytes per element with no count.  Statements and witnesses are
 immutable, so each is encoded at most once (a decoded one keeps its
 frame), and a statement's digest is computed once too.  A frame of any
-version but WIRE_VERSION is a DecodeError.
+version but WIRE_VERSION is a DecodeError: version 3 added the bit tail, so
+a version 2 mock proof, whose witness frame has none, is refused.
 
 Mock keys and the snark proving key carry their circuit as its spec
 (ConstraintSystem.spec), the canonical JSON of its kind, m and constants:
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 from .circuit import ConstraintSystem, FieldVector, Witness, from_spec
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 BACKEND_IDS = {"mock": 1, "snark": 2}
 _ID_TO_NAME = {v: k for k, v in BACKEND_IDS.items()}
 

@@ -235,6 +235,13 @@ SMALL = 1 << 62
 # frame widths in bytes: int16, int32, int64 signed values; canonical elements
 _INT_WIDTHS = (2, 4, 8)
 _WIDE = 32
+# the flag bit of the width byte of a frame that ends with a bit tail
+_TAIL = 0x80
+# the shortest bit tail that makes a frame at each width shorter: b elements
+# take width * b bytes as a tail's head would, and 4 + ceil(b/8) as a tail;
+# every longer tail makes it shorter too
+_MIN_TAIL = {w: next(b for b in range(1, 9) if w * b > 4 + (b + 7) // 8)
+             for w in (*_INT_WIDTHS, _WIDE)}
 
 
 def _write_elements(values) -> bytes:
@@ -261,10 +268,25 @@ def _width(lo: int, hi: int) -> int:
 
 
 def _frame(vec: "FieldVector") -> bytes:
-    """The encoding of a vector: width, count, elements."""
+    """The encoding of a vector: width, count, elements, with its trailing
+    run of bits packed as a bit tail when that makes the frame shorter."""
     s, width = vec._signed, _width(*vec._range)
-    body = _write_elements(s.tolist()) if width == _WIDE else s.astype(f"<i{width}")
-    return b"".join((bytes([width]), len(s).to_bytes(4, "little"), body))
+    n = len(s)
+    if width == _WIDE:
+        elements = s.tolist()
+        k = n - next((i for i, v in enumerate(reversed(elements)) if v not in (0, 1)), n)
+    else:
+        elements = s.astype(f"<i{width}")
+        # read as unsigned, exactly the elements 0 and 1 are at most 1
+        k = (elements.view(f"<u{width}") > 1).tobytes().rfind(1) + 1
+    if n - k < _MIN_TAIL[width]:
+        k = n
+    head = _write_elements(elements[:k]) if width == _WIDE else elements[:k]
+    if k == n:
+        return b"".join((bytes([width]), n.to_bytes(4, "little"), head))
+    bits = np.packbits(np.asarray(elements[k:], dtype=np.uint8), bitorder="little")
+    return b"".join((bytes([width | _TAIL]), n.to_bytes(4, "little"),
+                     (n - k).to_bytes(4, "little"), head, bits))
 
 
 def _range(s: np.ndarray) -> Tuple[int, int]:
@@ -288,10 +310,21 @@ class FieldVector:
     little-endian u32 count, then little-endian signed representatives at
     width 2, 4 or 8, or 32-byte canonical elements at width 32.  A vector's
     one frame has the narrowest width that holds all its values (2 when
-    empty), so an int64 vector is never at 32.  An honest witness lies
-    within int16 under the default constants: 2 bytes per wire.  Decoding
-    refuses any other frame: an unknown width, a count that disagrees with
-    the length, a width wider than the values need, or an element >= P.
+    empty), so an int64 vector is never at 32.  When the vector ends with a
+    run of b elements equal to 0 or 1, taken whole, and packing them as
+    bits makes the frame shorter (width * b > 4 + ceil(b/8)), the frame
+    ends with a bit tail instead: the width byte carries the flag 0x80,
+    the count is followed by b as a u32, then come the n - b head elements
+    at the width and ceil(b/8) bytes of the run's bits, least significant
+    bit first, padded with zero bits.  An honest witness lies within int16
+    under the default constants and ends with its gadgets' bit wires: at
+    m=1000, 4 002 elements of 2 bytes and 44 000 bits.  A trainer
+    statement ends with K, so its frame has no tail.  Decoding refuses any
+    other frame: an unknown width, a count that disagrees with the length,
+    a width wider than the values need, an element >= P, a tail longer
+    than the count, nonzero padding bits, a tail that is not the whole run
+    of bits or saves no bytes, and a frame without a tail whose vector
+    calls for one.
     """
 
     _values: Tuple[int, ...] | None = None
@@ -331,9 +364,10 @@ class FieldVector:
 
     @classmethod
     def _held(cls, signed: np.ndarray, span: Tuple[int, int]):
-        """The vector of the int64 array ``signed``, which it takes over,
-        when ``span`` is the least and greatest of 0 and its elements, both
-        in (-SMALL, SMALL); nothing scans the elements."""
+        """The vector of the array ``signed``, which it takes over, when
+        ``span`` is the least and greatest of 0 and its elements, and
+        ``signed`` is int64 exactly when both lie in (-SMALL, SMALL);
+        nothing scans the elements."""
         vec = cls.__new__(cls)
         signed.flags.writeable = False
         vec._signed, vec._range = signed, span
@@ -345,18 +379,50 @@ class FieldVector:
         ValueError on any frame that is not the encoding of its vector."""
         if len(data) < 5:
             raise ValueError(f"truncated {what}")
-        width, n = data[0], int.from_bytes(data[1:5], "little")
+        width, tail = data[0] & ~_TAIL, data[0] & _TAIL
         if width not in (*_INT_WIDTHS, _WIDE):
-            raise ValueError(f"unknown {what} width {width}")
-        if len(data) != 5 + width * n:
+            raise ValueError(f"unknown {what} width {data[0]}")
+        start = 9 if tail else 5
+        if len(data) < start:
+            raise ValueError(f"truncated {what}")
+        n = int.from_bytes(data[1:5], "little")
+        b = int.from_bytes(data[5:9], "little") if tail else 0
+        if b > n:
+            raise ValueError(f"{what} bit tail longer than its count")
+        k = n - b
+        bits_at = start + width * k
+        if len(data) != bits_at + (b + 7) // 8:
             raise ValueError(f"truncated {what}")
         if width == _WIDE:
-            vec = cls(_read_elements(memoryview(data)[5:], what))
+            half = P // 2  # to_signed, inline: each element is converted once
+            head = [v - P if v > half else v
+                    for v in _read_elements(memoryview(data)[start:bits_at], what)]
+            lo, hi = min(0, min(head, default=0)), max(0, max(head, default=0))
         else:
-            narrow = np.frombuffer(data, dtype=f"<i{width}", offset=5)
-            vec = cls._held(narrow.astype(np.int64), _range(narrow))
-        if _width(*vec._range) != width:
+            head = np.frombuffer(data, dtype=f"<i{width}", count=k, offset=start)
+            lo, hi = _range(head)
+        packed = np.frombuffer(data, dtype=np.uint8, offset=bits_at)
+        if b % 8 and packed[-1] >> b % 8:
+            raise ValueError(f"{what} bit tail padding is not zero")
+        if tail:
+            if b < _MIN_TAIL[width]:
+                raise ValueError(f"{what} bit tail makes the frame no shorter")
+            if k and head[-1] in (0, 1):
+                raise ValueError(f"{what} bit tail is not the whole run of bits")
+        elif k >= _MIN_TAIL[width] and all(v in (0, 1) for v in head[k - _MIN_TAIL[width] :]):
+            raise ValueError(f"{what} frame lacks its bit tail")
+        if packed.any():
+            hi = max(hi, 1)
+        if _width(lo, hi) != width:
             raise ValueError(f"{what} is not at the width of its values")
+        bits = np.unpackbits(packed, count=b, bitorder="little")
+        if width == _WIDE:
+            signed = np.array(head + bits.tolist(), dtype=object)
+        else:
+            signed = np.empty(n, dtype=np.int64)
+            signed[:k] = head
+            signed[k:] = bits
+        vec = cls._held(signed, (lo, hi))
         if isinstance(data, bytes):
             vec._bytes = data
         return vec
@@ -683,12 +749,16 @@ class ConstraintSystem:
             bound = max(g.bound(self.constants, d) for g in self.gadgets)
             if 2 * bound < P:
                 return all(g.holds(w, _int_dtype(bound)) for g in self.gadgets)
-        return self.is_satisfied_exact(witness.values)
+        return self._replay(w.tolist())
 
     def is_satisfied_exact(self, values: Sequence[int]) -> bool:
         """Replay every constraint in unbounded integers, reducing mod P."""
         self._check_length(len(values))
-        ws = [to_signed(int(v) % P) for v in values]
+        return self._replay([to_signed(int(v) % P) for v in values])
+
+    def _replay(self, ws: List[int]) -> bool:
+        """The exact replay of every constraint on the signed
+        representatives ``ws`` of a witness of this circuit's length."""
         if ws[0] != 1:
             return False
         for row in self.rows:

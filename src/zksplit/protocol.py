@@ -142,7 +142,9 @@ class RoundMessage:
         covers every field once: the envelope JSON holds no NUL (json.dumps
         escapes control characters), so the first NUL ends it; a non-null
         ``statement_digest`` means a statement follows, and a statement
-        frame gives its length by its width byte and element count;
+        frame gives its length by its head: the width byte and element
+        count, and, when the width byte carries the tail flag, the length
+        of the bit tail after them;
         ``proof_size`` is the proof frame's length, and 0 means there is no
         proof; the payload is everything that is left.
         """

@@ -8,6 +8,7 @@ import pytest
 from zksplit import circuit, cli
 from zksplit.circuit import (
     CircuitConstants,
+    Witness,
     build_protocol_circuit,
     quantized_aggregate,
     quantized_update,
@@ -207,25 +208,44 @@ class TestProveVerify:
             assert rc == 2
             assert out.out == "Reject\n" and out.err == ""
 
-    @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
-    @pytest.mark.parametrize("backend", ["mock", "snark"])
-    def test_version_1_frame_is_one_error_line(self, tmp_path, capsys, backend, name):
-        """A key or proof written before WIRE_VERSION 2 is refused by its
-        version byte, which decoding reads before anything else."""
+    def _verify_old_version(self, tmp_path, capsys, backend, name, version):
+        """Prove, rewrite ``name`` as WIRE_VERSION ``version`` wrote it, and
+        verify: the command must end with one error line."""
         make_prove_fixture(tmp_path)
         assert run_cli("prove", "--circuit", str(tmp_path / "circuit.json"),
                        "--statement", str(tmp_path / "statement.json"),
                        "--witness", str(tmp_path / "witness.json"),
                        "--backend", backend, "--out", str(tmp_path / "proofs")) == 0
         path = tmp_path / "proofs" / name
-        path.write_bytes(bytes([1]) + path.read_bytes()[1:])
+        data = path.read_bytes()
+        if version == 2 and (backend, name) == ("mock", "proof.bin"):
+            # version 2 wrote the witness frame plain, with no bit tail
+            witness = Witness.from_bytes(data[66:])
+            assert data[66] == 2 + 0x80
+            data = data[:66] + bytes([2]) + len(witness).to_bytes(4, "little") \
+                + witness.signed.astype("<i2").tobytes()
+        path.write_bytes(bytes([version]) + data[1:])
         capsys.readouterr()
         rc = run_cli("verify", "--vk", str(tmp_path / "proofs" / "vk.bin"),
                      "--statement", str(tmp_path / "statement.json"),
                      "--proof", str(tmp_path / "proofs" / "proof.bin"))
         out = capsys.readouterr()
         assert rc == 3 and out.out == ""
-        assert out.err == "error: version mismatch: 1 != 2\n"
+        assert out.err == f"error: version mismatch: {version} != 3\n"
+
+    @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
+    @pytest.mark.parametrize("backend", ["mock", "snark"])
+    def test_version_1_frame_is_one_error_line(self, tmp_path, capsys, backend, name):
+        """A key or proof written before WIRE_VERSION 2 is refused by its
+        version byte, which decoding reads before anything else."""
+        self._verify_old_version(tmp_path, capsys, backend, name, 1)
+
+    @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
+    @pytest.mark.parametrize("backend", ["mock", "snark"])
+    def test_version_2_frame_is_one_error_line(self, tmp_path, capsys, backend, name):
+        """A key or proof of WIRE_VERSION 2, whose mock proof carries its
+        witness frame with no bit tail, is refused by its version byte."""
+        self._verify_old_version(tmp_path, capsys, backend, name, 2)
 
     def _proved(self, tmp_path):
         make_prove_fixture(tmp_path)

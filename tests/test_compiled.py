@@ -128,10 +128,10 @@ def checked(cs, values):
     """is_satisfied's verdict, which must be the replay's, and whether
     is_satisfied reached the replay to give it."""
     replays = []
-    exact = ConstraintSystem.is_satisfied_exact
+    replay = ConstraintSystem._replay
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConstraintSystem, "is_satisfied_exact",
-                   lambda self, vals: replays.append(self) or exact(self, vals))
+        mp.setattr(ConstraintSystem, "_replay",
+                   lambda self, ws: replays.append(self) or replay(self, ws))
         verdict = cs.is_satisfied(values)
     assert verdict == cs.is_satisfied_exact(values)
     return verdict, bool(replays)
@@ -868,10 +868,12 @@ def test_digest_holds_the_text_about_once():
 
 
 # -- the witness and statement codec, against a reference that writes and
-# reads each element on its own; decoding must accept exactly the frames
-# the reference writes
+# reads each element and each bit on its own; decoding must accept exactly
+# the frames the reference writes
 
 WIDTHS = (2, 4, 8, 32)
+# the flag bit of a width byte whose frame ends with a bit tail
+TAIL = 128
 
 
 def reference_width(signed):
@@ -885,44 +887,109 @@ def reference_width(signed):
     return 32
 
 
+def reference_run(signed):
+    """The length of the whole trailing run of 0s and 1s."""
+    b = 0
+    for v in reversed(signed):
+        if v not in (0, 1):
+            break
+        b += 1
+    return b
+
+
+def tail_pays(width, b):
+    """Whether b elements at ``width`` take more bytes than a u32 tail
+    length and b bits in whole bytes."""
+    return width * b > 4 + (b + 7) // 8
+
+
+def reference_frame(values, width, b=None):
+    """The frame of ``values`` at ``width``, plain when b is None, and
+    otherwise with its last b elements, which must be 0 or 1, as a bit
+    tail, whether or not the encoder would write that tail."""
+    signed = [to_signed(v % P) for v in values]
+    n = len(signed)
+    k = n if b is None else n - b
+    if width == 32:
+        body = b"".join((v % P).to_bytes(32, "little") for v in signed[:k])
+    else:
+        body = b"".join(v.to_bytes(width, "little", signed=True) for v in signed[:k])
+    if b is None:
+        return bytes([width]) + n.to_bytes(4, "little") + body
+    bits = bytearray((b + 7) // 8)
+    for i, v in enumerate(signed[k:]):
+        assert v in (0, 1)
+        bits[i // 8] |= v << i % 8
+    return bytes([width + TAIL]) + n.to_bytes(4, "little") + b.to_bytes(4, "little") \
+        + body + bytes(bits)
+
+
 def reference_encode(values, width=None):
     """The frame of ``values``, element by element, at ``width`` or else at
-    the width the encoder must choose."""
+    the width the encoder must choose, with the bit tail the encoder must
+    write at that width."""
     signed = [to_signed(v % P) for v in values]
     width = width or reference_width(signed)
-    if width == 32:
-        body = b"".join((v % P).to_bytes(32, "little") for v in values)
-    else:
-        body = b"".join(v.to_bytes(width, "little", signed=True) for v in signed)
-    return bytes([width]) + len(values).to_bytes(4, "little") + body
+    b = reference_run(signed)
+    return reference_frame(values, width, b if tail_pays(width, b) else None)
 
 
 def reference_decode(data, what):
     if len(data) < 5:
         raise ValueError(f"truncated {what}")
-    width, n = data[0], int.from_bytes(data[1:5], "little")
+    width, tail = data[0] % TAIL, data[0] >= TAIL
     if width not in WIDTHS:
-        raise ValueError(f"unknown {what} width {width}")
-    if len(data) != 5 + width * n:
+        raise ValueError(f"unknown {what} width {data[0]}")
+    start = 9 if tail else 5
+    if len(data) < start:
         raise ValueError(f"truncated {what}")
-    elements = [data[5 + width * i : 5 + width * (i + 1)] for i in range(n)]
+    n = int.from_bytes(data[1:5], "little")
+    b = int.from_bytes(data[5:9], "little") if tail else 0
+    if b > n:
+        raise ValueError(f"{what} bit tail longer than its count")
+    k = n - b
+    if len(data) != start + width * k + (b + 7) // 8:
+        raise ValueError(f"truncated {what}")
+    elements = [data[start + width * i : start + width * (i + 1)] for i in range(k)]
     if width == 32:
-        vals = [int.from_bytes(e, "little") for e in elements]
-        if any(v >= P for v in vals):
+        head = [int.from_bytes(e, "little") for e in elements]
+        if any(v >= P for v in head):
             raise ValueError(f"{what} element not reduced")
+        head = [to_signed(v) for v in head]
     else:
-        vals = [int.from_bytes(e, "little", signed=True) for e in elements]
-    if reference_encode(vals) != data:
+        head = [int.from_bytes(e, "little", signed=True) for e in elements]
+    packed = data[start + width * k :]
+    bits = [packed[i // 8] >> i % 8 & 1 for i in range(8 * len(packed))]
+    if any(bits[b:]):
+        raise ValueError(f"{what} bit tail padding is not zero")
+    signed = head + bits[:b]
+    if tail:
+        if not tail_pays(width, b):
+            raise ValueError(f"{what} bit tail makes the frame no shorter")
+        if head and head[-1] in (0, 1):
+            raise ValueError(f"{what} bit tail is not the whole run of bits")
+    elif tail_pays(width, reference_run(signed)):
+        raise ValueError(f"{what} frame lacks its bit tail")
+    if reference_width(signed) != width:
         raise ValueError(f"{what} is not at the width of its values")
-    return vals
+    assert reference_encode(signed) == data
+    return signed
 
 
 @st.composite
 def frames_of_any_width(draw):
-    """A width byte of the codec, a count and that many elements of random bytes."""
+    """A width byte of the codec, a count and that many elements of random
+    bytes; or the width byte flagged, a count, a tail length of at most
+    40, and the head's elements and the tail's bytes of random bytes."""
     width = draw(st.sampled_from(WIDTHS))
     elements = draw(st.lists(st.binary(min_size=width, max_size=width), max_size=6))
-    return bytes([width]) + len(elements).to_bytes(4, "little") + b"".join(elements)
+    if not draw(st.booleans()):
+        return bytes([width]) + len(elements).to_bytes(4, "little") + b"".join(elements)
+    b = draw(st.integers(0, 40))
+    bits = draw(st.one_of(st.binary(min_size=(b + 7) // 8, max_size=(b + 7) // 8),
+                          st.integers(0, 2**b - 1).map(lambda v: v.to_bytes((b + 7) // 8, "little"))))
+    return bytes([width + TAIL]) + (len(elements) + b).to_bytes(4, "little") \
+        + b.to_bytes(4, "little") + b"".join(elements) + bits
 
 
 signed_small = st.integers(-(SMALL - 1), SMALL - 1)
@@ -945,7 +1012,7 @@ class TestWitnessCodec:
         w = Witness(values)
         assert w.signed.dtype == np.int64
         assert w.to_bytes() == reference_encode(values)
-        assert w.to_bytes()[0] == 2
+        assert w.to_bytes()[0] == 2 + TAIL  # it ends with its gadgets' bits
         assert np.array_equal(Witness.from_bytes(w.to_bytes()).signed, w.signed)
 
     @pytest.mark.parametrize("v", [SMALL - 1, P - (SMALL - 1), 0, 1, P - 1])
@@ -1109,7 +1176,7 @@ def reference_bit_rows(r, eta):
 def decode(data, what):
     """The signed representatives FieldVector decodes from a frame."""
     signed = FieldVector._from_frame(data, what).signed
-    assert (signed.dtype == np.int64) == (data[0] != 32)
+    assert (signed.dtype == np.int64) == (data[0] % TAIL != 32)
     return signed
 
 
@@ -1136,9 +1203,23 @@ def boundary_bytes(width):
     return st.sampled_from(BOUNDARY).map(lambda v: (v % 2 ** (8 * width)).to_bytes(width, "little"))
 
 
+def head_count(frame):
+    """The number of elements before a frame's bit tail."""
+    n = int.from_bytes(frame[1:5], "little")
+    return n - int.from_bytes(frame[5:9], "little") if frame[0] >= TAIL else n
+
+
 def set_element(frame, i, element):
-    width = len(element)
-    return frame[: 5 + width * i] + element + frame[5 + width * (i + 1) :]
+    """The frame with head element i replaced by the bytes ``element``."""
+    at = (9 if frame[0] >= TAIL else 5) + len(element) * i
+    return frame[:at] + element + frame[at + len(element) :]
+
+
+def flip_bit(frame, i):
+    """The frame with bit i of its bit tail's bytes flipped, padding bits
+    included."""
+    at = len(frame) - (int.from_bytes(frame[5:9], "little") + 7) // 8 + i // 8
+    return frame[:at] + bytes([frame[at] ^ 1 << i % 8]) + frame[at + 1 :]
 
 
 class TestAgainstReferences:
@@ -1147,8 +1228,12 @@ class TestAgainstReferences:
     def test_decode_of_an_honest_frame_with_boundary_elements(self, case, width, data):
         values = honest(*case)[1]
         frame = reference_encode(values, width)
+        tail_bits = 8 * (len(frame) - 9 - width * head_count(frame)) if frame[0] >= TAIL else 0
         for _ in range(data.draw(st.integers(1, 3), label="elements changed")):
-            i = data.draw(st.integers(0, len(values) - 1), label="element")
+            if tail_bits and data.draw(st.booleans(), label="in the tail"):
+                frame = flip_bit(frame, data.draw(st.integers(0, tail_bits - 1), label="bit"))
+                continue
+            i = data.draw(st.integers(0, head_count(frame) - 1), label="element")
             frame = set_element(frame, i, data.draw(boundary_bytes(width)))
         assert decode_outcome(decode, frame) == \
             decode_outcome(reference_decode, frame)
@@ -1215,18 +1300,23 @@ def mock_verdict(body):
 
 def mutated_bodies():
     _, _, body = mock_instance()
-    width, n = body[0], int.from_bytes(body[1:5], "little")
+    width, k = body[0] % TAIL, head_count(body)
+    bits_at = 9 + width * k
     values = Witness.from_bytes(body).values
     return st.one_of(
         st.binary(max_size=600),
         st.integers(0, len(body) - 1).map(lambda cut: body[:cut]),
         st.binary(min_size=1, max_size=64).map(lambda extra: body + extra),
-        st.tuples(st.integers(0, n - 1), st.binary(min_size=width, max_size=width)).map(
+        st.tuples(st.integers(0, k - 1), st.binary(min_size=width, max_size=width)).map(
             lambda t: set_element(body, *t)),
-        st.lists(st.binary(min_size=width, max_size=width), min_size=n, max_size=n).map(
-            lambda els: body[:5] + b"".join(els)),
+        st.lists(st.binary(min_size=width, max_size=width), min_size=k, max_size=k).map(
+            lambda els: body[:9] + b"".join(els) + body[bits_at:]),
+        st.integers(0, 8 * (len(body) - bits_at) - 1).map(lambda i: flip_bit(body, i)),
+        st.binary(min_size=len(body) - bits_at, max_size=len(body) - bits_at).map(
+            lambda bits: body[:bits_at] + bits),
         st.integers(0, 255).map(lambda b: bytes([b]) + body[1:]),
         st.sampled_from(WIDTHS).map(lambda w: reference_encode(values, w)),
+        st.sampled_from(WIDTHS).map(lambda w: reference_frame(values, w)),
     )
 
 
@@ -1238,6 +1328,100 @@ def test_mock_verify_rejects_malformed_bodies_without_raising(body):
         assert verdict is Verdict.ACCEPT
     else:
         assert verdict is Verdict.REJECT
+
+
+# the element that sets each width, at the top of its range
+WIDTH_EDGE = {2: 2**15 - 1, 4: 2**31 - 1, 8: SMALL - 1, 32: P // 2}
+
+
+@st.composite
+def bit_tailed(draw, width, min_run=0):
+    """Elements whose width is ``width``: its edge element, a head of
+    elements of that width, then a run of 0s and 1s of length min_run to
+    40, which the head may lengthen."""
+    edge = WIDTH_EDGE[width]
+    head = draw(st.lists(st.integers(-edge, edge), max_size=5))
+    run = draw(st.lists(st.integers(0, 1), min_size=min_run, max_size=40))
+    return [edge] + head + run
+
+
+class TestBitTail:
+    """A vector's trailing run of bits, taken whole, travels as a bit tail
+    exactly when that makes its frame shorter; each other frame of the
+    same vector is refused."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_encoder_agrees_with_the_reference(self, width, data):
+        values = data.draw(bit_tailed(width))
+        frame = reference_encode(values)
+        assert frame[0] % TAIL == width
+        assert (frame[0] >= TAIL) == tail_pays(width, reference_run(values))
+        for cls in (Witness, Statement):
+            assert cls(values).to_bytes() == frame
+            assert cls(np.array(values, dtype=np.int64 if width < 32 else object)).to_bytes() == frame
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_decode_of_encode_is_the_vector_and_its_range(self, width, data):
+        values = data.draw(bit_tailed(width))
+        for cls in (Witness, Statement):
+            vec = cls(values)
+            back = cls.from_bytes(vec.to_bytes())
+            assert back.values == vec.values and back._range == vec._range
+            assert back.signed.dtype == vec.signed.dtype
+            assert back.to_bytes() == vec.to_bytes()
+            assert decode_outcome(reference_decode, vec.to_bytes()) == ("ok", vec.signed.tolist())
+
+    def test_the_range_counts_a_set_bit_only(self):
+        """hi is 1 from the tail only when some bit is set."""
+        for values, span in [([-300, 0, 0, 0], (-300, 0)), ([-300, 0, 1, 0], (-300, 1)),
+                             ([-300] + [0] * 40, (-300, 0)), ([-300] + [0] * 39 + [1], (-300, 1))]:
+            frame = Witness(values).to_bytes()
+            assert frame[0] == 2 + TAIL
+            assert Witness.from_bytes(frame)._range == span == Witness(values)._range
+
+    # how to turn the frame of a vector whose bit tail pays into a frame of
+    # the same vector, or none, that decoding must refuse
+    REFUSALS = {
+        "tail not the whole run": "not the whole run",
+        "tail saves no bytes": "no shorter",
+        "padding bit set": "padding is not zero",
+        "tail longer than the count": "longer than its count",
+        "plain frame": "lacks its bit tail",
+    }
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    @pytest.mark.parametrize("width", WIDTHS)
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_each_other_frame_is_refused(self, width, refusal, data):
+        values = data.draw(bit_tailed(width, min_run=9))
+        run = reference_run([to_signed(v % P) for v in values])
+        shortest = next(b for b in range(1, 9) if tail_pays(width, b))
+        if refusal == "tail not the whole run":
+            frame = reference_frame(values, width, data.draw(st.integers(shortest, run - 1)))
+        elif refusal == "tail saves no bytes":
+            frame = reference_frame(values, width, data.draw(st.integers(0, shortest - 1)))
+        elif refusal == "padding bit set":
+            b = data.draw(st.integers(shortest, run).filter(lambda b: b % 8))
+            frame = flip_bit(reference_frame(values, width, b), data.draw(st.integers(b % 8, 7)) + b // 8 * 8)
+        elif refusal == "tail longer than the count":
+            frame = reference_encode(values)
+            n = int.from_bytes(frame[1:5], "little")
+            b = data.draw(st.integers(n + 1, 2**32 - 1))
+            frame = frame[:5] + b.to_bytes(4, "little") + frame[9:]
+        else:
+            frame = reference_frame(values, width)
+        match = self.REFUSALS[refusal]
+        with pytest.raises(DecodeError, match=match):
+            Statement.from_bytes(frame)
+        with pytest.raises(ValueError, match=match):
+            Witness.from_bytes(frame)
+        assert decode_outcome(reference_decode, frame)[0] == "error"
+        assert decode_outcome(reference_decode, frame) == decode_outcome(decode, frame)
 
 
 edge_values = st.sampled_from([0, P - 1] + [sign * e for e in EDGES[:-1] for sign in (1, -1)])
@@ -1254,7 +1438,7 @@ class TestWidths:
         narrowest = reference_width([to_signed(v % P) for v in values])
         for vec in (Statement(values), Witness(values)):
             data = vec.to_bytes()
-            assert data == reference_encode(values) and data[0] == narrowest
+            assert data == reference_encode(values) and data[0] % TAIL == narrowest
             back = type(vec).from_bytes(data)
             assert back.values == vec.values and back.signed.dtype == vec.signed.dtype
         for width in WIDTHS:
@@ -1265,7 +1449,7 @@ class TestWidths:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_honest_witness_and_statement_at_each_width(self, width):
         _, statement, body = mock_instance()
-        assert body[0] == statement.to_bytes()[0] == 2
+        assert body[0] == 2 + TAIL and statement.to_bytes()[0] == 2
         frame = reference_encode(Witness.from_bytes(body).values, width)
         assert mock_verdict(frame) is (Verdict.ACCEPT if width == 2 else Verdict.REJECT)
         if width > 2:
@@ -1274,9 +1458,15 @@ class TestWidths:
 
     def test_unknown_width_bytes(self):
         _, statement, body = mock_instance()
-        for b in sorted(set(range(256)) - set(WIDTHS)):
+        known = {*WIDTHS, *(w + TAIL for w in WIDTHS)}
+        for b in sorted(set(range(256)) - known):
             with pytest.raises(DecodeError, match="unknown statement width"):
                 Statement.from_bytes(bytes([b]) + statement.to_bytes()[1:])
+            assert mock_verdict(bytes([b]) + body[1:]) is Verdict.REJECT
+        for b in known - {statement.to_bytes()[0]}:
+            with pytest.raises(DecodeError):
+                Statement.from_bytes(bytes([b]) + statement.to_bytes()[1:])
+        for b in known - {body[0]}:
             assert mock_verdict(bytes([b]) + body[1:]) is Verdict.REJECT
 
     def test_truncated_and_over_long_frames(self):

@@ -60,14 +60,23 @@ def instance():
 class TestSizeBytes:
     def test_trainer_mock_frames_at_m1000(self):
         """The trainer's witnesses at m=1000 (48 002 wires) and statements
-        (2 001 values) lie within int16: a mock proof is 66 header bytes, a
-        width byte, a count and 2 bytes per wire."""
+        (2 001 values) lie within int16.  A witness is the constant, the
+        statement, U, U' and then 44 000 remainder bits, so its frame has a
+        bit tail: a mock proof is 66 header bytes, a width byte, a count, a
+        tail length, 2 bytes for each of 4 002 wires and 44 000 / 8 = 5 500
+        bytes of bits, 66 + 9 + 8 004 + 5 500 = 13 579 bytes.  The first
+        proof re-proves the set-up's update, whose U and U' are all 0, so
+        its tail takes them too: 66 + 9 + 2 * 2 002 + 46 000 / 8 = 9 829
+        bytes.  A statement ends with K, so its frame stays plain: a width
+        byte, a count and 2 bytes per value, 5 + 4 002 = 4 007 bytes."""
         tr = Trainer(SimConfig(mode="zk-mock", m=1000, num_clients=1, rounds=2, seed=5))
         tr.train()
         statement, witness = tr.last_update
         assert len(witness) == 48_002 and len(statement) == 2_001
-        assert tr.proof_sizes == [96_075] * 4
-        assert len(statement.to_bytes()) == 4_007
+        assert tr.proof_sizes == [9_829, 13_579, 13_579, 13_579]
+        assert witness.to_bytes()[:9] == bytes([0x82]) + (48_002).to_bytes(4, "little") \
+            + (44_000).to_bytes(4, "little")
+        assert statement.to_bytes()[0] == 2 and len(statement.to_bytes()) == 4_007
 
     def test_real_proofs(self):
         _, _, _, frames = instance()
@@ -179,8 +188,9 @@ def test_message_bytes_cover_every_payload_statement_and_proof_byte(pair):
 def random_body_frames(draw):
     """A valid header carrying the circuit's digest, the statement's digest
     or a random one, and a random body: any bytes, a snark-sized body, a
-    width byte and an element count a mock verifier could expect followed by
-    random bytes, or a well-formed transcript of small random elements."""
+    width byte and an element count a mock verifier could expect, with or
+    without the bit tail flag and a tail length, followed by random bytes,
+    or a well-formed transcript of small random elements."""
     cs, stmt, _, _ = instance()
     backend = draw(st.sampled_from(sorted(BACKEND_IDS)))
     header = bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(cs.digest())
@@ -188,11 +198,15 @@ def random_body_frames(draw):
                                       st.binary(min_size=32, max_size=32)))
     count = draw(st.sampled_from([len(stmt), cs.num_wires]))
     width = draw(st.sampled_from([2, 4, 8, 32]))
+    # a head with the bit tail flag: the count, then a tail length
+    tail = draw(st.integers(0, count + 1)).to_bytes(4, "little")
     body = draw(st.one_of(
         st.binary(max_size=200),
         st.binary(min_size=96, max_size=96),
         st.binary(max_size=width * (count + 1)).map(
             lambda rest: bytes([width]) + count.to_bytes(4, "little") + rest),
+        st.binary(max_size=width * (count + 1)).map(
+            lambda rest: bytes([width | 0x80]) + count.to_bytes(4, "little") + tail + rest),
         st.lists(st.integers(-2, 2), min_size=count, max_size=count).map(
             lambda vals: Witness(vals).to_bytes()),
     ))

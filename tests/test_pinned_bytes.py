@@ -9,8 +9,17 @@ re-pinned when their circuit slot went from the zlib'd circuit JSON to the
 circuit's spec; ``snark_pk_tail``, the bytes after that slot, did not move.
 Every other pin moved again when statements and witnesses went to the
 width-byte frame of WIRE_VERSION 2: rewriting the version byte and those
-frames back in the form of version 1 gives bytes that hash to the pins of
+frames back in the form of version 1 gave bytes that hash to the pins of
 version 1, so only the encoding changed.
+
+``PINNED`` and ``PINNED_KEYS`` hold the pins of WIRE_VERSION 2.  Version 3
+sends a witness's trailing run of bits as a bit tail, and every frame
+carries the version byte, so the mock proofs, snark proofs and snark keys
+moved again; their version 3 hashes are pinned beside the old ones.  The
+old pins stay as an oracle: writing version byte 2 back and re-encoding the
+mock proof's witness frame plain (``version_2``) must give bytes that hash
+to them.  Statements end with K, so their frames have no tail, and neither
+they nor the snark key tails moved.
 """
 
 import hashlib
@@ -22,6 +31,8 @@ import pytest
 from zksplit.backend import MockBackend, Statement, decode_frame
 from zksplit.circuit import (
     CircuitConstants,
+    Witness,
+    _write_elements,
     build_protocol_circuit,
     generate_witness,
     quantized_aggregate,
@@ -63,6 +74,7 @@ def spec_slot_tail(pk, cs) -> bytes:
     return payload[4 + n :]
 
 
+@lru_cache(maxsize=None)
 def artifacts(name, m):
     """Every pinned byte string of one instance, by artifact name."""
     cs, stmt, wit = instance(name, m)
@@ -135,10 +147,74 @@ PINNED = {
 CASES = [(name, m) for name in CONSTANTS for m in (1, 8, 64)]
 
 
+# the hashes of version 3 that differ from the version 2 pins above
+PINNED_V3 = {
+    ('EQUAL', 1): {
+        "mock_proof": "b5eea77923850cb60cd8c7e1eda2a2e719ec3791b6e8a4708a624177c994672a",
+        "snark_proof": "a58e8d1b86e319bd036a80b7effb7caf06206c40d9506046dee81be1e3829ae4",
+        "snark_pk": "880576fd5754d56ff2690f15786d4ef86b342849993615a46a1e266ceeb5cacf",
+        "snark_vk": "fc815530a59c487081226694127f3cec466354ae26730c1a864cb10098a32e2c",
+    },
+    ('EQUAL', 8): {
+        "mock_proof": "a441465f5bf13c0b11b1b3367deb51cf6bc0ff865f2463b6a9b672da40011b32",
+        "snark_proof": "92878557a23bfe43110cd11db74e3d5fa154ca5e64535417f2233db21493ce26",
+        "snark_pk": "fe5bd05f4e5c9765d2ae0c7b3b4ae2b3e3a268b5a45853e7e630c0a5cffe82cc",
+        "snark_vk": "21beef7337078b3ccb3955991b2941988c86d014bb21f3d23c890255946b04c9",
+    },
+    ('EQUAL', 64): {
+        "mock_proof": "f15543453ce8dae4b3dc63327542cc5dcfd8a7490ae1b16d2f9ca7d0eeca8872",
+        "snark_proof": "4523bac9d80896e3413a77d56b0cf986bcddefca3c27b3916821d49ca622f571",
+        "snark_pk": "389d52de894e0ccc9cfbac55c5bec3391155907cdef89b396cca670ab375c76c",
+        "snark_vk": "9be25c22f1340505fcabfe93de22cb1dfb6e8e47f7852a5a8b5aa9e433fb1e07",
+    },
+    ('MIXED', 1): {
+        "mock_proof": "1af440e0cb336eb2867bf8602d0c2ff48e55a67f97caefabb76ee805b5844950",
+        "snark_proof": "d400f11951698cf808898680a14117afb6c61296b0a9ed5bfef580fc8f0ca7a1",
+        "snark_pk": "0f990006847e08bfd3f63d264718292f468f3ffcd27c10af11f94b395c995392",
+        "snark_vk": "2e53b73c92f97cd973434f42afebab3eefd6f97eb9609b669c04a2eddb4eb647",
+    },
+    ('MIXED', 8): {
+        "mock_proof": "8030991464fc6cf4827031b7189c79c3cf449a1850f428a4a49a0a8706f862ef",
+        "snark_proof": "21e1485cd0e6e3890b2ff33b7cd837a2a2a34334ecde690b9aa10ca85a96ef33",
+        "snark_pk": "7f24dda26087219e4e811ba91354e81c12ab0c84ebb5ef64b823e6d4cd2a876a",
+        "snark_vk": "2a7d4ac5cb0c324f3d7ee057e3d0ec898fa9ade32daa0aba6199248ddfe2f6d1",
+    },
+    ('MIXED', 64): {
+        "mock_proof": "79d6941d9baf2f2d3c1449f6d515505b90ddfa562bc183ce2edd905e75df241b",
+        "snark_proof": "657637c5197e828df08b28e86af52a2d2642dee0664aeeeaf769ac0f1716c26a",
+        "snark_pk": "200bee072f5adaf5e197a2e11cd891689048bd13f41194fcec64142909f1d0ce",
+        "snark_vk": "4a5c22d34bfe38ef13e7a02d025209a498cbc8c50475fa37e2cd4fcb20fd39c8",
+    },
+}
+
+
+def plain_frame(vec) -> bytes:
+    """The frame of the vector as version 2 wrote it: the width byte, the
+    count and every element at the width, with no bit tail."""
+    width, s = vec.to_bytes()[0] % 128, vec.signed
+    body = _write_elements(s.tolist()) if width == 32 else s.astype(f"<i{width}").tobytes()
+    return bytes([width]) + len(s).to_bytes(4, "little") + body
+
+
+def version_2(name, data: bytes) -> bytes:
+    """The artifact as version 2 wrote it: its version byte 2, and a mock
+    proof's witness frame, after the 66 header bytes, plain."""
+    if name in ("statement", "snark_pk_tail"):
+        return data
+    if name == "mock_proof":
+        data = data[:66] + plain_frame(Witness.from_bytes(data[66:]))
+    return bytes([2]) + data[1:]
+
+
+def hashes(named: dict, version: int = 3) -> dict:
+    return {k: hashlib.sha256(v if version == 3 else version_2(k, v)).hexdigest()
+            for k, v in named.items()}
+
+
 @pytest.mark.parametrize("name,m", CASES)
 def test_pinned_artifact_bytes(name, m):
-    got = {k: hashlib.sha256(v).hexdigest() for k, v in artifacts(name, m).items()}
-    assert got == PINNED[name, m]
+    assert hashes(artifacts(name, m)) == {**PINNED[name, m], **PINNED_V3[name, m]}
+    assert hashes(artifacts(name, m), version=2) == PINNED[name, m]
 
 
 # the snark keys of the composed circuit at m=500, as in snark-m500-tamper
@@ -158,14 +234,28 @@ PINNED_KEYS = {
 }
 
 
+# the hashes of version 3 that differ from the version 2 pins above
+PINNED_KEYS_V3 = {
+    ('EQUAL', 500): {
+        "snark_pk": "43b3a2eb6f559b460f07e60ca87a8edbd328315cd6754a9fb934f68391420c44",
+        "snark_vk": "218d613f8df11d088f77318c071a0dc06937f31f09611758806e8b569fdcc3a4",
+    },
+    ('MIXED', 500): {
+        "snark_pk": "fb52343de4845a0358f7490a0d79b4122ba9ea6bc30950b12e4869ce1e8e02c5",
+        "snark_vk": "2cff287804fe0817fabb262590d359d60f5cfbc074f2d1f188657146028b0bf8",
+    },
+}
+
+
 @pytest.mark.parametrize("name,m", list(PINNED_KEYS))
 def test_pinned_snark_keys_at_benchmark_size(name, m):
     cs = build_protocol_circuit(m, CONSTANTS[name])
     pair = QapSnarkBackend().setup(cs, SETUP_SEED)
-    got = {"snark_pk": hashlib.sha256(pair.proving_key.to_bytes()).hexdigest(),
-           "snark_pk_tail": hashlib.sha256(spec_slot_tail(pair.proving_key, cs)).hexdigest(),
-           "snark_vk": hashlib.sha256(pair.verifying_key.to_bytes()).hexdigest()}
-    assert got == PINNED_KEYS[name, m]
+    keys = {"snark_pk": pair.proving_key.to_bytes(),
+            "snark_pk_tail": spec_slot_tail(pair.proving_key, cs),
+            "snark_vk": pair.verifying_key.to_bytes()}
+    assert hashes(keys) == {**PINNED_KEYS[name, m], **PINNED_KEYS_V3[name, m]}
+    assert hashes(keys, version=2) == PINNED_KEYS[name, m]
 
 
 # the composed circuit's digest at the benchmark's sizes, taken while the
