@@ -411,8 +411,8 @@ class FieldVector:
                 raise ValueError(f"{what} bit tail is not the whole run of bits")
         elif k >= _MIN_TAIL[width] and all(v in (0, 1) for v in head[k - _MIN_TAIL[width] :]):
             raise ValueError(f"{what} frame lacks its bit tail")
-        if packed.any():
-            hi = max(hi, 1)
+        if hi < 1 and packed.any():
+            hi = 1
         if _width(lo, hi) != width:
             raise ValueError(f"{what} is not at the width of its values")
         bits = np.unpackbits(packed, count=b, bitorder="little")
