@@ -3,7 +3,8 @@
 Two interchangeable backends implement the contract:
 
   mock   -- transparent constraint re-checking.  The proof is a transcript
-            of the full witness and verification replays every constraint.
+            of the full witness and verification checks that it satisfies
+            every constraint, gadget by gadget.
             Deliberately NOT zero-knowledge and labeled test-only; it is
             the cryptography-free oracle used in CI and benchmarks.
   snark  -- preprocessing argument with constant-size proofs (snark.py).
@@ -236,7 +237,7 @@ class Backend:
 
 
 class MockBackend(Backend):
-    """Replays every constraint against the witness transcript in the proof.
+    """Checks every constraint against the witness transcript in the proof.
 
     Test-only: the proof leaks the entire witness by construction.
     """

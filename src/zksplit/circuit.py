@@ -44,13 +44,13 @@ runs its kind's layout, which allocates each bank of wires with one
 add_wires call and adds no row, and once it returns the circuit takes no
 more wires: every circuit is whole, and its rows are, element by element,
 each gadget's relation row and then each gadget's booleanity rows
-(ConstraintSystem._element).  They are kept only once something reads
-``rows``: ``constraints`` or the exact replay; ``iter_rows`` walks them
-without keeping them.  ``num_constraints`` counts them as m * (1 + eta) per gadget, and the
-digest, snark key set-up, the mock backend and the gadgets' check never
-read them: the digest and set-up read element 0's rows and the stride of
-each of their wires (``element_template``), so no zk run holds the
-46 000 rows of the composed circuit at m=1000.
+(ConstraintSystem._element).  They are the circuit's R1CS view, kept only
+once something reads ``rows`` or ``constraints``; ``iter_rows`` walks them
+without keeping them.  ``num_constraints`` counts them as m * (1 + eta)
+per gadget, and no prove or verify path reads them: the digest and snark
+key set-up read element 0's rows and the stride of each of their wires
+(``element_template``), and the check asks the gadgets, so no zk run
+holds the 46 000 rows of the composed circuit at m=1000.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows and wire names.
@@ -92,34 +92,36 @@ Checking satisfaction.  A circuit stores each booleanity row
 b * (b - 1) = 0 as the bare index of its wire b; only the other rows are
 (A, B, C) triples of dicts.  A circuit's rows are exactly its gadgets'
 rows, so it is checked gadget by gadget, each over whole banks of wires
-(``holds``): its bit bank must be all 0 or 1, and each
-R = floor - 2**eta * (out - z), computed by the same formula that fills
-the witness, must equal sum_t 2**t * bit_t over its element's bits.
-That is the gadget's rows read as integers, not mod P.  A witness whose
-elements all have signed representatives in (-2**62, 2**62) is carried as
-an int64 array; take d as in the arithmetic, but widened to cover every
-wire of the witness, the outputs included, and let B be the largest
-gadget bound at d.  The witness recorded the least and greatest of its
-elements when it was made or decoded (the range that also fixes its
-frame width): generate_witness takes it from the inputs' range it checks
-and each gadget's derived outputs, since wire 0 is 1 and every bit 0 or
-1.  So d costs no pass over the wires; and each gadget
-computes its floors once, in the one dtype B picks.  The integer test
-decides the rows mod P when B < P/2.  A booleanity row holds mod P
-exactly when b is 0 or 1, since P is prime and |b| < P/2.  With every
-bit 0 or 1, a relation row holds mod P exactly when P divides
-delta = R - sum_t 2**t * bit_t, and
+(``holds``), and nothing else decides a witness.  Every wire is held as
+its signed representative v, with |v| < P/2 and P prime, so a
+booleanity row holds mod P exactly when its bit is 0 or 1.  A relation
+row reads A * B = C, with A * B the gadget's floor term (``formula``)
+and C = 2**eta * (out - z) + sum_t 2**t * bit_t, so it holds mod P
+exactly when P divides delta = R - sum_t 2**t * bit_t, where
+R = floor - 2**eta * (out - z) is computed by the same formula that
+fills the witness.  A witness whose elements all have signed
+representatives in (-2**62, 2**62) is carried as an int64 array; take d
+as in the arithmetic, but widened to cover every wire of the witness,
+the outputs included, and let B be the largest gadget bound at d.  The
+witness recorded the least and greatest of its elements when it was made
+or decoded (the range that also fixes its frame width): generate_witness
+takes it from the inputs' range it checks and each gadget's derived
+outputs, since wire 0 is 1 and every bit 0 or 1.  So d costs no pass
+over the wires; and each gadget computes its floors once, in the one
+dtype B picks.  While B < 2**62, and so the witness is int64, every
+floor, every R and every intermediate fits in int64, and the test is
+delta = 0: with every bit 0 or 1,
 |delta| <= |R| + 2**eta - 1 < B + 2**eta <= 2 * B < P, because the bound
-covers |R| and is at least 2**eta * (d + 1); so it holds exactly when
-delta = 0.  While B < 2**62 every floor, every R and every intermediate
-fits in int64, and the test runs there; past that, as for every honest
-witness at eta = 60, the floors and remainders are Python ints.  Operands
-alone do not give d: an output wire holding 2**59 wraps
-2**eta * (out - z) in int64.  For the default constants d is about 2**15
-on an honest witness, and B about 2**39.  Witnesses with an element past
-2**62, such as adversarial transcripts carrying huge elements, and
-witnesses whose B reaches P/2 take the exact replay of every constraint
-in unbounded integers instead.
+covers |R| and is at least 2**eta * (d + 1), so P divides delta only when
+it is 0.  Past that, as for every honest witness at eta = 60, for a
+witness with an element past 2**62 (an adversarial transcript at frame
+width 32) and for one whose B reaches P/2, the floors and remainders are
+Python ints and the test is delta mod P = 0: the rows themselves.  Such
+a witness may hold mod P and not over the integers, as one whose U and
+U' are solved from the rows by division in F_P does, and it is accepted,
+as the rows demand.  Operands alone do not give d: an output wire
+holding 2**59 wraps 2**eta * (out - z) in int64.  For the default
+constants d is about 2**15 on an honest witness, and B about 2**39.
 """
 
 from __future__ import annotations
@@ -623,12 +625,9 @@ class ConstraintSystem:
     first time they are read: the boolean row {i: 1} * {i: 1, 0: -1} = {},
     for a Python int i != 0, as the int i, and any other row as its
     (A, B, C) triple with signed int coefficients; ``constraints`` shows
-    each row as a triple.  is_satisfied asks each gadget whether its rows
-    hold (``holds``) for an int64 witness when every gadget's bound, taken
-    over every wire of the witness, is below P/2 (see the module
-    docstring), and otherwise falls back to is_satisfied_exact, which
-    replays every constraint in unbounded integers with a single final
-    reduction per constraint.
+    each row as a triple.  They are the circuit's R1CS view, and no prove
+    or verify path reads them: is_satisfied asks each gadget whether its
+    rows hold (``holds``; see the module docstring).
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
@@ -732,11 +731,10 @@ class ConstraintSystem:
     def is_satisfied(self, witness: "Witness | Sequence[int]") -> bool:
         """<A,w> * <B,w> == <C,w> mod P for every constraint, and w[0] == 1.
 
-        An int64 witness is checked exactly, gadget by gadget, whenever
-        every gadget's bound at the span of the whole witness, read from
-        the range the witness recorded, is below P/2: in int64 while the
-        bounds are below 2**62, and in Python ints past that.  Anything
-        else takes the exact replay.
+        Each gadget decides its own rows (``holds``), with its floors in
+        the dtype that the largest gadget bound, at the span of the whole
+        witness read from the range the witness recorded, picks: int64
+        while that bound is below 2**62, and Python ints past it.
         """
         self._check_length(len(witness))
         if not isinstance(witness, Witness):
@@ -744,41 +742,11 @@ class ConstraintSystem:
         w = witness.signed
         if w[0] != 1:
             return False
-        if w.dtype == np.int64:
-            d = _span(self.constants, *witness._range)
-            bound = max(g.bound(self.constants, d) for g in self.gadgets)
-            if 2 * bound < P:
-                return all(g.holds(w, _int_dtype(bound)) for g in self.gadgets)
-        return self._replay(w.tolist())
-
-    def is_satisfied_exact(self, values: Sequence[int]) -> bool:
-        """Replay every constraint in unbounded integers, reducing mod P."""
-        self._check_length(len(values))
-        return self._replay([to_signed(int(v) % P) for v in values])
-
-    def _replay(self, ws: List[int]) -> bool:
-        """The exact replay of every constraint on the signed
-        representatives ``ws`` of a witness of this circuit's length."""
-        if ws[0] != 1:
-            return False
-        for row in self.rows:
-            if isinstance(row, int):
-                if ws[row] * (ws[row] - 1) % P:
-                    return False
-                continue
-            a, b, c = row
-            av = 0
-            for i, co in a.items():
-                av += co * ws[i]
-            bv = 0
-            for i, co in b.items():
-                bv += co * ws[i]
-            cv = 0
-            for i, co in c.items():
-                cv += co * ws[i]
-            if (av * bv - cv) % P:
-                return False
-        return True
+        # the bound exceeds every |element|, so it is below 2**62 only
+        # for an int64 witness
+        d = _span(self.constants, *witness._range)
+        dtype = _int_dtype(max(g.bound(self.constants, d) for g in self.gadgets))
+        return all(g.holds(w, dtype) for g in self.gadgets)
 
     # -- export -----------------------------------------------------------
 
@@ -924,19 +892,25 @@ class _Floor:
         return min(lo, 0), max(hi, 0)
 
     def holds(self, w: np.ndarray, dtype) -> bool:
-        """Whether this gadget's rows hold for the int64 witness w, read as
-        integers: its booleanity rows, every bit is 0 or 1, and then its
-        relation rows, every R = floor - 2**eta * (out - z), computed in
-        ``dtype``, equals sum_t 2**t * bit_t, which lies in [0, 2**eta).
-        This decides the rows mod P only while ``bound`` at the span of w
-        is below P/2, and the int64 dtype only while it is below 2**62,
-        which is_satisfied checks first."""
-        bank = w[self._bank]
+        """Whether this gadget's rows hold mod P for the witness w of signed
+        representatives: its booleanity rows, every bit is 0 or 1, and then
+        its relation rows, every R = floor - 2**eta * (out - z), computed
+        in ``dtype``, minus sum_t 2**t * bit_t is 0 mod P.  In int64, which
+        must be exact up to ``bound`` at the span of w, that difference is
+        below P in size and the test is that it is 0; in Python ints it is
+        the rows' own test."""
+        try:
+            bank = w[self._bank].astype(np.int64, copy=False)
+        except OverflowError:  # an element past int64 is no bit
+            return False
         # as uint64 a negative bit is at least 2**63
         if bank.view(np.uint64).max() > 1:
             return False
         r = self._remainder(w, self.floor(w, dtype))
-        return np.array_equal(bank.reshape(-1, self.c.eta) @ self._places, r)
+        recomposed = bank.reshape(-1, self.c.eta) @ self._places
+        if dtype is object:
+            return not ((r - recomposed) % P).any()
+        return np.array_equal(recomposed, r)
 
     def _remainder(self, w: np.ndarray, floor: np.ndarray) -> np.ndarray:
         """Every R = floor - 2**eta * (out - z), in the dtype of floor."""

@@ -37,6 +37,15 @@ def test_verdicts(change, better, expected):
     assert verdict(PARENT, change, better, 0.10) == expected
 
 
+def test_a_gain_needs_ten_pairs():
+    """Three pairs that the change wins by far do not make a gain; ten do."""
+    assert verdict(PARENT[:3], shifted(-1.0)[:3], "lower", 0.10) == "no worse"
+    assert verdict(PARENT[:9], shifted(-1.0)[:9], "lower", 0.10) == "no worse"
+    assert verdict(PARENT, shifted(-1.0), "lower", 0.10) == "gain"
+    assert verdict(PARENT[:3], shifted(+1.0)[:3], "higher", 0.10) == "no worse"
+    assert verdict(PARENT[:3], shifted(+1.5)[:3], "lower", 0.10) == "worse"
+
+
 def test_noisy_parent_is_unresolved_unless_the_sides_separate():
     noisy = [6.0, 7.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 13.0, 14.0]  # IQR/median 0.35
     overlapping = [v - 0.5 for v in noisy]
@@ -192,9 +201,10 @@ def test_each_end_to_end_verdict_is_printed_after_the_file(tmp_path, capsys):
     # six run lines, one verdict line for the one end-to-end metric, and
     # one line of the workload's medians
     assert len(lines) == 8
-    assert lines[-2] == "w round_ms.p90 gain 2/2"
+    # two pairs won are too few for a gain
+    assert lines[-2] == "w round_ms.p90 no worse 2/2"
     assert lines[-1].startswith("w medians rounds parent=10 change=10 minflt parent=")
-    assert json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]["verdict"] == "gain"
+    assert json.loads(out.read_text())["summary"]["w"]["round_ms.p90"]["verdict"] == "no worse"
 
 
 def test_each_workloads_median_rounds_and_minflt_are_printed_last(tmp_path, capsys):
@@ -210,9 +220,9 @@ def test_each_workloads_median_rounds_and_minflt_are_printed_last(tmp_path, caps
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--runs", str(runs),
             "--out", str(out)]
     bench_pairs.main(argv)
-    # only the kept seeds 0, 1 and 2 count
+    # only the kept seeds 0, 1 and 2 count, too few for a gain
     assert capsys.readouterr().out.splitlines() == [
-        "w round_ms.p90 gain 3/3",
+        "w round_ms.p90 no worse 3/3",
         "w medians rounds parent=1001 change=1201 minflt parent=30001 change=125001"]
     # runs recorded before minflt was kept print none
     for r in records:

@@ -1,10 +1,10 @@
-"""The gadget-by-gadget int64 satisfaction check, the witness codec,
-the canonical circuit JSON, and the circuit digests they must leave
+"""The gadget-by-gadget satisfaction check, the witness codec, the
+canonical circuit JSON, and the circuit digests they must leave
 untouched.
 
-``ConstraintSystem.is_satisfied_exact`` replays every constraint in
-unbounded integers; it is the oracle the gadgets' check is compared with,
-and the check of every witness the gadgets cannot decide.
+``reference_replay`` evaluates every (A, B, C) triple of a circuit's
+``constraints`` mod P; it is the oracle every verdict of the gadgets'
+check is compared with.
 """
 
 import hashlib
@@ -34,7 +34,6 @@ from zksplit.circuit import (
     SMALL,
     CircuitConstants,
     CircuitError,
-    ConstraintSystem,
     FieldVector,
     Witness,
     _bit_rows,
@@ -95,8 +94,9 @@ def through_key(cs):
 
 
 def agree(cs, values):
+    """is_satisfied's verdict, which must be the reference replay's."""
     verdict = cs.is_satisfied(values)
-    assert verdict == cs.is_satisfied_exact(values)
+    assert verdict == reference_replay(cs, values)
     return verdict
 
 
@@ -125,16 +125,16 @@ def set_bit(values, bank, t, v):
 
 
 def checked(cs, values):
-    """is_satisfied's verdict, which must be the replay's, and whether
-    is_satisfied reached the replay to give it."""
-    replays = []
-    replay = ConstraintSystem._replay
+    """is_satisfied's verdict, which must be the reference replay's, and
+    the dtype the gadgets computed their floors in to give it."""
+    dtypes = set()
+    holds = circuit._Floor.holds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ConstraintSystem, "_replay",
-                   lambda self, ws: replays.append(self) or replay(self, ws))
-        verdict = cs.is_satisfied(values)
-    assert verdict == cs.is_satisfied_exact(values)
-    return verdict, bool(replays)
+        mp.setattr(circuit._Floor, "holds",
+                   lambda self, w, dtype: dtypes.add(dtype) or holds(self, w, dtype))
+        verdict = agree(cs, values)
+    (dtype,) = dtypes
+    return verdict, dtype
 
 
 def floor_operands(cs):
@@ -160,14 +160,14 @@ ONE_PASS_CASES = [(kind, m, name) for kind in BUILDERS for m in (1, 8) for name 
 class TestGadgetCheck:
     @pytest.mark.parametrize("kind,m,name", CASES + ETA60_CASES)
     def test_honest_witness_path(self, kind, m, name):
-        """Honest witnesses are checked by the gadgets and never replayed:
-        EQUAL and MIXED in int64, and eta = 60, which puts every gadget's
-        bound past 2**62 but far below P/2, in Python ints."""
+        """Honest witnesses are accepted by the gadgets: EQUAL and MIXED in
+        int64, and eta = 60, which puts every gadget's bound past 2**62 but
+        far below P/2, in Python ints."""
         cs, values = honest(kind, m, name)
         assert Witness(values).signed.dtype == np.int64
         if name == "ETA60":
             assert all(SMALL <= g.bound(cs.constants, 2**15) < P // 2 for g in cs.gadgets)
-        assert checked(cs, values) == (True, False)
+        assert checked(cs, values) == (True, object if name == "ETA60" else np.int64)
 
     @pytest.mark.parametrize("kind,m,name", ETA60_CASES)
     def test_eta60_changed_bit_or_output_is_rejected_by_the_gadgets(self, kind, m, name):
@@ -178,23 +178,33 @@ class TestGadgetCheck:
             mutated = list(values)
             mutated[i] = 1 - mutated[i] if delta is None else (mutated[i] + delta) % P
             assert Witness(mutated).signed.dtype == np.int64
-            assert checked(cs, mutated) == (False, False)
+            assert checked(cs, mutated) == (False, object)
 
-    def test_bound_past_half_p_takes_the_replay(self):
+    def test_bound_past_half_p_is_decided_mod_p(self):
         """At eta = 200 an honest witness is checked by the gadgets in Python
-        ints, and one wire holding 2**61 puts the aggregation's bound past
-        P/2, where the integer test no longer decides the rows mod P."""
+        ints, and so is an int64 witness whose bound passes P/2, where the
+        integer test would not decide the rows mod P: the gadgets test them
+        mod P.  One wire holding 2**61 in the honest witness is rejected,
+        and a witness with W = W' = 2**52, outside the quantized range but
+        satisfying every row, is accepted."""
         c = CircuitConstants(eta=200)
         cs = build_protocol_circuit(2, c)
         k = c.z_k + 2**c.f_k
         w, u = [5, -7], [300, -4000]
         up = quantized_aggregate(k, u, c)
         values = generate_witness(cs, quantized_update(w, up, c).tolist() + w + [k], u).values
-        assert checked(cs, values) == (True, False)
+        assert checked(cs, values) == (True, object)
         mutated = list(values)
         mutated[cs.var_names.index("U[1]")] = 2**61
-        assert 2 * cs.gadgets[0].bound(c, 2**61) > P
-        assert checked(cs, mutated) == (False, True)
+        assert 2 * reference_bound(cs, mutated) > P
+        assert checked(cs, mutated) == (False, object)
+        cs = build_protocol_circuit(1, c)
+        wide = [0] * cs.num_wires
+        for name, v in (("one", 1), ("Wp[0]", 2**52), ("W[0]", 2**52), ("K[0]", k)):
+            wide[cs.var_names.index(name)] = v
+        assert Witness(wide).signed.dtype == np.int64
+        assert 2 * reference_bound(cs, wide) > P
+        assert checked(cs, wide) == (True, object)
 
     @settings(deadline=None, max_examples=400)
     @given(case=st.sampled_from(ONE_PASS_CASES), data=st.data())
@@ -202,9 +212,9 @@ class TestGadgetCheck:
         """One bit, output or statement wire that no floor reads is moved,
         up to and past 2**62, so that only the span of the whole witness,
         not that of the floor operands, can pick the check's dtype.  The
-        check must give the replay's verdict, reject every move, and leave
-        the decision to the gadgets whenever the witness is int64 and its
-        bound is below P/2."""
+        check must give the reference replay's verdict, reject every move,
+        and compute the floors in int64 exactly when the bound over the
+        whole witness is below 2**62."""
         cs, values = honest(*case)
         eta, operands = cs.constants.eta, floor_operands(cs)
         outputs = [i for i in range(1, 1 + cs.num_public) if i not in operands]
@@ -225,11 +235,11 @@ class TestGadgetCheck:
         ).filter(lambda v: -SMALL <= v <= SMALL), label="value")
         mutated = list(values)
         mutated[i] = v % P
-        verdict, replayed = checked(cs, mutated)
+        verdict, dtype = checked(cs, mutated)
         assert verdict == (v == near)
         int64 = Witness(mutated).signed.dtype == np.int64
         assert int64 == (abs(v) < SMALL)
-        assert replayed == (not int64 or 2 * reference_bound(cs, mutated) >= P)
+        assert (dtype is np.int64) == (reference_bound(cs, mutated) < SMALL)
 
     def test_the_check_scans_no_wire_and_calls_no_public_floor(self, monkeypatch):
         """is_satisfied takes the witness span from the range the vector
@@ -320,7 +330,7 @@ class TestGadgetCheck:
 
     @settings(deadline=None, max_examples=150)
     @given(case=st.sampled_from(CASES), data=st.data())
-    def test_large_element_takes_exact_path(self, case, data):
+    def test_large_element_is_decided_in_python_ints(self, case, data):
         cs, values = honest(*case)
         i = data.draw(st.integers(1, len(values) - 1), label="wire")
         big = data.draw(st.sampled_from([2**100, P - 2**100, SMALL, P - SMALL]), label="big")
@@ -328,7 +338,7 @@ class TestGadgetCheck:
         mutated[i] = big
         # the witness takes frame width 32, as a Finding A transcript does
         assert Witness(mutated).signed.dtype == object
-        assert checked(cs, mutated) == (False, True)
+        assert checked(cs, mutated) == (False, object)
 
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_bits_that_recompose_but_are_not_bits(self, kind, m, name):
@@ -340,7 +350,7 @@ class TestGadgetCheck:
             mutated = list(values)
             mutated[i] += 2
             mutated[i + 1] = (mutated[i + 1] - 1) % P
-            assert checked(cs, mutated) == (False, False)
+            assert checked(cs, mutated) == (False, np.int64)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_small_but_out_of_bound_element(self, kind):
@@ -351,7 +361,7 @@ class TestGadgetCheck:
         mutated = list(values)
         mutated[-1] = 2**40
         assert Witness(mutated).signed.dtype == np.int64
-        assert checked(cs, mutated) == (False, False)
+        assert checked(cs, mutated) == (False, object)
 
     @pytest.mark.parametrize("v", [2**59 - 207, 2**59 + 158])
     def test_huge_output_is_rejected(self, v):
@@ -366,7 +376,7 @@ class TestGadgetCheck:
         mutated = list(values)
         mutated[i] = v
         assert Witness(mutated).signed.dtype == np.int64
-        assert checked(cs, mutated) == (False, False)
+        assert checked(cs, mutated) == (False, object)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_wrong_length_raises(self, kind):
@@ -374,8 +384,6 @@ class TestGadgetCheck:
         for bad in (values[:-1], values + (0,)):
             with pytest.raises(CircuitError, match="length"):
                 cs.is_satisfied(bad)
-            with pytest.raises(CircuitError, match="length"):
-                cs.is_satisfied_exact(bad)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_a_built_circuit_takes_no_more_wires(self, kind):
@@ -386,6 +394,43 @@ class TestGadgetCheck:
                 cs.add_wires(["extra[%d]"], 2, public)
         assert (cs.digest(), cs.num_wires, cs.num_private) == before
         assert cs.to_json() == reference_json(cs)
+
+
+def division_witness(cs, w_new, w_old, k):
+    """A full assignment of the composed circuit cs whose W' and W are
+    unrelated, with U' and U solved from the update and the aggregation
+    rows by division in F_P and every remainder bit 0: it holds mod P, and
+    its U and U' are field elements far past 2**62."""
+    c = cs.constants
+    cw, cu, ca, two_eta = (1 << x for x in (c.upd_w_shift, c.upd_u_shift, c.agg_shift, c.eta))
+    up = [(c.z_up + (two_eta * (a - c.z_wp) - cw * (b - c.z_w)) * pow(cu, -1, P)) % P
+          for a, b in zip(w_new, w_old)]
+    u = [(c.z_u + two_eta * (v - c.z_up) * pow(ca * (k - c.z_k), -1, P)) % P for v in up]
+    return [1, *w_new, *w_old, k, *u, *up] + [0] * (2 * cs.m * c.eta)
+
+
+@pytest.mark.parametrize("accept", [True, False])
+def test_a_width_32_proof_is_verified_without_the_rows(accept):
+    """Mock verify decides a witness at frame width 32 with the gadgets, so
+    a fresh circuit's rows stay underived: a witness that holds only mod P
+    is accepted, and an honest one with an element set to 2**100 rejected."""
+    cs = build_protocol_circuit(8, EQUAL)
+    if accept:
+        rnd = random.Random(3)
+        w_new, w_old = ([rnd.randint(-4000, 4000) for _ in range(8)] for _ in range(2))
+        values = division_witness(cs, w_new, w_old, 3)
+    else:
+        values = list(honest("composed", 8, "EQUAL")[1])
+        values[cs.var_names.index("U[2]")] = 2**100
+    statement = Statement(values[1 : 1 + cs.num_public])
+    body = Witness(values).to_bytes()
+    assert body[0] & 0x7F == 32
+    pair = MockBackend().setup(cs)
+    proof = Proof("mock", cs.digest(), statement.digest(), body)
+    verdict = MockBackend().verify(pair.verifying_key, statement, proof)
+    assert verdict is (Verdict.ACCEPT if accept else Verdict.REJECT)
+    assert not derived(cs)
+    assert verdict is (Verdict.ACCEPT if reference_replay(cs, values) else Verdict.REJECT)
 
 
 def reference_rows(cs):
@@ -447,25 +492,25 @@ class TestBooleanRows:
         assert back.rows == cs.rows
         assert [(type(g), g.wires, g.out, g.bits) for g in back.gadgets] == \
             [(type(g), g.wires, g.out, g.bits) for g in cs.gadgets]
-        assert checked(back, values) == (True, False)
+        assert checked(back, values) == (True, np.int64)
         bit = cs.gadgets[-1].bits[-1][0]
         flipped = list(values)
         flipped[bit] = 1 - flipped[bit]
-        assert checked(back, flipped) == checked(cs, flipped) == (False, False)
+        assert checked(back, flipped) == checked(cs, flipped) == (False, np.int64)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_scattered_bits_set_to_small_values(self, kind):
         """Bit 1 of the first gadget's first bank and the last bit of the
         last gadget's last bank, set to every pair of small values with both
-        banks still recomposing: the gadgets, the replay and the rows'
-        triples accept only the honest pair."""
+        banks still recomposing: the gadgets and the rows' triples accept
+        only the honest pair."""
         cs, values = honest(kind, 8, "EQUAL")
         first, last = cs.gadgets[0].bits[0], cs.gadgets[-1].bits[-1]
         assert first[0] < last[0]
         for a, b in itertools.product(SMALL_VALUES, repeat=2):
             mutated = set_bit(set_bit(values, first, 1, a), last, len(last) - 1, b)
             honest_pair = (a % P, b % P) == (values[first[1]], values[last[-1]])
-            assert agree(cs, mutated) == reference_replay(cs, mutated) == honest_pair
+            assert agree(cs, mutated) == honest_pair
 
     @settings(deadline=None, max_examples=400)
     @given(case=st.sampled_from(CASES), data=st.data())
@@ -517,9 +562,8 @@ class TestBooleanStorage:
     def test_a_boolean_row_is_a_bit_test(self, kind, v):
         """Each bit past the first of each bank in turn set to v, with the
         bank still recomposing, so that only booleanity rows can fail: the
-        gadgets, the replay's bit test on the int row and the evaluation of
-        the row's triple give one verdict, and it holds only where v is the
-        honest bit."""
+        gadgets and the evaluation of the row's triple give one verdict,
+        and it holds only where v is the honest bit."""
         cs, values = honest(kind, 1, "MIXED")
         banks = [bank for g in cs.gadgets for bank in g.bits]
         assert sorted(i for bank in banks for i in bank) == sorted(
@@ -527,8 +571,7 @@ class TestBooleanStorage:
         for bank in banks:
             for t in range(1, len(bank)):
                 mutated = set_bit(values, bank, t, v)
-                assert agree(cs, mutated) == reference_replay(cs, mutated) == (
-                    v % P == values[bank[t]])
+                assert agree(cs, mutated) == (v % P == values[bank[t]])
 
     def test_json_spelling_of_a_boolean_row(self):
         """The update circuit at m=1 has wires one, Wp[0], W[0], Up[0] and

@@ -226,7 +226,7 @@ def test_altered_spec_loads_exactly_when_it_is_the_circuits(field, value):
 
 
 def test_cli_verify_with_crafted_spec_key_is_runtime_error(tmp_path, capsys):
-    # a proof addressed to the key and statement, so verify would replay it
+    # a proof addressed to the key and statement, so verify would check it
     vk = mock_frame(CRAFTED["eta 21"])
     cs = circuit()
     statement = Statement([0] * cs.num_public)

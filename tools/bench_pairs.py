@@ -45,6 +45,8 @@ import time
 from pathlib import Path
 
 SECONDS = "20"
+# the fewest pairs a ``gain`` verdict may rest on
+GAIN_PAIRS = 10
 STDERR_TAIL = 2000  # characters of a failed run's stderr kept in --runs
 
 
@@ -88,8 +90,9 @@ def quartiles(values):
 def verdict(parent, change, better: str, bound: float) -> str:
     """The acceptance rule for one metric over paired runs (same order).
 
-    ``gain``: the change wins at least 9 of 10 pairs and the medians differ,
-    in its favour, by more than the parent's interquartile range.
+    ``gain``: over at least GAIN_PAIRS pairs, the change wins at least 9 of
+    10 and the medians differ, in its favour, by more than the parent's
+    interquartile range.
     ``worse``: the change's median is worse than the parent's by more than
     ``bound``, a fraction of the parent's median.  ``unresolved``: the
     parent's IQR exceeds ``bound`` times its median, and not every change
@@ -102,7 +105,7 @@ def verdict(parent, change, better: str, bound: float) -> str:
     iqr = p["q3"] - p["q1"]
     gained = sign * (p["median"] - c["median"])  # > 0 when the change is better
     wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
-    if 10 * wins >= 9 * len(parent) and gained > iqr:
+    if len(parent) >= GAIN_PAIRS and 10 * wins >= 9 * len(parent) and gained > iqr:
         return "gain"
     if -gained > bound * abs(p["median"]):
         return "worse"
