@@ -44,13 +44,10 @@ runs its kind's layout, which allocates each bank of wires with one
 add_wires call and adds no row, and once it returns the circuit takes no
 more wires: every circuit is whole, and its rows are, element by element,
 each gadget's relation row and then each gadget's booleanity rows
-(ConstraintSystem._element).  They are the circuit's R1CS view, kept only
-once something reads ``rows`` or ``constraints``; ``iter_rows`` walks them
-without keeping them.  ``num_constraints`` counts them as m * (1 + eta)
-per gadget, and no prove or verify path reads them: the digest and snark
-key set-up read element 0's rows and the stride of each of their wires
-(``element_template``), and the check asks the gadgets, so no zk run
-holds the 46 000 rows of the composed circuit at m=1000.
+(ConstraintSystem._element).  No object holds them all:
+``num_constraints`` counts them as m * (1 + eta) per gadget, the digest
+and snark key set-up read element 0's rows and the stride of each of
+their wires (``element_template``), and the check asks the gadgets.
 
 The digest.  A circuit is named by the SHA-256 of its canonical JSON text
 (to_json), which binds every proof and key to its rows and wire names.
@@ -88,7 +85,7 @@ however small.  generate_witness has checked every input against the
 quantized range, and a gadget refuses a derived output outside it, so it
 takes each gadget's dtype from the bound at the range's own d.
 
-Checking satisfaction.  A circuit stores each booleanity row
+Checking satisfaction.  A circuit gives each booleanity row
 b * (b - 1) = 0 as the bare index of its wire b; only the other rows are
 (A, B, C) triples of dicts.  A circuit's rows are exactly its gadgets'
 rows, so it is checked gadget by gadget, each over whole banks of wires
@@ -128,9 +125,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence as _Sequence
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -593,23 +589,6 @@ def _text(parts, decimals: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return buf
 
 
-class _Constraints(_Sequence):
-    """A read-only view of ``ConstraintSystem.rows`` as (A, B, C) triples;
-    a boolean row's dicts are built when that row is read."""
-
-    def __init__(self, rows: list):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        row = self._rows[k]
-        return ({row: 1}, {row: 1, 0: -1}, {}) if isinstance(row, int) else row
-
-
 class ConstraintSystem:
     """Sparse R1CS: constraints (A, B, C) meaning <A,w> * <B,w> = <C,w> mod P.
 
@@ -620,14 +599,12 @@ class ConstraintSystem:
     gadgets whose rows are all the rows, before the constructor returns,
     and then nothing adds a wire or a row.  An unknown kind or an m below
     1 raises CircuitError.  The wires' names are kept as banks
-    (``add_wires``), and ``var_names`` derives them when read.
-    ``rows`` holds the constraints in order, derived from the gadgets the
-    first time they are read: the boolean row {i: 1} * {i: 1, 0: -1} = {},
-    for a Python int i != 0, as the int i, and any other row as its
-    (A, B, C) triple with signed int coefficients; ``constraints`` shows
-    each row as a triple.  They are the circuit's R1CS view, and no prove
-    or verify path reads them: is_satisfied asks each gadget whether its
-    rows hold (``holds``; see the module docstring).
+    (``add_wires``), and ``var_names`` derives them when read.  The rows
+    of element j (``_element``) give the boolean row
+    {i: 1} * {i: 1, 0: -1} = {}, for a Python int i != 0, as the int i, and
+    any other row as its (A, B, C) triple with signed int coefficients.
+    is_satisfied asks each gadget whether its rows hold (``holds``; see
+    the module docstring).
     """
 
     def __init__(self, kind: str, m: int, constants: CircuitConstants):
@@ -674,16 +651,6 @@ class ConstraintSystem:
             self.num_private += len(wires)
         return wires
 
-    @cached_property
-    def rows(self) -> List["int | Tuple[LinComb, LinComb, LinComb]"]:
-        """Every row, in order, derived on the first read and kept."""
-        return list(self.iter_rows())
-
-    def iter_rows(self) -> Iterator["int | Tuple[LinComb, LinComb, LinComb]"]:
-        """Every row, in order, made element by element (``_element``);
-        none is kept."""
-        return chain.from_iterable(map(self._element, range(self.m)))
-
     @property
     def num_constraints(self) -> int:
         """The number of rows, counted without deriving them."""
@@ -694,11 +661,6 @@ class ConstraintSystem:
         gadget's eta booleanity rows."""
         return [*(g.row(j) for g in self.gadgets),
                 *chain.from_iterable(g.bits[j] for g in self.gadgets)]
-
-    @property
-    def constraints(self) -> Sequence[Tuple[LinComb, LinComb, LinComb]]:
-        """Every row as its (A, B, C) triple, in order, read-only."""
-        return _Constraints(self.rows)
 
     @property
     def var_names(self) -> List[str]:
@@ -811,9 +773,6 @@ class ConstraintSystem:
         second = np.array([i for row in self._element(min(1, self.m - 1))
                            for i in _row_shape(row)[1]])
         return [shape for shape, _ in shapes], _Affine(first, second - first, self.m)
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json())
 
     def spec(self) -> bytes:
         """The canonical JSON of kind, m and constants, the spec from_spec

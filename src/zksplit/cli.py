@@ -235,7 +235,9 @@ def _cmd_circuit_export(args) -> int:
     if args.eta is not None:
         spec["constants"] = {"eta": args.eta}
     circuit = _circuit(spec)
-    text = circuit.to_json() if args.compact else json.dumps(circuit.to_json_dict(), indent=2)
+    text = circuit.to_json()
+    if not args.compact:
+        text = json.dumps(json.loads(text), indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)

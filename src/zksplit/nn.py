@@ -30,6 +30,8 @@ from pathlib import Path
 from typing import Iterator, List, Sequence
 
 import numpy as np
+# numpy imports numpy.random on first use; import it here, not inside a timed set-up
+import numpy.random  # noqa: F401
 
 
 class NumericError(ValueError):

@@ -3,6 +3,7 @@ synthetic paired runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -146,10 +147,24 @@ name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
 '''
 
 
-def stub_checkout(path: Path, fail_seeds, touch_mb=0, value=5.0) -> Path:
+def git(path: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(path), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def commit_all(path: Path) -> None:
+    """Make path a git repository, if it is none, and commit all it holds."""
+    git(path, "init", "-q")
+    git(path, "add", "-A")
+    git(path, "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+        "-c", "commit.gpgsign=false", "commit", "-q", "-m", "stub")
+
+
+def stub_checkout(path: Path, fail_seeds, touch_mb=0, value=5.0, commit=True) -> Path:
     """A checkout whose perfbench/run.py writes ``touch_mb`` MiB and then a
     record with ``round_ms.p90`` at ``value``, or, for a seed in
-    ``fail_seeds``, exits 1 without one."""
+    ``fail_seeds``, exits 1 without one; all of it committed to a git
+    repository, unless ``commit`` is false."""
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text(
         f"FAIL_SEEDS = {set(fail_seeds)!r}\nTOUCH_MB = {touch_mb}\nVALUE = {value}\n"
@@ -157,7 +172,40 @@ def stub_checkout(path: Path, fail_seeds, touch_mb=0, value=5.0) -> Path:
     (path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"],
         "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
+    if commit:
+        commit_all(path)
     return path
+
+
+def test_the_bench_file_names_each_sides_commit_and_whether_it_was_dirty(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail_seeds=())
+    change = stub_checkout(tmp_path / "change", fail_seeds=())
+    (change / "uncommitted.txt").write_text("edit\n")
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--runs", str(runs), "--out", str(out), "w:1"]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["commits"] == {"parent": git(parent, "rev-parse", "HEAD"),
+                                "change": git(change, "rev-parse", "HEAD")}
+    assert bench["dirty"] == {"parent": False, "change": True}
+
+
+@pytest.mark.parametrize("init", [False, True])
+def test_a_side_with_no_commit_is_refused_before_anything_runs(tmp_path, capsys, init):
+    """A side that is no git repository, or one with no commit yet, is
+    named on stderr, and nothing runs or is written."""
+    parent = stub_checkout(tmp_path / "parent", fail_seeds=())
+    change = stub_checkout(tmp_path / "change", fail_seeds=(), commit=False)
+    if init:
+        git(change, "init", "-q")
+    runs, out = tmp_path / "runs.jsonl", tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--runs", str(runs), "--out", str(out), "w:1-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bench_pairs: the change side, {change}, has no git commit\n"
+    assert not runs.exists() and not out.exists()
+    assert not (parent / "perfbench" / "results").exists()
 
 
 def test_a_run_that_writes_no_result_is_kept_and_its_pair_dropped(tmp_path, capsys):
@@ -217,6 +265,7 @@ def test_each_workloads_median_rounds_and_minflt_are_printed_last(tmp_path, caps
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"],
         "end_to_end": [{"name": "round_ms.p90", "better": "lower", "bound": 0.25}]}))
+    commit_all(tmp_path)
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--runs", str(runs),
             "--out", str(out)]
     bench_pairs.main(argv)

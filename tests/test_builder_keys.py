@@ -37,6 +37,11 @@ LOADERS = [load_proving_key, load_verifying_key]
 EQUAL = CircuitConstants()
 
 
+def written_rows(cs):
+    """The number of rows the canonical JSON of cs lists."""
+    return len(json.loads(cs.to_json())["constraints"])
+
+
 def update_spec(**changes) -> bytes:
     """The spec of build_update_circuit(1, EQUAL) with values replaced."""
     d = json.loads(build_update_circuit(1, EQUAL).spec())
@@ -74,7 +79,7 @@ def test_loaded_circuit_is_its_builders(load, builds):
     assert decode_frame(data)[2] == cs.spec()
     loaded = load(data).cs
     assert builds == [("update", 1)]
-    assert loaded.digest() == cs.digest() and loaded.rows == cs.rows
+    assert loaded.digest() == cs.digest()
     assert loaded.gadgets and loaded.to_json() == cs.to_json()
 
 
@@ -93,7 +98,7 @@ def test_constructor_makes_the_builders_whole_circuit(kind):
     before it returns, so it is the circuit the builder returns: it counts
     its rows, names its digest and checks a witness."""
     cs, built = ConstraintSystem(kind, 3, EQUAL), BUILDERS[kind](3, EQUAL)
-    assert cs.gadgets and cs.num_constraints == len(built.rows) > 0
+    assert cs.gadgets and cs.num_constraints == written_rows(built) > 0
     assert cs.var_names == built.var_names and cs.digest() == built.digest()
     free = cs.gadgets[0].wires.start - 1 - cs.num_public
     assert cs.is_satisfied(generate_witness(cs, [0] * cs.num_public, [0] * free))
@@ -117,7 +122,7 @@ def test_mock_keys_at_m1000_carry_only_the_spec():
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 @pytest.mark.parametrize("m,eta", [(1, 22), (3, 22), (2, 40)])
 def test_row_count_bound_is_the_builders(kind, m, eta):
-    rows = len(BUILDERS[kind](m, CircuitConstants(eta=eta)).rows)
+    rows = written_rows(BUILDERS[kind](m, CircuitConstants(eta=eta)))
     assert rows == m * (1 + eta) * circuit._KINDS[kind][1]
 
 
@@ -126,7 +131,7 @@ def test_largest_m_under_the_bound_builds(kind, monkeypatch, builds):
     # under a bound of 5 elements the largest m is built in full, one more is not
     per_element = (1 + EQUAL.eta) * circuit._KINDS[kind][1]
     monkeypatch.setattr(circuit, "MAX_CONSTRAINTS", 5 * per_element)
-    assert len(from_spec({"kind": kind, "m": 5}).rows) == 5 * per_element
+    assert written_rows(from_spec({"kind": kind, "m": 5})) == 5 * per_element
     with pytest.raises(CircuitError, match="constraints"):
         from_spec({"kind": kind, "m": 6})
     assert builds == [(kind, 5)]

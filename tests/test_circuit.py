@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from zksplit.circuit import (
 )
 from zksplit.field import P
 
+from oracle import reference_rows, triple
+
 EQUAL = CircuitConstants()  # all scale exponents equal, zero-points 0
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
                          f_w=12, z_w=2, f_wp=11, z_wp=-1)
@@ -33,6 +36,11 @@ MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
 def through_key(cs):
     """The circuit a mock verifying key of cs loads back with."""
     return load_verifying_key(MockBackend().setup(cs).verifying_key.to_bytes()).cs
+
+
+def written_rows(cs):
+    """The number of rows the canonical JSON of cs lists."""
+    return len(json.loads(cs.to_json())["constraints"])
 
 
 def honest_inputs(kind, m, c, rnd):
@@ -114,7 +122,7 @@ class TestAggregationCircuit:
     def test_constraint_count_linear_in_m(self):
         for m in (1, 5, 40):
             cs = build_aggregation_circuit(m, EQUAL)
-            assert len(cs.constraints) == m * (1 + EQUAL.eta)
+            assert written_rows(cs) == cs.num_constraints == m * (1 + EQUAL.eta)
 
     def test_zero_update_is_zero_point(self):
         # U at the zero-point dequantizes to 0, so U' is its zero-point
@@ -177,7 +185,7 @@ class TestAggregationCircuit:
 class TestUpdateCircuit:
     def test_constraint_count(self):
         cs = build_update_circuit(7, MIXED)
-        assert len(cs.constraints) == 7 * (1 + MIXED.eta)
+        assert written_rows(cs) == cs.num_constraints == 7 * (1 + MIXED.eta)
 
     def test_identity_when_update_is_zero(self):
         # U' at zero-point and equal scales: W' = W elementwise, R = 0
@@ -225,7 +233,7 @@ class TestUpdateCircuit:
 class TestComposedCircuit:
     def test_constraint_count(self):
         cs = build_protocol_circuit(5, EQUAL)
-        assert len(cs.constraints) == 2 * 5 * (1 + EQUAL.eta)
+        assert written_rows(cs) == cs.num_constraints == 2 * 5 * (1 + EQUAL.eta)
 
     def test_statement_order_is_wp_w_k(self):
         cs = build_protocol_circuit(2, EQUAL)
@@ -307,7 +315,7 @@ class TestWitnessAndSatisfaction:
         w_q = [rnd.randint(-4000, 4000) for _ in range(8)]
         wit = generate_witness(cs, quantized_update(w_q, up_q, c).tolist() + w_q + [k_q], u_q)
         signed = [v - P if v > P // 2 else v for v in wit.values]
-        for a, b, cc in cs.constraints:
+        for a, b, cc in map(triple, reference_rows(cs)):
             av = sum(co * signed[i] for i, co in a.items())
             bv = sum(co * signed[i] for i, co in b.items())
             cv = sum(co * signed[i] for i, co in cc.items())

@@ -16,6 +16,8 @@ from zksplit.circuit import (
 from zksplit.cli import main
 from zksplit.field import P
 
+from oracle import element_reads, reference_rows
+
 C = CircuitConstants()
 
 
@@ -378,22 +380,18 @@ class TestCircuitExport:
         assert data["variables"][0] == "one"
 
     @pytest.mark.parametrize("kind,m,eta", [("composed", 1000, None), ("update", 3, 60)])
-    def test_export_counts_rows_without_deriving_them(self, tmp_path, capsys, monkeypatch,
-                                                       kind, m, eta):
-        def guarded(cs):
-            # rows is a cached property: a circuit holds its rows once derived
-            assert "rows" in vars(cs), "a circuit derived its rows"
-            return vars(cs)["rows"]
-
+    def test_export_counts_rows_without_deriving_them(self, tmp_path, capsys, kind, m, eta):
+        """Export writes the text from the element template and counts the
+        rows, so of the rows it makes only element 0's and 1's."""
         out = tmp_path / "circ.json"
         eta_args = ("--eta", str(eta)) if eta else ()
-        with monkeypatch.context() as mp:
-            mp.setattr(circuit.ConstraintSystem, "rows", property(guarded))
+        with element_reads() as reads:
             assert run_cli("circuit", "export", "--kind", kind, "--m", str(m), *eta_args,
                            "--compact", "--out", str(out)) == 0
+        assert reads == {0, 1}
         cs = circuit.BUILDERS[kind](m, circuit.CircuitConstants(eta=eta or 22))
         assert capsys.readouterr().out == (
-            f"wrote {out} ({cs.num_wires} wires, {len(cs.rows)} constraints)\n")
+            f"wrote {out} ({cs.num_wires} wires, {len(reference_rows(cs))} constraints)\n")
         assert out.read_bytes() == cs.to_json().encode()
 
     def test_kind_choices_are_the_builders(self, capsys):

@@ -2,9 +2,10 @@
 canonical circuit JSON, and the circuit digests they must leave
 untouched.
 
-``reference_replay`` evaluates every (A, B, C) triple of a circuit's
-``constraints`` mod P; it is the oracle every verdict of the gadgets'
-check is compared with.
+``reference_replay`` (tests/oracle.py) evaluates every (A, B, C) triple
+of the rows spelled out from the relations by wire name mod P; it is the
+oracle every verdict of the gadgets' check is compared with, and the
+canonical JSON is compared with a dict-building writer of the same rows.
 """
 
 import hashlib
@@ -46,6 +47,8 @@ from zksplit.circuit import (
     quantized_update,
 )
 from zksplit.field import P, to_signed
+
+from oracle import element_reads, reference_names, reference_replay, reference_rows, triple
 
 EQUAL = CircuitConstants()
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
@@ -98,17 +101,6 @@ def agree(cs, values):
     verdict = cs.is_satisfied(values)
     assert verdict == reference_replay(cs, values)
     return verdict
-
-
-def reference_replay(cs, values):
-    """Every row of cs evaluated from its (A, B, C) triple in ``constraints``,
-    with no special case for a boolean row."""
-    w = [v % P for v in values]
-
-    def dot(lc):
-        return sum(co * w[i] for i, co in lc.items())
-
-    return w[0] == 1 and all((dot(a) * dot(b) - dot(c)) % P == 0 for a, b, c in cs.constraints)
 
 
 # a bit, and the two values one step outside it on either side
@@ -412,8 +404,9 @@ def division_witness(cs, w_new, w_old, k):
 @pytest.mark.parametrize("accept", [True, False])
 def test_a_width_32_proof_is_verified_without_the_rows(accept):
     """Mock verify decides a witness at frame width 32 with the gadgets, so
-    a fresh circuit's rows stay underived: a witness that holds only mod P
-    is accepted, and an honest one with an element set to 2**100 rejected."""
+    it makes no row of the circuit, and set-up and the digest make only
+    element 0's and 1's: a witness that holds only mod P is accepted, and
+    an honest one with an element set to 2**100 rejected."""
     cs = build_protocol_circuit(8, EQUAL)
     if accept:
         rnd = random.Random(3)
@@ -425,61 +418,31 @@ def test_a_width_32_proof_is_verified_without_the_rows(accept):
     statement = Statement(values[1 : 1 + cs.num_public])
     body = Witness(values).to_bytes()
     assert body[0] & 0x7F == 32
-    pair = MockBackend().setup(cs)
-    proof = Proof("mock", cs.digest(), statement.digest(), body)
-    verdict = MockBackend().verify(pair.verifying_key, statement, proof)
+    with element_reads() as reads:
+        pair = MockBackend().setup(cs)
+        proof = Proof("mock", cs.digest(), statement.digest(), body)
+        assert reads == {0, 1}
+        reads.clear()
+        verdict = MockBackend().verify(pair.verifying_key, statement, proof)
+        assert not reads
     assert verdict is (Verdict.ACCEPT if accept else Verdict.REJECT)
-    assert not derived(cs)
     assert verdict is (Verdict.ACCEPT if reference_replay(cs, values) else Verdict.REJECT)
 
 
-def reference_rows(cs):
-    """The rows of a built circuit spelled out from the relations in the
-    circuit module's docstring, by wire name: per element j, each
-    relation row a * b = 2**eta * (out_j - z) + sum_t 2**t * bit_jt, then
-    the eta booleanity rows of each relation's bits."""
-    k = cs.constants
-    wire = {name: i for i, name in enumerate(reference_names(cs.kind, cs.m, k.eta))}.__getitem__
-    ca, cw, cu = 1 << k.agg_shift, 1 << k.upd_w_shift, 1 << k.upd_u_shift
-    u = "U[0]" if cs.kind == "aggregation" else "U"
-
-    def relation(rem, j, a, b, out, z):
-        bits = [wire(f"{rem}[{j}]:b{t}") for t in range(k.eta)]
-        c = {wire(out): 1 << k.eta, 0: -(1 << k.eta) * z}
-        c.update((i, 1 << t) for t, i in enumerate(bits))
-        return (a, b, c), bits
-
-    rows = []
-    for j in range(cs.m):
-        relations = []
-        if cs.kind != "update":
-            relations.append(relation("Ra", j, {wire("K[0]"): ca, 0: -ca * k.z_k},
-                                      {wire(f"{u}[{j}]"): 1, 0: -k.z_u}, f"Up[{j}]", k.z_up))
-        if cs.kind != "aggregation":
-            a = {wire(f"W[{j}]"): cw, wire(f"Up[{j}]"): cu, 0: -(cw * k.z_w + cu * k.z_up)}
-            relations.append(relation("Ru", j, a, {0: 1}, f"Wp[{j}]", k.z_wp))
-        rows += [row for row, _ in relations]
-        for _, bits in relations:
-            rows += bits
-    return rows
-
-
-def derived(cs):
-    """Whether cs holds its rows, which it derives when ``rows`` is first read."""
-    return "rows" in vars(cs)
+def element_rows(cs):
+    """Every row cs makes from its gadgets, element by element."""
+    return [row for j in range(cs.m) for row in cs._element(j)]
 
 
 class TestBooleanRows:
     @pytest.mark.parametrize("kind,m,name", CASES + ETA60_CASES)
     def test_rows_are_the_relations_element_by_element(self, kind, m, name):
-        """A built circuit derives its rows from its gadgets when they are
-        first read, and they are the rows of the relations, in order."""
+        """A built circuit makes its rows from its gadgets element by
+        element, and they are the rows of the relations, in order."""
         cs = BUILDERS[kind](m, PINNED_CONSTANTS[name])
-        assert not derived(cs)
-        rows = cs.rows
+        rows = element_rows(cs)
         assert rows == reference_rows(cs)
         assert all(type(row) is int for row in rows if not isinstance(row, tuple))
-        assert cs.rows is rows and derived(cs)
 
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_json_round_trip_keeps_split(self, kind, m, name):
@@ -489,7 +452,7 @@ class TestBooleanRows:
         does, and rejects a flipped bit the same way."""
         cs, values = honest(kind, m, name)
         back = through_key(cs)
-        assert back.rows == cs.rows
+        assert back.to_json() == cs.to_json()
         assert [(type(g), g.wires, g.out, g.bits) for g in back.gadgets] == \
             [(type(g), g.wires, g.out, g.bits) for g in cs.gadgets]
         assert checked(back, values) == (True, np.int64)
@@ -542,19 +505,21 @@ class TestBooleanRows:
 
 
 class TestBooleanStorage:
-    """A boolean row is stored as the int of its wire, and means what the
-    (A, B, C) triple {i: 1} * {i: 1, 0: -1} = {} means."""
+    """A boolean row is the int of its wire, in the rows a circuit makes and
+    in the oracle's, and means what the (A, B, C) triple
+    {i: 1} * {i: 1, 0: -1} = {} means, as the canonical JSON spells it."""
 
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_builders_store_their_boolean_rows_as_ints(self, kind, m, name):
         cs = BUILDERS[kind](m, CONSTANTS[name])
-        ints = [row for row in cs.rows if isinstance(row, int)]
+        rows = element_rows(cs)
+        ints = [row for row in rows if isinstance(row, int)]
         assert all(type(row) is int for row in ints)
         # the booleanity rows are on exactly the bit banks the gadgets check
         assert sorted(ints) == [i for g in cs.gadgets for bank in g.bits for i in bank]
-        assert len(cs.rows) - len(ints) == (2 * m if kind == "composed" else m)
+        assert len(rows) - len(ints) == (2 * m if kind == "composed" else m)
         back = through_key(cs)
-        assert back.rows == cs.rows
+        assert element_rows(back) == rows
         assert back.digest() == cs.digest()
 
     @pytest.mark.parametrize("v", SMALL_VALUES)
@@ -567,47 +532,50 @@ class TestBooleanStorage:
         cs, values = honest(kind, 1, "MIXED")
         banks = [bank for g in cs.gadgets for bank in g.bits]
         assert sorted(i for bank in banks for i in bank) == sorted(
-            row for row in cs.rows if isinstance(row, int))
+            row for row in reference_rows(cs) if isinstance(row, int))
         for bank in banks:
             for t in range(1, len(bank)):
                 mutated = set_bit(values, bank, t, v)
                 assert agree(cs, mutated) == (v % P == values[bank[t]])
+
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_a_two_that_recomposes_is_refused(self, kind):
+        """A bit set to 2 where the next bit goes from 1 to 0 leaves its bank
+        recomposing the same remainder with every other bit 0 or 1, so only
+        the booleanity row of that bit fails."""
+        cs, values = honest(kind, 8, "MIXED")
+        tried = 0
+        for bank in (bank for g in cs.gadgets for bank in g.bits):
+            t = next((t for t in range(len(bank) - 1)
+                      if (values[bank[t]], values[bank[t + 1]]) == (0, 1)), None)
+            if t is not None:
+                mutated = list(values)
+                mutated[bank[t]], mutated[bank[t + 1]] = 2, 0
+                assert agree(cs, mutated) is False
+                tried += 1
+        assert tried
 
     def test_json_spelling_of_a_boolean_row(self):
         """The update circuit at m=1 has wires one, Wp[0], W[0], Up[0] and
         then its bits, and its second row is the booleanity row of wire 4,
         its first bit."""
         cs = build_update_circuit(1, EQUAL)
-        assert cs.rows[1] == 4 and cs.constraints[1] == ({4: 1}, {4: 1, 0: -1}, {})
-        assert cs.to_json_dict()["constraints"][1] == [[[4, 1]], [[0, P - 1], [4, 1]], []]
-
-    def test_constraints_is_a_read_only_view(self):
-        cs = build_update_circuit(1, EQUAL)
-        view = cs.constraints
-        assert len(view) == len(cs.rows) == 1 + EQUAL.eta
-        assert list(view) == [view[k] for k in range(len(view))] == view[:]
-        assert view[-1] == ({cs.rows[-1]: 1}, {cs.rows[-1]: 1, 0: -1}, {})
-        with pytest.raises(TypeError):
-            view[0] = view[1]
-        assert not hasattr(view, "append")
+        assert cs._element(0)[1] == reference_rows(cs)[1] == 4
+        assert triple(4) == ({4: 1}, {4: 1, 0: -1}, {})
+        assert json.loads(cs.to_json())["constraints"][1] == [[[4, 1]], [[0, P - 1], [4, 1]], []]
 
     def test_protocol_circuit_memory(self):
         """The composed circuit at m=1000 retains about 0.24 MiB under
-        tracemalloc as built, its wire banks and gadgets, and about 6.8 MiB
-        once its rows are read, with its 44 000 boolean rows stored as ints.
-        With a name string per wire it retained 3.4 MiB as built, and when
-        it was also built with its rows and three dicts per boolean row,
-        33.8 MiB."""
+        tracemalloc as built, its wire banks and gadgets.  With a name
+        string per wire it retained 3.4 MiB as built, and when it was also
+        built with its rows and three dicts per boolean row, 33.8 MiB."""
         tracemalloc.start()
         try:
             cs = build_protocol_circuit(1000, CircuitConstants())
             built, _ = tracemalloc.get_traced_memory()
-            assert len(cs.constraints) == 46_000
-            retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert built < 2**20
-        assert retained < 20 * 2**20
+        assert cs.gadgets and built < 2**20
 
     @pytest.mark.parametrize("kind", sorted(circuit.BUILDERS))
     def test_a_circuit_holds_no_name_per_wire(self, kind):
@@ -737,24 +705,6 @@ def test_pinned_witness_bytes(name, kind, m):
     assert hashlib.sha256(data).hexdigest() == PINNED_WITNESSES[name, kind, m]
 
 
-def reference_names(kind, m, eta):
-    """Every wire's name in the builders' layout: the constant "one", the
-    public banks in statement order, the free private inputs, and then
-    each gadget's private output bank and bits, element by element."""
-    def bank(name):
-        return [f"{name}[{j}]" for j in range(m)]
-
-    def bits(rem):
-        return [f"{rem}[{j}]:b{t}" for j in range(m) for t in range(eta)]
-
-    if kind == "aggregation":
-        return ["one", *bank("Up"), "K[0]", *bank("U[0]"), *bits("Ra")]
-    if kind == "update":
-        return ["one", *bank("Wp"), *bank("W"), *bank("Up"), *bits("Ru")]
-    return ["one", *bank("Wp"), *bank("W"), "K[0]", *bank("U"), *bank("Up"),
-            *bits("Ra"), *bits("Ru")]
-
-
 @pytest.mark.parametrize("eta", [22, 60, 200])
 @pytest.mark.parametrize("m", [1, 2, 17, 1000])
 @pytest.mark.parametrize("kind", sorted(circuit.BUILDERS))
@@ -778,7 +728,7 @@ def reference_json(cs):
         "num_public": cs.num_public,
         "num_private": cs.num_private,
         "variables": reference_names(cs.kind, cs.m, cs.constants.eta),
-        "constraints": [[enc(a), enc(b), enc(c)] for a, b, c in cs.constraints],
+        "constraints": [list(map(enc, triple(row))) for row in reference_rows(cs)],
     }
     return json.dumps(d, separators=(",", ":"), sort_keys=True)
 
@@ -861,13 +811,14 @@ def test_to_json_where_a_bit_bank_crosses_a_decimal_width(kind, wire, m, name):
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 @pytest.mark.parametrize("m", [1, 9, 10, 11, 99, 100, 101, 1000])
 def test_element_template_writes_the_rows_text(kind, m, name, eta):
-    """A built circuit's text, written from its element template without
-    reading its rows, is the text the dict-building writer makes of its
-    rows; these m put wire indices on both sides of 10, 100, 1 000 and
-    10 000."""
+    """A built circuit's text, written from its element template, which
+    makes only element 0's and 1's rows, is the text the dict-building
+    writer makes of the oracle's rows; these m put wire indices on both
+    sides of 10, 100, 1 000 and 10 000."""
     cs = BUILDERS[kind](m, CircuitConstants(**{**asdict(CONSTANTS[name]), "eta": eta}))
-    text = cs.to_json()
-    assert not derived(cs)
+    with element_reads() as reads:
+        text = cs.to_json()
+    assert reads == {0, min(1, m - 1)}
     assert_same_text(text, reference_json(cs))
 
 
@@ -882,13 +833,13 @@ def assert_same_text(text, ref):
 
 
 @pytest.mark.parametrize("kind,m,name", ETA60_CASES + [(k, 9, "MIXED") for k in BUILDERS])
-def test_rows_are_walked_and_counted_without_being_derived(kind, m, name):
-    """iter_rows makes a circuit's rows element by element and keeps none,
-    and num_constraints counts them as m * (1 + eta) per gadget."""
-    cs, fresh = (BUILDERS[kind](m, PINNED_CONSTANTS[name]) for _ in range(2))
-    assert list(cs.iter_rows()) == fresh.rows == reference_rows(fresh)
-    assert cs.num_constraints == len(fresh.rows) and not derived(cs)
-    assert fresh.num_constraints == len(fresh.rows)
+def test_rows_are_counted_without_being_made(kind, m, name):
+    """num_constraints counts a circuit's rows as m * (1 + eta) per gadget
+    without making any of them."""
+    cs = BUILDERS[kind](m, PINNED_CONSTANTS[name])
+    with element_reads() as reads:
+        count = cs.num_constraints
+    assert count == len(reference_rows(cs)) and not reads
 
 
 def test_digest_holds_the_text_about_once():

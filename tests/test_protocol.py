@@ -11,6 +11,8 @@ from zksplit.config import ConfigError, SimConfig
 from zksplit.nn import client_forward, server_loss, server_step
 from zksplit.protocol import ProverEntity, RoundMessage, Trainer, VerifierEntity
 
+from oracle import element_reads
+
 M = 16  # small cut width keeps proof work cheap in unit tests
 
 
@@ -36,25 +38,23 @@ def private_u(trainer):
 class TestHonestRun:
     @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
     def test_zk_run_never_derives_circuit_rows(self, monkeypatch, mode):
-        """Set-up names the circuit by its digest, snark key set-up walks
-        its rows element by element, and every check goes gadget by gadget,
-        so a zk run with a tampering client never derives its circuit's
-        rows."""
+        """Set-up names the circuit by its digest and snark key set-up fills
+        its tables from the element template, so of the circuit's rows they
+        make only element 0's and 1's; every check goes gadget by gadget,
+        so the rounds of a zk run with a tampering client make none."""
         monkeypatch.setattr(protocol, "_CIRCUIT_CACHE", {})
         monkeypatch.setattr(protocol, "_KEYPAIR_CACHE", {})
-
-        def guarded(cs):
-            # rows is a cached property: a circuit holds its rows once derived
-            assert "rows" in vars(cs), "a circuit derived its rows"
-            return vars(cs)["rows"]
-
-        monkeypatch.setattr(circuit.ConstraintSystem, "rows", property(guarded))
-        reports = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=3, seed=0,
-                                    tamper_clients=[1])).train()
+        with element_reads() as reads:
+            trainer = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=3, seed=0,
+                                        tamper_clients=[1]))
+            assert reads == {0, 1}
+            reads.clear()
+            reports = trainer.train()
+            assert not reads
         assert [r.verdicts[0] for r in reports] == ["Accepted"] * 3
         assert all(r.verdicts[1] != "Accepted" for r in reports)
         (cs,) = protocol._CIRCUIT_CACHE.values()
-        assert "rows" not in vars(cs) and cs.gadgets
+        assert cs.gadgets
 
     @pytest.mark.parametrize("mode", ["zk-mock", "zk-snark"])
     def test_zk_run_never_reads_wire_names(self, monkeypatch, mode):

@@ -4,8 +4,10 @@ filled them per element-template slot from the ratio recurrence.
 
 The reference keeps every step of that walk: Lagrange values from one
 Montgomery batch inversion of the barycentric denominators, every row of
-``cs.iter_rows()`` added into the tables reduced mod P, and the private
-and public combinations divided by delta and gamma after they are summed.
+the oracle's ``reference_rows`` (tests/oracle.py), spelled out from the
+relations by wire name, added into the tables reduced mod P, and the
+private and public combinations divided by delta and gamma after they are
+summed.
 """
 
 import random
@@ -14,9 +16,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from zksplit.circuit import BUILDERS, CircuitConstants, ConstraintSystem, _write_elements
+from zksplit.circuit import BUILDERS, CircuitConstants, _write_elements
 from zksplit.field import P, inv
 from zksplit.snark import QapSnarkBackend, _add, _Drbg, _lagrange_at, _limb_table
+
+from oracle import element_reads, reference_rows
 
 EQUAL = CircuitConstants()
 MIXED = CircuitConstants(f_k=13, z_k=7, f_u=14, z_u=-3, f_up=12, z_up=5,
@@ -65,7 +69,7 @@ def reference_lagrange(tau, nc):
 
 def reference_tables(cs, seed):
     """The canonical elements of a_tau, b_tau, c_tau, l_priv and ic, from
-    set-up's DRBG draws and a walk over every row of cs."""
+    set-up's DRBG draws and a walk over the oracle's rows of cs."""
     nc = cs.num_constraints
     drbg = _Drbg(seed + bytes.fromhex(cs.digest()))
     alpha, beta, gamma, delta = (drbg.draw() for _ in range(4))
@@ -77,7 +81,7 @@ def reference_tables(cs, seed):
     nw = cs.num_wires
     a_tau, b_tau, c_tau = [0] * nw, [0] * nw, [0] * nw
     boolean_sum = 0
-    for j, row in enumerate(cs.iter_rows()):
+    for j, row in enumerate(reference_rows(cs)):
         lj = lag[j]
         if isinstance(row, int):
             a_tau[row] = (a_tau[row] + lj) % P
@@ -113,16 +117,13 @@ def test_setup_tables_are_the_row_walks(kind, m, name):
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_setup_reads_no_row(kind, monkeypatch):
-    """Set-up fills its tables from the element template: it neither walks
-    nor derives the rows."""
-    def walk(self):
-        raise AssertionError("set-up walked the rows")
-
-    monkeypatch.setattr(ConstraintSystem, "iter_rows", walk)
+def test_setup_reads_no_row(kind):
+    """Set-up fills its tables from the element template: of the rows it
+    makes only element 0's and 1's."""
     cs = BUILDERS[kind](3, MIXED)
-    QapSnarkBackend().setup(cs, SEED)
-    assert "rows" not in vars(cs)
+    with element_reads() as reads:
+        QapSnarkBackend().setup(cs, SEED)
+    assert reads == {0, 1}
 
 
 def test_a_term_adds_to_what_its_wires_hold():

@@ -33,6 +33,12 @@ line per workload, since metrics such as ``peak_rss_mb`` and
 ``minflt`` of ``-`` means the runs recorded none.  With no ``workload:seeds``
 argument and no ``--trace-seed`` the command runs nothing and only rebuilds
 ``--out`` from the ``--runs`` file.
+
+Each side must be a git checkout with a commit: ``--out`` names each
+side's ``git rev-parse HEAD`` under ``commits``, and under ``dirty``
+whether its ``git status --porcelain`` listed anything, both read before
+any run starts.  A side with no commit is refused, with exit code 2,
+before anything runs.
 """
 
 import argparse
@@ -76,6 +82,19 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if not path.exists():
         return {**out, "record": None, "stderr_tail": proc.stderr[-STDERR_TAIL:]}
     return {**out, "record": json.loads(path.read_text())}
+
+
+def git(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+
+def commit(checkout: Path):
+    """The checkout's HEAD commit and whether its tree is dirty, or None
+    when it has no commit."""
+    head = git(checkout, "rev-parse", "--verify", "HEAD")
+    if head.returncode:
+        return None
+    return head.stdout.strip(), bool(git(checkout, "status", "--porcelain").stdout)
 
 
 def ok(r) -> bool:
@@ -196,6 +215,12 @@ def main(argv=None) -> int:
     ap.add_argument("plan", nargs="*", help="workload:seeds, seeds as 1-3,7")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: commit(path) for side, path in sides.items()}
+    for side, found in commits.items():
+        if found is None:
+            print(f"bench_pairs: the {side} side, {sides[side]}, has no git commit",
+                  file=sys.stderr)
+            return 2
     plan = [(w, s, 0) for w, _, spec in (p.partition(":") for p in args.plan)
             for s in seeds(spec)]
     if args.trace_seed is not None:
@@ -217,9 +242,8 @@ def main(argv=None) -> int:
     table = summary(runs, better, bounds)
     args.out.write_text(json.dumps({
         "command": [*spec["command"], "--seconds", SECONDS],
-        "commits": {side: next((r["record"]["metadata"]["commit"] for r in runs
-                                if r["side"] == side and r["record"] is not None), None)
-                    for side in sides},
+        "commits": {side: head for side, (head, _) in commits.items()},
+        "dirty": {side: dirty for side, (_, dirty) in commits.items()},
         "summary": table,
         "runs": runs,
     }, indent=1) + "\n")
