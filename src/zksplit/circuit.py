@@ -393,12 +393,12 @@ class FieldVector:
             raise ValueError(f"truncated {what}")
         if width == _WIDE:
             half = P // 2  # to_signed, inline: each element is converted once
-            head = [v - P if v > half else v
-                    for v in _read_elements(memoryview(data)[start:bits_at], what)]
-            lo, hi = min(0, min(head, default=0)), max(0, max(head, default=0))
+            head = np.array([v - P if v > half else v
+                             for v in _read_elements(memoryview(data)[start:bits_at], what)],
+                            dtype=object)
         else:
             head = np.frombuffer(data, dtype=f"<i{width}", count=k, offset=start)
-            lo, hi = _range(head)
+        lo, hi = _range(head)
         packed = np.frombuffer(data, dtype=np.uint8, offset=bits_at)
         if b % 8 and packed[-1] >> b % 8:
             raise ValueError(f"{what} bit tail padding is not zero")
@@ -414,12 +414,9 @@ class FieldVector:
         if _width(lo, hi) != width:
             raise ValueError(f"{what} is not at the width of its values")
         bits = np.unpackbits(packed, count=b, bitorder="little")
-        if width == _WIDE:
-            signed = np.array(head + bits.tolist(), dtype=object)
-        else:
-            signed = np.empty(n, dtype=np.int64)
-            signed[:k] = head
-            signed[k:] = bits
+        signed = np.empty(n, dtype=object if width == _WIDE else np.int64)
+        signed[:k] = head
+        signed[k:] = bits
         vec = cls._held(signed, (lo, hi))
         if isinstance(data, bytes):
             vec._bytes = data

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
+from .circuit import CircuitConstants, CircuitError
+
 MODES = ("zk-snark", "zk-mock", "blockchain", "none")
 
 MODE_BACKENDS = {"zk-snark": "snark", "zk-mock": "mock"}
@@ -91,6 +93,10 @@ class SimConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.num_clients > 32:
             raise ConfigError("num_clients is capped at 32")
+        try:
+            CircuitConstants(eta=self.eta)
+        except CircuitError as e:
+            raise ConfigError(str(e)) from None
         if self.rounds is None:
             self.rounds = self.epochs * self.batches_per_epoch
         if self.data_partitions is None:

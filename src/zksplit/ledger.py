@@ -6,8 +6,10 @@ payload; that is exactly what makes this baseline lightweight and
 unverifiable.  Canonical hash preimage (field order fixed, integers
 big-endian):
 
-    index (8 bytes BE) || prev_hash (32) || payload_digest (32)
-    || timestamp_ms (8 bytes BE) || sender (utf-8)
+    index (8 bytes BE) || prev_hash (32) || payload_digest (32) || sender (utf-8)
+
+No wall clock is hashed: the index orders the blocks and a message's round
+is inside its payload digest, so a run's chain reproduces from its manifest.
 """
 
 from __future__ import annotations
@@ -15,30 +17,23 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
 
 GENESIS_PREV = bytes(32)
 # the fields of a saved block and the JSON type of each
-_FIELDS = {"index": int, "prev_hash": str, "payload_digest": str, "timestamp_ms": int,
-           "sender": str, "hash": str}
+_FIELDS = {"index": int, "prev_hash": str, "payload_digest": str, "sender": str, "hash": str}
 # a hash as to_dict writes it
 _HEX32 = re.compile("[0-9a-f]{64}")
 
 
-def _now_ms() -> int:
-    return time.time_ns() // 1_000_000
-
-
 def block_hash(index: int, prev_hash: bytes, payload_digest: bytes,
-               timestamp_ms: int, sender: str) -> bytes:
+               sender: str) -> bytes:
     pre = (
         index.to_bytes(8, "big")
         + prev_hash
         + payload_digest
-        + timestamp_ms.to_bytes(8, "big")
         + sender.encode()
     )
     return hashlib.sha256(pre).digest()
@@ -49,7 +44,6 @@ class Block:
     index: int
     prev_hash: bytes
     payload_digest: bytes
-    timestamp_ms: int
     sender: str
     hash: bytes
 
@@ -58,7 +52,6 @@ class Block:
             "index": self.index,
             "prev_hash": self.prev_hash.hex(),
             "payload_digest": self.payload_digest.hex(),
-            "timestamp_ms": self.timestamp_ms,
             "sender": self.sender,
             "hash": self.hash.hex(),
         }
@@ -66,18 +59,17 @@ class Block:
     @classmethod
     def from_dict(cls, d: dict) -> "Block":
         """The block of a decoded to_dict.  Raises ValueError unless d holds
-        exactly the six fields as to_dict writes them: index and
-        timestamp_ms ints (not bools) that fit in 8 bytes, the three hashes
-        as 64 lowercase hex digits and sender a str that UTF-8 can encode,
+        exactly the five fields as to_dict writes them: index an int
+        (not a bool) that fits in 8 bytes, the three hashes as 64
+        lowercase hex digits and sender a str that UTF-8 can encode,
         as block_hash does."""
         if not isinstance(d, dict) or set(d) != set(_FIELDS):
             raise ValueError(f"a block is an object with the keys {', '.join(_FIELDS)}")
         for name, kind in _FIELDS.items():
             if type(d[name]) is not kind:
                 raise ValueError(f"block {name} must be {kind.__name__}, not {d[name]!r}")
-        for name in ("index", "timestamp_ms"):
-            if not 0 <= d[name] < 1 << 64:
-                raise ValueError(f"block {name} {d[name]} does not fit in 8 bytes")
+        if not 0 <= d["index"] < 1 << 64:
+            raise ValueError(f"block index {d['index']} does not fit in 8 bytes")
         for name in ("prev_hash", "payload_digest", "hash"):
             if not _HEX32.fullmatch(d[name]):
                 raise ValueError(f"block {name} {d[name]!r} is not 64 lowercase hex digits")
@@ -89,7 +81,6 @@ class Block:
             index=d["index"],
             prev_hash=bytes.fromhex(d["prev_hash"]),
             payload_digest=bytes.fromhex(d["payload_digest"]),
-            timestamp_ms=d["timestamp_ms"],
             sender=d["sender"],
             hash=bytes.fromhex(d["hash"]),
         )
@@ -104,8 +95,8 @@ class Chain:
     @classmethod
     def genesis(cls) -> "Chain":
         digest = hashlib.sha256(b"genesis").digest()
-        h = block_hash(0, GENESIS_PREV, digest, 0, "genesis")
-        return cls([Block(0, GENESIS_PREV, digest, 0, "genesis", h)])
+        h = block_hash(0, GENESIS_PREV, digest, "genesis")
+        return cls([Block(0, GENESIS_PREV, digest, "genesis", h)])
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -114,12 +105,10 @@ class Chain:
     def head(self) -> Block:
         return self.blocks[-1]
 
-    def append_block(self, payload_digest: bytes, sender: str,
-                     timestamp_ms: int | None = None) -> Block:
-        ts = _now_ms() if timestamp_ms is None else timestamp_ms
+    def append_block(self, payload_digest: bytes, sender: str) -> Block:
         idx = self.head.index + 1
-        h = block_hash(idx, self.head.hash, payload_digest, ts, sender)
-        block = Block(idx, self.head.hash, payload_digest, ts, sender, h)
+        h = block_hash(idx, self.head.hash, payload_digest, sender)
+        block = Block(idx, self.head.hash, payload_digest, sender, h)
         self.blocks.append(block)
         return block
 
@@ -140,7 +129,7 @@ class Chain:
             if prev is not None and b.prev_hash != prev.hash:
                 return False
             if b.hash != block_hash(b.index, b.prev_hash, b.payload_digest,
-                                    b.timestamp_ms, b.sender):
+                                    b.sender):
                 return False
             prev = b
         return True

@@ -128,9 +128,17 @@ class TestTrain:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("train", "--definitely-not-a-flag") == 1
 
-    def test_reproducible_from_manifest(self, tmp_path):
+    @pytest.mark.parametrize("eta", ["5", "254"])
+    def test_eta_out_of_range_is_usage_error_before_the_manifest(self, tmp_path, capsys, eta):
+        rc = run_cli("train", "--mode", "none", "--m", "8", "--rounds", "1",
+                     "--eta", eta, "--out", str(tmp_path / "run"))
+        assert_usage_error(rc, capsys)
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
+    def test_reproducible_from_manifest(self, tmp_path, mode):
         out1 = tmp_path / "a"
-        rc = run_cli("train", "--mode", "zk-mock", "--clients", "2", "--m", "12",
+        rc = run_cli("train", "--mode", mode, "--clients", "2", "--m", "12",
                      "--rounds", "3", "--seed", "7", "--out", str(out1))
         assert rc == 0
         manifest = json.loads((out1 / "manifest.json").read_text())
@@ -141,9 +149,11 @@ class TestTrain:
         out2 = tmp_path / "b"
         rc = run_cli("train", "--config", str(cfg_file), "--out", str(out2))
         assert rc == 0
-        bin1 = (out1 / "model.bin").read_bytes()
-        bin2 = (out2 / "model.bin").read_bytes()
-        assert bin1 == bin2  # bit-identical checkpoint from the manifest alone
+        # bit-identical checkpoint, and ledger in blockchain mode, from the manifest alone
+        ledger = ("chain.jsonl",) if mode == "blockchain" else ()
+        for name in ("model.bin", "model.json", *ledger):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert (out2 / "chain.jsonl").exists() == bool(ledger)
         log1 = (out1 / "run_log.jsonl").read_text()
         log2 = (out2 / "run_log.jsonl").read_text()
         strip = lambda lines: [
@@ -345,6 +355,7 @@ class TestLedgerCommand:
         ("digest with spaces", "not 64 lowercase hex digits"),
         ("short prev_hash", "not 64 lowercase hex digits"),
         ("[1, 2", "Expecting"),
+        ("saved with timestamp_ms", "a block is an object with the keys"),
     ])
     def test_malformed_line_is_runtime_error_naming_it(self, tmp_path, capsys, line, why):
         from zksplit.ledger import Chain
@@ -358,7 +369,8 @@ class TestLedgerCommand:
                  "hash upper case": {"hash": good["hash"].upper()},
                  "digest with spaces": {"payload_digest": " ".join(
                      good["payload_digest"][i : i + 2] for i in range(0, 64, 2))},
-                 "short prev_hash": {"prev_hash": good["prev_hash"][:-2]}}
+                 "short prev_hash": {"prev_hash": good["prev_hash"][:-2]},
+                 "saved with timestamp_ms": {"timestamp_ms": 1_700_000_000_000}}
         bad = json.dumps({**good, **edits[line]}) if line in edits else line
         path = tmp_path / "chain.jsonl"
         path.write_text(json.dumps(chain.blocks[0].to_dict()) + "\n" + bad + "\n")

@@ -17,9 +17,10 @@ class TestAppend:
 
     def test_identical_payloads_different_hashes(self):
         chain = Chain.genesis()
-        b1 = chain.append_block(b"\x01" * 32, "c", timestamp_ms=1000)
-        b2 = chain.append_block(b"\x01" * 32, "c", timestamp_ms=1001)
-        assert b1.hash != b2.hash  # timestamp is part of the preimage
+        b1 = chain.append_block(b"\x01" * 32, "c")
+        b2 = chain.append_block(b"\x01" * 32, "c")
+        assert (b1.index, b1.prev_hash) != (b2.index, b2.prev_hash)
+        assert b1.hash != b2.hash  # index and prev_hash are part of the preimage
 
     def test_append_never_validates_payload(self):
         chain = Chain.genesis()
@@ -50,7 +51,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("field,value", [
         ("payload_digest", b"\xff" * 32),
-        ("timestamp_ms", 123456),
         ("sender", "mallory"),
         ("prev_hash", b"\x00" * 32),
         ("index", 999),
@@ -80,9 +80,8 @@ class TestVerify:
             index=b.index,
             prev_hash=b.prev_hash,
             payload_digest=b"\x42" * 32,
-            timestamp_ms=b.timestamp_ms,
             sender=b.sender,
-            hash=block_hash(b.index, b.prev_hash, b"\x42" * 32, b.timestamp_ms, b.sender),
+            hash=block_hash(b.index, b.prev_hash, b"\x42" * 32, b.sender),
         )
         chain.blocks[-2] = forged
         assert not chain.verify()
@@ -128,7 +127,7 @@ class TestTamperEvidence:
         chain = Chain.genesis()
         for i in range(200):
             chain.append_payload(b"m%d" % i, "c")
-        fields = ["payload_digest", "timestamp_ms", "sender", "prev_hash", "hash"]
+        fields = ["payload_digest", "sender", "prev_hash", "hash"]
         detected = 0
         for _ in range(100):
             victim = Chain([b for b in chain.blocks])
@@ -136,8 +135,6 @@ class TestTamperEvidence:
             field = rnd.choice(fields)
             if field in ("payload_digest", "prev_hash", "hash"):
                 value = rnd.getrandbits(256).to_bytes(32, "big")
-            elif field == "timestamp_ms":
-                value = rnd.getrandbits(40)
             else:
                 value = "m%d" % rnd.getrandbits(16)
             victim.blocks[idx] = dataclasses.replace(victim.blocks[idx], **{field: value})
