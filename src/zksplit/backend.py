@@ -2,8 +2,11 @@
 
 Two interchangeable backends implement the contract:
 
-  mock   -- transparent constraint re-checking.  The proof is a transcript
-            of the full witness and verification checks that it satisfies
+  mock   -- transparent constraint re-checking.  The proof body is a
+            transcript of the private wires, every wire after the
+            constant 1 and the statement; verification rebuilds the
+            assignment 1 || statement || transcript, so a transcript of
+            another length is a Reject, and checks that it satisfies
             every constraint, gadget by gadget.
             Deliberately NOT zero-knowledge and labeled test-only; it is
             the cryptography-free oracle used in CI and benchmarks.
@@ -14,20 +17,23 @@ Binary encodings share one frame:
     version byte || backend id byte || circuit digest (32 bytes) || payload
 
 and every proof payload starts with the 32-byte statement digest, computed
-as SHA-256 of the canonical statement encoding.  Statements and witnesses
-(the mock proof body) share one element codec, circuit.FieldVector: a
-width byte, a u32 count, then each element at the narrowest width that
-holds them all, int16, int32 or int64, or 32 canonical bytes past 2**62.
-A vector whose trailing run of 0s and 1s is long enough ends its frame
-with that run as a bit tail, one bit per element: the width byte carries
-the flag 0x80 and the count is followed by the tail's length, so a
-witness's remainder bits cost 1/8 byte each, not 2.  Any other frame is a
-DecodeError.  Snark keys and proof bodies write 32
-canonical bytes per element with no count.  Statements and witnesses are
-immutable, so each is encoded at most once (a decoded one keeps its
-frame), and a statement's digest is computed once too.  A frame of any
-version but WIRE_VERSION is a DecodeError: version 3 added the bit tail, so
-a version 2 mock proof, whose witness frame has none, is refused.
+as SHA-256 of the canonical statement encoding.  Statements and mock
+transcripts share one element codec, circuit.FieldVector: a width byte, a
+u32 count, then each element at the narrowest width that holds them all,
+int8, int16, int32 or int64, or 32 canonical bytes past 2**62.  A vector
+whose trailing run of 0s and 1s is long enough ends its frame with that
+run as a bit tail, one bit per element: the width byte carries the flag
+0x80 and the count is followed by the tail's length, so a witness's
+remainder bits cost 1/8 byte each.  Any other frame is a DecodeError.  At
+m=1000 a trainer statement is 4 007 bytes at int16, and a mock proof 7 575
+bytes: 66 header bytes, a 9-byte frame head, U and U' at int8 and 44 000
+remainder bits.  Snark keys and proof bodies write 32 canonical bytes per
+element with no count.  Statements and witnesses are immutable, so each
+is encoded at most once (a decoded one keeps its frame), and a
+statement's digest is computed once too.  A frame of any version but
+WIRE_VERSION is a DecodeError: version 3 added the bit tail, and version
+4 sends only the private wires, at int8 when they fit, so a mock proof
+body of an earlier version would be misread, and is refused.
 
 Mock keys and the snark proving key carry their circuit as its spec
 (ConstraintSystem.spec), the canonical JSON of its kind, m and constants:
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 
 from .circuit import ConstraintSystem, FieldVector, Witness, from_spec
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 BACKEND_IDS = {"mock": 1, "snark": 2}
 _ID_TO_NAME = {v: k for k, v in BACKEND_IDS.items()}
 
@@ -231,15 +237,16 @@ class Backend:
     @staticmethod
     def _satisfies(cs: ConstraintSystem, statement: Statement, witness: Witness) -> bool:
         """Whether the witness has cs's wires, publishes the statement and
-        satisfies cs: what prove requires and what the mock verify checks."""
+        satisfies cs: what prove requires."""
         return (len(witness) == cs.num_wires and len(statement) == cs.num_public
                 and witness.publishes(statement) and cs.is_satisfied(witness))
 
 
 class MockBackend(Backend):
-    """Checks every constraint against the witness transcript in the proof.
+    """Checks every constraint against the witness that the proof's
+    transcript of the private wires and the statement make.
 
-    Test-only: the proof leaks the entire witness by construction.
+    Test-only: the proof leaks every private wire by construction.
     """
 
     name = "mock"
@@ -260,7 +267,7 @@ class MockBackend(Backend):
             backend="mock",
             circuit_digest=cs.digest(),
             statement_digest=statement.digest(),
-            body=witness.to_bytes(),
+            body=witness.to_bytes(cs.num_public),
             prove_time=time.perf_counter() - t0,
         )
 
@@ -268,8 +275,10 @@ class MockBackend(Backend):
         try:
             if not self._addressed(vk, statement, proof):
                 return Verdict.REJECT
-            witness = Witness.from_bytes(proof.body)
-            return Verdict.ACCEPT if self._satisfies(vk.cs, statement, witness) else Verdict.REJECT
+            # wire 0 and the public wires are 1 and the statement by construction
+            witness = Witness.from_bytes(proof.body, statement)
+            ok = len(witness) == vk.cs.num_wires and vk.cs.is_satisfied(witness)
+            return Verdict.ACCEPT if ok else Verdict.REJECT
         except (ValueError, DecodeError):
             return Verdict.REJECT
 

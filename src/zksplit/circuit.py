@@ -101,9 +101,10 @@ representatives in (-2**62, 2**62) is carried as an int64 array; take d
 as in the arithmetic, but widened to cover every wire of the witness,
 the outputs included, and let B be the largest gadget bound at d.  The
 witness recorded the least and greatest of its elements when it was made
-or decoded (the range that also fixes its frame width): generate_witness
-takes it from the inputs' range it checks and each gadget's derived
-outputs, since wire 0 is 1 and every bit 0 or 1.  So d costs no pass
+or decoded: generate_witness takes it from the inputs' range it checks
+and each gadget's derived outputs, since wire 0 is 1 and every bit 0 or
+1, and a decoded witness from its statement's range and the range its
+transcript frame recorded.  So d costs no pass
 over the wires; and each gadget computes its floors once, in the one
 dtype B picks.  While B < 2**62, and so the witness is int64, every
 floor, every R and every intermediate fits in int64, and the test is
@@ -230,8 +231,8 @@ class CircuitConstants:
 # Field elements whose signed representative lies in (-SMALL, SMALL) are
 # carried as int64.
 SMALL = 1 << 62
-# frame widths in bytes: int16, int32, int64 signed values; canonical elements
-_INT_WIDTHS = (2, 4, 8)
+# frame widths in bytes: int8, int16, int32, int64 signed values; canonical elements
+_INT_WIDTHS = (1, 2, 4, 8)
 _WIDE = 32
 # the flag bit of the width byte of a frame that ends with a bit tail
 _TAIL = 0x80
@@ -265,10 +266,11 @@ def _width(lo: int, hi: int) -> int:
     return next(w for w in _INT_WIDTHS if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
 
 
-def _frame(vec: "FieldVector") -> bytes:
-    """The encoding of a vector: width, count, elements, with its trailing
+def _frame(s: np.ndarray, span: Tuple[int, int]) -> bytes:
+    """The encoding of the signed representatives s, whose least and
+    greatest with 0 are ``span``: width, count, elements, with the trailing
     run of bits packed as a bit tail when that makes the frame shorter."""
-    s, width = vec._signed, _width(*vec._range)
+    width = _width(*span)
     n = len(s)
     if width == _WIDE:
         elements = s.tolist()
@@ -304,20 +306,22 @@ class FieldVector:
     it is made, so ``to_bytes`` encodes it once, and a decoded vector keeps
     the frame it was read from as its encoding.
 
-    Witnesses and statements share one codec, a frame: a width byte, a
-    little-endian u32 count, then little-endian signed representatives at
-    width 2, 4 or 8, or 32-byte canonical elements at width 32.  A vector's
-    one frame has the narrowest width that holds all its values (2 when
-    empty), so an int64 vector is never at 32.  When the vector ends with a
-    run of b elements equal to 0 or 1, taken whole, and packing them as
-    bits makes the frame shorter (width * b > 4 + ceil(b/8)), the frame
+    Statements and mock transcripts share one codec, a frame: a width
+    byte, a little-endian u32 count, then little-endian signed
+    representatives at width 1, 2, 4 or 8, or 32-byte canonical elements
+    at width 32.  A vector's one frame has the narrowest width that holds
+    all its values (1 when empty), so an int64 vector is never at 32.
+    When the vector ends with a run of b elements equal to 0 or 1, taken
+    whole, and packing them as bits makes the frame shorter
+    (width * b > 4 + ceil(b/8)), the frame
     ends with a bit tail instead: the width byte carries the flag 0x80,
     the count is followed by b as a u32, then come the n - b head elements
     at the width and ceil(b/8) bytes of the run's bits, least significant
-    bit first, padded with zero bits.  An honest witness lies within int16
-    under the default constants and ends with its gadgets' bit wires: at
-    m=1000, 4 002 elements of 2 bytes and 44 000 bits.  A trainer
-    statement ends with K, so its frame has no tail.  Decoding refuses any
+    bit first, padded with zero bits.  A trainer's transcript, the private
+    wires of its witness (Witness.to_bytes), holds U and U' within int8
+    and ends with its gadgets' bit wires: at m=1000, 2 000 elements of 1
+    byte and 44 000 bits.  A trainer statement holds values up to 8 192 and
+    ends with K, so its frame is at int16 with no tail.  Decoding refuses any
     other frame: an unknown width, a count that disagrees with the length,
     a width wider than the values need, an element >= P, a tail longer
     than the count, nonzero padding bits, a tail that is not the whole run
@@ -357,7 +361,7 @@ class FieldVector:
 
     def to_bytes(self) -> bytes:
         if self._bytes is None:
-            self._bytes = _frame(self)
+            self._bytes = _frame(self._signed, self._range)
         return self._bytes
 
     @classmethod
@@ -375,56 +379,84 @@ class FieldVector:
     def _from_frame(cls, data: bytes, what: str):
         """The vector a frame holds, keeping ``data`` as its encoding.  Raises
         ValueError on any frame that is not the encoding of its vector."""
-        if len(data) < 5:
-            raise ValueError(f"truncated {what}")
-        width, tail = data[0] & ~_TAIL, data[0] & _TAIL
-        if width not in (*_INT_WIDTHS, _WIDE):
-            raise ValueError(f"unknown {what} width {data[0]}")
-        start = 9 if tail else 5
-        if len(data) < start:
-            raise ValueError(f"truncated {what}")
-        n = int.from_bytes(data[1:5], "little")
-        b = int.from_bytes(data[5:9], "little") if tail else 0
-        if b > n:
-            raise ValueError(f"{what} bit tail longer than its count")
-        k = n - b
-        bits_at = start + width * k
-        if len(data) != bits_at + (b + 7) // 8:
-            raise ValueError(f"truncated {what}")
-        if width == _WIDE:
-            half = P // 2  # to_signed, inline: each element is converted once
-            head = np.array([v - P if v > half else v
-                             for v in _read_elements(memoryview(data)[start:bits_at], what)],
-                            dtype=object)
-        else:
-            head = np.frombuffer(data, dtype=f"<i{width}", count=k, offset=start)
-        lo, hi = _range(head)
-        packed = np.frombuffer(data, dtype=np.uint8, offset=bits_at)
-        if b % 8 and packed[-1] >> b % 8:
-            raise ValueError(f"{what} bit tail padding is not zero")
-        if tail:
-            if b < _MIN_TAIL[width]:
-                raise ValueError(f"{what} bit tail makes the frame no shorter")
-            if k and head[-1] in (0, 1):
-                raise ValueError(f"{what} bit tail is not the whole run of bits")
-        elif k >= _MIN_TAIL[width] and all(v in (0, 1) for v in head[k - _MIN_TAIL[width] :]):
-            raise ValueError(f"{what} frame lacks its bit tail")
-        if hi < 1 and packed.any():
-            hi = 1
-        if _width(lo, hi) != width:
-            raise ValueError(f"{what} is not at the width of its values")
-        bits = np.unpackbits(packed, count=b, bitorder="little")
-        signed = np.empty(n, dtype=object if width == _WIDE else np.int64)
-        signed[:k] = head
-        signed[k:] = bits
-        vec = cls._held(signed, (lo, hi))
+        head, bits, span = _unframe(data, what)
+        vec = cls._held(_joined(head, bits), span)
         if isinstance(data, bytes):
             vec._bytes = data
         return vec
 
 
+def _unframe(data: bytes, what: str) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+    """The head elements and the tail bits of a frame, and the least and
+    greatest of 0 and its elements.  Raises ValueError on any frame that is
+    not the encoding of its vector."""
+    if len(data) < 5:
+        raise ValueError(f"truncated {what}")
+    width, tail = data[0] & ~_TAIL, data[0] & _TAIL
+    if width not in (*_INT_WIDTHS, _WIDE):
+        raise ValueError(f"unknown {what} width {data[0]}")
+    start = 9 if tail else 5
+    if len(data) < start:
+        raise ValueError(f"truncated {what}")
+    n = int.from_bytes(data[1:5], "little")
+    b = int.from_bytes(data[5:9], "little") if tail else 0
+    if b > n:
+        raise ValueError(f"{what} bit tail longer than its count")
+    k = n - b
+    bits_at = start + width * k
+    if len(data) != bits_at + (b + 7) // 8:
+        raise ValueError(f"truncated {what}")
+    if width == _WIDE:
+        half = P // 2  # to_signed, inline: each element is converted once
+        head = np.array([v - P if v > half else v
+                         for v in _read_elements(memoryview(data)[start:bits_at], what)],
+                        dtype=object)
+    else:
+        head = np.frombuffer(data, dtype=f"<i{width}", count=k, offset=start)
+    lo, hi = _range(head)
+    packed = np.frombuffer(data, dtype=np.uint8, offset=bits_at)
+    if b % 8 and packed[-1] >> b % 8:
+        raise ValueError(f"{what} bit tail padding is not zero")
+    if tail:
+        if b < _MIN_TAIL[width]:
+            raise ValueError(f"{what} bit tail makes the frame no shorter")
+        if k and head[-1] in (0, 1):
+            raise ValueError(f"{what} bit tail is not the whole run of bits")
+    elif k >= _MIN_TAIL[width] and all(v in (0, 1) for v in head[k - _MIN_TAIL[width] :]):
+        raise ValueError(f"{what} frame lacks its bit tail")
+    if hi < 1 and packed.any():
+        hi = 1
+    if _width(lo, hi) != width:
+        raise ValueError(f"{what} is not at the width of its values")
+    return head, np.unpackbits(packed, count=b, bitorder="little"), (lo, hi)
+
+
+def _joined(*parts: np.ndarray) -> np.ndarray:
+    """The concatenation of integer arrays: of Python ints when one part
+    holds them, and int64 otherwise."""
+    return np.concatenate(parts, dtype=object if any(p.dtype == object for p in parts)
+                          else np.int64)
+
+
+# wire 0 of every assignment
+_ONE = np.ones(1, dtype=np.int64)
+
+
 class Witness(FieldVector):
-    """Full assignment: leading constant 1, then public, then private wires."""
+    """Full assignment: leading constant 1, then public, then private wires.
+
+    Its codec is the mock transcript, which carries only what the statement
+    does not: ``to_bytes(num_public)`` is the frame of the private wires,
+    those after wire 0 and the num_public public wires, and
+    ``from_bytes(data, statement)`` is the assignment 1 || statement || the
+    wires of that frame.  A verifier that rebuilds the assignment from its
+    own statement so holds wire 0 and the public wires by construction.
+    The transcript is written at most once per witness, and a decoded
+    witness keeps the frame it was read from as its transcript.
+    """
+
+    # (num_public, the frame of the wires after wire 0 and num_public more)
+    _transcript: Tuple[int, bytes] | None = None
 
     def statement(self, cs: "ConstraintSystem") -> List[int]:
         return [v % P for v in self._signed[1 : 1 + cs.num_public].tolist()]
@@ -433,13 +465,28 @@ class Witness(FieldVector):
         """Whether wires 1..len(public) hold exactly the elements of ``public``."""
         return bool(np.array_equal(self._signed[1 : 1 + len(public)], public.signed))
 
-    # the witness codec, as attributes of this class so that the benchmark's
-    # trace hooks can time it apart from the statement codec
-    to_bytes = FieldVector.to_bytes
+    # the transcript codec, as attributes of this class so that the
+    # benchmark's trace hooks can time it apart from the statement codec
+    def to_bytes(self, num_public: int) -> bytes:
+        """The frame of the private wires: every wire after wire 0 and the
+        num_public public ones."""
+        if self._transcript is None or self._transcript[0] != num_public:
+            private = self._signed[1 + num_public :]
+            self._transcript = num_public, _frame(private, _range(private))
+        return self._transcript[1]
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Witness":
-        return cls._from_frame(data, "witness")
+    def from_bytes(cls, data: bytes, statement: FieldVector) -> "Witness":
+        """The assignment 1 || statement || the private wires the frame
+        ``data`` holds.  Raises ValueError on any frame that is not the
+        encoding of its vector."""
+        head, bits, (lo, hi) = _unframe(data, "witness")
+        s_lo, s_hi = statement._range
+        wit = cls._held(_joined(_ONE, statement.signed, head, bits),
+                        (min(lo, s_lo), max(hi, s_hi, 1)))
+        if isinstance(data, bytes):
+            wit._transcript = len(statement), data
+        return wit
 
 
 def _canonical_json(obj) -> str:

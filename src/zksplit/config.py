@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .circuit import CircuitConstants, CircuitError
+from .quant import CalibrationError, calibrate
 
 MODES = ("zk-snark", "zk-mock", "blockchain", "none")
 
@@ -88,9 +89,24 @@ class SimConfig:
             _check_type(name, getattr(self, name), hint)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        for name in ("num_clients", "m", "batches_per_epoch", "batch_size", "epochs"):
+        for name in ("num_clients", "m", "batches_per_epoch", "batch_size", "epochs",
+                     "input_dim", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("client_hidden", "server_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ConfigError(f"every {name} entry must be >= 1")
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0")
+        for name in ("blob_spread", "blob_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("w_range", "k_range"):
+            # the trainer calibrates [-range, range]; its refusal is the bound
+            try:
+                calibrate(-getattr(self, name), getattr(self, name))
+            except CalibrationError as e:
+                raise ConfigError(f"{name}: {e}") from None
         if self.num_clients > 32:
             raise ConfigError("num_clients is capped at 32")
         try:
@@ -107,6 +123,8 @@ class SimConfig:
             raise ConfigError("samples_per_client must be at least batch_size")
         if not all(0 <= c < self.num_clients for c in self.tamper_clients):
             raise ConfigError(f"tamper_clients must be in range({self.num_clients})")
+        if len(set(self.tamper_clients)) < len(self.tamper_clients):
+            raise ConfigError("tamper_clients must not repeat a client")
         if self.suspect_threshold < 1:
             raise ConfigError("suspect_threshold must be >= 1")
         if self.reps < 1:

@@ -167,8 +167,10 @@ class RoundReport:
     # share of the held-out batch whose most probable class is its label
     eval_accuracy: Optional[float] = None
     # seconds summed over the round's turns: compute, witness (generation,
-    # zk modes only), proof (prove time), verify and transport (encoding);
-    # other is the rest of run_round's wall time, so the values add up to it
+    # zk modes only), proof (prove time), verify, transport (encoding) and
+    # ledger (chain appends, blockchain mode only); eval, the held-out
+    # evaluation after the turns; other is the rest of run_round's wall
+    # time, so the values add up to it
     timings: Dict[str, float] = field(default_factory=dict)
     stalled: bool = False
     verification_skipped: bool = False
@@ -347,7 +349,7 @@ class Trainer:
         report = RoundReport(round_id=round_id, mode=self.mode,
                              verification_skipped=not self.zk)
         timings = {"compute": 0.0, "witness": 0.0, "proof": 0.0, "verify": 0.0,
-                   "transport": 0.0}
+                   "transport": 0.0, "ledger": 0.0}
         losses = []
 
         for client in self.clients:
@@ -365,10 +367,12 @@ class Trainer:
                 client.rejection_count += 1
 
         report.loss = float(np.mean(losses)) if losses else None
+        t0 = time.perf_counter()
         smashed_eval = client_forward(self.model.client, self.eval_batch).smashed
         labels = self.eval_batch.y
         report.eval_loss, probs, _ = server_loss(self.model.server, smashed_eval, labels)
         report.eval_accuracy = np.count_nonzero(probs.argmax(axis=1) == labels) / len(labels)
+        timings["eval"] = time.perf_counter() - t0
         report.stalled = not losses
         report.suspects = [
             c.client_id for c in self.clients
@@ -448,7 +452,9 @@ class Trainer:
             wire = msg.canonical_bytes()
             timings["transport"] += time.perf_counter() - t0
             if self.chain is not None:
+                t0 = time.perf_counter()
                 self.chain.append_payload(wire, sender=msg.sender)
+                timings["ledger"] += time.perf_counter() - t0
         if not self.zk:
             return True
         t0 = time.perf_counter()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zksplit.backend import MockBackend, load_verifying_key
+from zksplit.backend import MockBackend, Statement, load_verifying_key
 from zksplit.circuit import (
     BUILDERS,
     CircuitConstants,
@@ -326,10 +326,11 @@ class TestWitnessAndSatisfaction:
         cs = build_update_circuit(2, EQUAL)
         wp = quantized_update([1, 2], [3, 4], EQUAL).tolist()
         wit = generate_witness(cs, wp + [1, 2], [3, 4])
-        back = Witness.from_bytes(wit.to_bytes())
+        statement = Statement(wit.statement(cs))
+        back = Witness.from_bytes(wit.to_bytes(cs.num_public), statement)
         assert back.values == wit.values
         with pytest.raises(ValueError):
-            Witness.from_bytes(wit.to_bytes()[:-1])
+            Witness.from_bytes(wit.to_bytes(cs.num_public)[:-1], statement)
 
     def test_statement_view(self):
         cs = build_update_circuit(2, EQUAL)
@@ -361,8 +362,8 @@ class TestGadgetLayout:
         assert loaded.digest() == cs.digest()
         assert [type(g) for g in loaded.gadgets] == [type(g) for g in cs.gadgets] != []
         public, private = honest_inputs(kind, 3, c, random.Random(kind))
-        assert (generate_witness(loaded, public, private).to_bytes()
-                == generate_witness(cs, public, private).to_bytes())
+        assert (generate_witness(loaded, public, private).to_bytes(cs.num_public)
+                == generate_witness(cs, public, private).to_bytes(cs.num_public))
 
     def test_wrong_private_count_raises(self):
         cs = build_protocol_circuit(3, EQUAL)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zksplit import circuit, cli
+from zksplit.backend import WIRE_VERSION, Statement
 from zksplit.circuit import (
     CircuitConstants,
     Witness,
@@ -135,6 +136,30 @@ class TestTrain:
         assert_usage_error(rc, capsys)
         assert not (tmp_path / "run" / "manifest.json").exists()
 
+    # each value fails in the run if the config lets it through
+    REFUSED_AT_CONFIG = {
+        "lr 0": {"lr": 0},
+        "lr negative": {"lr": -0.05},
+        "input_dim 0": {"input_dim": 0},
+        "num_classes 0": {"num_classes": 0},
+        "client_hidden entry 0": {"client_hidden": [0]},
+        "server_hidden entry 0": {"server_hidden": [16, 0]},
+        "blob_noise negative": {"blob_noise": -1},
+        "blob_spread negative": {"blob_spread": -1},
+        "w_range 0": {"w_range": 0},
+        "w_range too wide": {"w_range": 1e300},
+        "k_range negative": {"k_range": -1},
+        "tamper_clients repeated": {"tamper_clients": [0, 0]},
+    }
+
+    @pytest.mark.parametrize("overrides", REFUSED_AT_CONFIG.values(), ids=list(REFUSED_AT_CONFIG))
+    def test_bad_value_is_usage_error_before_the_manifest(self, tmp_path, capsys, overrides):
+        (tmp_path / "c.json").write_text(json.dumps(overrides))
+        rc = run_cli("train", "--config", str(tmp_path / "c.json"), "--m", "4", "--rounds", "1",
+                     "--out", str(tmp_path / "run"))
+        assert_usage_error(rc, capsys)
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     @pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
     def test_reproducible_from_manifest(self, tmp_path, mode):
         out1 = tmp_path / "a"
@@ -230,12 +255,21 @@ class TestProveVerify:
                        "--backend", backend, "--out", str(tmp_path / "proofs")) == 0
         path = tmp_path / "proofs" / name
         data = path.read_bytes()
-        if version == 2 and (backend, name) == ("mock", "proof.bin"):
-            # version 2 wrote the witness frame plain, with no bit tail
-            witness = Witness.from_bytes(data[66:])
+        if version in (2, 3) and (backend, name) == ("mock", "proof.bin"):
+            # versions 2 and 3 sent the whole witness at int16, version 3
+            # with its trailing run of bits as a bit tail
             assert data[66] == 2 + 0x80
-            data = data[:66] + bytes([2]) + len(witness).to_bytes(4, "little") \
-                + witness.signed.astype("<i2").tobytes()
+            signed = Witness.from_bytes(data[66:], Statement(STATEMENT)).signed
+            n = len(signed)
+            k = n if version == 2 else 1 + max(i for i, v in enumerate(signed.tolist())
+                                               if v not in (0, 1))
+            head = signed[:k].astype("<i2").tobytes()
+            if k == n:
+                data = data[:66] + bytes([2]) + n.to_bytes(4, "little") + head
+            else:
+                bits = np.packbits(signed[k:].astype(np.uint8), bitorder="little").tobytes()
+                data = data[:66] + bytes([2 + 0x80]) + n.to_bytes(4, "little") \
+                    + (n - k).to_bytes(4, "little") + head + bits
         path.write_bytes(bytes([version]) + data[1:])
         capsys.readouterr()
         rc = run_cli("verify", "--vk", str(tmp_path / "proofs" / "vk.bin"),
@@ -243,7 +277,7 @@ class TestProveVerify:
                      "--proof", str(tmp_path / "proofs" / "proof.bin"))
         out = capsys.readouterr()
         assert rc == 3 and out.out == ""
-        assert out.err == f"error: version mismatch: {version} != 3\n"
+        assert out.err == f"error: version mismatch: {version} != {WIRE_VERSION}\n"
 
     @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
     @pytest.mark.parametrize("backend", ["mock", "snark"])
@@ -258,6 +292,13 @@ class TestProveVerify:
         """A key or proof of WIRE_VERSION 2, whose mock proof carries its
         witness frame with no bit tail, is refused by its version byte."""
         self._verify_old_version(tmp_path, capsys, backend, name, 2)
+
+    @pytest.mark.parametrize("name", ["proof.bin", "vk.bin"])
+    @pytest.mark.parametrize("backend", ["mock", "snark"])
+    def test_version_3_frame_is_one_error_line(self, tmp_path, capsys, backend, name):
+        """A key or proof of WIRE_VERSION 3, whose mock proof carries wire 0
+        and the public wires, is refused by its version byte."""
+        self._verify_old_version(tmp_path, capsys, backend, name, 3)
 
     def _proved(self, tmp_path):
         make_prove_fixture(tmp_path)

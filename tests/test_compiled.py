@@ -1,5 +1,5 @@
-"""The gadget-by-gadget satisfaction check, the witness codec, the
-canonical circuit JSON, and the circuit digests they must leave
+"""The gadget-by-gadget satisfaction check, the vector codec and the mock
+transcript, the canonical circuit JSON, and the circuit digests they must leave
 untouched.
 
 ``reference_replay`` (tests/oracle.py) evaluates every (A, B, C) triple
@@ -239,7 +239,8 @@ class TestGadgetCheck:
         in the checker's dtype, without the public floor functions."""
         cs, values = honest("composed", 64, "MIXED")
         made = Witness(values)
-        decoded = Witness.from_bytes(made.to_bytes())
+        statement = Statement(values[1 : 1 + cs.num_public])
+        decoded = Witness.from_bytes(made.to_bytes(cs.num_public), statement)
         assert decoded._range == made._range
         calls, span = [], circuit._span
         monkeypatch.setattr(circuit, "_range", lambda s: calls.append(("_range", len(s))))
@@ -302,7 +303,8 @@ class TestGadgetCheck:
         assert wit.signed.dtype == object
         assert wit._range == (0, z_up) == circuit._range(wit.signed)
         assert cs.is_satisfied(wit)
-        assert Witness.from_bytes(wit.to_bytes()).values == wit.values
+        back = Witness.from_bytes(wit.to_bytes(cs.num_public), Statement([0] * cs.num_public))
+        assert back.values == wit.values and back.signed.dtype == object
 
     @settings(deadline=None, max_examples=300)
     @given(case=st.sampled_from(CASES), data=st.data())
@@ -416,7 +418,7 @@ def test_a_width_32_proof_is_verified_without_the_rows(accept):
         values = list(honest("composed", 8, "EQUAL")[1])
         values[cs.var_names.index("U[2]")] = 2**100
     statement = Statement(values[1 : 1 + cs.num_public])
-    body = Witness(values).to_bytes()
+    body = Witness(values).to_bytes(cs.num_public)
     assert body[0] & 0x7F == 32
     with element_reads() as reads:
         pair = MockBackend().setup(cs)
@@ -861,17 +863,19 @@ def test_digest_holds_the_text_about_once():
     assert peak - base < 1.25 * size
 
 
-# -- the witness and statement codec, against a reference that writes and
-# reads each element and each bit on its own; decoding must accept exactly
-# the frames the reference writes
+# -- the vector codec of statements and mock transcripts, against a
+# reference that writes and reads each element and each bit on its own;
+# decoding must accept exactly the frames the reference writes
 
-WIDTHS = (2, 4, 8, 32)
+WIDTHS = (1, 2, 4, 8, 32)
 # the flag bit of a width byte whose frame ends with a bit tail
 TAIL = 128
 
 
 def reference_width(signed):
     """The width the encoder must choose for these signed representatives."""
+    if all(-(2**7) <= v < 2**7 for v in signed):
+        return 1
     if all(-(2**15) <= v < 2**15 for v in signed):
         return 2
     if all(-(2**31) <= v < 2**31 for v in signed):
@@ -990,46 +994,64 @@ signed_small = st.integers(-(SMALL - 1), SMALL - 1)
 any_element = st.one_of(signed_small, st.integers(0, P - 1), st.integers(-P, 2 * P))
 
 
+def vector(data):
+    """The vector a frame holds, decoded as a mock transcript's frame is."""
+    return FieldVector._from_frame(data, "witness")
+
+
+def split(cs, values):
+    """An honest witness of cs, its statement, and the values of its private
+    wires."""
+    return Witness(values), Statement(values[1 : 1 + cs.num_public]), values[1 + cs.num_public :]
+
+
 class TestWitnessCodec:
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(any_element, max_size=40))
-    def test_to_bytes_matches_per_element_encoding(self, values):
-        w = Witness(values)
-        assert w.to_bytes() == reference_encode(values)
-        back = Witness.from_bytes(w.to_bytes())
-        assert back.values == w.values
+    @given(st.lists(any_element, max_size=6), st.lists(any_element, max_size=40))
+    def test_to_bytes_matches_per_element_encoding(self, public, private):
+        """A witness's transcript is the frame of its wires after wire 0 and
+        the public ones, and decoding it with the statement rebuilds the
+        witness, its range and its dtype."""
+        w = Witness([1, *public, *private])
+        statement = Statement(public)
+        data = w.to_bytes(len(public))
+        assert data == reference_encode(private)
+        back = Witness.from_bytes(data, statement)
+        assert back.values == w.values and back._range == w._range
         assert back.signed.dtype == w.signed.dtype
 
     @pytest.mark.parametrize("kind,m,name", CASES)
     def test_honest_witness_encoding(self, kind, m, name):
-        _, values = honest(kind, m, name)
-        w = Witness(values)
+        cs, values = honest(kind, m, name)
+        w, statement, private = split(cs, values)
         assert w.signed.dtype == np.int64
-        assert w.to_bytes() == reference_encode(values)
-        assert w.to_bytes()[0] == 2 + TAIL  # it ends with its gadgets' bits
-        assert np.array_equal(Witness.from_bytes(w.to_bytes()).signed, w.signed)
+        assert w.to_bytes(cs.num_public) == reference_encode(private)
+        assert w.to_bytes(cs.num_public)[0] & TAIL  # it ends with its gadgets' bits
+        assert np.array_equal(Witness.from_bytes(w.to_bytes(cs.num_public), statement).signed,
+                              w.signed)
 
     @pytest.mark.parametrize("v", [SMALL - 1, P - (SMALL - 1), 0, 1, P - 1])
     def test_small_boundary_is_int64(self, v):
-        w = Witness.from_bytes(reference_encode([1, v]))
+        w = Witness.from_bytes(reference_encode([v]), Statement([5]))
         assert w.signed.dtype == np.int64
-        assert w.values == (1, v)
+        assert w.values == (1, 5, v)
 
     @pytest.mark.parametrize("v", [SMALL, P - SMALL, 2**100, P - 2**100, 2**200])
     def test_large_element_round_trips_through_fallback(self, v):
-        data = reference_encode([1, -5, v, 7])
+        data = reference_encode([-5, v, 7])
         assert data[0] == 32
-        w = Witness.from_bytes(data)
+        w = Witness.from_bytes(data, Statement([3]))
         assert w.signed.dtype == object
-        assert w.values == (1, P - 5, v, 7)
-        assert w.to_bytes() == data
+        assert w.values == (1, 3, P - 5, v, 7)
+        assert w.to_bytes(1) is data
+        assert Witness(w.values).to_bytes(1) == data
 
     @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1, P + SMALL - 1])
     def test_unreduced_element_rejected(self, v):
         data = bytes([32]) + (3).to_bytes(4, "little") + (SMALL).to_bytes(32, "little") \
             + v.to_bytes(32, "little") + (2).to_bytes(32, "little")
         with pytest.raises(ValueError, match="not reduced"):
-            Witness.from_bytes(data)
+            Witness.from_bytes(data, Statement([]))
 
     def test_witness_is_immutable_and_encoded_once(self):
         cs, values = honest("composed", 8, "MIXED")
@@ -1039,11 +1061,11 @@ class TestWitnessCodec:
             w.signed[0] = 2
         with pytest.raises(AttributeError):
             w.signed = np.zeros(len(w), dtype=np.int64)
-        data = w.to_bytes()
-        assert w.to_bytes() is data
-        back = Witness.from_bytes(data)
+        data = w.to_bytes(cs.num_public)
+        assert w.to_bytes(cs.num_public) is data
+        back = Witness.from_bytes(data, Statement(values[1 : 1 + cs.num_public]))
         assert not back.signed.flags.writeable
-        assert back.to_bytes() is data  # the frame it was read from
+        assert back.to_bytes(cs.num_public) is data  # the frame it was read from
 
     def test_values_are_scanned_once(self, monkeypatch):
         """A vector keeps the least and greatest of 0 and its values from when
@@ -1052,11 +1074,11 @@ class TestWitnessCodec:
         scan = circuit._range
         monkeypatch.setattr(circuit, "_range", lambda s: calls.append(len(s)) or scan(s))
         arr = np.arange(-5, 40_000, dtype=np.int64)
-        data = Witness(arr).to_bytes()
+        data = FieldVector(arr).to_bytes()
         assert data[0] == 4 and calls == [len(arr)]
-        assert Witness.from_bytes(data).to_bytes() is data
+        assert vector(data).to_bytes() is data
         assert calls == [len(arr)] * 2
-        assert Witness([5, 7]).to_bytes()[0] == 2 and calls == [len(arr)] * 2
+        assert FieldVector([5, 7]).to_bytes()[0] == 1 and calls == [len(arr)] * 2
 
     def test_int64_array_is_copied(self):
         arr = np.array([1, -2, 3], dtype=np.int64)
@@ -1068,21 +1090,22 @@ class TestWitnessCodec:
     def test_decoding_never_encodes(self, kind, m, name, monkeypatch):
         calls = []
         frame = circuit._frame
-        monkeypatch.setattr(circuit, "_frame", lambda s: calls.append(len(s)) or frame(s))
+        monkeypatch.setattr(circuit, "_frame", lambda s, span: calls.append(len(s)) or frame(s, span))
         cs, values = honest(kind, m, name)
-        wire = reference_encode(values)
-        statement = reference_encode(values[1 : 1 + cs.num_public])
-        assert Witness.from_bytes(wire).values == tuple(values)
-        assert Statement.from_bytes(statement).values == tuple(values[1 : 1 + cs.num_public])
+        public = values[1 : 1 + cs.num_public]
+        statement = Statement.from_bytes(reference_encode(public))
+        assert statement.values == tuple(public)
+        wire = reference_encode(values[1 + cs.num_public :])
+        assert Witness.from_bytes(wire, statement).values == tuple(values)
         assert calls == []
 
     def test_truncated_frame_rejected(self):
-        data = Witness([1, -2, 3]).to_bytes()
+        data = Witness([1, 9, -2, 3]).to_bytes(1)
         for cut in (0, 3, 4, 5, 6, len(data) - 1):
             with pytest.raises(ValueError, match="truncated"):
-                Witness.from_bytes(data[:cut])
+                Witness.from_bytes(data[:cut], Statement([9]))
         with pytest.raises(ValueError, match="truncated"):
-            Witness.from_bytes(data + b"\0")
+            Witness.from_bytes(data + b"\0", Statement([9]))
 
 
 SIGNED = [1, -5, 0, SMALL - 1, -(SMALL - 1), 4000]
@@ -1183,7 +1206,7 @@ def decode_outcome(decode, data):
     return "ok", [to_signed(int(v) % P) for v in out]
 
 
-EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, SMALL - 1, SMALL, 2**63 - 1]
+EDGES = [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, SMALL - 1, SMALL, 2**63 - 1]
 BOUNDARY = [0, 1, -1, -(2**63)] + [sign * e for e in EDGES for sign in (1, -1)]
 # 32-byte elements: the boundary values reduced mod P, and unreduced ones
 WIDE_BOUNDARY = [v % P for v in BOUNDARY] + [P, P + 1, 2**256 - 1]
@@ -1218,9 +1241,15 @@ def flip_bit(frame, i):
 
 class TestAgainstReferences:
     @settings(deadline=None, max_examples=400)
-    @given(case=st.sampled_from(CASES), width=st.sampled_from(WIDTHS), data=st.data())
+    @given(case=st.sampled_from(CASES + ["transcript"]), width=st.sampled_from(WIDTHS),
+           data=st.data())
     def test_decode_of_an_honest_frame_with_boundary_elements(self, case, width, data):
-        values = honest(*case)[1]
+        """An honest witness, or the int8 private wires of the mock
+        instance, framed at a width that holds them, with 1 to 3 elements or
+        tail bits changed."""
+        values = vector(mock_instance()[2]).values if case == "transcript" else honest(*case)[1]
+        if width < reference_width([to_signed(v) for v in values]):
+            reject()
         frame = reference_encode(values, width)
         tail_bits = 8 * (len(frame) - 9 - width * head_count(frame)) if frame[0] >= TAIL else 0
         for _ in range(data.draw(st.integers(1, 3), label="elements changed")):
@@ -1250,7 +1279,7 @@ class TestAgainstReferences:
         assert outcome[0] == "error"
 
     @settings(deadline=None, max_examples=300)
-    @given(st.sampled_from(WIDTHS + (0, 1, 3, 16, 255)), st.integers(-1, 1), st.data())
+    @given(st.sampled_from(WIDTHS + (0, 3, 16, 255)), st.integers(-1, 1), st.data())
     def test_decode_of_frames_built_from_boundary_elements(self, width, off, data):
         if width in WIDTHS:
             elements = data.draw(st.lists(boundary_bytes(width), max_size=6))
@@ -1277,10 +1306,19 @@ class TestAgainstReferences:
 
 @lru_cache(maxsize=None)
 def mock_instance():
-    cs, values = honest("composed", 8, "MIXED")
+    """A mock verifying key, an honest statement of the composed circuit and
+    the honest proof body for it, whose private U and U' lie within int8, as
+    the trainer's do."""
+    cs = build_protocol_circuit(8, MIXED)
+    rnd = random.Random("mock instance")
+    u_q = [rnd.randint(-15, 13) for _ in range(8)]
+    w_q = [rnd.randint(-4000, 4000) for _ in range(8)]
+    k_q = MIXED.z_k + 2**MIXED.f_k
+    up_q = quantized_aggregate(k_q, u_q, MIXED)
+    wit = generate_witness(cs, quantized_update(w_q, up_q, MIXED).tolist() + w_q + [k_q], u_q)
     pair = MockBackend().setup(cs)
-    statement = Statement(list(values[1 : 1 + cs.num_public]))
-    proof = MockBackend().prove(pair.proving_key, statement, Witness(values))
+    statement = Statement(wit.statement(cs))
+    proof = MockBackend().prove(pair.proving_key, statement, wit)
     return pair.verifying_key, statement, proof.body
 
 
@@ -1296,7 +1334,7 @@ def mutated_bodies():
     _, _, body = mock_instance()
     width, k = body[0] % TAIL, head_count(body)
     bits_at = 9 + width * k
-    values = Witness.from_bytes(body).values
+    values = vector(body).values
     return st.one_of(
         st.binary(max_size=600),
         st.integers(0, len(body) - 1).map(lambda cut: body[:cut]),
@@ -1311,6 +1349,8 @@ def mutated_bodies():
         st.integers(0, 255).map(lambda b: bytes([b]) + body[1:]),
         st.sampled_from(WIDTHS).map(lambda w: reference_encode(values, w)),
         st.sampled_from(WIDTHS).map(lambda w: reference_frame(values, w)),
+        st.lists(st.integers(-128, 127), min_size=len(values), max_size=len(values)).map(
+            reference_encode),
     )
 
 
@@ -1324,8 +1364,21 @@ def test_mock_verify_rejects_malformed_bodies_without_raising(body):
         assert verdict is Verdict.REJECT
 
 
+def test_a_body_of_other_wires_than_the_private_ones_is_rejected():
+    """The transcript holds exactly the private wires: the whole witness, as
+    version 3 sent it, the public and private wires without wire 0, and the
+    private wires one short or one long are each rejected."""
+    _, statement, body = mock_instance()
+    private = vector(body).signed.tolist()
+    public = statement.signed.tolist()
+    assert body == reference_encode(private) and mock_verdict(body) is Verdict.ACCEPT
+    for values in ([1, *public, *private], [*public, *private],
+                   private[:-1], [*private, 0], private[1:], [0, *private]):
+        assert mock_verdict(reference_encode(values)) is Verdict.REJECT
+
+
 # the element that sets each width, at the top of its range
-WIDTH_EDGE = {2: 2**15 - 1, 4: 2**31 - 1, 8: SMALL - 1, 32: P // 2}
+WIDTH_EDGE = {1: 2**7 - 1, 2: 2**15 - 1, 4: 2**31 - 1, 8: SMALL - 1, 32: P // 2}
 
 
 @st.composite
@@ -1352,18 +1405,19 @@ class TestBitTail:
         frame = reference_encode(values)
         assert frame[0] % TAIL == width
         assert (frame[0] >= TAIL) == tail_pays(width, reference_run(values))
-        for cls in (Witness, Statement):
+        for cls in (FieldVector, Statement):
             assert cls(values).to_bytes() == frame
             assert cls(np.array(values, dtype=np.int64 if width < 32 else object)).to_bytes() == frame
+        assert Witness([1, *values]).to_bytes(0) == frame
 
     @pytest.mark.parametrize("width", WIDTHS)
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_decode_of_encode_is_the_vector_and_its_range(self, width, data):
         values = data.draw(bit_tailed(width))
-        for cls in (Witness, Statement):
+        for cls, decode_frame in ((FieldVector, vector), (Statement, Statement.from_bytes)):
             vec = cls(values)
-            back = cls.from_bytes(vec.to_bytes())
+            back = decode_frame(vec.to_bytes())
             assert back.values == vec.values and back._range == vec._range
             assert back.signed.dtype == vec.signed.dtype
             assert back.to_bytes() == vec.to_bytes()
@@ -1373,9 +1427,9 @@ class TestBitTail:
         """hi is 1 from the tail only when some bit is set."""
         for values, span in [([-300, 0, 0, 0], (-300, 0)), ([-300, 0, 1, 0], (-300, 1)),
                              ([-300] + [0] * 40, (-300, 0)), ([-300] + [0] * 39 + [1], (-300, 1))]:
-            frame = Witness(values).to_bytes()
+            frame = FieldVector(values).to_bytes()
             assert frame[0] == 2 + TAIL
-            assert Witness.from_bytes(frame)._range == span == Witness(values)._range
+            assert vector(frame)._range == span == FieldVector(values)._range
 
     # how to turn the frame of a vector whose bit tail pays into a frame of
     # the same vector, or none, that decoding must refuse
@@ -1413,7 +1467,7 @@ class TestBitTail:
         with pytest.raises(DecodeError, match=match):
             Statement.from_bytes(frame)
         with pytest.raises(ValueError, match=match):
-            Witness.from_bytes(frame)
+            Witness.from_bytes(frame, Statement([]))
         assert decode_outcome(reference_decode, frame)[0] == "error"
         assert decode_outcome(reference_decode, frame) == decode_outcome(decode, frame)
 
@@ -1430,10 +1484,11 @@ class TestWidths:
     @given(st.lists(st.one_of(edge_values, st.integers(-3, 3)), max_size=8))
     def test_each_width_round_trips_and_no_wider_one_decodes(self, values):
         narrowest = reference_width([to_signed(v % P) for v in values])
-        for vec in (Statement(values), Witness(values)):
+        for vec, decode_frame in ((Statement(values), Statement.from_bytes),
+                                  (FieldVector(values), vector)):
             data = vec.to_bytes()
             assert data == reference_encode(values) and data[0] % TAIL == narrowest
-            back = type(vec).from_bytes(data)
+            back = decode_frame(data)
             assert back.values == vec.values and back.signed.dtype == vec.signed.dtype
         for width in WIDTHS:
             if width > narrowest:
@@ -1442,10 +1497,17 @@ class TestWidths:
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_honest_witness_and_statement_at_each_width(self, width):
+        """The honest transcript is at int8 and the statement, which holds
+        K, at int16; each wider frame of either is refused."""
         _, statement, body = mock_instance()
-        assert body[0] == 2 + TAIL and statement.to_bytes()[0] == 2
-        frame = reference_encode(Witness.from_bytes(body).values, width)
-        assert mock_verdict(frame) is (Verdict.ACCEPT if width == 2 else Verdict.REJECT)
+        assert body[0] == 1 + TAIL and statement.to_bytes()[0] == 2
+        frame = reference_encode(vector(body).values, width)
+        assert mock_verdict(frame) is (Verdict.ACCEPT if width == 1 else Verdict.REJECT)
+        if width > 1:
+            with pytest.raises(DecodeError, match="width of its values"):
+                Statement.from_bytes(frame)
+            with pytest.raises(ValueError, match="width of its values"):
+                Witness.from_bytes(frame, statement)
         if width > 2:
             with pytest.raises(DecodeError, match="width of its values"):
                 Statement.from_bytes(reference_encode(statement.values, width))
@@ -1474,11 +1536,11 @@ class TestWidths:
 
     @pytest.mark.parametrize("v", [P, P + 1, 2**256 - 1])
     def test_unreduced_wide_element(self, v):
-        values = list(Witness.from_bytes(mock_instance()[2]).values)
-        values[-1] = SMALL  # a bit wire, so the witness takes width 32
+        values = list(vector(mock_instance()[2]).values)
+        values[-1] = SMALL  # a bit wire, so the transcript takes width 32
         frame = reference_encode(values)
         assert frame[0] == 32 and mock_verdict(frame) is Verdict.REJECT
         bad = set_element(frame, 3, v.to_bytes(32, "little"))
         with pytest.raises(ValueError, match="not reduced"):
-            Witness.from_bytes(bad)
+            Witness.from_bytes(bad, mock_instance()[1])
         assert mock_verdict(bad) is Verdict.REJECT

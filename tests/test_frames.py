@@ -20,7 +20,7 @@ from zksplit.backend import (
 )
 from zksplit.circuit import (
     CircuitConstants,
-    Witness,
+    FieldVector,
     build_protocol_circuit,
     generate_witness,
     quantized_aggregate,
@@ -59,24 +59,34 @@ def instance():
 
 class TestSizeBytes:
     def test_trainer_mock_frames_at_m1000(self):
-        """The trainer's witnesses at m=1000 (48 002 wires) and statements
-        (2 001 values) lie within int16.  A witness is the constant, the
-        statement, U, U' and then 44 000 remainder bits, so its frame has a
-        bit tail: a mock proof is 66 header bytes, a width byte, a count, a
-        tail length, 2 bytes for each of 4 002 wires and 44 000 / 8 = 5 500
-        bytes of bits, 66 + 9 + 8 004 + 5 500 = 13 579 bytes.  The first
-        proof re-proves the set-up's update, whose U and U' are all 0, so
-        its tail takes them too: 66 + 9 + 2 * 2 002 + 46 000 / 8 = 9 829
-        bytes.  A statement ends with K, so its frame stays plain: a width
-        byte, a count and 2 bytes per value, 5 + 4 002 = 4 007 bytes."""
+        """The trainer's witnesses at m=1000 have 48 002 wires, and its
+        statements 2 001 values within int16.  A mock proof carries the
+        wires after the constant and the statement: U and U', 2 000 values
+        within int8, and then 44 000 remainder bits, so its frame has a bit
+        tail.  It is 66 header bytes, a width byte, a count, a tail length,
+        1 byte for each of 2 000 wires and 44 000 / 8 = 5 500 bytes of bits,
+        66 + 9 + 2 000 + 5 500 = 7 575 bytes.  The first proof re-proves the
+        set-up's update, whose U and U' are all 0, so its tail takes them
+        too: 66 + 9 + 46 000 / 8 = 5 825 bytes.  A statement ends with K, so
+        its frame stays plain: a width byte, a count and 2 bytes per value,
+        5 + 4 002 = 4 007 bytes."""
         tr = Trainer(SimConfig(mode="zk-mock", m=1000, num_clients=1, rounds=2, seed=5))
         tr.train()
         statement, witness = tr.last_update
         assert len(witness) == 48_002 and len(statement) == 2_001
-        assert tr.proof_sizes == [9_829, 13_579, 13_579, 13_579]
-        assert witness.to_bytes()[:9] == bytes([0x82]) + (48_002).to_bytes(4, "little") \
+        assert tr.proof_sizes == [5_825, 7_575, 7_575, 7_575]
+        assert witness.to_bytes(2_001)[:9] == bytes([0x81]) + (46_000).to_bytes(4, "little") \
             + (44_000).to_bytes(4, "little")
         assert statement.to_bytes()[0] == 2 and len(statement.to_bytes()) == 4_007
+
+    def test_trainer_mock_proofs_at_m1000_stay_small(self):
+        """U and U' stay within int8 over a default run at m=1000, so no mock
+        proof passes 7 575 bytes (13 579 when proofs carried every wire at
+        int16)."""
+        tr = Trainer(SimConfig(mode="zk-mock", m=1000, rounds=50))
+        reports = tr.train()
+        assert all(v == "Accepted" for r in reports for v in r.verdicts.values())
+        assert len(tr.proof_sizes) == 200 and max(tr.proof_sizes) <= 7_600
 
     def test_real_proofs(self):
         _, _, _, frames = instance()
@@ -188,16 +198,17 @@ def test_message_bytes_cover_every_payload_statement_and_proof_byte(pair):
 def random_body_frames(draw):
     """A valid header carrying the circuit's digest, the statement's digest
     or a random one, and a random body: any bytes, a snark-sized body, a
-    width byte and an element count a mock verifier could expect, with or
-    without the bit tail flag and a tail length, followed by random bytes,
-    or a well-formed transcript of small random elements."""
+    width byte and an element count a mock verifier could expect (its
+    private wires, or every wire as version 3 sent), with or without the bit
+    tail flag and a tail length, followed by random bytes, or a well-formed
+    frame of small random elements."""
     cs, stmt, _, _ = instance()
     backend = draw(st.sampled_from(sorted(BACKEND_IDS)))
     header = bytes([WIRE_VERSION, BACKEND_IDS[backend]]) + bytes.fromhex(cs.digest())
     statement_digest = draw(st.one_of(st.just(bytes.fromhex(stmt.digest())),
                                       st.binary(min_size=32, max_size=32)))
-    count = draw(st.sampled_from([len(stmt), cs.num_wires]))
-    width = draw(st.sampled_from([2, 4, 8, 32]))
+    count = draw(st.sampled_from([cs.num_wires - 1 - len(stmt), cs.num_wires]))
+    width = draw(st.sampled_from([1, 2, 4, 8, 32]))
     # a head with the bit tail flag: the count, then a tail length
     tail = draw(st.integers(0, count + 1)).to_bytes(4, "little")
     body = draw(st.one_of(
@@ -208,7 +219,7 @@ def random_body_frames(draw):
         st.binary(max_size=width * (count + 1)).map(
             lambda rest: bytes([width | 0x80]) + count.to_bytes(4, "little") + tail + rest),
         st.lists(st.integers(-2, 2), min_size=count, max_size=count).map(
-            lambda vals: Witness(vals).to_bytes()),
+            lambda vals: FieldVector(vals).to_bytes()),
     ))
     return header + statement_digest + body
 

@@ -230,7 +230,7 @@ def test_cli_verify_with_crafted_spec_key_is_runtime_error(tmp_path, capsys):
     vk = mock_frame(CRAFTED["eta 21"])
     cs = circuit()
     statement = Statement([0] * cs.num_public)
-    body = Witness([1] + [0] * (cs.num_wires - 1)).to_bytes()
+    body = Witness([1] + [0] * (cs.num_wires - 1)).to_bytes(cs.num_public)
     (tmp_path / "vk.bin").write_bytes(vk)
     (tmp_path / "statement.json").write_text(json.dumps(list(statement.values)))
     (tmp_path / "proof.bin").write_bytes(encode_frame(

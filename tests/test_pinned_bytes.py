@@ -15,11 +15,15 @@ version 1, so only the encoding changed.
 ``PINNED`` and ``PINNED_KEYS`` hold the pins of WIRE_VERSION 2.  Version 3
 sends a witness's trailing run of bits as a bit tail, and every frame
 carries the version byte, so the mock proofs, snark proofs and snark keys
-moved again; their version 3 hashes are pinned beside the old ones.  The
-old pins stay as an oracle: writing version byte 2 back and re-encoding the
-mock proof's witness frame plain (``version_2``) must give bytes that hash
-to them.  Statements end with K, so their frames have no tail, and neither
-they nor the snark key tails moved.
+moved again; their version 3 hashes are pinned beside the old ones.
+Version 4 sends in a mock proof only the private wires, and at int8 when
+they fit, so those artifacts moved once more, and their version 4 hashes
+are pinned beside the others.  The old pins stay as an oracle
+(``as_version``): rebuilding the whole witness from a mock proof's body and
+the statement, re-encoding it as version 3 wrote it, or plain as version 2
+did, and writing that version byte back must give bytes that hash to them.
+Statements end with K, so their frames have no tail and stay at int16, and
+neither they nor the snark key tails moved.
 """
 
 import hashlib
@@ -188,33 +192,96 @@ PINNED_V3 = {
 }
 
 
-def plain_frame(vec) -> bytes:
-    """The frame of the vector as version 2 wrote it: the width byte, the
-    count and every element at the width, with no bit tail."""
-    width, s = vec.to_bytes()[0] % 128, vec.signed
-    body = _write_elements(s.tolist()) if width == 32 else s.astype(f"<i{width}").tobytes()
-    return bytes([width]) + len(s).to_bytes(4, "little") + body
+# the hashes of version 4 that differ from the version 3 pins above
+PINNED_V4 = {
+    ('EQUAL', 1): {
+        "mock_proof": "8ccee3d0e4be85eb661b53b238882c552d9919bff52076546fa182fe74e3401a",
+        "snark_proof": "cb9025564872104a8ecac50d22caed3741ac5423293e55e9939448db1257e776",
+        "snark_pk": "775c63bc631df5f63049403c1c7140ccc684ce14e860786165b233f20997ff83",
+        "snark_vk": "cb9f71ac684b30fa1d629007ddf4db07f15d2fc869989cfe6ec76810d823011a",
+    },
+    ('EQUAL', 8): {
+        "mock_proof": "ceb836eccbad3add7d08a93734c8076880490b0edc1b535da63db2904563ce95",
+        "snark_proof": "95eae0da4caa0a99d30e6316f93be7da8c5bcf83c204d6bd321d02661bf86bae",
+        "snark_pk": "db14478247e8f0f657e5c67083d91704a6c5c6a20698689b5190d7e8e3d1c8d4",
+        "snark_vk": "0c8a9b8f8ff7770e9c7e185d1906244859e539aac90e7ffbf4e3daedd81f698e",
+    },
+    ('EQUAL', 64): {
+        "mock_proof": "8522f4d6cd513ecabb8d04a0909d080286eb3162f1d8b734e074eecb9fe85972",
+        "snark_proof": "d41b760a8470c940e1d2acc1f0f7c03bdaedf40fdb655a67a7d5b7711d9423cb",
+        "snark_pk": "3e79e2f1fabfa43c74e3c8108a6da87041533ad7f5bbd8aaec552248bb31b17a",
+        "snark_vk": "329b836c453caa863f2d297146c14ee647a4220d390c6e542166a82e642c436b",
+    },
+    ('MIXED', 1): {
+        "mock_proof": "3ff67b5d8c9c65a9e4f63689014f4df7c317e1b52b152dbd03924acba38b2006",
+        "snark_proof": "bc34a683a65302c8db896e0891a1162342ddd4e2ca308e262b67a3c2ffa85d2a",
+        "snark_pk": "e45ebd1f9fc8b59658d4cda77eecbebf74b3a6898c40a16259edf757834d878c",
+        "snark_vk": "6026e10ea48fd20c4685285ad3c5b5badaff5078e87f05f1a752da16739958ac",
+    },
+    ('MIXED', 8): {
+        "mock_proof": "c2f533814fbaaa26586392db011d4e423cb0405721eae8113bcc5fbde1af42ad",
+        "snark_proof": "aecad8b93e9cddb9e90dc7beea411fd045fc37f2e728b99cff7d171cebe36a35",
+        "snark_pk": "52f2f3b64e332004ab89119c80f2db6099e9b8d3d9591ad6257858578c3d6c5a",
+        "snark_vk": "817b57bb89b863f1eebb4dd15bae58f97dc80dc3c17cf56b97a210a37bade862",
+    },
+    ('MIXED', 64): {
+        "mock_proof": "42d83bb6611a1cf0c83e65a3040898eeb79718ef385ba568e130ab7c116e2c85",
+        "snark_proof": "d5583e3c6acbed6780725f3dbab620308335a381a5cb9faa3003b46bdd7122f1",
+        "snark_pk": "e6c3602680f494710baa3dd05306411c2a93f45bd0d1f3a3546983331a30cb18",
+        "snark_vk": "57b73c8bca331974ba799da0a3cca9f86bb88e2d3fbf37eb33e94556dcb394dc",
+    },
+}
 
 
-def version_2(name, data: bytes) -> bytes:
-    """The artifact as version 2 wrote it: its version byte 2, and a mock
-    proof's witness frame, after the 66 header bytes, plain."""
+def whole_witness_frame(signed, version) -> bytes:
+    """The frame of a whole witness as version 2 or 3 wrote it: at the
+    narrowest of int16, int32 and int64, or at 32 canonical bytes, and in
+    version 3 with its trailing run of 0s and 1s as a bit tail when that
+    made the frame shorter."""
+    s = signed.tolist()
+    n = k = len(s)
+    width = next((w for w in (2, 4, 8) if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in s)),
+                 32)
+    if version == 3:
+        run = next((i for i, v in enumerate(reversed(s)) if v not in (0, 1)), n)
+        if width * run > 4 + (run + 7) // 8:
+            k = n - run
+    if width == 32:
+        head = _write_elements(s[:k])
+    else:
+        head = b"".join(v.to_bytes(width, "little", signed=True) for v in s[:k])
+    if k == n:
+        return bytes([width]) + n.to_bytes(4, "little") + head
+    bits = bytearray((n - k + 7) // 8)
+    for i, v in enumerate(s[k:]):
+        bits[i // 8] |= v << i % 8
+    return bytes([width + 128]) + n.to_bytes(4, "little") + (n - k).to_bytes(4, "little") \
+        + head + bytes(bits)
+
+
+def as_version(version, name, data: bytes, statement) -> bytes:
+    """The artifact as version 2 or 3 wrote it: its version byte, and a mock
+    proof's body, after the 66 header bytes, as the whole witness that the
+    body and ``statement`` make, framed as that version framed it."""
     if name in ("statement", "snark_pk_tail"):
         return data
     if name == "mock_proof":
-        data = data[:66] + plain_frame(Witness.from_bytes(data[66:]))
-    return bytes([2]) + data[1:]
+        witness = Witness.from_bytes(data[66:], statement)
+        data = data[:66] + whole_witness_frame(witness.signed, version)
+    return bytes([version]) + data[1:]
 
 
-def hashes(named: dict, version: int = 3) -> dict:
-    return {k: hashlib.sha256(v if version == 3 else version_2(k, v)).hexdigest()
+def hashes(named: dict, version: int = 4, statement=None) -> dict:
+    return {k: hashlib.sha256(v if version == 4 else as_version(version, k, v, statement)).hexdigest()
             for k, v in named.items()}
 
 
 @pytest.mark.parametrize("name,m", CASES)
 def test_pinned_artifact_bytes(name, m):
-    assert hashes(artifacts(name, m)) == {**PINNED[name, m], **PINNED_V3[name, m]}
-    assert hashes(artifacts(name, m), version=2) == PINNED[name, m]
+    named, statement = artifacts(name, m), instance(name, m)[1]
+    assert hashes(named) == {**PINNED[name, m], **PINNED_V3[name, m], **PINNED_V4[name, m]}
+    assert hashes(named, 3, statement) == {**PINNED[name, m], **PINNED_V3[name, m]}
+    assert hashes(named, 2, statement) == PINNED[name, m]
 
 
 # the snark keys of the composed circuit at m=500, as in snark-m500-tamper
@@ -247,6 +314,19 @@ PINNED_KEYS_V3 = {
 }
 
 
+# the hashes of version 4 that differ from the version 3 pins above
+PINNED_KEYS_V4 = {
+    ('EQUAL', 500): {
+        "snark_pk": "cc01dfc85d9f9fc703ab6ef9ccb319c268177ef16e5be06681b6469d57ba27c0",
+        "snark_vk": "53e1a96c2c9185e326302d3a06f8135cb8b1de2f8a0a6b236ea0cda3a722b743",
+    },
+    ('MIXED', 500): {
+        "snark_pk": "9d42cdcbc736a91998bb763605742086af75ddb9802c16c5e938bde050453f40",
+        "snark_vk": "676a5d3da1d302cac18c54a9596818656fb6bbe389b40aa0b15ec440d4dc5bcd",
+    },
+}
+
+
 @pytest.mark.parametrize("name,m", list(PINNED_KEYS))
 def test_pinned_snark_keys_at_benchmark_size(name, m):
     cs = build_protocol_circuit(m, CONSTANTS[name])
@@ -254,8 +334,10 @@ def test_pinned_snark_keys_at_benchmark_size(name, m):
     keys = {"snark_pk": pair.proving_key.to_bytes(),
             "snark_pk_tail": spec_slot_tail(pair.proving_key, cs),
             "snark_vk": pair.verifying_key.to_bytes()}
-    assert hashes(keys) == {**PINNED_KEYS[name, m], **PINNED_KEYS_V3[name, m]}
-    assert hashes(keys, version=2) == PINNED_KEYS[name, m]
+    assert hashes(keys) == {**PINNED_KEYS[name, m], **PINNED_KEYS_V3[name, m],
+                            **PINNED_KEYS_V4[name, m]}
+    assert hashes(keys, 3) == {**PINNED_KEYS[name, m], **PINNED_KEYS_V3[name, m]}
+    assert hashes(keys, 2) == PINNED_KEYS[name, m]
 
 
 # the composed circuit's digest at the benchmark's sizes, taken while the

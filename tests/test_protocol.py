@@ -6,7 +6,7 @@ import pytest
 
 from zksplit import circuit, protocol
 from zksplit.backend import Statement, Verdict
-from zksplit.circuit import Witness, generate_witness
+from zksplit.circuit import generate_witness
 from zksplit.config import ConfigError, SimConfig
 from zksplit.nn import client_forward, server_loss, server_step
 from zksplit.protocol import ProverEntity, RoundMessage, Trainer, VerifierEntity
@@ -367,7 +367,7 @@ class TestMessagePipeline:
         zero = Statement(np.concatenate((w0, w0, [tr.k_q])))
         witness = generate_witness(tr.circuit, zero, [tr.constants.z_u] * M)
         # (statement digest, mock proof body) of the last accepted update
-        last = (zero.digest(), witness.to_bytes())
+        last = (zero.digest(), witness.to_bytes(len(zero)))
         delivered = []
         orig = Trainer._deliver
 
@@ -392,12 +392,14 @@ class TestMessagePipeline:
         assert forwards == 6
 
     def test_each_witness_is_encoded_once(self, monkeypatch):
+        tr = Trainer(SimConfig(mode="zk-mock", num_clients=1, m=8, rounds=3, seed=0))
+        private = tr.circuit.num_wires - 1 - tr.circuit.num_public
         encoded = []
         orig = circuit._frame
 
-        def record(vec):
-            out = orig(vec)
-            if isinstance(vec, Witness):
+        def record(signed, span):
+            out = orig(signed, span)
+            if len(signed) == private:  # a transcript, not a statement
                 encoded.append(out)
             return out
 
@@ -410,13 +412,12 @@ class TestMessagePipeline:
             return orig_prove(self, statement, witness)
 
         monkeypatch.setattr(ProverEntity, "prove", prove)
-        reports = Trainer(SimConfig(mode="zk-mock", num_clients=1, m=8, rounds=3,
-                                    seed=0)).train()
+        reports = tr.train()
         assert all(r.verdicts == {0: "Accepted"} for r in reports)
         # a forward and a backward proof per round; each forward proof
         # re-proves the witness of the previous backward one
         assert len(proved) == 6 and len({id(w) for w in proved}) == 4
-        bodies = [w.to_bytes() for w in dict.fromkeys(proved)]
+        bodies = [w.to_bytes(tr.circuit.num_public) for w in dict.fromkeys(proved)]
         assert sorted(encoded) == sorted(bodies)
 
     @pytest.mark.parametrize("overrides, verdict", [

@@ -442,8 +442,8 @@ def test_finding_a_unrelated_statement_is_accepted(name, k):
         values = division_witness(w_new, w_old, k)
         private = [to_signed(v) for v in values[2 + 2 * M : 2 + 4 * M]]
         assert not all(C.q_min <= v <= C.q_max for v in private)
-        # its field elements pass 2**62; its remainder bits are a bit tail
-        assert Witness(values).to_bytes()[0] == 32 + 0x80
+        # its private field elements pass 2**62; its remainder bits are a bit tail
+        assert Witness(values).to_bytes(2 * M + 1)[0] == 32 + 0x80
         assert prove_and_verify(name, values) is Verdict.ACCEPT
 
 

@@ -127,12 +127,17 @@ def test_witness_time_is_reported_in_every_mode(mode):
 
 @pytest.mark.parametrize("mode", ["none", "blockchain", "zk-mock", "zk-snark"])
 def test_round_timings_add_up_to_the_round(mode):
+    """Every round names its held-out eval, and in blockchain mode only its
+    ledger appends, and the named layers and the rest add up to its wall
+    time."""
     tr = Trainer(SimConfig(mode=mode, num_clients=2, m=M, rounds=2, seed=3))
     for round_id in range(2):
         t0 = time.perf_counter()
         report = tr.run_round(round_id)
         wall = time.perf_counter() - t0
         assert report.timings["other"] >= 0.0
+        assert report.timings["eval"] > 0.0
+        assert (report.timings["ledger"] > 0.0) == (mode == "blockchain")
         assert sum(report.timings.values()) <= wall
 
 
