@@ -365,14 +365,17 @@ class FieldVector:
         return self._bytes
 
     @classmethod
-    def _held(cls, signed: np.ndarray, span: Tuple[int, int]):
+    def _held(cls, signed: np.ndarray, span: Tuple[int, int], frame=None):
         """The vector of the array ``signed``, which it takes over, when
         ``span`` is the least and greatest of 0 and its elements, and
         ``signed`` is int64 exactly when both lie in (-SMALL, SMALL);
-        nothing scans the elements."""
+        nothing scans the elements.  A ``frame`` read into it is kept as
+        its encoding when it is bytes, which nothing can change."""
         vec = cls.__new__(cls)
         signed.flags.writeable = False
         vec._signed, vec._range = signed, span
+        if isinstance(frame, bytes):
+            vec._bytes = frame
         return vec
 
     @classmethod
@@ -380,10 +383,7 @@ class FieldVector:
         """The vector a frame holds, keeping ``data`` as its encoding.  Raises
         ValueError on any frame that is not the encoding of its vector."""
         head, bits, span = _unframe(data, what)
-        vec = cls._held(_joined(head, bits), span)
-        if isinstance(data, bytes):
-            vec._bytes = data
-        return vec
+        return cls._held(_joined(head, bits), span, data)
 
 
 def _unframe(data: bytes, what: str) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
@@ -455,8 +455,11 @@ class Witness(FieldVector):
     witness keeps the frame it was read from as its transcript.
     """
 
-    # (num_public, the frame of the wires after wire 0 and num_public more)
-    _transcript: Tuple[int, bytes] | None = None
+    # num_public, and the least and greatest of 0 and the private wires,
+    # which fix the transcript's width: recorded when the witness is
+    # generated or decoded, and found by one scan at the first encode of a
+    # witness made from its values
+    _private: Tuple[int, Tuple[int, int]] | None = None
 
     def statement(self, cs: "ConstraintSystem") -> List[int]:
         return [v % P for v in self._signed[1 : 1 + cs.num_public].tolist()]
@@ -469,11 +472,17 @@ class Witness(FieldVector):
     # benchmark's trace hooks can time it apart from the statement codec
     def to_bytes(self, num_public: int) -> bytes:
         """The frame of the private wires: every wire after wire 0 and the
-        num_public public ones."""
-        if self._transcript is None or self._transcript[0] != num_public:
-            private = self._signed[1 + num_public :]
-            self._transcript = num_public, _frame(private, _range(private))
-        return self._transcript[1]
+        num_public public ones.  A witness has one transcript, so
+        ``num_public`` is the same at every call."""
+        private = self._signed[1 + num_public :]
+        if self._private is None:
+            self._private = num_public, _range(private)
+        elif self._private[0] != num_public:
+            raise ValueError(f"the transcript of this witness follows {self._private[0]} "
+                             f"public wires, not {num_public}")
+        if self._bytes is None:
+            self._bytes = _frame(private, self._private[1])
+        return self._bytes
 
     @classmethod
     def from_bytes(cls, data: bytes, statement: FieldVector) -> "Witness":
@@ -483,9 +492,8 @@ class Witness(FieldVector):
         head, bits, (lo, hi) = _unframe(data, "witness")
         s_lo, s_hi = statement._range
         wit = cls._held(_joined(_ONE, statement.signed, head, bits),
-                        (min(lo, s_lo), max(hi, s_hi, 1)))
-        if isinstance(data, bytes):
-            wit._transcript = len(statement), data
+                        (min(lo, s_lo), max(hi, s_hi, 1)), data)
+        wit._private = len(statement), (lo, hi)
         return wit
 
 
@@ -1136,15 +1144,16 @@ def quantized_update(w_q: Sequence[int], up_q: Sequence[int], c: CircuitConstant
 # -- witness generation ------------------------------------------------------
 
 
-def _check_range(cs: ConstraintSystem, vals: np.ndarray) -> Tuple[int, int]:
-    """Raise unless every vals[i], the value of wire 1 + i, is in the
-    quantized range; return the least and greatest of 0 and vals, which
-    must not be empty."""
+def _check_range(cs: ConstraintSystem, vals: np.ndarray, first: int) -> Tuple[int, int]:
+    """Raise unless every vals[i], the value of wire first + i, is in the
+    quantized range; return the least and greatest of 0 and vals."""
+    if not len(vals):
+        return 0, 0
     c = cs.constants
     lo, hi = int(vals.min()), int(vals.max())
     if lo < c.q_min or hi > c.q_max:
         i, bad = next((i, v) for i, v in enumerate(vals.tolist()) if not c.q_min <= v <= c.q_max)
-        raise CircuitError(f"{cs.var_names[1 + i]} value {bad} outside quantized range")
+        raise CircuitError(f"{cs.var_names[first + i]} value {bad} outside quantized range")
     return min(lo, 0), max(hi, 0)
 
 
@@ -1179,15 +1188,16 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         raise CircuitError(f"expected {cs.num_public} public values, got {len(pub)}")
     if len(priv) != free:
         raise CircuitError(f"expected {free} private values, got {len(priv)}")
-    inputs = np.concatenate([pub, priv])
-    lo, hi = _check_range(cs, inputs)
+    pub_lo, pub_hi = _check_range(cs, pub, 1)
+    lo, hi = _check_range(cs, priv, 1 + len(pub))
     # every input, and every private output fill derives, lies in the
     # quantized range: within (-SMALL, SMALL) an int64 witness holds them
     c = cs.constants
     small = -SMALL < c.q_min and c.q_max < SMALL
     w = np.zeros(cs.num_wires, dtype=np.int64 if small else object)
     w[0] = 1
-    w[1 : 1 + len(inputs)] = inputs
+    w[1 : 1 + len(pub)] = pub
+    w[1 + len(pub) : 1 + len(pub) + len(priv)] = priv
     # the span of the range itself covers each floor
     d = _span(c)
     for g in cs.gadgets:
@@ -1195,6 +1205,9 @@ def generate_witness(cs: ConstraintSystem, public_values: Sequence[int],
         lo, hi = min(lo, out_lo), max(hi, out_hi)
     if not small:
         return Witness(w, copy=False)  # nothing else holds w
-    # the other wires are wire 0, which is 1, and bits, each 0 or 1; nothing
-    # else holds w
-    return Witness._held(w, (lo, max(hi, 1)))
+    # the other wires are wire 0, which is 1, and bits, each 0 or 1; the
+    # private wires' span counts 1 for the bits unread, which gives the
+    # width that 0 would; nothing else holds w
+    wit = Witness._held(w, (min(lo, pub_lo), max(hi, pub_hi, 1)))
+    wit._private = cs.num_public, (lo, max(hi, 1))
+    return wit

@@ -1080,6 +1080,34 @@ class TestWitnessCodec:
         assert calls == [len(arr)] * 2
         assert FieldVector([5, 7]).to_bytes()[0] == 1 and calls == [len(arr)] * 2
 
+    def test_transcript_scans_no_wire(self, monkeypatch):
+        """A generated witness records its private wires' range, so its
+        transcript is framed with no scan, and a decoded one keeps it
+        from the scan of the frame's head."""
+        cs, values = honest("composed", 8, "MIXED")
+        public = values[1 : 1 + cs.num_public]
+        statement = Statement(public)
+        calls = []
+        scan = circuit._range
+        monkeypatch.setattr(circuit, "_range", lambda s: calls.append(len(s)) or scan(s))
+        w = generate_witness(cs, statement, values[1 + cs.num_public : 1 + cs.num_public + 8])
+        made = list(calls)
+        data = w.to_bytes(cs.num_public)
+        assert data == reference_encode(values[1 + cs.num_public :]) and calls == made
+        head = int.from_bytes(data[1:5], "little") - int.from_bytes(data[5:9], "little")
+        assert head == 16  # U and U' head the frame, before the bit tail
+        back = Witness.from_bytes(data, statement)
+        assert back._range == w._range and calls == made + [head]
+        assert back.to_bytes(cs.num_public) is data and calls == made + [head]
+
+    def test_witness_has_one_transcript(self):
+        w = Witness([1, 9, -2, 3])
+        data = w.to_bytes(1)
+        with pytest.raises(ValueError, match="follows 1 public wires, not 2"):
+            w.to_bytes(2)
+        with pytest.raises(ValueError, match="follows 1 public wires, not 0"):
+            Witness.from_bytes(data, Statement([9])).to_bytes(0)
+
     def test_int64_array_is_copied(self):
         arr = np.array([1, -2, 3], dtype=np.int64)
         w = Witness(arr)
